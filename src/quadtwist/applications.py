@@ -16,7 +16,13 @@ from typing import Optional
 
 from .ideals import CanonicalIdeal
 from .lattice2 import Gram2, gram_of_twist, hermite_thickness_sq
-from .quadfield import QuadElem, check_field, discriminant, fundamental_unit
+from .quadfield import (
+    CertificateError,
+    QuadElem,
+    check_field,
+    discriminant,
+    fundamental_unit,
+)
 from .twist import wr_twist
 
 Form = tuple[int, int, int]  # integral (A, B, C), disc = B^2 - 4AC > 0
@@ -72,7 +78,10 @@ def form_minimum(f: Form, max_steps: int = 10000) -> tuple[int, tuple[int, int]]
         # U <- U @ [[0, -1], [1, s]]
         u11, u12 = u12, -u11 + s * u12
         u21, u22 = u22, -u21 + s * u22
-        assert _form_value(f, u11, u21) == cur[0]
+        if _form_value(f, u11, u21) != cur[0]:
+            raise CertificateError(
+                f"form cycle of {f}: transform column ({u11}, {u21}) does not "
+                f"represent the leading coefficient {cur[0]}")
         if abs(cur[0]) < best:
             best = abs(cur[0])
             best_vec = (u11, u21)
@@ -126,7 +135,9 @@ def min_abs_norm(I: CanonicalIdeal, scan_box: int = 40) -> NormSearchResult:
     coeffs = min(candidates, key=lambda v: (abs(v[0]) + abs(v[1]), v))
     z1, z2 = I.basis_elements()
     witness = coeffs[0] * z1 + coeffs[1] * z2
-    assert abs(witness.norm()) == m
+    if abs(witness.norm()) != m:
+        raise CertificateError(
+            f"witness {witness} of {I} has |N| = {abs(witness.norm())}, not {m}")
     return NormSearchResult(m, witness, coeffs, m == I.norm())
 
 

@@ -1,6 +1,8 @@
 """Command-line surface with byte-deterministic JSON/CSV reports.
 
-Exit codes: 0 success, 2 invalid input, 3 verification failure.
+Exit codes: 0 success, 2 invalid input, 3 verification failure (a
+verify-examples mismatch, or a computed result whose exact certificate
+re-check fails, reported as a JSON message on stderr).
 Exact rationals are serialized as "numerator/denominator" strings; floats are
 companions with 12 significant digits.
 """
@@ -9,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -20,6 +23,7 @@ from .geodesic import sample_at, sample_orbit
 from .ideals import CanonicalBasisError, enumerate_canonical, validate_canonical
 from .lattice2 import (
     det_gram,
+    gram_of_twist,
     is_lagrange_reduced,
     is_paper_reduced,
     is_stable,
@@ -28,7 +32,7 @@ from .lattice2 import (
     minima_brute_force,
     successive_minima,
 )
-from .quadfield import InvalidFieldError, QuadElem
+from .quadfield import CertificateError, InvalidFieldError, QuadElem
 from .twist import stable_twist, wr_bound_filter, wr_twist, stable_bound_filter
 
 EXIT_OK = 0
@@ -95,8 +99,6 @@ def _twist_report(D: int, a: int, b: int, g: int, mode: str) -> dict:
             alpha = fr.witness_alpha
 
     if alpha is not None:
-        from .lattice2 import gram_of_twist
-
         G = gram_of_twist(I, alpha)
         R, _ = lagrange_reduce(G)
         l1, l2 = R.g11, R.g22
@@ -230,8 +232,6 @@ def _verify_wr_example(D, a, b, g, t_expect: Fraction, minima_sq: Fraction,
 def _verify_stable_example(D, a, b, g, t_expect: int, gram_expect, det_decimal,
                            cos_decimal, classical_minima, quoted_l2,
                            notes: list) -> bool:
-    from .lattice2 import gram_of_twist
-
     I = validate_canonical(D, a, b, g)
     fr = stable_twist(I)
     if not (fr.feasible_real and fr.contains_t(Fraction(t_expect))):
@@ -343,10 +343,20 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    # Built once per process and reused: parse_args does not change it.
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         return args.func(args)
+    except CertificateError as exc:
+        print(json.dumps({"error": str(exc), "condition": "certificate"}),
+              file=sys.stderr)
+        return EXIT_VERIFY_FAILED
     except (CanonicalBasisError, InvalidFieldError, ValueError) as exc:
         reason = getattr(exc, "condition", None)
         print(json.dumps({"error": str(exc), "condition": reason}),

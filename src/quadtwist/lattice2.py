@@ -106,10 +106,6 @@ def gram_of_twist(I: CanonicalIdeal, alpha: QuadElem) -> Gram2:
     )
 
 
-def _round_half_even(q: Fraction) -> int:
-    return round(q)
-
-
 def lagrange_reduce(G: Gram2) -> tuple[Gram2, UnimodularMap]:
     """Classical Lagrange-Gauss reduction of a planar Gram matrix.
 
@@ -127,7 +123,7 @@ def lagrange_reduce(G: Gram2) -> tuple[Gram2, UnimodularMap]:
             u = u @ swap
         if 2 * abs(g12) <= g11:
             break
-        r = _round_half_even(g12 / g11)
+        r = round(g12 / g11)
         # v2 <- v2 - r*v1
         g22 = g22 - 2 * r * g12 + r * r * g11
         g12 = g12 - r * g11
@@ -266,7 +262,7 @@ def reduce_to_fundamental(tau: SimilarityPoint) -> SimilarityPoint:
     fold x -> |x| into the similarity-class half-domain."""
     x, y2 = tau.x, tau.y_sq
     while True:
-        x = x - _round_half_even(x)
+        x = x - round(x)
         n = x * x + y2
         if n >= 1:
             break

@@ -1,7 +1,9 @@
 """Exact arithmetic in real quadratic fields Q(sqrt(D)) and in quadratic surds.
 
-All values are immutable and all predicates are decided over exact rationals;
-no floating point enters any comparison.
+All values are immutable.  Every order predicate is decided by one exact sign
+test on plain integers (the sign of x + y*sqrt(m), or of a sum of two such
+radicals) after clearing denominators; no floating point enters any
+comparison.
 """
 
 from __future__ import annotations
@@ -14,10 +16,23 @@ from typing import Union
 Rational = Union[int, Fraction]
 
 _TRIAL_LIMIT = 10**6
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+# Builders for the immutable value types, bypassing their public checks.
+_new = object.__new__
+_setattr = object.__setattr__
 
 
 class InvalidFieldError(ValueError):
     """Raised when D is not a squarefree integer > 1."""
+
+
+class CertificateError(Exception):
+    """Raised when the exact re-check of a computed result fails.
+
+    Not a ValueError: the input was valid and the library's own answer is
+    wrong, so callers must not report it as invalid input.
+    """
 
 
 def _is_square(n: int) -> bool:
@@ -61,25 +76,52 @@ def check_field(D: int) -> int:
     return D
 
 
-def _sign(q: Fraction) -> int:
-    return (q > 0) - (q < 0)
+def _sign(n: int) -> int:
+    return (n > 0) - (n < 0)
 
 
-def _sign_x_plus_y_sqrt(x: Fraction, y: Fraction, m: Fraction) -> int:
-    """Exact sign of x + y*sqrt(m) for rational x, y and m >= 0."""
+def _sign_x_plus_y_sqrt(x: int, y: int, m: int) -> int:
+    """Exact sign of x + y*sqrt(m) for integers x, y and m >= 0."""
     if m < 0:
         raise ValueError("negative radicand")
     if y == 0 or m == 0:
         return _sign(x)
     if x == 0:
         return _sign(y)
-    if x > 0 and y > 0:
-        return 1
-    if x < 0 and y < 0:
-        return -1
+    if (x > 0) == (y > 0):
+        return _sign(x)
     # Opposite signs: compare x^2 against m*y^2, one squaring decides.
-    d = x * x - m * y * y
-    return _sign(x) * _sign(d) if d != 0 else 0
+    return _sign(x) * _sign(x * x - m * y * y)
+
+
+def _sign_two_radicals(a: int, b: int, m1: int, c: int, m2: int) -> int:
+    """Exact sign of a + b*sqrt(m1) + c*sqrt(m2) for integers, m1, m2 >= 0."""
+    if b == 0:
+        return _sign_x_plus_y_sqrt(a, c, m2)
+    if c == 0:
+        return _sign_x_plus_y_sqrt(a, b, m1)
+    if (b > 0) == (c > 0):
+        # b*sqrt(m1) + c*sqrt(m2) has the sign of b; compare against -a.
+        st = _sign(b)
+    else:
+        # Mixed signs: T = b*sqrt(m1) + c*sqrt(m2); sign(T) from squares.
+        st = _sign(b) * _sign(b * b * m1 - c * c * m2)
+        if st == 0:
+            return _sign(a)
+    if a == 0 or _sign(a) == st:
+        return st
+    # sign(a + T) with sign(T) = -sign(a): compare a^2 with T^2, where
+    # T^2 = b^2 m1 + c^2 m2 + 2bc sqrt(m1 m2) is a single-radical value.
+    return _sign(a) * _sign_x_plus_y_sqrt(
+        a * a - b * b * m1 - c * c * m2, -2 * b * c, m1 * m2
+    )
+
+
+def _sign_elem(x: Fraction, y: Fraction, D: int) -> int:
+    """Exact sign of x + y*sqrt(D), after clearing both denominators."""
+    return _sign_x_plus_y_sqrt(
+        x.numerator * y.denominator, y.numerator * x.denominator, D
+    )
 
 
 @dataclass(frozen=True)
@@ -99,13 +141,23 @@ class QuadElem:
     def of(D: int, x: Rational = 0, y: Rational = 0) -> "QuadElem":
         return QuadElem(D, Fraction(x), Fraction(y))
 
+    @classmethod
+    def _make(cls, D: int, x: Fraction, y: Fraction) -> "QuadElem":
+        """Element of a field whose D is already checked, with Fraction
+        coordinates: skips check_field, for results of ring operations."""
+        z = _new(cls)
+        _setattr(z, "D", D)
+        _setattr(z, "x", x)
+        _setattr(z, "y", y)
+        return z
+
     def _coerce(self, other) -> "QuadElem":
         if isinstance(other, QuadElem):
             if other.D != self.D:
                 raise ValueError("mixed fields")
             return other
         if isinstance(other, (int, Fraction)):
-            return QuadElem(self.D, Fraction(other), Fraction(0))
+            return QuadElem._make(self.D, Fraction(other), _ZERO)
         return NotImplemented
 
     # -- ring operations -------------------------------------------------
@@ -114,18 +166,18 @@ class QuadElem:
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return QuadElem(self.D, self.x + o.x, self.y + o.y)
+        return QuadElem._make(self.D, self.x + o.x, self.y + o.y)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadElem(self.D, -self.x, -self.y)
+        return QuadElem._make(self.D, -self.x, -self.y)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return QuadElem(self.D, self.x - o.x, self.y - o.y)
+        return QuadElem._make(self.D, self.x - o.x, self.y - o.y)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -134,7 +186,7 @@ class QuadElem:
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return QuadElem(
+        return QuadElem._make(
             self.D,
             self.x * o.x + self.D * self.y * o.y,
             self.x * o.y + self.y * o.x,
@@ -146,7 +198,7 @@ class QuadElem:
         n = self.norm()
         if n == 0:
             raise ZeroDivisionError("zero element of the field")
-        return QuadElem(self.D, self.x / n, -self.y / n)
+        return QuadElem._make(self.D, self.x / n, -self.y / n)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -160,7 +212,7 @@ class QuadElem:
     def __pow__(self, k: int):
         if k < 0:
             return self.inverse() ** (-k)
-        r = QuadElem(self.D, Fraction(1), Fraction(0))
+        r = QuadElem._make(self.D, _ONE, _ZERO)
         b = self
         while k:
             if k & 1:
@@ -172,7 +224,7 @@ class QuadElem:
     # -- field invariants -------------------------------------------------
 
     def conjugate(self) -> "QuadElem":
-        return QuadElem(self.D, self.x, -self.y)
+        return QuadElem._make(self.D, self.x, -self.y)
 
     def norm(self) -> Fraction:
         return self.x * self.x - self.D * self.y * self.y
@@ -182,8 +234,7 @@ class QuadElem:
 
     def sign_embedding(self, i: int) -> int:
         """Exact sign of sigma_i(self), i in {1, 2}."""
-        y = self.y if i == 1 else -self.y
-        return _sign_x_plus_y_sqrt(self.x, y, Fraction(self.D))
+        return _sign_elem(self.x, self.y if i == 1 else -self.y, self.D)
 
     def is_totally_positive(self) -> bool:
         return self.sign_embedding(1) > 0 and self.sign_embedding(2) > 0
@@ -195,7 +246,7 @@ class QuadElem:
 
     def _cmp_sign(self, other) -> int:
         o = self._coerce(other)
-        return _sign_x_plus_y_sqrt(self.x - o.x, self.y - o.y, Fraction(self.D))
+        return _sign_elem(self.x - o.x, self.y - o.y, self.D)
 
     def __lt__(self, other):
         return self._cmp_sign(other) < 0
@@ -231,8 +282,8 @@ def delta(D: int) -> QuadElem:
     """Generator of O_K over Z: -sqrt(D), or (1-sqrt(D))/2 when D = 1 mod 4."""
     check_field(D)
     if D % 4 == 1:
-        return QuadElem(D, Fraction(1, 2), Fraction(-1, 2))
-    return QuadElem(D, Fraction(0), Fraction(-1))
+        return QuadElem._make(D, Fraction(1, 2), Fraction(-1, 2))
+    return QuadElem._make(D, _ZERO, Fraction(-1))
 
 
 def discriminant(D: int) -> int:
@@ -268,7 +319,7 @@ def _pell_unit(D: int) -> QuadElem:
         a = (P + sq) // Q
         h2, h1 = h1, a * h1 + h2
         k2, k1 = k1, a * k1 + k2
-    return QuadElem(D, Fraction(h1), Fraction(k1))
+    return QuadElem._make(D, Fraction(h1), Fraction(k1))
 
 
 def fundamental_unit(D: int) -> tuple[QuadElem, QuadElem]:
@@ -295,7 +346,7 @@ def fundamental_unit(D: int) -> tuple[QuadElem, QuadElem]:
                 if num <= 0 or num % D != 0 or not _is_square(num // D):
                     continue
                 u = math.isqrt(num // D)
-                cand = QuadElem(D, Fraction(t, 2), Fraction(u, 2))
+                cand = QuadElem._make(D, Fraction(t, 2), Fraction(u, 2))
                 if abs(cand.norm()) == 1 and cand ** 3 == eta:
                     eps = cand
                     break
@@ -306,59 +357,74 @@ def fundamental_unit(D: int) -> tuple[QuadElem, QuadElem]:
     return eps, eps_plus
 
 
-def _rational_sqrt(q: Fraction) -> Fraction | None:
-    """Exact square root of a nonnegative rational, or None."""
-    if q < 0:
-        return None
-    if _is_square(q.numerator) and _is_square(q.denominator):
-        return Fraction(math.isqrt(q.numerator), math.isqrt(q.denominator))
-    return None
-
-
-@dataclass(frozen=True)
 class Surd:
-    """Exact real value u + v*sqrt(m) with rational u, v and rational m >= 0.
+    """Exact real value (p + q*sqrt(n))/d with integers p, q, n >= 0, d > 0.
 
-    Canonical form: when m is a perfect rational square the radical is folded
-    into u and v = 0, m = 0.  Total order against rationals and other Surds
-    is decided by sign-tracked squaring, never by floating point.
+    Canonical form: when n is a perfect square the radical is folded into p
+    and q = n = 0.  The radicand is otherwise kept as given, not reduced to
+    its squarefree part.  The rational view u + v*sqrt(m) has u = p/d,
+    v = q/d, m = n; a rational radicand a/b given to the constructor is held
+    as the integer radicand a*b, since sqrt(a/b) = sqrt(a*b)/b.  Total order
+    against rationals and other Surds is decided by integer sign tests after
+    cross-multiplying the denominators, never by floating point.
     """
 
-    u: Fraction
-    v: Fraction
-    m: Fraction
+    __slots__ = ("p", "q", "n", "d")
 
-    def __post_init__(self):
-        u, v, m = Fraction(self.u), Fraction(self.v), Fraction(self.m)
+    def __init__(self, u: Rational = 0, v: Rational = 0, m: Rational = 0):
+        u, v, m = Fraction(u), Fraction(v), Fraction(m)
         if m < 0:
             raise ValueError("negative radicand")
-        if v == 0:
-            m = Fraction(0)
-        else:
-            r = _rational_sqrt(m)
-            if r is not None:
-                u, v, m = u + v * r, Fraction(0), Fraction(0)
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "m", m)
+        vd = v.denominator * m.denominator
+        d = math.lcm(u.denominator, vd)
+        _fill_surd(self, u.numerator * (d // u.denominator),
+                   v.numerator * (d // vd), m.numerator * m.denominator, d)
 
     @staticmethod
     def of(u: Rational, v: Rational = 0, m: Rational = 0) -> "Surd":
-        return Surd(Fraction(u), Fraction(v), Fraction(m))
+        return Surd(u, v, m)
 
     @staticmethod
     def sqrt(q: Rational) -> "Surd":
-        return Surd(Fraction(0), Fraction(1), Fraction(q))
+        return Surd(0, 1, q)
+
+    @staticmethod
+    def of_ints(p: int, q: int = 0, n: int = 0, d: int = 1) -> "Surd":
+        """(p + q*sqrt(n))/d from integers, with n >= 0 and d > 0."""
+        if n < 0 or d <= 0:
+            raise ValueError("need a radicand n >= 0 and a denominator d > 0")
+        return _fill_surd(_new(Surd), p, q, n, d)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Surd is immutable")
+
+    def __reduce__(self):
+        return (Surd.of_ints, (self.p, self.q, self.n, self.d))
+
+    @property
+    def u(self) -> Fraction:
+        return Fraction(self.p, self.d)
+
+    @property
+    def v(self) -> Fraction:
+        return Fraction(self.q, self.d)
+
+    @property
+    def m(self) -> Fraction:
+        return Fraction(self.n)
+
+    def __repr__(self):
+        return f"Surd(u={self.u!r}, v={self.v!r}, m={self.m!r})"
 
     def __str__(self):
-        if self.v == 0:
+        if self.q == 0:
             return str(self.u)
-        head = f"{self.u} + " if self.u else ""
-        coeff = "" if self.v == 1 else f"{self.v}*"
-        return f"{head}{coeff}sqrt({self.m})"
+        head = "" if self.p == 0 else f"{self.u} + "
+        coef = "" if self.q == self.d else f"{self.v}*"
+        return f"{head}{coef}sqrt({self.n})"
 
     def is_rational(self) -> bool:
-        return self.v == 0
+        return self.q == 0
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
@@ -366,39 +432,35 @@ class Surd:
         return self.u
 
     def sign(self) -> int:
-        return _sign_x_plus_y_sqrt(self.u, self.v, self.m)
+        return _sign_x_plus_y_sqrt(self.p, self.q, self.n)
 
     def __float__(self):
-        return float(self.u) + float(self.v) * math.sqrt(self.m)
+        return self.p / self.d + self.q / self.d * math.sqrt(self.n)
 
     def __neg__(self):
-        return Surd(-self.u, -self.v, self.m)
+        return Surd.of_ints(-self.p, -self.q, self.n, self.d)
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
-            return Surd(self.u + other, self.v, self.m)
+            a, b = other.numerator, other.denominator
+            return Surd.of_ints(self.p * b + a * self.d, self.q * b, self.n,
+                                self.d * b)
         return NotImplemented
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
-            return Surd(self.u - other, self.v, self.m)
+            return self + (-other)
         return NotImplemented
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return Surd(self.u * other, self.v * other, self.m)
+            a, b = other.numerator, other.denominator
+            return Surd.of_ints(self.p * a, self.q * a, self.n, self.d * b)
         return NotImplemented
 
     __rmul__ = __mul__
-
-    def __str__(self):
-        if self.v == 0:
-            return str(self.u)
-        head = "" if self.u == 0 else f"{self.u} + "
-        coef = "" if self.v == 1 else f"{self.v}*"
-        return f"{head}{coef}sqrt({self.m})"
 
     def __lt__(self, other):
         return surd_compare(self, other) < 0
@@ -421,44 +483,34 @@ class Surd:
         return hash((self.u, self.v, self.m))
 
 
-def _sign_two_radicals(a: Fraction, b: Fraction, m1: Fraction,
-                       c: Fraction, m2: Fraction) -> int:
-    """Exact sign of a + b*sqrt(m1) + c*sqrt(m2), all radicands irrational."""
-    if b == 0:
-        return _sign_x_plus_y_sqrt(a, c, m2)
-    if c == 0:
-        return _sign_x_plus_y_sqrt(a, b, m1)
-    if _sign(b) == _sign(c):
-        # b*sqrt(m1) + c*sqrt(m2) has the sign of b; compare against -a.
-        s = _sign(b)
-        if _sign(a) == s or a == 0:
-            return s
-        # sign(a + T) with sign(T) = s = -sign(a): compare a^2 with T^2.
-        # T^2 = b^2 m1 + c^2 m2 + 2bc sqrt(m1 m2), a single-radical value.
-        d = _sign_x_plus_y_sqrt(
-            a * a - b * b * m1 - c * c * m2, -2 * b * c, m1 * m2
-        )
-        return _sign(a) * d if d != 0 else 0
-    # Mixed signs: T = b*sqrt(m1) + c*sqrt(m2); sign(T) from squares.
-    st = _sign(b) * _sign(b * b * m1 - c * c * m2)
-    if st == 0:
-        return _sign(a)
-    if a == 0:
-        return st
-    if _sign(a) == st:
-        return st
-    d = _sign_x_plus_y_sqrt(
-        a * a - b * b * m1 - c * c * m2, -2 * b * c, m1 * m2
-    )
-    return _sign(a) * d if d != 0 else 0
+def _fill_surd(s: Surd, p: int, q: int, n: int, d: int) -> Surd:
+    """Set the fields of a new Surd, folding a perfect-square radicand."""
+    if q == 0 or n == 0:
+        q = n = 0
+    else:
+        r = math.isqrt(n)
+        if r * r == n:
+            p, q, n = p + q * r, 0, 0
+    _setattr(s, "p", p)
+    _setattr(s, "q", q)
+    _setattr(s, "n", n)
+    _setattr(s, "d", d)
+    return s
 
 
 def surd_compare(s1, s2) -> int:
     """Exact three-way comparison of Surd/rational values: -1, 0 or +1."""
-    if isinstance(s1, (int, Fraction)):
-        s1 = Surd.of(s1)
-    if isinstance(s2, (int, Fraction)):
-        s2 = Surd.of(s2)
-    if s1.m == s2.m:
-        return _sign_x_plus_y_sqrt(s1.u - s2.u, s1.v - s2.v, s1.m)
-    return _sign_two_radicals(s1.u - s2.u, s1.v, s1.m, -s2.v, s2.m)
+    if isinstance(s1, Surd):
+        p1, q1, n1, d1 = s1.p, s1.q, s1.n, s1.d
+    else:
+        p1, q1, n1, d1 = s1.numerator, 0, 0, s1.denominator
+    if isinstance(s2, Surd):
+        p2, q2, n2, d2 = s2.p, s2.q, s2.n, s2.d
+    else:
+        p2, q2, n2, d2 = s2.numerator, 0, 0, s2.denominator
+    # Both denominators are positive: compare (p1 + q1 sqrt(n1)) d2 with
+    # (p2 + q2 sqrt(n2)) d1.
+    x = p1 * d2 - p2 * d1
+    if n1 == n2:
+        return _sign_x_plus_y_sqrt(x, q1 * d2 - q2 * d1, n1)
+    return _sign_two_radicals(x, q1 * d2, n1, -q2 * d1, n2)

@@ -13,13 +13,15 @@ intersection of quadratic-inequality solution sets with surd endpoints.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
 from typing import Optional
 
 from .ideals import CanonicalIdeal
 from .lattice2 import Gram2, gram_of_twist, is_paper_reduced, is_stable, is_wr
-from .quadfield import QuadElem, Surd, surd_compare
+from .quadfield import CertificateError, QuadElem, Rational, Surd, surd_compare
 
 
 # ---------------------------------------------------------------------------
@@ -91,24 +93,30 @@ def intersect_interval_lists(xs: list[Interval], ys: list[Interval]) -> list[Int
     return out
 
 
-def solve_quadratic_ge0(A: Fraction, B: Fraction, C: Fraction,
+def solve_quadratic_ge0(A: Rational, B: Rational, C: Rational,
                         domain: Interval) -> list[Interval]:
-    """Exact solution set of A*t^2 + B*t + C >= 0 intersected with domain."""
+    """Exact solution set of A*t^2 + B*t + C >= 0 intersected with domain.
+
+    Rational coefficients are scaled to integers once, on entry; the roots
+    (-B -+ sqrt(B^2 - 4AC))/(2A) are then integer surds.
+    """
+    scale = math.lcm(A.denominator, B.denominator, C.denominator)
+    A, B, C = (c.numerator * (scale // c.denominator) for c in (A, B, C))
     if A == 0:
         if B == 0:
             return [domain] if C >= 0 else []
-        bound = Surd.of(Fraction(-C, 1) / B)
         if B > 0:
-            sol = Interval(bound, None, True, True)
+            sol = Interval(Surd.of_ints(-C, d=B), None, True, True)
         else:
-            sol = Interval(domain.lo, bound, domain.lo_closed, True)
+            sol = Interval(domain.lo, Surd.of_ints(C, d=-B),
+                           domain.lo_closed, True)
         return intersect_interval_lists([domain], [sol])
     disc = B * B - 4 * A * C
     if A > 0:
         if disc <= 0:
             return [domain]
-        r1 = Surd(Fraction(-B, 1) / (2 * A), Fraction(-1, 1) / (2 * A), disc)
-        r2 = Surd(Fraction(-B, 1) / (2 * A), Fraction(1, 1) / (2 * A), disc)
+        r1 = Surd.of_ints(-B, -1, disc, 2 * A)
+        r2 = Surd.of_ints(-B, 1, disc, 2 * A)
         sols = [
             Interval(domain.lo, r1, domain.lo_closed, True),
             Interval(r2, None, True, True),
@@ -116,9 +124,10 @@ def solve_quadratic_ge0(A: Fraction, B: Fraction, C: Fraction,
     else:
         if disc < 0:
             return []
-        # A < 0: the smaller root carries the +sqrt(disc) branch.
-        r1 = Surd(Fraction(-B, 1) / (2 * A), Fraction(1, 1) / (2 * A), disc)
-        r2 = Surd(Fraction(-B, 1) / (2 * A), Fraction(-1, 1) / (2 * A), disc)
+        # A < 0: with the positive denominator -2A the smaller root is
+        # (B - sqrt(disc))/(-2A).
+        r1 = Surd.of_ints(B, -1, disc, -2 * A)
+        r2 = Surd.of_ints(B, 1, disc, -2 * A)
         sols = [Interval(r1, r2, True, True)]
     return intersect_interval_lists([domain], sols)
 
@@ -141,25 +150,30 @@ def _max_stride(check) -> int:
 
 def simplest_rational_in(lo: Surd, hi: Optional[Surd]) -> Optional[Fraction]:
     """Smallest-denominator rational strictly inside (lo, hi), by the
-    Stern-Brocot walk with exponential stride acceleration."""
+    Stern-Brocot walk with exponential stride acceleration.
+
+    Each probe n/d is compared as the integer surd n/d; only the returned
+    witness is built as a Fraction."""
     if hi is not None and surd_compare(lo, hi) >= 0:
         return None
     ln, ld = 0, 1  # left endpoint of the walk
     rn, rd = 1, 0  # right endpoint, starts at +oo
     while True:
-        m = Fraction(ln + rn, ld + rd)
-        if surd_compare(m, lo) <= 0:
+        mn, md = ln + rn, ld + rd
+        if surd_compare(Surd.of_ints(mn, 0, 0, md), lo) <= 0:
             k = _max_stride(
-                lambda k: surd_compare(Fraction(ln + k * rn, ld + k * rd), lo) <= 0
+                lambda k: surd_compare(
+                    Surd.of_ints(ln + k * rn, 0, 0, ld + k * rd), lo) <= 0
             )
             ln, ld = ln + k * rn, ld + k * rd
-        elif hi is not None and surd_compare(m, hi) >= 0:
+        elif hi is not None and surd_compare(Surd.of_ints(mn, 0, 0, md), hi) >= 0:
             k = _max_stride(
-                lambda k: surd_compare(Fraction(k * ln + rn, k * ld + rd), hi) >= 0
+                lambda k: surd_compare(
+                    Surd.of_ints(k * ln + rn, 0, 0, k * ld + rd), hi) >= 0
             )
             rn, rd = k * ln + rn, k * ld + rd
         else:
-            return m
+            return Fraction(mn, md)
 
 
 # ---------------------------------------------------------------------------
@@ -206,18 +220,18 @@ def stable_bound_filter(I: CanonicalIdeal) -> bool:
     return 3 * b * b < 4 * g * g * D
 
 
-def _wr_ratio(I: CanonicalIdeal) -> tuple[Fraction, Fraction, bool]:
+def _wr_ratio(I: CanonicalIdeal) -> tuple[int, int, bool]:
     """(numerator, denominator) of the forced ratio t*, and whether the
     reduction inequality holds."""
     D, a, b, g = I.D, I.a, I.b, I.g
     if D % 4 == 1:
-        num = Fraction(2 * g * D * (2 * b + g))
-        den = Fraction(4 * b * b + 4 * b * g + g * g * (D + 1) - 4 * a * a)
+        num = 2 * g * D * (2 * b + g)
+        den = 4 * b * b + 4 * b * g + g * g * (D + 1) - 4 * a * a
         reduced_ok = abs(4 * a * a + 4 * b * b + 4 * b * g - (D - 1) * g * g) \
             <= 2 * a * (2 * b + g)
     else:
-        num = Fraction(2 * b * g * D)
-        den = Fraction(b * b + g * g * D - a * a)
+        num = 2 * b * g * D
+        den = b * b + g * g * D - a * a
         reduced_ok = abs(b * b - g * g * D + a * a) <= a * b
     return num, den, reduced_ok
 
@@ -232,8 +246,8 @@ def wr_twist(I: CanonicalIdeal) -> TwistVerdict:
     num, den, reduced_ok = _wr_ratio(I)
     if den <= 0 or num <= 0:
         return TwistVerdict(False, reason="forced ratio not positive")
-    t_star = num / den
-    if not t_star * t_star > I.D:
+    t_star = Fraction(num, den)
+    if not num * num > I.D * den * den:
         return TwistVerdict(False, reason="alpha not totally positive",
                             t_star=t_star)
     if not reduced_ok:
@@ -241,44 +255,45 @@ def wr_twist(I: CanonicalIdeal) -> TwistVerdict:
                             t_star=t_star)
     alpha = QuadElem(I.D, t_star, Fraction(1))
     gram = gram_of_twist(I, alpha)
-    assert is_wr(gram) and is_paper_reduced(gram)
+    if not (is_wr(gram) and is_paper_reduced(gram)):
+        raise CertificateError(
+            f"WR twist t* = {t_star} of {I} fails the exact WR/reduced re-check")
     return TwistVerdict(True, t_star=t_star, alpha=alpha, gram=gram)
 
 
-def _stable_constraints(I: CanonicalIdeal) -> list[tuple[Fraction, Fraction, Fraction]]:
-    """Quadratic constraints A*t^2 + B*t + C >= 0 for stable twistability.
+def _stable_constraints(I: CanonicalIdeal) -> list[tuple[int, int, int]]:
+    """Integer quadratic constraints A*t^2 + B*t + C >= 0 for stable
+    twistability.
 
     Three quadratics (weak reducedness and the two squared stability
-    conditions) plus, returned separately by the caller, the linear
-    nonnegativity guard for the squared second member.
+    conditions) plus the linear nonnegativity guard for the squared second
+    member.
     """
     D, a, b, g = I.D, I.a, I.b, I.g
-    F = Fraction
     cons = []
     if D % 4 == 1:
         B2 = 2 * b + g  # the "b" of the half-integral basis, doubled
         # reducedness: 4*g12^2 <= g11*g22
-        cons.append((F(g * g * D - 3 * B2 * B2), F(6 * D * g * B2),
-                     F(-4 * D * D * g * g)))
+        cons.append((g * g * D - 3 * B2 * B2, 6 * D * g * B2, -4 * D * D * g * g))
         # first member: (2*a^2*t)^2 >= a^2 g^2 D (t^2 - D)
-        cons.append((F(4 * a * a - g * g * D), F(0), F(g * g * D * D)))
-        # second member (g22): ((B2^2 + g^2 D)/2) t - D g B2 >= a g sqrt(D(t^2-D))
-        L1 = F(B2 * B2 + g * g * D, 2)
-        L0 = F(-D * g * B2)
+        cons.append((4 * a * a - g * g * D, 0, g * g * D * D))
+        # second member (g22): ((B2^2 + g^2 D)/2) t - D g B2 >= a g sqrt(D(t^2-D));
+        # B2 and g have the same parity and D = 1 (mod 4), so B2^2 + g^2 D is even.
+        L1 = (B2 * B2 + g * g * D) // 2
+        L0 = -D * g * B2
     else:
-        cons.append((F(g * g * D - 3 * b * b), F(6 * D * b * g),
-                     F(-4 * D * D * g * g)))
+        cons.append((g * g * D - 3 * b * b, 6 * D * b * g, -4 * D * D * g * g))
         # first member: (a^2 t)^2 >= a^2 g^2 D (t^2 - D)
-        cons.append((F(a * a - g * g * D), F(0), F(g * g * D * D)))
+        cons.append((a * a - g * g * D, 0, g * g * D * D))
         # second member: (D g^2 + b^2) t - 2 D b g >= a g sqrt(D(t^2-D))
-        L1 = F(D * g * g + b * b)
-        L0 = F(-2 * D * b * g)
+        L1 = D * g * g + b * b
+        L0 = -2 * D * b * g
     # squared second member: (L1 t + L0)^2 - a^2 g^2 D (t^2 - D) >= 0
-    k = Fraction(a * a * g * g * D)
+    k = a * a * g * g * D
     cons.append((L1 * L1 - k, 2 * L1 * L0, L0 * L0 + k * D))
     # nonnegativity guard for the squaring: L1 t + L0 >= 0, encoded as a
     # degenerate quadratic.
-    cons.append((F(0), L1, L0))
+    cons.append((0, L1, L0))
     return cons
 
 
@@ -296,17 +311,20 @@ def raw_stable_polynomials(I: CanonicalIdeal, t: Fraction) -> bool:
     (A1, B1, C1) = cons[0]
     if A1 * t * t + B1 * t + C1 < 0:
         return False
-    rhs_sq = Fraction(a * a * g * g * D) * (t * t - D)
+    rhs_sq = a * a * g * g * D * (t * t - D)
     if D % 4 == 1:
-        m1 = Fraction(2 * a * a) * t
+        m1 = 2 * a * a * t
     else:
-        m1 = Fraction(a * a) * t
+        m1 = a * a * t
     _, L1, L0 = cons[3]
     m2 = L1 * t + L0
     for m in (m1, m2):
         if m < 0 or m * m < rhs_sq:
             return False
     return True
+
+
+_BY_LO = cmp_to_key(lambda x, y: surd_compare(x.lo, y.lo))
 
 
 def stable_twist(I: CanonicalIdeal) -> FeasibilityReport:
@@ -317,13 +335,13 @@ def stable_twist(I: CanonicalIdeal) -> FeasibilityReport:
     leftmost nondegenerate interval (absent when the set has empty interior).
     """
     D = I.D
-    domain = Interval(Surd.sqrt(D), None, lo_closed=False)
+    domain = Interval(Surd.of_ints(0, 1, D), None, lo_closed=False)
     feas = [domain]
     for (A, B, C) in _stable_constraints(I):
         feas = intersect_interval_lists(feas, solve_quadratic_ge0(A, B, C, domain))
         if not feas:
             break
-    feas.sort(key=lambda iv: float(iv.lo))
+    feas.sort(key=_BY_LO)
     if not feas:
         return FeasibilityReport(False, ())
     witness_t = None
@@ -337,6 +355,9 @@ def stable_twist(I: CanonicalIdeal) -> FeasibilityReport:
     if witness_t is not None:
         witness_alpha = QuadElem(D, witness_t, Fraction(1))
         gram = gram_of_twist(I, witness_alpha)
-        assert is_paper_reduced(gram) and is_stable(gram)
-        assert raw_stable_polynomials(I, witness_t)
+        if not (is_paper_reduced(gram) and is_stable(gram)
+                and raw_stable_polynomials(I, witness_t)):
+            raise CertificateError(
+                f"stable witness t = {witness_t} of {I} fails the exact "
+                f"stability re-check")
     return FeasibilityReport(True, tuple(feas), witness_t, witness_alpha)

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from quadtwist import applications
 from quadtwist.applications import (
     HEXAGONAL_THICKNESS_SQ,
     d_min_sq_twist,
@@ -13,7 +14,12 @@ from quadtwist.applications import (
     tau_min_search,
 )
 from quadtwist.ideals import enumerate_canonical, ring_of_integers, validate_canonical
-from quadtwist.quadfield import QuadElem, fundamental_unit, is_squarefree
+from quadtwist.quadfield import (
+    CertificateError,
+    QuadElem,
+    fundamental_unit,
+    is_squarefree,
+)
 
 
 class TestFormMinimum:
@@ -184,3 +190,18 @@ class TestEuclideanBounds:
         assert rep.ideal_bound_lt_one == \
             (r.exact_tau_sq_at_argmin * 5 * 1 < 4)
         assert rep.ideal_bound_lt_one
+
+
+class TestCertificates:
+    def test_form_minimum_rechecks_transform(self, monkeypatch):
+        monkeypatch.setattr(applications, "_form_value", lambda f, x, y: 0)
+        with pytest.raises(CertificateError):
+            form_minimum((1, 0, -2))
+
+    def test_min_abs_norm_rechecks_witness(self, monkeypatch):
+        true_minimum = applications.form_minimum
+        monkeypatch.setattr(
+            applications, "form_minimum",
+            lambda f: (true_minimum(f)[0] + 1, true_minimum(f)[1]))
+        with pytest.raises(CertificateError):
+            min_abs_norm(ring_of_integers(139))

@@ -1,10 +1,13 @@
 import csv
+import hashlib
 import io
 import json
 
 import pytest
 
-from quadtwist.cli import EXIT_INVALID, EXIT_OK, main
+from quadtwist import cli
+from quadtwist.cli import EXIT_INVALID, EXIT_OK, EXIT_VERIFY_FAILED, main
+from quadtwist.quadfield import CertificateError
 
 
 def run_cli(capsys, *argv):
@@ -109,3 +112,42 @@ class TestVerifyExamples:
         assert not any(l.startswith("FAIL") for l in lines)
         notes = [l for l in lines if "note:" in l]
         assert len(notes) == 2  # documented second-minimum deviations
+
+
+# sha256 of stdout, recorded from the Fraction-based implementation: the
+# integer surd core must reproduce every byte.
+STDOUT_SHA256 = {
+    ("survey", "5", "30"):
+        "4117b4c13d0d5792be75d9c7eb9c5c2dd475c4942d6ec95f09ad37e8ee29ace6",
+    ("survey", "13", "30"):
+        "38fdab55bbdbbe707b48b7bd2cfcab1e034202fd2dd423b9b9c644d5dbbd07c6",
+    ("survey", "139", "30"):
+        "5efef7d9b1df372bd2be6b45f87d8c79cc5e24e6be3a12652b24dfcf9bdb6da7",
+    ("survey", "141", "30"):
+        "676b925214ee0c9c2cfc3fc77faef4f2edc0cab541a4b53f37f6b7862a4d5ad2",
+    ("survey", "199", "30"):
+        "8ddff46baf09f8bf0c60aa66ab574c0fe54165d045a6bc0622b0f035ebb04c1c",
+    ("twist", "1327", "39", "38", "1", "--mode", "all"):
+        "d8d1a8b29361a7cb318cc27d0a7706cb9ef7e1b00fa1ce32bc4ffb872cc4911d",
+    ("twist", "125173", "183", "182", "1", "--mode", "all"):
+        "1ddf8e16163ff6212df1b85d1c3125263d59e011e7250f151733ef0c47c51278",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(STDOUT_SHA256), ids=" ".join)
+def test_stdout_byte_identical(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_SHA256[argv]
+
+
+def test_certificate_failure_exits_3(capsys, monkeypatch):
+    def broken(I):
+        raise CertificateError("re-check failed")
+
+    monkeypatch.setattr(cli, "stable_twist", broken)
+    code, out, err = run_cli(capsys, "twist", "1327", "39", "38", "1")
+    assert code == EXIT_VERIFY_FAILED
+    assert out == ""
+    assert json.loads(err) == {"error": "re-check failed",
+                               "condition": "certificate"}

@@ -20,6 +20,17 @@ from quadtwist.quadfield import (
 rationals = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=20
 )
+# Surd coefficients and radicands: small values plus rationals up to ~10^12.
+big_rationals = st.fractions(
+    min_value=Fraction(-10**12), max_value=Fraction(10**12),
+    max_denominator=10**6,
+)
+surd_coeffs = st.one_of(rationals, big_rationals)
+radicands = st.one_of(
+    st.sampled_from([2, 3, 5, 7, 11]),
+    st.fractions(min_value=Fraction(0), max_value=Fraction(10**12),
+                 max_denominator=10**6),
+)
 small_D = st.sampled_from([2, 3, 5, 6, 7, 10, 13, 17, 19, 21, 141, 139])
 
 
@@ -209,8 +220,8 @@ class TestSurd:
         assert Surd.of(0, 2, 2) == Surd.sqrt(8)
 
     @given(
-        u1=rationals, v1=rationals, u2=rationals, v2=rationals,
-        m1=st.sampled_from([2, 3, 5, 7, 11]), m2=st.sampled_from([2, 3, 5, 7, 11]),
+        u1=surd_coeffs, v1=surd_coeffs, u2=surd_coeffs, v2=surd_coeffs,
+        m1=radicands, m2=radicands,
     )
     @settings(max_examples=300)
     def test_compare_matches_high_precision(self, u1, v1, u2, v2, m1, m2):
@@ -218,11 +229,15 @@ class TestSurd:
 
         s1 = Surd.of(u1, v1, m1)
         s2 = Surd.of(u2, v2, m2)
-        with mpmath.workdps(60):
-            f1 = mpmath.mpf(u1.numerator) / u1.denominator + \
-                mpmath.mpf(v1.numerator) / v1.denominator * mpmath.sqrt(m1)
-            f2 = mpmath.mpf(u2.numerator) / u2.denominator + \
-                mpmath.mpf(v2.numerator) / v2.denominator * mpmath.sqrt(m2)
+
+        def mp(q):
+            q = Fraction(q)
+            return mpmath.mpf(q.numerator) / q.denominator
+
+        # Values reach ~10^18; 100 digits leave ~80 below the 10^-40 cutoff.
+        with mpmath.workdps(100):
+            f1 = mp(u1) + mp(v1) * mpmath.sqrt(mp(m1))
+            f2 = mp(u2) + mp(v2) * mpmath.sqrt(mp(m2))
             if abs(f1 - f2) > mpmath.mpf(10) ** -40:
                 expected = 1 if f1 > f2 else -1
                 assert surd_compare(s1, s2) == expected

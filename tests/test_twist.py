@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
 import pytest
@@ -7,7 +11,14 @@ from hypothesis import strategies as st
 
 from quadtwist.ideals import enumerate_canonical, ring_of_integers, validate_canonical
 from quadtwist.lattice2 import gram_of_twist, is_paper_reduced, is_stable, is_wr
-from quadtwist.quadfield import QuadElem, Surd, is_squarefree, surd_compare
+from quadtwist import twist
+from quadtwist.quadfield import (
+    CertificateError,
+    QuadElem,
+    Surd,
+    is_squarefree,
+    surd_compare,
+)
 from quadtwist.twist import (
     Interval,
     intersect_interval_lists,
@@ -212,3 +223,42 @@ class TestBoundFilters:
             for I in enumerate_canonical(D, 20):
                 if wr_bound_filter(I):
                     assert stable_bound_filter(I)
+
+
+class TestCertificates:
+    """The exact re-checks of a verdict are errors, not asserts."""
+
+    def test_certificate_error_is_not_invalid_input(self):
+        assert not issubclass(CertificateError, ValueError)
+
+    def test_wr_twist_rechecks(self, monkeypatch):
+        monkeypatch.setattr(twist, "is_wr", lambda G: False)
+        with pytest.raises(CertificateError):
+            wr_twist(validate_canonical(139, 9, 7, 1))
+
+    def test_stable_twist_rechecks(self, monkeypatch):
+        monkeypatch.setattr(twist, "raw_stable_polynomials", lambda I, t: False)
+        with pytest.raises(CertificateError):
+            stable_twist(validate_canonical(1327, 39, 38, 1))
+
+    def test_stable_twist_rechecks_under_optimize(self):
+        script = textwrap.dedent("""
+            import sys
+            from quadtwist import twist
+            from quadtwist.ideals import validate_canonical
+            from quadtwist.quadfield import CertificateError
+            assert False, "asserts are live"
+            twist.is_stable = lambda G: False
+            try:
+                twist.stable_twist(validate_canonical(1327, 39, 38, 1))
+            except CertificateError:
+                sys.exit(0)
+            sys.exit(1)
+        """)
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (os.path.abspath(src), env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
