@@ -22,7 +22,7 @@ from .lattice2 import (
     is_wr,
     similarity_point,
 )
-from .quadfield import QuadElem, check_field, discriminant, fundamental_unit
+from .quadfield import QuadElem, _quad, check_field, discriminant, fundamental_unit
 
 _MAX_DEN = 10**9
 
@@ -120,7 +120,7 @@ def _ideal_elements_in_cone(I: CanonicalIdeal, norm_bound_sq: Fraction) -> list[
     lam = 4.0
     n_bands = max(1, math.ceil(2 * math.log(e) / math.log(lam)))
     slack = 1.02
-    seen: set[tuple[Fraction, Fraction]] = set()
+    seen: set[QuadElem] = set()
     out: list[QuadElem] = []
     for k in range(n_bands):
         # band: ratio in [lam^k, lam^(k+1)] => |sigma_1| <= B1, |sigma_2| <= B2
@@ -128,10 +128,9 @@ def _ideal_elements_in_cone(I: CanonicalIdeal, norm_bound_sq: Fraction) -> list[
         B2 = math.sqrt(M) * lam ** (-k / 2) * slack
         for cx, cy in _points_in_embedding_box(s1, s2, B1, B2):
             z = cx * z1 + cy * z2
-            key = (z.x, z.y)
-            if key in seen:
+            if z in seen:
                 continue
-            seen.add(key)
+            seen.add(z)
             n = z.norm()
             if n != 0 and n * n <= norm_bound_sq and _in_cone(z, eps_plus):
                 out.append(z)
@@ -202,11 +201,12 @@ def wr_intersection_classes(I: CanonicalIdeal) -> tuple[int, set[Fraction]]:
         u = eps_plus ** j
         shifted.extend([z * u for z in elems])
     values: set[Fraction] = set()
-    target = Fraction(I.norm() ** 2 * dk)
+    # w is a pure multiple of sqrt(D), so w^2 is rational
+    target = _quad(I.D, I.norm() ** 2 * dk, 0, 1)
     for x in elems:
         for y in shifted:
             w = x * y.conjugate() - x.conjugate() * y
-            if (w * w).x != target:
+            if w * w != target:
                 continue
             f = F_invariant(x, y, I)
             if f < 0:

@@ -8,9 +8,8 @@ a*g | N(b + g*delta); the triple (a, b, g) is unique per ideal.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .quadfield import QuadElem, check_field, delta, discriminant
+from .quadfield import QuadElem, _delta, _quad, check_field, discriminant
 
 
 class CanonicalBasisError(ValueError):
@@ -66,8 +65,9 @@ class CanonicalIdeal:
         return self.a * self.g
 
     def basis_elements(self) -> tuple[QuadElem, QuadElem]:
-        z1 = QuadElem(self.D, Fraction(self.a), Fraction(0))
-        z2 = QuadElem(self.D, Fraction(self.b), Fraction(0)) + self.g * delta(self.D)
+        # D was checked when the ideal was made.
+        z1 = _quad(self.D, self.a, 0, 1)
+        z2 = _quad(self.D, self.b, 0, 1) + self.g * _delta(self.D)
         return z1, z2
 
     def discriminant(self) -> int:

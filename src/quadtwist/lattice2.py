@@ -112,29 +112,38 @@ def lagrange_reduce(G: Gram2) -> tuple[Gram2, UnimodularMap]:
     The result R satisfies r11 <= r22 and 2|r12| <= r11, with r12 >= 0 by the
     sign convention (negating the second vector when needed).  The returned
     map U transports the input basis to the reduced one: R = U^t G U.
-    Ties (r11 = r22 or 2|r12| = r11) are left as already reduced.
+    Ties (r11 = r22 or 2|r12| = r11) are left as already reduced.  The loop
+    runs on the integer entries L*G over one common denominator L, with the
+    transform [[a, b], [c, d]] as four ints.
     """
     g11, g12, g22 = G.entries()
-    u = UnimodularMap.identity()
-    swap = UnimodularMap(0, 1, 1, 0)
+    den = math.lcm(g11.denominator, g12.denominator, g22.denominator)
+    n11 = g11.numerator * (den // g11.denominator)
+    n12 = g12.numerator * (den // g12.denominator)
+    n22 = g22.numerator * (den // g22.denominator)
+    a, b, c, d = 1, 0, 0, 1
     while True:
-        if g11 > g22:
-            g11, g22 = g22, g11
-            u = u @ swap
-        if 2 * abs(g12) <= g11:
+        if n11 > n22:
+            n11, n22 = n22, n11
+            a, b, c, d = b, a, d, c
+        if 2 * abs(n12) <= n11:
             break
-        r = round(g12 / g11)
+        # r = n12/n11 rounded half to even, as round() on a Fraction
+        r, rem = divmod(n12, n11)
+        if 2 * rem > n11 or (2 * rem == n11 and r & 1):
+            r += 1
         # v2 <- v2 - r*v1
-        g22 = g22 - 2 * r * g12 + r * r * g11
-        g12 = g12 - r * g11
-        u = u @ UnimodularMap(1, -r, 0, 1)
-    if g11 > g22:
-        g11, g22 = g22, g11
-        u = u @ swap
-    if g12 < 0:
-        g12 = -g12
-        u = u @ UnimodularMap(1, 0, 0, -1)
-    return Gram2(g11, g12, g22), u
+        n22 = n22 - 2 * r * n12 + r * r * n11
+        n12 = n12 - r * n11
+        b, d = b - r * a, d - r * c
+    if n11 > n22:
+        n11, n22 = n22, n11
+        a, b, c, d = b, a, d, c
+    if n12 < 0:
+        n12 = -n12
+        b, d = -b, -d
+    R = Gram2(Fraction(n11, den), Fraction(n12, den), Fraction(n22, den))
+    return R, UnimodularMap(a, b, c, d)
 
 
 def successive_minima(G: Gram2) -> tuple[Fraction, Fraction]:

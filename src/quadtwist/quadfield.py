@@ -9,15 +9,12 @@ comparison.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
 Rational = Union[int, Fraction]
 
 _TRIAL_LIMIT = 10**6
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 # Builders for the immutable value types, bypassing their public checks.
 _new = object.__new__
 _setattr = object.__setattr__
@@ -117,47 +114,56 @@ def _sign_two_radicals(a: int, b: int, m1: int, c: int, m2: int) -> int:
     )
 
 
-def _sign_elem(x: Fraction, y: Fraction, D: int) -> int:
-    """Exact sign of x + y*sqrt(D), after clearing both denominators."""
-    return _sign_x_plus_y_sqrt(
-        x.numerator * y.denominator, y.numerator * x.denominator, D
-    )
-
-
-@dataclass(frozen=True)
 class QuadElem:
-    """An element x + y*sqrt(D) of K = Q(sqrt(D)), D squarefree > 1."""
+    """An element (p + q*sqrt(D))/d of K = Q(sqrt(D)), D squarefree > 1.
 
-    D: int
-    x: Fraction
-    y: Fraction
+    Held as the integers (D, p, q, d) in canonical form, d > 0 and
+    gcd(p, q, d) = 1, so equal elements have equal fields.  The rational view
+    x + y*sqrt(D) has x = p/d and y = q/d.  All fields are read-only.  Ring
+    operations and order predicates work on the integers alone; only the
+    public constructor validates D, and results of operations reuse the D of
+    their operands.
+    """
 
-    def __post_init__(self):
-        check_field(self.D)
-        object.__setattr__(self, "x", Fraction(self.x))
-        object.__setattr__(self, "y", Fraction(self.y))
+    __slots__ = ("_D", "_p", "_q", "_d")
+
+    def __init__(self, D: int, x: Rational, y: Rational):
+        check_field(D)
+        x, y = Fraction(x), Fraction(y)
+        # x and y are in lowest terms, so this form is already canonical.
+        d = math.lcm(x.denominator, y.denominator)
+        self._D = D
+        self._p = x.numerator * (d // x.denominator)
+        self._q = y.numerator * (d // y.denominator)
+        self._d = d
 
     @staticmethod
     def of(D: int, x: Rational = 0, y: Rational = 0) -> "QuadElem":
         return QuadElem(D, Fraction(x), Fraction(y))
 
-    @classmethod
-    def _make(cls, D: int, x: Fraction, y: Fraction) -> "QuadElem":
-        """Element of a field whose D is already checked, with Fraction
-        coordinates: skips check_field, for results of ring operations."""
-        z = _new(cls)
-        _setattr(z, "D", D)
-        _setattr(z, "x", x)
-        _setattr(z, "y", y)
-        return z
+    def __reduce__(self):
+        return (_quad, (self._D, self._p, self._q, self._d))
+
+    D = property(lambda self: self._D)
+    p = property(lambda self: self._p)
+    q = property(lambda self: self._q)
+    d = property(lambda self: self._d)
+
+    @property
+    def x(self) -> Fraction:
+        return Fraction(self._p, self._d)
+
+    @property
+    def y(self) -> Fraction:
+        return Fraction(self._q, self._d)
 
     def _coerce(self, other) -> "QuadElem":
         if isinstance(other, QuadElem):
-            if other.D != self.D:
+            if other._D != self._D:
                 raise ValueError("mixed fields")
             return other
         if isinstance(other, (int, Fraction)):
-            return QuadElem._make(self.D, Fraction(other), _ZERO)
+            return _elem(self._D, other.numerator, 0, other.denominator)
         return NotImplemented
 
     # -- ring operations -------------------------------------------------
@@ -166,18 +172,22 @@ class QuadElem:
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return QuadElem._make(self.D, self.x + o.x, self.y + o.y)
+        d1, d2 = self._d, o._d
+        return _quad(self._D, self._p * d2 + o._p * d1,
+                     self._q * d2 + o._q * d1, d1 * d2)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadElem._make(self.D, -self.x, -self.y)
+        return _elem(self._D, -self._p, -self._q, self._d)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return QuadElem._make(self.D, self.x - o.x, self.y - o.y)
+        d1, d2 = self._d, o._d
+        return _quad(self._D, self._p * d2 - o._p * d1,
+                     self._q * d2 - o._q * d1, d1 * d2)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -186,19 +196,21 @@ class QuadElem:
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return QuadElem._make(
-            self.D,
-            self.x * o.x + self.D * self.y * o.y,
-            self.x * o.y + self.y * o.x,
-        )
+        D, p1, q1, p2, q2 = self._D, self._p, self._q, o._p, o._q
+        return _quad(D, p1 * p2 + D * q1 * q2, p1 * q2 + q1 * p2,
+                     self._d * o._d)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "QuadElem":
-        n = self.norm()
+        # 1/((p + q sqrt(D))/d) = d (p - q sqrt(D)) / (p^2 - D q^2)
+        p, q, d = self._p, self._q, self._d
+        n = p * p - self._D * q * q
         if n == 0:
             raise ZeroDivisionError("zero element of the field")
-        return QuadElem._make(self.D, self.x / n, -self.y / n)
+        if n < 0:
+            d, n = -d, -n
+        return _quad(self._D, d * p, -d * q, n)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -212,7 +224,7 @@ class QuadElem:
     def __pow__(self, k: int):
         if k < 0:
             return self.inverse() ** (-k)
-        r = QuadElem._make(self.D, _ONE, _ZERO)
+        r = _elem(self._D, 1, 0, 1)
         b = self
         while k:
             if k & 1:
@@ -224,29 +236,33 @@ class QuadElem:
     # -- field invariants -------------------------------------------------
 
     def conjugate(self) -> "QuadElem":
-        return QuadElem._make(self.D, self.x, -self.y)
+        return _elem(self._D, self._p, -self._q, self._d)
 
     def norm(self) -> Fraction:
-        return self.x * self.x - self.D * self.y * self.y
+        p, q, d = self._p, self._q, self._d
+        return Fraction(p * p - self._D * q * q, d * d)
 
     def trace(self) -> Fraction:
-        return 2 * self.x
+        return Fraction(2 * self._p, self._d)
 
     def sign_embedding(self, i: int) -> int:
         """Exact sign of sigma_i(self), i in {1, 2}."""
-        return _sign_elem(self.x, self.y if i == 1 else -self.y, self.D)
+        return _sign_x_plus_y_sqrt(self._p, self._q if i == 1 else -self._q,
+                                   self._D)
 
     def is_totally_positive(self) -> bool:
         return self.sign_embedding(1) > 0 and self.sign_embedding(2) > 0
 
     def is_zero(self) -> bool:
-        return self.x == 0 and self.y == 0
+        return self._p == 0 and self._q == 0
 
     # -- order and conversion ----------------------------------------------
 
     def _cmp_sign(self, other) -> int:
         o = self._coerce(other)
-        return _sign_elem(self.x - o.x, self.y - o.y, self.D)
+        d1, d2 = self._d, o._d
+        return _sign_x_plus_y_sqrt(self._p * d2 - o._p * d1,
+                                   self._q * d2 - o._q * d1, self._D)
 
     def __lt__(self, other):
         return self._cmp_sign(other) < 0
@@ -260,30 +276,65 @@ class QuadElem:
     def __ge__(self, other):
         return self._cmp_sign(other) >= 0
 
+    def __eq__(self, other):
+        if isinstance(other, QuadElem):
+            return (self._p == other._p and self._q == other._q
+                    and self._d == other._d and self._D == other._D)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self._D, self._p, self._q, self._d))
+
     def __abs__(self):
         return -self if self < 0 else self
 
     def embed(self, i: int) -> float:
-        s = math.sqrt(self.D)
-        return float(self.x) + float(self.y) * (s if i == 1 else -s)
+        s = math.sqrt(self._D)
+        # p/d is the correctly rounded float of x, as float(self.x) is.
+        return self._p / self._d + self._q / self._d * (s if i == 1 else -s)
 
     def __float__(self):
         return self.embed(1)
 
+    def __repr__(self):
+        return f"QuadElem(D={self._D!r}, x={self.x!r}, y={self.y!r})"
+
     def __str__(self):
-        if self.y == 0:
-            return str(self.x)
-        head = "" if self.x == 0 else f"{self.x} + "
-        coef = "" if self.y == 1 else f"{self.y}*"
-        return f"{head}{coef}sqrt({self.D})"
+        x, y = self.x, self.y
+        if y == 0:
+            return str(x)
+        head = "" if x == 0 else f"{x} + "
+        coef = "" if y == 1 else f"{y}*"
+        return f"{head}{coef}sqrt({self._D})"
+
+
+def _elem(D: int, p: int, q: int, d: int) -> QuadElem:
+    """QuadElem from a canonical (p, q, d) of a field whose D is checked."""
+    z = _new(QuadElem)
+    z._D, z._p, z._q, z._d = D, p, q, d
+    return z
+
+
+def _quad(D: int, p: int, q: int, d: int) -> QuadElem:
+    """(p + q*sqrt(D))/d for d > 0 in a field whose D is checked: skips
+    check_field and divides out gcd(p, q, d)."""
+    g = math.gcd(p, q, d)
+    if g != 1:
+        p, q, d = p // g, q // g, d // g
+    return _elem(D, p, q, d)
+
+
+def _delta(D: int) -> QuadElem:
+    """delta(D) for a D that is already checked."""
+    if D % 4 == 1:
+        return _quad(D, 1, -1, 2)
+    return _quad(D, 0, -1, 1)
 
 
 def delta(D: int) -> QuadElem:
     """Generator of O_K over Z: -sqrt(D), or (1-sqrt(D))/2 when D = 1 mod 4."""
     check_field(D)
-    if D % 4 == 1:
-        return QuadElem._make(D, Fraction(1, 2), Fraction(-1, 2))
-    return QuadElem._make(D, _ZERO, Fraction(-1))
+    return _delta(D)
 
 
 def discriminant(D: int) -> int:
@@ -319,7 +370,20 @@ def _pell_unit(D: int) -> QuadElem:
         a = (P + sq) // Q
         h2, h1 = h1, a * h1 + h2
         k2, k1 = k1, a * k1 + k2
-    return QuadElem._make(D, Fraction(h1), Fraction(k1))
+    return _quad(D, h1, k1, 1)
+
+
+def _icbrt(n: int) -> int:
+    """Floor of the cube root of an integer n >= 0, by Newton's method on
+    integers from a start above the root."""
+    if n < 2:
+        return n
+    x = 1 << -(-n.bit_length() // 3)
+    while True:
+        y = (2 * x + n // (x * x)) // 3
+        if y >= x:
+            return x
+        x = y
 
 
 def fundamental_unit(D: int) -> tuple[QuadElem, QuadElem]:
@@ -334,19 +398,17 @@ def fundamental_unit(D: int) -> tuple[QuadElem, QuadElem]:
     eta = _pell_unit(D)
     eps = eta
     if D % 4 == 1:
-        import mpmath
-
-        x = int(eta.x)
-        with mpmath.workdps(len(str(x)) + 30):
-            e_val = mpmath.cbrt(x + int(eta.y) * mpmath.sqrt(D))
-            t0 = int(mpmath.nint(e_val))
+        # If eps^3 = eta = x + y*sqrt(D) with eps = (t + u*sqrt(D))/2, the
+        # traces satisfy t^3 - 3*N(eps)*t = 2x, so t is within 1 of the cube
+        # root of 2x.
+        t0 = _icbrt(2 * eta.p)
         for t in range(max(1, t0 - 2), t0 + 3):
             for s in (4, -4):
                 num = t * t - s
                 if num <= 0 or num % D != 0 or not _is_square(num // D):
                     continue
                 u = math.isqrt(num // D)
-                cand = QuadElem._make(D, Fraction(t, 2), Fraction(u, 2))
+                cand = _quad(D, t, u, 2)
                 if abs(cand.norm()) == 1 and cand ** 3 == eta:
                     eps = cand
                     break
@@ -480,7 +542,15 @@ class Surd:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.u, self.v, self.m))
+        # Consistent with __eq__ without factoring the radicand: square roots
+        # of distinct squarefree integers are linearly independent over Q, so
+        # equal irrational values share the rational part, the square of the
+        # irrational part and its sign; a rational one hashes as its Fraction.
+        u = Fraction(self.p, self.d)
+        if self.q == 0:
+            return hash(u)
+        return hash((u, Fraction(self.q * self.q * self.n, self.d * self.d),
+                     self.q > 0))
 
 
 def _fill_surd(s: Surd, p: int, q: int, n: int, d: int) -> Surd:

@@ -135,6 +135,28 @@ class TestIntersectionClasses:
         assert n == len(found)
 
 
+class TestMissedCrossingClasses:
+    """wr_intersection_classes misses crossing classes whose basis members
+    lie outside the elements it enumerates.  O_K(151) has a basis with
+    N(x) = 2, N(y) = 9, so F = 4 + 81 + 18 - 604/4 = -48 < 0; O_K(166) one
+    with N(x) = -2, N(y) = 11, so F = 4 + 121 - 22 - 664/4 = -63."""
+
+    @pytest.mark.parametrize("D, x, y, norms, f", [
+        (151, (-41571, 3383), (-525628, 42775), (2, 9), -48),
+        (166, (41242, 3201), (-18231, -1415), (-2, 11), -63),
+    ])
+    def test_basis_certified(self, D, x, y, norms, f):
+        x, y = QuadElem.of(D, *x), QuadElem.of(D, *y)
+        assert (x.norm(), y.norm()) == norms
+        assert F_invariant(x, y, ring_of_integers(D)) == f
+
+    @pytest.mark.xfail(strict=True, reason="the element enumeration misses "
+                       "this class; see CHANGES.md and ROADMAP item 4")
+    def test_class_is_reported(self):
+        _, values = wr_intersection_classes(ring_of_integers(151))
+        assert Fraction(-48) in values
+
+
 class TestOrthogonalOnly:
     def test_reference_values(self):
         assert orthogonal_only(2)

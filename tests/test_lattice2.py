@@ -103,6 +103,62 @@ class TestReduction:
         assert R.g12 == 1
 
 
+def _reference_lagrange(G):
+    """The Fraction loop lagrange_reduce ran before it moved to integers."""
+    g11, g12, g22 = G.entries()
+    u = UnimodularMap.identity()
+    swap = UnimodularMap(0, 1, 1, 0)
+    while True:
+        if g11 > g22:
+            g11, g22 = g22, g11
+            u = u @ swap
+        if 2 * abs(g12) <= g11:
+            break
+        r = round(g12 / g11)
+        g22 = g22 - 2 * r * g12 + r * r * g11
+        g12 = g12 - r * g11
+        u = u @ UnimodularMap(1, -r, 0, 1)
+    if g11 > g22:
+        g11, g22 = g22, g11
+        u = u @ swap
+    if g12 < 0:
+        g12 = -g12
+        u = u @ UnimodularMap(1, 0, 0, -1)
+    return Gram2(g11, g12, g22), u
+
+
+wide_grams = random_grams(
+    st.fractions(min_value=Fraction(-10**6), max_value=Fraction(10**6),
+                 max_denominator=10**4),
+    st.fractions(min_value=Fraction(1, 10**4), max_value=Fraction(10**6),
+                 max_denominator=10**4))
+
+
+class TestReductionAgainstFractionLoop:
+    @given(G=st.one_of(grams, wide_grams))
+    @settings(max_examples=300, derandomize=True)
+    def test_same_result_and_transform(self, G):
+        assert lagrange_reduce(G) == _reference_lagrange(G)
+
+    @pytest.mark.parametrize("g11, g12, g22", [
+        # g12/g11 is an exact half-integer: 3/2, 5/2, -3/2, -5/2, 7/2
+        (2, 3, 10), (2, 5, 20), (2, -3, 10), (2, -5, 20), (4, 14, 50),
+        (Fraction(2, 3), 1, 5), (Fraction(2, 7), Fraction(5, 7), 3),
+        # ties after a swap: g22 < g11, g12/g22 = 3/2 and 5/2
+        (10, 3, 2), (20, -5, 2),
+    ])
+    def test_half_integer_quotients_round_half_to_even(self, g11, g12, g22):
+        G = Gram2.of(g11, g12, g22)
+        R, U = lagrange_reduce(G)
+        assert (R, U) == _reference_lagrange(G)
+        assert G.transform(U) == R
+
+    def test_first_step_rounds_to_even(self):
+        # 5/2 rounds to 2, not 3: v2 <- v2 - 2 v1
+        _, U = lagrange_reduce(Gram2.of(2, 5, 20))
+        assert (U.a, U.b, U.c, U.d) == (1, -2, 0, 1)
+
+
 class TestPredicates:
     def test_wr(self):
         assert is_wr(UNIT_SQUARE)

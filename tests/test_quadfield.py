@@ -1,4 +1,9 @@
 import math
+import os
+import pickle
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
 import pytest
@@ -133,6 +138,107 @@ class TestQuadElem:
         assert (z * z.conjugate()).y == 0
 
 
+# Independent oracle for QuadElem: x + y*sqrt(D) as a pair of Fractions.
+
+def _o_mul(a, b, D):
+    return (a[0] * b[0] + D * a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+def _o_inv(a, D):
+    n = a[0] * a[0] - D * a[1] * a[1]
+    return (a[0] / n, -a[1] / n)
+
+
+def _o_sign(a, D):
+    """Sign of x + y*sqrt(D): the term of larger absolute value wins."""
+    x, y = a
+    if x * x == D * y * y:  # only when x = y = 0, D being no square
+        return 0
+    big = x if x * x > D * y * y else y
+    return 1 if big > 0 else -1
+
+
+class TestQuadElemAgainstPairs:
+    coords = st.one_of(rationals, big_rationals)
+
+    @given(x1=coords, y1=coords, x2=coords, y2=coords, c=rationals,
+           f=st.fractions(min_value=-1, max_value=1, max_denominator=50),
+           k=st.integers(min_value=-4, max_value=4), D=small_D)
+    @settings(max_examples=300, derandomize=True)
+    def test_matches_fraction_pairs(self, x1, y1, x2, y2, c, f, k, D):
+        a, b = (x1, y1), (x2, y2)
+        z, w = QuadElem.of(D, x1, y1), QuadElem.of(D, x2, y2)
+
+        def pair(e):
+            assert e.d > 0 and math.gcd(e.p, e.q, e.d) == 1  # canonical
+            return (e.x, e.y)
+
+        assert pair(z) == a
+        assert pair(z + w) == (x1 + x2, y1 + y2)
+        assert pair(z - w) == (x1 - x2, y1 - y2)
+        assert pair(z * w) == _o_mul(a, b, D)
+        assert pair(z * c) == pair(c * z) == (x1 * c, y1 * c)
+        assert pair(c - z) == (c - x1, -y1)
+        assert pair(z.conjugate()) == (x1, -y1)
+        assert pair(-z) == (-x1, -y1)
+        assert z.norm() == x1 * x1 - D * y1 * y1
+        assert z.trace() == 2 * x1
+        # an element of negative norm: |x| <= |y| < sqrt(D)|y|
+        neg = (f * (y2 or 1), y2 or 1)
+        m = QuadElem.of(D, *neg)
+        assert m.norm() < 0
+        assert pair(m.inverse()) == _o_inv(neg, D)
+        assert pair(z / m) == _o_mul(a, _o_inv(neg, D), D)
+        if b == (0, 0):
+            with pytest.raises(ZeroDivisionError):
+                w.inverse()
+        else:
+            assert pair(w.inverse()) == _o_inv(b, D)
+            assert pair(z / w) == _o_mul(a, _o_inv(b, D), D)
+            assert pair(c / w) == _o_mul((c, 0), _o_inv(b, D), D)
+        power = (Fraction(1), Fraction(0))
+        for _ in range(abs(k)):
+            power = _o_mul(power, b, D)
+        if k < 0 and b == (0, 0):
+            with pytest.raises(ZeroDivisionError):
+                w ** k
+        else:
+            assert pair(w ** k) == (power if k >= 0 else _o_inv(power, D))
+        diff = (x1 - x2, y1 - y2)
+        assert (z < w) == (_o_sign(diff, D) < 0)
+        assert (z <= w) == (_o_sign(diff, D) <= 0)
+        assert (z > w) == (_o_sign(diff, D) > 0)
+        assert (z >= w) == (_o_sign(diff, D) >= 0)
+        assert (z < c) == (_o_sign((x1 - c, y1), D) < 0)
+        assert z.sign_embedding(1) == _o_sign(a, D)
+        assert z.sign_embedding(2) == _o_sign((x1, -y1), D)
+        assert (z == w) == (a == b)
+        # equal values built different ways are equal and hash alike
+        if b != (0, 0):
+            back = (z * w) / w
+            assert back == z and hash(back) == hash(z)
+        assert pickle.loads(pickle.dumps(z)) == z
+        assert float(z) == z.embed(1) == float(x1) + float(y1) * math.sqrt(D)
+        assert z.embed(2) == float(x1) + float(y1) * -math.sqrt(D)
+        assert repr(z) == f"QuadElem(D={D!r}, x={x1!r}, y={y1!r})"
+
+    def test_str(self):
+        assert str(QuadElem.of(5, Fraction(1, 2), Fraction(-1, 2))) == \
+            "1/2 + -1/2*sqrt(5)"
+        assert str(QuadElem.of(7, 0, 1)) == "sqrt(7)"
+        assert str(QuadElem.of(7, 3, 0)) == "3"
+
+    def test_immutable(self):
+        z = QuadElem.of(5, 1, 1)
+        for name in ("D", "x", "y", "p", "q", "d"):
+            with pytest.raises(AttributeError):
+                setattr(z, name, 2)
+
+    def test_equality_only_with_elements(self):
+        assert QuadElem.of(5, 1, 0) != 1
+        assert QuadElem.of(5, 1, 0) != QuadElem.of(13, 1, 0)
+
+
 class TestFieldConstants:
     def test_delta(self):
         d2 = delta(2)
@@ -242,8 +348,49 @@ class TestSurd:
                 expected = 1 if f1 > f2 else -1
                 assert surd_compare(s1, s2) == expected
 
+    def test_hash_agrees_with_eq(self):
+        assert len({Surd.of(0, 2, 2), Surd.sqrt(8)}) == 1
+        assert hash(Surd.of(Fraction(3, 2))) == hash(Fraction(3, 2))
+        assert hash(Surd.sqrt(Fraction(9, 4))) == hash(Fraction(3, 2))
+        assert hash(Surd.of(1, 1, 4)) == hash(3)
+        assert len({Surd.sqrt(2), -Surd.sqrt(2), Surd.sqrt(3)}) == 3
+
+    @given(u=surd_coeffs, v=surd_coeffs,
+           m=st.integers(min_value=2, max_value=10**6),
+           k=st.integers(min_value=2, max_value=1000))
+    @settings(max_examples=200, derandomize=True)
+    def test_equal_irrational_surds_hash_alike(self, u, v, m, k):
+        # u + v*k*sqrt(m) = u + v*sqrt(m*k^2) = u + v*k^2*sqrt(m/k^2)
+        forms = [Surd.of(u, v * k, m), Surd.of(u, v, m * k * k),
+                 Surd.of(u, v * k * k, Fraction(m, k * k))]
+        for s in forms[1:]:
+            assert s == forms[0] and hash(s) == hash(forms[0])
+
     def test_arithmetic_with_rationals(self):
         s = Surd.sqrt(2)
         assert (s + 1) - 1 == s
         assert 2 * s == Surd.of(0, 2, 2)
         assert -(-s) == s
+
+
+def test_runs_without_mpmath_and_numpy():
+    # Neither is a runtime dependency: block both imports in a fresh process.
+    script = textwrap.dedent("""
+        import sys
+        sys.modules["mpmath"] = sys.modules["numpy"] = None
+        from quadtwist.applications import tau_min_search
+        from quadtwist.cli import main
+        from quadtwist.ideals import ring_of_integers
+        from quadtwist.quadfield import fundamental_unit
+        eps, eps_plus = fundamental_unit(5)
+        assert (eps.p, eps.q, eps.d) == (1, 1, 2) and eps_plus == eps * eps
+        tau_min_search(ring_of_integers(5))
+        assert main(["survey", "13", "10"]) == 0
+    """)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.abspath(src), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
