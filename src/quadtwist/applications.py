@@ -15,10 +15,11 @@ from fractions import Fraction
 from typing import Optional
 
 from .ideals import CanonicalIdeal
-from .lattice2 import Gram2, gram_of_twist, hermite_thickness_sq
+from .lattice2 import gram_of_twist, hermite_thickness_sq
 from .quadfield import (
     CertificateError,
     QuadElem,
+    _t_plus_sqrt,
     check_field,
     discriminant,
     fundamental_unit,
@@ -161,8 +162,7 @@ class ThicknessSearchResult:
 
 
 def _thickness_at(I: CanonicalIdeal, t: Fraction) -> Fraction:
-    alpha = QuadElem(I.D, t, Fraction(1))
-    return hermite_thickness_sq(gram_of_twist(I, alpha))
+    return hermite_thickness_sq(gram_of_twist(I, _t_plus_sqrt(I.D, t)))
 
 
 def tau_min_search(I: CanonicalIdeal, grid: int = 32, refine: int = 24) -> ThicknessSearchResult:

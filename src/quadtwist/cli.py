@@ -1,8 +1,9 @@
 """Command-line surface with byte-deterministic JSON/CSV reports.
 
-Exit codes: 0 success, 2 invalid input, 3 verification failure (a
-verify-examples mismatch, or a computed result whose exact certificate
-re-check fails, reported as a JSON message on stderr).
+Exit codes: 0 success, 2 invalid input (a rejected field or ideal triple,
+or geodesic --samples below 1), 3 verification failure (a verify-examples
+mismatch, or a computed result whose exact certificate re-check fails,
+reported as a JSON message on stderr).  Any other exception propagates.
 Exact rationals are serialized as "numerator/denominator" strings; floats are
 companions with 12 significant digits.
 """
@@ -22,6 +23,8 @@ from typing import Optional
 from .geodesic import sample_at, sample_orbit
 from .ideals import CanonicalBasisError, enumerate_canonical, validate_canonical
 from .lattice2 import (
+    _stable_reduced,
+    _wr_reduced,
     det_gram,
     gram_of_twist,
     is_lagrange_reduced,
@@ -112,8 +115,8 @@ def _twist_report(D: int, a: int, b: int, g: int, mode: str) -> dict:
                 "minima_float": [_flt(math.sqrt(l1)), _flt(math.sqrt(l2))],
                 "basis_norms_sq": [_rat(G.g11), _rat(G.g22)],
                 "cosine_float": _flt(cos_f),
-                "is_wr": is_wr(G),
-                "is_stable": is_stable(G),
+                "is_wr": _wr_reduced(R),
+                "is_stable": _stable_reduced(R),
                 "is_paper_reduced": is_paper_reduced(G),
                 "is_lagrange_reduced": is_lagrange_reduced(G),
             }
@@ -158,6 +161,8 @@ def cmd_survey(args) -> int:
 
 def cmd_geodesic(args) -> int:
     I = validate_canonical(args.D, args.a, args.b, args.g)
+    if args.samples < 1:
+        return _invalid_input(f"need --samples >= 1, got {args.samples}")
     samples = sample_orbit(I, args.samples)
     wr_crossings = sum(1 for s in samples if s.is_wr)
     if args.format == "csv":
@@ -344,7 +349,15 @@ def _shared_parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _invalid_input(error: str, condition: Optional[str] = None) -> int:
+    print(json.dumps({"error": error, "condition": condition}), file=sys.stderr)
+    return EXIT_INVALID
+
+
 def main(argv=None) -> int:
+    """Run one command.  Only a rejected field or ideal triple, or an option
+    the command rejects, is invalid input (exit 2); any other exception from
+    the library propagates."""
     args = _shared_parser().parse_args(argv)
     try:
         return args.func(args)
@@ -352,11 +365,10 @@ def main(argv=None) -> int:
         print(json.dumps({"error": str(exc), "condition": "certificate"}),
               file=sys.stderr)
         return EXIT_VERIFY_FAILED
-    except (CanonicalBasisError, InvalidFieldError, ValueError) as exc:
-        reason = getattr(exc, "condition", None)
-        print(json.dumps({"error": str(exc), "condition": reason}),
-              file=sys.stderr)
-        return EXIT_INVALID
+    except CanonicalBasisError as exc:
+        return _invalid_input(str(exc), exc.condition)
+    except InvalidFieldError as exc:
+        return _invalid_input(str(exc))
 
 
 if __name__ == "__main__":

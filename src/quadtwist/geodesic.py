@@ -15,14 +15,21 @@ from typing import Union
 
 from .ideals import CanonicalIdeal
 from .lattice2 import (
-    Gram2,
     SimilarityPoint,
+    _similarity_reduced,
+    _stable_reduced,
+    _wr_reduced,
     gram_of_twist,
-    is_stable,
-    is_wr,
-    similarity_point,
+    lagrange_reduce,
 )
-from .quadfield import QuadElem, _quad, check_field, discriminant, fundamental_unit
+from .quadfield import (
+    QuadElem,
+    _discriminant,
+    _quad,
+    _t_plus_sqrt,
+    check_field,
+    fundamental_unit,
+)
 
 _MAX_DEN = 10**9
 
@@ -41,10 +48,13 @@ class GeodesicSample:
 def sample_at(I: CanonicalIdeal, alpha: Union[QuadElem, Fraction, int]) -> GeodesicSample:
     """Exact orbit sample at a given totally positive alpha."""
     if not isinstance(alpha, QuadElem):
-        alpha = QuadElem(I.D, Fraction(alpha), Fraction(0))
+        r = Fraction(alpha)
+        alpha = _quad(I.D, r.numerator, 0, r.denominator)
     G = gram_of_twist(I, alpha)
     s = alpha.embed(1) / alpha.embed(2)
-    return GeodesicSample(s, alpha, similarity_point(G), is_wr(G), is_stable(G))
+    R, _ = lagrange_reduce(G)
+    return GeodesicSample(s, alpha, _similarity_reduced(R), _wr_reduced(R),
+                          _stable_reduced(R))
 
 
 def _t_for_ratio(D: int, s: float) -> Fraction:
@@ -71,7 +81,7 @@ def sample_orbit(I: CanonicalIdeal, n: int) -> list[GeodesicSample]:
     for k in range(n):
         s = period ** ((k + Fraction(1, 2)) / n)
         t = _t_for_ratio(I.D, s)
-        samples.append(sample_at(I, QuadElem(I.D, t, Fraction(1))))
+        samples.append(sample_at(I, _t_plus_sqrt(I.D, t)))
     return samples
 
 
@@ -79,40 +89,55 @@ def F_invariant(x: QuadElem, y: QuadElem, I: CanonicalIdeal) -> Fraction:
     """Basis invariant N(x)^2 + N(y)^2 + N(x)N(y) - N(I)^2 * Delta_K / 4.
 
     (x, y) must be a basis of I, verified exactly by the determinant identity
-    (sigma_1(x)sigma_2(y) - sigma_2(x)sigma_1(y))^2 = N(I)^2 * Delta_K.
+    (sigma_1(x)sigma_2(y) - sigma_2(x)sigma_1(y))^2 = N(I)^2 * Delta_K.  With
+    x = (p1 + q1*sqrt(D))/d1 and y = (p2 + q2*sqrt(D))/d2 the left side is
+    4*D*(q1*p2 - p1*q2)^2 / (d1*d2)^2.
     """
-    w = x * y.conjugate() - x.conjugate() * y
-    det_sq = (w * w).x  # w is a pure multiple of sqrt(D), its square rational
-    dk = discriminant(I.D)
-    if det_sq != Fraction(I.norm() ** 2 * dk):
+    D = I.D
+    if x.D != D or y.D != D:
+        raise ValueError("mixed fields")
+    target = I.norm() ** 2 * _discriminant(D)
+    c = x.q * y.p - x.p * y.q
+    dd = x.d * y.d
+    if 4 * D * c * c != target * dd * dd:
         raise ValueError("pair is not a basis of the ideal")
-    nx, ny = x.norm(), y.norm()
-    return nx * nx + ny * ny + nx * ny - Fraction(I.norm() ** 2 * dk, 4)
+    # N(x) = a1/b1 and N(y) = a2/b2 over b = b1*b2
+    a1, b1 = x.p * x.p - D * x.q * x.q, x.d * x.d
+    a2, b2 = y.p * y.p - D * y.q * y.q, y.d * y.d
+    b = b1 * b2
+    return Fraction(4 * (a1 * a1 * b2 * b2 + a2 * a2 * b1 * b1 + a1 * a2 * b)
+                    - target * b * b, 4 * b * b)
 
 
-def _in_cone(z: QuadElem, eps_plus: QuadElem) -> bool:
-    """Exact membership in the cone 1 <= |sigma_1(z)/sigma_2(z)| < eps_plus^2.
+def _in_cone(z: QuadElem, eps4: QuadElem) -> bool:
+    """Exact membership in the cone 1 <= |sigma_1(z)/sigma_2(z)| < eps_plus^2,
+    given eps4 = eps_plus^4.
 
-    Squared form: sigma_1(z)^2 >= sigma_2(z)^2 and
-    sigma_1(z)^2 < eps_plus^4 * sigma_2(z)^2, decided as QuadElem comparisons
-    (sigma_1 of z^2 against sigma_1 of conj(z)^2).
+    Squared form: sigma_1(z)^2 >= sigma_2(z)^2, i.e. p*q >= 0 for
+    z = (p + q*sqrt(D))/d since sigma_1(z)^2 - sigma_2(z)^2 = 4pq*sqrt(D)/d^2,
+    and sigma_1(z)^2 < eps_plus^4 * sigma_2(z)^2, decided as a QuadElem
+    comparison (sigma_1 of z^2 against sigma_1 of conj(z)^2 * eps4).
     """
-    sq = z * z
-    csq = z.conjugate() * z.conjugate()
-    return sq >= csq and sq < csq * eps_plus ** 4
+    if z.p * z.q < 0:
+        return False
+    zc = z.conjugate()
+    return z * z < zc * zc * eps4
 
 
-def _ideal_elements_in_cone(I: CanonicalIdeal, norm_bound_sq: Fraction) -> list[QuadElem]:
+def _ideal_elements_in_cone(I: CanonicalIdeal, norm_bound_sq: Fraction,
+                            eps_plus: QuadElem) -> list[QuadElem]:
     """Nonzero z in I with N(z)^2 <= norm_bound_sq, one per unit orbit.
 
     Representatives are taken in the cone 1 <= |sigma_1(z)/sigma_2(z)| <
     eps_plus^2.  A single rectangular coordinate box over the whole cone is
     infeasible for large units, so the cone is cut into ratio bands
     [lam^k, lam^(k+1)); each band fits in a small box that is scanned with a
-    float prefilter, and every survivor is checked exactly.
+    float prefilter, and every survivor is checked exactly.  Bands overlap,
+    so coefficient pairs already seen are skipped: (z1, z2) is a basis, so
+    the pair determines z.
     """
     z1, z2 = I.basis_elements()
-    _, eps_plus = fundamental_unit(I.D)
+    eps4 = eps_plus ** 4
     M = math.sqrt(float(norm_bound_sq))  # bound on |N(z)|
     e = float(eps_plus)
     s1 = (z1.embed(1), z2.embed(1))
@@ -120,19 +145,19 @@ def _ideal_elements_in_cone(I: CanonicalIdeal, norm_bound_sq: Fraction) -> list[
     lam = 4.0
     n_bands = max(1, math.ceil(2 * math.log(e) / math.log(lam)))
     slack = 1.02
-    seen: set[QuadElem] = set()
+    seen: set[tuple[int, int]] = set()
     out: list[QuadElem] = []
     for k in range(n_bands):
         # band: ratio in [lam^k, lam^(k+1)] => |sigma_1| <= B1, |sigma_2| <= B2
         B1 = math.sqrt(M) * lam ** ((k + 1) / 2) * slack
         B2 = math.sqrt(M) * lam ** (-k / 2) * slack
-        for cx, cy in _points_in_embedding_box(s1, s2, B1, B2):
-            z = cx * z1 + cy * z2
-            if z in seen:
+        for cxy in _points_in_embedding_box(s1, s2, B1, B2):
+            if cxy in seen:
                 continue
-            seen.add(z)
+            seen.add(cxy)
+            z = cxy[0] * z1 + cxy[1] * z2
             n = z.norm()
-            if n != 0 and n * n <= norm_bound_sq and _in_cone(z, eps_plus):
+            if n != 0 and n * n <= norm_bound_sq and _in_cone(z, eps4):
                 out.append(z)
     return out
 
@@ -190,23 +215,28 @@ def wr_intersection_classes(I: CanonicalIdeal) -> tuple[int, set[Fraction]]:
     the WR locus.  F < 0 forces |N| of both basis members below
     N(I)*sqrt(Delta_K/3), so the enumeration is finite.
     """
-    dk = discriminant(I.D)
-    bound_sq = Fraction(I.norm() ** 2 * dk, 3)
-    elems = _ideal_elements_in_cone(I, bound_sq)
-    _, eps_plus = fundamental_unit(I.D)
+    D = I.D
+    target = I.norm() ** 2 * _discriminant(D)
+    _, eps_plus = fundamental_unit(D)
+    elems = _ideal_elements_in_cone(I, Fraction(target, 3), eps_plus)
     # unit shifts so that basis partners outside the representative cone are
     # still seen
-    shifted = []
+    partners = []
     for j in (-2, -1, 0, 1, 2):
         u = eps_plus ** j
-        shifted.extend([z * u for z in elems])
+        for z in elems:
+            y = z * u
+            partners.append((y, y.p, y.q, y.d * y.d))
     values: set[Fraction] = set()
-    # w is a pure multiple of sqrt(D), so w^2 is rational
-    target = _quad(I.D, I.norm() ** 2 * dk, 0, 1)
+    # The basis test of F_invariant on integers:
+    # 4*D*(q1*p2 - p1*q2)^2 == N(I)^2 * Delta_K * (d1*d2)^2.
+    four_d = 4 * D
     for x in elems:
-        for y in shifted:
-            w = x * y.conjugate() - x.conjugate() * y
-            if w * w != target:
+        p1, q1, d1 = x.p, x.q, x.d
+        rhs = target * d1 * d1
+        for y, p2, q2, d2_sq in partners:
+            c = q1 * p2 - p1 * q2
+            if four_d * c * c != rhs * d2_sq:
                 continue
             f = F_invariant(x, y, I)
             if f < 0:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .quadfield import QuadElem, _delta, _quad, check_field, discriminant
+from .quadfield import QuadElem, _delta, _discriminant, _quad, check_field
 
 
 class CanonicalBasisError(ValueError):
@@ -71,7 +71,7 @@ class CanonicalIdeal:
         return z1, z2
 
     def discriminant(self) -> int:
-        return discriminant(self.D)
+        return _discriminant(self.D)
 
     def __str__(self):
         return f"({self.a}, {self.b} + {self.g}*delta) over D={self.D}"

@@ -3,7 +3,9 @@
 The single load-bearing identity: for a twisted ideal lattice A(alpha)*L_K(I)
 with basis (z1, z2), every inner product is trace(alpha * z_i * z_j), which is
 a rational number.  All predicates below therefore operate on exact rational
-Gram matrices, never on the irrational embedded basis vectors.
+Gram matrices, never on the irrational embedded basis vectors.  A Gram matrix
+is held as three integers over one common denominator, and the predicates
+compute on those integers.
 """
 
 from __future__ import annotations
@@ -13,51 +15,93 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .ideals import CanonicalIdeal
-from .quadfield import QuadElem
+from .quadfield import QuadElem, Rational
 
 Vec2 = tuple[int, int]
+_new = object.__new__
 
 
-@dataclass(frozen=True)
 class Gram2:
-    """Positive definite symmetric 2x2 matrix with exact rational entries."""
+    """Positive definite symmetric 2x2 matrix with exact rational entries.
 
-    g11: Fraction
-    g12: Fraction
-    g22: Fraction
+    Held as the integers (n11, n12, n22, den) of [[n11, n12], [n12, n22]]/den
+    in canonical form, den > 0 and gcd(n11, n12, n22, den) = 1, so equal
+    matrices have equal fields.  g11, g12 and g22 are read-only Fraction
+    views.  Every construction checks positive definiteness, on the integers.
+    """
 
-    def __post_init__(self):
-        g11, g12, g22 = (Fraction(v) for v in (self.g11, self.g12, self.g22))
-        object.__setattr__(self, "g11", g11)
-        object.__setattr__(self, "g12", g12)
-        object.__setattr__(self, "g22", g22)
-        if g11 <= 0 or g11 * g22 - g12 * g12 <= 0:
-            raise ValueError(f"not positive definite: {self}")
+    __slots__ = ("_n11", "_n12", "_n22", "_den")
+
+    def __init__(self, g11: Rational, g12: Rational, g22: Rational):
+        g11, g12, g22 = Fraction(g11), Fraction(g12), Fraction(g22)
+        # The entries are in lowest terms, so this form is already canonical.
+        den = math.lcm(g11.denominator, g12.denominator, g22.denominator)
+        _fill_gram(self, g11.numerator * (den // g11.denominator),
+                   g12.numerator * (den // g12.denominator),
+                   g22.numerator * (den // g22.denominator), den)
 
     @staticmethod
-    def of(g11, g12, g22) -> "Gram2":
-        return Gram2(Fraction(g11), Fraction(g12), Fraction(g22))
+    def of(g11: Rational, g12: Rational, g22: Rational) -> "Gram2":
+        return Gram2(g11, g12, g22)
+
+    def __reduce__(self):
+        return (_gram, (self._n11, self._n12, self._n22, self._den))
+
+    g11 = property(lambda self: Fraction(self._n11, self._den))
+    g12 = property(lambda self: Fraction(self._n12, self._den))
+    g22 = property(lambda self: Fraction(self._n22, self._den))
 
     def det(self) -> Fraction:
-        return self.g11 * self.g22 - self.g12 * self.g12
+        return Fraction(self._n11 * self._n22 - self._n12 * self._n12,
+                        self._den * self._den)
 
     def value(self, v: Vec2) -> Fraction:
         m, n = v
-        return self.g11 * m * m + 2 * self.g12 * m * n + self.g22 * n * n
+        return Fraction(self._n11 * m * m + 2 * self._n12 * m * n
+                        + self._n22 * n * n, self._den)
 
     def transform(self, u: "UnimodularMap") -> "Gram2":
         """Gram of the same lattice in the basis (b1, b2) * U."""
         a, b, c, d = u.a, u.b, u.c, u.d
-        g11 = self.value((a, c))
-        g22 = self.value((b, d))
-        g12 = self.g11 * a * b + self.g12 * (a * d + b * c) + self.g22 * c * d
-        return Gram2(g11, g12, g22)
+        n11, n12, n22 = self._n11, self._n12, self._n22
+        return _gram(n11 * a * a + 2 * n12 * a * c + n22 * c * c,
+                     n11 * a * b + n12 * (a * d + b * c) + n22 * c * d,
+                     n11 * b * b + 2 * n12 * b * d + n22 * d * d, self._den)
 
     def entries(self) -> tuple[Fraction, Fraction, Fraction]:
         return self.g11, self.g12, self.g22
 
+    def __eq__(self, other):
+        if isinstance(other, Gram2):
+            return (self._n11 == other._n11 and self._n12 == other._n12
+                    and self._n22 == other._n22 and self._den == other._den)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self._n11, self._n12, self._n22, self._den))
+
+    def __repr__(self):
+        return f"Gram2(g11={self.g11!r}, g12={self.g12!r}, g22={self.g22!r})"
+
     def __str__(self):
         return f"[[{self.g11}, {self.g12}], [{self.g12}, {self.g22}]]"
+
+
+def _fill_gram(G: Gram2, n11: int, n12: int, n22: int, den: int) -> Gram2:
+    """Set the fields of a Gram2 from a canonical (n11, n12, n22, den) and
+    check positive definiteness."""
+    G._n11, G._n12, G._n22, G._den = n11, n12, n22, den
+    if n11 <= 0 or n11 * n22 - n12 * n12 <= 0:
+        raise ValueError(f"not positive definite: {G}")
+    return G
+
+
+def _gram(n11: int, n12: int, n22: int, den: int) -> Gram2:
+    """[[n11, n12], [n12, n22]]/den for den > 0, in lowest terms."""
+    g = math.gcd(n11, n12, n22, den)
+    if g != 1:
+        n11, n12, n22, den = n11 // g, n12 // g, n22 // g, den // g
+    return _fill_gram(_new(Gram2), n11, n12, n22, den)
 
 
 @dataclass(frozen=True)
@@ -93,17 +137,22 @@ def gram_of_twist(I: CanonicalIdeal, alpha: QuadElem) -> Gram2:
     """Exact Gram matrix of A(alpha)*L_K(I) in the canonical basis.
 
     G_ij = trace(alpha * z_i * z_j); det G = N(alpha) * N(I)^2 * Delta_K.
+    With alpha = (p + q*sqrt(D))/d, z1 = a and z2 = (u + v*sqrt(D))/e the
+    three traces are, over the common denominator d*e^2,
+    2*a^2*p*e^2, 2*a*(p*u + D*q*v)*e and 2*(p*(u^2 + D*v^2) + 2*D*q*u*v).
     """
     if alpha.D != I.D:
         raise ValueError("alpha must live in the same field as I")
     if not alpha.is_totally_positive():
         raise ValueError(f"alpha = {alpha} is not totally positive")
-    z1, z2 = I.basis_elements()
-    return Gram2(
-        (alpha * z1 * z1).trace(),
-        (alpha * z1 * z2).trace(),
-        (alpha * z2 * z2).trace(),
-    )
+    _, z2 = I.basis_elements()
+    D, a = I.D, I.a
+    p, q, d = alpha.p, alpha.q, alpha.d
+    u, v, e = z2.p, z2.q, z2.d
+    return _gram(2 * a * a * p * e * e,
+                 2 * a * (p * u + D * q * v) * e,
+                 2 * (p * (u * u + D * v * v) + 2 * D * q * u * v),
+                 d * e * e)
 
 
 def lagrange_reduce(G: Gram2) -> tuple[Gram2, UnimodularMap]:
@@ -113,14 +162,10 @@ def lagrange_reduce(G: Gram2) -> tuple[Gram2, UnimodularMap]:
     sign convention (negating the second vector when needed).  The returned
     map U transports the input basis to the reduced one: R = U^t G U.
     Ties (r11 = r22 or 2|r12| = r11) are left as already reduced.  The loop
-    runs on the integer entries L*G over one common denominator L, with the
+    runs on the integer numerators of G over its denominator, with the
     transform [[a, b], [c, d]] as four ints.
     """
-    g11, g12, g22 = G.entries()
-    den = math.lcm(g11.denominator, g12.denominator, g22.denominator)
-    n11 = g11.numerator * (den // g11.denominator)
-    n12 = g12.numerator * (den // g12.denominator)
-    n22 = g22.numerator * (den // g22.denominator)
+    n11, n12, n22, den = G._n11, G._n12, G._n22, G._den
     a, b, c, d = 1, 0, 0, 1
     while True:
         if n11 > n22:
@@ -142,8 +187,28 @@ def lagrange_reduce(G: Gram2) -> tuple[Gram2, UnimodularMap]:
     if n12 < 0:
         n12 = -n12
         b, d = -b, -d
-    R = Gram2(Fraction(n11, den), Fraction(n12, den), Fraction(n22, den))
-    return R, UnimodularMap(a, b, c, d)
+    return _gram(n11, n12, n22, den), UnimodularMap(a, b, c, d)
+
+
+# Predicates of an already Lagrange-reduced R (0 <= 2*r12 <= r11 <= r22),
+# whose diagonal holds the successive minima.  The public predicates reduce
+# once and call these; a caller holding R calls them directly.
+
+def _wr_reduced(R: Gram2) -> bool:
+    return R._n11 == R._n22
+
+
+def _stable_reduced(R: Gram2) -> bool:
+    n11 = R._n11
+    return n11 * R._n22 - R._n12 * R._n12 <= n11 * n11
+
+
+def _similarity_reduced(R: Gram2) -> "SimilarityPoint":
+    # tau = (r12 + i*sqrt(det R))/r11 has 0 <= x <= 1/2 and
+    # |tau|^2 = r22/r11 >= 1: it already lies in the half-domain.
+    n11, n12 = R._n11, R._n12
+    return SimilarityPoint(Fraction(n12, n11),
+                           Fraction(n11 * R._n22 - n12 * n12, n11 * n11))
 
 
 def successive_minima(G: Gram2) -> tuple[Fraction, Fraction]:
@@ -158,17 +223,18 @@ def minima_brute_force(G: Gram2, box: int = 25) -> tuple[Fraction, Fraction]:
     Returns the two smallest squared norms over linearly independent vectors;
     only trustworthy when the box is large enough for the lattice at hand.
     """
-    best: list[tuple[Fraction, Vec2]] = []
+    n11, n12, n22 = G._n11, G._n12, G._n22
+    best: list[tuple[int, Vec2]] = []
     for m in range(-box, box + 1):
         for n in range(0, box + 1):
             if n == 0 and m <= 0:
                 continue
-            best.append((G.value((m, n)), (m, n)))
+            best.append((n11 * m * m + 2 * n12 * m * n + n22 * n * n, (m, n)))
     best.sort(key=lambda t: t[0])
     q1, v1 = best[0]
     for q2, v2 in best[1:]:
         if v1[0] * v2[1] - v1[1] * v2[0] != 0:
-            return q1, q2
+            return Fraction(q1, G._den), Fraction(q2, G._den)
     raise ValueError("enumeration box too small")
 
 
@@ -178,28 +244,32 @@ def is_paper_reduced(G: Gram2) -> bool:
     Equivalent to 4*g12^2 <= g11*g22; the diagonal ordering is ignored since
     swapping the basis vectors is unimodular.
     """
-    return 4 * G.g12 * G.g12 <= G.g11 * G.g22
+    return 4 * G._n12 * G._n12 <= G._n11 * G._n22
 
 
 def is_lagrange_reduced(G: Gram2) -> bool:
     """Classical reduction up to a swap: 2|g12| <= min(g11, g22)."""
-    return 2 * abs(G.g12) <= min(G.g11, G.g22)
+    return 2 * abs(G._n12) <= min(G._n11, G._n22)
 
 
 def is_wr(G: Gram2) -> bool:
     """Well-rounded: both successive minima coincide."""
-    l1, l2 = successive_minima(G)
-    return l1 == l2
+    return _wr_reduced(lagrange_reduce(G)[0])
 
 
 def is_stable(G: Gram2) -> bool:
     """Stable in the plane: volume <= lambda_1^2, i.e. det G <= lambda_1^4."""
-    R, _ = lagrange_reduce(G)
-    return R.det() <= R.g11 * R.g11
+    return _stable_reduced(lagrange_reduce(G)[0])
 
 
 def det_gram(G: Gram2) -> Fraction:
     return G.det()
+
+
+def _deep_hole(R: Gram2) -> tuple[int, int]:
+    """(r11*r22*(r11 + r22 - 2*r12), det) on the numerators of a reduced R."""
+    n11, n12, n22 = R._n11, R._n12, R._n22
+    return n11 * n22 * (n11 + n22 - 2 * n12), n11 * n22 - n12 * n12
 
 
 def covering_radius_sq(G: Gram2) -> Fraction:
@@ -210,14 +280,14 @@ def covering_radius_sq(G: Gram2) -> Fraction:
     mu^2 = g11*g22*(g11 + g22 - 2*g12) / (4*det).
     """
     R, _ = lagrange_reduce(G)
-    g11, g12, g22 = R.entries()
-    return g11 * g22 * (g11 + g22 - 2 * g12) / (4 * R.det())
+    num, det = _deep_hole(R)
+    return Fraction(num, 4 * R._den * det)
 
 
 def hermite_thickness_sq(G: Gram2) -> Fraction:
     """tau^2 = mu^4 / det G (scale invariant; n = 2)."""
-    mu2 = covering_radius_sq(G)
-    return mu2 * mu2 / G.det()
+    num, det = _deep_hole(lagrange_reduce(G)[0])
+    return Fraction(num * num, 16 * det * det * det)
 
 
 def hermite_thickness(G: Gram2) -> float:
@@ -233,10 +303,10 @@ def wr_stretch(G: Gram2) -> tuple[Fraction, int, Fraction]:
     """
     if not is_lagrange_reduced(G):
         raise ValueError("wr_stretch requires a Lagrange-reduced Gram")
-    norm_sq = G.g11 * G.g22
-    cos_sq = G.g12 * G.g12 / norm_sq
-    sign = (G.g12 > 0) - (G.g12 < 0)
-    return cos_sq, sign, norm_sq
+    n11, n12, n22 = G._n11, G._n12, G._n22
+    cos_sq = Fraction(n12 * n12, n11 * n22)
+    sign = (n12 > 0) - (n12 < 0)
+    return cos_sq, sign, Fraction(n11 * n22, G._den * G._den)
 
 
 @dataclass(frozen=True)
@@ -261,9 +331,7 @@ class SimilarityPoint:
 
 def similarity_point(G: Gram2) -> SimilarityPoint:
     """Similarity class of the lattice as a point of the fundamental domain."""
-    R, _ = lagrange_reduce(G)
-    tau = SimilarityPoint(R.g12 / R.g11, R.det() / (R.g11 * R.g11))
-    return reduce_to_fundamental(tau)
+    return _similarity_reduced(lagrange_reduce(G)[0])
 
 
 def reduce_to_fundamental(tau: SimilarityPoint) -> SimilarityPoint:

@@ -14,7 +14,6 @@ from typing import Union
 
 Rational = Union[int, Fraction]
 
-_TRIAL_LIMIT = 10**6
 # Builders for the immutable value types, bypassing their public checks.
 _new = object.__new__
 _setattr = object.__setattr__
@@ -40,29 +39,26 @@ def _is_square(n: int) -> bool:
 
 
 def is_squarefree(n: int) -> bool:
-    """Exact squarefree test: trial division, then factorization fallback.
+    """Exact squarefree test by trial division up to the cube root.
 
-    Trial division strips all prime factors up to 10**6.  A remainder below
-    10**12 has only prime factors above 10**6 and therefore cannot contain a
-    square; larger remainders fall back to a full deterministic factorization.
+    Trial division strips each prime p with p^3 <= m, where m is what is left
+    of n.  Every prime factor of the final m exceeds its cube root, so m has
+    at most two prime factors, and m is squarefree iff m is 1 or not a
+    perfect square.  Exact for every n; no input is rejected.  The cost grows
+    as n^(1/3): at n = 10^18 the divisors run up to 10^6, about 5 * 10^5
+    divisions, and more above that.
     """
     if n < 1:
         return False
-    if n == 1:
-        return True
     m = n
     p = 2
-    while p * p <= m and p <= _TRIAL_LIMIT:
+    while p * p * p <= m:
         if m % p == 0:
             m //= p
             if m % p == 0:
                 return False
         p += 1 if p == 2 else 2
-    if m == 1 or m < _TRIAL_LIMIT * _TRIAL_LIMIT:
-        return not _is_square(m) or m == 1
-    from sympy import factorint
-
-    return all(e == 1 for e in factorint(m).values())
+    return m == 1 or not _is_square(m)
 
 
 def check_field(D: int) -> int:
@@ -324,6 +320,12 @@ def _quad(D: int, p: int, q: int, d: int) -> QuadElem:
     return _elem(D, p, q, d)
 
 
+def _t_plus_sqrt(D: int, t: Rational) -> QuadElem:
+    """t + sqrt(D) = (n + d*sqrt(D))/d for t = n/d, in a field whose D is
+    checked."""
+    return _elem(D, t.numerator, t.denominator, t.denominator)
+
+
 def _delta(D: int) -> QuadElem:
     """delta(D) for a D that is already checked."""
     if D % 4 == 1:
@@ -337,9 +339,14 @@ def delta(D: int) -> QuadElem:
     return _delta(D)
 
 
+def _discriminant(D: int) -> int:
+    """discriminant(D) for a D that is already checked."""
+    return D if D % 4 == 1 else 4 * D
+
+
 def discriminant(D: int) -> int:
     check_field(D)
-    return D if D % 4 == 1 else 4 * D
+    return _discriminant(D)
 
 
 def norm(z: QuadElem) -> Fraction:

@@ -21,7 +21,14 @@ from typing import Optional
 
 from .ideals import CanonicalIdeal
 from .lattice2 import Gram2, gram_of_twist, is_paper_reduced, is_stable, is_wr
-from .quadfield import CertificateError, QuadElem, Rational, Surd, surd_compare
+from .quadfield import (
+    CertificateError,
+    QuadElem,
+    Rational,
+    Surd,
+    _t_plus_sqrt,
+    surd_compare,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +260,7 @@ def wr_twist(I: CanonicalIdeal) -> TwistVerdict:
     if not reduced_ok:
         return TwistVerdict(False, reason="reduction inequality fails",
                             t_star=t_star)
-    alpha = QuadElem(I.D, t_star, Fraction(1))
+    alpha = _t_plus_sqrt(I.D, t_star)
     gram = gram_of_twist(I, alpha)
     if not (is_wr(gram) and is_paper_reduced(gram)):
         raise CertificateError(
@@ -353,7 +360,7 @@ def stable_twist(I: CanonicalIdeal) -> FeasibilityReport:
         if witness_t is not None:
             break
     if witness_t is not None:
-        witness_alpha = QuadElem(D, witness_t, Fraction(1))
+        witness_alpha = _t_plus_sqrt(D, witness_t)
         gram = gram_of_twist(I, witness_alpha)
         if not (is_paper_reduced(gram) and is_stable(gram)
                 and raw_stable_polynomials(I, witness_t)):

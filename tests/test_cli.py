@@ -151,3 +151,24 @@ def test_certificate_failure_exits_3(capsys, monkeypatch):
     assert out == ""
     assert json.loads(err) == {"error": "re-check failed",
                                "condition": "certificate"}
+
+
+def test_geodesic_rejects_zero_samples(capsys):
+    code, out, err = run_cli(capsys, "geodesic", "5", "1", "0", "1",
+                             "--samples", "0")
+    assert code == EXIT_INVALID
+    assert out == ""
+    msg = json.loads(err)
+    assert "--samples" in msg["error"] and msg["condition"] is None
+
+
+def test_library_value_error_is_not_invalid_input(capsys, monkeypatch):
+    # A ValueError raised inside the library on valid input is a fault of
+    # the library, not exit 2 "invalid input": it propagates.
+    def broken(I):
+        raise ValueError("internal failure")
+
+    monkeypatch.setattr(cli, "stable_twist", broken)
+    with pytest.raises(ValueError, match="internal failure"):
+        main(["twist", "1327", "39", "38", "1"])
+    assert capsys.readouterr().err == ""

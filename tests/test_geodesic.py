@@ -1,17 +1,27 @@
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadtwist.geodesic import (
     F_invariant,
+    _points_in_embedding_box,
     orthogonal_only,
     sample_at,
     sample_orbit,
     wr_intersection_classes,
 )
 from quadtwist.ideals import enumerate_canonical, ring_of_integers, validate_canonical
-from quadtwist.lattice2 import gram_of_twist, is_stable, is_wr, similarity_point
-from quadtwist.quadfield import QuadElem, delta, fundamental_unit
+from quadtwist.lattice2 import Gram2, gram_of_twist, is_stable, is_wr, similarity_point
+from quadtwist.quadfield import (
+    QuadElem,
+    delta,
+    discriminant,
+    fundamental_unit,
+    is_squarefree,
+)
 from quadtwist.twist import wr_twist
 
 
@@ -29,6 +39,24 @@ class TestSampleAt:
     def test_rejects_not_totally_positive(self):
         with pytest.raises(ValueError):
             sample_at(ring_of_integers(2), QuadElem.of(2, 1, 1))
+
+    @pytest.mark.parametrize("D, a, b, g", [
+        (5, 1, 0, 1), (59, 1, 0, 1), (139, 9, 7, 1), (141, 5, 4, 1),
+        (1327, 39, 38, 1)])
+    def test_matches_public_predicates(self, D, a, b, g):
+        # sample_at reduces the Gram once; its flags and tau must be what the
+        # public predicates give, each reducing on its own
+        I = validate_canonical(D, a, b, g)
+        isqrt = math.isqrt(D)
+        for t in [Fraction(isqrt + 1), Fraction(7 * isqrt + 3, 5),
+                  Fraction(1946, 107), Fraction(10 * D + 1, 3), Fraction(63)]:
+            if not t * t > D:
+                continue
+            alpha = QuadElem.of(D, t, 1)
+            G = gram_of_twist(I, alpha)
+            s = sample_at(I, alpha)
+            assert (s.is_wr, s.is_stable) == (is_wr(G), is_stable(G))
+            assert s.tau == similarity_point(G)
 
 
 class TestSampleOrbit:
@@ -70,7 +98,116 @@ class TestSampleOrbit:
             sample_orbit(ring_of_integers(2), 0)
 
 
+def _reference_gram(I, alpha):
+    """gram_of_twist before it moved to integers: the traces of alpha*z_i*z_j."""
+    z1, z2 = I.basis_elements()
+    return Gram2((alpha * z1 * z1).trace(), (alpha * z1 * z2).trace(),
+                 (alpha * z2 * z2).trace())
+
+
+TWIST_FIELDS = [2, 3, 5, 13, 21, 59, 139, 141, 1327]
+
+
+class TestGramOfTwistAgainstTraces:
+    @given(D=st.sampled_from(TWIST_FIELDS), pick=st.integers(0, 10**6),
+           q=st.integers(-40, 40).map(lambda q: q or 1),
+           extra=st.integers(0, 500), d=st.integers(1, 60))
+    @settings(max_examples=300, derandomize=True)
+    def test_same_gram(self, D, pick, q, extra, d):
+        ideals = enumerate_canonical(D, 12)
+        I = ideals[pick % len(ideals)]
+        # p > |q| sqrt(D) makes alpha = (p + q sqrt(D))/d totally positive
+        p = math.isqrt(D * q * q) + 1 + extra
+        alpha = QuadElem.of(D, Fraction(p, d), Fraction(q, d))
+        assert gram_of_twist(I, alpha) == _reference_gram(I, alpha)
+
+
+def _reference_F(x, y, I):
+    """F_invariant before it moved to integers."""
+    w = x * y.conjugate() - x.conjugate() * y
+    dk = discriminant(I.D)
+    if (w * w).x != Fraction(I.norm() ** 2 * dk):
+        raise ValueError("pair is not a basis of the ideal")
+    nx, ny = x.norm(), y.norm()
+    return nx * nx + ny * ny + nx * ny - Fraction(I.norm() ** 2 * dk, 4)
+
+
+def _reference_elements_in_cone(I, norm_bound_sq):
+    """The element enumeration before the integer cone test: QuadElem
+    dedup and both cone inequalities as QuadElem comparisons."""
+    z1, z2 = I.basis_elements()
+    _, eps_plus = fundamental_unit(I.D)
+    M = math.sqrt(float(norm_bound_sq))
+    s1 = (z1.embed(1), z2.embed(1))
+    s2 = (z1.embed(2), z2.embed(2))
+    n_bands = max(1, math.ceil(2 * math.log(float(eps_plus)) / math.log(4.0)))
+    seen, out = set(), []
+    for k in range(n_bands):
+        B1 = math.sqrt(M) * 4.0 ** ((k + 1) / 2) * 1.02
+        B2 = math.sqrt(M) * 4.0 ** (-k / 2) * 1.02
+        for cx, cy in _points_in_embedding_box(s1, s2, B1, B2):
+            z = cx * z1 + cy * z2
+            if z in seen:
+                continue
+            seen.add(z)
+            n = z.norm()
+            sq, csq = z * z, z.conjugate() * z.conjugate()
+            if (n != 0 and n * n <= norm_bound_sq and sq >= csq
+                    and sq < csq * eps_plus ** 4):
+                out.append(z)
+    return out
+
+
+def _reference_classes(I):
+    """wr_intersection_classes with the element enumeration and the
+    QuadElem pairing it had before the integer basis test."""
+    dk = discriminant(I.D)
+    _, eps_plus = fundamental_unit(I.D)
+    elems = _reference_elements_in_cone(I, Fraction(I.norm() ** 2 * dk, 3))
+    shifted = []
+    for j in (-2, -1, 0, 1, 2):
+        u = eps_plus ** j
+        shifted.extend([z * u for z in elems])
+    values = set()
+    target = QuadElem.of(I.D, I.norm() ** 2 * dk, 0)
+    for x in elems:
+        for y in shifted:
+            w = x * y.conjugate() - x.conjugate() * y
+            if w * w != target:
+                continue
+            f = _reference_F(x, y, I)
+            if f < 0:
+                values.add(f)
+    return len(values), values
+
+
+class TestIntersectionPairing:
+    def test_matches_reference_on_rings_of_integers_up_to_200(self):
+        for D in range(2, 201):
+            if is_squarefree(D):
+                I = ring_of_integers(D)
+                assert wr_intersection_classes(I) == _reference_classes(I), D
+
+
 class TestFInvariant:
+    @pytest.mark.parametrize("D, x, y", [
+        (151, (-41571, 3383), (-525628, 42775)),
+        (166, (41242, 3201), (-18231, -1415)),
+        (5, (1, 0), (Fraction(1, 2), Fraction(-1, 2))),
+        (13, (3, 1), (Fraction(5, 2), Fraction(1, 2))),
+        (13, (1, 0), (2, 0)),
+    ])
+    def test_against_reference(self, D, x, y):
+        I = ring_of_integers(D)
+        x, y = QuadElem.of(D, *x), QuadElem.of(D, *y)
+        try:
+            expected = _reference_F(x, y, I)
+        except ValueError:
+            with pytest.raises(ValueError):
+                F_invariant(x, y, I)
+        else:
+            assert F_invariant(x, y, I) == expected
+
     def test_reference_values(self):
         one5 = QuadElem.of(5, 1, 0)
         assert F_invariant(one5, delta(5), ring_of_integers(5)) == Fraction(-1, 4)

@@ -1,4 +1,5 @@
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -103,9 +104,10 @@ class TestReduction:
         assert R.g12 == 1
 
 
-def _reference_lagrange(G):
-    """The Fraction loop lagrange_reduce ran before it moved to integers."""
-    g11, g12, g22 = G.entries()
+def _ref_reduce(g):
+    """The Fraction loop lagrange_reduce ran before it moved to integers, on
+    a (g11, g12, g22) triple: the reduced triple and the transform."""
+    g11, g12, g22 = g
     u = UnimodularMap.identity()
     swap = UnimodularMap(0, 1, 1, 0)
     while True:
@@ -124,7 +126,12 @@ def _reference_lagrange(G):
     if g12 < 0:
         g12 = -g12
         u = u @ UnimodularMap(1, 0, 0, -1)
-    return Gram2(g11, g12, g22), u
+    return (g11, g12, g22), u
+
+
+def _reference_lagrange(G):
+    r, u = _ref_reduce(G.entries())
+    return Gram2(*r), u
 
 
 wide_grams = random_grams(
@@ -157,6 +164,157 @@ class TestReductionAgainstFractionLoop:
         # 5/2 rounds to 2, not 3: v2 <- v2 - 2 v1
         _, U = lagrange_reduce(Gram2.of(2, 5, 20))
         assert (U.a, U.b, U.c, U.d) == (1, -2, 0, 1)
+
+
+# The Fraction implementation of the Gram predicates before Gram2 moved to
+# integers, kept as an oracle on plain (g11, g12, g22) Fraction triples.
+
+def _ref_det(g):
+    g11, g12, g22 = g
+    return g11 * g22 - g12 * g12
+
+
+def _ref_value(g, v):
+    g11, g12, g22 = g
+    m, n = v
+    return g11 * m * m + 2 * g12 * m * n + g22 * n * n
+
+
+def _ref_transform(g, u):
+    a, b, c, d = u.a, u.b, u.c, u.d
+    g11, g12, g22 = g
+    return (_ref_value(g, (a, c)),
+            g11 * a * b + g12 * (a * d + b * c) + g22 * c * d,
+            _ref_value(g, (b, d)))
+
+
+def _ref_is_wr(g):
+    r, _ = _ref_reduce(g)
+    return r[0] == r[2]
+
+
+def _ref_is_stable(g):
+    r, _ = _ref_reduce(g)
+    return _ref_det(r) <= r[0] * r[0]
+
+
+def _ref_covering_radius_sq(g):
+    (g11, g12, g22), _ = _ref_reduce(g)
+    return g11 * g22 * (g11 + g22 - 2 * g12) / (4 * _ref_det((g11, g12, g22)))
+
+
+def _ref_similarity(g):
+    r, _ = _ref_reduce(g)
+    x, y2 = r[1] / r[0], _ref_det(r) / (r[0] * r[0])
+    while True:
+        x = x - round(x)
+        n = x * x + y2
+        if n >= 1:
+            break
+        x, y2 = -x / n, y2 / (n * n)
+    return abs(x), y2
+
+
+def _ref_minima_brute_force(g, box):
+    best = []
+    for m in range(-box, box + 1):
+        for n in range(0, box + 1):
+            if n == 0 and m <= 0:
+                continue
+            best.append((_ref_value(g, (m, n)), (m, n)))
+    best.sort(key=lambda t: t[0])
+    q1, v1 = best[0]
+    for q2, v2 in best[1:]:
+        if v1[0] * v2[1] - v1[1] * v2[0] != 0:
+            return q1, q2
+
+
+def _ref_wr_stretch(g):
+    g11, g12, g22 = g
+    norm_sq = g11 * g22
+    return g12 * g12 / norm_sq, (g12 > 0) - (g12 < 0), norm_sq
+
+
+def pd_triples(entry, positive):
+    """Positive definite (g11, g12, g22) Fraction triples, by construction."""
+    return st.builds(lambda g11, g12, det: (g11, g12, (g12 * g12 + det) / g11),
+                     positive, entry, positive)
+
+
+triples = st.one_of(
+    pd_triples(entry, positive),
+    pd_triples(st.fractions(min_value=Fraction(-10**6), max_value=Fraction(10**6),
+                            max_denominator=10**4),
+               st.fractions(min_value=Fraction(1, 10**4),
+                            max_value=Fraction(10**6), max_denominator=10**4)))
+unimodular = st.builds(
+    lambda m, k, s: (UnimodularMap(1, m, 0, 1) @ UnimodularMap(0, -1, 1, 0)
+                     @ UnimodularMap(1, k, 0, s)),
+    st.integers(-4, 4), st.integers(-4, 4), st.sampled_from([1, -1]))
+small_vectors = st.tuples(st.integers(-6, 6), st.integers(-6, 6))
+
+
+class TestGram2AgainstFractionOracle:
+    @given(t=triples, u=unimodular, v=small_vectors)
+    @settings(max_examples=300, derandomize=True)
+    def test_predicates_and_invariants(self, t, u, v):
+        G = Gram2(*t)
+        assert G.entries() == t
+        assert all(type(x) is Fraction for x in G.entries())
+        assert G.det() == _ref_det(t)
+        assert G.value(v) == _ref_value(t, v)
+        assert G.transform(u).entries() == _ref_transform(t, u)
+        assert is_paper_reduced(G) == (4 * t[1] * t[1] <= t[0] * t[2])
+        assert is_lagrange_reduced(G) == (2 * abs(t[1]) <= min(t[0], t[2]))
+        assert is_wr(G) == _ref_is_wr(t)
+        assert is_stable(G) == _ref_is_stable(t)
+        assert covering_radius_sq(G) == _ref_covering_radius_sq(t)
+        assert hermite_thickness_sq(G) == \
+            _ref_covering_radius_sq(t) ** 2 / _ref_det(t)
+        tau = similarity_point(G)
+        assert (tau.x, tau.y_sq) == _ref_similarity(t)
+        R, _ = lagrange_reduce(G)
+        assert minima_brute_force(R, box=4) == \
+            _ref_minima_brute_force(R.entries(), 4)
+        assert wr_stretch(R) == _ref_wr_stretch(R.entries())
+        if not is_lagrange_reduced(G):
+            with pytest.raises(ValueError):
+                wr_stretch(G)
+
+    @given(t=triples, u=unimodular, k=st.integers(2, 50))
+    @settings(max_examples=200, derandomize=True)
+    def test_equality_hash_pickle_repr(self, t, u, k):
+        G = Gram2(*t)
+        # the same matrix through the other constructors and a round trip
+        for H in (Gram2.of(*t), G.transform(UnimodularMap.identity()),
+                  G.transform(u).transform(_inverse(u)),
+                  pickle.loads(pickle.dumps(G))):
+            assert H == G and hash(H) == hash(G)
+            assert H.entries() == t
+        assert repr(G) == f"Gram2(g11={t[0]!r}, g12={t[1]!r}, g22={t[2]!r})"
+        assert str(G) == f"[[{t[0]}, {t[1]}], [{t[1]}, {t[2]}]]"
+        assert Gram2(*(x * k for x in t)) != G
+        assert Gram2(t[0], t[1], t[2] + Fraction(1, k)) != G
+        assert G != t
+
+    @given(g11=entry, g12=entry, det=st.fractions(min_value=Fraction(-30),
+                                                  max_value=Fraction(0),
+                                                  max_denominator=12))
+    @settings(max_examples=200, derandomize=True)
+    def test_rejects_not_positive_definite(self, g11, g12, det):
+        # g11 <= 0, or g11 > 0 with det <= 0
+        if g11 > 0:
+            g22 = (g12 * g12 + det) / g11
+        else:
+            g22 = abs(g12) + 1
+        with pytest.raises(ValueError, match="not positive definite"):
+            Gram2(g11, g12, g22)
+
+
+def _inverse(u):
+    # inverse of [[a, b], [c, d]] with det +-1
+    s = u.det()
+    return UnimodularMap(u.d * s, -u.b * s, -u.c * s, u.a * s)
 
 
 class TestPredicates:

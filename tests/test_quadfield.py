@@ -6,6 +6,7 @@ import sys
 import textwrap
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -64,6 +65,21 @@ class TestSquarefree:
         assert is_squarefree(p)
         assert not is_squarefree(p * p)
         assert is_squarefree(p * 1000033)
+
+    @pytest.mark.parametrize("p, q", [(1000003, 1000033), (999983, 1000003),
+                                      (1000033, 999983)])
+    @pytest.mark.parametrize("r", [1, 2, 3, 30, 997, 2 * 3 * 5 * 7 * 11 * 13])
+    def test_products_of_large_primes(self, p, q, r):
+        # primes above 10^6, so the answer is known from the factors
+        assert not is_squarefree(r * p * p)
+        assert is_squarefree(r * p * q)
+
+    def test_near_10_to_18(self):
+        p, q, s = 1000003, 1000033, 999983
+        assert is_squarefree(p * q * s)
+        assert not is_squarefree(p * p * q)
+        assert not is_squarefree(s * s * s)
+        assert not is_squarefree(2 * 3 * q * q * 7)
 
     def test_check_field_rejects(self):
         with pytest.raises(InvalidFieldError):
@@ -331,8 +347,6 @@ class TestSurd:
     )
     @settings(max_examples=300)
     def test_compare_matches_high_precision(self, u1, v1, u2, v2, m1, m2):
-        import mpmath
-
         s1 = Surd.of(u1, v1, m1)
         s2 = Surd.of(u2, v2, m2)
 
@@ -373,15 +387,18 @@ class TestSurd:
         assert -(-s) == s
 
 
-def test_runs_without_mpmath_and_numpy():
-    # Neither is a runtime dependency: block both imports in a fresh process.
+def test_runs_without_sympy_mpmath_and_numpy():
+    # None is a runtime dependency: block all three imports in a fresh process.
     script = textwrap.dedent("""
         import sys
         sys.modules["mpmath"] = sys.modules["numpy"] = None
+        sys.modules["sympy"] = None
         from quadtwist.applications import tau_min_search
         from quadtwist.cli import main
         from quadtwist.ideals import ring_of_integers
-        from quadtwist.quadfield import fundamental_unit
+        from quadtwist.quadfield import check_field, fundamental_unit
+        D = (10**6 + 3) * 1000033
+        assert check_field(D) == D
         eps, eps_plus = fundamental_unit(5)
         assert (eps.p, eps.q, eps.d) == (1, 1, 2) and eps_plus == eps * eps
         tau_min_search(ring_of_integers(5))
