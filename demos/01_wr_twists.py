@@ -12,11 +12,11 @@ import math
 from fractions import Fraction
 
 from quadtwist import (
+    CanonicalIdeal,
     gram_of_twist,
     is_wr,
     ring_of_integers,
     successive_minima,
-    validate_canonical,
     wr_twist,
 )
 
@@ -39,10 +39,10 @@ def show(I):
 
 
 # A WR-twistable ideal with a large denominator in t*.
-show(validate_canonical(139, 9, 7, 1))
+show(CanonicalIdeal(139, 9, 7, 1))
 
 # The D = 1 (mod 4) analogue, with basis (a, b + (1 - sqrt(D))/2).
-show(validate_canonical(141, 5, 4, 1))
+show(CanonicalIdeal(141, 5, 4, 1))
 
 # The full ring of integers is WR twistable only for D = 5, where the twist
 # by 5 + sqrt(5) is actually orthogonal (square lattice).

@@ -10,12 +10,12 @@ simplest rational witness is extracted with a Stern-Brocot search.
 from fractions import Fraction
 
 from quadtwist import (
+    CanonicalIdeal,
     gram_of_twist,
     is_stable,
     is_wr,
     ring_of_integers,
     stable_twist,
-    validate_canonical,
     QuadElem,
 )
 
@@ -41,8 +41,8 @@ def show(I):
 
 # Two large-discriminant ideals that are stable twistable (at t = 63 and
 # t = 611 respectively) but provably never WR twistable.
-show(validate_canonical(1327, 39, 38, 1))
-show(validate_canonical(125173, 183, 182, 1))
+show(CanonicalIdeal(1327, 39, 38, 1))
+show(CanonicalIdeal(125173, 183, 182, 1))
 
 # For the ring of integers of Q(sqrt(5)) the stable set degenerates to a
 # single point t = 5 — exactly the orthogonal twist.

@@ -11,10 +11,10 @@ negative F-invariant.
 from fractions import Fraction
 
 from quadtwist import (
+    CanonicalIdeal,
     orthogonal_only,
     ring_of_integers,
     sample_orbit,
-    validate_canonical,
     wr_intersection_classes,
 )
 
@@ -38,7 +38,7 @@ show_orbit(ring_of_integers(5))
 show_orbit(ring_of_integers(2))
 
 # A WR-twistable ideal: the orbit touches the WR locus at t*.
-show_orbit(validate_canonical(139, 9, 7, 1), n=16)
+show_orbit(CanonicalIdeal(139, 9, 7, 1), n=16)
 
 # Which rings meet the WR locus only at the square similarity class?
 # Exactly those with D - 1 or D - 4 a perfect square.

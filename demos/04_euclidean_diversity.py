@@ -12,6 +12,7 @@ import math
 from fractions import Fraction
 
 from quadtwist import (
+    CanonicalIdeal,
     HEXAGONAL_THICKNESS_SQ,
     QuadElem,
     d_min_sq_twist,
@@ -20,12 +21,11 @@ from quadtwist import (
     min_abs_norm,
     ring_of_integers,
     tau_min_search,
-    validate_canonical,
 )
 
 # --- minimum absolute norm and product distance -----------------------------
 
-I = validate_canonical(10, 3, 1, 1)  # non-principal ideal of norm 3
+I = CanonicalIdeal(10, 3, 1, 1)  # non-principal ideal of norm 3
 r = min_abs_norm(I)
 print(f"min |N(z)| over (a=3, b=1) in Q(sqrt(10)): {r.m} "
       f"at z = {r.witness} (attains ideal norm: {r.attains_ideal_norm})")

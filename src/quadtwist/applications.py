@@ -121,18 +121,26 @@ def min_abs_norm(I: CanonicalIdeal, scan_box: int = 40) -> NormSearchResult:
     """Exact minimum of |N(z)| over nonzero z in I.
 
     The value comes from the form cycle; the witness is the canonical
-    smallest attaining coefficient pair found in a small scan box, falling
+    smallest attaining coefficient pair in the scan box 0 <= x <= scan_box,
+    |y| <= scan_box, found by solving f(x, y) = +-m for y at each x, falling
     back to the cycle witness for skewed bases.
     """
     f = _norm_form(I)
+    A, B, C = f  # C = N(z2) != 0
     m, vec = form_minimum(f)
     candidates = [_normalize_coeffs(vec)]
     for x in range(0, scan_box + 1):
-        for y in range(-scan_box, scan_box + 1):
-            if (x, y) <= (0, 0):
+        for target in (m, -m):
+            disc = (B * x) ** 2 - 4 * C * (A * x * x - target)
+            if disc < 0:
                 continue
-            if abs(_form_value(f, x, y)) == m:
-                candidates.append((x, y))
+            r = math.isqrt(disc)
+            if r * r != disc:
+                continue
+            for y_num in (-B * x - r, -B * x + r):
+                y, rem = divmod(y_num, 2 * C)
+                if rem == 0 and abs(y) <= scan_box and (x, y) > (0, 0):
+                    candidates.append((x, y))
     coeffs = min(candidates, key=lambda v: (abs(v[0]) + abs(v[1]), v))
     z1, z2 = I.basis_elements()
     witness = coeffs[0] * z1 + coeffs[1] * z2

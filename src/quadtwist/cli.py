@@ -21,11 +21,10 @@ from fractions import Fraction
 from typing import Optional
 
 from .geodesic import sample_at, sample_orbit
-from .ideals import CanonicalBasisError, enumerate_canonical, validate_canonical
+from .ideals import CanonicalBasisError, CanonicalIdeal, enumerate_canonical
 from .lattice2 import (
     _stable_reduced,
     _wr_reduced,
-    det_gram,
     gram_of_twist,
     is_lagrange_reduced,
     is_paper_reduced,
@@ -67,7 +66,7 @@ def _gram_json(G) -> dict:
 
 
 def _twist_report(D: int, a: int, b: int, g: int, mode: str) -> dict:
-    I = validate_canonical(D, a, b, g)
+    I = CanonicalIdeal(D, a, b, g)
     report: dict = {
         "command": "twist",
         "inputs": {"D": D, "a": a, "b": b, "g": g, "mode": mode},
@@ -160,7 +159,7 @@ def cmd_survey(args) -> int:
 
 
 def cmd_geodesic(args) -> int:
-    I = validate_canonical(args.D, args.a, args.b, args.g)
+    I = CanonicalIdeal(args.D, args.a, args.b, args.g)
     if args.samples < 1:
         return _invalid_input(f"need --samples >= 1, got {args.samples}")
     samples = sample_orbit(I, args.samples)
@@ -213,8 +212,8 @@ def _close(x: float, y: float, rel: float) -> bool:
 
 
 def _verify_wr_example(D, a, b, g, t_expect: Fraction, minima_sq: Fraction,
-                       cosine: Fraction, decimal: float, notes: list) -> bool:
-    I = validate_canonical(D, a, b, g)
+                       cosine: Fraction, decimal: float) -> bool:
+    I = CanonicalIdeal(D, a, b, g)
     v = wr_twist(I)
     ok = (
         v.wr_twistable
@@ -232,7 +231,7 @@ def _verify_wr_example(D, a, b, g, t_expect: Fraction, minima_sq: Fraction,
 def _verify_stable_example(D, a, b, g, t_expect: int, gram_expect, det_decimal,
                            cos_decimal, classical_minima, quoted_l2,
                            notes: list) -> bool:
-    I = validate_canonical(D, a, b, g)
+    I = CanonicalIdeal(D, a, b, g)
     fr = stable_twist(I)
     if not (fr.feasible_real and fr.contains_t(Fraction(t_expect))):
         return False
@@ -267,19 +266,18 @@ def cmd_verify_examples(_args=None) -> int:
             "D=139 WR twist (9, 7-sqrt(139))",
             lambda: _verify_wr_example(
                 139, 9, 7, 1, Fraction(1946, 107), Fraction(315252, 107),
-                Fraction(-1, 14), 54.27964973, notes),
+                Fraction(-1, 14), 54.27964973),
         ),
         (
             "D=141 WR twist (5, 4+(1-sqrt(141))/2)",
             lambda: _verify_wr_example(
                 141, 5, 4, 1, Fraction(1269, 61), Fraction(63450, 61),
-                Fraction(2, 9), 32.25157258, notes),
+                Fraction(2, 9), 32.25157258),
         ),
         (
             "D=5 WR twist of O_K (alpha = 5+sqrt(5))",
             lambda: _verify_wr_example(
-                5, 1, 0, 1, Fraction(5), Fraction(10), Fraction(0), math.sqrt(10),
-                notes),
+                5, 1, 0, 1, Fraction(5), Fraction(10), Fraction(0), math.sqrt(10)),
         ),
         (
             "D=1327 stable twist (39, 38-sqrt(1327))",

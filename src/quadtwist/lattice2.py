@@ -133,26 +133,39 @@ class UnimodularMap:
         return self.a * self.d - self.b * self.c
 
 
+def _pencil(I: CanonicalIdeal) -> tuple[int, int, int, int, int, int]:
+    """(P11, P12, P22, Q11, Q12, Q22) of the integer pencil t*P + Q, which
+    is e/2 times the twisted Gram of the canonical basis along
+    alpha = t + sqrt(D).
+
+    For z1 = a and z2 = (u + v*sqrt(D))/e over delta's own denominator e,
+    P = (e/2)*[trace(z_i*z_j)] = (a^2*e, a*u, (u^2 + D*v^2)/e) and
+    Q = (e/2)*[trace(sqrt(D)*z_i*z_j)] = (0, a*D*v, 2*D*u*v/e), with
+    det(t*P + Q) = N(I)^2 * D * (t^2 - D).
+    """
+    D, a = I.D, I.a
+    u, v, e = I._z2_ints()
+    return (a * a * e, a * u, (u * u + D * v * v) // e,
+            0, a * D * v, 2 * D * u * v // e)
+
+
 def gram_of_twist(I: CanonicalIdeal, alpha: QuadElem) -> Gram2:
     """Exact Gram matrix of A(alpha)*L_K(I) in the canonical basis.
 
     G_ij = trace(alpha * z_i * z_j); det G = N(alpha) * N(I)^2 * Delta_K.
-    With alpha = (p + q*sqrt(D))/d, z1 = a and z2 = (u + v*sqrt(D))/e the
-    three traces are, over the common denominator d*e^2,
-    2*a^2*p*e^2, 2*a*(p*u + D*q*v)*e and 2*(p*(u^2 + D*v^2) + 2*D*q*u*v).
+    G is linear in alpha: for alpha = (p + q*sqrt(D))/d it is
+    2*(p*P + q*Q)/(d*e) with the integer pencil (P, Q) of `_pencil`,
+    whose det(t*P + Q) = N(I)^2 * D * (t^2 - D).
     """
     if alpha.D != I.D:
         raise ValueError("alpha must live in the same field as I")
     if not alpha.is_totally_positive():
         raise ValueError(f"alpha = {alpha} is not totally positive")
-    _, z2 = I.basis_elements()
-    D, a = I.D, I.a
+    P11, P12, P22, Q11, Q12, Q22 = _pencil(I)
     p, q, d = alpha.p, alpha.q, alpha.d
-    u, v, e = z2.p, z2.q, z2.d
-    return _gram(2 * a * a * p * e * e,
-                 2 * a * (p * u + D * q * v) * e,
-                 2 * (p * (u * u + D * v * v) + 2 * D * q * u * v),
-                 d * e * e)
+    _, _, e = I._z2_ints()
+    return _gram(2 * (p * P11 + q * Q11), 2 * (p * P12 + q * Q12),
+                 2 * (p * P22 + q * Q22), d * e)
 
 
 def lagrange_reduce(G: Gram2) -> tuple[Gram2, UnimodularMap]:
@@ -260,10 +273,6 @@ def is_wr(G: Gram2) -> bool:
 def is_stable(G: Gram2) -> bool:
     """Stable in the plane: volume <= lambda_1^2, i.e. det G <= lambda_1^4."""
     return _stable_reduced(lagrange_reduce(G)[0])
-
-
-def det_gram(G: Gram2) -> Fraction:
-    return G.det()
 
 
 def _deep_hole(R: Gram2) -> tuple[int, int]:

@@ -326,17 +326,12 @@ def _t_plus_sqrt(D: int, t: Rational) -> QuadElem:
     return _elem(D, t.numerator, t.denominator, t.denominator)
 
 
-def _delta(D: int) -> QuadElem:
-    """delta(D) for a D that is already checked."""
-    if D % 4 == 1:
-        return _quad(D, 1, -1, 2)
-    return _quad(D, 0, -1, 1)
-
-
 def delta(D: int) -> QuadElem:
     """Generator of O_K over Z: -sqrt(D), or (1-sqrt(D))/2 when D = 1 mod 4."""
     check_field(D)
-    return _delta(D)
+    if D % 4 == 1:
+        return _quad(D, 1, -1, 2)
+    return _quad(D, 0, -1, 1)
 
 
 def _discriminant(D: int) -> int:

@@ -6,9 +6,12 @@ positive rational produces a similar lattice).  The single remaining variable
 is t = p/q ranging over (sqrt(D), oo); the q < 0 branch is omitted because
 swapping the two embeddings is an isometry of the twisted lattice.
 
-WR twistability is a closed form: the equal-norm equation forces the ratio
-t*, and the reduction inequality decides.  Stable twistability is an exact
-intersection of quadratic-inequality solution sets with surd endpoints.
+Along alpha = t + sqrt(D) the twisted Gram matrix of the canonical basis is
+the integer pencil t*P + Q of `lattice2._pencil`, and every formula here is
+read off (P, Q).  WR twistability: the equal-norm equation g11(t) = g22(t) is
+linear and forces the ratio t*, and the reduction inequality at t* decides.
+Stable twistability: reducedness and the stability conditions are quadratic
+in t, and their exact solution sets with surd endpoints are intersected.
 """
 
 from __future__ import annotations
@@ -20,7 +23,14 @@ from functools import cmp_to_key
 from typing import Optional
 
 from .ideals import CanonicalIdeal
-from .lattice2 import Gram2, gram_of_twist, is_paper_reduced, is_stable, is_wr
+from .lattice2 import (
+    Gram2,
+    _pencil,
+    gram_of_twist,
+    is_paper_reduced,
+    is_stable,
+    is_wr,
+)
 from .quadfield import (
     CertificateError,
     QuadElem,
@@ -212,34 +222,30 @@ class FeasibilityReport:
 
 
 def wr_bound_filter(I: CanonicalIdeal) -> bool:
-    """Necessary condition for WR twistability (closed-form bound on b)."""
-    D, b, g = I.D, I.b, I.g
-    if D % 4 == 1:
-        return (2 * b + g) ** 2 < g * g * D
-    return b * b < g * g * D
+    """Necessary condition for WR twistability: u^2 < D*v^2 for
+    z2 = (u + v*sqrt(D))/e."""
+    u, v, _ = I._z2_ints()
+    return u * u < I.D * v * v
 
 
 def stable_bound_filter(I: CanonicalIdeal) -> bool:
-    """Necessary condition for stable twistability (closed-form bound on b)."""
-    D, b, g = I.D, I.b, I.g
-    if D % 4 == 1:
-        return 3 * (2 * b + g) ** 2 < 4 * g * g * D
-    return 3 * b * b < 4 * g * g * D
+    """Necessary condition for stable twistability: 3*u^2 < 4*D*v^2 for
+    z2 = (u + v*sqrt(D))/e."""
+    u, v, _ = I._z2_ints()
+    return 3 * u * u < 4 * I.D * v * v
 
 
 def _wr_ratio(I: CanonicalIdeal) -> tuple[int, int, bool]:
     """(numerator, denominator) of the forced ratio t*, and whether the
-    reduction inequality holds."""
-    D, a, b, g = I.D, I.a, I.b, I.g
-    if D % 4 == 1:
-        num = 2 * g * D * (2 * b + g)
-        den = 4 * b * b + 4 * b * g + g * g * (D + 1) - 4 * a * a
-        reduced_ok = abs(4 * a * a + 4 * b * b + 4 * b * g - (D - 1) * g * g) \
-            <= 2 * a * (2 * b + g)
-    else:
-        num = 2 * b * g * D
-        den = b * b + g * g * D - a * a
-        reduced_ok = abs(b * b - g * g * D + a * a) <= a * b
+    reduction inequality holds.
+
+    g11(t) = g22(t) on the pencil t*P + Q forces t* = num/den; at t* (with
+    den > 0) the reduction inequality 2|g12| <= g11 reads, times den,
+    2|P12*num + Q12*den| <= P11*num + Q11*den.
+    """
+    P11, P12, P22, Q11, Q12, Q22 = _pencil(I)
+    num, den = Q11 - Q22, P22 - P11
+    reduced_ok = 2 * abs(P12 * num + Q12 * den) <= P11 * num + Q11 * den
     return num, den, reduced_ok
 
 
@@ -270,65 +276,35 @@ def wr_twist(I: CanonicalIdeal) -> TwistVerdict:
 
 def _stable_constraints(I: CanonicalIdeal) -> list[tuple[int, int, int]]:
     """Integer quadratic constraints A*t^2 + B*t + C >= 0 for stable
-    twistability.
+    twistability, read off the pencil g(t) = t*P + Q with
+    det g(t) = N(I)^2 * D * (t^2 - D).
 
-    Three quadratics (weak reducedness and the two squared stability
-    conditions) plus the linear nonnegativity guard for the squared second
-    member.
+    Weak reducedness g11*g22 - 4*g12^2 >= 0, the two squared stability
+    conditions g11^2 - det >= 0 and g22^2 - det >= 0, and the linear guard
+    g22 >= 0 for the squaring (g11 = P11*t needs none on t > sqrt(D)).  The
+    first two carry the factor a^2 of z1 = a, which is divided out: the
+    roots are printed with unreduced radicands, so the triples are kept this
+    small.
     """
-    D, a, b, g = I.D, I.a, I.b, I.g
-    cons = []
-    if D % 4 == 1:
-        B2 = 2 * b + g  # the "b" of the half-integral basis, doubled
-        # reducedness: 4*g12^2 <= g11*g22
-        cons.append((g * g * D - 3 * B2 * B2, 6 * D * g * B2, -4 * D * D * g * g))
-        # first member: (2*a^2*t)^2 >= a^2 g^2 D (t^2 - D)
-        cons.append((4 * a * a - g * g * D, 0, g * g * D * D))
-        # second member (g22): ((B2^2 + g^2 D)/2) t - D g B2 >= a g sqrt(D(t^2-D));
-        # B2 and g have the same parity and D = 1 (mod 4), so B2^2 + g^2 D is even.
-        L1 = (B2 * B2 + g * g * D) // 2
-        L0 = -D * g * B2
-    else:
-        cons.append((g * g * D - 3 * b * b, 6 * D * b * g, -4 * D * D * g * g))
-        # first member: (a^2 t)^2 >= a^2 g^2 D (t^2 - D)
-        cons.append((a * a - g * g * D, 0, g * g * D * D))
-        # second member: (D g^2 + b^2) t - 2 D b g >= a g sqrt(D(t^2-D))
-        L1 = D * g * g + b * b
-        L0 = -2 * D * b * g
-    # squared second member: (L1 t + L0)^2 - a^2 g^2 D (t^2 - D) >= 0
-    k = a * a * g * g * D
-    cons.append((L1 * L1 - k, 2 * L1 * L0, L0 * L0 + k * D))
-    # nonnegativity guard for the squaring: L1 t + L0 >= 0, encoded as a
-    # degenerate quadratic.
-    cons.append((0, L1, L0))
-    return cons
+    P11, P12, P22, Q11, Q12, Q22 = _pencil(I)
+    D, a2 = I.D, I.a * I.a
+    k = I.norm() ** 2 * D  # det g(t) = k*t^2 - k*D
+    return [((P11 * P22 - 4 * P12 * P12) // a2,
+             (P11 * Q22 + Q11 * P22 - 8 * P12 * Q12) // a2,
+             (Q11 * Q22 - 4 * Q12 * Q12) // a2),
+            ((P11 * P11 - k) // a2, 2 * P11 * Q11 // a2,
+             (Q11 * Q11 + k * D) // a2),
+            (P22 * P22 - k, 2 * P22 * Q22, Q22 * Q22 + k * D),
+            (0, P22, Q22)]
 
 
 def raw_stable_polynomials(I: CanonicalIdeal, t: Fraction) -> bool:
-    """The stable-twistability criterion evaluated directly at (p, q) = (t, 1).
-
-    Conjunction of the weak-reducedness polynomial and the min-of-two-norms
-    stability condition, each checked exactly (square roots eliminated by
-    sign-guarded squaring).
-    """
-    D, a, g = I.D, I.a, I.g
-    if not t * t > D:
-        return False
-    cons = _stable_constraints(I)
-    (A1, B1, C1) = cons[0]
-    if A1 * t * t + B1 * t + C1 < 0:
-        return False
-    rhs_sq = a * a * g * g * D * (t * t - D)
-    if D % 4 == 1:
-        m1 = 2 * a * a * t
-    else:
-        m1 = a * a * t
-    _, L1, L0 = cons[3]
-    m2 = L1 * t + L0
-    for m in (m1, m2):
-        if m < 0 or m * m < rhs_sq:
-            return False
-    return True
+    """The stable-twistability criterion evaluated directly at (p, q) = (t, 1):
+    t > sqrt(D) and every constraint of `_stable_constraints` holds at t."""
+    n, d = t.numerator, t.denominator
+    return n > 0 and n * n > I.D * d * d and all(
+        A * n * n + B * n * d + C * d * d >= 0
+        for A, B, C in _stable_constraints(I))
 
 
 _BY_LO = cmp_to_key(lambda x, y: surd_compare(x.lo, y.lo))

@@ -25,7 +25,6 @@ from quadtwist.ideals import enumerate_canonical, ring_of_integers, validate_can
 from quadtwist.lattice2 import (
     Gram2,
     covering_radius_sq,
-    det_gram,
     gram_of_twist,
     is_paper_reduced,
     is_stable,
@@ -96,7 +95,7 @@ def test_criterion_3():
     assert fr.contains_t(Fraction(63))
     G = gram_of_twist(I, QuadElem.of(1327, 63, 1))
     assert G.entries() == (191646, 83226, 147442)
-    assert det_gram(G) == 21330102456
+    assert G.det() == 21330102456
     assert rel_close(math.sqrt(21330102456), 146048.2881, 1e-6)
     cos = float(G.g12) / math.sqrt(float(G.g11) * float(G.g22))
     assert rel_close(cos, 0.4951063950, 1e-8)
@@ -121,7 +120,7 @@ def test_criterion_4():
     assert G.g12 == 17905086
     cos = float(G.g12) / math.sqrt(float(G.g11) * float(G.g22))
     assert rel_close(cos, 0.4853755919, 1e-8)
-    assert rel_close(math.sqrt(float(det_gram(G))), 32252383.1, 1e-5)
+    assert rel_close(math.sqrt(float(G.det())), 32252383.1, 1e-5)
     assert is_stable(G) and not is_wr(G)
     assert minima_brute_force(G, box=6)[1] == 38365830
     assert successive_minima(G) == (33252444, 38365830)

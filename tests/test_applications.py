@@ -192,6 +192,32 @@ class TestEuclideanBounds:
         assert rep.ideal_bound_lt_one
 
 
+def _ref_min_abs_norm_coeffs(I, scan_box=40):
+    """min_abs_norm's witness before it solved for y: a scan of the whole
+    box 0 <= x <= scan_box, |y| <= scan_box."""
+    f = applications._norm_form(I)
+    A, B, C = f
+    m, vec = form_minimum(f)
+    candidates = [applications._normalize_coeffs(vec)]
+    for x in range(0, scan_box + 1):
+        for y in range(-scan_box, scan_box + 1):
+            if (x, y) > (0, 0) and abs(A * x * x + B * x * y + C * y * y) == m:
+                candidates.append((x, y))
+    return min(candidates, key=lambda v: (abs(v[0]) + abs(v[1]), v))
+
+
+class TestMinAbsNormWitnessAgainstBoxScan:
+    def test_every_small_ideal(self):
+        checked = 0
+        for D in range(2, 400):
+            if not is_squarefree(D):
+                continue
+            for I in enumerate_canonical(D, 12):
+                assert min_abs_norm(I).coeffs == _ref_min_abs_norm_coeffs(I), I
+                checked += 1
+        assert checked == 7462
+
+
 class TestCertificates:
     def test_form_minimum_rechecks_transform(self, monkeypatch):
         monkeypatch.setattr(applications, "_form_value", lambda f, x, y: 0)

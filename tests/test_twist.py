@@ -10,7 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadtwist.ideals import enumerate_canonical, ring_of_integers, validate_canonical
-from quadtwist.lattice2 import gram_of_twist, is_paper_reduced, is_stable, is_wr
+from quadtwist.lattice2 import (
+    _pencil,
+    gram_of_twist,
+    is_paper_reduced,
+    is_stable,
+    is_wr,
+)
 from quadtwist import twist
 from quadtwist.quadfield import (
     CertificateError,
@@ -223,6 +229,135 @@ class TestBoundFilters:
             for I in enumerate_canonical(D, 20):
                 if wr_bound_filter(I):
                     assert stable_bound_filter(I)
+
+
+# The per-case closed forms that the pencil derivation replaced, kept as the
+# reference: the pencil must reproduce their triples exactly (the surd roots
+# print unreduced radicands, so a rescaled triple would change the output).
+
+def _ref_wr_bound_filter(I):
+    D, b, g = I.D, I.b, I.g
+    if D % 4 == 1:
+        return (2 * b + g) ** 2 < g * g * D
+    return b * b < g * g * D
+
+
+def _ref_stable_bound_filter(I):
+    D, b, g = I.D, I.b, I.g
+    if D % 4 == 1:
+        return 3 * (2 * b + g) ** 2 < 4 * g * g * D
+    return 3 * b * b < 4 * g * g * D
+
+
+def _ref_wr_ratio(I):
+    D, a, b, g = I.D, I.a, I.b, I.g
+    if D % 4 == 1:
+        num = 2 * g * D * (2 * b + g)
+        den = 4 * b * b + 4 * b * g + g * g * (D + 1) - 4 * a * a
+        reduced_ok = abs(4 * a * a + 4 * b * b + 4 * b * g - (D - 1) * g * g) \
+            <= 2 * a * (2 * b + g)
+    else:
+        num = 2 * b * g * D
+        den = b * b + g * g * D - a * a
+        reduced_ok = abs(b * b - g * g * D + a * a) <= a * b
+    return num, den, reduced_ok
+
+
+def _ref_stable_constraints(I):
+    D, a, b, g = I.D, I.a, I.b, I.g
+    cons = []
+    if D % 4 == 1:
+        B2 = 2 * b + g
+        cons.append((g * g * D - 3 * B2 * B2, 6 * D * g * B2, -4 * D * D * g * g))
+        cons.append((4 * a * a - g * g * D, 0, g * g * D * D))
+        L1 = (B2 * B2 + g * g * D) // 2
+        L0 = -D * g * B2
+    else:
+        cons.append((g * g * D - 3 * b * b, 6 * D * b * g, -4 * D * D * g * g))
+        cons.append((a * a - g * g * D, 0, g * g * D * D))
+        L1 = D * g * g + b * b
+        L0 = -2 * D * b * g
+    k = a * a * g * g * D
+    cons.append((L1 * L1 - k, 2 * L1 * L0, L0 * L0 + k * D))
+    cons.append((0, L1, L0))
+    return cons
+
+
+def _ref_raw_stable_polynomials(I, t):
+    D, a, g = I.D, I.a, I.g
+    if not t * t > D:
+        return False
+    cons = _ref_stable_constraints(I)
+    (A1, B1, C1) = cons[0]
+    if A1 * t * t + B1 * t + C1 < 0:
+        return False
+    rhs_sq = a * a * g * g * D * (t * t - D)
+    if D % 4 == 1:
+        m1 = 2 * a * a * t
+    else:
+        m1 = a * a * t
+    _, L1, L0 = cons[3]
+    m2 = L1 * t + L0
+    for m in (m1, m2):
+        if m < 0 or m * m < rhs_sq:
+            return False
+    return True
+
+
+def _pencil_sweep():
+    """Every canonical ideal with a <= 50 of every squarefree D <= 200, and
+    with a <= 30 for D = 1327, 125173 and 9999991."""
+    fields = [(D, 50) for D in range(2, 201) if is_squarefree(D)]
+    fields += [(1327, 30), (125173, 30), (9999991, 30)]
+    return [I for D, max_a in fields for I in enumerate_canonical(D, max_a)]
+
+
+class TestPencilAgainstClosedForms:
+    @pytest.fixture(scope="class")
+    def sweep(self):
+        ideals = _pencil_sweep()
+        assert len(ideals) == 21228
+        return ideals
+
+    def test_sweep_has_even_g_over_d_1_mod_4(self, sweep):
+        even = [I for I in sweep if I.D % 4 == 1 and I.g % 2 == 0]
+        assert even and (5, 2, 0, 2) in {(I.D, I.a, I.b, I.g) for I in even}
+
+    def test_stable_constraints_exact(self, sweep):
+        for I in sweep:
+            assert twist._stable_constraints(I) == _ref_stable_constraints(I), I
+
+    def test_wr_ratio(self, sweep):
+        for I in sweep:
+            num, den, ok = twist._wr_ratio(I)
+            rnum, rden, rok = _ref_wr_ratio(I)
+            assert (num > 0, den > 0) == (rnum > 0, rden > 0), I
+            if num > 0 and den > 0:
+                assert Fraction(num, den) == Fraction(rnum, rden), I
+                assert ok == rok, I
+
+    def test_bound_filters(self, sweep):
+        for I in sweep:
+            assert wr_bound_filter(I) == _ref_wr_bound_filter(I), I
+            assert stable_bound_filter(I) == _ref_stable_bound_filter(I), I
+
+    def test_raw_stable_polynomials(self, sweep):
+        rng = random.Random(7)
+        for I in sweep[::20]:
+            for _ in range(5):
+                t = Fraction(rng.randint(-400, 400), rng.randint(1, 8))
+                assert raw_stable_polynomials(I, t) == \
+                    _ref_raw_stable_polynomials(I, t), (I, t)
+
+    def test_det_identity(self, sweep):
+        # det(t*P + Q) = N(I)^2 * D * (t^2 - D), coefficient by coefficient
+        for I in sweep[::50]:
+            P11, P12, P22, Q11, Q12, Q22 = _pencil(I)
+            det = (P11 * P22 - P12 * P12,
+                   P11 * Q22 + Q11 * P22 - 2 * P12 * Q12,
+                   Q11 * Q22 - Q12 * Q12)
+            k = I.norm() ** 2 * I.D
+            assert det == (k, 0, -k * I.D), I
 
 
 class TestCertificates:
