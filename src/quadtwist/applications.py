@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from .geodesic import _log_ratio, _t_at
 from .ideals import CanonicalIdeal
 from .lattice2 import gram_of_twist, hermite_thickness_sq
 from .quadfield import (
@@ -176,27 +177,18 @@ def _thickness_at(I: CanonicalIdeal, t: Fraction) -> Fraction:
 def tau_min_search(I: CanonicalIdeal, grid: int = 32, refine: int = 24) -> ThicknessSearchResult:
     """Upper bound on the minimal Hermite thickness along the twist orbit.
 
-    Thickness is evaluated exactly at rational t on a geometric grid covering
-    one unit period of the embedding ratio, then golden-section refined; the
-    reported value is the exact thickness at the best rational sample, so the
-    estimate is a certified upper bound and non-increasing in grid size.
+    Thickness is evaluated exactly at the rational t = geodesic._t_at(D, L)
+    of log ratios L on a uniform grid over one unit period, then
+    golden-section refined in L; the reported value is the exact thickness
+    at the best rational sample, so the estimate is a certified upper bound
+    and non-increasing in grid size.
     """
     if grid < 8:
         raise ValueError("need grid >= 8")
     D = I.D
     _, eps_plus = fundamental_unit(D)
-    log_period = 2 * math.log(float(eps_plus))
-
-    def t_of_logs(ls: float) -> Fraction:
-        s = math.exp(max(ls, log_period * 1e-6))
-        t = Fraction(math.sqrt(D) * (s + 1) / (s - 1)).limit_denominator(10**6)
-        while not t * t > D:
-            t += 1
-        return t
-
-    candidates: list[Fraction] = []
-    for k in range(1, grid + 1):
-        candidates.append(t_of_logs(log_period * k / (grid + 1)))
+    log_period = _log_ratio(eps_plus)
+    candidates = [_t_at(D, log_period * k / (grid + 1)) for k in range(1, grid + 1)]
     verdict = wr_twist(I)
     if verdict.wr_twistable:
         candidates.append(verdict.t_star)
@@ -204,18 +196,14 @@ def tau_min_search(I: CanonicalIdeal, grid: int = 32, refine: int = 24) -> Thick
     scored.sort()
     best_val, best_t = scored[0]
     # golden-section refinement in log-ratio space around the best sample
-    def log_ratio(t: Fraction) -> float:
-        ft = float(t)
-        return math.log((ft + math.sqrt(D)) / (ft - math.sqrt(D)))
-
-    lo = log_ratio(best_t) - log_period / (grid + 1)
-    hi = log_ratio(best_t) + log_period / (grid + 1)
+    mid = _log_ratio(_t_plus_sqrt(D, best_t))
+    a, b = mid - log_period / (grid + 1), mid + log_period / (grid + 1)
     phi = (math.sqrt(5) - 1) / 2
-    a, b = lo, hi
     for _ in range(refine):
         c = b - phi * (b - a)
         d = a + phi * (b - a)
-        tc, td = t_of_logs(c), t_of_logs(d)
+        tc = _t_at(D, max(c, log_period * 1e-6))
+        td = _t_at(D, max(d, log_period * 1e-6))
         fc, fd = float(_thickness_at(I, tc)), float(_thickness_at(I, td))
         if fc < best_val:
             best_val, best_t = fc, tc

@@ -2,8 +2,11 @@
 
 The similarity classes of the twists A(alpha)*L_K(I), alpha totally positive,
 trace a closed curve in the fundamental domain; one period is parameterized
-by s = sigma_1(alpha)/sigma_2(alpha) in [1, eps_plus^2).  All region flags
-are computed exactly from the rational Gram matrix at a rational t.
+by s = sigma_1(alpha)/sigma_2(alpha) in [1, eps_plus^2).  The orbit is
+walked in L = log s, which stays a float even when s and eps_plus do not:
+`_log_ratio` reads L off the integers of alpha, and `_t_at` maps a target L
+to a rational t > sqrt(D) on the grid 2^-k.  All region flags are computed
+exactly from the rational Gram matrix at that t.
 """
 
 from __future__ import annotations
@@ -31,18 +34,56 @@ from .quadfield import (
     fundamental_unit,
 )
 
-_MAX_DEN = 10**9
+_LN2 = math.log(2)
+_LOG_FLOAT_MAX = 709.78  # exp overflows a float beyond log(2^1024) = 709.78...
 
 
 @dataclass(frozen=True)
 class GeodesicSample:
-    """One exactly-evaluated point of the orbit curve."""
+    """One exactly-evaluated point of the orbit curve.
 
-    s: float  # sigma_1(alpha)/sigma_2(alpha), reporting companion
+    s = sigma_1(alpha)/sigma_2(alpha) is a float reporting companion; it is
+    math.inf where the ratio is beyond float range.  The exact order of the
+    samples is carried by t = alpha.x, which falls as s grows.
+    """
+
+    s: float
     alpha: QuadElem
     tau: SimilarityPoint
     is_wr: bool
     is_stable: bool
+
+
+def _log_ratio(alpha: QuadElem) -> float:
+    """log(sigma_1(alpha)/sigma_2(alpha)) of a totally positive alpha.
+
+    For alpha = (p + q*sqrt(D))/d and r = |q|*sqrt(D)/p < 1 the ratio is
+    (1 + r)/(1 - r) = (p + |q|*sqrt(D))^2 / (p^2 - D*q^2), with the sign of
+    q on the log.  Up to ratio 3 (r <= 1/2) that is 2*atanh(r); beyond, the
+    log of the exact integer norm is taken (math.log never overflows on an
+    int), so L is a float even where the ratio is not.
+    """
+    p, q, D = alpha.p, abs(alpha.q), alpha.D
+    r = q / p * math.sqrt(D)
+    if r <= 0.5:
+        L = 2 * math.atanh(r)
+    else:
+        L = 2 * math.log1p(r) + math.log(p * p) - math.log(p * p - D * q * q)
+    return L if alpha.q >= 0 else -L
+
+
+def _t_at(D: int, L: float) -> Fraction:
+    """Rational t > sqrt(D) whose t + sqrt(D) has log ratio L > 0, to float
+    accuracy.
+
+    The ratio is e^L at t = sqrt(D) + 2*sqrt(D)/(e^L - 1).  On the grid 2^-k
+    with k = floor(L/log 2) + 64 the offset term is a float near 2^64 times
+    2*sqrt(D)/(1 - e^-L), so its rounding costs no accuracy, and
+    isqrt(D*4^k) + 1 > sqrt(D)*2^k keeps t above sqrt(D) exactly.
+    """
+    k = int(L / _LN2) + 64
+    off = round(2 * math.sqrt(D) * math.exp(k * _LN2 - L) / -math.expm1(-L))
+    return Fraction(math.isqrt(D << 2 * k) + 1 + off, 1 << k)
 
 
 def sample_at(I: CanonicalIdeal, alpha: Union[QuadElem, Fraction, int]) -> GeodesicSample:
@@ -51,38 +92,27 @@ def sample_at(I: CanonicalIdeal, alpha: Union[QuadElem, Fraction, int]) -> Geode
         r = Fraction(alpha)
         alpha = _quad(I.D, r.numerator, 0, r.denominator)
     G = gram_of_twist(I, alpha)
-    s = alpha.embed(1) / alpha.embed(2)
+    L = _log_ratio(alpha)
+    s = math.exp(L) if L < _LOG_FLOAT_MAX else math.inf
     R, _ = lagrange_reduce(G)
     return GeodesicSample(s, alpha, _similarity_reduced(R), _wr_reduced(R),
                           _stable_reduced(R))
 
 
-def _t_for_ratio(D: int, s: float) -> Fraction:
-    """Rational t with sigma ratio of t + sqrt(D) close to s (s > 1)."""
-    t = math.sqrt(D) * (s + 1) / (s - 1)
-    f = Fraction(t).limit_denominator(_MAX_DEN)
-    while not f * f > D:
-        f += 1
-    return f
-
-
 def sample_orbit(I: CanonicalIdeal, n: int) -> list[GeodesicSample]:
     """n samples covering one unit period of the orbit.
 
-    Target ratios are geometric in (1, eps_plus^2) (arclength is uniform in
-    log s); each target is realized at a nearby rational t, where the Gram
-    and all flags are exact.
+    The target log ratios L = (k + 1/2)/n * log(eps_plus^2), k < n, are
+    uniform in arclength; each is realized at the rational t = _t_at(D, L),
+    where the Gram and all flags are exact.  t strictly decreases and every
+    sample lies inside the period 1 < s < eps_plus^2.
     """
     if n < 1:
         raise ValueError("need n >= 1")
     _, eps_plus = fundamental_unit(I.D)
-    period = float(eps_plus) ** 2
-    samples = []
-    for k in range(n):
-        s = period ** ((k + Fraction(1, 2)) / n)
-        t = _t_for_ratio(I.D, s)
-        samples.append(sample_at(I, _t_plus_sqrt(I.D, t)))
-    return samples
+    log_period = _log_ratio(eps_plus)
+    return [sample_at(I, _t_plus_sqrt(I.D, _t_at(I.D, log_period * (k + 0.5) / n)))
+            for k in range(n)]
 
 
 def F_invariant(x: QuadElem, y: QuadElem, I: CanonicalIdeal) -> Fraction:
@@ -139,11 +169,10 @@ def _ideal_elements_in_cone(I: CanonicalIdeal, norm_bound_sq: Fraction,
     z1, z2 = I.basis_elements()
     eps4 = eps_plus ** 4
     M = math.sqrt(float(norm_bound_sq))  # bound on |N(z)|
-    e = float(eps_plus)
     s1 = (z1.embed(1), z2.embed(1))
     s2 = (z1.embed(2), z2.embed(2))
     lam = 4.0
-    n_bands = max(1, math.ceil(2 * math.log(e) / math.log(lam)))
+    n_bands = max(1, math.ceil(_log_ratio(eps_plus) / math.log(lam)))
     slack = 1.02
     seen: set[tuple[int, int]] = set()
     out: list[QuadElem] = []

@@ -344,18 +344,6 @@ def discriminant(D: int) -> int:
     return _discriminant(D)
 
 
-def norm(z: QuadElem) -> Fraction:
-    return z.norm()
-
-
-def trace(z: QuadElem) -> Fraction:
-    return z.trace()
-
-
-def is_totally_positive(z: QuadElem) -> bool:
-    return z.is_totally_positive()
-
-
 def _pell_unit(D: int) -> QuadElem:
     """Minimal unit x + y*sqrt(D) > 1 of Z[sqrt(D)], |x^2 - D y^2| = 1.
 

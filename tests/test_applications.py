@@ -163,6 +163,17 @@ class TestThicknessSearch:
                 r.exact_tau_sq_at_argmin
             assert r.exact_tau_sq_at_argmin >= HEXAGONAL_THICKNESS_SQ
 
+    def test_unit_beyond_float_range(self):
+        # eps_plus of D = 9999991 has 4153 digits
+        from quadtwist.lattice2 import gram_of_twist, hermite_thickness_sq
+
+        I = ring_of_integers(9999991)
+        r = tau_min_search(I)
+        alpha = QuadElem.of(I.D, r.argmin_t, 1)
+        assert hermite_thickness_sq(gram_of_twist(I, alpha)) == \
+            r.exact_tau_sq_at_argmin
+        assert r.exact_tau_sq_at_argmin >= HEXAGONAL_THICKNESS_SQ
+
     def test_monotone_in_grid(self):
         I = ring_of_integers(2)
         coarse = tau_min_search(I, grid=8, refine=8)

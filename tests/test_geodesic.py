@@ -1,13 +1,17 @@
+import functools
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadtwist.geodesic import (
     F_invariant,
+    _log_ratio,
     _points_in_embedding_box,
+    _t_at,
     orthogonal_only,
     sample_at,
     sample_orbit,
@@ -96,6 +100,95 @@ class TestSampleOrbit:
     def test_needs_positive_count(self):
         with pytest.raises(ValueError):
             sample_orbit(ring_of_integers(2), 0)
+
+    @staticmethod
+    def _check_period(D, samples, n):
+        """The orbit invariants of one sampled period of O_K: exactly
+        decreasing t > sqrt(D) inside one period, increasing s > 1, and tau
+        in the fundamental domain with flags equal to its exact predicates."""
+        assert len(samples) == n
+        ts = [s.alpha.x for s in samples]
+        assert all(b < a for a, b in zip(ts, ts[1:])), D
+        assert all(t * t > D for t in ts), D
+        assert all(s.alpha.y == 1 for s in samples), D
+        _, eps_plus = fundamental_unit(D)
+        last = samples[-1].alpha
+        # sigma_1/sigma_2 of the last alpha is below eps_plus^2
+        assert last * eps_plus.conjugate() < last.conjugate() * eps_plus, D
+        for s in samples:
+            x, y_sq = s.tau.x, s.tau.y_sq
+            assert 0 <= x <= Fraction(1, 2) and y_sq > 0, D
+            assert x * x + y_sq >= 1, D
+            assert s.is_wr == (x * x + y_sq == 1), D
+            assert s.is_stable == (y_sq <= 1), D
+
+    def test_every_ring_of_integers_up_to_1000(self):
+        # toward the large-s end of a period t - sqrt(D) = 2*sqrt(D)/(s - 1)
+        # falls below the resolution of a float t, in many of these fields
+        n = 64
+        for D in range(2, 1001):
+            if not is_squarefree(D):
+                continue
+            samples = sample_orbit(ring_of_integers(D), n)
+            self._check_period(D, samples, n)
+            ss = [s.s for s in samples]
+            assert ss[0] > 1 and all(b > a for a, b in zip(ss, ss[1:])), D
+
+    def test_unit_beyond_float_range(self):
+        # eps_plus of D = 9999991 has 4153 digits: s is inf for every sample,
+        # and the exact t still orders them
+        D = 9999991
+        samples = sample_orbit(ring_of_integers(D), 8)
+        self._check_period(D, samples, 8)
+        assert all(s.s == math.inf for s in samples)
+
+
+def _mp_log_ratio(alpha):
+    """log(sigma_1/sigma_2) at 60 digits, as log1p of
+    (sigma_1/sigma_2 - 1) = 2|q|sqrt(D)(p + |q|sqrt(D))/N, free of cancellation."""
+    with mpmath.workdps(60):
+        p, q, D = alpha.p, abs(alpha.q), alpha.D
+        r = mpmath.sqrt(D)
+        v = mpmath.log1p(2 * q * r * (p + q * r) / (p * p - D * q * q))
+        return v if alpha.q >= 0 else -v
+
+
+LOG_RATIO_FIELDS = [2, 3, 5, 13, 94, 151, 991, 1327, 125173, 9999991]
+_eps_plus = functools.cache(lambda D: fundamental_unit(D)[1])
+
+
+class TestLogRatio:
+    @given(D=st.sampled_from(LOG_RATIO_FIELDS),
+           q=st.integers(-10**30, 10**30),
+           extra=st.one_of(st.integers(0, 10), st.integers(0, 10**40)),
+           d=st.integers(1, 60), j=st.integers(-2, 2))
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    def test_against_mpmath(self, D, q, extra, d, j):
+        p = math.isqrt(D * q * q) + 1 + extra
+        alpha = QuadElem.of(D, Fraction(p, d), Fraction(q, d))
+        alpha = alpha * _eps_plus(D) ** j
+        assert alpha.is_totally_positive()
+        ref = _mp_log_ratio(alpha)
+        assert abs(_log_ratio(alpha) - ref) <= 1e-12 * abs(ref), (alpha, ref)
+
+    @pytest.mark.parametrize("D", LOG_RATIO_FIELDS)
+    def test_period_of_unit(self, D):
+        # N(eps_plus) = 1, so the log ratio is 2 log eps_plus
+        _, eps_plus = fundamental_unit(D)
+        L = _log_ratio(eps_plus)
+        with mpmath.workdps(60):
+            ref = 2 * mpmath.log(eps_plus.p + eps_plus.q * mpmath.sqrt(D)) \
+                - 2 * mpmath.log(eps_plus.d)
+        assert abs(L - ref) <= 1e-12 * ref
+        assert _log_ratio(eps_plus.conjugate()) == -L
+
+    @given(D=st.sampled_from(LOG_RATIO_FIELDS), e=st.floats(-15, 10))
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    def test_t_at_realizes_the_log_ratio(self, D, e):
+        L = math.exp(e)
+        t = _t_at(D, L)
+        assert t * t > D
+        assert abs(_log_ratio(QuadElem.of(D, t, 1)) - L) <= 1e-12 * L
 
 
 def _reference_gram(I, alpha):
