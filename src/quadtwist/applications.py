@@ -103,11 +103,10 @@ class NormSearchResult:
 
 
 def _norm_form(I: CanonicalIdeal) -> Form:
-    z1, z2 = I.basis_elements()
-    A = int(z1.norm())
-    B = int((z1 * z2).trace())
-    C = int(z2.norm())
-    return (A, B, C)
+    """(N(z1), trace(z1*z2), N(z2)) of the basis z1 = a,
+    z2 = (u + v*sqrt(D))/e: N(x*z1 + y*z2) is this form at (x, y)."""
+    a, (u, v, e) = I.a, I._uve
+    return (a * a, 2 * a * u // e, (u * u - I.D * v * v) // (e * e))
 
 
 def _normalize_coeffs(v: tuple[int, int]) -> tuple[int, int]:

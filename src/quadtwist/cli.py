@@ -4,8 +4,9 @@ Exit codes: 0 success, 2 invalid input (a rejected field or ideal triple,
 or geodesic --samples below 1), 3 verification failure (a verify-examples
 mismatch, or a computed result whose exact certificate re-check fails,
 reported as a JSON message on stderr).  Any other exception propagates.
-Exact rationals are serialized as "numerator/denominator" strings; floats are
-companions with 12 significant digits.
+Exact rationals are serialized as "numerator/denominator" strings of any
+size; floats are companions with 12 significant digits, and a companion
+beyond float range is the string "inf".
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import json
 import math
 import sys
 import time
+from decimal import Decimal
 from fractions import Fraction
 from typing import Optional
 
@@ -42,9 +44,16 @@ EXIT_INVALID = 2
 EXIT_VERIFY_FAILED = 3
 
 
+def _int(n: int) -> str:
+    # str(n) refuses more digits than sys.get_int_max_str_digits(); a large
+    # unit's t has thousands.  Decimal prints every digit.
+    return str(Decimal(n))
+
+
 def _rat(q) -> str:
     q = Fraction(q)
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    n = _int(q.numerator)
+    return n if q.denominator == 1 else f"{n}/{_int(q.denominator)}"
 
 
 def _flt(x: float) -> float:
@@ -185,7 +194,7 @@ def cmd_geodesic(args) -> int:
                        "samples": args.samples},
             "rows": [
                 {
-                    "s": _flt(s.s),
+                    "s": _flt(s.s) if s.s < math.inf else "inf",
                     "t": _rat(s.alpha.x),
                     "x": _rat(s.tau.x),
                     "y_sq": _rat(s.tau.y_sq),
@@ -198,7 +207,7 @@ def cmd_geodesic(args) -> int:
             ],
             "wr_crossings": wr_crossings,
         }
-        json.dump(out, sys.stdout, indent=2)
+        json.dump(out, sys.stdout, indent=2, allow_nan=False)
         sys.stdout.write("\n")
     return EXIT_OK
 

@@ -24,13 +24,14 @@ class CanonicalBasisError(ValueError):
         self.condition = condition
 
 
-def _basis_norm(D: int, b: int, g: int) -> int:
-    """Integer N(b + g*delta(D))."""
+def _z2(D: int, b: int, g: int) -> tuple[int, int, int]:
+    """b + g*delta(D) as (u, v, e) with b + g*delta = (u + v*sqrt(D))/e over
+    delta's own denominator e, not over the lowest-terms one: with g even
+    and D = 1 (mod 4) the lowest-terms form drops the 2, and the Gram
+    pencil is normalised by e."""
     if D % 4 == 1:
-        n4 = (2 * b + g) ** 2 - g * g * D
-        assert n4 % 4 == 0
-        return n4 // 4
-    return b * b - g * g * D
+        return 2 * b + g, -g, 2
+    return b, -g, 1
 
 
 @dataclass(frozen=True)
@@ -54,28 +55,39 @@ class CanonicalIdeal:
             raise CanonicalBasisError("g|a", f"g = {self.g} does not divide a = {self.a}")
         if self.b % self.g != 0:
             raise CanonicalBasisError("g|b", f"g = {self.g} does not divide b = {self.b}")
-        n = _basis_norm(self.D, self.b, self.g)
-        if n % (self.a * self.g) != 0:
+        D, a = self.D, self.a
+        u, v, e = _z2(D, self.b, self.g)
+        n = (u * u - D * v * v) // (e * e)
+        if n % (a * self.g) != 0:
             raise CanonicalBasisError(
                 "divisibility",
-                f"a*g = {self.a * self.g} does not divide N(b+g*delta) = {n}",
+                f"a*g = {a * self.g} does not divide N(b+g*delta) = {n}",
             )
+        # Not dataclass fields: ==, hash and repr see (D, a, b, g) only.
+        # _pencil is (P11, P12, P22, Q11, Q12, Q22) of the integer pencil
+        # t*P + Q, e/2 times the twisted Gram of (a, z2) along t + sqrt(D):
+        # P = (e/2)*[trace(z_i*z_j)] = (a^2*e, a*u, (u^2 + D*v^2)/e),
+        # Q = (e/2)*[trace(sqrt(D)*z_i*z_j)] = (0, a*D*v, 2*D*u*v/e), and
+        # det(t*P + Q) = N(I)^2 * D * (t^2 - D).
+        object.__setattr__(self, "_uve", (u, v, e))
+        object.__setattr__(self, "_pencil", (
+            a * a * e, a * u, (u * u + D * v * v) // e,
+            0, a * D * v, 2 * D * u * v // e))
+
+    def __getstate__(self):
+        # The fields only, as a plain dataclass pickles; unpickling re-runs
+        # the checks and recomputes the stored integers.
+        return {"D": self.D, "a": self.a, "b": self.b, "g": self.g}
+
+    def __setstate__(self, state):
+        self.__init__(**state)
 
     def norm(self) -> int:
         return self.a * self.g
 
-    def _z2_ints(self) -> tuple[int, int, int]:
-        """z2 = b + g*delta as (u, v, e) with z2 = (u + v*sqrt(D))/e over
-        delta's own denominator e, not over the lowest-terms one: with g even
-        and D = 1 (mod 4) the lowest-terms form drops the 2, and the Gram
-        pencil of lattice2 is normalised by e."""
-        if self.D % 4 == 1:
-            return 2 * self.b + self.g, -self.g, 2
-        return self.b, -self.g, 1
-
     def basis_elements(self) -> tuple[QuadElem, QuadElem]:
         # D was checked when the ideal was made.
-        return _quad(self.D, self.a, 0, 1), _quad(self.D, *self._z2_ints())
+        return _quad(self.D, self.a, 0, 1), _quad(self.D, *self._uve)
 
     def discriminant(self) -> int:
         return _discriminant(self.D)
@@ -101,7 +113,8 @@ def enumerate_canonical(D: int, max_a: int) -> list[CanonicalIdeal]:
             if a % g != 0:
                 continue
             for b in range(0, a, g):
-                if _basis_norm(D, b, g) % (a * g) == 0:
+                u, v, e = _z2(D, b, g)
+                if ((u * u - D * v * v) // (e * e)) % (a * g) == 0:
                     found.append((a, b, g))
     found.sort()
     return [CanonicalIdeal(D, a, b, g) for a, b, g in found]

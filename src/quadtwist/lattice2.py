@@ -13,9 +13,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .ideals import CanonicalIdeal
 from .quadfield import QuadElem, Rational
+
+if TYPE_CHECKING:
+    from .ideals import CanonicalIdeal
 
 Vec2 = tuple[int, int]
 _new = object.__new__
@@ -133,37 +136,21 @@ class UnimodularMap:
         return self.a * self.d - self.b * self.c
 
 
-def _pencil(I: CanonicalIdeal) -> tuple[int, int, int, int, int, int]:
-    """(P11, P12, P22, Q11, Q12, Q22) of the integer pencil t*P + Q, which
-    is e/2 times the twisted Gram of the canonical basis along
-    alpha = t + sqrt(D).
-
-    For z1 = a and z2 = (u + v*sqrt(D))/e over delta's own denominator e,
-    P = (e/2)*[trace(z_i*z_j)] = (a^2*e, a*u, (u^2 + D*v^2)/e) and
-    Q = (e/2)*[trace(sqrt(D)*z_i*z_j)] = (0, a*D*v, 2*D*u*v/e), with
-    det(t*P + Q) = N(I)^2 * D * (t^2 - D).
-    """
-    D, a = I.D, I.a
-    u, v, e = I._z2_ints()
-    return (a * a * e, a * u, (u * u + D * v * v) // e,
-            0, a * D * v, 2 * D * u * v // e)
-
-
 def gram_of_twist(I: CanonicalIdeal, alpha: QuadElem) -> Gram2:
     """Exact Gram matrix of A(alpha)*L_K(I) in the canonical basis.
 
     G_ij = trace(alpha * z_i * z_j); det G = N(alpha) * N(I)^2 * Delta_K.
     G is linear in alpha: for alpha = (p + q*sqrt(D))/d it is
-    2*(p*P + q*Q)/(d*e) with the integer pencil (P, Q) of `_pencil`,
-    whose det(t*P + Q) = N(I)^2 * D * (t^2 - D).
+    2*(p*P + q*Q)/(d*e) with the integer pencil (P, Q) and the denominator e
+    of z2 that the ideal stores, whose det(t*P + Q) = N(I)^2 * D * (t^2 - D).
     """
     if alpha.D != I.D:
         raise ValueError("alpha must live in the same field as I")
     if not alpha.is_totally_positive():
         raise ValueError(f"alpha = {alpha} is not totally positive")
-    P11, P12, P22, Q11, Q12, Q22 = _pencil(I)
+    P11, P12, P22, Q11, Q12, Q22 = I._pencil
+    _, _, e = I._uve
     p, q, d = alpha.p, alpha.q, alpha.d
-    _, _, e = I._z2_ints()
     return _gram(2 * (p * P11 + q * Q11), 2 * (p * P12 + q * Q12),
                  2 * (p * P22 + q * Q22), d * e)
 
@@ -299,10 +286,6 @@ def hermite_thickness_sq(G: Gram2) -> Fraction:
     return Fraction(num * num, 16 * det * det * det)
 
 
-def hermite_thickness(G: Gram2) -> float:
-    return math.sqrt(hermite_thickness_sq(G))
-
-
 def wr_stretch(G: Gram2) -> tuple[Fraction, int, Fraction]:
     """Similarity invariants of the WR lattice obtained by cross-scaling.
 
@@ -330,12 +313,6 @@ class SimilarityPoint:
         object.__setattr__(self, "y_sq", Fraction(self.y_sq))
         if self.y_sq <= 0:
             raise ValueError("point must lie in the upper half-plane")
-
-    def norm_sq(self) -> Fraction:
-        return self.x * self.x + self.y_sq
-
-    def as_floats(self) -> tuple[float, float]:
-        return float(self.x), math.sqrt(self.y_sq)
 
 
 def similarity_point(G: Gram2) -> SimilarityPoint:

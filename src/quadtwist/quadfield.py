@@ -249,9 +249,6 @@ class QuadElem:
     def is_totally_positive(self) -> bool:
         return self.sign_embedding(1) > 0 and self.sign_embedding(2) > 0
 
-    def is_zero(self) -> bool:
-        return self._p == 0 and self._q == 0
-
     # -- order and conversion ----------------------------------------------
 
     def _cmp_sign(self, other) -> int:
@@ -482,9 +479,6 @@ class Surd:
         if not self.is_rational():
             raise ValueError(f"{self} is irrational")
         return self.u
-
-    def sign(self) -> int:
-        return _sign_x_plus_y_sqrt(self.p, self.q, self.n)
 
     def __float__(self):
         return self.p / self.d + self.q / self.d * math.sqrt(self.n)

@@ -7,11 +7,12 @@ is t = p/q ranging over (sqrt(D), oo); the q < 0 branch is omitted because
 swapping the two embeddings is an isometry of the twisted lattice.
 
 Along alpha = t + sqrt(D) the twisted Gram matrix of the canonical basis is
-the integer pencil t*P + Q of `lattice2._pencil`, and every formula here is
-read off (P, Q).  WR twistability: the equal-norm equation g11(t) = g22(t) is
-linear and forces the ratio t*, and the reduction inequality at t* decides.
-Stable twistability: reducedness and the stability conditions are quadratic
-in t, and their exact solution sets with surd endpoints are intersected.
+the integer pencil t*P + Q that `CanonicalIdeal` stores, and every formula
+here is read off (P, Q).  WR twistability: the equal-norm equation
+g11(t) = g22(t) is linear and forces the ratio t*, and the reduction
+inequality at t* decides.  Stable twistability: reducedness and the
+stability conditions are quadratic in t, and their exact solution sets with
+surd endpoints are intersected.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from typing import Optional
 from .ideals import CanonicalIdeal
 from .lattice2 import (
     Gram2,
-    _pencil,
     gram_of_twist,
     is_paper_reduced,
     is_stable,
@@ -224,14 +224,14 @@ class FeasibilityReport:
 def wr_bound_filter(I: CanonicalIdeal) -> bool:
     """Necessary condition for WR twistability: u^2 < D*v^2 for
     z2 = (u + v*sqrt(D))/e."""
-    u, v, _ = I._z2_ints()
+    u, v, _ = I._uve
     return u * u < I.D * v * v
 
 
 def stable_bound_filter(I: CanonicalIdeal) -> bool:
     """Necessary condition for stable twistability: 3*u^2 < 4*D*v^2 for
     z2 = (u + v*sqrt(D))/e."""
-    u, v, _ = I._z2_ints()
+    u, v, _ = I._uve
     return 3 * u * u < 4 * I.D * v * v
 
 
@@ -243,7 +243,7 @@ def _wr_ratio(I: CanonicalIdeal) -> tuple[int, int, bool]:
     den > 0) the reduction inequality 2|g12| <= g11 reads, times den,
     2|P12*num + Q12*den| <= P11*num + Q11*den.
     """
-    P11, P12, P22, Q11, Q12, Q22 = _pencil(I)
+    P11, P12, P22, Q11, Q12, Q22 = I._pencil
     num, den = Q11 - Q22, P22 - P11
     reduced_ok = 2 * abs(P12 * num + Q12 * den) <= P11 * num + Q11 * den
     return num, den, reduced_ok
@@ -286,7 +286,7 @@ def _stable_constraints(I: CanonicalIdeal) -> list[tuple[int, int, int]]:
     roots are printed with unreduced radicands, so the triples are kept this
     small.
     """
-    P11, P12, P22, Q11, Q12, Q22 = _pencil(I)
+    P11, P12, P22, Q11, Q12, Q22 = I._pencil
     D, a2 = I.D, I.a * I.a
     k = I.norm() ** 2 * D  # det g(t) = k*t^2 - k*D
     return [((P11 * P22 - 4 * P12 * P12) // a2,

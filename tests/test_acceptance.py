@@ -11,7 +11,6 @@ import time
 from fractions import Fraction
 from itertools import combinations
 
-import numpy as np
 import pytest
 
 from quadtwist.applications import (
@@ -162,62 +161,57 @@ def test_criterion_6():
                 assert stable_bound_filter(I), I
 
 
-def _deep_hole_oracle(G, n=400):
-    """Independent covering-radius oracle.
+def _gauss_reduce(a, b, c):
+    """Reduced (a, b, c) of the positive definite a*x^2 + 2*b*x*y + c*y^2:
+    repeatedly shorten the second vector by the nearest multiple of the
+    first, and swap while the second is the shorter."""
+    while True:
+        r = (2 * b + a) // (2 * a)  # nearest integer to b/a
+        b, c = b - r * a, c - 2 * r * b + r * r * a
+        if a <= c:
+            return a, b, c
+        a, c = c, a
 
-    An n x n grid over the fundamental cell locates the deep hole; the exact
-    circumcenter of the three nearest lattice points (a Voronoi vertex,
-    certified by the empty-circle check) gives its exact squared distance.
+
+_NEAR = [(i, j) for i in range(-2, 3) for j in range(-2, 3) if (i, j) != (0, 0)]
+_AROUND = [(i, j) for i in range(-3, 4) for j in range(-3, 4)]
+
+
+def _deep_hole_oracle(G):
+    """Independent covering-radius oracle, exact on integers.
+
+    The entries of G go over one denominator and the test's own Gauss loop
+    reduces them.  A Voronoi vertex is the circumcentre of a lattice triangle
+    whose circumcircle has no lattice point inside, and the squared covering
+    radius is the largest such circumradius^2.  By translation the triangle
+    is (0, p, q); for the reduced basis the search takes every p, q in the
+    coefficient window |i|, |j| <= 2 and checks the circle against every
+    point in |i|, |j| <= 3.
     """
-    R, _ = lagrange_reduce(G)
-    e11, e12, e22 = R.entries()
-    g11, g12, g22 = float(e11), float(e12), float(e22)
-    grid_trans = [(i, j) for i in range(-1, 3) for j in range(-1, 3)]
-    check_trans = [(i, j) for i in range(-2, 4) for j in range(-2, 4)]
-    xs = np.linspace(0.0, 1.0, n)
-    X, Y = np.meshgrid(xs, xs, indexing="ij")
-    dmin = None
-    for (i, j) in grid_trans:
-        dx, dy = X - i, Y - j
-        d = g11 * dx * dx + 2 * g12 * dx * dy + g22 * dy * dy
-        dmin = d if dmin is None else np.minimum(dmin, d)
-    k = np.unravel_index(np.argmax(dmin), dmin.shape)
-    px, py = xs[k[0]], xs[k[1]]
+    g11, g12, g22 = G.entries()
+    den = math.lcm(g11.denominator, g12.denominator, g22.denominator)
+    a, b, c = _gauss_reduce(*(int(x * den) for x in (g11, g12, g22)))
 
-    def fdist(t):
-        dx, dy = px - t[0], py - t[1]
-        return g11 * dx * dx + 2 * g12 * dx * dy + g22 * dy * dy
+    def dot(u, v):
+        return a * u[0] * v[0] + b * (u[0] * v[1] + u[1] * v[0]) + c * u[1] * v[1]
 
-    def gdot(u, v):
-        return e11 * u[0] * v[0] + e12 * (u[0] * v[1] + u[1] * v[0]) \
-            + e22 * u[1] * v[1]
-
-    def circum_dist_sq(p0, p1, p2):
-        a1 = (p1[0] - p0[0], p1[1] - p0[1])
-        a2 = (p2[0] - p0[0], p2[1] - p0[1])
-        A11, A12, A22 = 2 * gdot(a1, a1), 2 * gdot(a1, a2), 2 * gdot(a2, a2)
-        b1, b2 = gdot(a1, a1), gdot(a2, a2)
-        det = A11 * A22 - A12 * A12
-        if det == 0:
-            return None
-        s = (b1 * A22 - b2 * A12) / det
-        t = (A11 * b2 - A12 * b1) / det
-        c = (s * a1[0] + t * a2[0], s * a1[1] + t * a2[1])
-        mu2 = gdot(c, c)
-        for w in check_trans:
-            rel = (c[0] + p0[0] - w[0], c[1] + p0[1] - w[1])
-            if gdot(rel, rel) < mu2:
-                return None
-        return mu2
-
-    # 10 nearest: highly anisotropic cells put many collinear points close
-    # to the hole, and collinear triples have no circumcenter
-    near = sorted(check_trans, key=fdist)[:10]
+    ip = {(w, p): dot(w, p) for w in _AROUND for p in _NEAR}
+    # nearest first: a point inside a circle is usually a near one
+    sq = sorted((dot(w, w), w) for w in _AROUND)
     best = None
-    for combo in combinations(range(10), 3):
-        mu2 = circum_dist_sq(*(near[i] for i in combo))
-        if mu2 is not None and (best is None or mu2 > best):
-            best = mu2
+    for p, q in combinations(_NEAR, 2):
+        P, Q, X = ip[p, p], ip[q, q], ip[p, q]
+        M = P * Q - X * X
+        if M == 0:
+            continue  # collinear: no circumcircle
+        # w is strictly inside the circle through 0, p, q, whose centre is
+        # (Q*(P - X)*p + P*(Q - X)*q)/(2*M), iff |w|^2 < 2<w, centre>
+        A, B = Q * (P - X), P * (Q - X)
+        if any(M * n < A * ip[w, p] + B * ip[w, q] for n, w in sq):
+            continue
+        r2 = Fraction(P * Q * (P + Q - 2 * X), 4 * M * den)
+        if best is None or r2 > best:
+            best = r2
     return best
 
 
@@ -243,7 +237,7 @@ def test_criterion_7():
         mu2 = covering_radius_sq(G)
         oracle = _deep_hole_oracle(G)
         assert oracle is not None
-        assert abs(float(oracle - mu2)) <= 1e-5 * float(mu2)
+        assert oracle == mu2
         if is_paper_reduced(G):
             assert min(G.g11, G.g22) == l1
 

@@ -224,6 +224,9 @@ class TestMinAbsNormWitnessAgainstBoxScan:
             if not is_squarefree(D):
                 continue
             for I in enumerate_canonical(D, 12):
+                z1, z2 = I.basis_elements()
+                assert applications._norm_form(I) == \
+                    (z1.norm(), (z1 * z2).trace(), z2.norm()), I
                 assert min_abs_norm(I).coeffs == _ref_min_abs_norm_coeffs(I), I
                 checked += 1
         assert checked == 7462

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import json
+from decimal import Decimal
 
 import pytest
 
@@ -100,6 +101,24 @@ class TestGeodesicCommand:
         assert "wr_crossings" in rep
         for row in rep["rows"]:
             assert "/" in row["t"] or row["t"].lstrip("-").isdigit()
+
+    @pytest.mark.parametrize("D", ["1000003", "9999991"])
+    def test_json_large_unit(self, capsys, D):
+        # t of a large unit runs past the default int-to-str digit limit,
+        # and s past float range: both must still be standard JSON
+        code, out, _ = run_cli(capsys, "geodesic", D, "1", "0", "1",
+                               "--samples", "2", "--format", "json")
+        assert code == EXIT_OK
+
+        def no_constant(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        rep = json.loads(out, parse_constant=no_constant)
+        assert "inf" in [row["s"] for row in rep["rows"]]
+        for row in rep["rows"]:
+            # int(Decimal(...)) is not bound by the int-to-str digit limit
+            n, d = (int(Decimal(part)) for part in row["t"].split("/"))
+            assert n * n > int(D) * d * d
 
 
 class TestVerifyExamples:

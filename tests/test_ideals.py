@@ -1,3 +1,4 @@
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -127,3 +128,33 @@ class TestHelpers:
         assert (z2.x, z2.y) == (7, -1)
         z1, z2 = validate_canonical(141, 5, 4, 1).basis_elements()
         assert (z2.x, z2.y) == (Fraction(9, 2), Fraction(-1, 2))
+
+
+class TestStoredIntegers:
+    """The pencil an ideal stores is not a dataclass field: equality, hash,
+    repr and pickling see (D, a, b, g) only."""
+
+    # pickle.dumps(CanonicalIdeal(141, 5, 4, 1), protocol=4) of the plain
+    # frozen dataclass, before the ideal stored any integers
+    PLAIN_PICKLE = (
+        b"\x80\x04\x95G\x00\x00\x00\x00\x00\x00\x00\x8c\x10quadtwist.ideals"
+        b"\x94\x8c\x0eCanonicalIdeal\x94\x93\x94)\x81\x94}\x94(\x8c\x01D\x94K"
+        b"\x8d\x8c\x01a\x94K\x05\x8c\x01b\x94K\x04\x8c\x01g\x94K\x01ub.")
+
+    def test_fields_only(self):
+        I = CanonicalIdeal(141, 5, 4, 1)
+        assert pickle.dumps(I, protocol=4) == self.PLAIN_PICKLE
+        assert I == CanonicalIdeal(141, 5, 4, 1)
+        assert I != CanonicalIdeal(141, 1, 0, 1)
+        assert hash(I) == hash((141, 5, 4, 1))
+        assert repr(I) == "CanonicalIdeal(D=141, a=5, b=4, g=1)"
+
+    def test_pencil_survives_pickle(self):
+        for I in (CanonicalIdeal(141, 5, 4, 1), CanonicalIdeal(5, 2, 0, 2),
+                  CanonicalIdeal(139, 9, 7, 1)):
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+                J = pickle.loads(pickle.dumps(I, protocol=protocol))
+                assert J == I
+                assert (J._uve, J._pencil) == (I._uve, I._pencil)
+        J = pickle.loads(self.PLAIN_PICKLE)
+        assert J._pencil == CanonicalIdeal(141, 5, 4, 1)._pencil

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from quadtwist.ideals import enumerate_canonical, ring_of_integers, validate_canonical
 from quadtwist.lattice2 import (
-    _pencil,
     gram_of_twist,
     is_paper_reduced,
     is_stable,
@@ -352,7 +351,7 @@ class TestPencilAgainstClosedForms:
     def test_det_identity(self, sweep):
         # det(t*P + Q) = N(I)^2 * D * (t^2 - D), coefficient by coefficient
         for I in sweep[::50]:
-            P11, P12, P22, Q11, Q12, Q22 = _pencil(I)
+            P11, P12, P22, Q11, Q12, Q22 = I._pencil
             det = (P11 * P22 - P12 * P12,
                    P11 * Q22 + Q11 * P22 - 2 * P12 * Q12,
                    Q11 * Q22 - Q12 * Q12)
