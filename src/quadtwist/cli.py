@@ -145,9 +145,9 @@ def cmd_survey(args) -> int:
     ideals = enumerate_canonical(args.D, args.max_a)
     for I in ideals:
         verdict = wr_twist(I)
-        fr = stable_twist(I)
         if args.filter == "wr" and not verdict.wr_twistable:
             continue
+        fr = stable_twist(I)
         if args.filter == "stable" and not fr.feasible_real:
             continue
         row = {

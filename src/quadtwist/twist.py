@@ -11,8 +11,9 @@ the integer pencil t*P + Q that `CanonicalIdeal` stores, and every formula
 here is read off (P, Q).  WR twistability: the equal-norm equation
 g11(t) = g22(t) is linear and forces the ratio t*, and the reduction
 inequality at t* decides.  Stable twistability: reducedness and the
-stability conditions are quadratic in t, and their exact solution sets with
-surd endpoints are intersected.
+stability conditions are quadratic in t, and the domain is clipped by each
+one in turn at its finite roots, exact surds, so that the feasibility set
+is a sorted list of intervals with surd endpoints.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
 from typing import Optional
 
 from .ideals import CanonicalIdeal
@@ -110,43 +110,73 @@ def intersect_interval_lists(xs: list[Interval], ys: list[Interval]) -> list[Int
     return out
 
 
-def solve_quadratic_ge0(A: Rational, B: Rational, C: Rational,
-                        domain: Interval) -> list[Interval]:
-    """Exact solution set of A*t^2 + B*t + C >= 0 intersected with domain.
+def _above(iv: Interval, r: Surd) -> Optional[Interval]:
+    """iv intersected with [r, oo), or None when that is empty; a tie keeps
+    the endpoint `_intersect_pair(iv, [r, oo))` would keep."""
+    c = surd_compare(iv.lo, r)
+    if c > 0 or (c == 0 and not iv.lo_closed):
+        return iv
+    out = Interval(r, iv.hi, True, iv.hi_closed)
+    return None if out.is_empty() else out
 
-    Rational coefficients are scaled to integers once, on entry; the roots
-    (-B -+ sqrt(B^2 - 4AC))/(2A) are then integer surds.
+
+def _below(iv: Interval, r: Surd) -> Optional[Interval]:
+    """iv intersected with (-oo, r], or None when that is empty; a tie keeps
+    the endpoint `_intersect_pair(iv, (-oo, r])` would keep."""
+    if iv.hi is not None:
+        c = surd_compare(iv.hi, r)
+        if c < 0 or (c == 0 and not iv.hi_closed):
+            return iv
+    out = Interval(iv.lo, r, iv.lo_closed, True)
+    return None if out.is_empty() else out
+
+
+def _clip(feas: list[Interval], A: int, B: int, C: int) -> list[Interval]:
+    """The sorted disjoint intervals feas, each intersected with the solution
+    set of A*t^2 + B*t + C >= 0 (integer coefficients), in order.
+
+    Only the finite roots (-B -+ sqrt(B^2 - 4AC))/(2A) are compared with the
+    endpoints of feas: an unbounded side of the solution set cuts nothing.
     """
-    scale = math.lcm(A.denominator, B.denominator, C.denominator)
-    A, B, C = (c.numerator * (scale // c.denominator) for c in (A, B, C))
     if A == 0:
         if B == 0:
-            return [domain] if C >= 0 else []
+            return feas if C >= 0 else []
         if B > 0:
-            sol = Interval(Surd.of_ints(-C, d=B), None, True, True)
-        else:
-            sol = Interval(domain.lo, Surd.of_ints(C, d=-B),
-                           domain.lo_closed, True)
-        return intersect_interval_lists([domain], [sol])
+            r = Surd.of_ints(-C, d=B)
+            return [p for iv in feas if (p := _above(iv, r)) is not None]
+        r = Surd.of_ints(C, d=-B)
+        return [p for iv in feas if (p := _below(iv, r)) is not None]
     disc = B * B - 4 * A * C
     if A > 0:
         if disc <= 0:
-            return [domain]
+            return feas
         r1 = Surd.of_ints(-B, -1, disc, 2 * A)
         r2 = Surd.of_ints(-B, 1, disc, 2 * A)
-        sols = [
-            Interval(domain.lo, r1, domain.lo_closed, True),
-            Interval(r2, None, True, True),
-        ]
-    else:
-        if disc < 0:
-            return []
-        # A < 0: with the positive denominator -2A the smaller root is
-        # (B - sqrt(disc))/(-2A).
-        r1 = Surd.of_ints(B, -1, disc, -2 * A)
-        r2 = Surd.of_ints(B, 1, disc, -2 * A)
-        sols = [Interval(r1, r2, True, True)]
-    return intersect_interval_lists([domain], sols)
+        return [p for iv in feas for p in (_below(iv, r1), _above(iv, r2))
+                if p is not None]
+    if disc < 0:
+        return []
+    # A < 0: with the positive denominator -2A the smaller root is
+    # (B - sqrt(disc))/(-2A).
+    r1 = Surd.of_ints(B, -1, disc, -2 * A)
+    r2 = Surd.of_ints(B, 1, disc, -2 * A)
+    return [p for iv in feas
+            if (q := _above(iv, r1)) is not None
+            and (p := _below(q, r2)) is not None]
+
+
+def solve_quadratic_ge0(A: Rational, B: Rational, C: Rational,
+                        domain: Interval) -> list[Interval]:
+    """Exact solution set of A*t^2 + B*t + C >= 0 intersected with the
+    nonempty interval domain.
+
+    Rational coefficients are scaled to integers once, on entry; the roots
+    (-B -+ sqrt(B^2 - 4AC))/(2A) are then integer surds, at which `_clip`
+    cuts the domain.
+    """
+    scale = math.lcm(A.denominator, B.denominator, C.denominator)
+    A, B, C = (c.numerator * (scale // c.denominator) for c in (A, B, C))
+    return _clip([domain], A, B, C)
 
 
 def _max_stride(check) -> int:
@@ -216,6 +246,9 @@ class FeasibilityReport:
     intervals: tuple[Interval, ...]
     witness_t: Optional[Fraction] = None
     witness_alpha: Optional[QuadElem] = None
+    # index into `_stable_constraints` (see STABLE_CONSTRAINT_NAMES) of the
+    # constraint that left the set empty; None when the set is nonempty
+    emptied_by: Optional[int] = None
 
     def contains_t(self, t) -> bool:
         return any(iv.contains(t) for iv in self.intervals)
@@ -298,6 +331,11 @@ def _stable_constraints(I: CanonicalIdeal) -> list[tuple[int, int, int]]:
             (0, P22, Q22)]
 
 
+# What each triple of `_stable_constraints` asks, by index.
+STABLE_CONSTRAINT_NAMES = ("weak reducedness", "g11^2 >= det",
+                           "g22^2 >= det", "g22 >= 0")
+
+
 def raw_stable_polynomials(I: CanonicalIdeal, t: Fraction) -> bool:
     """The stable-twistability criterion evaluated directly at (p, q) = (t, 1):
     t > sqrt(D) and every constraint of `_stable_constraints` holds at t."""
@@ -307,26 +345,20 @@ def raw_stable_polynomials(I: CanonicalIdeal, t: Fraction) -> bool:
         for A, B, C in _stable_constraints(I))
 
 
-_BY_LO = cmp_to_key(lambda x, y: surd_compare(x.lo, y.lo))
-
-
 def stable_twist(I: CanonicalIdeal) -> FeasibilityReport:
     """Exact stable-twist feasibility over t in (sqrt(D), oo).
 
-    Solves each quadratic constraint with surd endpoints, intersects, and
+    Clips the domain by each quadratic constraint at its finite surd roots,
+    in the order of `_stable_constraints` (the intervals stay sorted), and
     picks the smallest-denominator rational witness in the interior of the
     leftmost nondegenerate interval (absent when the set has empty interior).
     """
     D = I.D
-    domain = Interval(Surd.of_ints(0, 1, D), None, lo_closed=False)
-    feas = [domain]
-    for (A, B, C) in _stable_constraints(I):
-        feas = intersect_interval_lists(feas, solve_quadratic_ge0(A, B, C, domain))
+    feas = [Interval(Surd.of_ints(0, 1, D), None, lo_closed=False)]
+    for k, (A, B, C) in enumerate(_stable_constraints(I)):
+        feas = _clip(feas, A, B, C)
         if not feas:
-            break
-    feas.sort(key=_BY_LO)
-    if not feas:
-        return FeasibilityReport(False, ())
+            return FeasibilityReport(False, (), emptied_by=k)
     witness_t = None
     witness_alpha = None
     for iv in feas:

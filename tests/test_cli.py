@@ -9,6 +9,7 @@ import pytest
 from quadtwist import cli
 from quadtwist.cli import EXIT_INVALID, EXIT_OK, EXIT_VERIFY_FAILED, main
 from quadtwist.quadfield import CertificateError
+from quadtwist.twist import stable_twist
 
 
 def run_cli(capsys, *argv):
@@ -77,6 +78,27 @@ class TestSurveyCommand:
         _, out, _ = run_cli(capsys, "survey", "7", "6", "--filter", "stable")
         rows = [json.loads(line) for line in out.splitlines()]
         assert all(r["stable_feasible"] for r in rows)
+
+    @pytest.mark.parametrize("D", ["5", "13", "139", "141", "199"])
+    def test_filters_select_unfiltered_lines(self, capsys, D):
+        _, full, _ = run_cli(capsys, "survey", D, "30")
+        lines = full.splitlines()
+        for flag, key in (("wr", "wr_twistable"), ("stable", "stable_feasible")):
+            _, out, _ = run_cli(capsys, "survey", D, "30", "--filter", flag)
+            assert out.splitlines() == [
+                line for line in lines if json.loads(line)[key]], flag
+
+    def test_filter_wr_decides_stability_only_for_printed_rows(
+            self, capsys, monkeypatch):
+        calls = []
+
+        def counted(I):
+            calls.append(I)
+            return stable_twist(I)
+
+        monkeypatch.setattr(cli, "stable_twist", counted)
+        _, out, _ = run_cli(capsys, "survey", "139", "30", "--filter", "wr")
+        assert len(calls) == len(out.splitlines()) > 0
 
 
 class TestGeodesicCommand:

@@ -1,15 +1,22 @@
+import math
 import os
 import random
 import subprocess
 import sys
 import textwrap
 from fractions import Fraction
+from functools import cmp_to_key
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadtwist.ideals import enumerate_canonical, ring_of_integers, validate_canonical
+from quadtwist.ideals import (
+    CanonicalIdeal,
+    enumerate_canonical,
+    ring_of_integers,
+    validate_canonical,
+)
 from quadtwist.lattice2 import (
     gram_of_twist,
     is_paper_reduced,
@@ -311,13 +318,14 @@ def _pencil_sweep():
     return [I for D, max_a in fields for I in enumerate_canonical(D, max_a)]
 
 
-class TestPencilAgainstClosedForms:
-    @pytest.fixture(scope="class")
-    def sweep(self):
-        ideals = _pencil_sweep()
-        assert len(ideals) == 21228
-        return ideals
+@pytest.fixture(scope="module")
+def sweep():
+    ideals = _pencil_sweep()
+    assert len(ideals) == 21228
+    return ideals
 
+
+class TestPencilAgainstClosedForms:
     def test_sweep_has_even_g_over_d_1_mod_4(self, sweep):
         even = [I for I in sweep if I.D % 4 == 1 and I.g % 2 == 0]
         assert even and (5, 2, 0, 2) in {(I.D, I.a, I.b, I.g) for I in even}
@@ -357,6 +365,178 @@ class TestPencilAgainstClosedForms:
                    Q11 * Q22 - Q12 * Q12)
             k = I.norm() ** 2 * I.D
             assert det == (k, 0, -k * I.D), I
+
+
+# The feasibility algorithm that clipping at finite roots replaced, kept as
+# the reference: each constraint solved over the domain (sqrt(D), oo),
+# cross-intersected with the running set, and the result sorted by lower
+# end.  The clipped set must equal it endpoint for endpoint, repr included
+# (a tie between equal surds of different radicands keeps one of them).
+
+def _ref_solve_quadratic_ge0(A, B, C, domain):
+    scale = math.lcm(A.denominator, B.denominator, C.denominator)
+    A, B, C = (c.numerator * (scale // c.denominator) for c in (A, B, C))
+    if A == 0:
+        if B == 0:
+            return [domain] if C >= 0 else []
+        if B > 0:
+            sol = Interval(Surd.of_ints(-C, d=B), None, True, True)
+        else:
+            sol = Interval(domain.lo, Surd.of_ints(C, d=-B),
+                           domain.lo_closed, True)
+        return intersect_interval_lists([domain], [sol])
+    disc = B * B - 4 * A * C
+    if A > 0:
+        if disc <= 0:
+            return [domain]
+        r1 = Surd.of_ints(-B, -1, disc, 2 * A)
+        r2 = Surd.of_ints(-B, 1, disc, 2 * A)
+        sols = [
+            Interval(domain.lo, r1, domain.lo_closed, True),
+            Interval(r2, None, True, True),
+        ]
+    else:
+        if disc < 0:
+            return []
+        r1 = Surd.of_ints(B, -1, disc, -2 * A)
+        r2 = Surd.of_ints(B, 1, disc, -2 * A)
+        sols = [Interval(r1, r2, True, True)]
+    return intersect_interval_lists([domain], sols)
+
+
+_REF_BY_LO = cmp_to_key(lambda x, y: surd_compare(x.lo, y.lo))
+
+
+def _ref_stable_twist(I):
+    """(running sets after each constraint, sorted final set, witness t,
+    witness alpha) of the old algorithm; it stops at the first empty set."""
+    domain = Interval(Surd.of_ints(0, 1, I.D), None, lo_closed=False)
+    feas, running = [domain], []
+    for (A, B, C) in twist._stable_constraints(I):
+        feas = intersect_interval_lists(
+            feas, _ref_solve_quadratic_ge0(A, B, C, domain))
+        running.append(feas)
+        if not feas:
+            break
+    feas.sort(key=_REF_BY_LO)
+    witness_t = witness_alpha = None
+    for iv in feas:
+        if not iv.is_point():
+            witness_t = simplest_rational_in(iv.lo, iv.hi)
+            if witness_t is not None:
+                witness_alpha = QuadElem.of(I.D, witness_t, 1)
+                break
+    return running, feas, witness_t, witness_alpha
+
+
+def _endpoints(intervals):
+    return [(repr(iv.lo), repr(iv.hi), iv.lo_closed, iv.hi_closed)
+            for iv in intervals]
+
+
+def _large_d_sample(n=300, seed=20261018):
+    """n canonical ideals (D, a, b, 1) with squarefree 10^5 <= D < 10^7 and
+    a <= 3*sqrt(D): a drawn first, then b among the roots of the norm."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < n:
+        D = rng.randrange(10**5, 10**7)
+        if not is_squarefree(D):
+            continue
+        a = rng.randint(1, 3 * math.isqrt(D))
+        if D % 4 == 1:
+            roots = [b for b in range(a) if (b * b + b + (1 - D) // 4) % a == 0]
+        else:
+            roots = [b for b in range(a) if (b * b - D) % a == 0]
+        if roots:
+            out.append(CanonicalIdeal(D, a, rng.choice(roots), 1))
+    return out
+
+
+class TestClippingAgainstReference:
+    @pytest.fixture(scope="class")
+    def pairs(self, sweep):
+        return [(I, stable_twist(I), _ref_stable_twist(I))
+                for I in sweep + _large_d_sample()]
+
+    def test_reports_equal(self, pairs):
+        for I, fr, (_, feas, witness_t, witness_alpha) in pairs:
+            assert fr.feasible_real == bool(feas), I
+            assert len(fr.intervals) == len(feas), I
+            assert _endpoints(fr.intervals) == _endpoints(feas), I
+            assert repr(fr.witness_t) == repr(witness_t), I
+            assert repr(fr.witness_alpha) == repr(witness_alpha), I
+
+    def test_emptied_by(self, pairs):
+        emptied = set()
+        for I, fr, (running, feas, _, _) in pairs:
+            if feas:
+                assert fr.emptied_by is None, I
+                continue
+            k = fr.emptied_by
+            assert len(running) == k + 1 and not running[k], I
+            assert all(running[:k]), I
+            emptied.add(k)
+        assert emptied == {0, 1, 2}
+        assert len(twist.STABLE_CONSTRAINT_NAMES) == 4
+
+    def test_emptied_by_first_constraint_is_the_bound_filter(self, pairs):
+        for I, fr, _ in pairs:
+            assert (not stable_bound_filter(I)) == (fr.emptied_by == 0), I
+
+
+surd_point = st.builds(Surd.of_ints, st.integers(-6, 6), st.integers(-1, 1),
+                       st.integers(0, 12), st.integers(1, 4))
+coeff = st.one_of(st.integers(-6, 6), rat)
+
+
+def _scaled_roots(A, B, C, k):
+    """The real roots of k*(A, B, C) scaled to integers, as integer surds:
+    equal in value to the solver's roots, and for k > 1 written with other
+    integers (a radicand k^2 times larger), so ties keep a visible choice."""
+    scale = k * math.lcm(A.denominator, B.denominator, C.denominator)
+    A, B, C = (c.numerator * (scale // c.denominator) for c in (A, B, C))
+    if A == 0:
+        return [] if B == 0 else [Surd.of_ints(-C if B > 0 else C, d=abs(B))]
+    disc = B * B - 4 * A * C
+    if disc < 0:
+        return []
+    p, d = (-B, 2 * A) if A > 0 else (B, -2 * A)
+    return [Surd.of_ints(p, s, disc, d) for s in (-1, 1)]
+
+
+@st.composite
+def solver_cases(draw):
+    """(A, B, C, domain) with a nonempty domain whose ends are often roots
+    of the quadratic.  +oo is written with hi_closed=True, as every
+    constructor in the library writes it (the flag means nothing there, and
+    the reference passes it through in some branches and resets it to True
+    in others)."""
+    A, B, C = draw(coeff), draw(coeff), draw(coeff)
+    ends = [surd_point]
+    roots = _scaled_roots(A, B, C, draw(st.integers(1, 3)))
+    if roots:
+        ends.append(st.sampled_from(roots))
+    end = st.one_of(*ends)
+    lo, hi = draw(end), draw(st.one_of(st.none(), end))
+    lo_closed, hi_closed = draw(st.booleans()), hi is None or draw(st.booleans())
+    if hi is not None:
+        c = surd_compare(lo, hi)
+        if c > 0:
+            lo, hi = hi, lo
+        elif c == 0:
+            lo_closed = hi_closed = True
+    return A, B, C, Interval(lo, hi, lo_closed, hi_closed)
+
+
+class TestSolverAgainstReference:
+    @given(case=solver_cases())
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    def test_equal_to_reference(self, case):
+        A, B, C, domain = case
+        got = solve_quadratic_ge0(A, B, C, domain)
+        want = _ref_solve_quadratic_ge0(A, B, C, domain)
+        assert _endpoints(got) == _endpoints(want)
 
 
 class TestCertificates:
