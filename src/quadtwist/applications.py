@@ -4,7 +4,8 @@ d_min of a twisted ideal lattice factors exactly: the product of the embedded
 coordinates of z under A(alpha) is sqrt(N(alpha)) * N(z), so
 d_min^2 = N(alpha) * (min |N(z)|)^2.  The minimal |N(z)| over an ideal is the
 minimum of an integral indefinite binary quadratic form, computed exactly by
-traversing its cycle of reduced forms.
+traversing its cycle of reduced forms with `quadfield._rho_walk`, the walk
+that also yields the fundamental unit.
 """
 
 from __future__ import annotations
@@ -19,7 +20,9 @@ from .ideals import CanonicalIdeal
 from .lattice2 import gram_of_twist, hermite_thickness_sq
 from .quadfield import (
     CertificateError,
+    Form,
     QuadElem,
+    _rho_walk,
     _t_plus_sqrt,
     check_field,
     discriminant,
@@ -27,69 +30,38 @@ from .quadfield import (
 )
 from .twist import wr_twist
 
-Form = tuple[int, int, int]  # integral (A, B, C), disc = B^2 - 4AC > 0
-
 
 def _form_value(f: Form, x: int, y: int) -> int:
     A, B, C = f
     return A * x * x + B * x * y + C * y * y
 
 
-def _rho_step(f: Form) -> tuple[Form, int]:
-    """One reduction step f -> (C, r, (r^2 - disc)/(4C)); returns the new form
-    and the integer s with transform matrix [[0, -1], [1, s]]."""
-    A, B, C = f
-    disc = B * B - 4 * A * C
-    sq = math.isqrt(disc)
-    ac = abs(C)
-    # r = -B mod 2|C|, shifted into the classical window
-    r = (-B) % (2 * ac)
-    if ac > sq:
-        if r > ac:
-            r -= 2 * ac
-    else:
-        # want sq - 2|C| < r <= sq  (integer window of width 2|C|)
-        r += ((sq - r) // (2 * ac)) * (2 * ac)
-    s = (B + r) // (2 * C)
-    new = (C, r, (r * r - disc) // (4 * C))
-    return new, s
-
-
-def form_minimum(f: Form, max_steps: int = 10000) -> tuple[int, tuple[int, int]]:
+def form_minimum(f: Form) -> tuple[int, tuple[int, int]]:
     """Exact minimum of |f| over nonzero integer vectors, with a witness.
 
     The minimum of an integral indefinite form of non-square discriminant is
     attained among the leading coefficients of its cycle of reduced forms.
-    The walk tracks the accumulated unimodular transform, so every candidate
-    comes with the coefficient vector attaining it.
+    `quadfield._rho_walk` runs into that cycle and round it, up to the first
+    repeated form; each leading coefficient is re-checked as the value of f
+    at its transform column, which is the witness.
     """
     disc = f[1] * f[1] - 4 * f[0] * f[2]
     if disc <= 0 or math.isqrt(disc) ** 2 == disc:
         raise ValueError("need an indefinite form of non-square discriminant")
-    cur = f
-    # columns of the accumulated transform: current form = f o U
-    u11, u12, u21, u22 = 1, 0, 0, 1
     best = abs(f[0])
     best_vec = (1, 0)
-    seen: dict[Form, int] = {}
-    for step in range(max_steps):
-        if cur in seen:
-            break
-        seen[cur] = step
-        cur, s = _rho_step(cur)
-        # U <- U @ [[0, -1], [1, s]]
-        u11, u12 = u12, -u11 + s * u12
-        u21, u22 = u22, -u21 + s * u22
-        if _form_value(f, u11, u21) != cur[0]:
+    seen = {f}
+    for cur, x, y in _rho_walk(f):
+        if _form_value(f, x, y) != cur[0]:
             raise CertificateError(
-                f"form cycle of {f}: transform column ({u11}, {u21}) does not "
+                f"form cycle of {f}: transform column ({x}, {y}) does not "
                 f"represent the leading coefficient {cur[0]}")
         if abs(cur[0]) < best:
             best = abs(cur[0])
-            best_vec = (u11, u21)
-    else:
-        raise RuntimeError("form cycle did not close")
-    return best, best_vec
+            best_vec = (x, y)
+        if cur in seen:
+            return best, best_vec
+        seen.add(cur)
 
 
 @dataclass(frozen=True)

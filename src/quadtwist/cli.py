@@ -22,7 +22,7 @@ from decimal import Decimal
 from fractions import Fraction
 from typing import Optional
 
-from .geodesic import sample_at, sample_orbit
+from .geodesic import sample_orbit
 from .ideals import CanonicalBasisError, CanonicalIdeal, enumerate_canonical
 from .lattice2 import (
     _stable_reduced,

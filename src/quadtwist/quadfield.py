@@ -4,13 +4,17 @@ All values are immutable.  Every order predicate is decided by one exact sign
 test on plain integers (the sign of x + y*sqrt(m), or of a sum of two such
 radicals) after clearing denominators; no floating point enters any
 comparison.
+
+The cycle of reduced indefinite binary quadratic forms is walked in one
+place, `_rho_walk`: `fundamental_unit` reads the unit off the principal
+cycle, and `applications.form_minimum` the minimum of a form off its own.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Union
+from typing import Iterator, Union
 
 Rational = Union[int, Fraction]
 
@@ -341,67 +345,80 @@ def discriminant(D: int) -> int:
     return _discriminant(D)
 
 
-def _pell_unit(D: int) -> QuadElem:
-    """Minimal unit x + y*sqrt(D) > 1 of Z[sqrt(D)], |x^2 - D y^2| = 1.
+Form = tuple[int, int, int]  # integral (A, B, C), B^2 - 4AC > 0 not a square
 
-    Convergents of the continued fraction of sqrt(D); the first convergent
-    with x^2 - D y^2 = +-1 is the fundamental solution.
+
+def _rho_step(f: Form) -> tuple[Form, int]:
+    """One reduction step f -> (C, r, (r^2 - disc)/(4C)); returns the new form
+    and the integer s with transform matrix [[0, -1], [1, s]]."""
+    A, B, C = f
+    disc = B * B - 4 * A * C
+    sq = math.isqrt(disc)
+    ac = abs(C)
+    # r = -B mod 2|C|, shifted into the classical window
+    r = (-B) % (2 * ac)
+    if ac > sq:
+        if r > ac:
+            r -= 2 * ac
+    else:
+        # want sq - 2|C| < r <= sq  (integer window of width 2|C|)
+        r += ((sq - r) // (2 * ac)) * (2 * ac)
+    s = (B + r) // (2 * C)
+    new = (C, r, (r * r - disc) // (4 * C))
+    return new, s
+
+
+def _rho_walk(f: Form) -> Iterator[tuple[Form, int, int]]:
+    """Yield (rho^k(f), x, y) for k = 1, 2, ... without end.
+
+    (x, y) is the first column of the accumulated unimodular transform U with
+    rho^k(f) = f o U, so f(x, y) is the leading coefficient of rho^k(f).
+    From any start the walk reaches the reduced forms of the discriminant
+    and then runs round their cycle (Cohen, GTM 138, 5.6).  A discriminant
+    has finitely many reduced forms, so a form repeats, and a walk from a
+    reduced form comes back to it.
     """
-    sq = math.isqrt(D)
-    a, P, Q = sq, 0, 1  # complete quotient (P + sqrt(D))/Q with floor a
-    h2, h1 = 1, a
-    k2, k1 = 0, 1
-    while abs(h1 * h1 - D * k1 * k1) != 1:
-        P = a * Q - P
-        Q = (D - P * P) // Q
-        a = (P + sq) // Q
-        h2, h1 = h1, a * h1 + h2
-        k2, k1 = k1, a * k1 + k2
-    return _quad(D, h1, k1, 1)
-
-
-def _icbrt(n: int) -> int:
-    """Floor of the cube root of an integer n >= 0, by Newton's method on
-    integers from a start above the root."""
-    if n < 2:
-        return n
-    x = 1 << -(-n.bit_length() // 3)
+    u11, u12, u21, u22 = 1, 0, 0, 1
     while True:
-        y = (2 * x + n // (x * x)) // 3
-        if y >= x:
-            return x
-        x = y
+        f, s = _rho_step(f)
+        # U <- U @ [[0, -1], [1, s]]
+        u11, u12 = u12, -u11 + s * u12
+        u21, u22 = u22, -u21 + s * u22
+        yield f, u11, u21
 
 
 def fundamental_unit(D: int) -> tuple[QuadElem, QuadElem]:
     """Fundamental unit eps > 1 of O_K and the least totally positive unit.
 
-    For D != 1 (mod 4), O_K = Z[sqrt(D)] and eps is the minimal Pell unit.
-    For D = 1 (mod 4) the half-integral unit (t + u*sqrt(D))/2 may generate
-    an index-3 subgroup containing the Pell unit; the exact cube-root descent
-    below finds it when it exists.  eps_plus = eps if N(eps) = 1 else eps^2.
+    With disc the field discriminant and b the largest integer below
+    sqrt(disc) with b = disc (mod 2), the principal form
+    f = (1, b, (b^2 - disc)/4) is reduced and f(x, y) = N(x + y*w) for
+    w = (b + sqrt(disc))/2.  Walking its cycle of reduced forms, the first
+    form with leading coefficient +-1 has the column (x, y) with
+    x + y*w = +-eps^(+-1) (Cohen, GTM 138, 5.7): it is half-way round the
+    cycle when N(eps) = -1, and at its end otherwise.  A sign and an
+    inverse make eps > 1; |N(eps)| = 1 is re-checked exactly.
+    eps_plus = eps if N(eps) = 1 else eps^2.
     """
     check_field(D)
-    eta = _pell_unit(D)
-    eps = eta
-    if D % 4 == 1:
-        # If eps^3 = eta = x + y*sqrt(D) with eps = (t + u*sqrt(D))/2, the
-        # traces satisfy t^3 - 3*N(eps)*t = 2x, so t is within 1 of the cube
-        # root of 2x.
-        t0 = _icbrt(2 * eta.p)
-        for t in range(max(1, t0 - 2), t0 + 3):
-            for s in (4, -4):
-                num = t * t - s
-                if num <= 0 or num % D != 0 or not _is_square(num // D):
-                    continue
-                u = math.isqrt(num // D)
-                cand = _quad(D, t, u, 2)
-                if abs(cand.norm()) == 1 and cand ** 3 == eta:
-                    eps = cand
-                    break
-            if eps is not eta:
-                break
+    disc = _discriminant(D)
+    b = math.isqrt(disc)
+    b -= (b - disc) % 2
+    for (A, _, _), x, y in _rho_walk((1, b, (b * b - disc) // 4)):
+        if abs(A) == 1:
+            break
+    # x + y*w = (2x + y*b + y*sqrt(disc))/2, with sqrt(disc) = sqrt(D) when
+    # disc = D and 2*sqrt(D) when disc = 4D.
+    eps = _quad(D, 2 * x + y * b, y if disc == D else 2 * y, 2)
     n = eps.norm()
+    if abs(n) != 1:
+        raise CertificateError(
+            f"form cycle of D = {D}: column ({x}, {y}) gives {eps} of norm "
+            f"{n}, not a unit")
+    if eps < 0:
+        eps = -eps
+    if eps < 1:
+        eps = eps.inverse()
     eps_plus = eps if n == 1 else eps * eps
     return eps, eps_plus
 

@@ -312,12 +312,14 @@ def _stable_constraints(I: CanonicalIdeal) -> list[tuple[int, int, int]]:
     twistability, read off the pencil g(t) = t*P + Q with
     det g(t) = N(I)^2 * D * (t^2 - D).
 
-    Weak reducedness g11*g22 - 4*g12^2 >= 0, the two squared stability
-    conditions g11^2 - det >= 0 and g22^2 - det >= 0, and the linear guard
-    g22 >= 0 for the squaring (g11 = P11*t needs none on t > sqrt(D)).  The
-    first two carry the factor a^2 of z1 = a, which is divided out: the
-    roots are printed with unreduced radicands, so the triples are kept this
-    small.
+    Weak reducedness g11*g22 - 4*g12^2 >= 0 and the two squared stability
+    conditions g11^2 - det >= 0 and g22^2 - det >= 0.  The squaring needs no
+    sign guard: for t > sqrt(D), alpha = t + sqrt(D) is totally positive, so
+    g(t) is positive definite and g11, g22 > 0.  (A guard g22 = P22*t + Q22
+    >= 0 would have its rational root -Q22/P22 below the irrational sqrt(D)
+    and cut nothing from the domain.)  The first two triples carry the
+    factor a^2 of z1 = a, which is divided out: the roots are printed with
+    unreduced radicands, so the triples are kept this small.
     """
     P11, P12, P22, Q11, Q12, Q22 = I._pencil
     D, a2 = I.D, I.a * I.a
@@ -327,13 +329,12 @@ def _stable_constraints(I: CanonicalIdeal) -> list[tuple[int, int, int]]:
              (Q11 * Q22 - 4 * Q12 * Q12) // a2),
             ((P11 * P11 - k) // a2, 2 * P11 * Q11 // a2,
              (Q11 * Q11 + k * D) // a2),
-            (P22 * P22 - k, 2 * P22 * Q22, Q22 * Q22 + k * D),
-            (0, P22, Q22)]
+            (P22 * P22 - k, 2 * P22 * Q22, Q22 * Q22 + k * D)]
 
 
 # What each triple of `_stable_constraints` asks, by index.
 STABLE_CONSTRAINT_NAMES = ("weak reducedness", "g11^2 >= det",
-                           "g22^2 >= det", "g22 >= 0")
+                           "g22^2 >= det")
 
 
 def raw_stable_polynomials(I: CanonicalIdeal, t: Fraction) -> bool:

@@ -69,6 +69,12 @@ class TestMinAbsNorm:
             assert abs(r.witness.norm()) == 1
             assert r.attains_ideal_norm
 
+    def test_cycle_longer_than_10000_forms(self):
+        # O_K(20833961): N(eps) = -1 and a cycle of 11,306 reduced forms,
+        # which a walk capped at 10,000 steps could not close.
+        r = min_abs_norm(ring_of_integers(20833961))
+        assert (r.m, r.coeffs) == (1, (1, 0))
+
     def test_non_principal_ideal(self):
         # (3, 1 - sqrt(10)) has norm 3, but no element of norm +-3 exists
         # (the ideal is not principal); the minimal |N| is 6
@@ -203,18 +209,78 @@ class TestEuclideanBounds:
         assert rep.ideal_bound_lt_one
 
 
-def _ref_min_abs_norm_coeffs(I, scan_box=40):
-    """min_abs_norm's witness before it solved for y: a scan of the whole
-    box 0 <= x <= scan_box, |y| <= scan_box."""
-    f = applications._norm_form(I)
+# form_minimum before it walked quadfield._rho_walk, kept as the reference:
+# its own reduction step, and a walk capped at max_steps.
+
+def _ref_rho_step(f):
     A, B, C = f
-    m, vec = form_minimum(f)
-    candidates = [applications._normalize_coeffs(vec)]
-    for x in range(0, scan_box + 1):
-        for y in range(-scan_box, scan_box + 1):
-            if (x, y) > (0, 0) and abs(A * x * x + B * x * y + C * y * y) == m:
-                candidates.append((x, y))
-    return min(candidates, key=lambda v: (abs(v[0]) + abs(v[1]), v))
+    disc = B * B - 4 * A * C
+    sq = math.isqrt(disc)
+    ac = abs(C)
+    r = (-B) % (2 * ac)
+    if ac > sq:
+        if r > ac:
+            r -= 2 * ac
+    else:
+        r += ((sq - r) // (2 * ac)) * (2 * ac)
+    s = (B + r) // (2 * C)
+    return (C, r, (r * r - disc) // (4 * C)), s
+
+
+def _ref_form_minimum(f, max_steps=10000):
+    cur = f
+    u11, u12, u21, u22 = 1, 0, 0, 1
+    best = abs(f[0])
+    best_vec = (1, 0)
+    seen = {}
+    for step in range(max_steps):
+        if cur in seen:
+            break
+        seen[cur] = step
+        cur, s = _ref_rho_step(cur)
+        u11, u12 = u12, -u11 + s * u12
+        u21, u22 = u22, -u21 + s * u22
+        if abs(cur[0]) < best:
+            best = abs(cur[0])
+            best_vec = (u11, u21)
+    else:
+        raise RuntimeError("form cycle did not close")
+    return best, best_vec
+
+
+class TestFormMinimumAgainstReference:
+    def test_random_forms(self):
+        rng = random.Random(20261018)
+        checked = 0
+        while checked < 5000:
+            f = tuple(rng.randint(-60, 60) for _ in range(3))
+            disc = f[1] * f[1] - 4 * f[0] * f[2]
+            if disc <= 0 or math.isqrt(disc) ** 2 == disc:
+                continue
+            assert form_minimum(f) == _ref_form_minimum(f), f
+            checked += 1
+
+
+def _ref_min_abs_norm_coeffs(I, scan_box=40):
+    """min_abs_norm's witness by brute force: the least (|x| + |y|, (x, y))
+    among the reference cycle witness and the points of the box
+    0 <= x <= scan_box, |y| <= scan_box where |f| is the minimum.  The box
+    is scanned level by level in |x| + |y|, up to the first level that holds
+    a hit or the cycle witness."""
+    A, B, C = f = applications._norm_form(I)
+    m, vec = _ref_form_minimum(f)
+    w = applications._normalize_coeffs(vec)
+    w_level = abs(w[0]) + abs(w[1])
+    for level in range(1, min(w_level, 2 * scan_box) + 1):
+        hits = [(x, y) for x in range(min(level, scan_box) + 1)
+                for y in {level - x, x - level}
+                if abs(y) <= scan_box and (x, y) > (0, 0)
+                and abs(A * x * x + B * x * y + C * y * y) == m]
+        if level == w_level:
+            hits.append(w)
+        if hits:
+            return min(hits)
+    return w
 
 
 class TestMinAbsNormWitnessAgainstBoxScan:
@@ -225,8 +291,9 @@ class TestMinAbsNormWitnessAgainstBoxScan:
                 continue
             for I in enumerate_canonical(D, 12):
                 z1, z2 = I.basis_elements()
-                assert applications._norm_form(I) == \
-                    (z1.norm(), (z1 * z2).trace(), z2.norm()), I
+                f = applications._norm_form(I)
+                assert f == (z1.norm(), (z1 * z2).trace(), z2.norm()), I
+                assert form_minimum(f) == _ref_form_minimum(f), I
                 assert min_abs_norm(I).coeffs == _ref_min_abs_norm_coeffs(I), I
                 checked += 1
         assert checked == 7462

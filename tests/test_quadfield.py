@@ -11,7 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quadtwist import quadfield
 from quadtwist.quadfield import (
+    CertificateError,
     InvalidFieldError,
     QuadElem,
     Surd,
@@ -385,6 +387,111 @@ class TestSurd:
         assert (s + 1) - 1 == s
         assert 2 * s == Surd.of(0, 2, 2)
         assert -(-s) == s
+
+
+# The algorithm that the reduced-form cycle walk replaced, kept as the
+# reference: the first Pell unit of Z[sqrt(D)] from the continued fraction of
+# sqrt(D) and, for D = 1 (mod 4), an integer cube-root descent to the
+# half-integral unit whose cube it is.
+
+def _ref_pell_unit(D):
+    sq = math.isqrt(D)
+    a, P, Q = sq, 0, 1  # complete quotient (P + sqrt(D))/Q with floor a
+    h2, h1 = 1, a
+    k2, k1 = 0, 1
+    while abs(h1 * h1 - D * k1 * k1) != 1:
+        P = a * Q - P
+        Q = (D - P * P) // Q
+        a = (P + sq) // Q
+        h2, h1 = h1, a * h1 + h2
+        k2, k1 = k1, a * k1 + k2
+    return h1, k1
+
+
+def _ref_icbrt(n):
+    if n < 2:
+        return n
+    x = 1 << -(-n.bit_length() // 3)
+    while True:
+        y = (2 * x + n // (x * x)) // 3
+        if y >= x:
+            return x
+        x = y
+
+
+def _ref_fundamental_unit(D):
+    """(p, q, d) of eps = (p + q*sqrt(D))/d and of eps_plus."""
+    x, y = _ref_pell_unit(D)
+    eta = QuadElem.of(D, x, y)
+    eps = eta
+    if D % 4 == 1:
+        # eps^3 = eta with eps = (t + u*sqrt(D))/2 gives t^3 - 3*N(eps)*t
+        # = 2x, so t is within 1 of the cube root of 2x.
+        t0 = _ref_icbrt(2 * x)
+        for t in range(max(1, t0 - 2), t0 + 3):
+            for s in (4, -4):
+                num = t * t - s
+                if num <= 0 or num % D != 0:
+                    continue
+                u = math.isqrt(num // D)
+                if u * u != num // D:
+                    continue
+                cand = QuadElem.of(D, Fraction(t, 2), Fraction(u, 2))
+                if abs(cand.norm()) == 1 and cand ** 3 == eta:
+                    eps = cand
+                    break
+            if eps is not eta:
+                break
+    eps_plus = eps if eps.norm() == 1 else eps * eps
+    return (eps.p, eps.q, eps.d), (eps_plus.p, eps_plus.q, eps_plus.d)
+
+
+class TestFundamentalUnitAgainstPell:
+    @staticmethod
+    def _ints(D):
+        eps, eps_plus = fundamental_unit(D)
+        return (eps.p, eps.q, eps.d), (eps_plus.p, eps_plus.q, eps_plus.d)
+
+    def test_every_small_field(self):
+        checked = 0
+        for D in range(2, 10**4):
+            if is_squarefree(D):
+                assert self._ints(D) == _ref_fundamental_unit(D), D
+                checked += 1
+        assert checked == 6082
+
+    @pytest.mark.parametrize("D", [9999991, 20833961])
+    def test_large_fields(self, D):
+        # 9999991: a unit of 4153 digits; 20833961: N(eps) = -1 and a
+        # principal cycle of more than 10,000 forms.
+        assert self._ints(D) == _ref_fundamental_unit(D)
+
+    def test_conjugate_column_is_inverted(self, monkeypatch):
+        # The column of the conjugate unit, x + y*b and -y for the principal
+        # form (1, b, c), gives +-1/eps: the sign and the inverse still
+        # return eps.
+        expected = {D: self._ints(D) for D in (2, 3, 5, 13, 139, 141)}
+        true_walk = quadfield._rho_walk
+
+        def conjugated(f):
+            for g, x, y in true_walk(f):
+                yield g, x + f[1] * y, -y
+
+        monkeypatch.setattr(quadfield, "_rho_walk", conjugated)
+        for D, ints in expected.items():
+            assert self._ints(D) == ints, D
+
+    def test_bad_column_is_caught(self, monkeypatch):
+        true_walk = quadfield._rho_walk
+
+        def shifted(f):
+            for g, x, y in true_walk(f):
+                yield g, x, y + 1
+
+        monkeypatch.setattr(quadfield, "_rho_walk", shifted)
+        for D in (2, 5, 13, 139):
+            with pytest.raises(CertificateError):
+                fundamental_unit(D)
 
 
 def test_runs_without_sympy_mpmath_and_numpy():

@@ -331,8 +331,15 @@ class TestPencilAgainstClosedForms:
         assert even and (5, 2, 0, 2) in {(I.D, I.a, I.b, I.g) for I in even}
 
     def test_stable_constraints_exact(self, sweep):
+        # The reference keeps the old fourth triple, the guard g22 >= 0; its
+        # rational root lies below sqrt(D), so it cuts nothing from the
+        # domain t > sqrt(D), and the library drops it.
         for I in sweep:
-            assert twist._stable_constraints(I) == _ref_stable_constraints(I), I
+            ref = _ref_stable_constraints(I)
+            assert twist._stable_constraints(I) == ref[:3], I
+            zero, L1, L0 = ref[3]
+            assert zero == 0 and L1 > 0, I
+            assert L0 >= 0 or L0 * L0 < L1 * L1 * I.D, I
 
     def test_wr_ratio(self, sweep):
         for I in sweep:
@@ -409,10 +416,11 @@ _REF_BY_LO = cmp_to_key(lambda x, y: surd_compare(x.lo, y.lo))
 
 def _ref_stable_twist(I):
     """(running sets after each constraint, sorted final set, witness t,
-    witness alpha) of the old algorithm; it stops at the first empty set."""
+    witness alpha) of the old algorithm over the reference constraints,
+    guard g22 >= 0 included; it stops at the first empty set."""
     domain = Interval(Surd.of_ints(0, 1, I.D), None, lo_closed=False)
     feas, running = [domain], []
-    for (A, B, C) in twist._stable_constraints(I):
+    for (A, B, C) in _ref_stable_constraints(I):
         feas = intersect_interval_lists(
             feas, _ref_solve_quadratic_ge0(A, B, C, domain))
         running.append(feas)
@@ -478,7 +486,7 @@ class TestClippingAgainstReference:
             assert all(running[:k]), I
             emptied.add(k)
         assert emptied == {0, 1, 2}
-        assert len(twist.STABLE_CONSTRAINT_NAMES) == 4
+        assert len(twist.STABLE_CONSTRAINT_NAMES) == 3
 
     def test_emptied_by_first_constraint_is_the_bound_filter(self, pairs):
         for I, fr, _ in pairs:
