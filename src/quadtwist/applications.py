@@ -22,6 +22,8 @@ from .quadfield import (
     CertificateError,
     Form,
     QuadElem,
+    _int,
+    _rat,
     _rho_walk,
     _t_plus_sqrt,
     check_field,
@@ -42,8 +44,9 @@ def form_minimum(f: Form) -> tuple[int, tuple[int, int]]:
     The minimum of an integral indefinite form of non-square discriminant is
     attained among the leading coefficients of its cycle of reduced forms.
     `quadfield._rho_walk` runs into that cycle and round it, up to the first
-    repeated form; each leading coefficient is re-checked as the value of f
-    at its transform column, which is the witness.
+    repeated form, keeping the least |leading coefficient| and its transform
+    column.  That column, the witness, is re-checked once: |f| at it must be
+    the minimum.
     """
     disc = f[1] * f[1] - 4 * f[0] * f[2]
     if disc <= 0 or math.isqrt(disc) ** 2 == disc:
@@ -52,16 +55,19 @@ def form_minimum(f: Form) -> tuple[int, tuple[int, int]]:
     best_vec = (1, 0)
     seen = {f}
     for cur, x, y in _rho_walk(f):
-        if _form_value(f, x, y) != cur[0]:
-            raise CertificateError(
-                f"form cycle of {f}: transform column ({x}, {y}) does not "
-                f"represent the leading coefficient {cur[0]}")
         if abs(cur[0]) < best:
             best = abs(cur[0])
             best_vec = (x, y)
         if cur in seen:
-            return best, best_vec
+            break
         seen.add(cur)
+    x, y = best_vec
+    if abs(_form_value(f, x, y)) != best:
+        raise CertificateError(
+            f"form cycle of ({_int(f[0])}, {_int(f[1])}, {_int(f[2])}): "
+            f"transform column ({_int(x)}, {_int(y)}) does not represent the "
+            f"minimum {_int(best)}")
+    return best, best_vec
 
 
 @dataclass(frozen=True)
@@ -89,19 +95,25 @@ def _normalize_coeffs(v: tuple[int, int]) -> tuple[int, int]:
     return (x, y)
 
 
-def min_abs_norm(I: CanonicalIdeal, scan_box: int = 40) -> NormSearchResult:
-    """Exact minimum of |N(z)| over nonzero z in I.
+# The box 0 <= x <= _SCAN_BOX, |y| <= _SCAN_BOX of min_abs_norm's witness.
+_SCAN_BOX = 40
 
-    The value comes from the form cycle; the witness is the canonical
-    smallest attaining coefficient pair in the scan box 0 <= x <= scan_box,
-    |y| <= scan_box, found by solving f(x, y) = +-m for y at each x, falling
-    back to the cycle witness for skewed bases.
+
+def min_abs_norm(I: CanonicalIdeal) -> NormSearchResult:
+    """Exact minimum m of |N(z)| over nonzero z in I, with a witness.
+
+    The value comes from the form cycle.  The witness coefficients (x, y)
+    are the least by (|x| + |y|, (x, y)) among the cycle witness (its first
+    nonzero coordinate made positive) and the pairs of the fixed box
+    0 <= x <= 40, |y| <= 40 with |N| = m, found by solving f(x, y) = +-m
+    for y at each x; for skewed bases no box pair attains m and the cycle
+    witness stands.  |N| of the witness is re-checked exactly.
     """
     f = _norm_form(I)
     A, B, C = f  # C = N(z2) != 0
     m, vec = form_minimum(f)
     candidates = [_normalize_coeffs(vec)]
-    for x in range(0, scan_box + 1):
+    for x in range(0, _SCAN_BOX + 1):
         for target in (m, -m):
             disc = (B * x) ** 2 - 4 * C * (A * x * x - target)
             if disc < 0:
@@ -111,14 +123,15 @@ def min_abs_norm(I: CanonicalIdeal, scan_box: int = 40) -> NormSearchResult:
                 continue
             for y_num in (-B * x - r, -B * x + r):
                 y, rem = divmod(y_num, 2 * C)
-                if rem == 0 and abs(y) <= scan_box and (x, y) > (0, 0):
+                if rem == 0 and abs(y) <= _SCAN_BOX and (x, y) > (0, 0):
                     candidates.append((x, y))
     coeffs = min(candidates, key=lambda v: (abs(v[0]) + abs(v[1]), v))
     z1, z2 = I.basis_elements()
     witness = coeffs[0] * z1 + coeffs[1] * z2
     if abs(witness.norm()) != m:
         raise CertificateError(
-            f"witness {witness} of {I} has |N| = {abs(witness.norm())}, not {m}")
+            f"witness {witness} of {I} has |N| = {_rat(abs(witness.norm()))}, "
+            f"not {_int(m)}")
     return NormSearchResult(m, witness, coeffs, m == I.norm())
 
 
@@ -145,21 +158,25 @@ def _thickness_at(I: CanonicalIdeal, t: Fraction) -> Fraction:
     return hermite_thickness_sq(gram_of_twist(I, _t_plus_sqrt(I.D, t)))
 
 
-def tau_min_search(I: CanonicalIdeal, grid: int = 32, refine: int = 24) -> ThicknessSearchResult:
+# tau_min_search's grid points per unit period and golden-section steps.
+_GRID = 32
+_REFINE = 24
+
+
+def tau_min_search(I: CanonicalIdeal) -> ThicknessSearchResult:
     """Upper bound on the minimal Hermite thickness along the twist orbit.
 
     Thickness is evaluated exactly at the rational t = geodesic._t_at(D, L)
-    of log ratios L on a uniform grid over one unit period, then
-    golden-section refined in L; the reported value is the exact thickness
-    at the best rational sample, so the estimate is a certified upper bound
-    and non-increasing in grid size.
+    of a fixed uniform grid of 32 log ratios L inside one unit period, and
+    at the WR twist t* when there is one, then refined by 24 golden-section
+    steps in L around the best of them.  The reported value is the exact
+    thickness at the best rational sample, so the estimate is a certified
+    upper bound.
     """
-    if grid < 8:
-        raise ValueError("need grid >= 8")
     D = I.D
     _, eps_plus = fundamental_unit(D)
     log_period = _log_ratio(eps_plus)
-    candidates = [_t_at(D, log_period * k / (grid + 1)) for k in range(1, grid + 1)]
+    candidates = [_t_at(D, log_period * k / (_GRID + 1)) for k in range(1, _GRID + 1)]
     verdict = wr_twist(I)
     if verdict.wr_twistable:
         candidates.append(verdict.t_star)
@@ -168,9 +185,9 @@ def tau_min_search(I: CanonicalIdeal, grid: int = 32, refine: int = 24) -> Thick
     best_val, best_t = scored[0]
     # golden-section refinement in log-ratio space around the best sample
     mid = _log_ratio(_t_plus_sqrt(D, best_t))
-    a, b = mid - log_period / (grid + 1), mid + log_period / (grid + 1)
+    a, b = mid - log_period / (_GRID + 1), mid + log_period / (_GRID + 1)
     phi = (math.sqrt(5) - 1) / 2
-    for _ in range(refine):
+    for _ in range(_REFINE):
         c = b - phi * (b - a)
         d = a + phi * (b - a)
         tc = _t_at(D, max(c, log_period * 1e-6))

@@ -18,7 +18,6 @@ import json
 import math
 import sys
 import time
-from decimal import Decimal
 from fractions import Fraction
 from typing import Optional
 
@@ -36,7 +35,7 @@ from .lattice2 import (
     minima_brute_force,
     successive_minima,
 )
-from .quadfield import CertificateError, InvalidFieldError, QuadElem
+from .quadfield import CertificateError, InvalidFieldError, QuadElem, _rat
 from .twist import stable_twist, wr_bound_filter, wr_twist, stable_bound_filter
 
 EXIT_OK = 0
@@ -44,24 +43,8 @@ EXIT_INVALID = 2
 EXIT_VERIFY_FAILED = 3
 
 
-def _int(n: int) -> str:
-    # str(n) refuses more digits than sys.get_int_max_str_digits(); a large
-    # unit's t has thousands.  Decimal prints every digit.
-    return str(Decimal(n))
-
-
-def _rat(q) -> str:
-    q = Fraction(q)
-    n = _int(q.numerator)
-    return n if q.denominator == 1 else f"{n}/{_int(q.denominator)}"
-
-
 def _flt(x: float) -> float:
     return float(f"{x:.12g}")
-
-
-def _alpha_str(alpha: QuadElem) -> str:
-    return f"{_rat(alpha.x)} + sqrt({alpha.D})" if alpha.y == 1 else str(alpha)
 
 
 def _gram_json(G) -> dict:
@@ -116,7 +99,7 @@ def _twist_report(D: int, a: int, b: int, g: int, mode: str) -> dict:
         cos_f = float(G.g12) / math.sqrt(float(G.g11) * float(G.g22))
         report.update(
             {
-                "alpha": _alpha_str(alpha),
+                "alpha": str(alpha),
                 "gram": _gram_json(G),
                 "reduced_gram": _gram_json(R),
                 "minima_sq": [_rat(l1), _rat(l2)],
@@ -159,7 +142,7 @@ def cmd_survey(args) -> int:
             "wr_bound_filter": wr_bound_filter(I),
             "stable_bound_filter": stable_bound_filter(I),
             "wr_twistable": verdict.wr_twistable,
-            "alpha": None if verdict.alpha is None else _alpha_str(verdict.alpha),
+            "alpha": None if verdict.alpha is None else str(verdict.alpha),
             "stable_feasible": fr.feasible_real,
             "stable_witness_t": None if fr.witness_t is None else _rat(fr.witness_t),
         }

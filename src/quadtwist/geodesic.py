@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
 
 from .ideals import CanonicalIdeal
 from .lattice2 import (
@@ -28,7 +27,6 @@ from .lattice2 import (
 from .quadfield import (
     QuadElem,
     _discriminant,
-    _quad,
     _t_plus_sqrt,
     check_field,
     fundamental_unit,
@@ -86,11 +84,8 @@ def _t_at(D: int, L: float) -> Fraction:
     return Fraction(math.isqrt(D << 2 * k) + 1 + off, 1 << k)
 
 
-def sample_at(I: CanonicalIdeal, alpha: Union[QuadElem, Fraction, int]) -> GeodesicSample:
+def _sample_at(I: CanonicalIdeal, alpha: QuadElem) -> GeodesicSample:
     """Exact orbit sample at a given totally positive alpha."""
-    if not isinstance(alpha, QuadElem):
-        r = Fraction(alpha)
-        alpha = _quad(I.D, r.numerator, 0, r.denominator)
     G = gram_of_twist(I, alpha)
     L = _log_ratio(alpha)
     s = math.exp(L) if L < _LOG_FLOAT_MAX else math.inf
@@ -111,7 +106,7 @@ def sample_orbit(I: CanonicalIdeal, n: int) -> list[GeodesicSample]:
         raise ValueError("need n >= 1")
     _, eps_plus = fundamental_unit(I.D)
     log_period = _log_ratio(eps_plus)
-    return [sample_at(I, _t_plus_sqrt(I.D, _t_at(I.D, log_period * (k + 0.5) / n)))
+    return [_sample_at(I, _t_plus_sqrt(I.D, _t_at(I.D, log_period * (k + 0.5) / n)))
             for k in range(n)]
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .quadfield import QuadElem, _discriminant, _quad, check_field
+from .quadfield import QuadElem, _quad, check_field
 
 
 class CanonicalBasisError(ValueError):
@@ -88,9 +88,6 @@ class CanonicalIdeal:
     def basis_elements(self) -> tuple[QuadElem, QuadElem]:
         # D was checked when the ideal was made.
         return _quad(self.D, self.a, 0, 1), _quad(self.D, *self._uve)
-
-    def discriminant(self) -> int:
-        return _discriminant(self.D)
 
     def __str__(self):
         return f"({self.a}, {self.b} + {self.g}*delta) over D={self.D}"

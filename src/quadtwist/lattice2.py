@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .quadfield import QuadElem, Rational
+from .quadfield import QuadElem, Rational, _rat, _rat_repr
 
 if TYPE_CHECKING:
     from .ideals import CanonicalIdeal
@@ -43,10 +43,6 @@ class Gram2:
                    g12.numerator * (den // g12.denominator),
                    g22.numerator * (den // g22.denominator), den)
 
-    @staticmethod
-    def of(g11: Rational, g12: Rational, g22: Rational) -> "Gram2":
-        return Gram2(g11, g12, g22)
-
     def __reduce__(self):
         return (_gram, (self._n11, self._n12, self._n22, self._den))
 
@@ -58,11 +54,6 @@ class Gram2:
         return Fraction(self._n11 * self._n22 - self._n12 * self._n12,
                         self._den * self._den)
 
-    def value(self, v: Vec2) -> Fraction:
-        m, n = v
-        return Fraction(self._n11 * m * m + 2 * self._n12 * m * n
-                        + self._n22 * n * n, self._den)
-
     def transform(self, u: "UnimodularMap") -> "Gram2":
         """Gram of the same lattice in the basis (b1, b2) * U."""
         a, b, c, d = u.a, u.b, u.c, u.d
@@ -70,9 +61,6 @@ class Gram2:
         return _gram(n11 * a * a + 2 * n12 * a * c + n22 * c * c,
                      n11 * a * b + n12 * (a * d + b * c) + n22 * c * d,
                      n11 * b * b + 2 * n12 * b * d + n22 * d * d, self._den)
-
-    def entries(self) -> tuple[Fraction, Fraction, Fraction]:
-        return self.g11, self.g12, self.g22
 
     def __eq__(self, other):
         if isinstance(other, Gram2):
@@ -84,10 +72,12 @@ class Gram2:
         return hash((self._n11, self._n12, self._n22, self._den))
 
     def __repr__(self):
-        return f"Gram2(g11={self.g11!r}, g12={self.g12!r}, g22={self.g22!r})"
+        return (f"Gram2(g11={_rat_repr(self.g11)}, g12={_rat_repr(self.g12)}, "
+                f"g22={_rat_repr(self.g22)})")
 
     def __str__(self):
-        return f"[[{self.g11}, {self.g12}], [{self.g12}, {self.g22}]]"
+        g12 = _rat(self.g12)
+        return f"[[{_rat(self.g11)}, {g12}], [{g12}, {_rat(self.g22)}]]"
 
 
 def _fill_gram(G: Gram2, n11: int, n12: int, n22: int, den: int) -> Gram2:
@@ -181,9 +171,6 @@ def lagrange_reduce(G: Gram2) -> tuple[Gram2, UnimodularMap]:
         n22 = n22 - 2 * r * n12 + r * r * n11
         n12 = n12 - r * n11
         b, d = b - r * a, d - r * c
-    if n11 > n22:
-        n11, n22 = n22, n11
-        a, b, c, d = b, a, d, c
     if n12 < 0:
         n12 = -n12
         b, d = -b, -d
@@ -286,21 +273,6 @@ def hermite_thickness_sq(G: Gram2) -> Fraction:
     return Fraction(num * num, 16 * det * det * det)
 
 
-def wr_stretch(G: Gram2) -> tuple[Fraction, int, Fraction]:
-    """Similarity invariants of the WR lattice obtained by cross-scaling.
-
-    For a Lagrange-reduced basis, (lambda_2*v1, lambda_1*v2) spans a WR
-    lattice with both squared norms g11*g22 and the same cosine.  Returns
-    (cos^2, sign of cos, common squared norm).  Non-reduced input rejected.
-    """
-    if not is_lagrange_reduced(G):
-        raise ValueError("wr_stretch requires a Lagrange-reduced Gram")
-    n11, n12, n22 = G._n11, G._n12, G._n22
-    cos_sq = Fraction(n12 * n12, n11 * n22)
-    sign = (n12 > 0) - (n12 < 0)
-    return cos_sq, sign, Fraction(n11 * n22, G._den * G._den)
-
-
 @dataclass(frozen=True)
 class SimilarityPoint:
     """Point tau = x + i*sqrt(y_sq) in the upper half-plane, kept exact."""
@@ -314,20 +286,11 @@ class SimilarityPoint:
         if self.y_sq <= 0:
             raise ValueError("point must lie in the upper half-plane")
 
+    def __repr__(self):
+        return (f"SimilarityPoint(x={_rat_repr(self.x)}, "
+                f"y_sq={_rat_repr(self.y_sq)})")
+
 
 def similarity_point(G: Gram2) -> SimilarityPoint:
     """Similarity class of the lattice as a point of the fundamental domain."""
     return _similarity_reduced(lagrange_reduce(G)[0])
-
-
-def reduce_to_fundamental(tau: SimilarityPoint) -> SimilarityPoint:
-    """SL2(Z) reduction of tau into |x| <= 1/2, x^2 + y^2 >= 1, then the
-    fold x -> |x| into the similarity-class half-domain."""
-    x, y2 = tau.x, tau.y_sq
-    while True:
-        x = x - round(x)
-        n = x * x + y2
-        if n >= 1:
-            break
-        x, y2 = -x / n, y2 / (n * n)
-    return SimilarityPoint(abs(x), y2)

@@ -13,6 +13,8 @@ cycle, and `applications.form_minimum` the minimum of a form off its own.
 from __future__ import annotations
 
 import math
+import operator
+from decimal import Decimal
 from fractions import Fraction
 from typing import Iterator, Union
 
@@ -21,6 +23,33 @@ Rational = Union[int, Fraction]
 # Builders for the immutable value types, bypassing their public checks.
 _new = object.__new__
 _setattr = object.__setattr__
+
+
+def _int(n: int) -> str:
+    # str(n) refuses more digits than sys.get_int_max_str_digits(); a large
+    # unit has thousands.  Decimal prints every digit.
+    return str(Decimal(n))
+
+
+def _rat(q: Rational) -> str:
+    """str(q) of an int or Fraction, of any size."""
+    n = _int(q.numerator)
+    return n if q.denominator == 1 else f"{n}/{_int(q.denominator)}"
+
+
+def _rat_repr(q: Fraction) -> str:
+    """repr(q) of a Fraction, of any size."""
+    return f"Fraction({_int(q.numerator)}, {_int(q.denominator)})"
+
+
+def _order(op):
+    """The rich comparison op(self._cmp(other), 0).  `_cmp` returns
+    NotImplemented for an operand of another type, so Python raises
+    TypeError."""
+    def compare(self, other):
+        c = self._cmp(other)
+        return c if c is NotImplemented else op(c, 0)
+    return compare
 
 
 class InvalidFieldError(ValueError):
@@ -255,23 +284,18 @@ class QuadElem:
 
     # -- order and conversion ----------------------------------------------
 
-    def _cmp_sign(self, other) -> int:
+    def _cmp(self, other):
         o = self._coerce(other)
+        if o is NotImplemented:
+            return o
         d1, d2 = self._d, o._d
         return _sign_x_plus_y_sqrt(self._p * d2 - o._p * d1,
                                    self._q * d2 - o._q * d1, self._D)
 
-    def __lt__(self, other):
-        return self._cmp_sign(other) < 0
-
-    def __le__(self, other):
-        return self._cmp_sign(other) <= 0
-
-    def __gt__(self, other):
-        return self._cmp_sign(other) > 0
-
-    def __ge__(self, other):
-        return self._cmp_sign(other) >= 0
+    __lt__ = _order(operator.lt)
+    __le__ = _order(operator.le)
+    __gt__ = _order(operator.gt)
+    __ge__ = _order(operator.ge)
 
     def __eq__(self, other):
         if isinstance(other, QuadElem):
@@ -294,14 +318,15 @@ class QuadElem:
         return self.embed(1)
 
     def __repr__(self):
-        return f"QuadElem(D={self._D!r}, x={self.x!r}, y={self.y!r})"
+        return (f"QuadElem(D={self._D!r}, x={_rat_repr(self.x)}, "
+                f"y={_rat_repr(self.y)})")
 
     def __str__(self):
         x, y = self.x, self.y
         if y == 0:
-            return str(x)
-        head = "" if x == 0 else f"{x} + "
-        coef = "" if y == 1 else f"{y}*"
+            return _rat(x)
+        head = "" if x == 0 else f"{_rat(x)} + "
+        coef = "" if y == 1 else f"{_rat(y)}*"
         return f"{head}{coef}sqrt({self._D})"
 
 
@@ -413,8 +438,8 @@ def fundamental_unit(D: int) -> tuple[QuadElem, QuadElem]:
     n = eps.norm()
     if abs(n) != 1:
         raise CertificateError(
-            f"form cycle of D = {D}: column ({x}, {y}) gives {eps} of norm "
-            f"{n}, not a unit")
+            f"form cycle of D = {D}: column ({_int(x)}, {_int(y)}) gives "
+            f"{eps} of norm {_rat(n)}, not a unit")
     if eps < 0:
         eps = -eps
     if eps < 1:
@@ -447,14 +472,6 @@ class Surd:
                    v.numerator * (d // vd), m.numerator * m.denominator, d)
 
     @staticmethod
-    def of(u: Rational, v: Rational = 0, m: Rational = 0) -> "Surd":
-        return Surd(u, v, m)
-
-    @staticmethod
-    def sqrt(q: Rational) -> "Surd":
-        return Surd(0, 1, q)
-
-    @staticmethod
     def of_ints(p: int, q: int = 0, n: int = 0, d: int = 1) -> "Surd":
         """(p + q*sqrt(n))/d from integers, with n >= 0 and d > 0."""
         if n < 0 or d <= 0:
@@ -480,67 +497,29 @@ class Surd:
         return Fraction(self.n)
 
     def __repr__(self):
-        return f"Surd(u={self.u!r}, v={self.v!r}, m={self.m!r})"
+        return (f"Surd(u={_rat_repr(self.u)}, v={_rat_repr(self.v)}, "
+                f"m={_rat_repr(self.m)})")
 
     def __str__(self):
         if self.q == 0:
-            return str(self.u)
-        head = "" if self.p == 0 else f"{self.u} + "
-        coef = "" if self.q == self.d else f"{self.v}*"
-        return f"{head}{coef}sqrt({self.n})"
-
-    def is_rational(self) -> bool:
-        return self.q == 0
-
-    def as_rational(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError(f"{self} is irrational")
-        return self.u
+            return _rat(self.u)
+        head = "" if self.p == 0 else f"{_rat(self.u)} + "
+        coef = "" if self.q == self.d else f"{_rat(self.v)}*"
+        return f"{head}{coef}sqrt({_int(self.n)})"
 
     def __float__(self):
         return self.p / self.d + self.q / self.d * math.sqrt(self.n)
 
-    def __neg__(self):
-        return Surd.of_ints(-self.p, -self.q, self.n, self.d)
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            a, b = other.numerator, other.denominator
-            return Surd.of_ints(self.p * b + a * self.d, self.q * b, self.n,
-                                self.d * b)
-        return NotImplemented
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self + (-other)
-        return NotImplemented
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            a, b = other.numerator, other.denominator
-            return Surd.of_ints(self.p * a, self.q * a, self.n, self.d * b)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __lt__(self, other):
-        return surd_compare(self, other) < 0
-
-    def __le__(self, other):
-        return surd_compare(self, other) <= 0
-
-    def __gt__(self, other):
-        return surd_compare(self, other) > 0
-
-    def __ge__(self, other):
-        return surd_compare(self, other) >= 0
-
-    def __eq__(self, other):
+    def _cmp(self, other):
         if isinstance(other, (Surd, int, Fraction)):
-            return surd_compare(self, other) == 0
+            return surd_compare(self, other)
         return NotImplemented
+
+    __lt__ = _order(operator.lt)
+    __le__ = _order(operator.le)
+    __gt__ = _order(operator.gt)
+    __ge__ = _order(operator.ge)
+    __eq__ = _order(operator.eq)
 
     def __hash__(self):
         # Consistent with __eq__ without factoring the radicand: square roots
@@ -570,15 +549,21 @@ def _fill_surd(s: Surd, p: int, q: int, n: int, d: int) -> Surd:
 
 
 def surd_compare(s1, s2) -> int:
-    """Exact three-way comparison of Surd/rational values: -1, 0 or +1."""
+    """Exact three-way comparison of Surd/rational values: -1, 0 or +1.
+
+    Raises TypeError for an operand that is not a Surd, int or Fraction."""
     if isinstance(s1, Surd):
         p1, q1, n1, d1 = s1.p, s1.q, s1.n, s1.d
-    else:
+    elif isinstance(s1, (int, Fraction)):
         p1, q1, n1, d1 = s1.numerator, 0, 0, s1.denominator
+    else:
+        raise TypeError(f"not a Surd or rational: {type(s1).__name__}")
     if isinstance(s2, Surd):
         p2, q2, n2, d2 = s2.p, s2.q, s2.n, s2.d
-    else:
+    elif isinstance(s2, (int, Fraction)):
         p2, q2, n2, d2 = s2.numerator, 0, 0, s2.denominator
+    else:
+        raise TypeError(f"not a Surd or rational: {type(s2).__name__}")
     # Both denominators are positive: compare (p1 + q1 sqrt(n1)) d2 with
     # (p2 + q2 sqrt(n2)) d1.
     x = p1 * d2 - p2 * d1

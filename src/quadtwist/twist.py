@@ -18,7 +18,6 @@ is a sorted list of intervals with surd endpoints.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -34,8 +33,8 @@ from .lattice2 import (
 from .quadfield import (
     CertificateError,
     QuadElem,
-    Rational,
     Surd,
+    _rat,
     _t_plus_sqrt,
     surd_compare,
 )
@@ -70,14 +69,14 @@ class Interval:
         right = "]" if self.hi_closed else ")"
         return f"{left}{self.lo}, {self.hi}{right}"
 
-    def contains(self, t, strict: bool = False) -> bool:
+    def contains(self, t) -> bool:
         cl = surd_compare(t, self.lo)
-        if cl < 0 or (cl == 0 and (strict or not self.lo_closed)):
+        if cl < 0 or (cl == 0 and not self.lo_closed):
             return False
         if self.hi is None:
             return True
         ch = surd_compare(t, self.hi)
-        return ch < 0 or (ch == 0 and not strict and self.hi_closed)
+        return ch < 0 or (ch == 0 and self.hi_closed)
 
 
 def _intersect_pair(a: Interval, b: Interval) -> Optional[Interval]:
@@ -163,20 +162,6 @@ def _clip(feas: list[Interval], A: int, B: int, C: int) -> list[Interval]:
     return [p for iv in feas
             if (q := _above(iv, r1)) is not None
             and (p := _below(q, r2)) is not None]
-
-
-def solve_quadratic_ge0(A: Rational, B: Rational, C: Rational,
-                        domain: Interval) -> list[Interval]:
-    """Exact solution set of A*t^2 + B*t + C >= 0 intersected with the
-    nonempty interval domain.
-
-    Rational coefficients are scaled to integers once, on entry; the roots
-    (-B -+ sqrt(B^2 - 4AC))/(2A) are then integer surds, at which `_clip`
-    cuts the domain.
-    """
-    scale = math.lcm(A.denominator, B.denominator, C.denominator)
-    A, B, C = (c.numerator * (scale // c.denominator) for c in (A, B, C))
-    return _clip([domain], A, B, C)
 
 
 def _max_stride(check) -> int:
@@ -303,7 +288,8 @@ def wr_twist(I: CanonicalIdeal) -> TwistVerdict:
     gram = gram_of_twist(I, alpha)
     if not (is_wr(gram) and is_paper_reduced(gram)):
         raise CertificateError(
-            f"WR twist t* = {t_star} of {I} fails the exact WR/reduced re-check")
+            f"WR twist t* = {_rat(t_star)} of {I} fails the exact WR/reduced "
+            f"re-check")
     return TwistVerdict(True, t_star=t_star, alpha=alpha, gram=gram)
 
 
@@ -374,6 +360,6 @@ def stable_twist(I: CanonicalIdeal) -> FeasibilityReport:
         if not (is_paper_reduced(gram) and is_stable(gram)
                 and raw_stable_polynomials(I, witness_t)):
             raise CertificateError(
-                f"stable witness t = {witness_t} of {I} fails the exact "
+                f"stable witness t = {_rat(witness_t)} of {I} fails the exact "
                 f"stability re-check")
     return FeasibilityReport(True, tuple(feas), witness_t, witness_alpha)

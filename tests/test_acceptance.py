@@ -8,6 +8,7 @@ import functools
 import math
 import random
 import time
+from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations
 
@@ -17,6 +18,7 @@ from quadtwist.applications import (
     HEXAGONAL_THICKNESS_SQ,
     d_min_sq_twist,
     euclidean_bounds,
+    min_abs_norm,
     tau_min_search,
 )
 from quadtwist.geodesic import orthogonal_only, sample_orbit, wr_intersection_classes
@@ -93,7 +95,7 @@ def test_criterion_3():
     assert fr.feasible_real
     assert fr.contains_t(Fraction(63))
     G = gram_of_twist(I, QuadElem.of(1327, 63, 1))
-    assert G.entries() == (191646, 83226, 147442)
+    assert (G.g11, G.g12, G.g22) == (191646, 83226, 147442)
     assert G.det() == 21330102456
     assert rel_close(math.sqrt(21330102456), 146048.2881, 1e-6)
     cos = float(G.g12) / math.sqrt(float(G.g11) * float(G.g22))
@@ -142,7 +144,7 @@ def test_criterion_5():
     assert stable_ok == [5]
     v = wr_twist(ring_of_integers(5))
     assert v.alpha == QuadElem.of(5, 5, 1)
-    assert v.gram.entries() == (10, 0, 10)
+    assert (v.gram.g11, v.gram.g12, v.gram.g22) == (10, 0, 10)
     assert time.monotonic() - start < 60.0
 
 
@@ -188,7 +190,7 @@ def _deep_hole_oracle(G):
     coefficient window |i|, |j| <= 2 and checks the circle against every
     point in |i|, |j| <= 3.
     """
-    g11, g12, g22 = G.entries()
+    g11, g12, g22 = G.g11, G.g12, G.g22
     den = math.lcm(g11.denominator, g12.denominator, g22.denominator)
     a, b, c = _gauss_reduce(*(int(x * den) for x in (g11, g12, g22)))
 
@@ -221,7 +223,7 @@ def _random_gram(rng):
         g22 = Fraction(rng.randint(1, 100), rng.randint(1, 100))
         g12 = Fraction(rng.randint(-100, 100), rng.randint(1, 100))
         if g11 > 0 and g11 * g22 - g12 * g12 > 0:
-            return Gram2.of(g11, g12, g22)
+            return Gram2(g11, g12, g22)
 
 
 @criterion(7, "reduction minima, covering radius and reducedness vs oracles "
@@ -231,7 +233,7 @@ def test_criterion_7():
     for _ in range(1000):
         G = _random_gram(rng)
         R, U = lagrange_reduce(G)
-        assert G.transform(U).entries() == R.entries()
+        assert G.transform(U) == R
         l1, l2 = successive_minima(G)
         assert (l1, l2) == minima_brute_force(R, box=25)
         mu2 = covering_radius_sq(G)
@@ -307,3 +309,33 @@ def test_criterion_10():
         assert d_min_sq_twist(I, alpha) == \
             d_min_sq_twist(I, alpha * eps_plus * eps_plus)
         checked += 1
+
+
+@criterion(11, "unit, minimum |N|, orbit and their repr for O_K of three "
+               "seeded fields with 10^8 <= D <= 2*10^9, within 5 s")
+def test_criterion_11():
+    # Seed 1 draws D = 388545018, 1919850095 and 647756574, whose units have
+    # 4280, 9540 and 3705 digits; str(int) refuses more than 4300.
+    rng = random.Random(1)
+    fields = []
+    while len(fields) < 3:
+        D = rng.randrange(10**8, 2 * 10**9 + 1)
+        if is_squarefree(D):
+            fields.append(D)
+    start = time.monotonic()
+    digits = []
+    for D in fields:
+        eps, _ = fundamental_unit(D)
+        assert eps > 1 and abs(eps.norm()) == 1, D
+        digits.append(len(str(Decimal(eps.p))))
+        I = ring_of_integers(D)
+        r = min_abs_norm(I)
+        assert r.m == 1 and abs(r.witness.norm()) == 1, D
+        samples = sample_orbit(I, 8)
+        ts = [s.alpha.x for s in samples]
+        assert all(b < a for a, b in zip(ts, ts[1:])) and ts[-1] ** 2 > D, D
+        assert repr(eps).startswith(f"QuadElem(D={D}, x=Fraction(")
+        assert repr(r).startswith(f"NormSearchResult(m=1, witness=QuadElem(")
+        assert repr(samples).startswith("[GeodesicSample(s=")
+    assert max(digits) > 4300
+    assert time.monotonic() - start < 5.0

@@ -163,7 +163,7 @@ class TestThicknessSearch:
 
         for D, a, b, g in [(2, 1, 0, 1), (10, 3, 1, 1)]:
             I = validate_canonical(D, a, b, g)
-            r = tau_min_search(I, grid=16, refine=12)
+            r = tau_min_search(I)
             alpha = QuadElem.of(D, r.argmin_t, 1)
             assert hermite_thickness_sq(gram_of_twist(I, alpha)) == \
                 r.exact_tau_sq_at_argmin
@@ -179,12 +179,6 @@ class TestThicknessSearch:
         assert hermite_thickness_sq(gram_of_twist(I, alpha)) == \
             r.exact_tau_sq_at_argmin
         assert r.exact_tau_sq_at_argmin >= HEXAGONAL_THICKNESS_SQ
-
-    def test_monotone_in_grid(self):
-        I = ring_of_integers(2)
-        coarse = tau_min_search(I, grid=8, refine=8)
-        fine = tau_min_search(I, grid=32, refine=16)
-        assert fine.exact_tau_sq_at_argmin <= coarse.exact_tau_sq_at_argmin
 
 
 class TestEuclideanBounds:
@@ -304,6 +298,16 @@ class TestCertificates:
         monkeypatch.setattr(applications, "_form_value", lambda f, x, y: 0)
         with pytest.raises(CertificateError):
             form_minimum((1, 0, -2))
+
+    def test_form_minimum_rechecks_the_returned_column(self, monkeypatch):
+        # A walk whose columns are off by one: the least leading coefficient
+        # of (7, 1, -5) is 1, kept with the column (8, 9), where |f| = 115.
+        true_walk = applications._rho_walk
+        monkeypatch.setattr(
+            applications, "_rho_walk",
+            lambda f: ((g, x + 1, y) for g, x, y in true_walk(f)))
+        with pytest.raises(CertificateError):
+            form_minimum((7, 1, -5))
 
     def test_min_abs_norm_rechecks_witness(self, monkeypatch):
         true_minimum = applications.form_minimum

@@ -11,9 +11,9 @@ from quadtwist.geodesic import (
     F_invariant,
     _log_ratio,
     _points_in_embedding_box,
+    _sample_at,
     _t_at,
     orthogonal_only,
-    sample_at,
     sample_orbit,
     wr_intersection_classes,
 )
@@ -31,24 +31,24 @@ from quadtwist.twist import wr_twist
 
 class TestSampleAt:
     def test_orthogonal_point(self):
-        s = sample_at(ring_of_integers(5), QuadElem.of(5, 5, 1))
+        s = _sample_at(ring_of_integers(5), QuadElem.of(5, 5, 1))
         assert (s.tau.x, s.tau.y_sq) == (0, 1)
         assert s.is_wr and s.is_stable
 
     def test_untwisted_ring(self):
-        s = sample_at(ring_of_integers(2), 1)
+        s = _sample_at(ring_of_integers(2), QuadElem.of(2, 1, 0))
         assert (s.tau.x, s.tau.y_sq) == (0, 2)
         assert not s.is_wr and not s.is_stable
 
     def test_rejects_not_totally_positive(self):
         with pytest.raises(ValueError):
-            sample_at(ring_of_integers(2), QuadElem.of(2, 1, 1))
+            _sample_at(ring_of_integers(2), QuadElem.of(2, 1, 1))
 
     @pytest.mark.parametrize("D, a, b, g", [
         (5, 1, 0, 1), (59, 1, 0, 1), (139, 9, 7, 1), (141, 5, 4, 1),
         (1327, 39, 38, 1)])
     def test_matches_public_predicates(self, D, a, b, g):
-        # sample_at reduces the Gram once; its flags and tau must be what the
+        # _sample_at reduces the Gram once; its flags and tau must be what the
         # public predicates give, each reducing on its own
         I = validate_canonical(D, a, b, g)
         isqrt = math.isqrt(D)
@@ -58,7 +58,7 @@ class TestSampleAt:
                 continue
             alpha = QuadElem.of(D, t, 1)
             G = gram_of_twist(I, alpha)
-            s = sample_at(I, alpha)
+            s = _sample_at(I, alpha)
             assert (s.is_wr, s.is_stable) == (is_wr(G), is_stable(G))
             assert s.tau == similarity_point(G)
 
@@ -413,7 +413,7 @@ class TestOrthogonalOnly:
         for D in (2, 5, 10, 26, 29):
             I = ring_of_integers(D)
             _, values = wr_intersection_classes(I)
-            dk = Fraction(I.discriminant())
+            dk = Fraction(discriminant(D))
             for f in values:
                 n_sq = f + dk / 4
                 assert n_sq.denominator == 1 and n_sq >= 0, (D, f)

@@ -4,6 +4,7 @@ import pickle
 import subprocess
 import sys
 import textwrap
+from decimal import Decimal
 from fractions import Fraction
 
 import mpmath
@@ -12,6 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadtwist import quadfield
+from quadtwist.lattice2 import Gram2
+from quadtwist.twist import Interval
 from quadtwist.quadfield import (
     CertificateError,
     InvalidFieldError,
@@ -246,6 +249,21 @@ class TestQuadElemAgainstPairs:
         assert str(QuadElem.of(7, 0, 1)) == "sqrt(7)"
         assert str(QuadElem.of(7, 3, 0)) == "3"
 
+    def test_str_and_repr_beyond_the_int_str_limit(self):
+        # The unit of D = 1700113703 has integers of about 6,500 digits;
+        # str(int) refuses more than 4,300 (sys.get_int_max_str_digits).
+        D = 1700113703
+        eps, _ = fundamental_unit(D)
+        assert eps.d == 1 and len(str(Decimal(eps.p))) > 4300
+        x, y = str(eps).split(" + ")
+        assert y.endswith(f"*sqrt({D})")
+        y = y[:-len(f"*sqrt({D})")]
+        assert (int(Decimal(x)), int(Decimal(y))) == (eps.p, eps.q)
+        assert repr(eps) == f"QuadElem(D={D}, x=Fraction({x}, 1), y=Fraction({y}, 1))"
+        big = Fraction(eps.p, eps.q)
+        assert str(Surd(big, 1, D)) == f"{x}/{y} + sqrt({D})"
+        assert str(Gram2(big, 0, 1)) == f"[[{x}/{y}, 0], [0, 1]]"
+
     def test_immutable(self):
         z = QuadElem.of(5, 1, 1)
         for name in ("D", "x", "y", "p", "q", "d"):
@@ -255,6 +273,16 @@ class TestQuadElemAgainstPairs:
     def test_equality_only_with_elements(self):
         assert QuadElem.of(5, 1, 0) != 1
         assert QuadElem.of(5, 1, 0) != QuadElem.of(13, 1, 0)
+
+
+@pytest.mark.parametrize("compare", [
+    lambda: QuadElem.of(5, 1, 1) < 1.5,
+    lambda: Surd(0, 1, 2) < 1.5,
+    lambda: Interval(Surd(0, 1, 2), None).contains(1.5),
+], ids=["QuadElem", "Surd", "Interval.contains"])
+def test_ordering_against_a_float_is_a_type_error(compare):
+    with pytest.raises(TypeError):
+        compare()
 
 
 class TestFieldConstants:
@@ -322,26 +350,26 @@ class TestFundamentalUnit:
 
 class TestSurd:
     def test_canonical_form(self):
-        s = Surd.of(1, 2, 4)  # 1 + 2*sqrt(4) = 5
-        assert s.is_rational() and s.as_rational() == 5
-        assert Surd.sqrt(Fraction(9, 4)) == Fraction(3, 2)
+        s = Surd(1, 2, 4)  # 1 + 2*sqrt(4) = 5
+        assert (s.p, s.q, s.n, s.d) == (5, 0, 0, 1) and s == 5
+        assert Surd(0, 1, Fraction(9, 4)) == Fraction(3, 2)
         with pytest.raises(ValueError):
-            Surd.of(0, 1, -2)
+            Surd(0, 1, -2)
 
     def test_compare_same_radicand(self):
-        assert Surd.sqrt(2) < Surd.of(0, 2, 2)
-        assert Surd.of(1, 1, 2) > Surd.of(2)
-        assert surd_compare(Surd.sqrt(2), Fraction(3, 2)) < 0
+        assert Surd(0, 1, 2) < Surd(0, 2, 2)
+        assert Surd(1, 1, 2) > Surd(2)
+        assert surd_compare(Surd(0, 1, 2), Fraction(3, 2)) < 0
 
     def test_compare_two_radicands(self):
         # sqrt(2) + 1 vs sqrt(6): 2.4142 < 2.4495
-        assert Surd.of(1, 1, 2) < Surd.sqrt(6)
+        assert Surd(1, 1, 2) < Surd(0, 1, 6)
         # sqrt(3) vs sqrt(2): mixed radicands
-        assert Surd.sqrt(3) > Surd.sqrt(2)
+        assert Surd(0, 1, 3) > Surd(0, 1, 2)
         # 2*sqrt(3) vs 1 + sqrt(5): 3.4641 > 3.2361
-        assert Surd.of(0, 2, 3) > Surd.of(1, 1, 5)
+        assert Surd(0, 2, 3) > Surd(1, 1, 5)
         # equality across radicands: 2*sqrt(2) = sqrt(8)
-        assert Surd.of(0, 2, 2) == Surd.sqrt(8)
+        assert Surd(0, 2, 2) == Surd(0, 1, 8)
 
     @given(
         u1=surd_coeffs, v1=surd_coeffs, u2=surd_coeffs, v2=surd_coeffs,
@@ -349,8 +377,8 @@ class TestSurd:
     )
     @settings(max_examples=300)
     def test_compare_matches_high_precision(self, u1, v1, u2, v2, m1, m2):
-        s1 = Surd.of(u1, v1, m1)
-        s2 = Surd.of(u2, v2, m2)
+        s1 = Surd(u1, v1, m1)
+        s2 = Surd(u2, v2, m2)
 
         def mp(q):
             q = Fraction(q)
@@ -365,11 +393,11 @@ class TestSurd:
                 assert surd_compare(s1, s2) == expected
 
     def test_hash_agrees_with_eq(self):
-        assert len({Surd.of(0, 2, 2), Surd.sqrt(8)}) == 1
-        assert hash(Surd.of(Fraction(3, 2))) == hash(Fraction(3, 2))
-        assert hash(Surd.sqrt(Fraction(9, 4))) == hash(Fraction(3, 2))
-        assert hash(Surd.of(1, 1, 4)) == hash(3)
-        assert len({Surd.sqrt(2), -Surd.sqrt(2), Surd.sqrt(3)}) == 3
+        assert len({Surd(0, 2, 2), Surd(0, 1, 8)}) == 1
+        assert hash(Surd(Fraction(3, 2))) == hash(Fraction(3, 2))
+        assert hash(Surd(0, 1, Fraction(9, 4))) == hash(Fraction(3, 2))
+        assert hash(Surd(1, 1, 4)) == hash(3)
+        assert len({Surd(0, 1, 2), Surd(0, -1, 2), Surd(0, 1, 3)}) == 3
 
     @given(u=surd_coeffs, v=surd_coeffs,
            m=st.integers(min_value=2, max_value=10**6),
@@ -377,16 +405,10 @@ class TestSurd:
     @settings(max_examples=200, derandomize=True)
     def test_equal_irrational_surds_hash_alike(self, u, v, m, k):
         # u + v*k*sqrt(m) = u + v*sqrt(m*k^2) = u + v*k^2*sqrt(m/k^2)
-        forms = [Surd.of(u, v * k, m), Surd.of(u, v, m * k * k),
-                 Surd.of(u, v * k * k, Fraction(m, k * k))]
+        forms = [Surd(u, v * k, m), Surd(u, v, m * k * k),
+                 Surd(u, v * k * k, Fraction(m, k * k))]
         for s in forms[1:]:
             assert s == forms[0] and hash(s) == hash(forms[0])
-
-    def test_arithmetic_with_rationals(self):
-        s = Surd.sqrt(2)
-        assert (s + 1) - 1 == s
-        assert 2 * s == Surd.of(0, 2, 2)
-        assert -(-s) == s
 
 
 # The algorithm that the reduced-form cycle walk replaced, kept as the

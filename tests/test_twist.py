@@ -36,7 +36,6 @@ from quadtwist.twist import (
     intersect_interval_lists,
     raw_stable_polynomials,
     simplest_rational_in,
-    solve_quadratic_ge0,
     stable_bound_filter,
     stable_twist,
     wr_bound_filter,
@@ -47,24 +46,30 @@ rat = st.fractions(min_value=Fraction(-20), max_value=Fraction(20),
                    max_denominator=10)
 
 
+def _integer_triple(A, B, C):
+    """Rational (A, B, C) times the lcm of their denominators: integer
+    coefficients of a quadratic with the same solution set."""
+    scale = math.lcm(A.denominator, B.denominator, C.denominator)
+    return tuple(c.numerator * (scale // c.denominator) for c in (A, B, C))
+
+
 class TestIntervals:
     def test_emptiness(self):
-        assert Interval(Surd.of(2), Surd.of(1)).is_empty()
-        assert Interval(Surd.of(1), Surd.of(1), False, True).is_empty()
-        assert not Interval(Surd.of(1), Surd.of(1)).is_empty()
-        assert not Interval(Surd.of(1), None).is_empty()
+        assert Interval(Surd(2), Surd(1)).is_empty()
+        assert Interval(Surd(1), Surd(1), False, True).is_empty()
+        assert not Interval(Surd(1), Surd(1)).is_empty()
+        assert not Interval(Surd(1), None).is_empty()
 
     def test_contains(self):
-        iv = Interval(Surd.sqrt(2), Surd.of(3), lo_closed=False)
+        iv = Interval(Surd(0, 1, 2), Surd(3), lo_closed=False)
         assert iv.contains(2)
         assert iv.contains(3)
-        assert not iv.contains(3, strict=True)
         assert not iv.contains(1)
-        assert not iv.contains(Surd.sqrt(2))
+        assert not iv.contains(Surd(0, 1, 2))
 
     def test_intersection(self):
-        a = Interval(Surd.of(0), Surd.of(5))
-        b = Interval(Surd.of(3), None)
+        a = Interval(Surd(0), Surd(5))
+        b = Interval(Surd(3), None)
         out = intersect_interval_lists([a], [b])
         assert len(out) == 1
         assert surd_compare(out[0].lo, 3) == 0
@@ -75,41 +80,41 @@ class TestQuadraticSolver:
     @given(A=rat, B=rat, C=rat, t=rat)
     @settings(max_examples=400)
     def test_membership_agreement(self, A, B, C, t):
-        domain = Interval(Surd.of(-100), Surd.of(100))
-        sols = solve_quadratic_ge0(A, B, C, domain)
+        domain = Interval(Surd(-100), Surd(100))
+        sols = twist._clip([domain], *_integer_triple(A, B, C))
         expected = A * t * t + B * t + C >= 0
         got = any(iv.contains(t) for iv in sols)
         assert got == expected
 
     def test_open_domain_endpoint(self):
-        domain = Interval(Surd.sqrt(2), None, lo_closed=False)
-        sols = solve_quadratic_ge0(Fraction(1), Fraction(0), Fraction(0), domain)
+        domain = Interval(Surd(0, 1, 2), None, lo_closed=False)
+        sols = twist._clip([domain], 1, 0, 0)
         assert len(sols) == 1
         assert not sols[0].lo_closed
 
 
 class TestSimplestRational:
     def test_known_intervals(self):
-        assert simplest_rational_in(Surd.sqrt(2), Surd.sqrt(3)) == Fraction(3, 2)
-        assert simplest_rational_in(Surd.of(0), Surd.of(1)) == Fraction(1, 2)
-        assert simplest_rational_in(Surd.of(3), None) == 4
-        assert simplest_rational_in(Surd.of(2), Surd.of(2)) is None
+        assert simplest_rational_in(Surd(0, 1, 2), Surd(0, 1, 3)) == Fraction(3, 2)
+        assert simplest_rational_in(Surd(0), Surd(1)) == Fraction(1, 2)
+        assert simplest_rational_in(Surd(3), None) == 4
+        assert simplest_rational_in(Surd(2), Surd(2)) is None
 
     def test_narrow_interval_minimality(self):
-        lo = Surd.of(Fraction(355, 113))
-        hi = Surd.of(Fraction(355, 113) + Fraction(1, 10**6))
+        lo = Surd(Fraction(355, 113))
+        hi = Surd(Fraction(355, 113) + Fraction(1, 10**6))
         m = simplest_rational_in(lo, hi)
-        assert lo < Surd.of(m) < hi
+        assert lo < Surd(m) < hi
         # exhaustive check that no smaller denominator fits
         for den in range(1, m.denominator):
             n0 = int(float(lo) * den)
             assert not any(
-                lo < Surd.of(Fraction(n, den)) < hi
+                lo < Surd(Fraction(n, den)) < hi
                 for n in range(n0 - 1, n0 + 3)
             )
 
     def test_endpoints_are_excluded(self):
-        m = simplest_rational_in(Surd.of(1), Surd.of(2))
+        m = simplest_rational_in(Surd(1), Surd(2))
         assert 1 < m < 2
 
 
@@ -127,7 +132,7 @@ class TestWrTwist:
 
         v = wr_twist(ring_of_integers(5))
         assert v.wr_twistable and v.t_star == 5
-        assert v.gram.entries() == (10, 0, 10)
+        assert (v.gram.g11, v.gram.g12, v.gram.g22) == (10, 0, 10)
 
     def test_failure_reasons(self):
         v = wr_twist(ring_of_integers(2))
@@ -515,8 +520,8 @@ def _scaled_roots(A, B, C, k):
 
 @st.composite
 def solver_cases(draw):
-    """(A, B, C, domain) with a nonempty domain whose ends are often roots
-    of the quadratic.  +oo is written with hi_closed=True, as every
+    """(A, B, C, domain): the integer triple of a drawn rational quadratic
+    and a nonempty domain whose ends are often its roots.  +oo is written with hi_closed=True, as every
     constructor in the library writes it (the flag means nothing there, and
     the reference passes it through in some branches and resets it to True
     in others)."""
@@ -534,7 +539,7 @@ def solver_cases(draw):
             lo, hi = hi, lo
         elif c == 0:
             lo_closed = hi_closed = True
-    return A, B, C, Interval(lo, hi, lo_closed, hi_closed)
+    return (*_integer_triple(A, B, C), Interval(lo, hi, lo_closed, hi_closed))
 
 
 class TestSolverAgainstReference:
@@ -542,7 +547,7 @@ class TestSolverAgainstReference:
     @settings(max_examples=400, derandomize=True, deadline=None)
     def test_equal_to_reference(self, case):
         A, B, C, domain = case
-        got = solve_quadratic_ge0(A, B, C, domain)
+        got = twist._clip([domain], A, B, C)
         want = _ref_solve_quadratic_ge0(A, B, C, domain)
         assert _endpoints(got) == _endpoints(want)
 
