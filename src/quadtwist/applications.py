@@ -17,13 +17,14 @@ from typing import Optional
 
 from .geodesic import _log_ratio, _t_at
 from .ideals import CanonicalIdeal
-from .lattice2 import gram_of_twist, hermite_thickness_sq
+from .lattice2 import _deep_hole, _reduce, _twist_ints, gram_of_twist, hermite_thickness_sq
 from .quadfield import (
     CertificateError,
     Form,
     QuadElem,
     _int,
     _rat,
+    _rat_repr,
     _rho_walk,
     _t_plus_sqrt,
     check_field,
@@ -153,9 +154,18 @@ class ThicknessSearchResult:
     exact_tau_sq_at_argmin: Fraction
     lower_bound: float  # hexagonal thickness, global lower bound
 
+    def __repr__(self):
+        return (f"ThicknessSearchResult(tau_min_estimate={self.tau_min_estimate!r}, "
+                f"argmin_t={_rat_repr(self.argmin_t)}, exact_tau_sq_at_argmin="
+                f"{_rat_repr(self.exact_tau_sq_at_argmin)}, "
+                f"lower_bound={self.lower_bound!r})")
 
-def _thickness_at(I: CanonicalIdeal, t: Fraction) -> Fraction:
-    return hermite_thickness_sq(gram_of_twist(I, _t_plus_sqrt(I.D, t)))
+
+def _thickness_at(I: CanonicalIdeal, t: Fraction) -> float:
+    """float(hermite_thickness_sq) at t + sqrt(D), bit for bit: the ratio is
+    scale invariant, so no gcd is taken, and int / int rounds correctly."""
+    num, det = _deep_hole(*_reduce(*_twist_ints(I, t.numerator, t.denominator))[:3])
+    return num * num / (16 * det ** 3)
 
 
 # tau_min_search's grid points per unit period and golden-section steps.
@@ -171,7 +181,8 @@ def tau_min_search(I: CanonicalIdeal) -> ThicknessSearchResult:
     at the WR twist t* when there is one, then refined by 24 golden-section
     steps in L around the best of them.  The reported value is the exact
     thickness at the best rational sample, so the estimate is a certified
-    upper bound.
+    upper bound.  Probes are scored on the pencil integers (`_thickness_at`);
+    only the returned thickness is built as a Fraction.
     """
     D = I.D
     _, eps_plus = fundamental_unit(D)
@@ -180,7 +191,7 @@ def tau_min_search(I: CanonicalIdeal) -> ThicknessSearchResult:
     verdict = wr_twist(I)
     if verdict.wr_twistable:
         candidates.append(verdict.t_star)
-    scored = [(float(_thickness_at(I, t)), t) for t in candidates]
+    scored = [(_thickness_at(I, t), t) for t in candidates]
     scored.sort()
     best_val, best_t = scored[0]
     # golden-section refinement in log-ratio space around the best sample
@@ -192,7 +203,7 @@ def tau_min_search(I: CanonicalIdeal) -> ThicknessSearchResult:
         d = a + phi * (b - a)
         tc = _t_at(D, max(c, log_period * 1e-6))
         td = _t_at(D, max(d, log_period * 1e-6))
-        fc, fd = float(_thickness_at(I, tc)), float(_thickness_at(I, td))
+        fc, fd = _thickness_at(I, tc), _thickness_at(I, td)
         if fc < best_val:
             best_val, best_t = fc, tc
         if fd < best_val:
@@ -201,7 +212,7 @@ def tau_min_search(I: CanonicalIdeal) -> ThicknessSearchResult:
             b = d
         else:
             a = c
-    exact = _thickness_at(I, best_t)
+    exact = hermite_thickness_sq(gram_of_twist(I, _t_plus_sqrt(D, best_t)))
     return ThicknessSearchResult(
         math.sqrt(exact), best_t, exact, math.sqrt(HEXAGONAL_THICKNESS_SQ)
     )

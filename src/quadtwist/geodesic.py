@@ -16,14 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .ideals import CanonicalIdeal
-from .lattice2 import (
-    SimilarityPoint,
-    _similarity_reduced,
-    _stable_reduced,
-    _wr_reduced,
-    gram_of_twist,
-    lagrange_reduce,
-)
+from .lattice2 import SimilarityPoint, _reduce, _similarity_reduced, _twist_ints
 from .quadfield import (
     QuadElem,
     _discriminant,
@@ -85,13 +78,13 @@ def _t_at(D: int, L: float) -> Fraction:
 
 
 def _sample_at(I: CanonicalIdeal, alpha: QuadElem) -> GeodesicSample:
-    """Exact orbit sample at a given totally positive alpha."""
-    G = gram_of_twist(I, alpha)
+    """Exact orbit sample at a given totally positive alpha, from the reduced
+    pencil integers of its twist: tau and both flags are ratios of them."""
+    r11, r12, r22, *_ = _reduce(*_twist_ints(I, alpha.p, alpha.q))
     L = _log_ratio(alpha)
     s = math.exp(L) if L < _LOG_FLOAT_MAX else math.inf
-    R, _ = lagrange_reduce(G)
-    return GeodesicSample(s, alpha, _similarity_reduced(R), _wr_reduced(R),
-                          _stable_reduced(R))
+    return GeodesicSample(s, alpha, _similarity_reduced(r11, r12, r22),
+                          r11 == r22, r11 * r22 - r12 * r12 <= r11 * r11)
 
 
 def sample_orbit(I: CanonicalIdeal, n: int) -> list[GeodesicSample]:
@@ -100,7 +93,8 @@ def sample_orbit(I: CanonicalIdeal, n: int) -> list[GeodesicSample]:
     The target log ratios L = (k + 1/2)/n * log(eps_plus^2), k < n, are
     uniform in arclength; each is realized at the rational t = _t_at(D, L),
     where the Gram and all flags are exact.  t strictly decreases and every
-    sample lies inside the period 1 < s < eps_plus^2.
+    sample lies inside the period 1 < s < eps_plus^2.  A sample runs on the
+    pencil integers and builds only the Fractions it returns (`_sample_at`).
     """
     if n < 1:
         raise ValueError("need n >= 1")

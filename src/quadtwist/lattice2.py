@@ -5,7 +5,8 @@ with basis (z1, z2), every inner product is trace(alpha * z_i * z_j), which is
 a rational number.  All predicates below therefore operate on exact rational
 Gram matrices, never on the irrational embedded basis vectors.  A Gram matrix
 is held as three integers over one common denominator, and the predicates
-compute on those integers.
+compute on those integers.  `_reduce` is the one exact Lagrange loop, on a
+numerator triple; the orbit probes run it on `_twist_ints` with no Gram2.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .quadfield import QuadElem, Rational, _rat, _rat_repr
+from .quadfield import QuadElem, Rational, _int, _rat, _rat_repr
 
 if TYPE_CHECKING:
     from .ideals import CanonicalIdeal
@@ -126,6 +127,20 @@ class UnimodularMap:
         return self.a * self.d - self.b * self.c
 
 
+def _twist_ints(I: CanonicalIdeal, p: int, q: int) -> tuple[int, int, int]:
+    """p*P + q*Q on the ideal's pencil: the twist by alpha = (p + q*sqrt(D))/d
+    has Gram 2*(p*P + q*Q)/(d*e).  Total positivity (p > 0, p^2 > D*q^2) and
+    positive definiteness are checked on the integers."""
+    if p <= 0 or p * p <= I.D * q * q:
+        raise ValueError(f"{_int(p)} + {_int(q)}*sqrt({I.D}) is not "
+                         "totally positive")
+    P11, P12, P22, Q11, Q12, Q22 = I._pencil
+    n11, n12, n22 = p * P11 + q * Q11, p * P12 + q * Q12, p * P22 + q * Q22
+    if n11 <= 0 or n11 * n22 - n12 * n12 <= 0:
+        raise ValueError(f"twist of {I} is not positive definite")
+    return n11, n12, n22
+
+
 def gram_of_twist(I: CanonicalIdeal, alpha: QuadElem) -> Gram2:
     """Exact Gram matrix of A(alpha)*L_K(I) in the canonical basis.
 
@@ -136,26 +151,18 @@ def gram_of_twist(I: CanonicalIdeal, alpha: QuadElem) -> Gram2:
     """
     if alpha.D != I.D:
         raise ValueError("alpha must live in the same field as I")
-    if not alpha.is_totally_positive():
-        raise ValueError(f"alpha = {alpha} is not totally positive")
-    P11, P12, P22, Q11, Q12, Q22 = I._pencil
-    _, _, e = I._uve
-    p, q, d = alpha.p, alpha.q, alpha.d
-    return _gram(2 * (p * P11 + q * Q11), 2 * (p * P12 + q * Q12),
-                 2 * (p * P22 + q * Q22), d * e)
+    n11, n12, n22 = _twist_ints(I, alpha.p, alpha.q)
+    return _gram(2 * n11, 2 * n12, 2 * n22, alpha.d * I._uve[2])
 
 
-def lagrange_reduce(G: Gram2) -> tuple[Gram2, UnimodularMap]:
-    """Classical Lagrange-Gauss reduction of a planar Gram matrix.
+def _reduce(n11: int, n12: int, n22: int) -> tuple[int, int, int, int, int, int, int]:
+    """Lagrange-Gauss reduction of the positive definite [[n11, n12], [n12, n22]].
 
-    The result R satisfies r11 <= r22 and 2|r12| <= r11, with r12 >= 0 by the
-    sign convention (negating the second vector when needed).  The returned
-    map U transports the input basis to the reduced one: R = U^t G U.
-    Ties (r11 = r22 or 2|r12| = r11) are left as already reduced.  The loop
-    runs on the integer numerators of G over its denominator, with the
-    transform [[a, b], [c, d]] as four ints.
+    Returns (r11, r12, r22) with r11 <= r22 and 0 <= 2*r12 <= r11 (the second
+    vector negated when needed; ties are left as reduced) and the transform
+    [[a, b], [c, d]] to the reduced basis.  Each step depends only on ratios,
+    so a positive multiple of a Gram reduces to the same multiple.
     """
-    n11, n12, n22, den = G._n11, G._n12, G._n22, G._den
     a, b, c, d = 1, 0, 0, 1
     while True:
         if n11 > n22:
@@ -174,7 +181,15 @@ def lagrange_reduce(G: Gram2) -> tuple[Gram2, UnimodularMap]:
     if n12 < 0:
         n12 = -n12
         b, d = -b, -d
-    return _gram(n11, n12, n22, den), UnimodularMap(a, b, c, d)
+    return n11, n12, n22, a, b, c, d
+
+
+def lagrange_reduce(G: Gram2) -> tuple[Gram2, UnimodularMap]:
+    """Classical Lagrange-Gauss reduction of a planar Gram matrix: `_reduce`
+    on the numerators of G, giving R = U^t G U with 0 <= 2*r12 <= r11 <= r22.
+    """
+    n11, n12, n22, a, b, c, d = _reduce(G._n11, G._n12, G._n22)
+    return _gram(n11, n12, n22, G._den), UnimodularMap(a, b, c, d)
 
 
 # Predicates of an already Lagrange-reduced R (0 <= 2*r12 <= r11 <= r22),
@@ -190,12 +205,11 @@ def _stable_reduced(R: Gram2) -> bool:
     return n11 * R._n22 - R._n12 * R._n12 <= n11 * n11
 
 
-def _similarity_reduced(R: Gram2) -> "SimilarityPoint":
-    # tau = (r12 + i*sqrt(det R))/r11 has 0 <= x <= 1/2 and
-    # |tau|^2 = r22/r11 >= 1: it already lies in the half-domain.
-    n11, n12 = R._n11, R._n12
+def _similarity_reduced(n11: int, n12: int, n22: int) -> "SimilarityPoint":
+    # On the numerators of R: tau = (r12 + i*sqrt(det R))/r11 has 0 <= x <= 1/2
+    # and |tau|^2 = r22/r11 >= 1: it already lies in the half-domain.
     return SimilarityPoint(Fraction(n12, n11),
-                           Fraction(n11 * R._n22 - n12 * n12, n11 * n11))
+                           Fraction(n11 * n22 - n12 * n12, n11 * n11))
 
 
 def successive_minima(G: Gram2) -> tuple[Fraction, Fraction]:
@@ -249,9 +263,8 @@ def is_stable(G: Gram2) -> bool:
     return _stable_reduced(lagrange_reduce(G)[0])
 
 
-def _deep_hole(R: Gram2) -> tuple[int, int]:
+def _deep_hole(n11: int, n12: int, n22: int) -> tuple[int, int]:
     """(r11*r22*(r11 + r22 - 2*r12), det) on the numerators of a reduced R."""
-    n11, n12, n22 = R._n11, R._n12, R._n22
     return n11 * n22 * (n11 + n22 - 2 * n12), n11 * n22 - n12 * n12
 
 
@@ -262,14 +275,14 @@ def covering_radius_sq(G: Gram2) -> Fraction:
     non-obtuse and the deep hole is its circumcenter:
     mu^2 = g11*g22*(g11 + g22 - 2*g12) / (4*det).
     """
-    R, _ = lagrange_reduce(G)
-    num, det = _deep_hole(R)
-    return Fraction(num, 4 * R._den * det)
+    # R = U^t G U is over the same denominator as G
+    num, det = _deep_hole(*_reduce(G._n11, G._n12, G._n22)[:3])
+    return Fraction(num, 4 * G._den * det)
 
 
 def hermite_thickness_sq(G: Gram2) -> Fraction:
     """tau^2 = mu^4 / det G (scale invariant; n = 2)."""
-    num, det = _deep_hole(lagrange_reduce(G)[0])
+    num, det = _deep_hole(*_reduce(G._n11, G._n12, G._n22)[:3])
     return Fraction(num * num, 16 * det * det * det)
 
 
@@ -281,8 +294,9 @@ class SimilarityPoint:
     y_sq: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "x", Fraction(self.x))
-        object.__setattr__(self, "y_sq", Fraction(self.y_sq))
+        if type(self.x) is not Fraction or type(self.y_sq) is not Fraction:
+            object.__setattr__(self, "x", Fraction(self.x))
+            object.__setattr__(self, "y_sq", Fraction(self.y_sq))
         if self.y_sq <= 0:
             raise ValueError("point must lie in the upper half-plane")
 
@@ -293,4 +307,4 @@ class SimilarityPoint:
 
 def similarity_point(G: Gram2) -> SimilarityPoint:
     """Similarity class of the lattice as a point of the fundamental domain."""
-    return _similarity_reduced(lagrange_reduce(G)[0])
+    return _similarity_reduced(*_reduce(G._n11, G._n12, G._n22)[:3])

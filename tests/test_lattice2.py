@@ -1,15 +1,21 @@
 import math
 import pickle
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadtwist.ideals import ring_of_integers, validate_canonical
+from quadtwist.applications import _thickness_at
+from quadtwist.geodesic import _log_ratio, _sample_at, _t_at
+from quadtwist.ideals import enumerate_canonical, ring_of_integers, validate_canonical
 from quadtwist.lattice2 import (
     Gram2,
+    SimilarityPoint,
     UnimodularMap,
+    _reduce,
+    _twist_ints,
     covering_radius_sq,
     gram_of_twist,
     hermite_thickness_sq,
@@ -22,7 +28,14 @@ from quadtwist.lattice2 import (
     similarity_point,
     successive_minima,
 )
-from quadtwist.quadfield import QuadElem, discriminant
+from quadtwist.quadfield import (
+    QuadElem,
+    _t_plus_sqrt,
+    discriminant,
+    fundamental_unit,
+    is_squarefree,
+)
+from quadtwist.twist import stable_twist, wr_twist
 
 UNIT_SQUARE = Gram2(1, 0, 1)
 HEXAGONAL = Gram2(2, 1, 2)
@@ -407,3 +420,78 @@ class TestSimilarity:
         tau = similarity_point(G)
         assert is_wr(G) == (tau.x * tau.x + tau.y_sq == 1)
         assert is_stable(G) == (tau.y_sq <= 1)
+
+
+def _seeded_probes(seed):
+    """A canonical ideal with squarefree D <= 1000 and a <= 12, WR-twistable
+    for even seeds when D has one, with four _t_at probes inside its unit
+    period, its WR twist t* and its stable witness t when it has them, all
+    drawn from random.Random(seed)."""
+    rng = random.Random(seed)
+    D = rng.choice([D for D in range(2, 1001) if is_squarefree(D)])
+    ideals = enumerate_canonical(D, 12)
+    if seed % 2 == 0:
+        ideals = [J for J in ideals if wr_twist(J).wr_twistable] or ideals
+    I = rng.choice(ideals)
+    log_period = _log_ratio(fundamental_unit(D)[1])
+    ts = [_t_at(D, log_period * rng.uniform(0.01, 0.99)) for _ in range(4)]
+    verdict = wr_twist(I)
+    if verdict.wr_twistable:
+        ts.append(verdict.t_star)
+    witness_t = stable_twist(I).witness_t
+    if witness_t is not None:
+        ts.append(witness_t)
+    return I, ts
+
+
+class TestOrbitKernel:
+    """The orbit probes reduce the pencil integers of the twist as they are;
+    they must give what the Gram2 path and the Fraction loop give."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_probes_agree_with_the_gram_path(self, seed):
+        I, ts = _seeded_probes(seed)
+        for t in ts:
+            alpha = _t_plus_sqrt(I.D, t)
+            G = gram_of_twist(I, alpha)
+            s = _sample_at(I, alpha)
+            assert s.tau == similarity_point(G)
+            assert (s.is_wr, s.is_stable) == (is_wr(G), is_stable(G))
+            (g11, g12, g22), _ = _ref_reduce((G.g11, G.g12, G.g22))
+            assert s.tau == SimilarityPoint(g12 / g11,
+                                            (g11 * g22 - g12 * g12) / (g11 * g11))
+            assert s.is_wr == (g11 == g22)
+            # exact float equality: both are one correctly rounded division
+            assert _thickness_at(I, t) == float(hermite_thickness_sq(G))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_reduce_diagonal_is_the_minima(self, seed):
+        rng = random.Random(seed)
+        for _ in range(25):
+            n11, n12 = rng.randint(1, 30), rng.randint(-30, 30)
+            n22 = rng.randint(n12 * n12 // n11 + 1, n12 * n12 // n11 + 31)
+            r11, r12, r22, a, b, c, d = _reduce(n11, n12, n22)
+            G = Gram2(n11, n12, n22)
+            # An integral form has lambda_1 >= 1 and lambda_1*lambda_2 <=
+            # (4/3)*det, so a vector of norm <= lambda_2 has coordinates of
+            # size <= sqrt(4*max(n11, n22)/3): this box holds both minima.
+            box = math.isqrt(4 * max(n11, n22) // 3) + 2
+            assert minima_brute_force(G, box=box) == (r11, r22)
+            assert G.transform(UnimodularMap(a, b, c, d)) == Gram2(r11, r12, r22)
+            # the steps depend only on ratios: a multiple reduces the same way
+            k = rng.randint(2, 10 ** 30)
+            assert _reduce(k * n11, k * n12, k * n22) == \
+                (k * r11, k * r12, k * r22, a, b, c, d)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_twist_ints_rejects_t_below_sqrt_D(self, seed):
+        I, _ = _seeded_probes(seed)
+        rng = random.Random(seed)
+        for _ in range(5):
+            q = rng.randint(1, 1000)
+            r = math.isqrt(I.D * q * q)  # D is not a square: t^2 < D iff |p| <= r
+            p = rng.randint(-r, r)
+            with pytest.raises(ValueError, match="not totally positive"):
+                _twist_ints(I, p, q)
+        with pytest.raises(ValueError, match="not totally positive"):
+            _twist_ints(I, math.isqrt(I.D), 1)
