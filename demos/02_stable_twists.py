@@ -4,7 +4,7 @@ A planar lattice is stable when its determinant is at most lambda1^4, i.e. no
 sublattice is denser than the lattice itself.  For a twist family
 alpha = t + sqrt(D) the stable region in t is a finite union of intervals with
 quadratic-surd endpoints; the feasibility set is computed exactly and a
-simplest rational witness is extracted with a Stern-Brocot search.
+simplest rational witness is extracted by continued fractions.
 """
 
 from fractions import Fraction

@@ -138,6 +138,8 @@ def min_abs_norm(I: CanonicalIdeal) -> NormSearchResult:
 
 def d_min_sq_twist(I: CanonicalIdeal, alpha: QuadElem) -> Fraction:
     """Exact squared minimum product distance of A(alpha) * L_K(I)."""
+    if alpha.D != I.D:
+        raise ValueError("mixed fields")
     if not alpha.is_totally_positive():
         raise ValueError("alpha must be totally positive")
     m = min_abs_norm(I).m
@@ -234,6 +236,8 @@ def euclidean_bounds(D: int, I: Optional[CanonicalIdeal] = None,
     verdict, and the per-ideal bound (tau_min/2) * sqrt(disc) * N(I) when a
     thickness certificate is supplied."""
     check_field(D)
+    if I is not None and I.D != D:
+        raise ValueError("mixed fields")
     dk = discriminant(D)
     field_bound = math.sqrt(dk) / 4
     ideal_bound = None

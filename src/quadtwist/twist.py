@@ -13,11 +13,14 @@ g11(t) = g22(t) is linear and forces the ratio t*, and the reduction
 inequality at t* decides.  Stable twistability: reducedness and the
 stability conditions are quadratic in t, and the domain is clipped by each
 one in turn at its finite roots, exact surds, so that the feasibility set
-is a sorted list of intervals with surd endpoints.
+is a sorted list of intervals with surd endpoints; the witness is the
+simplest rational inside, found by continued fractions on the integers of
+the endpoints.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -35,6 +38,7 @@ from .quadfield import (
     QuadElem,
     Surd,
     _rat,
+    _sign_x_plus_y_sqrt,
     _t_plus_sqrt,
     surd_compare,
 )
@@ -79,55 +83,39 @@ class Interval:
         return ch < 0 or (ch == 0 and self.hi_closed)
 
 
-def _intersect_pair(a: Interval, b: Interval) -> Optional[Interval]:
-    cl = surd_compare(a.lo, b.lo)
-    if cl > 0 or (cl == 0 and not a.lo_closed):
-        lo, lo_closed = a.lo, a.lo_closed
-    else:
-        lo, lo_closed = b.lo, b.lo_closed
-    if a.hi is None:
-        hi, hi_closed = b.hi, b.hi_closed
-    elif b.hi is None:
-        hi, hi_closed = a.hi, a.hi_closed
-    else:
-        ch = surd_compare(a.hi, b.hi)
-        if ch < 0 or (ch == 0 and not a.hi_closed):
-            hi, hi_closed = a.hi, a.hi_closed
-        else:
-            hi, hi_closed = b.hi, b.hi_closed
-    out = Interval(lo, hi, lo_closed, hi_closed)
-    return None if out.is_empty() else out
-
-
-def intersect_interval_lists(xs: list[Interval], ys: list[Interval]) -> list[Interval]:
-    out = []
-    for a in xs:
-        for b in ys:
-            c = _intersect_pair(a, b)
-            if c is not None:
-                out.append(c)
-    return out
-
-
-def _above(iv: Interval, r: Surd) -> Optional[Interval]:
-    """iv intersected with [r, oo), or None when that is empty; a tie keeps
-    the endpoint `_intersect_pair(iv, [r, oo))` would keep."""
+def _above(iv: Interval, r: Surd, closed: bool) -> Optional[Interval]:
+    """iv intersected with [r, oo) (closed) or (r, oo), or None when that is
+    empty.  On a tie of iv.lo with r the open end wins: an open iv.lo is
+    kept, otherwise r with its flag."""
     c = surd_compare(iv.lo, r)
     if c > 0 or (c == 0 and not iv.lo_closed):
         return iv
-    out = Interval(r, iv.hi, True, iv.hi_closed)
+    out = Interval(r, iv.hi, closed, iv.hi_closed)
     return None if out.is_empty() else out
 
 
-def _below(iv: Interval, r: Surd) -> Optional[Interval]:
-    """iv intersected with (-oo, r], or None when that is empty; a tie keeps
-    the endpoint `_intersect_pair(iv, (-oo, r])` would keep."""
+def _below(iv: Interval, r: Surd, closed: bool) -> Optional[Interval]:
+    """iv intersected with (-oo, r] (closed) or (-oo, r), or None when that
+    is empty; a tie of iv.hi with r follows the rule of `_above`."""
     if iv.hi is not None:
         c = surd_compare(iv.hi, r)
         if c < 0 or (c == 0 and not iv.hi_closed):
             return iv
-    out = Interval(iv.lo, r, iv.lo_closed, True)
+    out = Interval(iv.lo, r, iv.lo_closed, closed)
     return None if out.is_empty() else out
+
+
+def intersect_interval_lists(xs: list[Interval], ys: list[Interval]) -> list[Interval]:
+    """The nonempty intersections a & b for a in xs and b in ys, in order."""
+    out = []
+    for a in xs:
+        for b in ys:
+            c = _above(a, b.lo, b.lo_closed)
+            if c is not None and b.hi is not None:
+                c = _below(c, b.hi, b.hi_closed)
+            if c is not None and not c.is_empty():
+                out.append(c)
+    return out
 
 
 def _clip(feas: list[Interval], A: int, B: int, C: int) -> list[Interval]:
@@ -142,16 +130,17 @@ def _clip(feas: list[Interval], A: int, B: int, C: int) -> list[Interval]:
             return feas if C >= 0 else []
         if B > 0:
             r = Surd.of_ints(-C, d=B)
-            return [p for iv in feas if (p := _above(iv, r)) is not None]
+            return [p for iv in feas if (p := _above(iv, r, True)) is not None]
         r = Surd.of_ints(C, d=-B)
-        return [p for iv in feas if (p := _below(iv, r)) is not None]
+        return [p for iv in feas if (p := _below(iv, r, True)) is not None]
     disc = B * B - 4 * A * C
     if A > 0:
         if disc <= 0:
             return feas
         r1 = Surd.of_ints(-B, -1, disc, 2 * A)
         r2 = Surd.of_ints(-B, 1, disc, 2 * A)
-        return [p for iv in feas for p in (_below(iv, r1), _above(iv, r2))
+        return [p for iv in feas
+                for p in (_below(iv, r1, True), _above(iv, r2, True))
                 if p is not None]
     if disc < 0:
         return []
@@ -160,52 +149,53 @@ def _clip(feas: list[Interval], A: int, B: int, C: int) -> list[Interval]:
     r1 = Surd.of_ints(B, -1, disc, -2 * A)
     r2 = Surd.of_ints(B, 1, disc, -2 * A)
     return [p for iv in feas
-            if (q := _above(iv, r1)) is not None
-            and (p := _below(q, r2)) is not None]
+            if (q := _above(iv, r1, True)) is not None
+            and (p := _below(q, r2, True)) is not None]
 
 
-def _max_stride(check) -> int:
-    """Largest k >= 1 with check(k) true, given check(1) is true and check is
-    monotone (true up to some point, false after)."""
-    k = 1
-    while check(2 * k):
-        k *= 2
-    lo_k, hi_k = k, 2 * k
-    while lo_k + 1 < hi_k:
-        mid = (lo_k + hi_k) // 2
-        if check(mid):
-            lo_k = mid
-        else:
-            hi_k = mid
-    return lo_k
+def _recip_minus(p: int, q: int, n: int, d: int, k: int):
+    """1/((p + q*sqrt(n))/d - k) as the integers (p', q', n, d') of the same
+    form in lowest terms, d' > 0, or None for 1/0 = +oo."""
+    p -= k * d
+    den = p * p - q * q * n
+    if den == 0:
+        return None
+    if den < 0:
+        p, q, den = -p, -q, -den
+    p, q = d * p, -d * q
+    g = math.gcd(p, q, den)
+    return p // g, q // g, n, den // g
 
 
 def simplest_rational_in(lo: Surd, hi: Optional[Surd]) -> Optional[Fraction]:
-    """Smallest-denominator rational strictly inside (lo, hi), by the
-    Stern-Brocot walk with exponential stride acceleration.
+    """The simplest rational strictly inside (lo, hi), hi = None for +oo:
+    the smallest denominator, and the smallest numerator among those.  None
+    when lo >= hi; the domain is lo >= 0, and lo < 0 raises ValueError.
 
-    Each probe n/d is compared as the integer surd n/d; only the returned
-    witness is built as a Fraction."""
+    The continued-fraction construction: with k = floor(lo), k + 1 is the
+    answer when it lies below hi; otherwise every rational inside is
+    k + 1/x with x in (1/(hi - k), 1/(lo - k)), and the walk goes on there.
+    Each end stays (p + q*sqrt(n))/d on integers over its own radicand n,
+    floored as (p + floor(q*sqrt(n)))//d, and the Moebius map
+    x -> (a*x + b)/(c*x + e) carries x back; only the witness is built as a
+    Fraction."""
+    if not (isinstance(lo, Surd) and (hi is None or isinstance(hi, Surd))):
+        raise TypeError("lo and hi must be Surds")
+    if _sign_x_plus_y_sqrt(lo.p, lo.q, lo.n) < 0:
+        raise ValueError(f"need lo >= 0, got {lo}")
     if hi is not None and surd_compare(lo, hi) >= 0:
         return None
-    ln, ld = 0, 1  # left endpoint of the walk
-    rn, rd = 1, 0  # right endpoint, starts at +oo
+    x = (lo.p, lo.q, lo.n, lo.d)
+    y = None if hi is None else (hi.p, hi.q, hi.n, hi.d)
+    a, b, c, e = 1, 0, 0, 1
     while True:
-        mn, md = ln + rn, ld + rd
-        if surd_compare(Surd.of_ints(mn, 0, 0, md), lo) <= 0:
-            k = _max_stride(
-                lambda k: surd_compare(
-                    Surd.of_ints(ln + k * rn, 0, 0, ld + k * rd), lo) <= 0
-            )
-            ln, ld = ln + k * rn, ld + k * rd
-        elif hi is not None and surd_compare(Surd.of_ints(mn, 0, 0, md), hi) >= 0:
-            k = _max_stride(
-                lambda k: surd_compare(
-                    Surd.of_ints(k * ln + rn, 0, 0, k * ld + rd), hi) >= 0
-            )
-            rn, rd = k * ln + rn, k * ld + rd
-        else:
-            return Fraction(mn, md)
+        p, q, n, d = x
+        s = math.isqrt(q * q * n)
+        k = (p + (s if q >= 0 else -s - 1)) // d
+        if y is None or _sign_x_plus_y_sqrt(y[0] - (k + 1) * y[3], y[1], y[2]) > 0:
+            return Fraction(a * (k + 1) + b, c * (k + 1) + e)
+        x, y = _recip_minus(*y, k), _recip_minus(*x, k)
+        a, b, c, e = a * k + b, a, c * k + e, c
 
 
 # ---------------------------------------------------------------------------
@@ -349,8 +339,6 @@ def stable_twist(I: CanonicalIdeal) -> FeasibilityReport:
     witness_t = None
     witness_alpha = None
     for iv in feas:
-        if iv.is_point():
-            continue
         witness_t = simplest_rational_in(iv.lo, iv.hi)
         if witness_t is not None:
             break

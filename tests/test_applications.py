@@ -153,6 +153,10 @@ class TestDMin:
         with pytest.raises(ValueError):
             d_min_sq_twist(ring_of_integers(5), QuadElem.of(5, 1, 1))
 
+    def test_rejects_mixed_fields(self):
+        with pytest.raises(ValueError, match="mixed fields"):
+            d_min_sq_twist(ring_of_integers(7), QuadElem.of(5, 3, 1))
+
 
 class TestThicknessSearch:
     def test_golden_ring(self):
@@ -227,6 +231,12 @@ class TestEuclideanBounds:
         assert rep.ideal_bound_lt_one == \
             (r.exact_tau_sq_at_argmin * 5 * 1 < 4)
         assert rep.ideal_bound_lt_one
+
+    def test_rejects_mixed_fields(self):
+        with pytest.raises(ValueError, match="mixed fields"):
+            euclidean_bounds(5, ring_of_integers(7), Fraction(1, 4))
+        with pytest.raises(ValueError, match="mixed fields"):
+            euclidean_bounds(5, ring_of_integers(7))
 
 
 # form_minimum before it walked quadfield._rho_walk, kept as the reference:

@@ -540,3 +540,11 @@ def test_runs_without_sympy_mpmath_and_numpy():
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+class TestHypothesisProfile:
+    def test_loaded_profile_is_derandomized(self):
+        # tests/conftest.py loads it; a @settings without derandomize
+        # inherits it from the default
+        assert settings.default.derandomize
+        assert settings(max_examples=300).derandomize

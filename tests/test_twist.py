@@ -117,6 +117,24 @@ class TestSimplestRational:
         m = simplest_rational_in(Surd(1), Surd(2))
         assert 1 < m < 2
 
+    def test_rejects_negative_lo(self):
+        # the domain is lo >= 0: the old walk looped forever on the first
+        # and returned 1/3 on the second, where 0 lies inside
+        with pytest.raises(ValueError):
+            simplest_rational_in(Surd(-2), Surd(-1))
+        with pytest.raises(ValueError):
+            simplest_rational_in(Surd(-3), Surd(Fraction(1, 2)))
+        with pytest.raises(ValueError):
+            simplest_rational_in(Surd.of_ints(2, -1, 5), None)
+        assert simplest_rational_in(Surd(0), Surd(Fraction(1, 2))) == \
+            Fraction(1, 3)
+
+    def test_rejects_non_surd_ends(self):
+        with pytest.raises(TypeError):
+            simplest_rational_in(0, Surd(1))
+        with pytest.raises(TypeError):
+            simplest_rational_in(Surd(0), Fraction(1, 2))
+
 
 class TestWrTwist:
     def test_reference_cases(self):
@@ -385,6 +403,72 @@ class TestPencilAgainstClosedForms:
 # end.  The clipped set must equal it endpoint for endpoint, repr included
 # (a tie between equal surds of different radicands keeps one of them).
 
+
+def _ref_intersect_pair(a, b):
+    """a & b with its own tie rules, or None when empty: the pairwise
+    intersection that `intersect_interval_lists` was built on."""
+    cl = surd_compare(a.lo, b.lo)
+    if cl > 0 or (cl == 0 and not a.lo_closed):
+        lo, lo_closed = a.lo, a.lo_closed
+    else:
+        lo, lo_closed = b.lo, b.lo_closed
+    if a.hi is None:
+        hi, hi_closed = b.hi, b.hi_closed
+    elif b.hi is None:
+        hi, hi_closed = a.hi, a.hi_closed
+    else:
+        ch = surd_compare(a.hi, b.hi)
+        if ch < 0 or (ch == 0 and not a.hi_closed):
+            hi, hi_closed = a.hi, a.hi_closed
+        else:
+            hi, hi_closed = b.hi, b.hi_closed
+    out = Interval(lo, hi, lo_closed, hi_closed)
+    return None if out.is_empty() else out
+
+
+def _ref_intersect_interval_lists(xs, ys):
+    return [c for a in xs for b in ys
+            if (c := _ref_intersect_pair(a, b)) is not None]
+
+
+def _ref_max_stride(check):
+    """Largest k >= 1 with check(k) true, given check(1) is true and check
+    is monotone (true up to some point, false after)."""
+    k = 1
+    while check(2 * k):
+        k *= 2
+    lo_k, hi_k = k, 2 * k
+    while lo_k + 1 < hi_k:
+        mid = (lo_k + hi_k) // 2
+        if check(mid):
+            lo_k = mid
+        else:
+            hi_k = mid
+    return lo_k
+
+
+def _ref_simplest_rational_in(lo, hi):
+    """Smallest-denominator rational strictly inside (lo, hi), lo >= 0, by
+    the Stern-Brocot walk with exponential stride acceleration: the witness
+    search that the continued-fraction walk replaced."""
+    if hi is not None and surd_compare(lo, hi) >= 0:
+        return None
+    ln, ld = 0, 1  # left endpoint of the walk
+    rn, rd = 1, 0  # right endpoint, starts at +oo
+    while True:
+        mn, md = ln + rn, ld + rd
+        if surd_compare(Surd.of_ints(mn, 0, 0, md), lo) <= 0:
+            k = _ref_max_stride(lambda k: surd_compare(
+                Surd.of_ints(ln + k * rn, 0, 0, ld + k * rd), lo) <= 0)
+            ln, ld = ln + k * rn, ld + k * rd
+        elif hi is not None and surd_compare(Surd.of_ints(mn, 0, 0, md), hi) >= 0:
+            k = _ref_max_stride(lambda k: surd_compare(
+                Surd.of_ints(k * ln + rn, 0, 0, k * ld + rd), hi) >= 0)
+            rn, rd = k * ln + rn, k * ld + rd
+        else:
+            return Fraction(mn, md)
+
+
 def _ref_solve_quadratic_ge0(A, B, C, domain):
     scale = math.lcm(A.denominator, B.denominator, C.denominator)
     A, B, C = (c.numerator * (scale // c.denominator) for c in (A, B, C))
@@ -396,7 +480,7 @@ def _ref_solve_quadratic_ge0(A, B, C, domain):
         else:
             sol = Interval(domain.lo, Surd.of_ints(C, d=-B),
                            domain.lo_closed, True)
-        return intersect_interval_lists([domain], [sol])
+        return _ref_intersect_interval_lists([domain], [sol])
     disc = B * B - 4 * A * C
     if A > 0:
         if disc <= 0:
@@ -413,7 +497,7 @@ def _ref_solve_quadratic_ge0(A, B, C, domain):
         r1 = Surd.of_ints(B, -1, disc, -2 * A)
         r2 = Surd.of_ints(B, 1, disc, -2 * A)
         sols = [Interval(r1, r2, True, True)]
-    return intersect_interval_lists([domain], sols)
+    return _ref_intersect_interval_lists([domain], sols)
 
 
 _REF_BY_LO = cmp_to_key(lambda x, y: surd_compare(x.lo, y.lo))
@@ -426,7 +510,7 @@ def _ref_stable_twist(I):
     domain = Interval(Surd.of_ints(0, 1, I.D), None, lo_closed=False)
     feas, running = [domain], []
     for (A, B, C) in _ref_stable_constraints(I):
-        feas = intersect_interval_lists(
+        feas = _ref_intersect_interval_lists(
             feas, _ref_solve_quadratic_ge0(A, B, C, domain))
         running.append(feas)
         if not feas:
@@ -435,7 +519,7 @@ def _ref_stable_twist(I):
     witness_t = witness_alpha = None
     for iv in feas:
         if not iv.is_point():
-            witness_t = simplest_rational_in(iv.lo, iv.hi)
+            witness_t = _ref_simplest_rational_in(iv.lo, iv.hi)
             if witness_t is not None:
                 witness_alpha = QuadElem.of(I.D, witness_t, 1)
                 break
@@ -497,6 +581,16 @@ class TestClippingAgainstReference:
         for I, fr, _ in pairs:
             assert (not stable_bound_filter(I)) == (fr.emptied_by == 0), I
 
+    def test_witness_on_every_interval(self, pairs):
+        # every interval, not only the first with a witness, and the points
+        tried = 0
+        for I, fr, _ in pairs:
+            for iv in fr.intervals:
+                assert simplest_rational_in(iv.lo, iv.hi) == \
+                    _ref_simplest_rational_in(iv.lo, iv.hi), (I, iv)
+                tried += 1
+        assert tried > 2000
+
 
 surd_point = st.builds(Surd.of_ints, st.integers(-6, 6), st.integers(-1, 1),
                        st.integers(0, 12), st.integers(1, 4))
@@ -550,6 +644,60 @@ class TestSolverAgainstReference:
         got = twist._clip([domain], A, B, C)
         want = _ref_solve_quadratic_ge0(A, B, C, domain)
         assert _endpoints(got) == _endpoints(want)
+
+
+def _rewritten(s, j):
+    """s with its integers scaled by j: the same value over the radicand
+    j^2 * n, so that ties between different radicands are common."""
+    return Surd.of_ints(s.p * j, s.q, s.n * j * j, s.d * j)
+
+
+nonneg_point = surd_point.filter(lambda s: surd_compare(s, 0) >= 0)
+
+
+@st.composite
+def witness_cases(draw):
+    """(lo, hi) with lo >= 0: hi = +oo, another point (below lo, too, for an
+    empty interval), lo itself over another radicand, or lo + 1/N for a
+    narrow interval with a long walk."""
+    lo = draw(nonneg_point)
+    N = draw(st.integers(2, 10**6))
+    hi = draw(st.one_of(
+        st.none(), nonneg_point,
+        st.builds(_rewritten, st.just(lo), st.integers(1, 3)),
+        st.just(Surd.of_ints(lo.p * N + lo.d, lo.q * N, lo.n, lo.d * N))))
+    return lo, hi
+
+
+@st.composite
+def interval_list_pairs(draw):
+    """Two short lists of intervals with ends from a few drawn points, each
+    point also written over a radicand 4 times larger, so that tied ends of
+    different radicands are common; lo > hi and a point with an open end
+    make empty input intervals.  +oo is written with hi_closed=True, as the
+    library writes it."""
+    base = draw(st.lists(surd_point, min_size=1, max_size=4))
+    end = st.sampled_from(base + [_rewritten(s, 2) for s in base])
+    interval = st.builds(
+        lambda lo, hi, lc, hc: Interval(lo, hi, lc, hi is None or hc),
+        end, st.one_of(st.none(), end), st.booleans(), st.booleans())
+    return (draw(st.lists(interval, max_size=3)),
+            draw(st.lists(interval, max_size=3)))
+
+
+class TestWitnessAndIntersectionAgainstReference:
+    @given(case=witness_cases())
+    @settings(max_examples=400, deadline=None)
+    def test_witness_equal_to_reference(self, case):
+        lo, hi = case
+        assert simplest_rational_in(lo, hi) == _ref_simplest_rational_in(lo, hi)
+
+    @given(case=interval_list_pairs())
+    @settings(max_examples=400, deadline=None)
+    def test_intersection_equal_to_reference(self, case):
+        xs, ys = case
+        assert _endpoints(intersect_interval_lists(xs, ys)) == \
+            _endpoints(_ref_intersect_interval_lists(xs, ys))
 
 
 class TestCertificates:
