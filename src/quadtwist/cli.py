@@ -1,12 +1,12 @@
 """Command-line surface with byte-deterministic JSON/CSV reports.
 
 Exit codes: 0 success, 2 invalid input (a rejected field or ideal triple,
-or geodesic --samples below 1), 3 verification failure (a verify-examples
-mismatch, or a computed result whose exact certificate re-check fails,
-reported as a JSON message on stderr).  Any other exception propagates.
-Exact rationals are serialized as "numerator/denominator" strings of any
-size; floats are companions with 12 significant digits, and a companion
-beyond float range is the string "inf".
+survey max_a below 1, or geodesic --samples below 1), 3 verification
+failure (a verify-examples mismatch, or a computed result whose exact
+certificate re-check fails, reported as a JSON message on stderr).  Any
+other exception propagates.  Exact rationals are serialized as
+"numerator/denominator" strings of any size; floats are companions with 12
+significant digits, and a companion beyond float range is the string "inf".
 """
 
 from __future__ import annotations
@@ -125,6 +125,8 @@ def cmd_twist(args) -> int:
 
 
 def cmd_survey(args) -> int:
+    if args.max_a < 1:
+        return _invalid_input(f"need max_a >= 1, got {args.max_a}")
     ideals = enumerate_canonical(args.D, args.max_a)
     for I in ideals:
         verdict = wr_twist(I)

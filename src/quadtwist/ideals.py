@@ -16,7 +16,7 @@ class CanonicalBasisError(ValueError):
     """A triple (a, b, g) violating one of the canonical-basis conditions.
 
     `condition` names the first violated check, one of
-    "int" (a, b or g is not an int), "b<a", "g|a", "g|b", "divisibility".
+    "int" (a, b or g is not of type int), "b<a", "g|a", "g|b", "divisibility".
     """
 
     def __init__(self, condition: str, message: str):
@@ -37,7 +37,8 @@ def _z2(D: int, b: int, g: int) -> tuple[int, int, int]:
 @dataclass(frozen=True)
 class CanonicalIdeal:
     """Canonical basis triple (a, b, g) of an integral ideal over D; a, b and
-    g must be ints (`CanonicalBasisError` condition "int")."""
+    g must be of type int, so not bools (`CanonicalBasisError` condition
+    "int")."""
 
     D: int
     a: int
@@ -45,8 +46,9 @@ class CanonicalIdeal:
     g: int
 
     def __post_init__(self):
-        if not (isinstance(self.a, int) and isinstance(self.b, int)
-                and isinstance(self.g, int)):
+        # `type`, not `isinstance`: a bool is an int subclass
+        if not (type(self.a) is int and type(self.b) is int
+                and type(self.g) is int):
             raise CanonicalBasisError("int",
                                       f"need int a, b and g, got {self!r}")
         check_field(self.D)

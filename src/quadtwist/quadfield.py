@@ -548,25 +548,35 @@ def _fill_surd(s: Surd, p: int, q: int, n: int, d: int) -> Surd:
     return s
 
 
-def surd_compare(s1, s2) -> int:
-    """Exact three-way comparison of Surd/rational values: -1, 0 or +1.
-
-    Raises TypeError for an operand that is not a Surd, int or Fraction."""
-    if isinstance(s1, Surd):
-        p1, q1, n1, d1 = s1.p, s1.q, s1.n, s1.d
-    elif isinstance(s1, (int, Fraction)):
-        p1, q1, n1, d1 = s1.numerator, 0, 0, s1.denominator
-    else:
-        raise TypeError(f"not a Surd or rational: {type(s1).__name__}")
-    if isinstance(s2, Surd):
-        p2, q2, n2, d2 = s2.p, s2.q, s2.n, s2.d
-    elif isinstance(s2, (int, Fraction)):
-        p2, q2, n2, d2 = s2.numerator, 0, 0, s2.denominator
-    else:
-        raise TypeError(f"not a Surd or rational: {type(s2).__name__}")
+def _surd_sign(s1: tuple[int, int, int, int],
+               s2: tuple[int, int, int, int]) -> int:
+    """Exact sign of s1 - s2 for ends s = (p, q, n, d), the value
+    (p + q*sqrt(n))/d on integers with n >= 0 and d > 0; n need not be
+    squarefree, and a perfect square n need not be folded into p."""
+    p1, q1, n1, d1 = s1
+    p2, q2, n2, d2 = s2
     # Both denominators are positive: compare (p1 + q1 sqrt(n1)) d2 with
     # (p2 + q2 sqrt(n2)) d1.
     x = p1 * d2 - p2 * d1
     if n1 == n2:
         return _sign_x_plus_y_sqrt(x, q1 * d2 - q2 * d1, n1)
     return _sign_two_radicals(x, q1 * d2, n1, -q2 * d1, n2)
+
+
+def surd_compare(s1, s2) -> int:
+    """Exact three-way comparison of Surd/rational values: -1, 0 or +1.
+
+    Raises TypeError for an operand that is not a Surd, int or Fraction."""
+    if isinstance(s1, Surd):
+        e1 = s1.p, s1.q, s1.n, s1.d
+    elif isinstance(s1, (int, Fraction)):
+        e1 = s1.numerator, 0, 0, s1.denominator
+    else:
+        raise TypeError(f"not a Surd or rational: {type(s1).__name__}")
+    if isinstance(s2, Surd):
+        e2 = s2.p, s2.q, s2.n, s2.d
+    elif isinstance(s2, (int, Fraction)):
+        e2 = s2.numerator, 0, 0, s2.denominator
+    else:
+        raise TypeError(f"not a Surd or rational: {type(s2).__name__}")
+    return _surd_sign(e1, e2)

@@ -12,10 +12,12 @@ here is read off (P, Q).  WR twistability: the equal-norm equation
 g11(t) = g22(t) is linear and forces the ratio t*, and the reduction
 inequality at t* decides.  Stable twistability: reducedness and the
 stability conditions are quadratic in t, and the domain is clipped by each
-one in turn at its finite roots, exact surds, so that the feasibility set
-is a sorted list of intervals with surd endpoints; the witness is the
-simplest rational inside, found by continued fractions on the integers of
-the endpoints.
+one in turn at its finite roots.  The clipping keeps every end as the
+integers (p, q, n, d) of (p + q*sqrt(n))/d and compares ends by one exact
+sign test, `quadfield._surd_sign`; only a nonempty feasibility set is built,
+once, as a sorted tuple of `Interval`s with `Surd` endpoints.  The witness
+is the simplest rational inside, found by continued fractions on the
+integers of the endpoints.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from .quadfield import (
     Surd,
     _rat,
     _sign_x_plus_y_sqrt,
+    _surd_sign,
     _t_plus_sqrt,
     surd_compare,
 )
@@ -57,15 +60,6 @@ class Interval:
     lo_closed: bool = True
     hi_closed: bool = True
 
-    def is_empty(self) -> bool:
-        if self.hi is None:
-            return False
-        c = surd_compare(self.lo, self.hi)
-        return c > 0 or (c == 0 and not (self.lo_closed and self.hi_closed))
-
-    def is_point(self) -> bool:
-        return self.hi is not None and surd_compare(self.lo, self.hi) == 0
-
     def __str__(self):
         left = "[" if self.lo_closed else "("
         if self.hi is None:
@@ -83,62 +77,91 @@ class Interval:
         return ch < 0 or (ch == 0 and self.hi_closed)
 
 
-def _above(iv: Interval, r: Surd, closed: bool) -> Optional[Interval]:
-    """iv intersected with [r, oo) (closed) or (r, oo), or None when that is
-    empty.  On a tie of iv.lo with r the open end wins: an open iv.lo is
-    kept, otherwise r with its flag."""
-    c = surd_compare(iv.lo, r)
-    if c > 0 or (c == 0 and not iv.lo_closed):
+# The clipping works on pieces (lo, hi, lo_closed, hi_closed) whose ends are
+# the integers (p, q, n, d) of (p + q*sqrt(n))/d, hi = None for +oo, compared
+# by `_surd_sign`; a Surd is built only for an end of the answer.
+
+def _empty(lo, hi, lo_closed: bool, hi_closed: bool) -> bool:
+    if hi is None:
+        return False
+    c = _surd_sign(lo, hi)
+    return c > 0 or (c == 0 and not (lo_closed and hi_closed))
+
+
+def _above(iv: tuple, r: tuple, closed: bool) -> Optional[tuple]:
+    """The piece iv intersected with [r, oo) (closed) or (r, oo), or None
+    when that is empty.  On a tie of iv's lower end with r the open end
+    wins: an open lower end of iv is kept, otherwise r with its flag."""
+    lo, hi, lo_closed, hi_closed = iv
+    c = _surd_sign(lo, r)
+    if c > 0 or (c == 0 and not lo_closed):
         return iv
-    out = Interval(r, iv.hi, closed, iv.hi_closed)
-    return None if out.is_empty() else out
+    out = (r, hi, closed, hi_closed)
+    return None if _empty(*out) else out
 
 
-def _below(iv: Interval, r: Surd, closed: bool) -> Optional[Interval]:
-    """iv intersected with (-oo, r] (closed) or (-oo, r), or None when that
-    is empty; a tie of iv.hi with r follows the rule of `_above`."""
-    if iv.hi is not None:
-        c = surd_compare(iv.hi, r)
-        if c < 0 or (c == 0 and not iv.hi_closed):
+def _below(iv: tuple, r: tuple, closed: bool) -> Optional[tuple]:
+    """The piece iv intersected with (-oo, r] (closed) or (-oo, r), or None
+    when that is empty; a tie of iv's upper end with r follows the rule of
+    `_above`."""
+    lo, hi, lo_closed, hi_closed = iv
+    if hi is not None:
+        c = _surd_sign(hi, r)
+        if c < 0 or (c == 0 and not hi_closed):
             return iv
-    out = Interval(iv.lo, r, iv.lo_closed, closed)
-    return None if out.is_empty() else out
+    out = (lo, r, lo_closed, closed)
+    return None if _empty(*out) else out
+
+
+def _piece(iv: Interval) -> tuple:
+    lo, hi = iv.lo, iv.hi
+    return ((lo.p, lo.q, lo.n, lo.d),
+            None if hi is None else (hi.p, hi.q, hi.n, hi.d),
+            iv.lo_closed, iv.hi_closed)
+
+
+def _interval(piece: tuple) -> Interval:
+    lo, hi, lo_closed, hi_closed = piece
+    return Interval(Surd.of_ints(*lo),
+                    None if hi is None else Surd.of_ints(*hi),
+                    lo_closed, hi_closed)
 
 
 def intersect_interval_lists(xs: list[Interval], ys: list[Interval]) -> list[Interval]:
     """The nonempty intersections a & b for a in xs and b in ys, in order."""
+    ys = [_piece(b) for b in ys]
     out = []
-    for a in xs:
-        for b in ys:
-            c = _above(a, b.lo, b.lo_closed)
-            if c is not None and b.hi is not None:
-                c = _below(c, b.hi, b.hi_closed)
-            if c is not None and not c.is_empty():
-                out.append(c)
+    for a in map(_piece, xs):
+        for b_lo, b_hi, b_lo_closed, b_hi_closed in ys:
+            c = _above(a, b_lo, b_lo_closed)
+            if c is not None and b_hi is not None:
+                c = _below(c, b_hi, b_hi_closed)
+            if c is not None and not _empty(*c):
+                out.append(_interval(c))
     return out
 
 
-def _clip(feas: list[Interval], A: int, B: int, C: int) -> list[Interval]:
-    """The sorted disjoint intervals feas, each intersected with the solution
+def _clip(feas: list[tuple], A: int, B: int, C: int) -> list[tuple]:
+    """The sorted disjoint pieces feas, each intersected with the solution
     set of A*t^2 + B*t + C >= 0 (integer coefficients), in order.
 
     Only the finite roots (-B -+ sqrt(B^2 - 4AC))/(2A) are compared with the
-    endpoints of feas: an unbounded side of the solution set cuts nothing.
+    ends of feas: an unbounded side of the solution set cuts nothing.
     """
     if A == 0:
         if B == 0:
             return feas if C >= 0 else []
         if B > 0:
-            r = Surd.of_ints(-C, d=B)
+            r = (-C, 0, 0, B)
             return [p for iv in feas if (p := _above(iv, r, True)) is not None]
-        r = Surd.of_ints(C, d=-B)
+        r = (C, 0, 0, -B)
         return [p for iv in feas if (p := _below(iv, r, True)) is not None]
     disc = B * B - 4 * A * C
     if A > 0:
         if disc <= 0:
             return feas
-        r1 = Surd.of_ints(-B, -1, disc, 2 * A)
-        r2 = Surd.of_ints(-B, 1, disc, 2 * A)
+        r1 = (-B, -1, disc, 2 * A)
+        r2 = (-B, 1, disc, 2 * A)
         return [p for iv in feas
                 for p in (_below(iv, r1, True), _above(iv, r2, True))
                 if p is not None]
@@ -146,8 +169,8 @@ def _clip(feas: list[Interval], A: int, B: int, C: int) -> list[Interval]:
         return []
     # A < 0: with the positive denominator -2A the smaller root is
     # (B - sqrt(disc))/(-2A).
-    r1 = Surd.of_ints(B, -1, disc, -2 * A)
-    r2 = Surd.of_ints(B, 1, disc, -2 * A)
+    r1 = (B, -1, disc, -2 * A)
+    r2 = (B, 1, disc, -2 * A)
     return [p for iv in feas
             if (q := _above(iv, r1, True)) is not None
             and (p := _below(q, r2, True)) is not None]
@@ -326,19 +349,20 @@ def stable_twist(I: CanonicalIdeal) -> FeasibilityReport:
     """Exact stable-twist feasibility over t in (sqrt(D), oo).
 
     Clips the domain by each quadratic constraint at its finite surd roots,
-    in the order of `_stable_constraints` (the intervals stay sorted), and
+    in the order of `_stable_constraints` (the pieces stay sorted), and
     picks the smallest-denominator rational witness in the interior of the
     leftmost nondegenerate interval (absent when the set has empty interior).
     """
     D = I.D
-    feas = [Interval(Surd.of_ints(0, 1, D), None, lo_closed=False)]
+    feas = [((0, 1, D, 1), None, False, True)]
     for k, (A, B, C) in enumerate(_stable_constraints(I)):
         feas = _clip(feas, A, B, C)
         if not feas:
             return FeasibilityReport(False, (), emptied_by=k)
+    intervals = tuple(map(_interval, feas))
     witness_t = None
     witness_alpha = None
-    for iv in feas:
+    for iv in intervals:
         witness_t = simplest_rational_in(iv.lo, iv.hi)
         if witness_t is not None:
             break
@@ -350,4 +374,4 @@ def stable_twist(I: CanonicalIdeal) -> FeasibilityReport:
             raise CertificateError(
                 f"stable witness t = {_rat(witness_t)} of {I} fails the exact "
                 f"stability re-check")
-    return FeasibilityReport(True, tuple(feas), witness_t, witness_alpha)
+    return FeasibilityReport(True, intervals, witness_t, witness_alpha)

@@ -203,6 +203,15 @@ def test_geodesic_rejects_zero_samples(capsys):
     assert "--samples" in msg["error"] and msg["condition"] is None
 
 
+@pytest.mark.parametrize("max_a", ["0", "-3"])
+def test_survey_rejects_max_a_below_one(capsys, max_a):
+    code, out, err = run_cli(capsys, "survey", "7", max_a)
+    assert code == EXIT_INVALID
+    assert out == ""
+    msg = json.loads(err)
+    assert "max_a" in msg["error"] and msg["condition"] is None
+
+
 def test_library_value_error_is_not_invalid_input(capsys, monkeypatch):
     # A ValueError raised inside the library on valid input is a fault of
     # the library, not exit 2 "invalid input": it propagates.

@@ -48,6 +48,13 @@ class TestValidation:
                 CanonicalIdeal(7, a, b, g)
             assert e.value.condition == "int"
 
+    def test_bool_entries_rejected(self):
+        # bool is an int subclass: True would pass for 1 yet print as True
+        for a, b, g in [(7, 1, True), (True, False, True), (3, False, 1)]:
+            with pytest.raises(CanonicalBasisError) as e:
+                CanonicalIdeal(7, a, b, g)
+            assert e.value.condition == "int"
+
     def test_nonpositive_rejected(self):
         with pytest.raises(CanonicalBasisError):
             validate_canonical(10, 0, 0, 1)

@@ -4,12 +4,12 @@ import pickle
 import subprocess
 import sys
 import textwrap
-from decimal import Decimal
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from quadtwist import quadfield
@@ -409,6 +409,73 @@ class TestSurd:
                  Surd(u, v * k * k, Fraction(m, k * k))]
         for s in forms[1:]:
             assert s == forms[0] and hash(s) == hash(forms[0])
+
+
+# Ends (p, q, n, d) of (p + q*sqrt(n))/d for `quadfield._surd_sign`, which
+# compares them unfolded: radicands are often perfect squares, and every
+# equal pair below is written with other integers.
+sign_ends = st.tuples(
+    st.integers(-10**6, 10**6), st.integers(-1000, 1000),
+    st.one_of(st.integers(0, 50), st.integers(0, 1000).map(lambda r: r * r),
+              st.integers(0, 10**6)),
+    st.integers(1, 1000))
+
+
+@st.composite
+def sign_cases(draw):
+    """(s1, s2, equal): s2 is another drawn end (equal is None), or an end
+    equal to s1 by construction (equal is True), or that end with its
+    numerator moved by 1 (equal is False)."""
+    p, q, n, d = draw(sign_ends)
+    k = draw(st.integers(2, 30))
+    r = draw(st.integers(0, 1000))
+    kind = draw(st.sampled_from(
+        ["other", "over k^2 n", "k inside", "square", "rational"]))
+    if kind == "other":
+        return (p, q, n, d), draw(sign_ends), None
+    if kind == "over k^2 n":  # the same value over k^2*n and k*d
+        s1, s2 = (p, q, n, d), (p * k, q, n * k * k, d * k)
+    elif kind == "k inside":  # q*k*sqrt(n) against q*sqrt(k^2*n)
+        s1, s2 = (p, q * k, n, d), (p, q, n * k * k, d)
+    elif kind == "square":  # a perfect square radicand, folded in s2
+        s1, s2 = (p, q, r * r, d), (p + q * r, 0, 0, d)
+    else:  # a rational value carrying an unused radicand
+        s1, s2 = (p, 0, n, d), (p * k, 0, r, d * k)
+    move = draw(st.sampled_from([0, -1, 1]))
+    return s1, (s2[0] + move, *s2[1:]), move == 0
+
+
+def _decimal_sign(s1, s2) -> int:
+    """Sign of s1 - s2 at 60 digits, or 0 when the two are within 10^-40."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        x1, x2 = ((Decimal(p) + Decimal(q) * Decimal(n).sqrt()) / d
+                  for p, q, n, d in (s1, s2))
+        diff = x1 - x2
+        return 0 if abs(diff) <= Decimal(10) ** -40 else (1 if diff > 0 else -1)
+
+
+class TestSurdSign:
+    @given(case=sign_cases())
+    @settings(max_examples=600, derandomize=True, deadline=None)
+    def test_sign_matches_decimal(self, case):
+        s1, s2, equal = case
+        if equal:
+            expected = 0
+        else:
+            expected = _decimal_sign(s1, s2)
+            assume(expected != 0)
+        assert quadfield._surd_sign(s1, s2) == expected
+        assert quadfield._surd_sign(s2, s1) == -expected
+        assert surd_compare(Surd.of_ints(*s1), Surd.of_ints(*s2)) == expected
+
+    def test_known_pairs(self):
+        # The values reach ~10^9, so 60 digits leave ~50 below the cutoff.
+        assert _decimal_sign((0, 1, 2, 1), (1414213562373, 0, 0, 10**12)) == 1
+        assert _decimal_sign((0, 2, 2, 1), (0, 1, 8, 1)) == 0
+        assert quadfield._surd_sign((0, 2, 2, 1), (0, 1, 8, 1)) == 0
+        assert quadfield._surd_sign((3, 1, 4, 1), (5, 0, 0, 1)) == 0
+        assert quadfield._surd_sign((0, 1, 9, 2), (1, 0, 7, 1)) == 1
 
 
 # The algorithm that the reduced-form cycle walk replaced, kept as the

@@ -53,12 +53,40 @@ def _integer_triple(A, B, C):
     return tuple(c.numerator * (scale // c.denominator) for c in (A, B, C))
 
 
+def _clip_intervals(feas, A, B, C):
+    """`twist._clip` on a list of Intervals: their ends go in as the integers
+    of each Surd, and the pieces that come out go back to Intervals."""
+    def ends(s):
+        return None if s is None else (s.p, s.q, s.n, s.d)
+
+    pieces = [(ends(iv.lo), ends(iv.hi), iv.lo_closed, iv.hi_closed)
+              for iv in feas]
+    return [Interval(Surd.of_ints(*lo),
+                     None if hi is None else Surd.of_ints(*hi), lc, hc)
+            for lo, hi, lc, hc in twist._clip(pieces, A, B, C)]
+
+
+def _is_point(iv):
+    return iv.hi is not None and surd_compare(iv.lo, iv.hi) == 0
+
+
+def _is_empty(iv):
+    if iv.hi is None:
+        return False
+    c = surd_compare(iv.lo, iv.hi)
+    return c > 0 or (c == 0 and not (iv.lo_closed and iv.hi_closed))
+
+
 class TestIntervals:
     def test_emptiness(self):
-        assert Interval(Surd(2), Surd(1)).is_empty()
-        assert Interval(Surd(1), Surd(1), False, True).is_empty()
-        assert not Interval(Surd(1), Surd(1)).is_empty()
-        assert not Interval(Surd(1), None).is_empty()
+        # pieces of `twist._clip`: ends (p, q, n, d), 2 also as sqrt(4)
+        one, two, root4 = (1, 0, 0, 1), (2, 0, 0, 1), (0, 1, 4, 1)
+        assert twist._empty(two, one, True, True)
+        assert twist._empty(one, one, False, True)
+        assert twist._empty(two, root4, True, False)
+        assert not twist._empty(one, one, True, True)
+        assert not twist._empty(root4, two, True, True)
+        assert not twist._empty(one, None, True, True)
 
     def test_contains(self):
         iv = Interval(Surd(0, 1, 2), Surd(3), lo_closed=False)
@@ -81,14 +109,14 @@ class TestQuadraticSolver:
     @settings(max_examples=400)
     def test_membership_agreement(self, A, B, C, t):
         domain = Interval(Surd(-100), Surd(100))
-        sols = twist._clip([domain], *_integer_triple(A, B, C))
+        sols = _clip_intervals([domain], *_integer_triple(A, B, C))
         expected = A * t * t + B * t + C >= 0
         got = any(iv.contains(t) for iv in sols)
         assert got == expected
 
     def test_open_domain_endpoint(self):
         domain = Interval(Surd(0, 1, 2), None, lo_closed=False)
-        sols = twist._clip([domain], 1, 0, 0)
+        sols = _clip_intervals([domain], 1, 0, 0)
         assert len(sols) == 1
         assert not sols[0].lo_closed
 
@@ -197,7 +225,7 @@ class TestStableTwist:
         fr = stable_twist(ring_of_integers(5))
         assert fr.feasible_real
         assert fr.witness_t is None  # empty interior
-        assert len(fr.intervals) == 1 and fr.intervals[0].is_point()
+        assert len(fr.intervals) == 1 and _is_point(fr.intervals[0])
         assert fr.contains_t(Fraction(5))
 
     def test_infeasible(self):
@@ -423,7 +451,7 @@ def _ref_intersect_pair(a, b):
         else:
             hi, hi_closed = b.hi, b.hi_closed
     out = Interval(lo, hi, lo_closed, hi_closed)
-    return None if out.is_empty() else out
+    return None if _is_empty(out) else out
 
 
 def _ref_intersect_interval_lists(xs, ys):
@@ -518,7 +546,7 @@ def _ref_stable_twist(I):
     feas.sort(key=_REF_BY_LO)
     witness_t = witness_alpha = None
     for iv in feas:
-        if not iv.is_point():
+        if not _is_point(iv):
             witness_t = _ref_simplest_rational_in(iv.lo, iv.hi)
             if witness_t is not None:
                 witness_alpha = QuadElem.of(I.D, witness_t, 1)
@@ -641,7 +669,7 @@ class TestSolverAgainstReference:
     @settings(max_examples=400, derandomize=True, deadline=None)
     def test_equal_to_reference(self, case):
         A, B, C, domain = case
-        got = twist._clip([domain], A, B, C)
+        got = _clip_intervals([domain], A, B, C)
         want = _ref_solve_quadratic_ge0(A, B, C, domain)
         assert _endpoints(got) == _endpoints(want)
 
