@@ -23,6 +23,7 @@ from .quadfield import (
     Form,
     QuadElem,
     _int,
+    _is_square,
     _rat,
     _rat_repr,
     _rho_walk,
@@ -50,7 +51,7 @@ def form_minimum(f: Form) -> tuple[int, tuple[int, int]]:
     the minimum.
     """
     disc = f[1] * f[1] - 4 * f[0] * f[2]
-    if disc <= 0 or math.isqrt(disc) ** 2 == disc:
+    if disc <= 0 or _is_square(disc):
         raise ValueError("need an indefinite form of non-square discriminant")
     best = abs(f[0])
     best_vec = (1, 0)

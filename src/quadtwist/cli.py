@@ -24,8 +24,6 @@ from typing import Optional
 from .geodesic import sample_orbit
 from .ideals import CanonicalBasisError, CanonicalIdeal, enumerate_canonical
 from .lattice2 import (
-    _stable_reduced,
-    _wr_reduced,
     gram_of_twist,
     is_lagrange_reduced,
     is_paper_reduced,
@@ -106,8 +104,8 @@ def _twist_report(D: int, a: int, b: int, g: int, mode: str) -> dict:
                 "minima_float": [_flt(math.sqrt(l1)), _flt(math.sqrt(l2))],
                 "basis_norms_sq": [_rat(G.g11), _rat(G.g22)],
                 "cosine_float": _flt(cos_f),
-                "is_wr": _wr_reduced(R),
-                "is_stable": _stable_reduced(R),
+                "is_wr": is_wr(R),
+                "is_stable": is_stable(R),
                 "is_paper_reduced": is_paper_reduced(G),
                 "is_lagrange_reduced": is_lagrange_reduced(G),
             }
@@ -241,7 +239,7 @@ def _verify_stable_example(D, a, b, g, t_expect: int, gram_expect, det_decimal,
     if not (is_stable(G) and not is_wr(G) and not wr_bound_filter(I)):
         return False
     l1, l2 = successive_minima(G)
-    bf = minima_brute_force(G, box=5)
+    bf = minima_brute_force(G)
     if (l1, l2) != tuple(Fraction(v) for v in classical_minima) or bf != (l1, l2):
         return False
     notes.append(

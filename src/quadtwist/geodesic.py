@@ -16,10 +16,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .ideals import CanonicalIdeal
-from .lattice2 import SimilarityPoint, _reduce, _similarity_reduced, _twist_ints
+from .lattice2 import (
+    SimilarityPoint,
+    _reduce,
+    _similarity_reduced,
+    _stable_reduced,
+    _twist_ints,
+    _wr_reduced,
+)
 from .quadfield import (
     QuadElem,
     _discriminant,
+    _is_square,
     _t_plus_sqrt,
     check_field,
     fundamental_unit,
@@ -80,11 +88,11 @@ def _t_at(D: int, L: float) -> Fraction:
 def _sample_at(I: CanonicalIdeal, alpha: QuadElem) -> GeodesicSample:
     """Exact orbit sample at a given totally positive alpha, from the reduced
     pencil integers of its twist: tau and both flags are ratios of them."""
-    r11, r12, r22, *_ = _reduce(*_twist_ints(I, alpha.p, alpha.q))
+    R = _reduce(*_twist_ints(I, alpha.p, alpha.q))[:3]
     L = _log_ratio(alpha)
     s = math.exp(L) if L < _LOG_FLOAT_MAX else math.inf
-    return GeodesicSample(s, alpha, _similarity_reduced(r11, r12, r22),
-                          r11 == r22, r11 * r22 - r12 * r12 <= r11 * r11)
+    return GeodesicSample(s, alpha, _similarity_reduced(*R), _wr_reduced(*R),
+                          _stable_reduced(*R))
 
 
 def sample_orbit(I: CanonicalIdeal, n: int) -> list[GeodesicSample]:
@@ -268,7 +276,4 @@ def orthogonal_only(D: int) -> bool:
     Exact integer test: D - 1 or D - 4 is a perfect square.
     """
     check_field(D)
-    for n in (D - 1, D - 4):
-        if n >= 0 and math.isqrt(n) ** 2 == n:
-            return True
-    return False
+    return _is_square(D - 1) or _is_square(D - 4)

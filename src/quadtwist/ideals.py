@@ -2,7 +2,9 @@
 
 An integral ideal of O_K, K = Q(sqrt(D)), is exactly a module
 {a*x + (b + g*delta)*y : x, y in Z} with b < a, g | a, g | b and
-a*g | N(b + g*delta); the triple (a, b, g) is unique per ideal.
+a*g | N(b + g*delta); the triple (a, b, g) is unique per ideal.  It is
+g times the primitive ideal (a/g, b/g, 1), so `enumerate_canonical` scans
+primitive pairs only and scales each by every g that keeps a <= max_a.
 """
 
 from __future__ import annotations
@@ -24,14 +26,14 @@ class CanonicalBasisError(ValueError):
         self.condition = condition
 
 
-def _z2(D: int, b: int, g: int) -> tuple[int, int, int]:
+def _z2(D: int, b: int, g: int) -> tuple[int, int, int, int]:
     """b + g*delta(D) as (u, v, e) with b + g*delta = (u + v*sqrt(D))/e over
     delta's own denominator e, not over the lowest-terms one: with g even
     and D = 1 (mod 4) the lowest-terms form drops the 2, and the Gram
-    pencil is normalised by e."""
-    if D % 4 == 1:
-        return 2 * b + g, -g, 2
-    return b, -g, 1
+    pencil is normalised by e.  The fourth entry is the integer
+    N(b + g*delta) = (u^2 - D*v^2)/e^2."""
+    u, v, e = (2 * b + g, -g, 2) if D % 4 == 1 else (b, -g, 1)
+    return u, v, e, (u * u - D * v * v) // (e * e)
 
 
 @dataclass(frozen=True)
@@ -63,8 +65,7 @@ class CanonicalIdeal:
         if self.b % self.g != 0:
             raise CanonicalBasisError("g|b", f"g = {self.g} does not divide b = {self.b}")
         D, a = self.D, self.a
-        u, v, e = _z2(D, self.b, self.g)
-        n = (u * u - D * v * v) // (e * e)
+        u, v, e, n = _z2(D, self.b, self.g)
         if n % (a * self.g) != 0:
             raise CanonicalBasisError(
                 "divisibility",
@@ -109,17 +110,18 @@ def validate_canonical(D: int, a: int, b: int, g: int) -> CanonicalIdeal:
 
 
 def enumerate_canonical(D: int, max_a: int) -> list[CanonicalIdeal]:
-    """All canonical ideals over D with a <= max_a, sorted by (a, b, g)."""
+    """All canonical ideals over D with a <= max_a, sorted by (a, b, g).
+
+    N(b + g*delta) = g^2 * N(b/g + delta), so (a, b, g) is canonical iff
+    its primitive part (a/g, b/g, 1) is: the scan runs over the primitive
+    pairs b' < a' <= max_a with a' | N(b' + delta) and emits
+    (g*a', g*b', g) for every g <= max_a // a'.
+    """
     check_field(D)
-    found = []
-    for a in range(1, max_a + 1):
-        for g in range(1, a + 1):
-            if a % g != 0:
-                continue
-            for b in range(0, a, g):
-                u, v, e = _z2(D, b, g)
-                if ((u * u - D * v * v) // (e * e)) % (a * g) == 0:
-                    found.append((a, b, g))
+    found = [(g * a, g * b, g)
+             for a in range(1, max_a + 1)
+             for b in range(a) if _z2(D, b, 1)[3] % a == 0
+             for g in range(1, max_a // a + 1)]
     found.sort()
     return [CanonicalIdeal(D, a, b, g) for a, b, g in found]
 

@@ -7,6 +7,9 @@ Gram matrices, never on the irrational embedded basis vectors.  A Gram matrix
 is held as three integers over one common denominator, and the predicates
 compute on those integers.  `_reduce` is the one exact Lagrange loop, on a
 numerator triple; the orbit probes run it on `_twist_ints` with no Gram2.
+The WR and stability flags of a reduced triple have one home each,
+`_wr_reduced` and `_stable_reduced`.  The oracle `minima_brute_force` uses
+no reduction and sizes its search from the Gram itself.
 """
 
 from __future__ import annotations
@@ -16,12 +19,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .quadfield import QuadElem, Rational, _int, _rat, _rat_repr
+from .quadfield import QuadElem, Rational, _int, _rat, _rat_repr, _totally_positive
 
 if TYPE_CHECKING:
     from .ideals import CanonicalIdeal
 
-Vec2 = tuple[int, int]
 _new = object.__new__
 
 
@@ -129,9 +131,9 @@ class UnimodularMap:
 
 def _twist_ints(I: CanonicalIdeal, p: int, q: int) -> tuple[int, int, int]:
     """p*P + q*Q on the ideal's pencil: the twist by alpha = (p + q*sqrt(D))/d
-    has Gram 2*(p*P + q*Q)/(d*e).  Total positivity (p > 0, p^2 > D*q^2) and
-    positive definiteness are checked on the integers."""
-    if p <= 0 or p * p <= I.D * q * q:
+    has Gram 2*(p*P + q*Q)/(d*e).  Total positivity and positive
+    definiteness are checked on the integers."""
+    if not _totally_positive(p, q, I.D):
         raise ValueError(f"{_int(p)} + {_int(q)}*sqrt({I.D}) is not "
                          "totally positive")
     P11, P12, P22, Q11, Q12, Q22 = I._pencil
@@ -192,17 +194,16 @@ def lagrange_reduce(G: Gram2) -> tuple[Gram2, UnimodularMap]:
     return _gram(n11, n12, n22, G._den), UnimodularMap(a, b, c, d)
 
 
-# Predicates of an already Lagrange-reduced R (0 <= 2*r12 <= r11 <= r22),
-# whose diagonal holds the successive minima.  The public predicates reduce
-# once and call these; a caller holding R calls them directly.
+# Predicates on the numerators (n11, n12, n22) of an already Lagrange-reduced
+# R (0 <= 2*r12 <= r11 <= r22), whose diagonal holds the successive minima.
+# The public predicates run `_reduce` once and call these.
 
-def _wr_reduced(R: Gram2) -> bool:
-    return R._n11 == R._n22
+def _wr_reduced(n11: int, n12: int, n22: int) -> bool:
+    return n11 == n22
 
 
-def _stable_reduced(R: Gram2) -> bool:
-    n11 = R._n11
-    return n11 * R._n22 - R._n12 * R._n12 <= n11 * n11
+def _stable_reduced(n11: int, n12: int, n22: int) -> bool:
+    return n11 * n22 - n12 * n12 <= n11 * n11
 
 
 def _similarity_reduced(n11: int, n12: int, n22: int) -> "SimilarityPoint":
@@ -214,29 +215,35 @@ def _similarity_reduced(n11: int, n12: int, n22: int) -> "SimilarityPoint":
 
 def successive_minima(G: Gram2) -> tuple[Fraction, Fraction]:
     """Exact squared successive minima (the diagonal after reduction)."""
-    R, _ = lagrange_reduce(G)
-    return R.g11, R.g22
+    r11, _, r22, *_ = _reduce(G._n11, G._n12, G._n22)
+    return Fraction(r11, G._den), Fraction(r22, G._den)
 
 
-def minima_brute_force(G: Gram2, box: int = 25) -> tuple[Fraction, Fraction]:
-    """Independent oracle: exhaustive enumeration over |m|, |n| <= box.
+def minima_brute_force(G: Gram2) -> tuple[Fraction, Fraction]:
+    """Independent oracle for the squared successive minima, by enumeration
+    with no reduction.
 
-    Returns the two smallest squared norms over linearly independent vectors;
-    only trustworthy when the box is large enough for the lattice at hand.
+    On the numerators every nonzero norm is an integer >= 1, and
+    lambda_1 * lambda_2 <= (4/3) * det, so lambda_2 <= B = min(max(n11, n22),
+    floor(4*det/3)).  Both minima are reached by primitive vectors of norm
+    <= B.  Writing n11 * Q(m, n) = (n11*m + n12*n)^2 + det*n^2, those lie in
+    the rows 0 <= n <= isqrt(B*n11 // det), and row n holds the one integer
+    interval of m with |n11*m + n12*n| <= isqrt(B*n11 - det*n^2).  The
+    second minimum is the least norm independent of a vector of the first.
     """
     n11, n12, n22 = G._n11, G._n12, G._n22
-    best: list[tuple[int, Vec2]] = []
-    for m in range(-box, box + 1):
-        for n in range(0, box + 1):
-            if n == 0 and m <= 0:
-                continue
-            best.append((n11 * m * m + 2 * n12 * m * n + n22 * n * n, (m, n)))
-    best.sort(key=lambda t: t[0])
-    q1, v1 = best[0]
-    for q2, v2 in best[1:]:
-        if v1[0] * v2[1] - v1[1] * v2[0] != 0:
-            return Fraction(q1, G._den), Fraction(q2, G._den)
-    raise ValueError("enumeration box too small")
+    det = n11 * n22 - n12 * n12
+    bound = min(max(n11, n22), 4 * det // 3)
+    best = [(n11, (1, 0))]
+    for n in range(1, math.isqrt(bound * n11 // det) + 1):
+        s = math.isqrt(bound * n11 - det * n * n)
+        for m in range(-((s + n12 * n) // n11), (s - n12 * n) // n11 + 1):
+            if math.gcd(m, n) == 1:
+                best.append((n11 * m * m + 2 * n12 * m * n + n22 * n * n,
+                             (m, n)))
+    q1, (m1, n1) = min(best)
+    q2 = min(q for q, (m, n) in best if m1 * n != n1 * m)
+    return Fraction(q1, G._den), Fraction(q2, G._den)
 
 
 def is_paper_reduced(G: Gram2) -> bool:
@@ -255,12 +262,12 @@ def is_lagrange_reduced(G: Gram2) -> bool:
 
 def is_wr(G: Gram2) -> bool:
     """Well-rounded: both successive minima coincide."""
-    return _wr_reduced(lagrange_reduce(G)[0])
+    return _wr_reduced(*_reduce(G._n11, G._n12, G._n22)[:3])
 
 
 def is_stable(G: Gram2) -> bool:
     """Stable in the plane: volume <= lambda_1^2, i.e. det G <= lambda_1^4."""
-    return _stable_reduced(lagrange_reduce(G)[0])
+    return _stable_reduced(*_reduce(G._n11, G._n12, G._n22)[:3])
 
 
 def _deep_hole(n11: int, n12: int, n22: int) -> tuple[int, int]:

@@ -120,6 +120,13 @@ def _sign_x_plus_y_sqrt(x: int, y: int, m: int) -> int:
     return _sign(x) * _sign(x * x - m * y * y)
 
 
+def _totally_positive(p: int, q: int, D: int) -> bool:
+    """Whether (p + q*sqrt(D))/d, d > 0 and D not a square, is totally
+    positive: both p + q*sqrt(D) and p - q*sqrt(D) are > 0, i.e.
+    p > |q|*sqrt(D)."""
+    return p > 0 and p * p > D * q * q
+
+
 def _sign_two_radicals(a: int, b: int, m1: int, c: int, m2: int) -> int:
     """Exact sign of a + b*sqrt(m1) + c*sqrt(m2) for integers, m1, m2 >= 0."""
     if b == 0:
@@ -280,7 +287,7 @@ class QuadElem:
                                    self._D)
 
     def is_totally_positive(self) -> bool:
-        return self.sign_embedding(1) > 0 and self.sign_embedding(2) > 0
+        return _totally_positive(self._p, self._q, self._D)
 
     # -- order and conversion ----------------------------------------------
 
@@ -288,9 +295,9 @@ class QuadElem:
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        d1, d2 = self._d, o._d
-        return _sign_x_plus_y_sqrt(self._p * d2 - o._p * d1,
-                                   self._q * d2 - o._q * d1, self._D)
+        D = self._D
+        return _surd_sign((self._p, self._q, D, self._d),
+                          (o._p, o._q, D, o._d))
 
     __lt__ = _order(operator.lt)
     __le__ = _order(operator.le)
@@ -473,7 +480,10 @@ class Surd:
 
     @staticmethod
     def of_ints(p: int, q: int = 0, n: int = 0, d: int = 1) -> "Surd":
-        """(p + q*sqrt(n))/d from integers, with n >= 0 and d > 0."""
+        """(p + q*sqrt(n))/d from ints, with n >= 0 and d > 0; any other
+        type raises TypeError, so no float reaches the exact sign tests."""
+        if not all(isinstance(k, int) for k in (p, q, n, d)):
+            raise TypeError("p, q, n and d must be ints")
         if n < 0 or d <= 0:
             raise ValueError("need a radicand n >= 0 and a denominator d > 0")
         return _fill_surd(_new(Surd), p, q, n, d)
@@ -550,9 +560,12 @@ def _fill_surd(s: Surd, p: int, q: int, n: int, d: int) -> Surd:
 
 def _surd_sign(s1: tuple[int, int, int, int],
                s2: tuple[int, int, int, int]) -> int:
-    """Exact sign of s1 - s2 for ends s = (p, q, n, d), the value
+    """Exact sign of s1 - s2 for s = (p, q, n, d), the value
     (p + q*sqrt(n))/d on integers with n >= 0 and d > 0; n need not be
-    squarefree, and a perfect square n need not be folded into p."""
+    squarefree, and a perfect square n need not be folded into p.
+
+    The one cross-multiplied comparison: `QuadElem` and `Surd` order and
+    the ends of the stable clipping in `twist` all go through it."""
     p1, q1, n1, d1 = s1
     p2, q2, n2, d2 = s2
     # Both denominators are positive: compare (p1 + q1 sqrt(n1)) d2 with

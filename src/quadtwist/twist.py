@@ -43,6 +43,7 @@ from .quadfield import (
     _sign_x_plus_y_sqrt,
     _surd_sign,
     _t_plus_sqrt,
+    _totally_positive,
     surd_compare,
 )
 
@@ -291,7 +292,7 @@ def wr_twist(I: CanonicalIdeal) -> TwistVerdict:
     if den <= 0 or num <= 0:
         return TwistVerdict(False, reason="forced ratio not positive")
     t_star = Fraction(num, den)
-    if not num * num > I.D * den * den:
+    if not _totally_positive(num, den, I.D):
         return TwistVerdict(False, reason="alpha not totally positive",
                             t_star=t_star)
     if not reduced_ok:
@@ -340,7 +341,7 @@ def raw_stable_polynomials(I: CanonicalIdeal, t: Fraction) -> bool:
     """The stable-twistability criterion evaluated directly at (p, q) = (t, 1):
     t > sqrt(D) and every constraint of `_stable_constraints` holds at t."""
     n, d = t.numerator, t.denominator
-    return n > 0 and n * n > I.D * d * d and all(
+    return _totally_positive(n, d, I.D) and all(
         A * n * n + B * n * d + C * d * d >= 0
         for A, B, C in _stable_constraints(I))
 

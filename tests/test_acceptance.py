@@ -102,7 +102,7 @@ def test_criterion_3():
     assert rel_close(cos, 0.4951063950, 1e-8)
     assert is_stable(G) and not is_wr(G)
     assert not wr_bound_filter(I)
-    assert minima_brute_force(G, box=6) == (147442, 172636)
+    assert minima_brute_force(G) == (147442, 172636)
     assert successive_minima(G) == (147442, 172636)
     # the quoted sqrt(191646) is the longer reduced-basis vector, not the
     # classical second minimum 172636; reported, not failed
@@ -123,7 +123,7 @@ def test_criterion_4():
     assert rel_close(cos, 0.4853755919, 1e-8)
     assert rel_close(math.sqrt(float(G.det())), 32252383.1, 1e-5)
     assert is_stable(G) and not is_wr(G)
-    assert minima_brute_force(G, box=6)[1] == 38365830
+    assert minima_brute_force(G)[1] == 38365830
     assert successive_minima(G) == (33252444, 38365830)
 
 
@@ -235,7 +235,7 @@ def test_criterion_7():
         R, U = lagrange_reduce(G)
         assert G.transform(U) == R
         l1, l2 = successive_minima(G)
-        assert (l1, l2) == minima_brute_force(R, box=25)
+        assert (l1, l2) == minima_brute_force(R)
         mu2 = covering_radius_sq(G)
         oracle = _deep_hole_oracle(G)
         assert oracle is not None

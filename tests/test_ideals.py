@@ -11,7 +11,7 @@ from quadtwist.ideals import (
     ring_of_integers,
     validate_canonical,
 )
-from quadtwist.quadfield import QuadElem, delta
+from quadtwist.quadfield import QuadElem, delta, is_squarefree
 
 
 class TestValidation:
@@ -103,6 +103,24 @@ class TestModuleIsIdeal:
                     assert not closed, (D, a, b)
 
 
+def _ref_enumerate(D, max_a):
+    """The scan over every a <= max_a, g | a and b < a with g | b of the
+    earlier enumerate_canonical, testing a*g | N(b + g*delta)."""
+    found = []
+    for a in range(1, max_a + 1):
+        for g in range(1, a + 1):
+            if a % g != 0:
+                continue
+            for b in range(0, a, g):
+                if D % 4 == 1:
+                    n = ((2 * b + g) ** 2 - D * g * g) // 4
+                else:
+                    n = b * b - D * g * g
+                if n % (a * g) == 0:
+                    found.append((a, b, g))
+    return sorted(found)
+
+
 class TestEnumeration:
     def test_completeness(self):
         for D in (10, 13):
@@ -116,6 +134,14 @@ class TestEnumeration:
                             assert (a, b, g) not in found
                         else:
                             assert (a, b, g) in found
+
+    @pytest.mark.parametrize("max_a", [0, 1, 12, 50])
+    def test_same_list_as_the_full_scan(self, max_a):
+        # every squarefree D <= 200, so D = 1 (mod 4) with even g is in
+        for D in range(2, 201):
+            if is_squarefree(D):
+                assert [(i.a, i.b, i.g) for i in enumerate_canonical(D, max_a)] \
+                    == _ref_enumerate(D, max_a), (D, max_a)
 
     def test_sorted_and_contains_ring(self):
         ideals = enumerate_canonical(139, 10)

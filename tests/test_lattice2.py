@@ -99,7 +99,27 @@ class TestReduction:
         R, _ = lagrange_reduce(G)
         l1, l2 = successive_minima(G)
         assert (l1, l2) == (R.g11, R.g22)
-        assert minima_brute_force(R, box=4) == (l1, l2)
+        assert minima_brute_force(R) == (l1, l2)
+
+    def test_brute_force_on_a_skewed_basis(self):
+        # The hexagonal lattice in the basis (b1, 30*b1 + b2): its second
+        # minimum is at the coefficients (-30, 1) and (-31, 1), outside any
+        # fixed box of size 25.
+        G = HEXAGONAL.transform(UnimodularMap(1, 30, 0, 1))
+        assert minima_brute_force(G) == successive_minima(G) == (2, 2)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_brute_force_sizes_itself(self, seed):
+        rng = random.Random(seed)
+        for _ in range(250):
+            n11, n12 = rng.randint(1, 40), rng.randint(-40, 40)
+            n22 = rng.randint(n12 * n12 // n11 + 1, n12 * n12 // n11 + 40)
+            G = Gram2(Fraction(n11, rng.randint(1, 9)), Fraction(n12, 9),
+                      Fraction(n22, 9))
+            G = G.transform(UnimodularMap(1, rng.randint(-60, 60), 0, 1)
+                            @ UnimodularMap(0, -1, 1, 0)
+                            @ UnimodularMap(1, rng.randint(-60, 60), 0, 1))
+            assert minima_brute_force(G) == successive_minima(G)
 
     def test_identity_on_reduced(self):
         R, U = lagrange_reduce(HEXAGONAL)
@@ -274,7 +294,7 @@ class TestGram2AgainstFractionOracle:
         tau = similarity_point(G)
         assert (tau.x, tau.y_sq) == _ref_similarity(t)
         R, _ = lagrange_reduce(G)
-        assert minima_brute_force(R, box=4) == \
+        assert minima_brute_force(R) == \
             _ref_minima_brute_force((R.g11, R.g12, R.g22), 4)
 
     @given(t=triples, u=unimodular, k=st.integers(2, 50))
@@ -472,11 +492,7 @@ class TestOrbitKernel:
             n22 = rng.randint(n12 * n12 // n11 + 1, n12 * n12 // n11 + 31)
             r11, r12, r22, a, b, c, d = _reduce(n11, n12, n22)
             G = Gram2(n11, n12, n22)
-            # An integral form has lambda_1 >= 1 and lambda_1*lambda_2 <=
-            # (4/3)*det, so a vector of norm <= lambda_2 has coordinates of
-            # size <= sqrt(4*max(n11, n22)/3): this box holds both minima.
-            box = math.isqrt(4 * max(n11, n22) // 3) + 2
-            assert minima_brute_force(G, box=box) == (r11, r22)
+            assert minima_brute_force(G) == (r11, r22)
             assert G.transform(UnimodularMap(a, b, c, d)) == Gram2(r11, r12, r22)
             # the steps depend only on ratios: a multiple reduces the same way
             k = rng.randint(2, 10 ** 30)

@@ -356,6 +356,15 @@ class TestSurd:
         with pytest.raises(ValueError):
             Surd(0, 1, -2)
 
+    def test_of_ints_rejects_non_ints(self):
+        # A float would make the exact sign tests run on float arithmetic.
+        for args in ((1.5,), (0, 1.0, 2), (0, 1, 2.0), (1, 0, 0, 2.0),
+                     (Fraction(1, 2),)):
+            with pytest.raises(TypeError):
+                Surd.of_ints(*args)
+        with pytest.raises(TypeError):
+            Surd(0, 1, 2) < 1.5
+
     def test_compare_same_radicand(self):
         assert Surd(0, 1, 2) < Surd(0, 2, 2)
         assert Surd(1, 1, 2) > Surd(2)
