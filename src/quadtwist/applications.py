@@ -227,6 +227,8 @@ class EuclideanBoundReport:
     disc: int
     field_bound: float  # sqrt(disc)/4
     euclidean_certified: bool  # exact: disc < 16
+    # float companion of the per-ideal bound, math.inf beyond float range;
+    # the exact "< 1" verdict is ideal_bound_lt_one
     ideal_bound: Optional[float] = None
     ideal_bound_lt_one: Optional[bool] = None
 
@@ -244,8 +246,15 @@ def euclidean_bounds(D: int, I: Optional[CanonicalIdeal] = None,
     ideal_bound = None
     lt_one = None
     if I is not None and tau_min_sq is not None:
-        tau = math.sqrt(tau_min_sq)
-        ideal_bound = (tau / 2) * math.sqrt(dk) * I.norm()
+        norm = I.norm()
+        # N(I) = m * 2^k with m below 2^64 converts to float; ldexp then
+        # raises OverflowError only for a bound beyond float range
+        k = max(norm.bit_length() - 64, 0)
+        try:
+            tau = math.sqrt(tau_min_sq)
+            ideal_bound = math.ldexp((tau / 2) * math.sqrt(dk) * (norm >> k), k)
+        except OverflowError:
+            ideal_bound = math.inf
         # bound < 1 iff tau^2 * disc * N(I)^2 < 4, exact in tau^2
-        lt_one = Fraction(tau_min_sq) * dk * I.norm() ** 2 < 4
+        lt_one = Fraction(tau_min_sq) * dk * norm ** 2 < 4
     return EuclideanBoundReport(D, dk, field_bound, dk < 16, ideal_bound, lt_one)

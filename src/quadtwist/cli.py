@@ -7,6 +7,10 @@ certificate re-check fails, reported as a JSON message on stderr).  Any
 other exception propagates.  Exact rationals are serialized as
 "numerator/denominator" strings of any size; floats are companions with 12
 significant digits, and a companion beyond float range is the string "inf".
+
+A call pays for one parse by its command's own parser (the full parser runs
+only for usage errors and help), and a JSON report is encoded in one
+`json.dumps` and written to stdout in one write.
 """
 
 from __future__ import annotations
@@ -71,7 +75,8 @@ def _twist_report(D: int, a: int, b: int, g: int, mode: str) -> dict:
 
     alpha: Optional[QuadElem] = None
     if mode in ("wr", "all") and verdict.wr_twistable:
-        alpha = verdict.alpha
+        # wr_twist already built and re-checked this Gram
+        alpha, G = verdict.alpha, verdict.gram
     if mode in ("stable", "all"):
         fr = stable_twist(I)
         report["stable_feasible"] = fr.feasible_real
@@ -89,9 +94,9 @@ def _twist_report(D: int, a: int, b: int, g: int, mode: str) -> dict:
         report["witness_t"] = None if fr.witness_t is None else _rat(fr.witness_t)
         if alpha is None and fr.witness_alpha is not None:
             alpha = fr.witness_alpha
+            G = gram_of_twist(I, alpha)
 
     if alpha is not None:
-        G = gram_of_twist(I, alpha)
         R, _ = lagrange_reduce(G)
         l1, l2 = R.g11, R.g22
         cos_f = float(G.g12) / math.sqrt(float(G.g11) * float(G.g22))
@@ -117,8 +122,7 @@ def _twist_report(D: int, a: int, b: int, g: int, mode: str) -> dict:
 
 def cmd_twist(args) -> int:
     report = _twist_report(args.D, args.a, args.b, args.g, args.mode)
-    json.dump(report, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps(report, indent=2) + "\n")
     return EXIT_OK
 
 
@@ -190,8 +194,7 @@ def cmd_geodesic(args) -> int:
             ],
             "wr_crossings": wr_crossings,
         }
-        json.dump(out, sys.stdout, indent=2, allow_nan=False)
-        sys.stdout.write("\n")
+        sys.stdout.write(json.dumps(out, indent=2, allow_nan=False) + "\n")
     return EXIT_OK
 
 
@@ -297,7 +300,9 @@ def cmd_verify_examples(_args=None) -> int:
     return EXIT_OK if failed == 0 else EXIT_VERIFY_FAILED
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(commands: Optional[dict] = None) -> argparse.ArgumentParser:
+    """The `quadtwist` parser.  If `commands` is given, each command's own
+    parser is stored in it under the command's name."""
     p = argparse.ArgumentParser(
         prog="quadtwist",
         description="WR and stable twists of canonical ideal bases in real "
@@ -330,13 +335,36 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify-examples", help="recompute the worked examples")
     v.set_defaults(func=cmd_verify_examples)
+    if commands is not None:
+        commands.update({"survey": s, "twist": t, "geodesic": g,
+                         "verify-examples": v})
     return p
 
 
 @functools.cache
-def _shared_parser() -> argparse.ArgumentParser:
-    # Built once per process and reused: parse_args does not change it.
-    return build_parser()
+def _shared_parsers() -> tuple[argparse.ArgumentParser, dict]:
+    # Built once per process and reused: parsing does not change them.
+    commands: dict = {}
+    return build_parser(commands), commands
+
+
+def _parse(argv: list) -> argparse.Namespace:
+    """The namespace of build_parser().parse_args(argv), parsed by the
+    command's own parser alone where that settles it.
+
+    The full parser hands every argument after the command to the command's
+    parser, so the two agree whenever that parser leaves nothing over.
+    Anything else (no command, an unknown one, a top-level option, or a
+    stray argument) goes through the full parser, which prints the same
+    usage errors as before.
+    """
+    parser, commands = _shared_parsers()
+    if argv and argv[0] in commands:
+        args, extras = commands[argv[0]].parse_known_args(
+            argv[1:], argparse.Namespace(command=argv[0]))
+        if not extras:
+            return args
+    return parser.parse_args(argv)
 
 
 def _invalid_input(error: str, condition: Optional[str] = None) -> int:
@@ -348,7 +376,7 @@ def main(argv=None) -> int:
     """Run one command.  Only a rejected field or ideal triple, or an option
     the command rejects, is invalid input (exit 2); any other exception from
     the library propagates."""
-    args = _shared_parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.func(args)
     except CertificateError as exc:

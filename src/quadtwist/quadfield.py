@@ -28,7 +28,10 @@ _setattr = object.__setattr__
 def _int(n: int) -> str:
     # str(n) refuses more digits than sys.get_int_max_str_digits(); a large
     # unit has thousands.  Decimal prints every digit.
-    return str(Decimal(n))
+    try:
+        return str(n)
+    except ValueError:
+        return str(Decimal(n))
 
 
 def _rat(q: Rational) -> str:
@@ -94,9 +97,21 @@ def is_squarefree(n: int) -> bool:
     return m == 1 or not _is_square(m)
 
 
+# The largest D that check_field accepts.  Deciding squarefreeness is as
+# hard as factoring in general; up to 10**18 the trial division of
+# `is_squarefree` stops below 10**6, at most about 5 * 10**5 divisions.
+_D_MAX = 10**18
+
+
 def check_field(D: int) -> int:
+    """D itself, if it is a squarefree integer with 1 < D <= 10**18;
+    otherwise InvalidFieldError.  The size bound is checked before any
+    division, so a larger D is refused at once."""
     if not isinstance(D, int) or D <= 1:
         raise InvalidFieldError(f"D must be an integer > 1, got {D!r}")
+    if D > _D_MAX:
+        raise InvalidFieldError(
+            f"D must be at most 10**18, got a D of {D.bit_length()} bits")
     if not is_squarefree(D):
         raise InvalidFieldError(f"D = {D} is not squarefree")
     return D

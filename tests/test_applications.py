@@ -16,7 +16,12 @@ from quadtwist.applications import (
     min_abs_norm,
     tau_min_search,
 )
-from quadtwist.ideals import enumerate_canonical, ring_of_integers, validate_canonical
+from quadtwist.ideals import (
+    CanonicalIdeal,
+    enumerate_canonical,
+    ring_of_integers,
+    validate_canonical,
+)
 from quadtwist.quadfield import (
     CertificateError,
     QuadElem,
@@ -231,6 +236,23 @@ class TestEuclideanBounds:
         assert rep.ideal_bound_lt_one == \
             (r.exact_tau_sq_at_argmin * 5 * 1 < 4)
         assert rep.ideal_bound_lt_one
+
+    def test_ideal_bound_beyond_float_range(self):
+        # N(I) = 10**400 does not convert to float: the companion reads inf,
+        # and the exact verdict stays
+        rep = euclidean_bounds(2, CanonicalIdeal(2, 10**200, 0, 10**200),
+                               Fraction(1, 5))
+        assert rep.ideal_bound == math.inf
+        assert rep.ideal_bound_lt_one is False
+
+    def test_ideal_bound_of_a_norm_beyond_float_range(self):
+        # N(I) = 2**1024 is beyond float range, the bound
+        # sqrt(1/5) * sqrt(8) / 2 * 2**1024 is not
+        rep = euclidean_bounds(2, CanonicalIdeal(2, 2**512, 0, 2**512),
+                               Fraction(1, 5))
+        assert rep.ideal_bound == pytest.approx(
+            math.ldexp(math.sqrt(8 / 5) / 2, 1024), rel=1e-12)
+        assert rep.ideal_bound_lt_one is False
 
     def test_rejects_mixed_fields(self):
         with pytest.raises(ValueError, match="mixed fields"):

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import json
+import time
 from decimal import Decimal
 
 import pytest
@@ -222,3 +223,74 @@ def test_library_value_error_is_not_invalid_input(capsys, monkeypatch):
     with pytest.raises(ValueError, match="internal failure"):
         main(["twist", "1327", "39", "38", "1"])
     assert capsys.readouterr().err == ""
+
+
+def test_huge_field_is_refused_at_once(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "twist", str(10**300 + 1), "1", "0", "1")
+    assert time.perf_counter() - start < 1
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert "at most 10**18" in json.loads(err)["error"]
+
+
+# main parses with the command's own parser and falls back to the full one;
+# every outcome must be that of the full parser alone.
+PARSE_CASES = [
+    [],
+    ["-h"],
+    ["--help"],
+    ["bogus"],
+    ["-x"],
+    ["--", "twist", "139", "9", "7", "1"],
+    ["twist"],
+    ["twist", "139", "9"],
+    ["twist", "x", "9", "7", "1"],
+    ["twist", "139", "9", "7", "1", "--mode", "bogus"],
+    ["twist", "139", "9", "7", "1", "--mo", "wr"],
+    ["twist", "139", "9", "7", "1", "--mode=wr"],
+    ["twist", "--mode", "wr", "139", "9", "7", "1"],
+    ["twist", "139", "9", "7", "1", "stray"],
+    ["twist", "139", "9", "7", "1", "--", "stray"],
+    ["twist", "--", "139", "9", "7", "1"],
+    ["twist", "-h"],
+    ["twist", "139", "9", "7", "1", "-h"],
+    ["twist", "1327", "39", "38", "1"],
+    ["survey", "10", "6", "stray"],
+    ["survey", "10", "6", "--filter"],
+    ["survey", "10", "6", "--filter", "wr"],
+    ["geodesic", "5", "1", "0", "1", "--samples", "3", "stray"],
+    ["geodesic", "5", "1", "0", "1", "--samples", "3", "--format", "json"],
+    ["verify-examples", "stray"],
+    ["verify-examples", "-h"],
+]
+
+
+def _outcome(capsys, call):
+    try:
+        code = call()
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+@pytest.mark.parametrize("argv", PARSE_CASES, ids=lambda a: " ".join(a) or "-")
+def test_parse_paths_agree(capsys, argv):
+    def full():
+        args = cli.build_parser().parse_args(argv)
+        return args.func(args)
+
+    assert _outcome(capsys, lambda: main(argv)) == _outcome(capsys, full)
+
+
+def test_a_command_is_parsed_by_its_own_parser(capsys, monkeypatch):
+    parser, _ = cli._shared_parsers()
+
+    def full_parse(argv):
+        raise AssertionError("the full parser ran")
+
+    monkeypatch.setattr(parser, "parse_args", full_parse)
+    code, out, _ = run_cli(capsys, "twist", "139", "9", "7", "1", "--mode", "wr")
+    assert code == EXIT_OK
+    assert json.loads(out)["wr_twistable"] is True

@@ -4,6 +4,7 @@ import pickle
 import subprocess
 import sys
 import textwrap
+import time
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -93,6 +94,37 @@ class TestSquarefree:
             check_field(12)
         with pytest.raises(InvalidFieldError):
             check_field(-2)
+
+    def test_check_field_refuses_huge_d_at_once(self):
+        # Trial division would run to the cube root of a 301-digit D; the
+        # size bound is checked before any division.
+        start = time.perf_counter()
+        for D in (10**18 + 3, 10**300 + 1):
+            with pytest.raises(InvalidFieldError, match=r"at most 10\*\*18"):
+                check_field(D)
+        assert time.perf_counter() - start < 1
+        # the largest prime below the bound is still a field
+        assert check_field(10**18 - 11) == 10**18 - 11
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="no int-to-str digit limit")
+def test_int_and_rat_print_every_digit_past_the_limit():
+    n = 7 * 10**999 + 1  # 1,000 digits
+    digits = "7" + "0" * 998 + "1"
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        with pytest.raises(ValueError):
+            str(n)
+        assert quadfield._int(n) == digits
+        assert quadfield._int(-n) == "-" + digits
+        assert quadfield._int(12345) == "12345"
+        assert quadfield._rat(n) == digits
+        assert quadfield._rat(Fraction(n, 3)) == digits + "/3"
+        assert quadfield._rat(Fraction(-1, n)) == "-1/" + digits
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 class TestQuadElem:
