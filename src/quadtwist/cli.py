@@ -10,7 +10,10 @@ significant digits, and a companion beyond float range is the string "inf".
 
 A call pays for one parse by its command's own parser (the full parser runs
 only for usage errors and help), and a JSON report is encoded in one
-`json.dumps` and written to stdout in one write.
+`json.dumps` and written to stdout in one write.  `survey` decides each
+similarity class once: an ideal (a, b, g) takes the verdicts of its
+primitive part (a/g, b/g, 1), and every positive certificate is re-checked
+on the printed row's own ideal.
 """
 
 from __future__ import annotations
@@ -38,7 +41,14 @@ from .lattice2 import (
     successive_minima,
 )
 from .quadfield import CertificateError, InvalidFieldError, QuadElem, _rat
-from .twist import stable_twist, wr_bound_filter, wr_twist, stable_bound_filter
+from .twist import (
+    _certify_stable,
+    _certify_wr,
+    stable_bound_filter,
+    stable_twist,
+    wr_bound_filter,
+    wr_twist,
+)
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -127,16 +137,39 @@ def cmd_twist(args) -> int:
 
 
 def cmd_survey(args) -> int:
+    """One JSON line per canonical ideal over D with a <= max_a, in (a, b, g)
+    order.
+
+    I = (a, b, g) is g times its primitive part J = (a/g, b/g, 1): the pencil
+    of I is g^2 times that of J, and WR, reducedness and stability do not
+    see the factor, so I has J's forced ratio t*, feasibility set and
+    witness.  Each similarity class is therefore decided once, on J, for the
+    duration of this call; J's stable verdict is computed only when a row of
+    its class is printed.  A multiple's positive verdicts are re-checked on
+    its own Gram, so every printed certificate is one of the row's ideal.
+    """
     if args.max_a < 1:
         return _invalid_input(f"need max_a >= 1, got {args.max_a}")
-    ideals = enumerate_canonical(args.D, args.max_a)
-    for I in ideals:
-        verdict = wr_twist(I)
+    # (a/g, b/g) -> [J, wr_twist(J), stable_twist(J) or None until needed];
+    # the ideals come sorted by (a, b, g), so J precedes its multiples
+    classes: dict = {}
+    for I in enumerate_canonical(args.D, args.max_a):
+        if I.g == 1:
+            cls = classes[I.a, I.b] = [I, wr_twist(I), None]
+        else:
+            cls = classes[I.a // I.g, I.b // I.g]
+        J, verdict, fr = cls
         if args.filter == "wr" and not verdict.wr_twistable:
             continue
-        fr = stable_twist(I)
+        if fr is None:
+            fr = cls[2] = stable_twist(J)
         if args.filter == "stable" and not fr.feasible_real:
             continue
+        if I.g > 1:
+            if verdict.wr_twistable:
+                _certify_wr(I, verdict.t_star, verdict.alpha)
+            if fr.witness_t is not None:
+                _certify_stable(I, fr.witness_t, fr.witness_alpha)
         row = {
             "D": I.D,
             "a": I.a,

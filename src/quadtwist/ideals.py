@@ -115,12 +115,14 @@ def enumerate_canonical(D: int, max_a: int) -> list[CanonicalIdeal]:
     N(b + g*delta) = g^2 * N(b/g + delta), so (a, b, g) is canonical iff
     its primitive part (a/g, b/g, 1) is: the scan runs over the primitive
     pairs b' < a' <= max_a with a' | N(b' + delta) and emits
-    (g*a', g*b', g) for every g <= max_a // a'.
+    (g*a', g*b', g) for every g <= max_a // a'.  The norm N(b' + delta) is
+    computed once per b', not once per pair.
     """
     check_field(D)
+    norms = [_z2(D, b, 1)[3] for b in range(max_a)]
     found = [(g * a, g * b, g)
              for a in range(1, max_a + 1)
-             for b in range(a) if _z2(D, b, 1)[3] % a == 0
+             for b in range(a) if norms[b] % a == 0
              for g in range(1, max_a // a + 1)]
     found.sort()
     return [CanonicalIdeal(D, a, b, g) for a, b, g in found]

@@ -108,7 +108,9 @@ def check_field(D: int) -> int:
     otherwise InvalidFieldError.  The size bound is checked before any
     division, so a larger D is refused at once."""
     if not isinstance(D, int) or D <= 1:
-        raise InvalidFieldError(f"D must be an integer > 1, got {D!r}")
+        # repr of an int past the digit limit would raise ValueError itself
+        got = _int(D) if isinstance(D, int) else repr(D)
+        raise InvalidFieldError(f"D must be an integer > 1, got {got}")
     if D > _D_MAX:
         raise InvalidFieldError(
             f"D must be at most 10**18, got a D of {D.bit_length()} bits")

@@ -299,12 +299,19 @@ def wr_twist(I: CanonicalIdeal) -> TwistVerdict:
         return TwistVerdict(False, reason="reduction inequality fails",
                             t_star=t_star)
     alpha = _t_plus_sqrt(I.D, t_star)
+    return TwistVerdict(True, t_star=t_star, alpha=alpha,
+                        gram=_certify_wr(I, t_star, alpha))
+
+
+def _certify_wr(I: CanonicalIdeal, t_star: Fraction, alpha: QuadElem) -> Gram2:
+    """The Gram of I twisted by alpha = t* + sqrt(D), once it is re-checked
+    WR and reduced; CertificateError otherwise."""
     gram = gram_of_twist(I, alpha)
     if not (is_wr(gram) and is_paper_reduced(gram)):
         raise CertificateError(
             f"WR twist t* = {_rat(t_star)} of {I} fails the exact WR/reduced "
             f"re-check")
-    return TwistVerdict(True, t_star=t_star, alpha=alpha, gram=gram)
+    return gram
 
 
 def _stable_constraints(I: CanonicalIdeal) -> list[tuple[int, int, int]]:
@@ -369,10 +376,16 @@ def stable_twist(I: CanonicalIdeal) -> FeasibilityReport:
             break
     if witness_t is not None:
         witness_alpha = _t_plus_sqrt(D, witness_t)
-        gram = gram_of_twist(I, witness_alpha)
-        if not (is_paper_reduced(gram) and is_stable(gram)
-                and raw_stable_polynomials(I, witness_t)):
-            raise CertificateError(
-                f"stable witness t = {_rat(witness_t)} of {I} fails the exact "
-                f"stability re-check")
+        _certify_stable(I, witness_t, witness_alpha)
     return FeasibilityReport(True, intervals, witness_t, witness_alpha)
+
+
+def _certify_stable(I: CanonicalIdeal, t: Fraction, alpha: QuadElem) -> None:
+    """CertificateError unless the twist of I by alpha = t + sqrt(D) is
+    reduced and stable and every stable constraint holds at t."""
+    gram = gram_of_twist(I, alpha)
+    if not (is_paper_reduced(gram) and is_stable(gram)
+            and raw_stable_polynomials(I, t)):
+        raise CertificateError(
+            f"stable witness t = {_rat(t)} of {I} fails the exact "
+            f"stability re-check")

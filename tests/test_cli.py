@@ -4,13 +4,22 @@ import io
 import json
 import time
 from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
 from quadtwist import cli
 from quadtwist.cli import EXIT_INVALID, EXIT_OK, EXIT_VERIFY_FAILED, main
-from quadtwist.quadfield import CertificateError
-from quadtwist.twist import stable_twist
+from quadtwist import twist
+from quadtwist.ideals import CanonicalIdeal, enumerate_canonical
+from quadtwist.lattice2 import gram_of_twist
+from quadtwist.quadfield import CertificateError, _rat
+from quadtwist.twist import (
+    stable_bound_filter,
+    stable_twist,
+    wr_bound_filter,
+    wr_twist,
+)
 
 
 def run_cli(capsys, *argv):
@@ -91,6 +100,8 @@ class TestSurveyCommand:
 
     def test_filter_wr_decides_stability_only_for_printed_rows(
             self, capsys, monkeypatch):
+        # once per similarity class: the calls are exactly the primitive
+        # parts (a/g, b/g, 1) of the printed rows, each called once
         calls = []
 
         def counted(I):
@@ -99,7 +110,81 @@ class TestSurveyCommand:
 
         monkeypatch.setattr(cli, "stable_twist", counted)
         _, out, _ = run_cli(capsys, "survey", "139", "30", "--filter", "wr")
-        assert len(calls) == len(out.splitlines()) > 0
+        rows = [json.loads(line) for line in out.splitlines()]
+        primitive = {CanonicalIdeal(139, r["a"] // r["g"], r["b"] // r["g"], 1)
+                     for r in rows}
+        assert len(calls) == len(set(calls))
+        assert set(calls) == primitive
+        # the sample has multiples: fewer classes than rows
+        assert 0 < len(primitive) < len(rows)
+
+    @pytest.mark.parametrize("flag", ["all", "wr", "stable"])
+    @pytest.mark.parametrize("D", [2, 5, 13, 21, 139, 141, 199])
+    def test_same_bytes_as_deciding_every_row(self, capsys, D, flag):
+        # D = 5, 13, 21, 141 are 1 mod 4, where even g meets e = 2
+        _, out, _ = run_cli(capsys, "survey", str(D), "50", "--filter", flag)
+        assert out == _ref_survey(D, 50, flag)
+
+    def test_positive_rows_are_rechecked_on_their_own_ideal(
+            self, capsys, monkeypatch):
+        twisted = set()
+
+        def recorded(I, alpha):
+            twisted.add((I.a, I.b, I.g, alpha.x))
+            return gram_of_twist(I, alpha)
+
+        monkeypatch.setattr(twist, "gram_of_twist", recorded)
+        _, out, _ = run_cli(capsys, "survey", "139", "30")
+        rows = [json.loads(line) for line in out.splitlines()]
+        positive = [r for r in rows if r["stable_witness_t"] is not None]
+        assert any(r["g"] > 1 and r["wr_twistable"] for r in positive)
+        for r in rows:
+            key = (r["a"], r["b"], r["g"])
+            if r["wr_twistable"]:
+                t_star = Fraction(r["alpha"].partition(" + sqrt")[0])
+                assert key + (t_star,) in twisted, r
+            if r["stable_witness_t"] is not None:
+                assert key + (Fraction(r["stable_witness_t"]),) in twisted, r
+
+    def test_a_failing_recheck_on_a_multiple_exits_3(self, capsys, monkeypatch):
+        real = twist.raw_stable_polynomials
+        monkeypatch.setattr(twist, "raw_stable_polynomials",
+                            lambda I, t: I.g == 1 and real(I, t))
+        code, out, err = run_cli(capsys, "survey", "139", "30", "--filter", "wr")
+        assert code == EXIT_VERIFY_FAILED
+        msg = json.loads(err)
+        assert msg["condition"] == "certificate"
+        assert "(18, 14 + 2*delta) over D=139" in msg["error"]
+        # the rows before the first multiple with a witness were printed
+        assert [json.loads(line)["g"] for line in out.splitlines()] == [1] * 4
+
+
+def _ref_survey(D: int, max_a: int, flag: str) -> str:
+    """The survey loop that runs wr_twist and stable_twist on every row's own
+    ideal, with no verdict shared between rows."""
+    out = []
+    for I in enumerate_canonical(D, max_a):
+        verdict = wr_twist(I)
+        if flag == "wr" and not verdict.wr_twistable:
+            continue
+        fr = stable_twist(I)
+        if flag == "stable" and not fr.feasible_real:
+            continue
+        row = {
+            "D": I.D,
+            "a": I.a,
+            "b": I.b,
+            "g": I.g,
+            "ideal_norm": I.norm(),
+            "wr_bound_filter": wr_bound_filter(I),
+            "stable_bound_filter": stable_bound_filter(I),
+            "wr_twistable": verdict.wr_twistable,
+            "alpha": None if verdict.alpha is None else str(verdict.alpha),
+            "stable_feasible": fr.feasible_real,
+            "stable_witness_t": None if fr.witness_t is None else _rat(fr.witness_t),
+        }
+        out.append(json.dumps(row) + "\n")
+    return "".join(out)
 
 
 class TestGeodesicCommand:

@@ -95,6 +95,17 @@ class TestSquarefree:
         with pytest.raises(InvalidFieldError):
             check_field(-2)
 
+    def test_check_field_types_a_d_past_the_digit_limit(self):
+        # a negative int D past sys.get_int_max_str_digits() is still a
+        # typed refusal, printed in full; any other type keeps its repr
+        with pytest.raises(InvalidFieldError) as exc:
+            check_field(-10**5000)
+        assert str(exc.value).endswith("got -1" + "0" * 5000)
+        with pytest.raises(InvalidFieldError, match=r"got 2\.5$"):
+            check_field(2.5)
+        with pytest.raises(InvalidFieldError, match=r"got '7'$"):
+            check_field("7")
+
     def test_check_field_refuses_huge_d_at_once(self):
         # Trial division would run to the cube root of a 301-digit D; the
         # size bound is checked before any division.

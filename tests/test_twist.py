@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from quadtwist.ideals import (
     CanonicalIdeal,
     enumerate_canonical,
+    primitive_reduction,
     ring_of_integers,
     validate_canonical,
 )
@@ -765,3 +766,54 @@ class TestCertificates:
         proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
+
+
+class TestSimilarity:
+    """I = (a, b, g) is g times its primitive part J = (a/g, b/g, 1): both
+    twist alike, with Grams that differ by the factor g^2."""
+
+    @pytest.fixture(scope="class")
+    def multiples(self, sweep):
+        ideals = [I for I in sweep if I.D <= 200 and I.g > 1]
+        assert len(ideals) == 16403
+        return ideals
+
+    def test_verdicts_equal_those_of_the_primitive_part(self, multiples):
+        primitive = {}
+        for I in multiples:
+            J = primitive_reduction(I)
+            if J not in primitive:
+                primitive[J] = wr_twist(J), stable_twist(J)
+            vJ, fJ = primitive[J]
+            g2 = I.g * I.g
+            v = wr_twist(I)
+            assert (v.wr_twistable, v.reason, v.t_star, v.alpha) == \
+                (vJ.wr_twistable, vJ.reason, vJ.t_star, vJ.alpha), I
+            if v.gram is not None:
+                assert (v.gram.g11, v.gram.g12, v.gram.g22) == (
+                    g2 * vJ.gram.g11, g2 * vJ.gram.g12, g2 * vJ.gram.g22), I
+            f = stable_twist(I)
+            assert (f.feasible_real, f.witness_t, f.witness_alpha,
+                    f.emptied_by) == (fJ.feasible_real, fJ.witness_t,
+                                      fJ.witness_alpha, fJ.emptied_by), I
+            # ends equal as values: only their integer forms differ
+            assert len(f.intervals) == len(fJ.intervals), I
+            for iv, ivJ in zip(f.intervals, fJ.intervals):
+                assert iv.lo == ivJ.lo, I
+                assert (iv.hi is None) == (ivJ.hi is None), I
+                assert iv.hi is None or iv.hi == ivJ.hi, I
+                assert (iv.lo_closed, iv.hi_closed) == \
+                    (ivJ.lo_closed, ivJ.hi_closed), I
+            if f.witness_alpha is not None:
+                G = gram_of_twist(I, f.witness_alpha)
+                GJ = gram_of_twist(J, f.witness_alpha)
+                assert (G.g11, G.g12, G.g22) == (
+                    g2 * GJ.g11, g2 * GJ.g12, g2 * GJ.g22), I
+
+    def test_sweep_holds_each_kind_of_verdict(self, multiples):
+        # the identity above is not vacuous: every outcome occurs among
+        # the multiples, and so does e = 2 with an even g
+        assert any(I.D % 4 == 1 and I.g % 2 == 0 for I in multiples)
+        verdicts = [(wr_twist(I).wr_twistable, stable_twist(I).witness_t
+                     is not None) for I in multiples[::7]]
+        assert {(True, True), (False, True), (False, False)} <= set(verdicts)
