@@ -13,7 +13,8 @@ only for usage errors and help), and a JSON report is encoded in one
 `json.dumps` and written to stdout in one write.  `survey` decides each
 similarity class once: an ideal (a, b, g) takes the verdicts of its
 primitive part (a/g, b/g, 1), and every positive certificate is re-checked
-on the printed row's own ideal.
+on the printed row's own ideal.  Its rows share one encoded tail per class
+and are written in one write, after the last row or at the first error.
 """
 
 from __future__ import annotations
@@ -147,43 +148,50 @@ def cmd_survey(args) -> int:
     duration of this call; J's stable verdict is computed only when a row of
     its class is printed.  A multiple's positive verdicts are re-checked on
     its own Gram, so every printed certificate is one of the row's ideal.
+    The fields after ideal_norm are the class's, so they are encoded once
+    per class; the rows are written in one write, at the end or at an error.
     """
     if args.max_a < 1:
         return _invalid_input(f"need max_a >= 1, got {args.max_a}")
-    # (a/g, b/g) -> [J, wr_twist(J), stable_twist(J) or None until needed];
-    # the ideals come sorted by (a, b, g), so J precedes its multiples
+    # (a/g, b/g) -> [J, wr_twist(J), stable_twist(J) and the encoded row
+    # tail, both None until needed]; the ideals come sorted by (a, b, g), so
+    # J precedes its multiples
     classes: dict = {}
-    for I in enumerate_canonical(args.D, args.max_a):
-        if I.g == 1:
-            cls = classes[I.a, I.b] = [I, wr_twist(I), None]
-        else:
-            cls = classes[I.a // I.g, I.b // I.g]
-        J, verdict, fr = cls
-        if args.filter == "wr" and not verdict.wr_twistable:
-            continue
-        if fr is None:
-            fr = cls[2] = stable_twist(J)
-        if args.filter == "stable" and not fr.feasible_real:
-            continue
-        if I.g > 1:
-            if verdict.wr_twistable:
-                _certify_wr(I, verdict.t_star, verdict.alpha)
-            if fr.witness_t is not None:
-                _certify_stable(I, fr.witness_t, fr.witness_alpha)
-        row = {
-            "D": I.D,
-            "a": I.a,
-            "b": I.b,
-            "g": I.g,
-            "ideal_norm": I.norm(),
-            "wr_bound_filter": wr_bound_filter(I),
-            "stable_bound_filter": stable_bound_filter(I),
-            "wr_twistable": verdict.wr_twistable,
-            "alpha": None if verdict.alpha is None else str(verdict.alpha),
-            "stable_feasible": fr.feasible_real,
-            "stable_witness_t": None if fr.witness_t is None else _rat(fr.witness_t),
-        }
-        sys.stdout.write(json.dumps(row) + "\n")
+    lines: list = []
+    try:
+        for I in enumerate_canonical(args.D, args.max_a):
+            D, a, b, g = I.D, I.a, I.b, I.g
+            if g == 1:
+                cls = classes[a, b] = [I, wr_twist(I), None, None]
+            else:
+                cls = classes[a // g, b // g]
+            J, verdict, fr, tail = cls
+            if args.filter == "wr" and not verdict.wr_twistable:
+                continue
+            if fr is None:
+                fr = stable_twist(J)
+                tail = json.dumps({
+                    "wr_bound_filter": wr_bound_filter(J),
+                    "stable_bound_filter": stable_bound_filter(J),
+                    "wr_twistable": verdict.wr_twistable,
+                    "alpha": None if verdict.alpha is None else str(verdict.alpha),
+                    "stable_feasible": fr.feasible_real,
+                    "stable_witness_t":
+                        None if fr.witness_t is None else _rat(fr.witness_t),
+                })[1:]
+                cls[2:] = fr, tail
+            if args.filter == "stable" and not fr.feasible_real:
+                continue
+            if g > 1:
+                if verdict.wr_twistable:
+                    _certify_wr(I, verdict.t_star, verdict.alpha)
+                if fr.witness_t is not None:
+                    _certify_stable(I, fr.witness_t, fr.witness_alpha)
+            # ints print as their JSON; the tail holds the rest of the object
+            lines.append(f'{{"D": {D}, "a": {a}, "b": {b}, "g": {g}, '
+                         f'"ideal_norm": {a * g}, {tail}\n')
+    finally:
+        sys.stdout.write("".join(lines))
     return EXIT_OK
 
 

@@ -36,6 +36,23 @@ def _z2(D: int, b: int, g: int) -> tuple[int, int, int, int]:
     return u, v, e, (u * u - D * v * v) // (e * e)
 
 
+def _state(D: int, a: int, b: int, g: int) -> tuple[int, dict]:
+    """N(b + g*delta), and the instance dict of CanonicalIdeal(D, a, b, g).
+
+    _uve and _pencil are not dataclass fields: ==, hash and repr see
+    (D, a, b, g) only.  _uve is z2 = (u + v*sqrt(D))/e, and _pencil is
+    (P11, P12, P22, Q11, Q12, Q22) of the integer pencil t*P + Q, e/2 times
+    the twisted Gram of (a, z2) along t + sqrt(D):
+    P = (e/2)*[trace(z_i*z_j)] = (a^2*e, a*u, (u^2 + D*v^2)/e),
+    Q = (e/2)*[trace(sqrt(D)*z_i*z_j)] = (0, a*D*v, 2*D*u*v/e), and
+    det(t*P + Q) = N(I)^2 * D * (t^2 - D).
+    """
+    u, v, e, n = _z2(D, b, g)
+    return n, {"D": D, "a": a, "b": b, "g": g, "_uve": (u, v, e), "_pencil": (
+        a * a * e, a * u, (u * u + D * v * v) // e,
+        0, a * D * v, 2 * D * u * v // e)}
+
+
 @dataclass(frozen=True)
 class CanonicalIdeal:
     """Canonical basis triple (a, b, g) of an integral ideal over D; a, b and
@@ -64,23 +81,13 @@ class CanonicalIdeal:
             raise CanonicalBasisError("g|a", f"g = {self.g} does not divide a = {self.a}")
         if self.b % self.g != 0:
             raise CanonicalBasisError("g|b", f"g = {self.g} does not divide b = {self.b}")
-        D, a = self.D, self.a
-        u, v, e, n = _z2(D, self.b, self.g)
-        if n % (a * self.g) != 0:
+        n, state = _state(self.D, self.a, self.b, self.g)
+        if n % (self.a * self.g) != 0:
             raise CanonicalBasisError(
                 "divisibility",
-                f"a*g = {a * self.g} does not divide N(b+g*delta) = {n}",
+                f"a*g = {self.a * self.g} does not divide N(b+g*delta) = {n}",
             )
-        # Not dataclass fields: ==, hash and repr see (D, a, b, g) only.
-        # _pencil is (P11, P12, P22, Q11, Q12, Q22) of the integer pencil
-        # t*P + Q, e/2 times the twisted Gram of (a, z2) along t + sqrt(D):
-        # P = (e/2)*[trace(z_i*z_j)] = (a^2*e, a*u, (u^2 + D*v^2)/e),
-        # Q = (e/2)*[trace(sqrt(D)*z_i*z_j)] = (0, a*D*v, 2*D*u*v/e), and
-        # det(t*P + Q) = N(I)^2 * D * (t^2 - D).
-        object.__setattr__(self, "_uve", (u, v, e))
-        object.__setattr__(self, "_pencil", (
-            a * a * e, a * u, (u * u + D * v * v) // e,
-            0, a * D * v, 2 * D * u * v // e))
+        self.__dict__.update(state)
 
     def __getstate__(self):
         # The fields only, as a plain dataclass pickles; unpickling re-runs
@@ -109,6 +116,14 @@ def validate_canonical(D: int, a: int, b: int, g: int) -> CanonicalIdeal:
     return CanonicalIdeal(D, a, b, g)
 
 
+def _canonical(D: int, a: int, b: int, g: int) -> CanonicalIdeal:
+    """CanonicalIdeal(D, a, b, g) without its checks, for a triple already
+    proved canonical over a checked D."""
+    I = object.__new__(CanonicalIdeal)
+    I.__dict__.update(_state(D, a, b, g)[1])
+    return I
+
+
 def enumerate_canonical(D: int, max_a: int) -> list[CanonicalIdeal]:
     """All canonical ideals over D with a <= max_a, sorted by (a, b, g).
 
@@ -116,7 +131,8 @@ def enumerate_canonical(D: int, max_a: int) -> list[CanonicalIdeal]:
     its primitive part (a/g, b/g, 1) is: the scan runs over the primitive
     pairs b' < a' <= max_a with a' | N(b' + delta) and emits
     (g*a', g*b', g) for every g <= max_a // a'.  The norm N(b' + delta) is
-    computed once per b', not once per pair.
+    computed once per b', not once per pair, and D is checked once: the
+    scan proves each triple canonical, so its ideal skips the checks.
     """
     check_field(D)
     norms = [_z2(D, b, 1)[3] for b in range(max_a)]
@@ -125,7 +141,7 @@ def enumerate_canonical(D: int, max_a: int) -> list[CanonicalIdeal]:
              for b in range(a) if norms[b] % a == 0
              for g in range(1, max_a // a + 1)]
     found.sort()
-    return [CanonicalIdeal(D, a, b, g) for a, b, g in found]
+    return [_canonical(D, a, b, g) for a, b, g in found]
 
 
 def primitive_reduction(I: CanonicalIdeal) -> CanonicalIdeal:

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import json
+import os
 import time
 from decimal import Decimal
 from fractions import Fraction
@@ -158,6 +159,31 @@ class TestSurveyCommand:
         # the rows before the first multiple with a witness were printed
         assert [json.loads(line)["g"] for line in out.splitlines()] == [1] * 4
 
+    def test_rows_before_a_failing_recheck_are_written(
+            self, capsys, monkeypatch):
+        # every re-check fails, so the first multiple with a positive
+        # verdict ends the survey; the rows before it are written as one
+        failed = []
+
+        def failing(I, t, alpha):
+            failed.append(I)
+            raise CertificateError(f"re-check of {I} failed")
+
+        monkeypatch.setattr(cli, "_certify_wr", failing)
+        monkeypatch.setattr(cli, "_certify_stable", failing)
+        code, out, err = run_cli(capsys, "survey", "139", "30")
+        assert code == EXIT_VERIFY_FAILED
+        assert json.loads(err)["condition"] == "certificate"
+        [I] = failed
+        ref = _ref_survey(139, 30, "all").splitlines(keepends=True)
+        rows = [json.loads(line) for line in ref]
+        first = next(i for i, r in enumerate(rows) if r["g"] > 1 and (
+            r["wr_twistable"] or r["stable_witness_t"] is not None))
+        assert (rows[first]["a"], rows[first]["b"], rows[first]["g"]) == (
+            I.a, I.b, I.g)
+        assert out == "".join(ref[:first])
+        assert any(r["g"] > 1 for r in rows[:first])
+
 
 def _ref_survey(D: int, max_a: int, flag: str) -> str:
     """The survey loop that runs wr_twist and stable_twist on every row's own
@@ -266,6 +292,26 @@ def test_stdout_byte_identical(capsys, argv):
     code, out, _ = run_cli(capsys, *argv)
     assert code == EXIT_OK
     assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_SHA256[argv]
+
+
+SURVEY_REFERENCE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                os.pardir, "perfbench", "reference",
+                                "survey.json")
+
+
+def test_survey_matches_the_benchmark_digests(capsys):
+    # the benchmark's own gate: sha256[:16] of `survey D 50` for every
+    # squarefree D <= 200
+    with open(SURVEY_REFERENCE) as f:
+        reference = json.load(f)
+    assert len(reference) == 121
+    wrong = []
+    for D, rec in reference.items():
+        code, out, _ = run_cli(capsys, "survey", D, "50")
+        if code != EXIT_OK or hashlib.sha256(
+                out.encode()).hexdigest()[:16] != rec["digest"]:
+            wrong.append(D)
+    assert wrong == []
 
 
 def test_certificate_failure_exits_3(capsys, monkeypatch):

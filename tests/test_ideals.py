@@ -11,7 +11,7 @@ from quadtwist.ideals import (
     ring_of_integers,
     validate_canonical,
 )
-from quadtwist.quadfield import QuadElem, delta, is_squarefree
+from quadtwist.quadfield import InvalidFieldError, QuadElem, delta, is_squarefree
 
 
 class TestValidation:
@@ -142,6 +142,28 @@ class TestEnumeration:
             if is_squarefree(D):
                 assert [(i.a, i.b, i.g) for i in enumerate_canonical(D, max_a)] \
                     == _ref_enumerate(D, max_a), (D, max_a)
+
+    def test_ideals_are_the_validated_ones(self):
+        # the enumeration builds its ideals without CanonicalIdeal's checks;
+        # D = 1 (mod 4) with even g (e = 2, u and v both even) is in the sweep
+        even_g_at_e2 = 0
+        for D in range(2, 201):
+            if not is_squarefree(D):
+                continue
+            for I in enumerate_canonical(D, 50):
+                J = CanonicalIdeal(D, I.a, I.b, I.g)
+                assert (I == J and hash(I) == hash(J) and repr(I) == repr(J)
+                        and I._uve == J._uve and I._pencil == J._pencil), J
+                K = pickle.loads(pickle.dumps(I))
+                assert (K == J and K._uve == J._uve
+                        and K._pencil == J._pencil), J
+                even_g_at_e2 += D % 4 == 1 and I.g % 2 == 0
+        assert even_g_at_e2 > 0
+
+    def test_field_checked_once_per_call(self):
+        with pytest.raises(InvalidFieldError):
+            enumerate_canonical(12, 5)
+        assert enumerate_canonical(139, 0) == []
 
     def test_sorted_and_contains_ring(self):
         ideals = enumerate_canonical(139, 10)
