@@ -9,8 +9,11 @@ other exception propagates.  Exact rationals are serialized as
 significant digits, and a companion beyond float range is the string "inf".
 
 A call pays for one parse by its command's own parser (the full parser runs
-only for usage errors and help), and a JSON report is encoded in one
-`json.dumps` and written to stdout in one write.  `survey` decides each
+only for usage errors and help).  The indented JSON of `twist` and
+`geodesic --format json` has one emitter, `_json`, which writes what
+`json.dumps(obj, indent=2)` writes, ints of any size included; the report
+goes to stdout in one write.  The `twist` report reads its Grams' integers:
+one Lagrange reduction, one gcd per printed ratio.  `survey` decides each
 similarity class once: an ideal (a, b, g) takes the verdicts of its
 primitive part (a/g, b/g, 1), and every positive certificate is re-checked
 on the printed row's own ideal.  Its rows share one encoded tail per class
@@ -27,11 +30,14 @@ import math
 import sys
 import time
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _esc
 from typing import Optional
 
 from .geodesic import sample_orbit
 from .ideals import CanonicalBasisError, CanonicalIdeal, enumerate_canonical
 from .lattice2 import (
+    _stable_reduced,
+    _wr_reduced,
     gram_of_twist,
     is_lagrange_reduced,
     is_paper_reduced,
@@ -41,7 +47,7 @@ from .lattice2 import (
     minima_brute_force,
     successive_minima,
 )
-from .quadfield import CertificateError, InvalidFieldError, QuadElem, _rat
+from .quadfield import CertificateError, InvalidFieldError, QuadElem, _int, _rat
 from .twist import (
     _certify_stable,
     _certify_wr,
@@ -60,14 +66,36 @@ def _flt(x: float) -> float:
     return float(f"{x:.12g}")
 
 
-def _gram_json(G) -> dict:
-    return {
-        "g11": _rat(G.g11),
-        "g12": _rat(G.g12),
-        "g22": _rat(G.g22),
-        "det": _rat(G.det()),
-        "det_sqrt_float": _flt(math.sqrt(G.det())),
-    }
+def _ratio(n: int, d: int) -> str:
+    """_rat(Fraction(n, d)) for d > 0, with one gcd."""
+    g = math.gcd(n, d)
+    return _int(n // g) if g == d else f"{_int(n // g)}/{_int(d // g)}"
+
+
+def _json(obj, pad: str = "\n") -> str:
+    """json.dumps(obj, indent=2, allow_nan=False) of dicts with str keys,
+    lists, str, int, float, bool and None, with ints of any size."""
+    if isinstance(obj, str):
+        return _esc(obj)
+    if obj is None or isinstance(obj, bool):
+        return "null" if obj is None else "true" if obj else "false"
+    if isinstance(obj, int):
+        return _int(obj)
+    if isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise ValueError(f"float {obj!r} is not JSON compliant")
+        return float.__repr__(obj)
+    inner = pad + "  "
+    if isinstance(obj, dict):
+        ends = "{}"
+        items = [f"{_esc(k)}: {_json(v, inner)}" for k, v in obj.items()]
+    elif isinstance(obj, list):
+        ends, items = "[]", [_json(v, inner) for v in obj]
+    else:
+        raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+    if not items:
+        return ends
+    return f"{ends[0]}{inner}{(',' + inner).join(items)}{pad}{ends[1]}"
 
 
 def _twist_report(D: int, a: int, b: int, g: int, mode: str) -> dict:
@@ -109,31 +137,42 @@ def _twist_report(D: int, a: int, b: int, g: int, mode: str) -> dict:
 
     if alpha is not None:
         R, _ = lagrange_reduce(G)
-        l1, l2 = R.g11, R.g22
-        cos_f = float(G.g12) / math.sqrt(float(G.g11) * float(G.g22))
+        report["alpha"] = str(alpha)
+        # read off the integers [[n11, n12], [n12, n22]]/den; int / int rounds
+        # correctly, as float() of the Fraction does
+        for key, M in (("gram", G), ("reduced_gram", R)):
+            n11, n12, n22, den = M._n11, M._n12, M._n22, M._den
+            det = n11 * n22 - n12 * n12
+            report[key] = {
+                "g11": _ratio(n11, den), "g12": _ratio(n12, den),
+                "g22": _ratio(n22, den), "det": _ratio(det, den * den),
+                "det_sqrt_float": _flt(math.sqrt(det / (den * den))),
+            }
+        gram, reduced = report["gram"], report["reduced_gram"]
+        r11, r12, r22, rden = R._n11, R._n12, R._n22, R._den
+        n11, n12, n22, den = G._n11, G._n12, G._n22, G._den
         report.update(
             {
-                "alpha": str(alpha),
-                "gram": _gram_json(G),
-                "reduced_gram": _gram_json(R),
-                "minima_sq": [_rat(l1), _rat(l2)],
-                "minima_float": [_flt(math.sqrt(l1)), _flt(math.sqrt(l2))],
-                "basis_norms_sq": [_rat(G.g11), _rat(G.g22)],
-                "cosine_float": _flt(cos_f),
-                "is_wr": is_wr(R),
-                "is_stable": is_stable(R),
+                "minima_sq": [reduced["g11"], reduced["g22"]],
+                "minima_float": [_flt(math.sqrt(r11 / rden)),
+                                 _flt(math.sqrt(r22 / rden))],
+                "basis_norms_sq": [gram["g11"], gram["g22"]],
+                "cosine_float": _flt(
+                    n12 / den / math.sqrt(n11 / den * (n22 / den))),
+                "is_wr": _wr_reduced(r11, r12, r22),
+                "is_stable": _stable_reduced(r11, r12, r22),
                 "is_paper_reduced": is_paper_reduced(G),
                 "is_lagrange_reduced": is_lagrange_reduced(G),
             }
         )
-        if G.g11 == G.g22:
-            report["cosine"] = _rat(G.g12 / G.g11)
+        if n11 == n22:
+            report["cosine"] = _ratio(n12, n11)
     return report
 
 
 def cmd_twist(args) -> int:
     report = _twist_report(args.D, args.a, args.b, args.g, args.mode)
-    sys.stdout.write(json.dumps(report, indent=2) + "\n")
+    sys.stdout.write(_json(report) + "\n")
     return EXIT_OK
 
 
@@ -235,7 +274,7 @@ def cmd_geodesic(args) -> int:
             ],
             "wr_crossings": wr_crossings,
         }
-        sys.stdout.write(json.dumps(out, indent=2, allow_nan=False) + "\n")
+        sys.stdout.write(_json(out) + "\n")
     return EXIT_OK
 
 

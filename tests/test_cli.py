@@ -2,12 +2,14 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import time
 from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from quadtwist import cli
 from quadtwist.cli import EXIT_INVALID, EXIT_OK, EXIT_VERIFY_FAILED, main
@@ -267,8 +269,10 @@ class TestVerifyExamples:
         assert len(notes) == 2  # documented second-minimum deviations
 
 
-# sha256 of stdout, recorded from the Fraction-based implementation: the
-# integer surd core must reproduce every byte.
+# sha256 of stdout.  The survey and the two `--mode all` twists were
+# recorded from the Fraction-based implementation, the other report shapes
+# from the json.dumps encoder before the integer report and its emitter: the
+# current code must reproduce every byte.
 STDOUT_SHA256 = {
     ("survey", "5", "30"):
         "4117b4c13d0d5792be75d9c7eb9c5c2dd475c4942d6ec95f09ad37e8ee29ace6",
@@ -284,6 +288,20 @@ STDOUT_SHA256 = {
         "d8d1a8b29361a7cb318cc27d0a7706cb9ef7e1b00fa1ce32bc4ffb872cc4911d",
     ("twist", "125173", "183", "182", "1", "--mode", "all"):
         "1ddf8e16163ff6212df1b85d1c3125263d59e011e7250f151733ef0c47c51278",
+    # a WR twist: the report has the "cosine" key
+    ("twist", "139", "9", "7", "1", "--mode", "wr"):
+        "0c42221666f8017de32cf53bb0bb60ef47a32a63ae8bc145f19c8624f06ff676",
+    ("twist", "1327", "39", "38", "1", "--mode", "stable"):
+        "18b269ab8933b8d4e534d849bc694f0bebfd008973f744158e22663b0964ea90",
+    # neither twist exists: "stable_intervals": [] and no Gram
+    ("twist", "5", "11", "3", "1", "--mode", "all"):
+        "309ff67009ea89785b00d6dbcb279d7e33303d66cf57755cfb931b34f9a75e69",
+    ("geodesic", "5", "1", "0", "1", "--samples", "4", "--format", "json"):
+        "9332d303beab77803200f5447eb06af2292c53918dde4ea356aea9bb73f68c15",
+    # an "inf" string, and a t past the int-to-str digit limit
+    ("geodesic", "9999991", "1", "0", "1", "--samples", "2", "--format",
+     "json"):
+        "4263acf8fc49f135ce70f8e9431494645091a446c4c89df23e88cd88983b0585",
 }
 
 
@@ -312,6 +330,88 @@ def test_survey_matches_the_benchmark_digests(capsys):
                 out.encode()).hexdigest()[:16] != rec["digest"]:
             wrong.append(D)
     assert wrong == []
+
+
+QUERY_REFERENCE = os.path.join(os.path.dirname(SURVEY_REFERENCE), "query.json")
+
+
+def test_query_matches_the_benchmark_digests(capsys):
+    # the benchmark's own gate: sha256[:16] of `twist D a b 1 --mode all`
+    # for every ideal of the query pool
+    with open(QUERY_REFERENCE) as f:
+        reference = json.load(f)
+    assert len(reference) == 8192
+    wrong = []
+    for D, a, b, expected in reference:
+        code, out, _ = run_cli(capsys, "twist", str(D), str(a), str(b), "1",
+                               "--mode", "all")
+        if code != EXIT_OK or hashlib.sha256(
+                out.encode()).hexdigest()[:16] != expected:
+            wrong.append((D, a, b))
+    assert wrong == []
+
+
+def test_ideal_norm_past_the_int_to_str_limit(capsys):
+    # (A, 0, A) over D = 2 has norm A^2, 4,401 digits for A = 10^2200
+    A = 10**2200
+    code, out, _ = run_cli(capsys, "twist", "2", str(A), "0", str(A))
+    assert code == EXIT_OK
+    # int(Decimal(...)) is not bound by the int-to-str digit limit
+    rep = json.loads(out, parse_int=Decimal)
+    assert int(rep["ideal_norm"]) == A * A
+    assert int(rep["inputs"]["a"]) == A
+
+
+# leaves of every kind the emitter takes, with the edge cases of each
+_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(-4299, 4299).map(lambda k: (10 ** abs(k) - 1) * (-1) ** (k < 0)),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 0.0, 1e16, 5e-324, 1.7976931348623157e308, 0.1]),
+    st.text(),
+    st.text(st.sampled_from('"\\/\x00\x08\t\n\x1f\x7f\xe9\u2028\ud800'
+                            '\U0001f600a ')),
+)
+_VALUES = st.recursive(
+    _LEAVES,
+    lambda kids: st.lists(kids, max_size=4)
+    | st.dictionaries(st.text(max_size=4), kids, max_size=4),
+    max_leaves=24,
+)
+
+
+@given(_VALUES)
+def test_emitter_is_json_dumps_indent_2(value):
+    assert cli._json(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("value", [
+    [], {}, [[]], [{}], {"": []}, {"a": {"b": [[], {}, [1.5, None]]}},
+    "\"\\\x00\u00e9", [True, False, None, -0.0, 1e16, 5e-324],
+], ids=repr)
+def test_emitter_containers_and_scalars(value):
+    assert cli._json(value) == json.dumps(value, indent=2)
+
+
+def test_emitter_prints_ints_of_any_size():
+    n = -(10**5000) - 1
+    assert cli._json({"n": [n]}) == (
+        '{\n  "n": [\n    ' + str(Decimal(n)) + "\n  ]\n}")
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_emitter_refuses_non_finite_floats(value):
+    with pytest.raises(ValueError):
+        cli._json({"x": [1, value]})
+
+
+@pytest.mark.parametrize("value", [Fraction(1, 2), (1, 2), {1: 2}, b"x"],
+                         ids=repr)
+def test_emitter_refuses_other_types(value):
+    with pytest.raises(TypeError):
+        cli._json([value])
 
 
 def test_certificate_failure_exits_3(capsys, monkeypatch):
