@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .quadfield import QuadElem, _quad, check_field
+from .quadfield import QuadElem, _int, _quad, _repr, check_field
 
 
 class CanonicalBasisError(ValueError):
@@ -71,22 +71,24 @@ class CanonicalIdeal:
             raise CanonicalBasisError("int",
                                       f"need int a, b and g, got {self!r}")
         check_field(self.D)
-        if self.a < 1 or self.g < 1 or self.b < 0:
+        a, b, g = self.a, self.b, self.g
+        if a < 1 or g < 1 or b < 0:
             raise CanonicalBasisError(
                 "b<a", f"need a, g >= 1 and b >= 0, got {self}"
             )
-        if not self.b < self.a:
-            raise CanonicalBasisError("b<a", f"b = {self.b} >= a = {self.a}")
-        if self.a % self.g != 0:
-            raise CanonicalBasisError("g|a", f"g = {self.g} does not divide a = {self.a}")
-        if self.b % self.g != 0:
-            raise CanonicalBasisError("g|b", f"g = {self.g} does not divide b = {self.b}")
-        n, state = _state(self.D, self.a, self.b, self.g)
-        if n % (self.a * self.g) != 0:
+        if not b < a:
+            raise CanonicalBasisError("b<a", f"b = {_int(b)} >= a = {_int(a)}")
+        if a % g != 0:
+            raise CanonicalBasisError(
+                "g|a", f"g = {_int(g)} does not divide a = {_int(a)}")
+        if b % g != 0:
+            raise CanonicalBasisError(
+                "g|b", f"g = {_int(g)} does not divide b = {_int(b)}")
+        n, state = _state(self.D, a, b, g)
+        if n % (a * g) != 0:
             raise CanonicalBasisError(
                 "divisibility",
-                f"a*g = {self.a * self.g} does not divide N(b+g*delta) = {n}",
-            )
+                f"a*g = {_int(a * g)} does not divide N(b+g*delta) = {_int(n)}")
         self.__dict__.update(state)
 
     def __getstate__(self):
@@ -104,8 +106,14 @@ class CanonicalIdeal:
         # D was checked when the ideal was made.
         return _quad(self.D, self.a, 0, 1), _quad(self.D, *self._uve)
 
+    # str and repr print ints of any size: the error messages embed them.
     def __str__(self):
-        return f"({self.a}, {self.b} + {self.g}*delta) over D={self.D}"
+        return (f"({_int(self.a)}, {_int(self.b)} + {_int(self.g)}*delta) "
+                f"over D={self.D}")
+
+    def __repr__(self):
+        return (f"CanonicalIdeal(D={_repr(self.D)}, a={_repr(self.a)}, "
+                f"b={_repr(self.b)}, g={_repr(self.g)})")
 
 
 def validate_canonical(D: int, a: int, b: int, g: int) -> CanonicalIdeal:
@@ -142,13 +150,6 @@ def enumerate_canonical(D: int, max_a: int) -> list[CanonicalIdeal]:
              for g in range(1, max_a // a + 1)]
     found.sort()
     return [_canonical(D, a, b, g) for a, b, g in found]
-
-
-def primitive_reduction(I: CanonicalIdeal) -> CanonicalIdeal:
-    """The similar ideal (a/g, b/g, 1); the identity when g = 1."""
-    if I.g == 1:
-        return I
-    return CanonicalIdeal(I.D, I.a // I.g, I.b // I.g, 1)
 
 
 def ring_of_integers(D: int) -> CanonicalIdeal:

@@ -34,6 +34,11 @@ def _int(n: int) -> str:
         return str(Decimal(n))
 
 
+def _repr(x) -> str:
+    """repr(x), printing an int of any size."""
+    return _int(x) if isinstance(x, int) else repr(x)
+
+
 def _rat(q: Rational) -> str:
     """str(q) of an int or Fraction, of any size."""
     n = _int(q.numerator)
@@ -108,9 +113,7 @@ def check_field(D: int) -> int:
     otherwise InvalidFieldError.  The size bound is checked before any
     division, so a larger D is refused at once."""
     if not isinstance(D, int) or D <= 1:
-        # repr of an int past the digit limit would raise ValueError itself
-        got = _int(D) if isinstance(D, int) else repr(D)
-        raise InvalidFieldError(f"D must be an integer > 1, got {got}")
+        raise InvalidFieldError(f"D must be an integer > 1, got {_repr(D)}")
     if D > _D_MAX:
         raise InvalidFieldError(
             f"D must be at most 10**18, got a D of {D.bit_length()} bits")
@@ -192,6 +195,8 @@ class QuadElem:
 
     @staticmethod
     def of(D: int, x: Rational = 0, y: Rational = 0) -> "QuadElem":
+        """QuadElem(D, x, y) with x and y 0 by default, kept as a public name
+        because the benchmark harness in perfbench/ and the demos call it."""
         return QuadElem(D, Fraction(x), Fraction(y))
 
     def __reduce__(self):
@@ -295,14 +300,6 @@ class QuadElem:
         p, q, d = self._p, self._q, self._d
         return Fraction(p * p - self._D * q * q, d * d)
 
-    def trace(self) -> Fraction:
-        return Fraction(2 * self._p, self._d)
-
-    def sign_embedding(self, i: int) -> int:
-        """Exact sign of sigma_i(self), i in {1, 2}."""
-        return _sign_x_plus_y_sqrt(self._p, self._q if i == 1 else -self._q,
-                                   self._D)
-
     def is_totally_positive(self) -> bool:
         return _totally_positive(self._p, self._q, self._D)
 
@@ -374,14 +371,6 @@ def _t_plus_sqrt(D: int, t: Rational) -> QuadElem:
     """t + sqrt(D) = (n + d*sqrt(D))/d for t = n/d, in a field whose D is
     checked."""
     return _elem(D, t.numerator, t.denominator, t.denominator)
-
-
-def delta(D: int) -> QuadElem:
-    """Generator of O_K over Z: -sqrt(D), or (1-sqrt(D))/2 when D = 1 mod 4."""
-    check_field(D)
-    if D % 4 == 1:
-        return _quad(D, 1, -1, 2)
-    return _quad(D, 0, -1, 1)
 
 
 def _discriminant(D: int) -> int:
@@ -477,11 +466,11 @@ class Surd:
 
     Canonical form: when n is a perfect square the radical is folded into p
     and q = n = 0.  The radicand is otherwise kept as given, not reduced to
-    its squarefree part.  The rational view u + v*sqrt(m) has u = p/d,
-    v = q/d, m = n; a rational radicand a/b given to the constructor is held
-    as the integer radicand a*b, since sqrt(a/b) = sqrt(a*b)/b.  Total order
-    against rationals and other Surds is decided by integer sign tests after
-    cross-multiplying the denominators, never by floating point.
+    its squarefree part.  The constructor takes rationals u, v and m for
+    u + v*sqrt(m); a rational radicand a/b is held as the integer radicand
+    a*b, since sqrt(a/b) = sqrt(a*b)/b.  Total order against rationals and
+    other Surds is decided by integer sign tests after cross-multiplying the
+    denominators, never by floating point.
     """
 
     __slots__ = ("p", "q", "n", "d")
@@ -511,27 +500,17 @@ class Surd:
     def __reduce__(self):
         return (Surd.of_ints, (self.p, self.q, self.n, self.d))
 
-    @property
-    def u(self) -> Fraction:
-        return Fraction(self.p, self.d)
-
-    @property
-    def v(self) -> Fraction:
-        return Fraction(self.q, self.d)
-
-    @property
-    def m(self) -> Fraction:
-        return Fraction(self.n)
-
     def __repr__(self):
-        return (f"Surd(u={_rat_repr(self.u)}, v={_rat_repr(self.v)}, "
-                f"m={_rat_repr(self.m)})")
+        return (f"Surd(u={_rat_repr(Fraction(self.p, self.d))}, "
+                f"v={_rat_repr(Fraction(self.q, self.d))}, "
+                f"m=Fraction({_int(self.n)}, 1))")
 
     def __str__(self):
+        u = _rat(Fraction(self.p, self.d))
         if self.q == 0:
-            return _rat(self.u)
-        head = "" if self.p == 0 else f"{_rat(self.u)} + "
-        coef = "" if self.q == self.d else f"{_rat(self.v)}*"
+            return u
+        head = "" if self.p == 0 else f"{u} + "
+        coef = "" if self.q == self.d else f"{_rat(Fraction(self.q, self.d))}*"
         return f"{head}{coef}sqrt({_int(self.n)})"
 
     def __float__(self):

@@ -25,8 +25,8 @@ from quadtwist.geodesic import orthogonal_only, sample_orbit, wr_intersection_cl
 from quadtwist.ideals import enumerate_canonical, ring_of_integers, validate_canonical
 from quadtwist.lattice2 import (
     Gram2,
-    covering_radius_sq,
     gram_of_twist,
+    hermite_thickness_sq,
     is_paper_reduced,
     is_stable,
     is_wr,
@@ -217,6 +217,15 @@ def _deep_hole_oracle(G):
     return best
 
 
+def _congruence(G, U):
+    """U^t G U: the Gram of the same lattice in the basis (b1, b2) * U."""
+    a, b, c, d = U.a, U.b, U.c, U.d
+    g11, g12, g22 = G.g11, G.g12, G.g22
+    return Gram2(g11 * a * a + 2 * g12 * a * c + g22 * c * c,
+                 g11 * a * b + g12 * (a * d + b * c) + g22 * c * d,
+                 g11 * b * b + 2 * g12 * b * d + g22 * d * d)
+
+
 def _random_gram(rng):
     while True:
         g11 = Fraction(rng.randint(1, 100), rng.randint(1, 100))
@@ -233,13 +242,13 @@ def test_criterion_7():
     for _ in range(1000):
         G = _random_gram(rng)
         R, U = lagrange_reduce(G)
-        assert G.transform(U) == R
+        assert _congruence(G, U) == R
         l1, l2 = successive_minima(G)
         assert (l1, l2) == minima_brute_force(R)
-        mu2 = covering_radius_sq(G)
         oracle = _deep_hole_oracle(G)
         assert oracle is not None
-        assert oracle == mu2
+        # tau^2 = mu^4 / det G
+        assert oracle * oracle / G.det() == hermite_thickness_sq(G)
         if is_paper_reduced(G):
             assert min(G.g11, G.g22) == l1
 

@@ -14,7 +14,7 @@ from hypothesis import given, strategies as st
 from quadtwist import cli
 from quadtwist.cli import EXIT_INVALID, EXIT_OK, EXIT_VERIFY_FAILED, main
 from quadtwist import twist
-from quadtwist.ideals import CanonicalIdeal, enumerate_canonical
+from quadtwist.ideals import CanonicalBasisError, CanonicalIdeal, enumerate_canonical
 from quadtwist.lattice2 import gram_of_twist
 from quadtwist.quadfield import CertificateError, _rat
 from quadtwist.twist import (
@@ -360,6 +360,22 @@ def test_ideal_norm_past_the_int_to_str_limit(capsys):
     rep = json.loads(out, parse_int=Decimal)
     assert int(rep["ideal_norm"]) == A * A
     assert int(rep["inputs"]["a"]) == A
+
+
+def test_invalid_ideal_past_the_int_to_str_limit(capsys):
+    # N(b + delta) = B^2 - 2 has 4,401 digits and is not divisible by A
+    A = 10**2200
+    code, out, err = run_cli(capsys, "twist", "2", str(A), str(A - 1), "1")
+    assert (code, out) == (EXIT_INVALID, "")
+    msg = json.loads(err, parse_int=Decimal)
+    assert msg["condition"] == "divisibility"
+    norm = msg["error"].rpartition(" = ")[2]
+    assert int(Decimal(norm)) == (A - 1) ** 2 - 2
+    with pytest.raises(CanonicalBasisError, match=f"b = {A} >= a = {A}$"):
+        CanonicalIdeal(2, A, A, 1)
+    I = CanonicalIdeal(2, A, 0, A)
+    assert str(I) == f"({A}, 0 + {A}*delta) over D=2"
+    assert repr(I) == f"CanonicalIdeal(D=2, a={A}, b=0, g={A})"
 
 
 # leaves of every kind the emitter takes, with the edge cases of each

@@ -21,7 +21,6 @@ from quadtwist.ideals import enumerate_canonical, ring_of_integers, validate_can
 from quadtwist.lattice2 import Gram2, gram_of_twist, is_stable, is_wr, similarity_point
 from quadtwist.quadfield import (
     QuadElem,
-    delta,
     discriminant,
     fundamental_unit,
     is_squarefree,
@@ -194,8 +193,9 @@ class TestLogRatio:
 def _reference_gram(I, alpha):
     """gram_of_twist before it moved to integers: the traces of alpha*z_i*z_j."""
     z1, z2 = I.basis_elements()
-    return Gram2((alpha * z1 * z1).trace(), (alpha * z1 * z2).trace(),
-                 (alpha * z2 * z2).trace())
+    # the trace of x + y*sqrt(D) is 2x
+    return Gram2(2 * (alpha * z1 * z1).x, 2 * (alpha * z1 * z2).x,
+                 2 * (alpha * z2 * z2).x)
 
 
 TWIST_FIELDS = [2, 3, 5, 13, 21, 59, 139, 141, 1327]
@@ -303,7 +303,8 @@ class TestFInvariant:
 
     def test_reference_values(self):
         one5 = QuadElem.of(5, 1, 0)
-        assert F_invariant(one5, delta(5), ring_of_integers(5)) == Fraction(-1, 4)
+        delta5 = QuadElem.of(5, Fraction(1, 2), Fraction(-1, 2))
+        assert F_invariant(one5, delta5, ring_of_integers(5)) == Fraction(-1, 4)
         one2 = QuadElem.of(2, 1, 0)
         assert F_invariant(one2, QuadElem.of(2, 1, 1),
                            ring_of_integers(2)) == -1
@@ -322,7 +323,9 @@ class TestFInvariant:
             I = ring_of_integers(D)
             _, eps_plus = fundamental_unit(D)
             x = QuadElem.of(D, 1, 0)
-            y = delta(D) if D % 4 == 1 else QuadElem.of(D, 0, 1)
+            # a second basis vector of O_K: (1 - sqrt(D))/2 or sqrt(D)
+            y = (QuadElem.of(D, Fraction(1, 2), Fraction(-1, 2)) if D % 4 == 1
+                 else QuadElem.of(D, 0, 1))
             f = F_invariant(x, y, I)
             assert F_invariant(x * eps_plus, y * eps_plus, I) == f
 

@@ -7,11 +7,18 @@ from quadtwist.ideals import (
     CanonicalBasisError,
     CanonicalIdeal,
     enumerate_canonical,
-    primitive_reduction,
     ring_of_integers,
     validate_canonical,
 )
-from quadtwist.quadfield import InvalidFieldError, QuadElem, delta, is_squarefree
+from quadtwist.quadfield import InvalidFieldError, QuadElem, is_squarefree
+
+
+def delta(D):
+    """The generator of O_K over Z: -sqrt(D), or (1 - sqrt(D))/2 when
+    D = 1 (mod 4)."""
+    if D % 4 == 1:
+        return QuadElem.of(D, Fraction(1, 2), Fraction(-1, 2))
+    return QuadElem.of(D, 0, -1)
 
 
 class TestValidation:
@@ -178,19 +185,16 @@ class TestHelpers:
         assert (I.a, I.b, I.g) == (1, 0, 1)
         assert I.norm() == 1
 
-    def test_primitive_reduction(self):
-        I = validate_canonical(10, 10, 0, 10)
-        J = primitive_reduction(I)
-        assert (J.a, J.b, J.g) == (1, 0, 1)
-        K = validate_canonical(10, 3, 1, 1)
-        assert primitive_reduction(K) is K
-
     def test_basis_elements(self):
         z1, z2 = validate_canonical(139, 9, 7, 1).basis_elements()
         assert (z1.x, z1.y) == (9, 0)
         assert (z2.x, z2.y) == (7, -1)
         z1, z2 = validate_canonical(141, 5, 4, 1).basis_elements()
         assert (z2.x, z2.y) == (Fraction(9, 2), Fraction(-1, 2))
+        for D in (2, 3, 5, 10, 13, 139, 141):
+            for I in enumerate_canonical(D, 24):
+                assert I.basis_elements() == (
+                    QuadElem.of(D, I.a), I.b + I.g * delta(D)), I
 
 
 class TestStoredIntegers:

@@ -14,9 +14,9 @@ from quadtwist.lattice2 import (
     Gram2,
     SimilarityPoint,
     UnimodularMap,
+    _gram,
     _reduce,
     _twist_ints,
-    covering_radius_sq,
     gram_of_twist,
     hermite_thickness_sq,
     is_lagrange_reduced,
@@ -68,19 +68,13 @@ class TestGram2:
     def test_det(self):
         assert Gram2(2, 1, 3).det() == 5
 
-    def test_transform_is_congruence(self):
-        G = Gram2(5, 2, 3)
-        U = UnimodularMap(1, 1, 0, 1)
-        R = G.transform(U)
-        assert R.g11 == G.g11
-        assert R.g22 == G.g11 + 2 * G.g12 + G.g22
-        assert R.det() == G.det()
-
     def test_unimodular_validation(self):
-        with pytest.raises(ValueError):
-            UnimodularMap(2, 0, 0, 1)
-        u = UnimodularMap(1, 1, 0, 1) @ UnimodularMap(0, -1, 1, 0)
-        assert abs(u.det()) == 1
+        for entries in ((2, 0, 0, 1), (1, 1, 1, 1)):
+            with pytest.raises(ValueError):
+                UnimodularMap(*entries)
+        for entries in ((1, 1, 0, 1), (0, -1, 1, 0), (1, 0, 0, -1)):
+            u = UnimodularMap(*entries)
+            assert (u.a, u.b, u.c, u.d) == entries
 
 
 class TestReduction:
@@ -91,7 +85,7 @@ class TestReduction:
         assert R.g11 <= R.g22
         assert 0 <= 2 * R.g12 <= R.g11
         assert R.det() == G.det()
-        assert G.transform(U) == R
+        assert _transform(G, U) == R
 
     @given(G=grams)
     @settings(max_examples=150)
@@ -105,7 +99,7 @@ class TestReduction:
         # The hexagonal lattice in the basis (b1, 30*b1 + b2): its second
         # minimum is at the coefficients (-30, 1) and (-31, 1), outside any
         # fixed box of size 25.
-        G = HEXAGONAL.transform(UnimodularMap(1, 30, 0, 1))
+        G = _transform(HEXAGONAL, UnimodularMap(1, 30, 0, 1))
         assert minima_brute_force(G) == successive_minima(G) == (2, 2)
 
     @pytest.mark.parametrize("seed", range(4))
@@ -116,9 +110,9 @@ class TestReduction:
             n22 = rng.randint(n12 * n12 // n11 + 1, n12 * n12 // n11 + 40)
             G = Gram2(Fraction(n11, rng.randint(1, 9)), Fraction(n12, 9),
                       Fraction(n22, 9))
-            G = G.transform(UnimodularMap(1, rng.randint(-60, 60), 0, 1)
-                            @ UnimodularMap(0, -1, 1, 0)
-                            @ UnimodularMap(1, rng.randint(-60, 60), 0, 1))
+            # [[1, m], [0, 1]] [[0, -1], [1, 0]] [[1, k], [0, 1]]
+            m, k = rng.randint(-60, 60), rng.randint(-60, 60)
+            G = _transform(G, UnimodularMap(m, m * k - 1, 1, k))
             assert minima_brute_force(G) == successive_minima(G)
 
     def test_identity_on_reduced(self):
@@ -133,26 +127,26 @@ class TestReduction:
 
 def _ref_reduce(g):
     """The Fraction loop lagrange_reduce ran before it moved to integers, on
-    a (g11, g12, g22) triple: the reduced triple and the transform."""
+    a (g11, g12, g22) triple: the reduced triple and the transform, whose
+    columns follow the basis vectors."""
     g11, g12, g22 = g
-    u = UnimodularMap.identity()
-    swap = UnimodularMap(0, 1, 1, 0)
+    u = UnimodularMap(1, 0, 0, 1)
     while True:
         if g11 > g22:
             g11, g22 = g22, g11
-            u = u @ swap
+            u = UnimodularMap(u.b, u.a, u.d, u.c)
         if 2 * abs(g12) <= g11:
             break
         r = round(g12 / g11)
         g22 = g22 - 2 * r * g12 + r * r * g11
         g12 = g12 - r * g11
-        u = u @ UnimodularMap(1, -r, 0, 1)
+        u = UnimodularMap(u.a, u.b - r * u.a, u.c, u.d - r * u.c)
     if g11 > g22:
         g11, g22 = g22, g11
-        u = u @ swap
+        u = UnimodularMap(u.b, u.a, u.d, u.c)
     if g12 < 0:
         g12 = -g12
-        u = u @ UnimodularMap(1, 0, 0, -1)
+        u = UnimodularMap(u.a, -u.b, u.c, -u.d)
     return (g11, g12, g22), u
 
 
@@ -185,7 +179,7 @@ class TestReductionAgainstFractionLoop:
         G = Gram2(g11, g12, g22)
         R, U = lagrange_reduce(G)
         assert (R, U) == _reference_lagrange(G)
-        assert G.transform(U) == R
+        assert _transform(G, U) == R
 
     def test_first_step_rounds_to_even(self):
         # 5/2 rounds to 2, not 3: v2 <- v2 - 2 v1
@@ -213,6 +207,11 @@ def _ref_transform(g, u):
     return (_ref_value(g, (a, c)),
             g11 * a * b + g12 * (a * d + b * c) + g22 * c * d,
             _ref_value(g, (b, d)))
+
+
+def _transform(G, u):
+    """The Gram of the same lattice in the basis (b1, b2) * U."""
+    return Gram2(*_ref_transform((G.g11, G.g12, G.g22), u))
 
 
 def _ref_is_wr(g):
@@ -268,9 +267,9 @@ triples = st.one_of(
                             max_denominator=10**4),
                st.fractions(min_value=Fraction(1, 10**4),
                             max_value=Fraction(10**6), max_denominator=10**4)))
+# [[1, m], [0, 1]] [[0, -1], [1, 0]] [[1, k], [0, s]]
 unimodular = st.builds(
-    lambda m, k, s: (UnimodularMap(1, m, 0, 1) @ UnimodularMap(0, -1, 1, 0)
-                     @ UnimodularMap(1, k, 0, s)),
+    lambda m, k, s: UnimodularMap(m, m * k - s, 1, k),
     st.integers(-4, 4), st.integers(-4, 4), st.sampled_from([1, -1]))
 
 
@@ -282,13 +281,10 @@ class TestGram2AgainstFractionOracle:
         assert (G.g11, G.g12, G.g22) == t
         assert all(type(x) is Fraction for x in (G.g11, G.g12, G.g22))
         assert G.det() == _ref_det(t)
-        H = G.transform(u)
-        assert (H.g11, H.g12, H.g22) == _ref_transform(t, u)
         assert is_paper_reduced(G) == (4 * t[1] * t[1] <= t[0] * t[2])
         assert is_lagrange_reduced(G) == (2 * abs(t[1]) <= min(t[0], t[2]))
         assert is_wr(G) == _ref_is_wr(t)
         assert is_stable(G) == _ref_is_stable(t)
-        assert covering_radius_sq(G) == _ref_covering_radius_sq(t)
         assert hermite_thickness_sq(G) == \
             _ref_covering_radius_sq(t) ** 2 / _ref_det(t)
         tau = similarity_point(G)
@@ -302,8 +298,9 @@ class TestGram2AgainstFractionOracle:
     def test_equality_hash_pickle_repr(self, t, u, k):
         G = Gram2(*t)
         # the same matrix through the other constructors and a round trip
-        for H in (Gram2(*t), G.transform(UnimodularMap.identity()),
-                  G.transform(u).transform(_inverse(u)),
+        for H in (Gram2(*t),
+                  _gram(*(k * n for n in (G._n11, G._n12, G._n22, G._den))),
+                  _transform(_transform(G, u), _inverse(u)),
                   pickle.loads(pickle.dumps(G))):
             assert H == G and hash(H) == hash(G)
             assert (H.g11, H.g12, H.g22) == t
@@ -329,7 +326,7 @@ class TestGram2AgainstFractionOracle:
 
 def _inverse(u):
     # inverse of [[a, b], [c, d]] with det +-1
-    s = u.det()
+    s = u.a * u.d - u.b * u.c
     return UnimodularMap(u.d * s, -u.b * s, -u.c * s, u.a * s)
 
 
@@ -339,7 +336,7 @@ class TestPredicates:
         assert is_wr(HEXAGONAL)
         assert not is_wr(Gram2(1, 0, 2))
         # WR but hidden by a skewed basis
-        skew = HEXAGONAL.transform(UnimodularMap(1, 3, 1, 4))
+        skew = _transform(HEXAGONAL, UnimodularMap(1, 3, 1, 4))
         assert is_wr(skew)
 
     def test_stable(self):
@@ -389,11 +386,9 @@ class TestGramOfTwist:
 
 class TestCoveringRadius:
     def test_unit_square(self):
-        assert covering_radius_sq(UNIT_SQUARE) == Fraction(1, 2)
         assert hermite_thickness_sq(UNIT_SQUARE) == Fraction(1, 4)
 
     def test_hexagonal(self):
-        assert covering_radius_sq(HEXAGONAL) == Fraction(2, 3)
         assert hermite_thickness_sq(HEXAGONAL) == Fraction(4, 27)
 
     @given(G=grams)
@@ -405,18 +400,17 @@ class TestCoveringRadius:
     @settings(max_examples=100)
     def test_scale_invariance(self, G):
         H = Gram2(G.g11 * 7, G.g12 * 7, G.g22 * 7)
-        assert covering_radius_sq(H) == 7 * covering_radius_sq(G)
         assert hermite_thickness_sq(H) == hermite_thickness_sq(G)
 
     @given(G=grams)
     @settings(max_examples=100)
     def test_bounds(self, G):
-        mu2 = covering_radius_sq(G)
+        mu4 = hermite_thickness_sq(G) * G.det()  # tau^2 = mu^4 / det
         l1, l2 = successive_minima(G)
         # the deep hole is at least half the longer minimal vector away and
         # within the circumradius bound mu^2 <= (l1 + l2)/4 + ... use l2/4 lower
-        assert mu2 >= l2 / 4
-        assert mu2 <= (l1 + l2)  # crude sanity ceiling
+        assert mu4 >= (l2 / 4) ** 2
+        assert mu4 <= (l1 + l2) ** 2  # crude sanity ceiling
 
 
 class TestSimilarity:
@@ -431,8 +425,8 @@ class TestSimilarity:
     @given(G=grams, m=st.integers(-3, 3))
     @settings(max_examples=150)
     def test_invariance_under_basis_change(self, G, m):
-        U = UnimodularMap(1, m, 0, 1) @ UnimodularMap(0, -1, 1, 0)
-        assert similarity_point(G) == similarity_point(G.transform(U))
+        U = UnimodularMap(m, -1, 1, 0)  # [[1, m], [0, 1]] [[0, -1], [1, 0]]
+        assert similarity_point(G) == similarity_point(_transform(G, U))
 
     @given(G=grams)
     @settings(max_examples=150)
@@ -493,7 +487,7 @@ class TestOrbitKernel:
             r11, r12, r22, a, b, c, d = _reduce(n11, n12, n22)
             G = Gram2(n11, n12, n22)
             assert minima_brute_force(G) == (r11, r22)
-            assert G.transform(UnimodularMap(a, b, c, d)) == Gram2(r11, r12, r22)
+            assert _transform(G, UnimodularMap(a, b, c, d)) == Gram2(r11, r12, r22)
             # the steps depend only on ratios: a multiple reduces the same way
             k = rng.randint(2, 10 ** 30)
             assert _reduce(k * n11, k * n12, k * n22) == \

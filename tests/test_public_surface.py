@@ -1,0 +1,126 @@
+"""The public surface of quadtwist.
+
+Every name `quadtwist.__all__` exports is read somewhere other than its own
+definition: in a module of the package other than `__init__`, in a demo or
+in the benchmark harness under perfbench/, where a `tracer.TARGETS` entry
+counts as a read.  And every name the harness reaches resolves, so that a
+deletion in src/ cannot break the harness unseen.  perfbench/ is only read:
+its tracer runs from its source text, with no bytecode cache written there.
+"""
+
+import ast
+import pathlib
+from types import ModuleType
+
+import pytest
+
+import quadtwist
+import quadtwist.cli  # noqa: F401  binds every submodule, as the harness's import does
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "quadtwist"
+PERFBENCH = ROOT / "perfbench"
+USERS = ([p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
+         + sorted((ROOT / "demos").glob("*.py")) + sorted(PERFBENCH.glob("*.py")))
+
+tracer = ModuleType("tracer")
+exec(compile((PERFBENCH / "tracer.py").read_text(), str(PERFBENCH / "tracer.py"),
+             "exec"), vars(tracer))
+
+
+def _loaded_names(tree):
+    """The names read in tree, as an ast.Name or the attribute of an
+    ast.Attribute, except where a top-level def or class reads its own name."""
+    names = set()
+    for top in tree.body:
+        read = set()
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+        read.discard(getattr(top, "name", None))
+        names |= read
+    return names
+
+
+def test_users_found():
+    assert {p.name for p in USERS} >= {"cli.py", "01_wr_twists.py", "workloads.py"}
+
+
+def test_every_export_is_used():
+    used = set().union(*(_loaded_names(ast.parse(p.read_text())) for p in USERS))
+    for target in tracer.TARGETS:
+        used.update(target.split(".")[1:])
+    assert [name for name in quadtwist.__all__ if name not in used] == []
+
+
+def test_all_is_the_public_names_init_binds():
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    bound = []
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound += [a.asname or a.name for a in node.names]
+        elif isinstance(node, ast.Assign):
+            bound += [t.id for t in node.targets if isinstance(t, ast.Name)]
+    public = [name for name in bound if not name.startswith("_")]
+    assert quadtwist.__all__ == public
+    assert not any(isinstance(getattr(quadtwist, name), ModuleType)
+                   for name in quadtwist.__all__)
+
+
+def test_checker_sees_reads_only():
+    tree = ast.parse("import math\n"
+                     "def f(x):\n    return f(x) + g.h(math.pi)\n"
+                     "class C:\n    k = C\n    def m(self):\n        self.w = 1\n"
+                     "y = C\n")
+    assert _loaded_names(tree) == {"x", "g", "h", "math", "pi", "self", "C"}
+
+
+@pytest.mark.parametrize("target", tracer.TARGETS)
+def test_tracer_target_resolves(target):
+    tracer._resolve(target)
+
+
+def _harness_reads():
+    """The dotted names perfbench/*.py reads on quadtwist: each name that an
+    import of quadtwist binds, and each attribute chain on such a name."""
+    reads = set()
+    for path in sorted(PERFBENCH.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        roots = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                # `import quadtwist.x` binds quadtwist; `... as y` binds y
+                roots.update((a.asname, a.name) if a.asname else
+                             ("quadtwist", "quadtwist") for a in node.names
+                             if a.name.split(".")[0] == "quadtwist")
+            elif (isinstance(node, ast.ImportFrom)
+                  and (node.module or "").split(".")[0] == "quadtwist"):
+                roots.update((a.asname or a.name, f"{node.module}.{a.name}")
+                             for a in node.names)
+        reads.update(roots.values())
+        for node in ast.walk(tree):
+            chain = []
+            while isinstance(node, ast.Attribute):
+                chain.insert(0, node.attr)
+                node = node.value
+            if chain and isinstance(node, ast.Name) and node.id in roots:
+                reads.add(".".join([roots[node.id], *chain]))
+    return reads
+
+
+def test_harness_reads_resolve():
+    reads = _harness_reads()
+    assert {"quadtwist.validate_canonical", "quadtwist.QuadElem.of",
+            "quadtwist.cli.main"} <= reads
+
+    def resolves(dotted):
+        obj = quadtwist
+        for part in dotted.split(".")[1:]:
+            if not hasattr(obj, part):
+                return False
+            obj = getattr(obj, part)
+        return True
+
+    assert sorted(r for r in reads if not resolves(r)) == []

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from quadtwist.ideals import (
     CanonicalIdeal,
     enumerate_canonical,
-    primitive_reduction,
     ring_of_integers,
     validate_canonical,
 )
@@ -781,7 +780,7 @@ class TestSimilarity:
     def test_verdicts_equal_those_of_the_primitive_part(self, multiples):
         primitive = {}
         for I in multiples:
-            J = primitive_reduction(I)
+            J = CanonicalIdeal(I.D, I.a // I.g, I.b // I.g, 1)
             if J not in primitive:
                 primitive[J] = wr_twist(J), stable_twist(J)
             vJ, fJ = primitive[J]
