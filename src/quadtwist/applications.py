@@ -28,7 +28,6 @@ from .quadfield import (
     _rat_repr,
     _rho_walk,
     _t_plus_sqrt,
-    check_field,
     discriminant,
     fundamental_unit,
 )
@@ -238,10 +237,9 @@ def euclidean_bounds(D: int, I: Optional[CanonicalIdeal] = None,
     """Euclidean-minimum bounds: M(K) <= sqrt(disc)/4 with the exact "< 1"
     verdict, and the per-ideal bound (tau_min/2) * sqrt(disc) * N(I) when a
     thickness certificate is supplied."""
-    check_field(D)
+    dk = discriminant(D)  # checks D
     if I is not None and I.D != D:
         raise ValueError("mixed fields")
-    dk = discriminant(D)
     field_bound = math.sqrt(dk) / 4
     ideal_bound = None
     lt_one = None

@@ -23,7 +23,6 @@ and are written in one write, after the last row or at the first error.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import math
@@ -47,7 +46,7 @@ from .lattice2 import (
     minima_brute_force,
     successive_minima,
 )
-from .quadfield import CertificateError, InvalidFieldError, QuadElem, _int, _rat
+from .quadfield import CertificateError, InvalidFieldError, QuadElem, _int, _rat, _ratio
 from .twist import (
     _certify_stable,
     _certify_wr,
@@ -64,12 +63,6 @@ EXIT_VERIFY_FAILED = 3
 
 def _flt(x: float) -> float:
     return float(f"{x:.12g}")
-
-
-def _ratio(n: int, d: int) -> str:
-    """_rat(Fraction(n, d)) for d > 0, with one gcd."""
-    g = math.gcd(n, d)
-    return _int(n // g) if g == d else f"{_int(n // g)}/{_int(d // g)}"
 
 
 def _json(obj, pad: str = "\n") -> str:
@@ -239,21 +232,13 @@ def cmd_geodesic(args) -> int:
     if args.samples < 1:
         return _invalid_input(f"need --samples >= 1, got {args.samples}")
     samples = sample_orbit(I, args.samples)
-    wr_crossings = sum(1 for s in samples if s.is_wr)
     if args.format == "csv":
-        w = csv.writer(sys.stdout, lineterminator="\n")
-        w.writerow(["s", "t", "x", "y_sq", "is_wr", "is_stable"])
-        for s in samples:
-            w.writerow(
-                [
-                    _flt(s.s),
-                    _flt(float(s.alpha.x)),
-                    _flt(float(s.tau.x)),
-                    _flt(float(s.tau.y_sq)),
-                    s.is_wr,
-                    s.is_stable,
-                ]
-            )
+        rows = [("s", "t", "x", "y_sq", "is_wr", "is_stable")]
+        rows += [(_flt(s.s), _flt(float(s.alpha.x)), _flt(float(s.tau.x)),
+                  _flt(float(s.tau.y_sq)), s.is_wr, s.is_stable)
+                 for s in samples]
+        sys.stdout.write("".join(",".join(map(str, row)) + "\n"
+                                 for row in rows))
     else:
         out = {
             "command": "geodesic",
@@ -272,7 +257,7 @@ def cmd_geodesic(args) -> int:
                 }
                 for s in samples
             ],
-            "wr_crossings": wr_crossings,
+            "wr_crossings": sum(1 for s in samples if s.is_wr),
         }
         sys.stdout.write(_json(out) + "\n")
     return EXIT_OK

@@ -239,12 +239,20 @@ def wr_intersection_classes(I: CanonicalIdeal) -> tuple[int, set[Fraction]]:
 
     These classes are in bijection with the crossings of the orbit curve and
     the WR locus.  F < 0 forces |N| of both basis members below
-    N(I)*sqrt(Delta_K/3), so the enumeration is finite.
+    N(I)*sqrt(Delta_K/3), so the enumeration is finite.  It runs in float
+    boxes, and raises ValueError where a bound leaves float range.
     """
     D = I.D
     target = I.norm() ** 2 * _discriminant(D)
     _, eps_plus = fundamental_unit(D)
-    elems = _ideal_elements_in_cone(I, Fraction(target, 3), eps_plus)
+    try:
+        elems = _ideal_elements_in_cone(I, Fraction(target, 3), eps_plus)
+    except OverflowError:
+        # The band search sizes its boxes in floats: a large N(I) or unit
+        # takes a bound past float range.
+        raise ValueError(
+            f"wr_intersection_classes of {I}: the search bounds exceed the "
+            "float range (about 1.8e308)") from None
     # unit shifts so that basis partners outside the representative cone are
     # still seen
     partners = []

@@ -19,35 +19,39 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .quadfield import QuadElem, Rational, _int, _rat, _rat_repr, _totally_positive
+from .quadfield import QuadElem, _int, _rat, _rat_repr, _totally_positive
 
 if TYPE_CHECKING:
     from .ideals import CanonicalIdeal
 
-_new = object.__new__
-
 
 class Gram2:
-    """Positive definite symmetric 2x2 matrix with exact rational entries.
+    """Positive definite symmetric 2x2 matrix [[n11, n12], [n12, n22]]/den
+    with exact rational entries, built from ints n11, n12, n22 and den > 0.
 
-    Held as the integers (n11, n12, n22, den) of [[n11, n12], [n12, n22]]/den
-    in canonical form, den > 0 and gcd(n11, n12, n22, den) = 1, so equal
-    matrices have equal fields.  g11, g12 and g22 are read-only Fraction
-    views.  Every construction checks positive definiteness, on the integers.
+    Any other argument type raises TypeError.  Held in canonical form,
+    gcd(n11, n12, n22, den) = 1, so equal matrices have equal fields.  g11,
+    g12 and g22 are read-only Fraction views.  Every construction checks
+    positive definiteness, on the integers.
     """
 
     __slots__ = ("_n11", "_n12", "_n22", "_den")
 
-    def __init__(self, g11: Rational, g12: Rational, g22: Rational):
-        g11, g12, g22 = Fraction(g11), Fraction(g12), Fraction(g22)
-        # The entries are in lowest terms, so this form is already canonical.
-        den = math.lcm(g11.denominator, g12.denominator, g22.denominator)
-        _fill_gram(self, g11.numerator * (den // g11.denominator),
-                   g12.numerator * (den // g12.denominator),
-                   g22.numerator * (den // g22.denominator), den)
+    def __init__(self, n11: int, n12: int, n22: int, den: int = 1):
+        if not (isinstance(n11, int) and isinstance(n12, int)
+                and isinstance(n22, int) and isinstance(den, int)):
+            raise TypeError("n11, n12, n22 and den must be ints")
+        if den <= 0:
+            raise ValueError("need a denominator den > 0")
+        g = math.gcd(n11, n12, n22, den)
+        if g != 1:
+            n11, n12, n22, den = n11 // g, n12 // g, n22 // g, den // g
+        self._n11, self._n12, self._n22, self._den = n11, n12, n22, den
+        if n11 <= 0 or n11 * n22 - n12 * n12 <= 0:
+            raise ValueError(f"not positive definite: {self}")
 
     def __reduce__(self):
-        return (_gram, (self._n11, self._n12, self._n22, self._den))
+        return (Gram2, (self._n11, self._n12, self._n22, self._den))
 
     g11 = property(lambda self: Fraction(self._n11, self._den))
     g12 = property(lambda self: Fraction(self._n12, self._den))
@@ -67,29 +71,12 @@ class Gram2:
         return hash((self._n11, self._n12, self._n22, self._den))
 
     def __repr__(self):
-        return (f"Gram2(g11={_rat_repr(self.g11)}, g12={_rat_repr(self.g12)}, "
-                f"g22={_rat_repr(self.g22)})")
+        return (f"Gram2({_int(self._n11)}, {_int(self._n12)}, "
+                f"{_int(self._n22)}, {_int(self._den)})")
 
     def __str__(self):
         g12 = _rat(self.g12)
         return f"[[{_rat(self.g11)}, {g12}], [{g12}, {_rat(self.g22)}]]"
-
-
-def _fill_gram(G: Gram2, n11: int, n12: int, n22: int, den: int) -> Gram2:
-    """Set the fields of a Gram2 from a canonical (n11, n12, n22, den) and
-    check positive definiteness."""
-    G._n11, G._n12, G._n22, G._den = n11, n12, n22, den
-    if n11 <= 0 or n11 * n22 - n12 * n12 <= 0:
-        raise ValueError(f"not positive definite: {G}")
-    return G
-
-
-def _gram(n11: int, n12: int, n22: int, den: int) -> Gram2:
-    """[[n11, n12], [n12, n22]]/den for den > 0, in lowest terms."""
-    g = math.gcd(n11, n12, n22, den)
-    if g != 1:
-        n11, n12, n22, den = n11 // g, n12 // g, n22 // g, den // g
-    return _fill_gram(_new(Gram2), n11, n12, n22, den)
 
 
 @dataclass(frozen=True)
@@ -131,7 +118,7 @@ def gram_of_twist(I: CanonicalIdeal, alpha: QuadElem) -> Gram2:
     if alpha.D != I.D:
         raise ValueError("alpha must live in the same field as I")
     n11, n12, n22 = _twist_ints(I, alpha.p, alpha.q)
-    return _gram(2 * n11, 2 * n12, 2 * n22, alpha.d * I._uve[2])
+    return Gram2(2 * n11, 2 * n12, 2 * n22, alpha.d * I._uve[2])
 
 
 def _reduce(n11: int, n12: int, n22: int) -> tuple[int, int, int, int, int, int, int]:
@@ -168,7 +155,7 @@ def lagrange_reduce(G: Gram2) -> tuple[Gram2, UnimodularMap]:
     on the numerators of G, giving R = U^t G U with 0 <= 2*r12 <= r11 <= r22.
     """
     n11, n12, n22, a, b, c, d = _reduce(G._n11, G._n12, G._n22)
-    return _gram(n11, n12, n22, G._den), UnimodularMap(a, b, c, d)
+    return Gram2(n11, n12, n22, G._den), UnimodularMap(a, b, c, d)
 
 
 # Predicates on the numerators (n11, n12, n22) of an already Lagrange-reduced

@@ -45,6 +45,22 @@ def _rat(q: Rational) -> str:
     return n if q.denominator == 1 else f"{n}/{_int(q.denominator)}"
 
 
+def _ratio(n: int, d: int) -> str:
+    """_rat(Fraction(n, d)) for d > 0, with one gcd."""
+    g = math.gcd(n, d)
+    return _int(n // g) if g == d else f"{_int(n // g)}/{_int(d // g)}"
+
+
+def _surd_str(p: int, q: int, n: int, d: int) -> str:
+    """str of (p + q*sqrt(n))/d for d > 0, the rational part p/d and the
+    coefficient q/d in lowest terms: a Surd or a QuadElem prints as this."""
+    if q == 0:
+        return _ratio(p, d)
+    head = "" if p == 0 else f"{_ratio(p, d)} + "
+    coef = "" if q == d else f"{_ratio(q, d)}*"
+    return f"{head}{coef}sqrt({_int(n)})"
+
+
 def _rat_repr(q: Fraction) -> str:
     """repr(q) of a Fraction, of any size."""
     return f"Fraction({_int(q.numerator)}, {_int(q.denominator)})"
@@ -343,12 +359,7 @@ class QuadElem:
                 f"y={_rat_repr(self.y)})")
 
     def __str__(self):
-        x, y = self.x, self.y
-        if y == 0:
-            return _rat(x)
-        head = "" if x == 0 else f"{_rat(x)} + "
-        coef = "" if y == 1 else f"{_rat(y)}*"
-        return f"{head}{coef}sqrt({self._D})"
+        return _surd_str(self._p, self._q, self._D, self._d)
 
 
 def _elem(D: int, p: int, q: int, d: int) -> QuadElem:
@@ -462,56 +473,47 @@ def fundamental_unit(D: int) -> tuple[QuadElem, QuadElem]:
 
 
 class Surd:
-    """Exact real value (p + q*sqrt(n))/d with integers p, q, n >= 0, d > 0.
+    """Exact real value (p + q*sqrt(n))/d on ints p, q, n and d, n >= 0, d > 0.
 
-    Canonical form: when n is a perfect square the radical is folded into p
-    and q = n = 0.  The radicand is otherwise kept as given, not reduced to
-    its squarefree part.  The constructor takes rationals u, v and m for
-    u + v*sqrt(m); a rational radicand a/b is held as the integer radicand
-    a*b, since sqrt(a/b) = sqrt(a*b)/b.  Total order against rationals and
+    Any other argument type raises TypeError, so no float reaches the exact
+    sign tests.  Canonical form: when n is a perfect square the radical is
+    folded into p and q = n = 0.  The radicand is otherwise kept as given,
+    not reduced to its squarefree part.  Total order against rationals and
     other Surds is decided by integer sign tests after cross-multiplying the
     denominators, never by floating point.
     """
 
     __slots__ = ("p", "q", "n", "d")
 
-    def __init__(self, u: Rational = 0, v: Rational = 0, m: Rational = 0):
-        u, v, m = Fraction(u), Fraction(v), Fraction(m)
-        if m < 0:
-            raise ValueError("negative radicand")
-        vd = v.denominator * m.denominator
-        d = math.lcm(u.denominator, vd)
-        _fill_surd(self, u.numerator * (d // u.denominator),
-                   v.numerator * (d // vd), m.numerator * m.denominator, d)
-
-    @staticmethod
-    def of_ints(p: int, q: int = 0, n: int = 0, d: int = 1) -> "Surd":
-        """(p + q*sqrt(n))/d from ints, with n >= 0 and d > 0; any other
-        type raises TypeError, so no float reaches the exact sign tests."""
-        if not all(isinstance(k, int) for k in (p, q, n, d)):
+    def __init__(self, p: int, q: int = 0, n: int = 0, d: int = 1):
+        if not (isinstance(p, int) and isinstance(q, int)
+                and isinstance(n, int) and isinstance(d, int)):
             raise TypeError("p, q, n and d must be ints")
         if n < 0 or d <= 0:
             raise ValueError("need a radicand n >= 0 and a denominator d > 0")
-        return _fill_surd(_new(Surd), p, q, n, d)
+        if q == 0 or n == 0:
+            q = n = 0
+        else:
+            r = math.isqrt(n)
+            if r * r == n:
+                p, q, n = p + q * r, 0, 0
+        _setattr(self, "p", p)
+        _setattr(self, "q", q)
+        _setattr(self, "n", n)
+        _setattr(self, "d", d)
 
     def __setattr__(self, name, value):
         raise AttributeError("Surd is immutable")
 
     def __reduce__(self):
-        return (Surd.of_ints, (self.p, self.q, self.n, self.d))
+        return (Surd, (self.p, self.q, self.n, self.d))
 
     def __repr__(self):
-        return (f"Surd(u={_rat_repr(Fraction(self.p, self.d))}, "
-                f"v={_rat_repr(Fraction(self.q, self.d))}, "
-                f"m=Fraction({_int(self.n)}, 1))")
+        return (f"Surd({_int(self.p)}, {_int(self.q)}, {_int(self.n)}, "
+                f"{_int(self.d)})")
 
     def __str__(self):
-        u = _rat(Fraction(self.p, self.d))
-        if self.q == 0:
-            return u
-        head = "" if self.p == 0 else f"{u} + "
-        coef = "" if self.q == self.d else f"{_rat(Fraction(self.q, self.d))}*"
-        return f"{head}{coef}sqrt({_int(self.n)})"
+        return _surd_str(self.p, self.q, self.n, self.d)
 
     def __float__(self):
         return self.p / self.d + self.q / self.d * math.sqrt(self.n)
@@ -537,21 +539,6 @@ class Surd:
             return hash(u)
         return hash((u, Fraction(self.q * self.q * self.n, self.d * self.d),
                      self.q > 0))
-
-
-def _fill_surd(s: Surd, p: int, q: int, n: int, d: int) -> Surd:
-    """Set the fields of a new Surd, folding a perfect-square radicand."""
-    if q == 0 or n == 0:
-        q = n = 0
-    else:
-        r = math.isqrt(n)
-        if r * r == n:
-            p, q, n = p + q * r, 0, 0
-    _setattr(s, "p", p)
-    _setattr(s, "q", q)
-    _setattr(s, "n", n)
-    _setattr(s, "d", d)
-    return s
 
 
 def _surd_sign(s1: tuple[int, int, int, int],

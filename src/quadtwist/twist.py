@@ -123,8 +123,7 @@ def _piece(iv: Interval) -> tuple:
 
 def _interval(piece: tuple) -> Interval:
     lo, hi, lo_closed, hi_closed = piece
-    return Interval(Surd.of_ints(*lo),
-                    None if hi is None else Surd.of_ints(*hi),
+    return Interval(Surd(*lo), None if hi is None else Surd(*hi),
                     lo_closed, hi_closed)
 
 

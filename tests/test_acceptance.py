@@ -218,21 +218,26 @@ def _deep_hole_oracle(G):
 
 
 def _congruence(G, U):
-    """U^t G U: the Gram of the same lattice in the basis (b1, b2) * U."""
+    """U^t G U: the Gram of the same lattice in the basis (b1, b2) * U, on
+    the integers of G over the common denominator of its entries."""
     a, b, c, d = U.a, U.b, U.c, U.d
-    g11, g12, g22 = G.g11, G.g12, G.g22
+    den = math.lcm(G.g11.denominator, G.g12.denominator, G.g22.denominator)
+    g11, g12, g22 = (int(g * den) for g in (G.g11, G.g12, G.g22))
     return Gram2(g11 * a * a + 2 * g12 * a * c + g22 * c * c,
                  g11 * a * b + g12 * (a * d + b * c) + g22 * c * d,
-                 g11 * b * b + 2 * g12 * b * d + g22 * d * d)
+                 g11 * b * b + 2 * g12 * b * d + g22 * d * d, den)
 
 
 def _random_gram(rng):
+    """A positive definite Gram with entries n/d, 1 <= d <= 100, over the
+    product of the three denominators."""
     while True:
-        g11 = Fraction(rng.randint(1, 100), rng.randint(1, 100))
-        g22 = Fraction(rng.randint(1, 100), rng.randint(1, 100))
-        g12 = Fraction(rng.randint(-100, 100), rng.randint(1, 100))
-        if g11 > 0 and g11 * g22 - g12 * g12 > 0:
-            return Gram2(g11, g12, g22)
+        n11, d11 = rng.randint(1, 100), rng.randint(1, 100)
+        n22, d22 = rng.randint(1, 100), rng.randint(1, 100)
+        n12, d12 = rng.randint(-100, 100), rng.randint(1, 100)
+        g11, g12, g22 = n11 * d12 * d22, n12 * d11 * d22, n22 * d11 * d12
+        if g11 * g22 - g12 * g12 > 0:
+            return Gram2(g11, g12, g22, d11 * d12 * d22)
 
 
 @criterion(7, "reduction minima, covering radius and reducedness vs oracles "

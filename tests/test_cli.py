@@ -302,6 +302,11 @@ STDOUT_SHA256 = {
     ("geodesic", "9999991", "1", "0", "1", "--samples", "2", "--format",
      "json"):
         "4263acf8fc49f135ce70f8e9431494645091a446c4c89df23e88cd88983b0585",
+    # the CSV report, and its "inf" rows
+    ("geodesic", "5", "1", "0", "1", "--samples", "4"):
+        "a832781e34448bb8500a461879a761af3e8f890f88d38cbe505b8ae600c9ccc3",
+    ("geodesic", "9999991", "1", "0", "1", "--samples", "2"):
+        "f09b3469112e048eec3dc6fc305636a83a68c3f71ed4d23624505bf88195afd4",
 }
 
 

@@ -17,7 +17,12 @@ from quadtwist.geodesic import (
     sample_orbit,
     wr_intersection_classes,
 )
-from quadtwist.ideals import enumerate_canonical, ring_of_integers, validate_canonical
+from quadtwist.ideals import (
+    CanonicalIdeal,
+    enumerate_canonical,
+    ring_of_integers,
+    validate_canonical,
+)
 from quadtwist.lattice2 import Gram2, gram_of_twist, is_stable, is_wr, similarity_point
 from quadtwist.quadfield import (
     QuadElem,
@@ -191,11 +196,13 @@ class TestLogRatio:
 
 
 def _reference_gram(I, alpha):
-    """gram_of_twist before it moved to integers: the traces of alpha*z_i*z_j."""
+    """gram_of_twist before it moved to the pencil: the traces of
+    alpha*z_i*z_j, over their common denominator."""
     z1, z2 = I.basis_elements()
-    # the trace of x + y*sqrt(D) is 2x
-    return Gram2(2 * (alpha * z1 * z1).x, 2 * (alpha * z1 * z2).x,
-                 2 * (alpha * z2 * z2).x)
+    products = (alpha * z1 * z1, alpha * z1 * z2, alpha * z2 * z2)
+    den = math.lcm(*(e.d for e in products))
+    # the trace of (p + q*sqrt(D))/d is 2p/d
+    return Gram2(*(2 * e.p * (den // e.d) for e in products), den)
 
 
 TWIST_FIELDS = [2, 3, 5, 13, 21, 59, 139, 141, 1327]
@@ -366,6 +373,16 @@ class TestIntersectionClasses:
         n, values = wr_intersection_classes(ring_of_integers(10))
         assert values == found
         assert n == len(found)
+
+    @pytest.mark.parametrize("I", [
+        # N(I)^2 * Delta_K / 3 is a float beyond 1.8e308 at once
+        CanonicalIdeal(2, 10**200, 0, 10**200),
+        # the unit has 4153 digits: the ratio bands run past float range
+        ring_of_integers(9999991),
+    ], ids=["large norm", "large unit"])
+    def test_float_range_is_a_value_error(self, I):
+        with pytest.raises(ValueError, match="float range"):
+            wr_intersection_classes(I)
 
 
 class TestMissedCrossingClasses:

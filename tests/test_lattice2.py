@@ -14,7 +14,6 @@ from quadtwist.lattice2 import (
     Gram2,
     SimilarityPoint,
     UnimodularMap,
-    _gram,
     _reduce,
     _twist_ints,
     gram_of_twist,
@@ -41,12 +40,19 @@ UNIT_SQUARE = Gram2(1, 0, 1)
 HEXAGONAL = Gram2(2, 1, 2)
 
 
+def _rational_gram(g11, g12, g22):
+    """The Gram2 of [[g11, g12], [g12, g22]] for rationals g_ij: its integers
+    over the least common denominator."""
+    den = math.lcm(*(Fraction(g).denominator for g in (g11, g12, g22)))
+    return Gram2(*(int(g * den) for g in (g11, g12, g22)), den)
+
+
 def random_grams(entry, positive):
     """Strategy for positive definite rational Grams, positive definite by
     construction: draw g11 > 0, g12 and det > 0, then g22 = (g12^2 + det)/g11.
     Nothing is filtered, so Hypothesis never rejects a draw."""
     return st.builds(
-        lambda g11, g12, det: Gram2(g11, g12, (g12 * g12 + det) / g11),
+        lambda g11, g12, det: _rational_gram(g11, g12, (g12 * g12 + det) / g11),
         positive, entry, positive,
     )
 
@@ -108,8 +114,9 @@ class TestReduction:
         for _ in range(250):
             n11, n12 = rng.randint(1, 40), rng.randint(-40, 40)
             n22 = rng.randint(n12 * n12 // n11 + 1, n12 * n12 // n11 + 40)
-            G = Gram2(Fraction(n11, rng.randint(1, 9)), Fraction(n12, 9),
-                      Fraction(n22, 9))
+            # [[n11/r, n12/9], [n12/9, n22/9]] over 9*r
+            r = rng.randint(1, 9)
+            G = Gram2(9 * n11, r * n12, r * n22, 9 * r)
             # [[1, m], [0, 1]] [[0, -1], [1, 0]] [[1, k], [0, 1]]
             m, k = rng.randint(-60, 60), rng.randint(-60, 60)
             G = _transform(G, UnimodularMap(m, m * k - 1, 1, k))
@@ -152,7 +159,7 @@ def _ref_reduce(g):
 
 def _reference_lagrange(G):
     r, u = _ref_reduce((G.g11, G.g12, G.g22))
-    return Gram2(*r), u
+    return _rational_gram(*r), u
 
 
 wide_grams = random_grams(
@@ -176,7 +183,7 @@ class TestReductionAgainstFractionLoop:
         (10, 3, 2), (20, -5, 2),
     ])
     def test_half_integer_quotients_round_half_to_even(self, g11, g12, g22):
-        G = Gram2(g11, g12, g22)
+        G = _rational_gram(g11, g12, g22)
         R, U = lagrange_reduce(G)
         assert (R, U) == _reference_lagrange(G)
         assert _transform(G, U) == R
@@ -211,7 +218,7 @@ def _ref_transform(g, u):
 
 def _transform(G, u):
     """The Gram of the same lattice in the basis (b1, b2) * U."""
-    return Gram2(*_ref_transform((G.g11, G.g12, G.g22), u))
+    return _rational_gram(*_ref_transform((G.g11, G.g12, G.g22), u))
 
 
 def _ref_is_wr(g):
@@ -277,7 +284,7 @@ class TestGram2AgainstFractionOracle:
     @given(t=triples, u=unimodular)
     @settings(max_examples=300, derandomize=True)
     def test_predicates_and_invariants(self, t, u):
-        G = Gram2(*t)
+        G = _rational_gram(*t)
         assert (G.g11, G.g12, G.g22) == t
         assert all(type(x) is Fraction for x in (G.g11, G.g12, G.g22))
         assert G.det() == _ref_det(t)
@@ -296,18 +303,21 @@ class TestGram2AgainstFractionOracle:
     @given(t=triples, u=unimodular, k=st.integers(2, 50))
     @settings(max_examples=200, derandomize=True)
     def test_equality_hash_pickle_repr(self, t, u, k):
-        G = Gram2(*t)
-        # the same matrix through the other constructors and a round trip
-        for H in (Gram2(*t),
-                  _gram(*(k * n for n in (G._n11, G._n12, G._n22, G._den))),
+        den = math.lcm(*(x.denominator for x in t))
+        n11, n12, n22 = (int(x * den) for x in t)
+        G = Gram2(n11, n12, n22, den)
+        # the same matrix over a multiple of its integers, through a basis
+        # change and back, a pickle round trip and its repr
+        for H in (Gram2(k * n11, k * n12, k * n22, k * den),
                   _transform(_transform(G, u), _inverse(u)),
-                  pickle.loads(pickle.dumps(G))):
+                  pickle.loads(pickle.dumps(G)),
+                  eval(repr(G))):
             assert H == G and hash(H) == hash(G)
             assert (H.g11, H.g12, H.g22) == t
-        assert repr(G) == f"Gram2(g11={t[0]!r}, g12={t[1]!r}, g22={t[2]!r})"
+        assert repr(G) == f"Gram2({n11}, {n12}, {n22}, {den})"
         assert str(G) == f"[[{t[0]}, {t[1]}], [{t[1]}, {t[2]}]]"
-        assert Gram2(*(x * k for x in t)) != G
-        assert Gram2(t[0], t[1], t[2] + Fraction(1, k)) != G
+        assert Gram2(k * n11, k * n12, k * n22, den) != G
+        assert Gram2(n11 * k, n12 * k, n22 * k + den, den * k) != G
         assert G != t
 
     @given(g11=entry, g12=entry, det=st.fractions(min_value=Fraction(-30),
@@ -321,7 +331,7 @@ class TestGram2AgainstFractionOracle:
         else:
             g22 = abs(g12) + 1
         with pytest.raises(ValueError, match="not positive definite"):
-            Gram2(g11, g12, g22)
+            _rational_gram(g11, g12, g22)
 
 
 def _inverse(u):
@@ -399,7 +409,7 @@ class TestCoveringRadius:
     @given(G=grams)
     @settings(max_examples=100)
     def test_scale_invariance(self, G):
-        H = Gram2(G.g11 * 7, G.g12 * 7, G.g22 * 7)
+        H = _rational_gram(G.g11 * 7, G.g12 * 7, G.g22 * 7)
         assert hermite_thickness_sq(H) == hermite_thickness_sq(G)
 
     @given(G=grams)

@@ -31,16 +31,19 @@ from quadtwist.quadfield import (
 rationals = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=20
 )
-# Surd coefficients and radicands: small values plus rationals up to ~10^12.
+# Element coordinates: small values plus rationals up to ~10^12.
 big_rationals = st.fractions(
     min_value=Fraction(-10**12), max_value=Fraction(10**12),
     max_denominator=10**6,
 )
-surd_coeffs = st.one_of(rationals, big_rationals)
-radicands = st.one_of(
-    st.sampled_from([2, 3, 5, 7, 11]),
-    st.fractions(min_value=Fraction(0), max_value=Fraction(10**12),
-                 max_denominator=10**6),
+# The integers (p, q, n, d) of a Surd (p + q*sqrt(n))/d: small values plus
+# numerators up to 10^18, radicands up to 10^12 and denominators up to 10^6.
+surd_numerators = st.one_of(st.integers(-50, 50),
+                            st.integers(-10**18, 10**18))
+surd_ints = st.tuples(
+    surd_numerators, surd_numerators,
+    st.one_of(st.sampled_from([2, 3, 5, 7, 11]), st.integers(0, 10**12)),
+    st.one_of(st.integers(1, 20), st.integers(1, 10**6)),
 )
 small_D = st.sampled_from([2, 3, 5, 6, 7, 10, 13, 17, 19, 21, 141, 139])
 
@@ -298,9 +301,12 @@ class TestQuadElemAgainstPairs:
         y = y[:-len(f"*sqrt({D})")]
         assert (int(Decimal(x)), int(Decimal(y))) == (eps.p, eps.q)
         assert repr(eps) == f"QuadElem(D={D}, x=Fraction({x}, 1), y=Fraction({y}, 1))"
-        big = Fraction(eps.p, eps.q)
-        assert str(Surd(big, 1, D)) == f"{x}/{y} + sqrt({D})"
-        assert str(Gram2(big, 0, 1)) == f"[[{x}/{y}, 0], [0, 1]]"
+        s = Surd(eps.p, eps.q, D, eps.q)
+        assert str(s) == f"{x}/{y} + sqrt({D})"
+        assert repr(s) == f"Surd({x}, {y}, {D}, {y})"
+        G = Gram2(eps.p, 0, eps.q, eps.q)
+        assert str(G) == f"[[{x}/{y}, 0], [0, 1]]"
+        assert repr(G) == f"Gram2({x}, 0, {y}, {y})"
 
     def test_immutable(self):
         z = QuadElem.of(5, 1, 1)
@@ -381,16 +387,16 @@ class TestSurd:
     def test_canonical_form(self):
         s = Surd(1, 2, 4)  # 1 + 2*sqrt(4) = 5
         assert (s.p, s.q, s.n, s.d) == (5, 0, 0, 1) and s == 5
-        assert Surd(0, 1, Fraction(9, 4)) == Fraction(3, 2)
+        assert Surd(0, 1, 9, 2) == Fraction(3, 2)
         with pytest.raises(ValueError):
             Surd(0, 1, -2)
 
-    def test_of_ints_rejects_non_ints(self):
+    def test_rejects_non_ints(self):
         # A float would make the exact sign tests run on float arithmetic.
         for args in ((1.5,), (0, 1.0, 2), (0, 1, 2.0), (1, 0, 0, 2.0),
                      (Fraction(1, 2),)):
             with pytest.raises(TypeError):
-                Surd.of_ints(*args)
+                Surd(*args)
         with pytest.raises(TypeError):
             Surd(0, 1, 2) < 1.5
 
@@ -409,42 +415,41 @@ class TestSurd:
         # equality across radicands: 2*sqrt(2) = sqrt(8)
         assert Surd(0, 2, 2) == Surd(0, 1, 8)
 
-    @given(
-        u1=surd_coeffs, v1=surd_coeffs, u2=surd_coeffs, v2=surd_coeffs,
-        m1=radicands, m2=radicands,
-    )
+    @given(e1=surd_ints, e2=surd_ints)
     @settings(max_examples=300)
-    def test_compare_matches_high_precision(self, u1, v1, u2, v2, m1, m2):
-        s1 = Surd(u1, v1, m1)
-        s2 = Surd(u2, v2, m2)
+    def test_compare_matches_high_precision(self, e1, e2):
+        s1 = Surd(*e1)
+        s2 = Surd(*e2)
 
-        def mp(q):
-            q = Fraction(q)
-            return mpmath.mpf(q.numerator) / q.denominator
+        def mp(e):
+            p, q, n, d = map(mpmath.mpf, e)
+            return (p + q * mpmath.sqrt(n)) / d
 
-        # Values reach ~10^18; 100 digits leave ~80 below the 10^-40 cutoff.
+        # Values reach ~10^24; 100 digits leave ~75 below the 10^-40 cutoff.
         with mpmath.workdps(100):
-            f1 = mp(u1) + mp(v1) * mpmath.sqrt(mp(m1))
-            f2 = mp(u2) + mp(v2) * mpmath.sqrt(mp(m2))
+            f1 = mp(e1)
+            f2 = mp(e2)
             if abs(f1 - f2) > mpmath.mpf(10) ** -40:
                 expected = 1 if f1 > f2 else -1
                 assert surd_compare(s1, s2) == expected
 
     def test_hash_agrees_with_eq(self):
         assert len({Surd(0, 2, 2), Surd(0, 1, 8)}) == 1
-        assert hash(Surd(Fraction(3, 2))) == hash(Fraction(3, 2))
-        assert hash(Surd(0, 1, Fraction(9, 4))) == hash(Fraction(3, 2))
+        assert hash(Surd(3, 0, 0, 2)) == hash(Fraction(3, 2))
+        assert hash(Surd(0, 1, 9, 2)) == hash(Fraction(3, 2))
         assert hash(Surd(1, 1, 4)) == hash(3)
         assert len({Surd(0, 1, 2), Surd(0, -1, 2), Surd(0, 1, 3)}) == 3
 
-    @given(u=surd_coeffs, v=surd_coeffs,
+    @given(p=surd_numerators, q=surd_numerators,
            m=st.integers(min_value=2, max_value=10**6),
+           d=st.integers(min_value=1, max_value=10**6),
            k=st.integers(min_value=2, max_value=1000))
     @settings(max_examples=200, derandomize=True)
-    def test_equal_irrational_surds_hash_alike(self, u, v, m, k):
-        # u + v*k*sqrt(m) = u + v*sqrt(m*k^2) = u + v*k^2*sqrt(m/k^2)
-        forms = [Surd(u, v * k, m), Surd(u, v, m * k * k),
-                 Surd(u, v * k * k, Fraction(m, k * k))]
+    def test_equal_irrational_surds_hash_alike(self, p, q, m, d, k):
+        # (p + q*k*sqrt(m))/d = (p + q*sqrt(m*k^2))/d
+        #                     = (p*k + q*k*sqrt(m*k^2))/(d*k)
+        forms = [Surd(p, q * k, m, d), Surd(p, q, m * k * k, d),
+                 Surd(p * k, q * k, m * k * k, d * k)]
         for s in forms[1:]:
             assert s == forms[0] and hash(s) == hash(forms[0])
 
@@ -505,7 +510,7 @@ class TestSurdSign:
             assume(expected != 0)
         assert quadfield._surd_sign(s1, s2) == expected
         assert quadfield._surd_sign(s2, s1) == -expected
-        assert surd_compare(Surd.of_ints(*s1), Surd.of_ints(*s2)) == expected
+        assert surd_compare(Surd(*s1), Surd(*s2)) == expected
 
     def test_known_pairs(self):
         # The values reach ~10^9, so 60 digits leave ~50 below the cutoff.

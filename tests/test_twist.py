@@ -61,8 +61,8 @@ def _clip_intervals(feas, A, B, C):
 
     pieces = [(ends(iv.lo), ends(iv.hi), iv.lo_closed, iv.hi_closed)
               for iv in feas]
-    return [Interval(Surd.of_ints(*lo),
-                     None if hi is None else Surd.of_ints(*hi), lc, hc)
+    return [Interval(Surd(*lo),
+                     None if hi is None else Surd(*hi), lc, hc)
             for lo, hi, lc, hc in twist._clip(pieces, A, B, C)]
 
 
@@ -129,15 +129,15 @@ class TestSimplestRational:
         assert simplest_rational_in(Surd(2), Surd(2)) is None
 
     def test_narrow_interval_minimality(self):
-        lo = Surd(Fraction(355, 113))
-        hi = Surd(Fraction(355, 113) + Fraction(1, 10**6))
+        lo = Surd(355, 0, 0, 113)  # 355/113 and 355/113 + 1/10^6
+        hi = Surd(355 * 10**6 + 113, 0, 0, 113 * 10**6)
         m = simplest_rational_in(lo, hi)
-        assert lo < Surd(m) < hi
+        assert lo < m < hi
         # exhaustive check that no smaller denominator fits
         for den in range(1, m.denominator):
             n0 = int(float(lo) * den)
             assert not any(
-                lo < Surd(Fraction(n, den)) < hi
+                lo < Fraction(n, den) < hi
                 for n in range(n0 - 1, n0 + 3)
             )
 
@@ -151,10 +151,10 @@ class TestSimplestRational:
         with pytest.raises(ValueError):
             simplest_rational_in(Surd(-2), Surd(-1))
         with pytest.raises(ValueError):
-            simplest_rational_in(Surd(-3), Surd(Fraction(1, 2)))
+            simplest_rational_in(Surd(-3), Surd(1, 0, 0, 2))
         with pytest.raises(ValueError):
-            simplest_rational_in(Surd.of_ints(2, -1, 5), None)
-        assert simplest_rational_in(Surd(0), Surd(Fraction(1, 2))) == \
+            simplest_rational_in(Surd(2, -1, 5), None)
+        assert simplest_rational_in(Surd(0), Surd(1, 0, 0, 2)) == \
             Fraction(1, 3)
 
     def test_rejects_non_surd_ends(self):
@@ -485,13 +485,13 @@ def _ref_simplest_rational_in(lo, hi):
     rn, rd = 1, 0  # right endpoint, starts at +oo
     while True:
         mn, md = ln + rn, ld + rd
-        if surd_compare(Surd.of_ints(mn, 0, 0, md), lo) <= 0:
+        if surd_compare(Surd(mn, 0, 0, md), lo) <= 0:
             k = _ref_max_stride(lambda k: surd_compare(
-                Surd.of_ints(ln + k * rn, 0, 0, ld + k * rd), lo) <= 0)
+                Surd(ln + k * rn, 0, 0, ld + k * rd), lo) <= 0)
             ln, ld = ln + k * rn, ld + k * rd
-        elif hi is not None and surd_compare(Surd.of_ints(mn, 0, 0, md), hi) >= 0:
+        elif hi is not None and surd_compare(Surd(mn, 0, 0, md), hi) >= 0:
             k = _ref_max_stride(lambda k: surd_compare(
-                Surd.of_ints(k * ln + rn, 0, 0, k * ld + rd), hi) >= 0)
+                Surd(k * ln + rn, 0, 0, k * ld + rd), hi) >= 0)
             rn, rd = k * ln + rn, k * ld + rd
         else:
             return Fraction(mn, md)
@@ -504,17 +504,17 @@ def _ref_solve_quadratic_ge0(A, B, C, domain):
         if B == 0:
             return [domain] if C >= 0 else []
         if B > 0:
-            sol = Interval(Surd.of_ints(-C, d=B), None, True, True)
+            sol = Interval(Surd(-C, d=B), None, True, True)
         else:
-            sol = Interval(domain.lo, Surd.of_ints(C, d=-B),
+            sol = Interval(domain.lo, Surd(C, d=-B),
                            domain.lo_closed, True)
         return _ref_intersect_interval_lists([domain], [sol])
     disc = B * B - 4 * A * C
     if A > 0:
         if disc <= 0:
             return [domain]
-        r1 = Surd.of_ints(-B, -1, disc, 2 * A)
-        r2 = Surd.of_ints(-B, 1, disc, 2 * A)
+        r1 = Surd(-B, -1, disc, 2 * A)
+        r2 = Surd(-B, 1, disc, 2 * A)
         sols = [
             Interval(domain.lo, r1, domain.lo_closed, True),
             Interval(r2, None, True, True),
@@ -522,8 +522,8 @@ def _ref_solve_quadratic_ge0(A, B, C, domain):
     else:
         if disc < 0:
             return []
-        r1 = Surd.of_ints(B, -1, disc, -2 * A)
-        r2 = Surd.of_ints(B, 1, disc, -2 * A)
+        r1 = Surd(B, -1, disc, -2 * A)
+        r2 = Surd(B, 1, disc, -2 * A)
         sols = [Interval(r1, r2, True, True)]
     return _ref_intersect_interval_lists([domain], sols)
 
@@ -535,7 +535,7 @@ def _ref_stable_twist(I):
     """(running sets after each constraint, sorted final set, witness t,
     witness alpha) of the old algorithm over the reference constraints,
     guard g22 >= 0 included; it stops at the first empty set."""
-    domain = Interval(Surd.of_ints(0, 1, I.D), None, lo_closed=False)
+    domain = Interval(Surd(0, 1, I.D), None, lo_closed=False)
     feas, running = [domain], []
     for (A, B, C) in _ref_stable_constraints(I):
         feas = _ref_intersect_interval_lists(
@@ -620,7 +620,7 @@ class TestClippingAgainstReference:
         assert tried > 2000
 
 
-surd_point = st.builds(Surd.of_ints, st.integers(-6, 6), st.integers(-1, 1),
+surd_point = st.builds(Surd, st.integers(-6, 6), st.integers(-1, 1),
                        st.integers(0, 12), st.integers(1, 4))
 coeff = st.one_of(st.integers(-6, 6), rat)
 
@@ -632,12 +632,12 @@ def _scaled_roots(A, B, C, k):
     scale = k * math.lcm(A.denominator, B.denominator, C.denominator)
     A, B, C = (c.numerator * (scale // c.denominator) for c in (A, B, C))
     if A == 0:
-        return [] if B == 0 else [Surd.of_ints(-C if B > 0 else C, d=abs(B))]
+        return [] if B == 0 else [Surd(-C if B > 0 else C, d=abs(B))]
     disc = B * B - 4 * A * C
     if disc < 0:
         return []
     p, d = (-B, 2 * A) if A > 0 else (B, -2 * A)
-    return [Surd.of_ints(p, s, disc, d) for s in (-1, 1)]
+    return [Surd(p, s, disc, d) for s in (-1, 1)]
 
 
 @st.composite
@@ -677,7 +677,7 @@ class TestSolverAgainstReference:
 def _rewritten(s, j):
     """s with its integers scaled by j: the same value over the radicand
     j^2 * n, so that ties between different radicands are common."""
-    return Surd.of_ints(s.p * j, s.q, s.n * j * j, s.d * j)
+    return Surd(s.p * j, s.q, s.n * j * j, s.d * j)
 
 
 nonneg_point = surd_point.filter(lambda s: surd_compare(s, 0) >= 0)
@@ -693,7 +693,7 @@ def witness_cases(draw):
     hi = draw(st.one_of(
         st.none(), nonneg_point,
         st.builds(_rewritten, st.just(lo), st.integers(1, 3)),
-        st.just(Surd.of_ints(lo.p * N + lo.d, lo.q * N, lo.n, lo.d * N))))
+        st.just(Surd(lo.p * N + lo.d, lo.q * N, lo.n, lo.d * N))))
     return lo, hi
 
 
