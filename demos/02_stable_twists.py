@@ -32,7 +32,7 @@ def show(I):
         print("  (a single boundary point; no rational witness)\n")
         return
     print(f"  simplest rational witness: t = {fr.witness_t}")
-    G = gram_of_twist(I, QuadElem.of(I.D, fr.witness_t, 1))
+    G = gram_of_twist(I, QuadElem(I.D, fr.witness_t, 1))
     print(f"  Gram at witness = {G}")
     print(f"  is_stable = {is_stable(G)}, is_wr = {is_wr(G)}")
     assert is_stable(G)

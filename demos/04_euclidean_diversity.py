@@ -30,7 +30,7 @@ r = min_abs_norm(I)
 print(f"min |N(z)| over (a=3, b=1) in Q(sqrt(10)): {r.m} "
       f"at z = {r.witness} (attains ideal norm: {r.attains_ideal_norm})")
 
-alpha = QuadElem.of(10, 7, 1)
+alpha = QuadElem(10, 7, 1)
 d2 = d_min_sq_twist(I, alpha)
 print(f"squared minimum product distance of the twist by {alpha}: {d2} "
       f"(~ {math.sqrt(float(d2)):.6f}^2)\n")

@@ -142,7 +142,7 @@ def d_min_sq_twist(I: CanonicalIdeal, alpha: QuadElem) -> Fraction:
         raise ValueError("mixed fields")
     if not alpha.is_totally_positive():
         raise ValueError("alpha must be totally positive")
-    m = min_abs_norm(I).m
+    m = form_minimum(_norm_form(I))[0]
     return alpha.norm() * Fraction(m * m)
 
 
@@ -193,9 +193,7 @@ def tau_min_search(I: CanonicalIdeal) -> ThicknessSearchResult:
     verdict = wr_twist(I)
     if verdict.wr_twistable:
         candidates.append(verdict.t_star)
-    scored = [(_thickness_at(I, t), t) for t in candidates]
-    scored.sort()
-    best_val, best_t = scored[0]
+    best_val, best_t = min((_thickness_at(I, t), t) for t in candidates)
     # golden-section refinement in log-ratio space around the best sample
     mid = _log_ratio(_t_plus_sqrt(D, best_t))
     a, b = mid - log_period / (_GRID + 1), mid + log_period / (_GRID + 1)

@@ -116,12 +116,8 @@ class CanonicalIdeal:
                 f"b={_repr(self.b)}, g={_repr(self.g)})")
 
 
-def validate_canonical(D: int, a: int, b: int, g: int) -> CanonicalIdeal:
-    """Validated canonical triple; raises CanonicalBasisError otherwise.
-
-    The same as CanonicalIdeal(D, a, b, g), kept as a public name because
-    the benchmark harness in perfbench/ calls it."""
-    return CanonicalIdeal(D, a, b, g)
+# perfbench/workloads.py and perfbench/baseline.py build ideals by this name.
+validate_canonical = CanonicalIdeal
 
 
 def _canonical(D: int, a: int, b: int, g: int) -> CanonicalIdeal:

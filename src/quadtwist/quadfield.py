@@ -199,7 +199,7 @@ class QuadElem:
 
     __slots__ = ("_D", "_p", "_q", "_d")
 
-    def __init__(self, D: int, x: Rational, y: Rational):
+    def __init__(self, D: int, x: Rational = 0, y: Rational = 0):
         check_field(D)
         x, y = Fraction(x), Fraction(y)
         # x and y are in lowest terms, so this form is already canonical.
@@ -208,12 +208,6 @@ class QuadElem:
         self._p = x.numerator * (d // x.denominator)
         self._q = y.numerator * (d // y.denominator)
         self._d = d
-
-    @staticmethod
-    def of(D: int, x: Rational = 0, y: Rational = 0) -> "QuadElem":
-        """QuadElem(D, x, y) with x and y 0 by default, kept as a public name
-        because the benchmark harness in perfbench/ and the demos call it."""
-        return QuadElem(D, Fraction(x), Fraction(y))
 
     def __reduce__(self):
         return (_quad, (self._D, self._p, self._q, self._d))
@@ -257,11 +251,7 @@ class QuadElem:
 
     def __sub__(self, other):
         o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        d1, d2 = self._d, o._d
-        return _quad(self._D, self._p * d2 - o._p * d1,
-                     self._q * d2 - o._q * d1, d1 * d2)
+        return o if o is NotImplemented else self + -o
 
     def __rsub__(self, other):
         return (-self) + other
@@ -360,6 +350,10 @@ class QuadElem:
 
     def __str__(self):
         return _surd_str(self._p, self._q, self._D, self._d)
+
+
+# perfbench/selftest.py builds elements by this name.
+QuadElem.of = QuadElem
 
 
 def _elem(D: int, p: int, q: int, d: int) -> QuadElem:
@@ -516,7 +510,10 @@ class Surd:
         return _surd_str(self.p, self.q, self.n, self.d)
 
     def __float__(self):
-        return self.p / self.d + self.q / self.d * math.sqrt(self.n)
+        try:
+            return self.p / self.d + self.q / self.d * math.sqrt(self.n)
+        except OverflowError:
+            return _float(self.p, self.q, self.n, self.d)
 
     def _cmp(self, other):
         if isinstance(other, (Surd, int, Fraction)):
@@ -539,6 +536,27 @@ class Surd:
             return hash(u)
         return hash((u, Fraction(self.q * self.q * self.n, self.d * self.d),
                      self.q > 0))
+
+
+def _float(p: int, q: int, n: int, d: int) -> float:
+    """float((p + q*sqrt(n))/d) for ints with n >= 0 and d > 0, from the
+    integers alone, for a value whose float expression overflows.
+
+    The numerator p*2^k + q*isqrt(n*4^k) is within |q| of 2^k*(p + q*sqrt(n)),
+    and k doubles until that error is at most 2^-64 of it; one int / int
+    division rounds the quotient, and +-inf stands for a value beyond float
+    range."""
+    k = 64
+    while True:
+        r = math.isqrt(n << 2 * k)
+        num = (p << k) + q * r
+        if abs(num) >> 64 >= abs(q) or r * r == n << 2 * k:
+            break
+        k *= 2
+    try:
+        return num / (d << k)
+    except OverflowError:
+        return math.inf if num > 0 else -math.inf
 
 
 def _surd_sign(s1: tuple[int, int, int, int],

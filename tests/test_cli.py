@@ -4,8 +4,9 @@ import io
 import json
 import math
 import os
+import sys
 import time
-from decimal import Decimal
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -381,6 +382,68 @@ def test_invalid_ideal_past_the_int_to_str_limit(capsys):
     I = CanonicalIdeal(2, A, 0, A)
     assert str(I) == f"({A}, 0 + {A}*delta) over D=2"
     assert repr(I) == f"CanonicalIdeal(D=2, a={A}, b=0, g={A})"
+
+
+def _dec_ratio(s):
+    """The Decimal of a printed "n" or "n/d"."""
+    n, _, d = s.partition("/")
+    return Decimal(n) / Decimal(d or 1)
+
+
+def _dec_surd(s):
+    """The Decimal of a printed surd "r + c*sqrt(n)", each part optional."""
+    if "sqrt(" not in s:
+        return _dec_ratio(s)
+    head, _, rad = s.partition("sqrt(")
+    r, plus, c = head.rpartition(" + ")
+    return ((_dec_ratio(r) if plus else 0)
+            + _dec_ratio(c[:-1] if c else "1") * Decimal(rad[:-1]).sqrt())
+
+
+def _companions(rep):
+    """(printed float companion, Decimal reference from the report's exact
+    strings) for every *_float of a twist report."""
+    pairs = []
+    for iv in rep.get("stable_intervals", []):
+        pairs.append((iv["lo_float"], _dec_surd(iv["lo"])))
+        if iv["hi"] != "inf":
+            pairs.append((iv["hi_float"], _dec_surd(iv["hi"])))
+    if "gram" in rep:
+        for key in ("gram", "reduced_gram"):
+            pairs.append((rep[key]["det_sqrt_float"],
+                          _dec_ratio(rep[key]["det"]).sqrt()))
+        pairs += [(f, _dec_ratio(m).sqrt())
+                  for f, m in zip(rep["minima_float"], rep["minima_sq"])]
+        g11, g12, g22 = (_dec_ratio(rep["gram"][k]) for k in ("g11", "g12", "g22"))
+        pairs.append((rep["cosine_float"], g12 / (g11 * g22).sqrt()))
+    return pairs
+
+
+# Ideals (K*a, K*b, K) with K = 10^e whose report used to raise
+# OverflowError: float(Surd) of an interval end near 62 or 18 with a
+# radicand above 2^1024 (e = 40 on), and det / den^2 of (K, 0, K) (e = 80).
+@pytest.mark.parametrize("D, a, b, e", [
+    (D, a, b, e) for D, a, b in [(1327, 39, 38), (139, 9, 7), (5, 1, 0)]
+    for e in (40, 80, 160) if (D, e) != (5, 40)])
+def test_float_companions_of_huge_ideals(capsys, D, a, b, e):
+    K = 10**e
+    code, out, _ = run_cli(capsys, "twist", str(D), str(a * K), str(b * K), str(K))
+    assert code == EXIT_OK
+    rep = json.loads(out, parse_int=Decimal)
+    pairs = _companions(rep)
+    assert len(pairs) >= 6
+    fmax = Decimal(sys.float_info.max)
+    with localcontext() as ctx:
+        # the exact ends cancel to 12 digits from entries of every length
+        ctx.prec = len(out) + 50
+        for flt, ref in pairs:
+            if abs(ref) > fmax:
+                assert flt == "inf", (flt, ref)
+            else:
+                assert abs(Decimal(flt) - ref) <= Decimal("5.1e-12") * abs(ref), \
+                    (flt, ref)
+    if e == 160:
+        assert rep["gram"]["det_sqrt_float"] == "inf"
 
 
 # leaves of every kind the emitter takes, with the edge cases of each

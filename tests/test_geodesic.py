@@ -1,8 +1,8 @@
 import functools
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
-import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -147,13 +147,16 @@ class TestSampleOrbit:
         assert all(s.s == math.inf for s in samples)
 
 
-def _mp_log_ratio(alpha):
-    """log(sigma_1/sigma_2) at 60 digits, as log1p of
-    (sigma_1/sigma_2 - 1) = 2|q|sqrt(D)(p + |q|sqrt(D))/N, free of cancellation."""
-    with mpmath.workdps(60):
+def _dec_log_ratio(alpha):
+    """log(sigma_1/sigma_2) at 120 digits, as ln(1 + x) for
+    x = sigma_1/sigma_2 - 1 = 2|q|sqrt(D)(p + |q|sqrt(D))/N, free of
+    cancellation: N = p^2 - D*q^2 is an exact int, and the 120 digits keep
+    more than 60 of x in 1 + x down to x = 10^-40."""
+    with localcontext() as ctx:
+        ctx.prec = 120
         p, q, D = alpha.p, abs(alpha.q), alpha.D
-        r = mpmath.sqrt(D)
-        v = mpmath.log1p(2 * q * r * (p + q * r) / (p * p - D * q * q))
+        r = Decimal(D).sqrt()
+        v = (1 + 2 * q * r * (p + q * r) / (p * p - D * q * q)).ln()
         return v if alpha.q >= 0 else -v
 
 
@@ -167,23 +170,25 @@ class TestLogRatio:
            extra=st.one_of(st.integers(0, 10), st.integers(0, 10**40)),
            d=st.integers(1, 60), j=st.integers(-2, 2))
     @settings(max_examples=300, derandomize=True, deadline=None)
-    def test_against_mpmath(self, D, q, extra, d, j):
+    def test_against_decimal(self, D, q, extra, d, j):
         p = math.isqrt(D * q * q) + 1 + extra
         alpha = QuadElem.of(D, Fraction(p, d), Fraction(q, d))
         alpha = alpha * _eps_plus(D) ** j
         assert alpha.is_totally_positive()
-        ref = _mp_log_ratio(alpha)
-        assert abs(_log_ratio(alpha) - ref) <= 1e-12 * abs(ref), (alpha, ref)
+        ref = _dec_log_ratio(alpha)
+        assert abs(Decimal(_log_ratio(alpha)) - ref) <= Decimal(1e-12) * abs(ref), \
+            (alpha, ref)
 
     @pytest.mark.parametrize("D", LOG_RATIO_FIELDS)
     def test_period_of_unit(self, D):
         # N(eps_plus) = 1, so the log ratio is 2 log eps_plus
         _, eps_plus = fundamental_unit(D)
         L = _log_ratio(eps_plus)
-        with mpmath.workdps(60):
-            ref = 2 * mpmath.log(eps_plus.p + eps_plus.q * mpmath.sqrt(D)) \
-                - 2 * mpmath.log(eps_plus.d)
-        assert abs(L - ref) <= 1e-12 * ref
+        with localcontext() as ctx:
+            ctx.prec = 60
+            ref = 2 * (eps_plus.p + eps_plus.q * Decimal(D).sqrt()).ln() \
+                - 2 * Decimal(eps_plus.d).ln()
+        assert abs(Decimal(L) - ref) <= Decimal(1e-12) * ref
         assert _log_ratio(eps_plus.conjugate()) == -L
 
     @given(D=st.sampled_from(LOG_RATIO_FIELDS), e=st.floats(-15, 10))

@@ -8,9 +8,8 @@ import time
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
-import mpmath
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from quadtwist import quadfield
@@ -421,17 +420,44 @@ class TestSurd:
         s1 = Surd(*e1)
         s2 = Surd(*e2)
 
-        def mp(e):
-            p, q, n, d = map(mpmath.mpf, e)
-            return (p + q * mpmath.sqrt(n)) / d
+        def dec(e):
+            p, q, n, d = map(Decimal, e)
+            return (p + q * n.sqrt()) / d
 
         # Values reach ~10^24; 100 digits leave ~75 below the 10^-40 cutoff.
-        with mpmath.workdps(100):
-            f1 = mp(e1)
-            f2 = mp(e2)
-            if abs(f1 - f2) > mpmath.mpf(10) ** -40:
+        with localcontext() as ctx:
+            ctx.prec = 100
+            f1 = dec(e1)
+            f2 = dec(e2)
+            if abs(f1 - f2) > Decimal(10) ** -40:
                 expected = 1 if f1 > f2 else -1
                 assert surd_compare(s1, s2) == expected
+
+    @given(e=st.tuples(st.integers(-10**400, 10**400),
+                       st.integers(-10**400, 10**400),
+                       st.integers(0, 10**800), st.integers(1, 10**400)))
+    @example(e=(0, 1, 10**400, 1))                  # sqrt(n) leaves float range
+    @example(e=(-(10**200), 1, 10**400 + 1, 1))     # ... and cancels to 5e-201
+    @example(e=(10**20, -(10**180), 10**300 + 7, 10**170))
+    @example(e=(10**400, 0, 0, 3))                  # beyond float range
+    @example(e=(-(10**400), 0, 0, 3))
+    @example(e=(0, -(10**10), 10**700, 1))
+    @example(e=(1, 1, 2**2048 + 1, 2**1030))
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    def test_float_never_overflows(self, e):
+        # float(Surd) takes quadfield._float where its float expression
+        # overflows; _float is within 1e-15 of the value, or +-inf beyond
+        # float range
+        float(Surd(*e))
+        with localcontext() as ctx:
+            ctx.prec = 2500
+            p, q, n, d = map(Decimal, e)
+            ref = (p + q * n.sqrt()) / d
+        x = quadfield._float(*e)
+        if abs(ref) > Decimal(sys.float_info.max):
+            assert x == (math.inf if ref > 0 else -math.inf)
+        elif abs(ref) >= Decimal(sys.float_info.min):
+            assert abs(Decimal(x) - ref) <= Decimal(1e-15) * abs(ref), (x, ref)
 
     def test_hash_agrees_with_eq(self):
         assert len({Surd(0, 2, 2), Surd(0, 1, 8)}) == 1
