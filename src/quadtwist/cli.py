@@ -7,9 +7,8 @@ certificate re-check fails, reported as a JSON message on stderr).  Any
 other exception propagates.  Exact rationals are serialized as
 "numerator/denominator" strings of any size; floats are companions with 12
 significant digits, and a companion beyond float range is the string "inf".
-A companion is its plain float expression wherever that evaluates; only where
-a step of it overflows is it computed from the integers it stands for
-(`quadfield._float`).
+Each companion is computed from the integers it stands for
+(`quadfield._float`), so no step of it can overflow.
 
 A call pays for one parse by its command's own parser (the full parser runs
 only for usage errors and help).  The indented JSON of `twist` and
@@ -67,28 +66,6 @@ EXIT_VERIFY_FAILED = 3
 def _flt(x: float):
     """x to 12 significant digits, or "inf" beyond float range."""
     return "inf" if x == math.inf else float(f"{x:.12g}")
-
-
-def _sqrt_float(n: int, d: int) -> float:
-    """math.sqrt(n / d) for ints n >= 0 and d > 0; where n / d leaves float
-    range, the value from the integers."""
-    try:
-        return math.sqrt(n / d)
-    except OverflowError:
-        return _float(0, 1, n * d, d)
-
-
-def _cosine_float(n11: int, n12: int, n22: int, den: int) -> float:
-    """n12 / sqrt(n11 * n22) by the float expression of the Gram's entries
-    over den; where a quotient or the product under the root leaves float
-    range, the value from the integers."""
-    try:
-        gg = n11 / den * (n22 / den)
-        if gg < math.inf:
-            return n12 / den / math.sqrt(gg)
-    except OverflowError:
-        pass
-    return _float(0, n12, n11 * n22, n11 * n22)
 
 
 def _json(obj, pad: str = "\n") -> str:
@@ -165,7 +142,7 @@ def _twist_report(D: int, a: int, b: int, g: int, mode: str) -> dict:
             report[key] = {
                 "g11": _ratio(n11, den), "g12": _ratio(n12, den),
                 "g22": _ratio(n22, den), "det": _ratio(det, den * den),
-                "det_sqrt_float": _flt(_sqrt_float(det, den * den)),
+                "det_sqrt_float": _flt(_float(0, 1, det, den)),
             }
         gram, reduced = report["gram"], report["reduced_gram"]
         r11, r12, r22, rden = R._n11, R._n12, R._n22, R._den
@@ -173,10 +150,10 @@ def _twist_report(D: int, a: int, b: int, g: int, mode: str) -> dict:
         report.update(
             {
                 "minima_sq": [reduced["g11"], reduced["g22"]],
-                "minima_float": [_flt(_sqrt_float(r11, rden)),
-                                 _flt(_sqrt_float(r22, rden))],
+                "minima_float": [_flt(_float(0, 1, r11 * rden, rden)),
+                                 _flt(_float(0, 1, r22 * rden, rden))],
                 "basis_norms_sq": [gram["g11"], gram["g22"]],
-                "cosine_float": _flt(_cosine_float(n11, n12, n22, den)),
+                "cosine_float": _flt(_float(0, n12, n11 * n22, n11 * n22)),
                 "is_wr": _wr_reduced(r11, r12, r22),
                 "is_stable": _stable_reduced(r11, r12, r22),
                 "is_paper_reduced": is_paper_reduced(G),

@@ -510,10 +510,7 @@ class Surd:
         return _surd_str(self.p, self.q, self.n, self.d)
 
     def __float__(self):
-        try:
-            return self.p / self.d + self.q / self.d * math.sqrt(self.n)
-        except OverflowError:
-            return _float(self.p, self.q, self.n, self.d)
+        return _float(self.p, self.q, self.n, self.d)
 
     def _cmp(self, other):
         if isinstance(other, (Surd, int, Fraction)):
@@ -540,7 +537,7 @@ class Surd:
 
 def _float(p: int, q: int, n: int, d: int) -> float:
     """float((p + q*sqrt(n))/d) for ints with n >= 0 and d > 0, from the
-    integers alone, for a value whose float expression overflows.
+    integers alone, so that neither overflow nor cancellation can bite.
 
     The numerator p*2^k + q*isqrt(n*4^k) is within |q| of 2^k*(p + q*sqrt(n)),
     and k doubles until that error is at most 2^-64 of it; one int / int

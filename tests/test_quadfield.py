@@ -438,6 +438,8 @@ class TestSurd:
                        st.integers(0, 10**800), st.integers(1, 10**400)))
     @example(e=(0, 1, 10**400, 1))                  # sqrt(n) leaves float range
     @example(e=(-(10**200), 1, 10**400 + 1, 1))     # ... and cancels to 5e-201
+    @example(e=(-(10**20), 1, 10**40 + 1, 1))       # cancels to 5e-21
+    @example(e=(-(10**308), 2 * 10**154, 10**308 + 1, 1))  # 1e308
     @example(e=(10**20, -(10**180), 10**300 + 7, 10**170))
     @example(e=(10**400, 0, 0, 3))                  # beyond float range
     @example(e=(-(10**400), 0, 0, 3))
@@ -445,15 +447,13 @@ class TestSurd:
     @example(e=(1, 1, 2**2048 + 1, 2**1030))
     @settings(max_examples=200, derandomize=True, deadline=None)
     def test_float_never_overflows(self, e):
-        # float(Surd) takes quadfield._float where its float expression
-        # overflows; _float is within 1e-15 of the value, or +-inf beyond
-        # float range
-        float(Surd(*e))
+        # float(Surd) is within 1e-15 of the value, or +-inf beyond float
+        # range, with no step overflowing or cancelling
+        x = float(Surd(*e))
         with localcontext() as ctx:
             ctx.prec = 2500
             p, q, n, d = map(Decimal, e)
             ref = (p + q * n.sqrt()) / d
-        x = quadfield._float(*e)
         if abs(ref) > Decimal(sys.float_info.max):
             assert x == (math.inf if ref > 0 else -math.inf)
         elif abs(ref) >= Decimal(sys.float_info.min):
