@@ -22,6 +22,7 @@ from .quadfield import (
     CertificateError,
     Form,
     QuadElem,
+    _float,
     _int,
     _is_square,
     _rat,
@@ -242,15 +243,10 @@ def euclidean_bounds(D: int, I: Optional[CanonicalIdeal] = None,
     ideal_bound = None
     lt_one = None
     if I is not None and tau_min_sq is not None:
-        norm = I.norm()
-        # N(I) = m * 2^k with m below 2^64 converts to float; ldexp then
-        # raises OverflowError only for a bound beyond float range
-        k = max(norm.bit_length() - 64, 0)
-        try:
-            tau = math.sqrt(tau_min_sq)
-            ideal_bound = math.ldexp((tau / 2) * math.sqrt(dk) * (norm >> k), k)
-        except OverflowError:
-            ideal_bound = math.inf
-        # bound < 1 iff tau^2 * disc * N(I)^2 < 4, exact in tau^2
-        lt_one = Fraction(tau_min_sq) * dk * norm ** 2 < 4
+        # with tau^2 = n/d the bound is sqrt(m*d)/(2d) for m = n*disc*N(I)^2,
+        # and it is below 1 iff m < 4d
+        n, d = Fraction(tau_min_sq).as_integer_ratio()
+        m = n * dk * I.norm() ** 2
+        ideal_bound = _float(0, 1, m * d, 2 * d)
+        lt_one = m < 4 * d
     return EuclideanBoundReport(D, dk, field_bound, dk < 16, ideal_bound, lt_one)

@@ -37,6 +37,7 @@ from typing import Optional
 from .geodesic import sample_orbit
 from .ideals import CanonicalBasisError, CanonicalIdeal, enumerate_canonical
 from .lattice2 import (
+    _reduce,
     _stable_reduced,
     _wr_reduced,
     gram_of_twist,
@@ -44,7 +45,6 @@ from .lattice2 import (
     is_paper_reduced,
     is_stable,
     is_wr,
-    lagrange_reduce,
     minima_brute_force,
     successive_minima,
 )
@@ -132,26 +132,26 @@ def _twist_report(D: int, a: int, b: int, g: int, mode: str) -> dict:
             G = gram_of_twist(I, alpha)
 
     if alpha is not None:
-        R, _ = lagrange_reduce(G)
-        report["alpha"] = str(alpha)
-        # read off the integers [[n11, n12], [n12, n22]]/den; int / int rounds
-        # correctly, as float() of the Fraction does
-        for key, M in (("gram", G), ("reduced_gram", R)):
-            n11, n12, n22, den = M._n11, M._n12, M._n22, M._den
-            det = n11 * n22 - n12 * n12
-            report[key] = {
-                "g11": _ratio(n11, den), "g12": _ratio(n12, den),
-                "g22": _ratio(n22, den), "det": _ratio(det, den * den),
-                "det_sqrt_float": _flt(_float(0, 1, det, den)),
-            }
-        gram, reduced = report["gram"], report["reduced_gram"]
-        r11, r12, r22, rden = R._n11, R._n12, R._n22, R._den
+        # one Lagrange reduction, of G's integers over G's denominator: a
+        # unimodular map keeps gcd(n11, n12, n22), so R is held in lowest terms
         n11, n12, n22, den = G._n11, G._n12, G._n22, G._den
+        r11, r12, r22 = _reduce(n11, n12, n22)[:3]
+
+        def entries(m11, m12, m22):
+            det = m11 * m22 - m12 * m12
+            return {"g11": _ratio(m11, den), "g12": _ratio(m12, den),
+                    "g22": _ratio(m22, den), "det": _ratio(det, den * den),
+                    "det_sqrt_float": _flt(_float(0, 1, det, den))}
+
+        gram, reduced = entries(n11, n12, n22), entries(r11, r12, r22)
         report.update(
             {
+                "alpha": str(alpha),
+                "gram": gram,
+                "reduced_gram": reduced,
                 "minima_sq": [reduced["g11"], reduced["g22"]],
-                "minima_float": [_flt(_float(0, 1, r11 * rden, rden)),
-                                 _flt(_float(0, 1, r22 * rden, rden))],
+                "minima_float": [_flt(_float(0, 1, r11 * den, den)),
+                                 _flt(_float(0, 1, r22 * den, den))],
                 "basis_norms_sq": [gram["g11"], gram["g22"]],
                 "cosine_float": _flt(_float(0, n12, n11 * n22, n11 * n22)),
                 "is_wr": _wr_reduced(r11, r12, r22),
@@ -277,92 +277,79 @@ def _verify_wr_example(D, a, b, g, t_expect: Fraction, minima_sq: Fraction,
                        cosine: Fraction, decimal: float) -> bool:
     I = CanonicalIdeal(D, a, b, g)
     v = wr_twist(I)
-    ok = (
+    G = v.gram
+    return (
         v.wr_twistable
         and v.t_star == t_expect
-        and v.gram.g11 == minima_sq
-        and v.gram.g22 == minima_sq
-        and v.gram.g12 / v.gram.g11 == cosine
-        and _close(math.sqrt(minima_sq), decimal, 1e-8)
+        and G.g11 == minima_sq
+        and G.g22 == minima_sq
+        and G.g12 / G.g11 == cosine
+        and _close(_float(0, 1, G._n11 * G._den, G._den), decimal, 1e-8)
+        and successive_minima(G) == (minima_sq, minima_sq)
     )
-    l1, l2 = successive_minima(v.gram)
-    ok = ok and l1 == minima_sq and l2 == minima_sq
-    return ok
 
 
 def _verify_stable_example(D, a, b, g, t_expect: int, gram_expect, det_decimal,
-                           cos_decimal, classical_minima, quoted_l2,
-                           notes: list) -> bool:
+                           cos_decimal, classical_minima) -> bool:
     I = CanonicalIdeal(D, a, b, g)
     fr = stable_twist(I)
     if not (fr.feasible_real and fr.contains_t(Fraction(t_expect))):
         return False
-    alpha = QuadElem(D, Fraction(t_expect), Fraction(1))
-    G = gram_of_twist(I, alpha)
+    G = gram_of_twist(I, QuadElem(D, Fraction(t_expect), Fraction(1)))
     if (G.g11, G.g12, G.g22) != tuple(Fraction(v) for v in gram_expect):
         return False
-    if not _close(math.sqrt(G.det()), det_decimal, 1e-6):
-        return False
-    cos_f = float(G.g12) / math.sqrt(float(G.g11) * float(G.g22))
-    if not _close(cos_f, cos_decimal, 1e-8):
+    n11, n12, n22, den = G._n11, G._n12, G._n22, G._den
+    if not (_close(_float(0, 1, n11 * n22 - n12 * n12, den), det_decimal, 1e-6)
+            and _close(_float(0, n12, n11 * n22, n11 * n22), cos_decimal, 1e-8)):
         return False
     if not (is_stable(G) and not is_wr(G) and not wr_bound_filter(I)):
         return False
-    l1, l2 = successive_minima(G)
-    bf = minima_brute_force(G)
-    if (l1, l2) != tuple(Fraction(v) for v in classical_minima) or bf != (l1, l2):
-        return False
-    notes.append(
-        f"  note: D={D} classical lambda2^2 = {l2}; the basis norm "
-        f"{quoted_l2} quoted as the second minimum is the reduced-basis "
-        f"vector norm under the weak reduction condition"
-    )
-    return True
+    minima = successive_minima(G)
+    return (minima == tuple(Fraction(v) for v in classical_minima)
+            and minima_brute_force(G) == minima)
+
+
+# The paper's worked examples: (name, check, its arguments, and the note
+# printed when it passes).  The stable examples quote the basis norm
+# sqrt(g11) as the second minimum; the classical lambda2^2 is smaller.
+_EXAMPLES = (
+    ("D=139 WR twist (9, 7-sqrt(139))", _verify_wr_example,
+     (139, 9, 7, 1, Fraction(1946, 107), Fraction(315252, 107),
+      Fraction(-1, 14), 54.27964973), None),
+    ("D=141 WR twist (5, 4+(1-sqrt(141))/2)", _verify_wr_example,
+     (141, 5, 4, 1, Fraction(1269, 61), Fraction(63450, 61), Fraction(2, 9),
+      32.25157258), None),
+    ("D=5 WR twist of O_K (alpha = 5+sqrt(5))", _verify_wr_example,
+     (5, 1, 0, 1, Fraction(5), Fraction(10), Fraction(0), math.sqrt(10)), None),
+    ("D=1327 stable twist (39, 38-sqrt(1327))", _verify_stable_example,
+     (1327, 39, 38, 1, 63, (191646, 83226, 147442), 146048.2881, 0.4951063950,
+      (147442, 172636)),
+     "D=1327 classical lambda2^2 = 172636; the basis norm sqrt(191646) quoted "
+     "as the second minimum is the reduced-basis vector norm under the weak "
+     "reduction condition"),
+    ("D=125173 stable twist (183, 182+(1-sqrt(125173))/2)",
+     _verify_stable_example,
+     (125173, 183, 182, 1, 611, (40923558, 17905086, 33252444), 32252383.1,
+      0.4853755919, (33252444, 38365830)),
+     "D=125173 classical lambda2^2 = 38365830; the basis norm sqrt(40923558) "
+     "quoted as the second minimum is the reduced-basis vector norm under the "
+     "weak reduction condition"),
+)
 
 
 def cmd_verify_examples(_args=None) -> int:
     start = time.monotonic()
     notes: list[str] = []
-    cases = [
-        (
-            "D=139 WR twist (9, 7-sqrt(139))",
-            lambda: _verify_wr_example(
-                139, 9, 7, 1, Fraction(1946, 107), Fraction(315252, 107),
-                Fraction(-1, 14), 54.27964973),
-        ),
-        (
-            "D=141 WR twist (5, 4+(1-sqrt(141))/2)",
-            lambda: _verify_wr_example(
-                141, 5, 4, 1, Fraction(1269, 61), Fraction(63450, 61),
-                Fraction(2, 9), 32.25157258),
-        ),
-        (
-            "D=5 WR twist of O_K (alpha = 5+sqrt(5))",
-            lambda: _verify_wr_example(
-                5, 1, 0, 1, Fraction(5), Fraction(10), Fraction(0), math.sqrt(10)),
-        ),
-        (
-            "D=1327 stable twist (39, 38-sqrt(1327))",
-            lambda: _verify_stable_example(
-                1327, 39, 38, 1, 63, (191646, 83226, 147442), 146048.2881,
-                0.4951063950, (147442, 172636), "sqrt(191646)", notes),
-        ),
-        (
-            "D=125173 stable twist (183, 182+(1-sqrt(125173))/2)",
-            lambda: _verify_stable_example(
-                125173, 183, 182, 1, 611, (40923558, 17905086, 33252444),
-                32252383.1, 0.4853755919, (33252444, 38365830),
-                "sqrt(40923558)", notes),
-        ),
-    ]
     failed = 0
-    for name, run in cases:
-        ok = run()
+    for name, check, args, note in _EXAMPLES:
+        ok = check(*args)
         print(f"{'PASS' if ok else 'FAIL'}  {name}")
         if not ok:
             failed += 1
+        elif note is not None:
+            notes.append(note)
     for n in notes:
-        print(n)
+        print(f"  note: {n}")
     print(f"elapsed: {time.monotonic() - start:.2f}s")
     return EXIT_OK if failed == 0 else EXIT_VERIFY_FAILED
 

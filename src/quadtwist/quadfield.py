@@ -337,9 +337,17 @@ class QuadElem:
         return -self if self < 0 else self
 
     def embed(self, i: int) -> float:
+        p, q, d = self._p, self._q, self._d
         s = math.sqrt(self._D)
-        # p/d is the correctly rounded float of x, as float(self.x) is.
-        return self._p / self._d + self._q / self._d * (s if i == 1 else -s)
+        # p/d is the correctly rounded float of x, as float(self.x) is.  Where
+        # the expression leaves float range, the integers give the value.
+        try:
+            v = p / d + q / d * (s if i == 1 else -s)
+        except OverflowError:
+            v = math.inf
+        if -math.inf < v < math.inf:
+            return v
+        return _float(p, q if i == 1 else -q, self._D, d)
 
     def __float__(self):
         return self.embed(1)

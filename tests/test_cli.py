@@ -269,6 +269,36 @@ class TestVerifyExamples:
         notes = [l for l in lines if "note:" in l]
         assert len(notes) == 2  # documented second-minimum deviations
 
+    def test_stdout_digest(self, capsys):
+        # every verdict line and note, byte for byte; elapsed: varies
+        code, out, _ = run_cli(capsys, "verify-examples")
+        assert code == EXIT_OK
+        body = "".join(l for l in out.splitlines(True)
+                       if not l.startswith("elapsed:"))
+        assert hashlib.sha256(body.encode()).hexdigest() == \
+            "34577c84c9f2aabb855583226e6c379dbce1e6c16adfedcb269615e43792e99c"
+
+    # (row of the table, index into its arguments, corrupted value): the
+    # exact t, the float sqrt(lambda_1^2), sqrt(det) and cosine checks
+    @pytest.mark.parametrize("row, arg, value", [
+        (0, 4, Fraction(1947, 107)),
+        (1, 7, 32.2516),
+        (3, 6, 146048.5),
+        (4, 7, 0.48538),
+    ])
+    def test_corrupted_expectation_fails(self, capsys, monkeypatch, row, arg,
+                                         value):
+        table = list(cli._EXAMPLES)
+        name, check, args, note = table[row]
+        table[row] = (name, check, args[:arg] + (value,) + args[arg + 1:], note)
+        monkeypatch.setattr(cli, "_EXAMPLES", tuple(table))
+        code, out, _ = run_cli(capsys, "verify-examples")
+        assert code == EXIT_VERIFY_FAILED
+        verdicts = [l.split("  ", 1) for l in out.splitlines()
+                    if l.startswith(("PASS", "FAIL"))]
+        assert verdicts == [["FAIL" if i == row else "PASS", r[0]]
+                            for i, r in enumerate(table)]
+
 
 # sha256 of stdout.  The survey and the two `--mode all` twists were
 # recorded from the Fraction-based implementation, the other report shapes

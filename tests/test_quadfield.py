@@ -194,6 +194,20 @@ class TestQuadElem:
         if abs(f) > 1e-6:
             assert (z > 0) == (f > 0)
 
+    def test_embed_beyond_float_range(self):
+        # the float expression raises or overflows there; the integers give
+        # +-inf, or the finite value when the two terms cancel
+        assert float(QuadElem(2, 10**400)) == math.inf
+        assert QuadElem(2, 0, 10**400).embed(2) == -math.inf
+        assert QuadElem(2, 10**308, 10**308).embed(1) == math.inf
+        p = math.isqrt(2 * 10**800)
+        z = QuadElem(2, p, -(10**400))
+        assert z.embed(2) == math.inf
+        with localcontext() as ctx:
+            ctx.prec = 1000
+            ref = Decimal(p) - Decimal(10**400) * Decimal(2).sqrt()
+        assert abs(Decimal(z.embed(1)) - ref) <= Decimal(1e-15) * abs(ref)
+
     @given(x=rationals, y=rationals, D=small_D)
     def test_trace_and_norm_via_conjugate(self, x, y, D):
         z = QuadElem.of(D, x, y)
