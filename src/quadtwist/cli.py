@@ -10,8 +10,9 @@ significant digits, and a companion beyond float range is the string "inf".
 Each companion is computed from the integers it stands for
 (`quadfield._float`), so no step of it can overflow.
 
-A call pays for one parse by its command's own parser (the full parser runs
-only for usage errors and help).  The indented JSON of `twist` and
+A canonical `twist` or `survey` argv skips argparse; argparse parses any
+other argv, so help and usage errors keep one source, argparse (see
+`_parse`).  The indented JSON of `twist` and
 `geodesic --format json` has one emitter, `_json`, which writes what
 `json.dumps(obj, indent=2)` writes, ints of any size included; the report
 goes to stdout in one write.  The `twist` report reads its Grams' integers:
@@ -354,6 +355,15 @@ def cmd_verify_examples(_args=None) -> int:
     return EXIT_OK if failed == 0 else EXIT_VERIFY_FAILED
 
 
+# command -> (help, int positionals, option, its choices, default, handler)
+_CANONICAL = {
+    "survey": ("enumerate canonical ideals and verdicts", ("D", "max_a"),
+               "--filter", ("all", "wr", "stable"), "all", cmd_survey),
+    "twist": ("decide twistability of one ideal", ("D", "a", "b", "g"),
+              "--mode", ("wr", "stable", "all"), "all", cmd_twist),
+}
+
+
 def build_parser(commands: Optional[dict] = None) -> argparse.ArgumentParser:
     """The `quadtwist` parser.  If `commands` is given, each command's own
     parser is stored in it under the command's name."""
@@ -363,20 +373,13 @@ def build_parser(commands: Optional[dict] = None) -> argparse.ArgumentParser:
         "quadratic fields, in exact arithmetic.",
     )
     sub = p.add_subparsers(dest="command", required=True)
-
-    s = sub.add_parser("survey", help="enumerate canonical ideals and verdicts")
-    s.add_argument("D", type=int)
-    s.add_argument("max_a", type=int)
-    s.add_argument("--filter", choices=["all", "wr", "stable"], default="all")
-    s.set_defaults(func=cmd_survey)
-
-    t = sub.add_parser("twist", help="decide twistability of one ideal")
-    t.add_argument("D", type=int)
-    t.add_argument("a", type=int)
-    t.add_argument("b", type=int)
-    t.add_argument("g", type=int)
-    t.add_argument("--mode", choices=["wr", "stable", "all"], default="all")
-    t.set_defaults(func=cmd_twist)
+    own = {} if commands is None else commands
+    for cmd, (text, names, opt, choices, default, func) in _CANONICAL.items():
+        c = own[cmd] = sub.add_parser(cmd, help=text)
+        for name in names:
+            c.add_argument(name, type=int)
+        c.add_argument(opt, choices=choices, default=default)
+        c.set_defaults(func=func)
 
     g = sub.add_parser("geodesic", help="sample the similarity-class orbit")
     g.add_argument("D", type=int)
@@ -389,9 +392,7 @@ def build_parser(commands: Optional[dict] = None) -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify-examples", help="recompute the worked examples")
     v.set_defaults(func=cmd_verify_examples)
-    if commands is not None:
-        commands.update({"survey": s, "twist": t, "geodesic": g,
-                         "verify-examples": v})
+    own.update({"geodesic": g, "verify-examples": v})
     return p
 
 
@@ -402,16 +403,35 @@ def _shared_parsers() -> tuple[argparse.ArgumentParser, dict]:
     return build_parser(commands), commands
 
 
-def _parse(argv: list) -> argparse.Namespace:
-    """The namespace of build_parser().parse_args(argv), parsed by the
-    command's own parser alone where that settles it.
+def _match(argv: list) -> Optional[argparse.Namespace]:
+    """argparse's namespace for `command ints... [option choice]` of
+    `_CANONICAL`, with str entries and ASCII-digit ints; else None."""
+    if set(map(type, argv)) != {str} or argv[0] not in _CANONICAL:
+        return None
+    _, names, opt, choices, value, func = _CANONICAL[argv[0]]
+    k = len(names) + 1
+    if len(argv) == k + 2 and argv[k] == opt and argv[k + 1] in choices:
+        value, argv = argv[k + 1], argv[:k]
+    digits = "".join(argv[1:])
+    if len(argv) != k or not (digits.isascii() and digits.isdigit()):
+        return None
+    try:  # an empty int, or one past the int-to-str digit limit, raises
+        return argparse.Namespace(command=argv[0], func=func, **{
+            opt[2:]: value, **dict(zip(names, map(int, argv[1:])))})
+    except ValueError:
+        return None
 
-    The full parser hands every argument after the command to the command's
-    parser, so the two agree whenever that parser leaves nothing over.
-    Anything else (no command, an unknown one, a top-level option, or a
-    stray argument) goes through the full parser, which prints the same
-    usage errors as before.
+
+def _parse(argv: list) -> argparse.Namespace:
+    """The namespace of build_parser().parse_args(argv).
+
+    `_match` settles `twist D a b g [--mode M]` and `survey D A [--filter F]`
+    and declines every other argv (`--mode=wr`, `--mo`, `+9`, `1_0`, `-h`...).
+    Those go to the command's own parser, or to the full parser if it leaves
+    arguments over, so help and usage errors come from argparse alone.
     """
+    if (args := _match(argv)) is not None:
+        return args
     parser, commands = _shared_parsers()
     if argv and argv[0] in commands:
         args, extras = commands[argv[0]].parse_known_args(

@@ -4,10 +4,12 @@ import io
 import json
 import math
 import os
+import random
 import sys
 import time
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
@@ -315,6 +317,9 @@ STDOUT_SHA256 = {
         "676b925214ee0c9c2cfc3fc77faef4f2edc0cab541a4b53f37f6b7862a4d5ad2",
     ("survey", "199", "30"):
         "8ddff46baf09f8bf0c60aa66ab574c0fe54165d045a6bc0622b0f035ebb04c1c",
+    # recorded before canonical argv skipped argparse
+    ("survey", "139", "30", "--filter", "stable"):
+        "3e9f066dd965dae1a06b34e3a1a5920fa8242c08ff2f937dc8fb1945e13bca65",
     ("twist", "1327", "39", "38", "1", "--mode", "all"):
         "d8d1a8b29361a7cb318cc27d0a7706cb9ef7e1b00fa1ce32bc4ffb872cc4911d",
     ("twist", "125173", "183", "182", "1", "--mode", "all"):
@@ -601,9 +606,18 @@ PARSE_CASES = [
     ["twist", "-h"],
     ["twist", "139", "9", "7", "1", "-h"],
     ["twist", "1327", "39", "38", "1"],
+    # where int() and a naive digit check disagree with the strict match
+    ["twist", "139", "+9", "7", "1"],
+    ["twist", "139", "9", "7", "1_0"],
+    ["twist", "139", "\u0669", "7", "1"],
+    ["twist", "139", "\u00b2", "7", "1"],
+    ["twist", "2", "1" * 4301, "0", "1"],
+    ["twist", "139", "9", "7", "1", "--mode", "wr", "--mode", "stable"],
     ["survey", "10", "6", "stray"],
     ["survey", "10", "6", "--filter"],
     ["survey", "10", "6", "--filter", "wr"],
+    ["survey", "139", "3", "--filter=wr"],
+    ["survey", "139", "3", "--fil", "wr"],
     ["geodesic", "5", "1", "0", "1", "--samples", "3", "stray"],
     ["geodesic", "5", "1", "0", "1", "--samples", "3", "--format", "json"],
     ["verify-examples", "stray"],
@@ -616,26 +630,101 @@ def _outcome(capsys, call):
         code = call()
     except SystemExit as exc:
         code = exc.code
+    except TypeError as exc:  # argparse itself fails on a non-str entry
+        code = (type(exc), str(exc))
     out = capsys.readouterr()
     return code, out.out, out.err
 
 
-@pytest.mark.parametrize("argv", PARSE_CASES, ids=lambda a: " ".join(a) or "-")
-def test_parse_paths_agree(capsys, argv):
-    def full():
-        args = cli.build_parser().parse_args(argv)
-        return args.func(args)
+def _full(argv):
+    """main(argv) with the full parser alone."""
+    with mock.patch.object(cli, "_parse",
+                           lambda a: cli.build_parser().parse_args(a)):
+        return main(argv)
 
-    assert _outcome(capsys, lambda: main(argv)) == _outcome(capsys, full)
+
+@pytest.mark.parametrize("argv", PARSE_CASES, ids=lambda a: " ".join(
+    x if len(x) < 40 else f"<{len(x)} chars>" for x in a) or "-")
+def test_parse_paths_agree(capsys, argv):
+    assert _outcome(capsys, lambda: main(argv)) == \
+        _outcome(capsys, lambda: _full(argv))
 
 
 def test_a_command_is_parsed_by_its_own_parser(capsys, monkeypatch):
-    parser, _ = cli._shared_parsers()
+    parser, commands = cli._shared_parsers()
 
-    def full_parse(argv):
-        raise AssertionError("the full parser ran")
+    def refuse(*args, **kwargs):
+        raise AssertionError("argparse ran")
 
-    monkeypatch.setattr(parser, "parse_args", full_parse)
-    code, out, _ = run_cli(capsys, "twist", "139", "9", "7", "1", "--mode", "wr")
+    monkeypatch.setattr(parser, "parse_args", refuse)
+    code, out, _ = run_cli(capsys, "geodesic", "5", "1", "0", "1",
+                           "--samples", "4")
     assert code == EXIT_OK
-    assert json.loads(out)["wr_twistable"] is True
+    digest = STDOUT_SHA256["geodesic", "5", "1", "0", "1", "--samples", "4"]
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    # a canonical twist or survey argv reaches no parser at all
+    for p in commands.values():
+        for name in ("parse_args", "parse_known_args"):
+            monkeypatch.setattr(p, name, refuse)
+    wr = ("twist", "139", "9", "7", "1", "--mode", "wr")
+    every = ("twist", "1327", "39", "38", "1", "--mode", "all")
+    survey = ("survey", "139", "30")
+    stable = survey + ("--filter", "stable")
+    # without --mode, twist prints the report of its default, --mode all
+    for argv, pinned in [(wr, wr), (every[:5], every), (survey, survey),
+                         (stable, stable)]:
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            STDOUT_SHA256[pinned]
+
+
+# Canonical argv of twist and survey, and the spellings the strict match
+# must leave to argparse: not a str, not ASCII digits, too long for int(),
+# an option abbreviated, joined by "=", repeated, misplaced or unknown.
+_ODD_INTS = ["+9", "-5", "1_0", " 9", "", "x", "\u0669", "\u00b2",
+             "1" * 4301, 9, b"9", None]
+_SHAPES = {"twist": [["5", "139", "141", "12"], ["1", "9", "5", "3"],
+                     ["0", "7", "4", "8"], ["1", "2"]],
+           "survey": [["5", "10", "139", "12"], ["0", "1", "3", "03"]]}
+
+
+def _corpus(count: int, seed: int):
+    """`count` argv: half canonical, half with one or two mutations."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        command = rng.choice(sorted(_SHAPES))
+        option, choices = cli._CANONICAL[command][2:4]
+        ints = [rng.choice(pool) for pool in _SHAPES[command]]
+        tail = rng.choice([[], [option, rng.choice(choices)]])
+        for _ in range(rng.choice([0, 0, 1, 2])):
+            kind = rng.randrange(4)
+            if kind == 0:
+                ints[rng.randrange(len(ints))] = rng.choice(_ODD_INTS)
+            elif kind == 1:
+                c, c2 = rng.choice(choices), rng.choice(choices)
+                tail = rng.choice([[option, "bogus"], [f"{option}={c}"],
+                                   [option[:4], c], [option],
+                                   [option, c, option, c2]])
+            elif kind == 2:
+                ints, tail = tail + ints, []
+            else:
+                ints.insert(rng.randrange(len(ints) + 1),
+                            rng.choice(["--", "-h", "stray", "3", 7]))
+        yield [command] + ints + tail
+
+
+def test_strict_match_agrees_with_argparse(capsys):
+    full = cli.build_parser()
+    matched = declined = 0
+    for argv in _corpus(1000, 25):
+        args = cli._match(argv)
+        if args is not None:
+            matched += 1
+            assert args == full.parse_args(argv), argv
+            continue
+        declined += 1
+        via_main = _outcome(capsys, lambda: main(argv))
+        assert via_main == _outcome(capsys, lambda: _full(argv)), argv
+    assert matched > 300 and declined > 300
