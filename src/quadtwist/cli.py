@@ -405,7 +405,7 @@ def _shared_parsers() -> tuple[argparse.ArgumentParser, dict]:
 
 def _match(argv: list) -> Optional[argparse.Namespace]:
     """argparse's namespace for `command ints... [option choice]` of
-    `_CANONICAL`, with str entries and ASCII-digit ints; else None."""
+    `_CANONICAL`, with str entries and decimal-digit ints; else None."""
     if set(map(type, argv)) != {str} or argv[0] not in _CANONICAL:
         return None
     _, names, opt, choices, value, func = _CANONICAL[argv[0]]
@@ -413,9 +413,12 @@ def _match(argv: list) -> Optional[argparse.Namespace]:
     if len(argv) == k + 2 and argv[k] == opt and argv[k + 1] in choices:
         value, argv = argv[k + 1], argv[:k]
     digits = "".join(argv[1:])
-    if len(argv) != k or not (digits.isascii() and digits.isdigit()):
+    if len(argv) != k or not digits.isdigit():
         return None
-    try:  # an empty int, or one past the int-to-str digit limit, raises
+    # int, as argparse's type, reads any decimal digit ("\u0669" is 9); an
+    # empty int, a digit that is not decimal ("\u00b2") or one past the
+    # int-to-str digit limit raises
+    try:
         return argparse.Namespace(command=argv[0], func=func, **{
             opt[2:]: value, **dict(zip(names, map(int, argv[1:])))})
     except ValueError:

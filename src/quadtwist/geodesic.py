@@ -28,6 +28,7 @@ from .quadfield import (
     QuadElem,
     _discriminant,
     _is_square,
+    _quad,
     _t_plus_sqrt,
     check_field,
     fundamental_unit,
@@ -136,24 +137,23 @@ def F_invariant(x: QuadElem, y: QuadElem, I: CanonicalIdeal) -> Fraction:
                     - target * b * b, 4 * b * b)
 
 
-def _in_cone(z: QuadElem, eps4: QuadElem) -> bool:
-    """Exact membership in the cone 1 <= |sigma_1(z)/sigma_2(z)| < eps_plus^2,
-    given eps4 = eps_plus^4.
+def _in_cone_ints(P: int, Q: int, D: int, s: int, t: int) -> bool:
+    """Exact membership of z = (P + Q*sqrt(D))/e, e > 0, in the cone
+    1 <= |sigma_1(z)/sigma_2(z)| < eps_plus^2, for eps_plus = (s + t*sqrt(D))/f.
 
-    Squared form: sigma_1(z)^2 >= sigma_2(z)^2, i.e. p*q >= 0 for
-    z = (p + q*sqrt(D))/d since sigma_1(z)^2 - sigma_2(z)^2 = 4pq*sqrt(D)/d^2,
-    and sigma_1(z)^2 < eps_plus^4 * sigma_2(z)^2, decided as a QuadElem
-    comparison (sigma_1 of z^2 against sigma_1 of conj(z)^2 * eps4).
+    The lower end is sigma_1(z)^2 >= sigma_2(z)^2, i.e. P*Q >= 0, since
+    sigma_1(z)^2 - sigma_2(z)^2 = 4*P*Q*sqrt(D)/e^2.  As N(eps_plus) = 1,
+    w = z*conj(eps_plus) = (p' + q'*sqrt(D))/(e*f) has ratio
+    sigma_1(z)/sigma_2(z) / eps_plus^2, so the upper end is
+    sigma_1(w)^2 < sigma_2(w)^2, i.e. p'*q' < 0: one multiply by the unit.
     """
-    if z.p * z.q < 0:
-        return False
-    zc = z.conjugate()
-    return z * z < zc * zc * eps4
+    return P * Q >= 0 and (P * s - D * Q * t) * (Q * s - P * t) < 0
 
 
-def _ideal_elements_in_cone(I: CanonicalIdeal, norm_bound_sq: Fraction,
-                            eps_plus: QuadElem) -> list[QuadElem]:
-    """Nonzero z in I with N(z)^2 <= norm_bound_sq, one per unit orbit.
+def _ideal_elements_in_cone(I: CanonicalIdeal, target: int,
+                            eps_plus: QuadElem) -> list[tuple[int, int, int, int]]:
+    """Nonzero z in I with 3*N(z)^2 <= target, one per unit orbit, as
+    (P, Q, e, N(z)) with z = (P + Q*sqrt(D))/e, not in lowest terms.
 
     Representatives are taken in the cone 1 <= |sigma_1(z)/sigma_2(z)| <
     eps_plus^2.  A single rectangular coordinate box over the whole cone is
@@ -161,18 +161,22 @@ def _ideal_elements_in_cone(I: CanonicalIdeal, norm_bound_sq: Fraction,
     [lam^k, lam^(k+1)); each band fits in a small box that is scanned with a
     float prefilter, and every survivor is checked exactly.  Bands overlap,
     so coefficient pairs already seen are skipped: (z1, z2) is a basis, so
-    the pair determines z.
+    the pair determines z, whose integers are read off
+    z = cx*a + cy*(u + v*sqrt(D))/e without a gcd.
     """
+    D, a = I.D, I.a
+    u, v, e = I._uve
+    ae, ee = a * e, e * e
+    s, t = eps_plus.p, eps_plus.q
     z1, z2 = I.basis_elements()
-    eps4 = eps_plus ** 4
-    M = math.sqrt(float(norm_bound_sq))  # bound on |N(z)|
+    M = math.sqrt(target / 3)  # bound on |N(z)|
     s1 = (z1.embed(1), z2.embed(1))
     s2 = (z1.embed(2), z2.embed(2))
     lam = 4.0
     n_bands = max(1, math.ceil(_log_ratio(eps_plus) / math.log(lam)))
     slack = 1.02
     seen: set[tuple[int, int]] = set()
-    out: list[QuadElem] = []
+    out = []
     for k in range(n_bands):
         # band: ratio in [lam^k, lam^(k+1)] => |sigma_1| <= B1, |sigma_2| <= B2
         B1 = math.sqrt(M) * lam ** ((k + 1) / 2) * slack
@@ -181,10 +185,11 @@ def _ideal_elements_in_cone(I: CanonicalIdeal, norm_bound_sq: Fraction,
             if cxy in seen:
                 continue
             seen.add(cxy)
-            z = cxy[0] * z1 + cxy[1] * z2
-            n = z.norm()
-            if n != 0 and n * n <= norm_bound_sq and _in_cone(z, eps4):
-                out.append(z)
+            cx, cy = cxy
+            P, Q = cx * ae + cy * u, cy * v
+            n = (P * P - D * Q * Q) // ee
+            if n != 0 and 3 * n * n <= target and _in_cone_ints(P, Q, D, s, t):
+                out.append((P, Q, e, n))
     return out
 
 
@@ -223,15 +228,37 @@ def _points_in_embedding_box(s1, s2, B1: float, B2: float) -> list[tuple[int, in
     # angle sine squared is >= 3/4, so |ci| <= sqrt(8 / (3 * qii))
     m1 = int(math.sqrt(8.0 / (3.0 * q11))) + 1 if q11 > 0 else 1
     m2 = int(math.sqrt(8.0 / (3.0 * q22))) + 1 if q22 > 0 else 1
+    (u00, u01), (u10, u11) = u
+    (s10, s11), (s20, s21) = s1, s2
     for c1 in range(-m1, m1 + 1):
+        x0, y0 = c1 * u00, c1 * u10
         for c2 in range(-m2, m2 + 1):
-            cx = c1 * u[0][0] + c2 * u[0][1]
-            cy = c1 * u[1][0] + c2 * u[1][1]
-            e1 = cx * s1[0] + cy * s1[1]
-            e2 = cx * s2[0] + cy * s2[1]
-            if abs(e1) <= B1 and abs(e2) <= B2:
-                out.append((cx, cy))
+            cx, cy = x0 + c2 * u01, y0 + c2 * u11
+            e1 = cx * s10 + cy * s11
+            if -B1 <= e1 <= B1:
+                e2 = cx * s20 + cy * s21
+                if -B2 <= e2 <= B2:
+                    out.append((cx, cy))
     return out
+
+
+def _first_basis(xs, ys, D: int, target: int):
+    """The first (x, y) of xs times ys, each (p, q, d) for (p + q*sqrt(D))/d,
+    that is a basis of an ideal with N(I)^2 * Delta_K = target, or None.
+
+    The basis test of F_invariant on integers:
+    4*D*(q1*p2 - p1*q2)^2 == target * (d1*d2)^2.
+    """
+    four_d = 4 * D
+    for x in xs:
+        p1, q1, d1 = x
+        rhs = target * d1 * d1
+        for y in ys:
+            p2, q2, d2 = y
+            c = q1 * p2 - p1 * q2
+            if four_d * c * c == rhs * d2 * d2:
+                return x, y
+    return None
 
 
 def wr_intersection_classes(I: CanonicalIdeal) -> tuple[int, set[Fraction]]:
@@ -240,41 +267,59 @@ def wr_intersection_classes(I: CanonicalIdeal) -> tuple[int, set[Fraction]]:
     These classes are in bijection with the crossings of the orbit curve and
     the WR locus.  F < 0 forces |N| of both basis members below
     N(I)*sqrt(Delta_K/3), so the enumeration is finite.  It runs in float
-    boxes, and raises ValueError where a bound leaves float range.
+    boxes, and raises ValueError where a bound leaves float range; the
+    elements it keeps are checked on integers.
+
+    F of a basis (x, y) depends on (N(x), N(y)) alone, so the elements are
+    grouped by norm and a pair of groups is searched for a basis only where
+    its norms allow one: F < 0, a value not found yet, N(I) dividing both,
+    and Delta_K + 4*N(x)*N(y)/N(I)^2 a perfect square, since a basis gives
+    the norm form (N(x), B, N(y))/N(I) of discriminant Delta_K.  The search
+    pairs an element of the one group with the unit shifts eps_plus^j,
+    |j| <= 2, of the other, so that partners outside the representative
+    cone are still seen, and stops at the first basis; F_invariant re-checks
+    it and gives the value.
     """
     D = I.D
-    target = I.norm() ** 2 * _discriminant(D)
+    N = I.norm()
+    dk = _discriminant(D)
+    target = N * N * dk
     _, eps_plus = fundamental_unit(D)
     try:
-        elems = _ideal_elements_in_cone(I, Fraction(target, 3), eps_plus)
+        elems = _ideal_elements_in_cone(I, target, eps_plus)
     except OverflowError:
         # The band search sizes its boxes in floats: a large N(I) or unit
         # takes a bound past float range.
         raise ValueError(
             f"wr_intersection_classes of {I}: the search bounds exceed the "
             "float range (about 1.8e308)") from None
-    # unit shifts so that basis partners outside the representative cone are
-    # still seen
-    partners = []
-    for j in (-2, -1, 0, 1, 2):
-        u = eps_plus ** j
-        for z in elems:
-            y = z * u
-            partners.append((y, y.p, y.q, y.d * y.d))
+    groups: dict[int, list[tuple[int, int, int]]] = {}
+    for P, Q, e, n in elems:
+        groups.setdefault(n, []).append((P, Q, e))
+    # eps_plus^j for j = 0, 1, 2, -1, -2 as (p, q, d); N(eps_plus) = 1, so
+    # conj(eps_plus) is its inverse and a shift keeps the norm
+    s, t, f = eps_plus.p, eps_plus.q, eps_plus.d
+    s2, t2 = s * s + D * t * t, 2 * s * t
+    units = ((1, 0, 1), (s, t, f), (s2, t2, f * f), (s, -t, f),
+             (s2, -t2, f * f))
+    shifted: dict[int, list[tuple[int, int, int]]] = {}
+    # (x, y*eps^j) is a basis exactly when (y, x*eps^-j) is, so each
+    # unordered pair of norms is searched once.
+    norms = sorted(n for n in groups if n % N == 0)
     values: set[Fraction] = set()
-    # The basis test of F_invariant on integers:
-    # 4*D*(q1*p2 - p1*q2)^2 == N(I)^2 * Delta_K * (d1*d2)^2.
-    four_d = 4 * D
-    for x in elems:
-        p1, q1, d1 = x.p, x.q, x.d
-        rhs = target * d1 * d1
-        for y, p2, q2, d2_sq in partners:
-            c = q1 * p2 - p1 * q2
-            if four_d * c * c != rhs * d2_sq:
+    for i, nx in enumerate(norms):
+        for ny in norms[i:]:
+            f4 = 4 * (nx * nx + nx * ny + ny * ny) - target
+            if (f4 >= 0 or not _is_square(dk + 4 * (nx // N) * (ny // N))
+                    or Fraction(f4, 4) in values):
                 continue
-            f = F_invariant(x, y, I)
-            if f < 0:
-                values.add(f)
+            if ny not in shifted:
+                shifted[ny] = [(P * us + D * Q * ut, P * ut + Q * us, e * ud)
+                               for P, Q, e in groups[ny]
+                               for us, ut, ud in units]
+            pair = _first_basis(groups[nx], shifted[ny], D, target)
+            if pair is not None:
+                values.add(F_invariant(_quad(D, *pair[0]), _quad(D, *pair[1]), I))
     return len(values), values
 
 

@@ -681,7 +681,7 @@ def test_a_command_is_parsed_by_its_own_parser(capsys, monkeypatch):
 
 
 # Canonical argv of twist and survey, and the spellings the strict match
-# must leave to argparse: not a str, not ASCII digits, too long for int(),
+# must leave to argparse: not a str, not decimal digits, too long for int(),
 # an option abbreviated, joined by "=", repeated, misplaced or unknown.
 _ODD_INTS = ["+9", "-5", "1_0", " 9", "", "x", "\u0669", "\u00b2",
              "1" * 4301, 9, b"9", None]

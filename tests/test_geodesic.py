@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import random
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from quadtwist.applications import min_abs_norm
 from quadtwist.geodesic import (
     F_invariant,
+    _in_cone_ints,
     _log_ratio,
     _points_in_embedding_box,
     _sample_at,
@@ -276,12 +278,13 @@ def _reference_classes(I):
     shifted = []
     for j in (-2, -1, 0, 1, 2):
         u = eps_plus ** j
-        shifted.extend([z * u for z in elems])
+        shifted.extend([(z * u, (z * u).conjugate()) for z in elems])
     values = set()
     target = QuadElem.of(I.D, I.norm() ** 2 * dk, 0)
     for x in elems:
-        for y in shifted:
-            w = x * y.conjugate() - x.conjugate() * y
+        xc = x.conjugate()
+        for y, yc in shifted:
+            w = x * yc - xc * y
             if w * w != target:
                 continue
             f = _reference_F(x, y, I)
@@ -290,12 +293,94 @@ def _reference_classes(I):
     return len(values), values
 
 
+class TestExactPredicates:
+    """The integer predicates wr_intersection_classes prunes and decides
+    with, against their QuadElem forms."""
+
+    @staticmethod
+    def _reference_in_cone(z, eps_plus):
+        # both ends of the cone as QuadElem comparisons against eps_plus^4
+        sq, csq = z * z, z.conjugate() * z.conjugate()
+        return sq >= csq and sq < csq * eps_plus ** 4
+
+    @given(D=st.sampled_from(LOG_RATIO_FIELDS[:-1]),
+           p=st.integers(-10**6, 10**6), q=st.integers(-30, 30),
+           d=st.integers(1, 4), j=st.integers(-2, 2))
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    def test_cone_against_quadelem_comparison(self, D, p, q, d, j):
+        eps_plus = _eps_plus(D)
+        z = QuadElem.of(D, Fraction(p, d), Fraction(q, d)) * eps_plus ** j
+        if z.p == 0 and z.q == 0:
+            return
+        assert _in_cone_ints(z.p, z.q, D, eps_plus.p, eps_plus.q) == \
+            self._reference_in_cone(z, eps_plus), z
+
+    @pytest.mark.parametrize("D", LOG_RATIO_FIELDS[:-1])
+    def test_cone_ends(self, D):
+        eps_plus = _eps_plus(D)
+        s, t = eps_plus.p, eps_plus.q
+        # ratio 1 is in, at z = +-1 and z = +-sqrt(D); eps_plus^2 is out,
+        # at z = eps_plus, as is eps_plus^-2 at its conjugate
+        ends = [(1, 0, True), (-1, 0, True), (0, 1, True), (0, -1, True),
+                (s, t, False), (-s, -t, False), (s, -t, False)]
+        for P, Q, inside in ends:
+            z = QuadElem.of(D, P, Q)
+            assert self._reference_in_cone(z, eps_plus) == inside
+            assert _in_cone_ints(P, Q, D, s, t) == inside, (P, Q)
+
+    @given(D=st.sampled_from(TWIST_FIELDS), pick=st.integers(0, 10**6),
+           a=st.integers(-40, 40), b=st.integers(-40, 40),
+           k=st.integers(-5, 5))
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    def test_norm_pair_discriminant(self, D, pick, a, b, k):
+        # a basis (x, y) of I gives the integral norm form
+        # N(X*x + Y*y)/N(I) = (N(x), tr(x*conj(y)), N(y))/N(I) of
+        # discriminant Delta_K
+        if math.gcd(a, b) != 1:
+            return
+        ideals = enumerate_canonical(D, 12)
+        I = ideals[pick % len(ideals)]
+        # the row (c, d) with a*d - b*c = 1, then a shear by k
+        d = pow(a, -1, abs(b)) if b else a
+        c = (a * d - 1) // b if b else 0
+        assert a * d - b * c == 1
+        z1, z2 = I.basis_elements()
+        x = a * z1 + b * z2
+        y = (c + k * a) * z1 + (d + k * b) * z2
+        N = I.norm()
+        B = 2 * (x * y.conjugate()).x / N
+        assert B.denominator == 1
+        assert discriminant(D) + 4 * x.norm() * y.norm() / N ** 2 == B * B
+
+
+def _canonical_pairing_ideals():
+    """From a seeded draw, one canonical ideal with g > 1 and one other than
+    O_K with g = 1, a <= 12, for each squarefree D <= 200 (D = 173 has no
+    such g = 1 ideal)."""
+    rng = random.Random(26)
+    for D in range(2, 201):
+        if not is_squarefree(D):
+            continue
+        ideals = enumerate_canonical(D, 12)
+        yield rng.choice([I for I in ideals if I.g > 1])
+        primitive = [I for I in ideals[1:] if I.g == 1]
+        if primitive:
+            yield rng.choice(primitive)
+
+
 class TestIntersectionPairing:
     def test_matches_reference_on_rings_of_integers_up_to_200(self):
         for D in range(2, 201):
             if is_squarefree(D):
                 I = ring_of_integers(D)
                 assert wr_intersection_classes(I) == _reference_classes(I), D
+
+    def test_matches_reference_on_canonical_ideals_up_to_200(self):
+        ideals = list(_canonical_pairing_ideals())
+        assert len(ideals) == 241
+        assert any(wr_intersection_classes(I)[0] > 1 for I in ideals)
+        for I in ideals:
+            assert wr_intersection_classes(I) == _reference_classes(I), I
 
 
 class TestFInvariant:

@@ -1,6 +1,7 @@
 import math
 import os
 import pickle
+import random
 import subprocess
 import sys
 import textwrap
@@ -472,6 +473,36 @@ class TestSurd:
             assert x == (math.inf if ref > 0 else -math.inf)
         elif abs(ref) >= Decimal(sys.float_info.min):
             assert abs(Decimal(x) - ref) <= Decimal(1e-15) * abs(ref), (x, ref)
+
+    @staticmethod
+    def _cancelling(bits, seed):
+        """(p, q, n, d) whose p*2^64 + q*isqrt(n*4^64) keeps about `bits`
+        bits: p = -q*m and n = m^2 + c, so the value is
+        q*(sqrt(m^2 + c) - m)/d, near q*c/(2*m*d)."""
+        rng = random.Random(seed)
+        m = rng.randrange(2**70, 2**90)
+        c = max(1, (2 * m * rng.randrange(2**bits, 2**(bits + 1))) >> 64)
+        q = rng.randrange(1, 50) * rng.choice((1, -1))
+        return -q * m, q, m * m + c, rng.randrange(1, 10**6)
+
+    def test_float_of_a_partly_cancelled_value(self):
+        # sqrt(10^20 + 1) - 10^10 = 5e-11 leaves 30 bits at k = 64
+        assert quadfield._float(-10**10, 1, 10**20 + 1, 1) == 5e-11
+
+    @pytest.mark.parametrize("bits", [8, 12, 20, 28, 36, 44, 53])
+    def test_float_past_partial_cancellation(self, bits):
+        # At k = 64 the cancellation leaves 8 to 53 bits of the numerator,
+        # fewer than the 64 `_float` waits for: a weaker stopping test would
+        # divide an estimate off by up to |q| in its last bits.
+        for seed in range(4):
+            p, q, n, d = self._cancelling(bits, 1000 * bits + seed)
+            r = math.isqrt(n << 128)
+            assert 2**(bits - 2) <= abs((p << 64) + q * r) < 2**(bits + 8)
+            x = quadfield._float(p, q, n, d)
+            with localcontext() as ctx:
+                ctx.prec = 200
+                ref = (Decimal(p) + Decimal(q) * Decimal(n).sqrt()) / d
+            assert abs(Decimal(x) - ref) <= Decimal(math.ulp(x)), (x, ref)
 
     def test_hash_agrees_with_eq(self):
         assert len({Surd(0, 2, 2), Surd(0, 1, 8)}) == 1
