@@ -235,7 +235,10 @@ def euclidean_bounds(D: int, I: Optional[CanonicalIdeal] = None,
                      tau_min_sq: Optional[Fraction] = None) -> EuclideanBoundReport:
     """Euclidean-minimum bounds: M(K) <= sqrt(disc)/4 with the exact "< 1"
     verdict, and the per-ideal bound (tau_min/2) * sqrt(disc) * N(I) when a
-    thickness certificate is supplied."""
+    thickness certificate is supplied.  tau_min_sq must be an int or a
+    Fraction: any other type raises TypeError."""
+    if not (tau_min_sq is None or isinstance(tau_min_sq, (int, Fraction))):
+        raise TypeError("tau_min_sq must be an int or a Fraction")
     dk = discriminant(D)  # checks D
     if I is not None and I.D != D:
         raise ValueError("mixed fields")
@@ -245,7 +248,7 @@ def euclidean_bounds(D: int, I: Optional[CanonicalIdeal] = None,
     if I is not None and tau_min_sq is not None:
         # with tau^2 = n/d the bound is sqrt(m*d)/(2d) for m = n*disc*N(I)^2,
         # and it is below 1 iff m < 4d
-        n, d = Fraction(tau_min_sq).as_integer_ratio()
+        n, d = tau_min_sq.numerator, tau_min_sq.denominator
         m = n * dk * I.norm() ** 2
         ideal_bound = _float(0, 1, m * d, 2 * d)
         lt_one = m < 4 * d

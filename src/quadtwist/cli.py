@@ -10,9 +10,9 @@ significant digits, and a companion beyond float range is the string "inf".
 Each companion is computed from the integers it stands for
 (`quadfield._float`), so no step of it can overflow.
 
-A canonical `twist` or `survey` argv skips argparse; argparse parses any
-other argv, so help and usage errors keep one source, argparse (see
-`_parse`).  The indented JSON of `twist` and
+`_parse` takes one of two paths: a strict match settles a canonical `twist`
+or `survey` argv, and argparse parses any other, so help and usage errors
+keep one source.  The indented JSON of `twist` and
 `geodesic --format json` has one emitter, `_json`, which writes what
 `json.dumps(obj, indent=2)` writes, ints of any size included; the report
 goes to stdout in one write.  The `twist` report reads its Grams' integers:
@@ -26,7 +26,6 @@ and are written in one write, after the last row or at the first error.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import math
 import sys
@@ -364,18 +363,16 @@ _CANONICAL = {
 }
 
 
-def build_parser(commands: Optional[dict] = None) -> argparse.ArgumentParser:
-    """The `quadtwist` parser.  If `commands` is given, each command's own
-    parser is stored in it under the command's name."""
+def build_parser() -> argparse.ArgumentParser:
+    """The `quadtwist` parser."""
     p = argparse.ArgumentParser(
         prog="quadtwist",
         description="WR and stable twists of canonical ideal bases in real "
         "quadratic fields, in exact arithmetic.",
     )
     sub = p.add_subparsers(dest="command", required=True)
-    own = {} if commands is None else commands
     for cmd, (text, names, opt, choices, default, func) in _CANONICAL.items():
-        c = own[cmd] = sub.add_parser(cmd, help=text)
+        c = sub.add_parser(cmd, help=text)
         for name in names:
             c.add_argument(name, type=int)
         c.add_argument(opt, choices=choices, default=default)
@@ -392,15 +389,7 @@ def build_parser(commands: Optional[dict] = None) -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify-examples", help="recompute the worked examples")
     v.set_defaults(func=cmd_verify_examples)
-    own.update({"geodesic": g, "verify-examples": v})
     return p
-
-
-@functools.cache
-def _shared_parsers() -> tuple[argparse.ArgumentParser, dict]:
-    # Built once per process and reused: parsing does not change them.
-    commands: dict = {}
-    return build_parser(commands), commands
 
 
 def _match(argv: list) -> Optional[argparse.Namespace]:
@@ -426,22 +415,13 @@ def _match(argv: list) -> Optional[argparse.Namespace]:
 
 
 def _parse(argv: list) -> argparse.Namespace:
-    """The namespace of build_parser().parse_args(argv).
-
-    `_match` settles `twist D a b g [--mode M]` and `survey D A [--filter F]`
-    and declines every other argv (`--mode=wr`, `--mo`, `+9`, `1_0`, `-h`...).
-    Those go to the command's own parser, or to the full parser if it leaves
-    arguments over, so help and usage errors come from argparse alone.
-    """
+    """build_parser().parse_args(argv), by one of two paths: `_match` settles
+    `twist D a b g [--mode M]` and `survey D A [--filter F]`; the full parser
+    takes any argv it declines (`--mode=wr`, `--mo`, `+9`, `-h`, `geodesic`),
+    so help and usage errors come from argparse alone."""
     if (args := _match(argv)) is not None:
         return args
-    parser, commands = _shared_parsers()
-    if argv and argv[0] in commands:
-        args, extras = commands[argv[0]].parse_known_args(
-            argv[1:], argparse.Namespace(command=argv[0]))
-        if not extras:
-            return args
-    return parser.parse_args(argv)
+    return build_parser().parse_args(argv)
 
 
 def _invalid_input(error: str, condition: Optional[str] = None) -> int:

@@ -194,14 +194,17 @@ class QuadElem:
     x + y*sqrt(D) has x = p/d and y = q/d.  All fields are read-only.  Ring
     operations and order predicates work on the integers alone; only the
     public constructor validates D, and results of operations reuse the D of
-    their operands.
+    their operands.  x and y must be ints or Fractions: any other type
+    raises TypeError, so no float or string reaches the exact fields.
     """
 
     __slots__ = ("_D", "_p", "_q", "_d")
 
     def __init__(self, D: int, x: Rational = 0, y: Rational = 0):
         check_field(D)
-        x, y = Fraction(x), Fraction(y)
+        if not (isinstance(x, (int, Fraction))
+                and isinstance(y, (int, Fraction))):
+            raise TypeError("x and y must be ints or Fractions")
         # x and y are in lowest terms, so this form is already canonical.
         d = math.lcm(x.denominator, y.denominator)
         self._D = D

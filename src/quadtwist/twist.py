@@ -348,7 +348,10 @@ STABLE_CONSTRAINT_NAMES = ("weak reducedness", "g11^2 >= det",
 
 def raw_stable_polynomials(I: CanonicalIdeal, t: Fraction) -> bool:
     """The stable-twistability criterion evaluated directly at (p, q) = (t, 1):
-    t > sqrt(D) and every constraint of `_stable_constraints` holds at t."""
+    t > sqrt(D) and every constraint of `_stable_constraints` holds at t.
+    t must be an int or a Fraction: any other type raises TypeError."""
+    if not isinstance(t, (int, Fraction)):
+        raise TypeError("t must be an int or a Fraction")
     n, d = t.numerator, t.denominator
     return _totally_positive(n, d, I.D) and all(
         A * n * n + B * n * d + C * d * d >= 0

@@ -254,6 +254,22 @@ class TestEuclideanBounds:
             math.ldexp(math.sqrt(8 / 5) / 2, 1024), rel=1e-12)
         assert rep.ideal_bound_lt_one is False
 
+    def test_rejects_a_non_rational_tau_min_sq(self):
+        # tau^2 = 4/5 puts the bound sqrt(tau^2 * 5)/2 at 1 exactly: a float
+        # would decide "< 1" on a binary approximation, so only an int or a
+        # Fraction is taken
+        I = ring_of_integers(5)
+        assert euclidean_bounds(5, I, Fraction(4, 5)).ideal_bound_lt_one \
+            is False
+        assert euclidean_bounds(5, I, Fraction(4, 5) - Fraction(1, 10**30)) \
+            .ideal_bound_lt_one is True
+        assert euclidean_bounds(5, I, 0).ideal_bound_lt_one is True
+        for bad in (0.1, "1/10", Decimal("0.1"), 1.0):
+            with pytest.raises(TypeError):
+                euclidean_bounds(5, I, bad)
+            with pytest.raises(TypeError):
+                euclidean_bounds(5, None, bad)
+
     def test_rejects_mixed_fields(self):
         with pytest.raises(ValueError, match="mixed fields"):
             euclidean_bounds(5, ring_of_integers(7), Fraction(1, 4))

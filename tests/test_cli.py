@@ -584,8 +584,9 @@ def test_huge_field_is_refused_at_once(capsys):
     assert "at most 10**18" in json.loads(err)["error"]
 
 
-# main parses with the command's own parser and falls back to the full one;
-# every outcome must be that of the full parser alone.
+# main settles a canonical twist or survey argv by a strict match and hands
+# any other to the full parser; every outcome must be that of the full
+# parser alone.
 PARSE_CASES = [
     [],
     ["-h"],
@@ -650,23 +651,18 @@ def test_parse_paths_agree(capsys, argv):
         _outcome(capsys, lambda: _full(argv))
 
 
-def test_a_command_is_parsed_by_its_own_parser(capsys, monkeypatch):
-    parser, commands = cli._shared_parsers()
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("argparse ran")
-
-    monkeypatch.setattr(parser, "parse_args", refuse)
+def test_a_canonical_argv_reaches_no_parser(capsys, monkeypatch):
+    # a declined argv is parsed by argparse
     code, out, _ = run_cli(capsys, "geodesic", "5", "1", "0", "1",
                            "--samples", "4")
     assert code == EXIT_OK
     digest = STDOUT_SHA256["geodesic", "5", "1", "0", "1", "--samples", "4"]
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
-    # a canonical twist or survey argv reaches no parser at all
-    for p in commands.values():
-        for name in ("parse_args", "parse_known_args"):
-            monkeypatch.setattr(p, name, refuse)
+    def refuse():
+        raise AssertionError("argparse ran")
+
+    monkeypatch.setattr(cli, "build_parser", refuse)
     wr = ("twist", "139", "9", "7", "1", "--mode", "wr")
     every = ("twist", "1327", "39", "38", "1", "--mode", "all")
     survey = ("survey", "139", "30")

@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 import textwrap
+from decimal import Decimal
 from fractions import Fraction
 from functools import cmp_to_key
 
@@ -259,6 +260,14 @@ class TestStableTwist:
             expected = is_paper_reduced(G) and is_stable(G)
             assert raw_stable_polynomials(I, t) == expected, (D, I, t)
             checked += 1
+
+    def test_polynomials_reject_a_non_rational_t(self):
+        I = validate_canonical(1327, 39, 38, 1)
+        assert raw_stable_polynomials(I, 63)
+        assert raw_stable_polynomials(I, Fraction(63))
+        for bad in (63.0, "63", Decimal(63)):
+            with pytest.raises(TypeError):
+                raw_stable_polynomials(I, bad)
 
     def test_interval_endpoints_ordered(self):
         for D, a, b, g in [(1327, 39, 38, 1), (139, 10, 3, 1)]:
