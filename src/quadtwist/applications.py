@@ -25,6 +25,7 @@ from .quadfield import (
     _float,
     _int,
     _is_square,
+    _quad,
     _rat,
     _rat_repr,
     _rho_walk,
@@ -164,11 +165,12 @@ class ThicknessSearchResult:
                 f"lower_bound={self.lower_bound!r})")
 
 
-def _thickness_at(I: CanonicalIdeal, t: Fraction) -> float:
-    """float(hermite_thickness_sq) at t + sqrt(D), bit for bit: the ratio is
-    scale invariant, so no gcd is taken, and int / int rounds correctly."""
-    num, det = _deep_hole(*_reduce(*_twist_ints(I, t.numerator, t.denominator))[:3])
-    return num * num / (16 * det ** 3)
+def _thickness_at(I: CanonicalIdeal, num: int, den: int) -> float:
+    """float(hermite_thickness_sq) at t + sqrt(D) for t = num/den, bit for
+    bit: the ratio is scale invariant, so no gcd is taken, and int / int
+    rounds correctly."""
+    n, det = _deep_hole(*_reduce(*_twist_ints(I, num, den))[:3])
+    return n * n / (16 * det ** 3)
 
 
 # tau_min_search's grid points per unit period and golden-section steps.
@@ -182,10 +184,13 @@ def tau_min_search(I: CanonicalIdeal) -> ThicknessSearchResult:
     Thickness is evaluated exactly at the rational t = geodesic._t_at(D, L)
     of a fixed uniform grid of 32 log ratios L inside one unit period, and
     at the WR twist t* when there is one, then refined by 24 golden-section
-    steps in L around the best of them.  The reported value is the exact
+    steps in L around the best of them.  Each step keeps its surviving
+    interior point and score and probes one new point (two on the first),
+    so a call makes 57 probes, 58 with t*.  The reported value is the exact
     thickness at the best rational sample, so the estimate is a certified
-    upper bound.  Probes are scored on the pencil integers (`_thickness_at`);
-    only the returned thickness is built as a Fraction.
+    upper bound.  Probes are the ints (numerator, 2^k) of `_t_at`, scored on
+    the pencil integers (`_thickness_at`); only the returned t and its
+    thickness are built as Fractions.
     """
     D = I.D
     _, eps_plus = fundamental_unit(D)
@@ -193,29 +198,44 @@ def tau_min_search(I: CanonicalIdeal) -> ThicknessSearchResult:
     candidates = [_t_at(D, log_period * k / (_GRID + 1)) for k in range(1, _GRID + 1)]
     verdict = wr_twist(I)
     if verdict.wr_twistable:
-        candidates.append(verdict.t_star)
-    best_val, best_t = min((_thickness_at(I, t), t) for t in candidates)
+        t_star = verdict.t_star
+        candidates.append((t_star.numerator, t_star.denominator))
+    # the least score, ties going to the least t
+    best_val, best_t = math.inf, None
+    for t in candidates:
+        f = _thickness_at(I, *t)
+        if f < best_val or f == best_val and t[0] * best_t[1] < best_t[0] * t[1]:
+            best_val, best_t = f, t
+
+    def probe(L: float) -> float:
+        nonlocal best_val, best_t
+        t = _t_at(D, max(L, log_period * 1e-6))
+        f = _thickness_at(I, *t)
+        if f < best_val:
+            best_val, best_t = f, t
+        return f
+
     # golden-section refinement in log-ratio space around the best sample
-    mid = _log_ratio(_t_plus_sqrt(D, best_t))
+    num, den = best_t
+    mid = _log_ratio(_quad(D, num, den, den))
     a, b = mid - log_period / (_GRID + 1), mid + log_period / (_GRID + 1)
     phi = (math.sqrt(5) - 1) / 2
-    for _ in range(_REFINE):
-        c = b - phi * (b - a)
-        d = a + phi * (b - a)
-        tc = _t_at(D, max(c, log_period * 1e-6))
-        td = _t_at(D, max(d, log_period * 1e-6))
-        fc, fd = _thickness_at(I, tc), _thickness_at(I, td)
-        if fc < best_val:
-            best_val, best_t = fc, tc
-        if fd < best_val:
-            best_val, best_t = fd, td
+    c, d = b - phi * (b - a), a + phi * (b - a)
+    fc, fd = probe(c), probe(d)
+    # each later step shrinks the bracket by phi and probes its new point
+    for _ in range(_REFINE - 1):
         if fc < fd:
-            b = d
+            b, d, fd = d, c, fc
+            c = b - phi * (b - a)
+            fc = probe(c)
         else:
-            a = c
-    exact = hermite_thickness_sq(gram_of_twist(I, _t_plus_sqrt(D, best_t)))
+            a, c, fc = c, d, fd
+            d = a + phi * (b - a)
+            fd = probe(d)
+    argmin_t = Fraction(*best_t)
+    exact = hermite_thickness_sq(gram_of_twist(I, _t_plus_sqrt(D, argmin_t)))
     return ThicknessSearchResult(
-        math.sqrt(exact), best_t, exact, math.sqrt(HEXAGONAL_THICKNESS_SQ)
+        math.sqrt(exact), argmin_t, exact, math.sqrt(HEXAGONAL_THICKNESS_SQ)
     )
 
 

@@ -5,8 +5,9 @@ trace a closed curve in the fundamental domain; one period is parameterized
 by s = sigma_1(alpha)/sigma_2(alpha) in [1, eps_plus^2).  The orbit is
 walked in L = log s, which stays a float even when s and eps_plus do not:
 `_log_ratio` reads L off the integers of alpha, and `_t_at` maps a target L
-to a rational t > sqrt(D) on the grid 2^-k.  All region flags are computed
-exactly from the rational Gram matrix at that t.
+to a rational t > sqrt(D) on the grid 2^-k, returned as the ints
+(numerator, 2^k) that the probes pass straight to the twist's pencil.  All
+region flags are computed exactly from the rational Gram matrix at that t.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .quadfield import (
     _discriminant,
     _is_square,
     _quad,
-    _t_plus_sqrt,
     check_field,
     fundamental_unit,
 )
@@ -72,9 +72,9 @@ def _log_ratio(alpha: QuadElem) -> float:
     return L if alpha.q >= 0 else -L
 
 
-def _t_at(D: int, L: float) -> Fraction:
+def _t_at(D: int, L: float) -> tuple[int, int]:
     """Rational t > sqrt(D) whose t + sqrt(D) has log ratio L > 0, to float
-    accuracy.
+    accuracy, as the ints (numerator, 2^k), not in lowest terms.
 
     The ratio is e^L at t = sqrt(D) + 2*sqrt(D)/(e^L - 1).  On the grid 2^-k
     with k = floor(L/log 2) + 64 the offset term is a float near 2^64 times
@@ -83,7 +83,7 @@ def _t_at(D: int, L: float) -> Fraction:
     """
     k = int(L / _LN2) + 64
     off = round(2 * math.sqrt(D) * math.exp(k * _LN2 - L) / -math.expm1(-L))
-    return Fraction(math.isqrt(D << 2 * k) + 1 + off, 1 << k)
+    return math.isqrt(D << 2 * k) + 1 + off, 1 << k
 
 
 def _sample_at(I: CanonicalIdeal, alpha: QuadElem) -> GeodesicSample:
@@ -102,15 +102,23 @@ def sample_orbit(I: CanonicalIdeal, n: int) -> list[GeodesicSample]:
     The target log ratios L = (k + 1/2)/n * log(eps_plus^2), k < n, are
     uniform in arclength; each is realized at the rational t = _t_at(D, L),
     where the Gram and all flags are exact.  t strictly decreases and every
-    sample lies inside the period 1 < s < eps_plus^2.  A sample runs on the
-    pencil integers and builds only the Fractions it returns (`_sample_at`).
+    sample lies inside the period 1 < s < eps_plus^2.  alpha = t + sqrt(D)
+    is built from the ints of t, and a sample runs on the pencil integers
+    and builds only the Fractions it returns (`_sample_at`).  n must be an
+    int (not a bool), else TypeError.
     """
+    if type(n) is not int:
+        raise TypeError("n must be an int")
     if n < 1:
         raise ValueError("need n >= 1")
-    _, eps_plus = fundamental_unit(I.D)
+    D = I.D
+    _, eps_plus = fundamental_unit(D)
     log_period = _log_ratio(eps_plus)
-    return [_sample_at(I, _t_plus_sqrt(I.D, _t_at(I.D, log_period * (k + 0.5) / n)))
-            for k in range(n)]
+    samples = []
+    for k in range(n):
+        num, den = _t_at(D, log_period * (k + 0.5) / n)
+        samples.append(_sample_at(I, _quad(D, num, den, den)))
+    return samples
 
 
 def F_invariant(x: QuadElem, y: QuadElem, I: CanonicalIdeal) -> Fraction:

@@ -16,18 +16,21 @@ from quadtwist.applications import (
     min_abs_norm,
     tau_min_search,
 )
+from quadtwist.geodesic import _log_ratio, _t_at
 from quadtwist.ideals import (
     CanonicalIdeal,
     enumerate_canonical,
     ring_of_integers,
     validate_canonical,
 )
+from quadtwist.lattice2 import gram_of_twist, hermite_thickness_sq
 from quadtwist.quadfield import (
     CertificateError,
     QuadElem,
     fundamental_unit,
     is_squarefree,
 )
+from quadtwist.twist import wr_twist
 
 
 class TestFormMinimum:
@@ -163,6 +166,16 @@ class TestDMin:
             d_min_sq_twist(ring_of_integers(7), QuadElem.of(5, 3, 1))
 
 
+def _seeded_ideal(seed):
+    """O_K(-seed) for a negative seed; else a canonical ideal with squarefree
+    D <= 1000 and a <= 12 drawn from random.Random(seed)."""
+    if seed < 0:
+        return ring_of_integers(-seed)
+    rng = random.Random(seed)
+    D = rng.choice([D for D in range(2, 1001) if is_squarefree(D)])
+    return rng.choice(enumerate_canonical(D, 12))
+
+
 class TestThicknessSearch:
     def test_golden_ring(self):
         r = tau_min_search(ring_of_integers(5))
@@ -170,9 +183,40 @@ class TestThicknessSearch:
         assert r.exact_tau_sq_at_argmin >= HEXAGONAL_THICKNESS_SQ
         assert abs(r.tau_min_estimate - 0.5) < 1e-9 or r.tau_min_estimate < 0.5
 
-    def test_estimate_is_certified_upper_bound(self):
-        from quadtwist.lattice2 import gram_of_twist, hermite_thickness_sq
+    @pytest.mark.parametrize("seed", [-5, -139] + list(range(10)))
+    def test_probe_budget(self, seed, monkeypatch):
+        # 32 grid points, t* when there is one, and 25 golden-section probes:
+        # the two points of the first step and one new point per later step
+        I = _seeded_ideal(seed)
+        calls = []
+        true_thickness_at = applications._thickness_at
 
+        def counted(*args):
+            calls.append(args)
+            return true_thickness_at(*args)
+
+        monkeypatch.setattr(applications, "_thickness_at", counted)
+        tau_min_search(I)
+        assert len(calls) == (58 if wr_twist(I).wr_twistable else 57)
+
+    def test_probe_budget_sees_both_cases(self):
+        verdicts = {wr_twist(_seeded_ideal(seed)).wr_twistable
+                    for seed in [-5, -139] + list(range(10))}
+        assert verdicts == {False, True}
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_no_grid_point_is_thinner(self, seed):
+        # the search scores floats, yet its exact thickness is at most the
+        # exact thickness at each of its 32 grid points, through Gram2
+        I = _seeded_ideal(seed)
+        r = tau_min_search(I)
+        log_period = _log_ratio(fundamental_unit(I.D)[1])
+        for k in range(1, 33):
+            t = Fraction(*_t_at(I.D, log_period * k / 33))
+            G = gram_of_twist(I, QuadElem.of(I.D, t, 1))
+            assert r.exact_tau_sq_at_argmin <= hermite_thickness_sq(G), (I, k)
+
+    def test_estimate_is_certified_upper_bound(self):
         for D, a, b, g in [(2, 1, 0, 1), (10, 3, 1, 1)]:
             I = validate_canonical(D, a, b, g)
             r = tau_min_search(I)
@@ -183,8 +227,6 @@ class TestThicknessSearch:
 
     def test_unit_beyond_float_range(self):
         # eps_plus of D = 9999991 has 4153 digits
-        from quadtwist.lattice2 import gram_of_twist, hermite_thickness_sq
-
         I = ring_of_integers(9999991)
         r = tau_min_search(I)
         alpha = QuadElem.of(I.D, r.argmin_t, 1)

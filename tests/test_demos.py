@@ -23,7 +23,7 @@ STDOUT_SHA256 = {
     "03_geodesic_orbit.py":
         "f5b1f2ce0c2e7d44f5dfdbce80cfbbc07a3edb8d11606b22f13afbc3121191ad",
     "04_euclidean_diversity.py":
-        "6d16b1576d40d971c364e3315d4fe0d8464ae90b719f19dccd50fbb1155e428a",
+        "1e71cc9d4c98cb3fa712f2ff64049b0df703ae651867eef7728883f939e3051a",
 }
 
 

@@ -32,6 +32,7 @@ from quadtwist.ideals import (
 from quadtwist.lattice2 import Gram2, gram_of_twist, is_stable, is_wr, similarity_point
 from quadtwist.quadfield import (
     QuadElem,
+    _t_plus_sqrt,
     discriminant,
     fundamental_unit,
     is_squarefree,
@@ -110,6 +111,30 @@ class TestSampleOrbit:
     def test_needs_positive_count(self):
         with pytest.raises(ValueError):
             sample_orbit(ring_of_integers(2), 0)
+
+    @pytest.mark.parametrize("n", [2.0, "4", True])
+    def test_count_must_be_an_int(self, n):
+        # a bool is an int subclass, so it is refused by type, not value
+        with pytest.raises(TypeError, match="n must be an int"):
+            sample_orbit(ring_of_integers(2), n)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_samples_are_the_fraction_path(self, seed):
+        # each sample is _sample_at at t + sqrt(D), with t + sqrt(D) built
+        # from the Fraction t of the ints _t_at returns
+        rng = random.Random(seed)
+        if seed == 0:
+            I, n = ring_of_integers(9999991), 4
+        else:
+            D = rng.choice([D for D in range(2, 1001) if is_squarefree(D)])
+            I, n = rng.choice(enumerate_canonical(D, 12)), rng.randint(1, 40)
+        log_period = _log_ratio(fundamental_unit(I.D)[1])
+        expected = [_sample_at(I, _t_plus_sqrt(
+                        I.D, Fraction(*_t_at(I.D, log_period * (k + 0.5) / n))))
+                    for k in range(n)]
+        samples = sample_orbit(I, n)
+        assert samples == expected
+        assert repr(samples) == repr(expected)
 
     @staticmethod
     def _check_period(D, samples, n):
@@ -201,9 +226,10 @@ class TestLogRatio:
     @settings(max_examples=200, derandomize=True, deadline=None)
     def test_t_at_realizes_the_log_ratio(self, D, e):
         L = math.exp(e)
-        t = _t_at(D, L)
-        assert t * t > D
-        assert abs(_log_ratio(QuadElem.of(D, t, 1)) - L) <= 1e-12 * L
+        num, den = _t_at(D, L)
+        assert den & (den - 1) == 0
+        assert num * num > D * den * den
+        assert abs(_log_ratio(QuadElem.of(D, Fraction(num, den), 1)) - L) <= 1e-12 * L
 
 
 def _reference_gram(I, alpha):

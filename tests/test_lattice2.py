@@ -450,7 +450,8 @@ def _seeded_probes(seed):
     """A canonical ideal with squarefree D <= 1000 and a <= 12, WR-twistable
     for even seeds when D has one, with four _t_at probes inside its unit
     period, its WR twist t* and its stable witness t when it has them, all
-    drawn from random.Random(seed)."""
+    drawn from random.Random(seed).  Each t is an int pair (num, den): the
+    _t_at probes as returned, not in lowest terms."""
     rng = random.Random(seed)
     D = rng.choice([D for D in range(2, 1001) if is_squarefree(D)])
     ideals = enumerate_canonical(D, 12)
@@ -461,10 +462,10 @@ def _seeded_probes(seed):
     ts = [_t_at(D, log_period * rng.uniform(0.01, 0.99)) for _ in range(4)]
     verdict = wr_twist(I)
     if verdict.wr_twistable:
-        ts.append(verdict.t_star)
+        ts.append((verdict.t_star.numerator, verdict.t_star.denominator))
     witness_t = stable_twist(I).witness_t
     if witness_t is not None:
-        ts.append(witness_t)
+        ts.append((witness_t.numerator, witness_t.denominator))
     return I, ts
 
 
@@ -475,8 +476,8 @@ class TestOrbitKernel:
     @pytest.mark.parametrize("seed", range(40))
     def test_probes_agree_with_the_gram_path(self, seed):
         I, ts = _seeded_probes(seed)
-        for t in ts:
-            alpha = _t_plus_sqrt(I.D, t)
+        for num, den in ts:
+            alpha = _t_plus_sqrt(I.D, Fraction(num, den))
             G = gram_of_twist(I, alpha)
             s = _sample_at(I, alpha)
             assert s.tau == similarity_point(G)
@@ -486,7 +487,7 @@ class TestOrbitKernel:
                                             (g11 * g22 - g12 * g12) / (g11 * g11))
             assert s.is_wr == (g11 == g22)
             # exact float equality: both are one correctly rounded division
-            assert _thickness_at(I, t) == float(hermite_thickness_sq(G))
+            assert _thickness_at(I, num, den) == float(hermite_thickness_sq(G))
 
     @pytest.mark.parametrize("seed", range(8))
     def test_reduce_diagonal_is_the_minima(self, seed):
