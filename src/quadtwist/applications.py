@@ -234,9 +234,9 @@ def tau_min_search(I: CanonicalIdeal) -> ThicknessSearchResult:
             fd = probe(d)
     argmin_t = Fraction(*best_t)
     exact = hermite_thickness_sq(gram_of_twist(I, _t_plus_sqrt(D, argmin_t)))
-    return ThicknessSearchResult(
-        math.sqrt(exact), argmin_t, exact, math.sqrt(HEXAGONAL_THICKNESS_SQ)
-    )
+    num, den = exact.numerator, exact.denominator
+    return ThicknessSearchResult(_float(0, 1, num * den, den), argmin_t, exact,
+                                 _float(0, 2, 3, 9))  # sqrt(4/27) = 2*sqrt(3)/9
 
 
 @dataclass(frozen=True)
@@ -262,7 +262,7 @@ def euclidean_bounds(D: int, I: Optional[CanonicalIdeal] = None,
     dk = discriminant(D)  # checks D
     if I is not None and I.D != D:
         raise ValueError("mixed fields")
-    field_bound = math.sqrt(dk) / 4
+    field_bound = _float(0, 1, dk, 4)
     ideal_bound = None
     lt_one = None
     if I is not None and tau_min_sq is not None:

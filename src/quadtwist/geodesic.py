@@ -167,8 +167,11 @@ def _ideal_elements_in_cone(I: CanonicalIdeal, target: int,
     eps_plus^2.  A single rectangular coordinate box over the whole cone is
     infeasible for large units, so the cone is cut into ratio bands
     [lam^k, lam^(k+1)); each band fits in a small box that is scanned with a
-    float prefilter, and every survivor is checked exactly.  Bands overlap,
-    so coefficient pairs already seen are skipped: (z1, z2) is a basis, so
+    float prefilter, and every survivor is checked exactly.  The prefilter
+    embeds the basis (a, z2) as float(a) and u/e +- (v/e)*sqrt(D), the one
+    float expression of an element left, which the recorded answers rest
+    on; M leaves float range before it does.  Bands overlap,
+    so coefficient pairs already seen are skipped: (a, z2) is a basis, so
     the pair determines z, whose integers are read off
     z = cx*a + cy*(u + v*sqrt(D))/e without a gcd.
     """
@@ -176,10 +179,10 @@ def _ideal_elements_in_cone(I: CanonicalIdeal, target: int,
     u, v, e = I._uve
     ae, ee = a * e, e * e
     s, t = eps_plus.p, eps_plus.q
-    z1, z2 = I.basis_elements()
     M = math.sqrt(target / 3)  # bound on |N(z)|
-    s1 = (z1.embed(1), z2.embed(1))
-    s2 = (z1.embed(2), z2.embed(2))
+    r, x, y = math.sqrt(D), u / e, v / e
+    s1 = (float(a), x + y * r)
+    s2 = (float(a), x - y * r)
     lam = 4.0
     n_bands = max(1, math.ceil(_log_ratio(eps_plus) / math.log(lam)))
     slack = 1.02

@@ -252,16 +252,20 @@ def hermite_thickness_sq(G: Gram2) -> Fraction:
 
 @dataclass(frozen=True)
 class SimilarityPoint:
-    """Point tau = x + i*sqrt(y_sq) in the upper half-plane, kept exact."""
+    """Point tau = x + i*sqrt(y_sq) in the upper half-plane, kept exact; x
+    and y_sq must be ints or Fractions, else TypeError."""
 
     x: Fraction
     y_sq: Fraction
 
     def __post_init__(self):
         if type(self.x) is not Fraction or type(self.y_sq) is not Fraction:
+            if not (isinstance(self.x, (int, Fraction))
+                    and isinstance(self.y_sq, (int, Fraction))):
+                raise TypeError("x and y_sq must be ints or Fractions")
             object.__setattr__(self, "x", Fraction(self.x))
             object.__setattr__(self, "y_sq", Fraction(self.y_sq))
-        if self.y_sq <= 0:
+        if self.y_sq.numerator <= 0:  # a Fraction's denominator is > 0
             raise ValueError("point must lie in the upper half-plane")
 
     def __repr__(self):

@@ -340,17 +340,7 @@ class QuadElem:
         return -self if self < 0 else self
 
     def embed(self, i: int) -> float:
-        p, q, d = self._p, self._q, self._d
-        s = math.sqrt(self._D)
-        # p/d is the correctly rounded float of x, as float(self.x) is.  Where
-        # the expression leaves float range, the integers give the value.
-        try:
-            v = p / d + q / d * (s if i == 1 else -s)
-        except OverflowError:
-            v = math.inf
-        if -math.inf < v < math.inf:
-            return v
-        return _float(p, q if i == 1 else -q, self._D, d)
+        return _float(self._p, self._q if i == 1 else -self._q, self._D, self._d)
 
     def __float__(self):
         return self.embed(1)
@@ -547,24 +537,26 @@ class Surd:
 
 
 def _float(p: int, q: int, n: int, d: int) -> float:
-    """float((p + q*sqrt(n))/d) for ints with n >= 0 and d > 0, from the
-    integers alone, so that neither overflow nor cancellation can bite.
+    """float((p + q*sqrt(n))/d) for ints with n >= 0 and d > 0, correctly
+    rounded from the integers alone, so that neither overflow nor
+    cancellation can bite.
 
-    The numerator p*2^k + q*isqrt(n*4^k) is within |q| of 2^k*(p + q*sqrt(n)),
-    and k doubles until that error is at most 2^-64 of it; one int / int
-    division rounds the quotient, and +-inf stands for a value beyond float
-    range."""
+    For r = isqrt(n*4^k) the value lies between num/den and hi/den, with
+    num = p*2^k + q*r, hi = num + q (num if r is exact) and den = d*2^k; k
+    doubles until |hi - num| <= 2^-64 |num| and the two correctly rounded
+    int / int divisions agree.  +-inf stands for a value beyond float range."""
     k = 64
     while True:
         r = math.isqrt(n << 2 * k)
-        num = (p << k) + q * r
-        if abs(num) >> 64 >= abs(q) or r * r == n << 2 * k:
-            break
+        num, den = (p << k) + q * r, d << k
+        hi = num if r * r == n << 2 * k else num + q
+        if abs(num) >> 64 >= abs(hi - num):
+            try:
+                if (v := num / den) == hi / den:
+                    return v
+            except OverflowError:
+                return math.inf if num > 0 else -math.inf
         k *= 2
-    try:
-        return num / (d << k)
-    except OverflowError:
-        return math.inf if num > 0 else -math.inf
 
 
 def _surd_sign(s1: tuple[int, int, int, int],

@@ -22,7 +22,7 @@ from quadtwist.applications import (
     tau_min_search,
 )
 from quadtwist.geodesic import orthogonal_only, sample_orbit, wr_intersection_classes
-from quadtwist.ideals import enumerate_canonical, ring_of_integers, validate_canonical
+from quadtwist.ideals import CanonicalIdeal, enumerate_canonical, ring_of_integers
 from quadtwist.lattice2 import (
     Gram2,
     gram_of_twist,
@@ -67,9 +67,9 @@ def rel_close(x, y, rel):
 @criterion(1, "WR twist of (9, 7-sqrt(139)), exact alpha, minima and cosine")
 def test_criterion_1():
     start = time.monotonic()
-    v = wr_twist(validate_canonical(139, 9, 7, 1))
+    v = wr_twist(CanonicalIdeal(139, 9, 7, 1))
     assert v.wr_twistable
-    assert v.alpha == QuadElem.of(139, Fraction(1946, 107), 1)
+    assert v.alpha == QuadElem(139, Fraction(1946, 107), 1)
     l1, l2 = successive_minima(v.gram)
     assert l1 == l2 == Fraction(315252, 107)
     assert v.gram.g12 / v.gram.g11 == Fraction(-1, 14)
@@ -79,9 +79,9 @@ def test_criterion_1():
 
 @criterion(2, "WR twist of (5, 4+(1-sqrt(141))/2), exact alpha, minima and cosine")
 def test_criterion_2():
-    v = wr_twist(validate_canonical(141, 5, 4, 1))
+    v = wr_twist(CanonicalIdeal(141, 5, 4, 1))
     assert v.wr_twistable
-    assert v.alpha == QuadElem.of(141, Fraction(1269, 61), 1)
+    assert v.alpha == QuadElem(141, Fraction(1269, 61), 1)
     l1, l2 = successive_minima(v.gram)
     assert l1 == l2 == Fraction(63450, 61)
     assert v.gram.g12 / v.gram.g11 == Fraction(2, 9)
@@ -90,11 +90,11 @@ def test_criterion_2():
 
 @criterion(3, "stable twist of (39, 38-sqrt(1327)) at t=63, exact Gram and det")
 def test_criterion_3():
-    I = validate_canonical(1327, 39, 38, 1)
+    I = CanonicalIdeal(1327, 39, 38, 1)
     fr = stable_twist(I)
     assert fr.feasible_real
     assert fr.contains_t(Fraction(63))
-    G = gram_of_twist(I, QuadElem.of(1327, 63, 1))
+    G = gram_of_twist(I, QuadElem(1327, 63, 1))
     assert (G.g11, G.g12, G.g22) == (191646, 83226, 147442)
     assert G.det() == 21330102456
     assert rel_close(math.sqrt(21330102456), 146048.2881, 1e-6)
@@ -112,11 +112,11 @@ def test_criterion_3():
 
 @criterion(4, "stable twist of (183, 182+(1-sqrt(125173))/2) at t=611")
 def test_criterion_4():
-    I = validate_canonical(125173, 183, 182, 1)
+    I = CanonicalIdeal(125173, 183, 182, 1)
     fr = stable_twist(I)
     assert fr.feasible_real
     assert fr.contains_t(Fraction(611))
-    G = gram_of_twist(I, QuadElem.of(125173, 611, 1))
+    G = gram_of_twist(I, QuadElem(125173, 611, 1))
     assert (G.g11, G.g22) == (40923558, 33252444)
     assert G.g12 == 17905086
     cos = float(G.g12) / math.sqrt(float(G.g11) * float(G.g22))
@@ -143,7 +143,7 @@ def test_criterion_5():
     assert wr_ok == [5]
     assert stable_ok == [5]
     v = wr_twist(ring_of_integers(5))
-    assert v.alpha == QuadElem.of(5, 5, 1)
+    assert v.alpha == QuadElem(5, 5, 1)
     assert (v.gram.g11, v.gram.g12, v.gram.g22) == (10, 0, 10)
     assert time.monotonic() - start < 60.0
 
@@ -272,7 +272,7 @@ def test_criterion_8():
         t = Fraction(rng.randint(1, 1200), rng.randint(1, 10))
         if t * t <= D:
             continue
-        G = gram_of_twist(I, QuadElem.of(D, t, 1))
+        G = gram_of_twist(I, QuadElem(D, t, 1))
         expected = is_paper_reduced(G) and is_stable(G)
         assert raw_stable_polynomials(I, t) == expected, (D, I, t)
         checked += 1
@@ -287,7 +287,7 @@ def test_criterion_9():
         assert orthogonal_only(D), D
     assert not orthogonal_only(59)
     for D, a, b, g in [(5, 1, 0, 1), (59, 1, 0, 1), (139, 9, 7, 1)]:
-        I = validate_canonical(D, a, b, g)
+        I = CanonicalIdeal(D, a, b, g)
         for s in sample_orbit(I, 16):
             assert 0 <= s.tau.x <= Fraction(1, 2)
             assert s.tau.x ** 2 + s.tau.y_sq >= 1
@@ -318,7 +318,7 @@ def test_criterion_10():
         t = Fraction(rng.randint(1, 600), rng.randint(1, 6))
         if t * t <= D:
             continue
-        alpha = QuadElem.of(D, t, 1)
+        alpha = QuadElem(D, t, 1)
         _, eps_plus = fundamental_unit(D)
         assert d_min_sq_twist(I, alpha) == \
             d_min_sq_twist(I, alpha * eps_plus * eps_plus)

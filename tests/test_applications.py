@@ -1,7 +1,7 @@
 import math
 import random
 import re
-from decimal import Decimal
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -21,7 +21,6 @@ from quadtwist.ideals import (
     CanonicalIdeal,
     enumerate_canonical,
     ring_of_integers,
-    validate_canonical,
 )
 from quadtwist.lattice2 import gram_of_twist, hermite_thickness_sq
 from quadtwist.quadfield import (
@@ -89,7 +88,7 @@ class TestMinAbsNorm:
     def test_non_principal_ideal(self):
         # (3, 1 - sqrt(10)) has norm 3, but no element of norm +-3 exists
         # (the ideal is not principal); the minimal |N| is 6
-        I = validate_canonical(10, 3, 1, 1)
+        I = CanonicalIdeal(10, 3, 1, 1)
         r = min_abs_norm(I)
         assert r.m == 6
         assert not r.attains_ideal_norm
@@ -119,7 +118,7 @@ class TestMinAbsNorm:
 class TestDMin:
     def test_exact_value(self):
         I = ring_of_integers(5)
-        alpha = QuadElem.of(5, 5, 1)
+        alpha = QuadElem(5, 5, 1)
         assert d_min_sq_twist(I, alpha) == 20  # N(alpha) = 20, m = 1
 
     def test_unit_invariance(self):
@@ -133,7 +132,7 @@ class TestDMin:
             t = Fraction(rng.randint(int(math.isqrt(D)) + 1, 4 * D))
             if t * t <= D:
                 continue
-            alpha = QuadElem.of(D, t, 1)
+            alpha = QuadElem(D, t, 1)
             _, eps_plus = fundamental_unit(D)
             shifted = alpha * eps_plus * eps_plus
             assert d_min_sq_twist(I, alpha) == d_min_sq_twist(I, shifted)
@@ -141,8 +140,8 @@ class TestDMin:
 
     def test_matches_embedded_product_oracle(self):
         # numeric check of the defining minimum over a coefficient box
-        I = validate_canonical(10, 3, 1, 1)
-        alpha = QuadElem.of(10, 7, 1)
+        I = CanonicalIdeal(10, 3, 1, 1)
+        alpha = QuadElem(10, 7, 1)
         exact = float(d_min_sq_twist(I, alpha))
         z1, z2 = I.basis_elements()
         a1, a2 = alpha.embed(1), alpha.embed(2)
@@ -159,11 +158,11 @@ class TestDMin:
 
     def test_rejects_not_totally_positive(self):
         with pytest.raises(ValueError):
-            d_min_sq_twist(ring_of_integers(5), QuadElem.of(5, 1, 1))
+            d_min_sq_twist(ring_of_integers(5), QuadElem(5, 1, 1))
 
     def test_rejects_mixed_fields(self):
         with pytest.raises(ValueError, match="mixed fields"):
-            d_min_sq_twist(ring_of_integers(7), QuadElem.of(5, 3, 1))
+            d_min_sq_twist(ring_of_integers(7), QuadElem(5, 3, 1))
 
 
 def _seeded_ideal(seed):
@@ -182,6 +181,19 @@ class TestThicknessSearch:
         assert r.exact_tau_sq_at_argmin <= Fraction(1, 4)
         assert r.exact_tau_sq_at_argmin >= HEXAGONAL_THICKNESS_SQ
         assert abs(r.tau_min_estimate - 0.5) < 1e-9 or r.tau_min_estimate < 0.5
+
+    @pytest.mark.parametrize("D", [5, 11, 14, 22, 42])
+    def test_float_companions_are_correctly_rounded(self, D):
+        # sqrt(float(tau^2)) rounds twice: it was one float off for 11, 14,
+        # 22 and 42
+        r = tau_min_search(ring_of_integers(D))
+        exact = r.exact_tau_sq_at_argmin
+        with localcontext() as ctx:
+            ctx.prec = 60
+            tau = (Decimal(exact.numerator) / exact.denominator).sqrt()
+            hexagonal = (Decimal(4) / 27).sqrt()
+        assert r.tau_min_estimate == float(tau)
+        assert r.lower_bound == float(hexagonal)
 
     @pytest.mark.parametrize("seed", [-5, -139] + list(range(10)))
     def test_probe_budget(self, seed, monkeypatch):
@@ -213,14 +225,14 @@ class TestThicknessSearch:
         log_period = _log_ratio(fundamental_unit(I.D)[1])
         for k in range(1, 33):
             t = Fraction(*_t_at(I.D, log_period * k / 33))
-            G = gram_of_twist(I, QuadElem.of(I.D, t, 1))
+            G = gram_of_twist(I, QuadElem(I.D, t, 1))
             assert r.exact_tau_sq_at_argmin <= hermite_thickness_sq(G), (I, k)
 
     def test_estimate_is_certified_upper_bound(self):
         for D, a, b, g in [(2, 1, 0, 1), (10, 3, 1, 1)]:
-            I = validate_canonical(D, a, b, g)
+            I = CanonicalIdeal(D, a, b, g)
             r = tau_min_search(I)
-            alpha = QuadElem.of(D, r.argmin_t, 1)
+            alpha = QuadElem(D, r.argmin_t, 1)
             assert hermite_thickness_sq(gram_of_twist(I, alpha)) == \
                 r.exact_tau_sq_at_argmin
             assert r.exact_tau_sq_at_argmin >= HEXAGONAL_THICKNESS_SQ
@@ -229,7 +241,7 @@ class TestThicknessSearch:
         # eps_plus of D = 9999991 has 4153 digits
         I = ring_of_integers(9999991)
         r = tau_min_search(I)
-        alpha = QuadElem.of(I.D, r.argmin_t, 1)
+        alpha = QuadElem(I.D, r.argmin_t, 1)
         assert hermite_thickness_sq(gram_of_twist(I, alpha)) == \
             r.exact_tau_sq_at_argmin
         assert r.exact_tau_sq_at_argmin >= HEXAGONAL_THICKNESS_SQ

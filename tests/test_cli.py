@@ -5,6 +5,7 @@ import json
 import math
 import os
 import random
+import re
 import sys
 import time
 from decimal import Decimal, localcontext
@@ -320,6 +321,9 @@ STDOUT_SHA256 = {
     # recorded before canonical argv skipped argparse
     ("survey", "139", "30", "--filter", "stable"):
         "3e9f066dd965dae1a06b34e3a1a5920fa8242c08ff2f937dc8fb1945e13bca65",
+    # the default filter spelled out: the same bytes as without it
+    ("survey", "139", "30", "--filter", "all"):
+        "5efef7d9b1df372bd2be6b45f87d8c79cc5e24e6be3a12652b24dfcf9bdb6da7",
     ("twist", "1327", "39", "38", "1", "--mode", "all"):
         "d8d1a8b29361a7cb318cc27d0a7706cb9ef7e1b00fa1ce32bc4ffb872cc4911d",
     ("twist", "125173", "183", "182", "1", "--mode", "all"):
@@ -351,6 +355,25 @@ def test_stdout_byte_identical(capsys, argv):
     code, out, _ = run_cli(capsys, *argv)
     assert code == EXIT_OK
     assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_SHA256[argv]
+
+
+WORKFLOW = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                        ".github", "workflows", "tests.yml")
+
+
+def test_workflow_digests_are_the_pinned_ones():
+    # The "CLI console script" step checks `quadtwist <argv> | sha256sum`
+    # against digests copied from STDOUT_SHA256; a copy that drifts from
+    # the pinned bytes would fail only in CI.
+    with open(WORKFLOW) as f:
+        steps = re.findall(r'"\$\(quadtwist ([^|]*) \| sha256sum\)" = \\\s*'
+                           r'"([0-9a-f]{64})  -"', f.read())
+    assert len(steps) == 7
+    for line, digest in steps:
+        argv = []
+        for word in line.split():
+            argv += word.split("=", 1) if word.startswith("--") else [word]
+        assert STDOUT_SHA256.get(tuple(argv)) == digest, line
 
 
 SURVEY_REFERENCE = os.path.join(os.path.dirname(os.path.abspath(__file__)),

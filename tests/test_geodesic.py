@@ -27,7 +27,6 @@ from quadtwist.ideals import (
     CanonicalIdeal,
     enumerate_canonical,
     ring_of_integers,
-    validate_canonical,
 )
 from quadtwist.lattice2 import Gram2, gram_of_twist, is_stable, is_wr, similarity_point
 from quadtwist.quadfield import (
@@ -42,18 +41,18 @@ from quadtwist.twist import wr_twist
 
 class TestSampleAt:
     def test_orthogonal_point(self):
-        s = _sample_at(ring_of_integers(5), QuadElem.of(5, 5, 1))
+        s = _sample_at(ring_of_integers(5), QuadElem(5, 5, 1))
         assert (s.tau.x, s.tau.y_sq) == (0, 1)
         assert s.is_wr and s.is_stable
 
     def test_untwisted_ring(self):
-        s = _sample_at(ring_of_integers(2), QuadElem.of(2, 1, 0))
+        s = _sample_at(ring_of_integers(2), QuadElem(2, 1, 0))
         assert (s.tau.x, s.tau.y_sq) == (0, 2)
         assert not s.is_wr and not s.is_stable
 
     def test_rejects_not_totally_positive(self):
         with pytest.raises(ValueError):
-            _sample_at(ring_of_integers(2), QuadElem.of(2, 1, 1))
+            _sample_at(ring_of_integers(2), QuadElem(2, 1, 1))
 
     @pytest.mark.parametrize("D, a, b, g", [
         (5, 1, 0, 1), (59, 1, 0, 1), (139, 9, 7, 1), (141, 5, 4, 1),
@@ -61,13 +60,13 @@ class TestSampleAt:
     def test_matches_public_predicates(self, D, a, b, g):
         # _sample_at reduces the Gram once; its flags and tau must be what the
         # public predicates give, each reducing on its own
-        I = validate_canonical(D, a, b, g)
+        I = CanonicalIdeal(D, a, b, g)
         isqrt = math.isqrt(D)
         for t in [Fraction(isqrt + 1), Fraction(7 * isqrt + 3, 5),
                   Fraction(1946, 107), Fraction(10 * D + 1, 3), Fraction(63)]:
             if not t * t > D:
                 continue
-            alpha = QuadElem.of(D, t, 1)
+            alpha = QuadElem(D, t, 1)
             G = gram_of_twist(I, alpha)
             s = _sample_at(I, alpha)
             assert (s.is_wr, s.is_stable) == (is_wr(G), is_stable(G))
@@ -77,7 +76,7 @@ class TestSampleAt:
 class TestSampleOrbit:
     def test_fundamental_domain_postconditions(self):
         for D, a, b, g in [(5, 1, 0, 1), (59, 1, 0, 1), (139, 9, 7, 1)]:
-            I = validate_canonical(D, a, b, g)
+            I = CanonicalIdeal(D, a, b, g)
             samples = sample_orbit(I, 24)
             assert len(samples) == 24
             for s in samples:
@@ -102,7 +101,7 @@ class TestSampleOrbit:
         for D in (2, 5, 13):
             I = ring_of_integers(D)
             _, eps_plus = fundamental_unit(D)
-            alpha = QuadElem.of(D, D + 3, 1)
+            alpha = QuadElem(D, D + 3, 1)
             shifted = alpha * eps_plus * eps_plus
             p1 = similarity_point(gram_of_twist(I, alpha))
             p2 = similarity_point(gram_of_twist(I, shifted))
@@ -203,7 +202,7 @@ class TestLogRatio:
     @settings(max_examples=300, derandomize=True, deadline=None)
     def test_against_decimal(self, D, q, extra, d, j):
         p = math.isqrt(D * q * q) + 1 + extra
-        alpha = QuadElem.of(D, Fraction(p, d), Fraction(q, d))
+        alpha = QuadElem(D, Fraction(p, d), Fraction(q, d))
         alpha = alpha * _eps_plus(D) ** j
         assert alpha.is_totally_positive()
         ref = _dec_log_ratio(alpha)
@@ -229,7 +228,7 @@ class TestLogRatio:
         num, den = _t_at(D, L)
         assert den & (den - 1) == 0
         assert num * num > D * den * den
-        assert abs(_log_ratio(QuadElem.of(D, Fraction(num, den), 1)) - L) <= 1e-12 * L
+        assert abs(_log_ratio(QuadElem(D, Fraction(num, den), 1)) - L) <= 1e-12 * L
 
 
 def _reference_gram(I, alpha):
@@ -255,7 +254,7 @@ class TestGramOfTwistAgainstTraces:
         I = ideals[pick % len(ideals)]
         # p > |q| sqrt(D) makes alpha = (p + q sqrt(D))/d totally positive
         p = math.isqrt(D * q * q) + 1 + extra
-        alpha = QuadElem.of(D, Fraction(p, d), Fraction(q, d))
+        alpha = QuadElem(D, Fraction(p, d), Fraction(q, d))
         assert gram_of_twist(I, alpha) == _reference_gram(I, alpha)
 
 
@@ -271,12 +270,15 @@ def _reference_F(x, y, I):
 
 def _reference_elements_in_cone(I, norm_bound_sq):
     """The element enumeration before the integer cone test: QuadElem
-    dedup and both cone inequalities as QuadElem comparisons."""
+    dedup and both cone inequalities as QuadElem comparisons.  The float
+    embeddings of the basis are the band search's own expression, which
+    decides its candidates."""
     z1, z2 = I.basis_elements()
     _, eps_plus = fundamental_unit(I.D)
     M = math.sqrt(float(norm_bound_sq))
-    s1 = (z1.embed(1), z2.embed(1))
-    s2 = (z1.embed(2), z2.embed(2))
+    r, x, y = math.sqrt(I.D), float(z2.x), float(z2.y)
+    s1 = (float(I.a), x + y * r)
+    s2 = (float(I.a), x - y * r)
     n_bands = max(1, math.ceil(2 * math.log(float(eps_plus)) / math.log(4.0)))
     seen, out = set(), []
     for k in range(n_bands):
@@ -306,7 +308,7 @@ def _reference_classes(I):
         u = eps_plus ** j
         shifted.extend([(z * u, (z * u).conjugate()) for z in elems])
     values = set()
-    target = QuadElem.of(I.D, I.norm() ** 2 * dk, 0)
+    target = QuadElem(I.D, I.norm() ** 2 * dk, 0)
     for x in elems:
         xc = x.conjugate()
         for y, yc in shifted:
@@ -335,7 +337,7 @@ class TestExactPredicates:
     @settings(max_examples=300, derandomize=True, deadline=None)
     def test_cone_against_quadelem_comparison(self, D, p, q, d, j):
         eps_plus = _eps_plus(D)
-        z = QuadElem.of(D, Fraction(p, d), Fraction(q, d)) * eps_plus ** j
+        z = QuadElem(D, Fraction(p, d), Fraction(q, d)) * eps_plus ** j
         if z.p == 0 and z.q == 0:
             return
         assert _in_cone_ints(z.p, z.q, D, eps_plus.p, eps_plus.q) == \
@@ -350,7 +352,7 @@ class TestExactPredicates:
         ends = [(1, 0, True), (-1, 0, True), (0, 1, True), (0, -1, True),
                 (s, t, False), (-s, -t, False), (s, -t, False)]
         for P, Q, inside in ends:
-            z = QuadElem.of(D, P, Q)
+            z = QuadElem(D, P, Q)
             assert self._reference_in_cone(z, eps_plus) == inside
             assert _in_cone_ints(P, Q, D, s, t) == inside, (P, Q)
 
@@ -419,7 +421,7 @@ class TestFInvariant:
     ])
     def test_against_reference(self, D, x, y):
         I = ring_of_integers(D)
-        x, y = QuadElem.of(D, *x), QuadElem.of(D, *y)
+        x, y = QuadElem(D, *x), QuadElem(D, *y)
         try:
             expected = _reference_F(x, y, I)
         except ValueError:
@@ -429,30 +431,30 @@ class TestFInvariant:
             assert F_invariant(x, y, I) == expected
 
     def test_reference_values(self):
-        one5 = QuadElem.of(5, 1, 0)
-        delta5 = QuadElem.of(5, Fraction(1, 2), Fraction(-1, 2))
+        one5 = QuadElem(5, 1, 0)
+        delta5 = QuadElem(5, Fraction(1, 2), Fraction(-1, 2))
         assert F_invariant(one5, delta5, ring_of_integers(5)) == Fraction(-1, 4)
-        one2 = QuadElem.of(2, 1, 0)
-        assert F_invariant(one2, QuadElem.of(2, 1, 1),
+        one2 = QuadElem(2, 1, 0)
+        assert F_invariant(one2, QuadElem(2, 1, 1),
                            ring_of_integers(2)) == -1
-        assert F_invariant(one2, QuadElem.of(2, 0, -1),
+        assert F_invariant(one2, QuadElem(2, 0, -1),
                            ring_of_integers(2)) == 1
 
     def test_rejects_non_basis(self):
-        one = QuadElem.of(2, 1, 0)
+        one = QuadElem(2, 1, 0)
         with pytest.raises(ValueError):
-            F_invariant(one, QuadElem.of(2, 2, 0), ring_of_integers(2))
+            F_invariant(one, QuadElem(2, 2, 0), ring_of_integers(2))
         with pytest.raises(ValueError):
-            F_invariant(one, QuadElem.of(2, 2, 2), ring_of_integers(2))
+            F_invariant(one, QuadElem(2, 2, 2), ring_of_integers(2))
 
     def test_unit_scaling_invariance(self):
         for D in (2, 5, 13):
             I = ring_of_integers(D)
             _, eps_plus = fundamental_unit(D)
-            x = QuadElem.of(D, 1, 0)
+            x = QuadElem(D, 1, 0)
             # a second basis vector of O_K: (1 - sqrt(D))/2 or sqrt(D)
-            y = (QuadElem.of(D, Fraction(1, 2), Fraction(-1, 2)) if D % 4 == 1
-                 else QuadElem.of(D, 0, 1))
+            y = (QuadElem(D, Fraction(1, 2), Fraction(-1, 2)) if D % 4 == 1
+                 else QuadElem(D, 0, 1))
             f = F_invariant(x, y, I)
             assert F_invariant(x * eps_plus, y * eps_plus, I) == f
 
@@ -470,7 +472,7 @@ class TestIntersectionClasses:
 
     def test_wr_twistable_ideal_has_crossing(self):
         for D, a, b, g in [(139, 9, 7, 1), (141, 5, 4, 1)]:
-            I = validate_canonical(D, a, b, g)
+            I = CanonicalIdeal(D, a, b, g)
             assert wr_twist(I).wr_twistable
             n, _ = wr_intersection_classes(I)
             assert n >= 1
@@ -516,7 +518,7 @@ class TestMissedCrossingClasses:
         (166, (41242, 3201), (-18231, -1415), (-2, 11), -63),
     ])
     def test_basis_certified(self, D, x, y, norms, f):
-        x, y = QuadElem.of(D, *x), QuadElem.of(D, *y)
+        x, y = QuadElem(D, *x), QuadElem(D, *y)
         assert (x.norm(), y.norm()) == norms
         assert F_invariant(x, y, ring_of_integers(D)) == f
 

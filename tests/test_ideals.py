@@ -8,7 +8,6 @@ from quadtwist.ideals import (
     CanonicalIdeal,
     enumerate_canonical,
     ring_of_integers,
-    validate_canonical,
 )
 from quadtwist.quadfield import InvalidFieldError, QuadElem, is_squarefree
 
@@ -17,8 +16,8 @@ def delta(D):
     """The generator of O_K over Z: -sqrt(D), or (1 - sqrt(D))/2 when
     D = 1 (mod 4)."""
     if D % 4 == 1:
-        return QuadElem.of(D, Fraction(1, 2), Fraction(-1, 2))
-    return QuadElem.of(D, 0, -1)
+        return QuadElem(D, Fraction(1, 2), Fraction(-1, 2))
+    return QuadElem(D, 0, -1)
 
 
 class TestValidation:
@@ -30,21 +29,21 @@ class TestValidation:
             (125173, 183, 182, 1),
             (5, 1, 0, 1),
         ]:
-            I = validate_canonical(D, a, b, g)
+            I = CanonicalIdeal(D, a, b, g)
             assert I.norm() == a * g
 
     def test_condition_names(self):
         with pytest.raises(CanonicalBasisError) as e:
-            validate_canonical(10, 3, 5, 1)
+            CanonicalIdeal(10, 3, 5, 1)
         assert e.value.condition == "b<a"
         with pytest.raises(CanonicalBasisError) as e:
-            validate_canonical(10, 9, 6, 2)
+            CanonicalIdeal(10, 9, 6, 2)
         assert e.value.condition == "g|a"
         with pytest.raises(CanonicalBasisError) as e:
-            validate_canonical(10, 4, 3, 2)
+            CanonicalIdeal(10, 4, 3, 2)
         assert e.value.condition == "g|b"
         with pytest.raises(CanonicalBasisError) as e:
-            validate_canonical(10, 7, 1, 1)
+            CanonicalIdeal(10, 7, 1, 1)
         assert e.value.condition == "divisibility"
 
     def test_non_int_entries_rejected(self):
@@ -64,9 +63,9 @@ class TestValidation:
 
     def test_nonpositive_rejected(self):
         with pytest.raises(CanonicalBasisError):
-            validate_canonical(10, 0, 0, 1)
+            CanonicalIdeal(10, 0, 0, 1)
         with pytest.raises(CanonicalBasisError):
-            validate_canonical(10, 3, -1, 1)
+            CanonicalIdeal(10, 3, -1, 1)
 
 
 class TestModuleIsIdeal:
@@ -97,12 +96,12 @@ class TestModuleIsIdeal:
             for a in range(1, 10):
                 for b in range(0, a):
                     try:
-                        validate_canonical(D, a, b, 1)
+                        CanonicalIdeal(D, a, b, 1)
                         continue
                     except CanonicalBasisError as e:
                         if e.condition != "divisibility":
                             continue
-                    z1 = QuadElem.of(D, a, 0)
+                    z1 = QuadElem(D, a, 0)
                     z2 = b + 1 * delta(D)
                     d = delta(D)
                     closed = self._in_span(d * z1, z1, z2) and \
@@ -136,7 +135,7 @@ class TestEnumeration:
                 for g in range(1, a + 1):
                     for b in range(0, a):
                         try:
-                            validate_canonical(D, a, b, g)
+                            CanonicalIdeal(D, a, b, g)
                         except CanonicalBasisError:
                             assert (a, b, g) not in found
                         else:
@@ -186,15 +185,15 @@ class TestHelpers:
         assert I.norm() == 1
 
     def test_basis_elements(self):
-        z1, z2 = validate_canonical(139, 9, 7, 1).basis_elements()
+        z1, z2 = CanonicalIdeal(139, 9, 7, 1).basis_elements()
         assert (z1.x, z1.y) == (9, 0)
         assert (z2.x, z2.y) == (7, -1)
-        z1, z2 = validate_canonical(141, 5, 4, 1).basis_elements()
+        z1, z2 = CanonicalIdeal(141, 5, 4, 1).basis_elements()
         assert (z2.x, z2.y) == (Fraction(9, 2), Fraction(-1, 2))
         for D in (2, 3, 5, 10, 13, 139, 141):
             for I in enumerate_canonical(D, 24):
                 assert I.basis_elements() == (
-                    QuadElem.of(D, I.a), I.b + I.g * delta(D)), I
+                    QuadElem(D, I.a), I.b + I.g * delta(D)), I
 
 
 class TestStoredIntegers:

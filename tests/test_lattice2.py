@@ -1,6 +1,7 @@
 import math
 import pickle
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from quadtwist.applications import _thickness_at
 from quadtwist.geodesic import _log_ratio, _sample_at, _t_at
-from quadtwist.ideals import enumerate_canonical, ring_of_integers, validate_canonical
+from quadtwist.ideals import CanonicalIdeal, enumerate_canonical, ring_of_integers
 from quadtwist.lattice2 import (
     Gram2,
     SimilarityPoint,
@@ -368,28 +369,28 @@ class TestPredicates:
 class TestGramOfTwist:
     def test_reference_gram(self):
         I = ring_of_integers(2)
-        G = gram_of_twist(I, QuadElem.of(2, 1, 0))
+        G = gram_of_twist(I, QuadElem(2, 1, 0))
         assert (G.g11, G.g12, G.g22) == (2, 0, 4)
 
     def test_rejects_not_totally_positive(self):
         I = ring_of_integers(2)
         with pytest.raises(ValueError):
-            gram_of_twist(I, QuadElem.of(2, 1, 1))
+            gram_of_twist(I, QuadElem(2, 1, 1))
         with pytest.raises(ValueError):
-            gram_of_twist(I, QuadElem.of(3, 2, 1))
+            gram_of_twist(I, QuadElem(3, 2, 1))
 
     def test_det_identity(self):
         # det G = N(alpha) * N(I)^2 * disc(K), exactly
         for D, a, b, g, t in [(139, 9, 7, 1, Fraction(25, 2)), (141, 5, 4, 1, 13),
                               (10, 3, 1, 1, 4), (1327, 39, 38, 1, 63)]:
-            I = validate_canonical(D, a, b, g)
-            alpha = QuadElem.of(D, t, 1)
+            I = CanonicalIdeal(D, a, b, g)
+            alpha = QuadElem(D, t, 1)
             G = gram_of_twist(I, alpha)
             assert G.det() == alpha.norm() * I.norm() ** 2 * discriminant(D)
 
     def test_rationality(self):
-        I = validate_canonical(141, 5, 4, 1)
-        G = gram_of_twist(I, QuadElem.of(141, Fraction(1269, 61), 1))
+        I = CanonicalIdeal(141, 5, 4, 1)
+        G = gram_of_twist(I, QuadElem(141, Fraction(1269, 61), 1))
         for v in (G.g11, G.g12, G.g22):
             assert isinstance(v, Fraction)
 
@@ -431,6 +432,26 @@ class TestSimilarity:
     def test_hexagonal_class(self):
         tau = similarity_point(HEXAGONAL)
         assert (tau.x, tau.y_sq) == (Fraction(1, 2), Fraction(3, 4))
+
+    @pytest.mark.parametrize("bad", [0.1, 1.0, "1/2", Decimal("0.5")])
+    def test_point_takes_ints_and_fractions_only(self, bad):
+        # a float or string coordinate would be held as its binary or parsed
+        # value, not the exact one
+        with pytest.raises(TypeError):
+            SimilarityPoint(bad, 1)
+        with pytest.raises(TypeError):
+            SimilarityPoint(0, bad)
+        with pytest.raises(TypeError):
+            SimilarityPoint(Fraction(1, 2), bad)
+
+    def test_point_of_ints_and_fractions(self):
+        tau = SimilarityPoint(0, 1)
+        assert type(tau.x) is type(tau.y_sq) is Fraction
+        assert tau == SimilarityPoint(Fraction(0), Fraction(1))
+        assert SimilarityPoint(Fraction(1, 2), Fraction(3, 4)).y_sq == Fraction(3, 4)
+        for y_sq in (0, -1, Fraction(-1, 3), Fraction(0)):
+            with pytest.raises(ValueError, match="upper half-plane"):
+                SimilarityPoint(0, y_sq)
 
     @given(G=grams, m=st.integers(-3, 3))
     @settings(max_examples=150)

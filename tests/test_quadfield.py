@@ -48,6 +48,17 @@ surd_ints = st.tuples(
 small_D = st.sampled_from([2, 3, 5, 6, 7, 10, 13, 17, 19, 21, 141, 139])
 
 
+def _decimal_float(p, q, n, d):
+    """float((p + q*sqrt(n))/d), correctly rounded, through Decimal.
+
+    With n not a square, |p + q*sqrt(n)| >= 1/(|p| + |q|*sqrt(n)), as
+    p^2 - n*q^2 is a nonzero integer, so cancellation takes fewer than
+    2*len(str(|p| + |q|*n)) digits: 60 more are kept."""
+    with localcontext() as ctx:
+        ctx.prec = 60 + 2 * len(str(abs(p) + abs(q) * n))
+        return float((Decimal(p) + Decimal(q) * Decimal(n).sqrt()) / d)
+
+
 class TestSquarefree:
     def test_small_values(self):
         assert is_squarefree(1)
@@ -142,62 +153,86 @@ def test_int_and_rat_print_every_digit_past_the_limit():
 
 class TestQuadElem:
     def test_basic_arithmetic(self):
-        z = QuadElem.of(2, 1, 1)
-        w = QuadElem.of(2, 1, -1)
+        z = QuadElem(2, 1, 1)
+        w = QuadElem(2, 1, -1)
         assert (z * w).x == -1 and (z * w).y == 0
-        assert (z + w) == QuadElem.of(2, 2, 0)
-        assert z - w == QuadElem.of(2, 0, 2)
+        assert (z + w) == QuadElem(2, 2, 0)
+        assert z - w == QuadElem(2, 0, 2)
         assert z.norm() == -1
         assert z.conjugate() == w
 
     def test_inverse_and_division(self):
-        z = QuadElem.of(7, 3, 1)
-        assert z * z.inverse() == QuadElem.of(7, 1, 0)
-        assert (z / z) == QuadElem.of(7, 1, 0)
+        z = QuadElem(7, 3, 1)
+        assert z * z.inverse() == QuadElem(7, 1, 0)
+        assert (z / z) == QuadElem(7, 1, 0)
         with pytest.raises(ZeroDivisionError):
-            QuadElem.of(7, 0, 0).inverse()
+            QuadElem(7, 0, 0).inverse()
 
     def test_pow(self):
-        z = QuadElem.of(2, 1, 1)
-        assert z**0 == QuadElem.of(2, 1, 0)
+        z = QuadElem(2, 1, 1)
+        assert z**0 == QuadElem(2, 1, 0)
         assert z**3 == z * z * z
         assert z**-2 == (z * z).inverse()
 
     def test_mixed_fields_rejected(self):
         with pytest.raises(ValueError):
-            QuadElem.of(2, 1, 1) * QuadElem.of(3, 1, 1)
+            QuadElem(2, 1, 1) * QuadElem(3, 1, 1)
 
     def test_exact_order(self):
         # 1 + sqrt(2) vs 5/2: 2.414... < 2.5
-        assert QuadElem.of(2, 1, 1) < Fraction(5, 2)
-        assert QuadElem.of(2, 1, 1) > 2
+        assert QuadElem(2, 1, 1) < Fraction(5, 2)
+        assert QuadElem(2, 1, 1) > 2
         # tight comparison that float arithmetic would get wrong:
         # (665857/470832)^2 - 2 = 1/470832^2 > 0, so 665857/470832 > sqrt(2)
-        assert QuadElem.of(2, 0, 1) < Fraction(665857, 470832)
-        assert QuadElem.of(2, 0, 1) > Fraction(470832, 332929)
+        assert QuadElem(2, 0, 1) < Fraction(665857, 470832)
+        assert QuadElem(2, 0, 1) > Fraction(470832, 332929)
 
     def test_total_positivity(self):
-        assert QuadElem.of(5, 3, 1).is_totally_positive()
-        assert not QuadElem.of(5, 1, 1).is_totally_positive()
-        assert not QuadElem.of(5, -3, 1).is_totally_positive()
-        assert not QuadElem.of(5, 0, 0).is_totally_positive()
+        assert QuadElem(5, 3, 1).is_totally_positive()
+        assert not QuadElem(5, 1, 1).is_totally_positive()
+        assert not QuadElem(5, -3, 1).is_totally_positive()
+        assert not QuadElem(5, 0, 0).is_totally_positive()
 
     @given(x=rationals, y=rationals, D=small_D)
     def test_norm_is_multiplicative(self, x, y, D):
-        z = QuadElem.of(D, x, y)
-        w = QuadElem.of(D, x + 1, y - 1)
+        z = QuadElem(D, x, y)
+        w = QuadElem(D, x + 1, y - 1)
         assert (z * w).norm() == z.norm() * w.norm()
 
     @given(x=rationals, y=rationals, D=small_D)
     def test_order_matches_floats(self, x, y, D):
-        z = QuadElem.of(D, x, y)
+        z = QuadElem(D, x, y)
         f = float(x) + float(y) * math.sqrt(D)
         if abs(f) > 1e-6:
             assert (z > 0) == (f > 0)
 
+    @pytest.mark.parametrize("D, small", [(139, 6.446351848330234e-09),
+                                          (151, 2.893270648271545e-10),
+                                          (166, 2.939615768055474e-10)])
+    def test_embed_of_a_fundamental_unit(self, D, small):
+        # sigma_2(eps) = 1/sigma_1(eps) is what is left after p/d and
+        # (q/d)*sqrt(D) cancel to their last digits: in floats, 1.49e-8, 0.0
+        # and 0.0
+        eps, _ = fundamental_unit(D)
+        assert eps.embed(2) == small == _decimal_float(eps.p, -eps.q, D, eps.d)
+        assert eps.embed(1) == float(eps) == _decimal_float(eps.p, eps.q, D, eps.d)
+
+    def test_embed_under_heavy_cancellation(self):
+        # p is within 2 of |q|*sqrt(D), so one embedding keeps only the
+        # last digits of the two terms
+        rng = random.Random(29)
+        for _ in range(300):
+            D = rng.choice([2, 3, 5, 7, 10, 139, 151, 166, 9999991])
+            q = rng.randrange(1, 10**rng.randrange(1, 40)) * rng.choice((1, -1))
+            p = math.isqrt(D * q * q) + rng.randrange(-2, 3)
+            d = rng.randrange(1, 10**6)
+            z = QuadElem(D, Fraction(p, d), Fraction(q, d))
+            assert float(z) == z.embed(1) == _decimal_float(p, q, D, d), z
+            assert z.embed(2) == _decimal_float(p, -q, D, d), z
+
     def test_embed_beyond_float_range(self):
-        # the float expression raises or overflows there; the integers give
-        # +-inf, or the finite value when the two terms cancel
+        # the integers give +-inf, or the finite value when the two terms
+        # cancel
         assert float(QuadElem(2, 10**400)) == math.inf
         assert QuadElem(2, 0, 10**400).embed(2) == -math.inf
         assert QuadElem(2, 10**308, 10**308).embed(1) == math.inf
@@ -211,8 +246,8 @@ class TestQuadElem:
 
     @given(x=rationals, y=rationals, D=small_D)
     def test_trace_and_norm_via_conjugate(self, x, y, D):
-        z = QuadElem.of(D, x, y)
-        assert z + z.conjugate() == QuadElem.of(D, 2 * x, 0)
+        z = QuadElem(D, x, y)
+        assert z + z.conjugate() == QuadElem(D, 2 * x, 0)
         assert (z * z.conjugate()).x == z.norm()
         assert (z * z.conjugate()).y == 0
 
@@ -246,7 +281,7 @@ class TestQuadElemAgainstPairs:
     @settings(max_examples=300, derandomize=True)
     def test_matches_fraction_pairs(self, x1, y1, x2, y2, c, f, k, D):
         a, b = (x1, y1), (x2, y2)
-        z, w = QuadElem.of(D, x1, y1), QuadElem.of(D, x2, y2)
+        z, w = QuadElem(D, x1, y1), QuadElem(D, x2, y2)
 
         def pair(e):
             assert e.d > 0 and math.gcd(e.p, e.q, e.d) == 1  # canonical
@@ -263,7 +298,7 @@ class TestQuadElemAgainstPairs:
         assert z.norm() == x1 * x1 - D * y1 * y1
         # an element of negative norm: |x| <= |y| < sqrt(D)|y|
         neg = (f * (y2 or 1), y2 or 1)
-        m = QuadElem.of(D, *neg)
+        m = QuadElem(D, *neg)
         assert m.norm() < 0
         assert pair(m.inverse()) == _o_inv(neg, D)
         assert pair(z / m) == _o_mul(a, _o_inv(neg, D), D)
@@ -294,15 +329,17 @@ class TestQuadElemAgainstPairs:
             back = (z * w) / w
             assert back == z and hash(back) == hash(z)
         assert pickle.loads(pickle.dumps(z)) == z
-        assert float(z) == z.embed(1) == float(x1) + float(y1) * math.sqrt(D)
-        assert z.embed(2) == float(x1) + float(y1) * -math.sqrt(D)
+        d = math.lcm(x1.denominator, y1.denominator)
+        p, q = int(x1 * d), int(y1 * d)
+        assert float(z) == z.embed(1) == _decimal_float(p, q, D, d)
+        assert z.embed(2) == _decimal_float(p, -q, D, d)
         assert repr(z) == f"QuadElem(D={D!r}, x={x1!r}, y={y1!r})"
 
     def test_str(self):
-        assert str(QuadElem.of(5, Fraction(1, 2), Fraction(-1, 2))) == \
+        assert str(QuadElem(5, Fraction(1, 2), Fraction(-1, 2))) == \
             "1/2 + -1/2*sqrt(5)"
-        assert str(QuadElem.of(7, 0, 1)) == "sqrt(7)"
-        assert str(QuadElem.of(7, 3, 0)) == "3"
+        assert str(QuadElem(7, 0, 1)) == "sqrt(7)"
+        assert str(QuadElem(7, 3, 0)) == "3"
 
     def test_str_and_repr_beyond_the_int_str_limit(self):
         # The unit of D = 1700113703 has integers of about 6,500 digits;
@@ -323,18 +360,18 @@ class TestQuadElemAgainstPairs:
         assert repr(G) == f"Gram2({x}, 0, {y}, {y})"
 
     def test_immutable(self):
-        z = QuadElem.of(5, 1, 1)
+        z = QuadElem(5, 1, 1)
         for name in ("D", "x", "y", "p", "q", "d"):
             with pytest.raises(AttributeError):
                 setattr(z, name, 2)
 
     def test_equality_only_with_elements(self):
-        assert QuadElem.of(5, 1, 0) != 1
-        assert QuadElem.of(5, 1, 0) != QuadElem.of(13, 1, 0)
+        assert QuadElem(5, 1, 0) != 1
+        assert QuadElem(5, 1, 0) != QuadElem(13, 1, 0)
 
 
 @pytest.mark.parametrize("compare", [
-    lambda: QuadElem.of(5, 1, 1) < 1.5,
+    lambda: QuadElem(5, 1, 1) < 1.5,
     lambda: Surd(0, 1, 2) < 1.5,
     lambda: Interval(Surd(0, 1, 2), None).contains(1.5),
 ], ids=["QuadElem", "Surd", "Interval.contains"])
@@ -356,11 +393,11 @@ class TestFieldConstants:
 class TestFundamentalUnit:
     def test_known_units(self):
         cases = {
-            2: QuadElem.of(2, 1, 1),
-            3: QuadElem.of(3, 2, 1),
-            5: QuadElem.of(5, Fraction(1, 2), Fraction(1, 2)),
-            13: QuadElem.of(13, Fraction(3, 2), Fraction(1, 2)),
-            61: QuadElem.of(61, Fraction(39, 2), Fraction(5, 2)),
+            2: QuadElem(2, 1, 1),
+            3: QuadElem(3, 2, 1),
+            5: QuadElem(5, Fraction(1, 2), Fraction(1, 2)),
+            13: QuadElem(13, Fraction(3, 2), Fraction(1, 2)),
+            61: QuadElem(61, Fraction(39, 2), Fraction(5, 2)),
         }
         for D, expected in cases.items():
             eps, _ = fundamental_unit(D)
@@ -392,7 +429,7 @@ class TestFundamentalUnit:
                     den = 2 if half else 1
                     if half and (p - qy) % 2 != 0:
                         continue
-                    z = QuadElem.of(D, Fraction(p, den), Fraction(qy, den))
+                    z = QuadElem(D, Fraction(p, den), Fraction(qy, den))
                     if abs(z.norm()) == 1 and z > 1:
                         assert z >= eps, (D, z)
 
@@ -503,6 +540,18 @@ class TestSurd:
                 ctx.prec = 200
                 ref = (Decimal(p) + Decimal(q) * Decimal(n).sqrt()) / d
             assert abs(Decimal(x) - ref) <= Decimal(math.ulp(x)), (x, ref)
+
+    @pytest.mark.parametrize("e", [
+        (-14964701668033728809500328686114, 7164216435451278475500253942675,
+         10, 1),
+        (-26176976141320411191751281131782, 2512140400421117248366275603332,
+         139, 1),
+    ])
+    def test_float_next_to_a_rounding_midpoint(self, e):
+        # At k = 64 the numerator is within 2^-64 of the value's, and the
+        # value lies closer than that to a midpoint between two floats: a
+        # stop on accuracy alone rounds to the float on the wrong side.
+        assert float(Surd(*e)) == quadfield._float(*e) == _decimal_float(*e)
 
     def test_hash_agrees_with_eq(self):
         assert len({Surd(0, 2, 2), Surd(0, 1, 8)}) == 1
@@ -625,7 +674,7 @@ def _ref_icbrt(n):
 def _ref_fundamental_unit(D):
     """(p, q, d) of eps = (p + q*sqrt(D))/d and of eps_plus."""
     x, y = _ref_pell_unit(D)
-    eta = QuadElem.of(D, x, y)
+    eta = QuadElem(D, x, y)
     eps = eta
     if D % 4 == 1:
         # eps^3 = eta with eps = (t + u*sqrt(D))/2 gives t^3 - 3*N(eps)*t
@@ -639,7 +688,7 @@ def _ref_fundamental_unit(D):
                 u = math.isqrt(num // D)
                 if u * u != num // D:
                     continue
-                cand = QuadElem.of(D, Fraction(t, 2), Fraction(u, 2))
+                cand = QuadElem(D, Fraction(t, 2), Fraction(u, 2))
                 if abs(cand.norm()) == 1 and cand ** 3 == eta:
                     eps = cand
                     break

@@ -16,7 +16,6 @@ from quadtwist.ideals import (
     CanonicalIdeal,
     enumerate_canonical,
     ring_of_integers,
-    validate_canonical,
 )
 from quadtwist.lattice2 import (
     gram_of_twist,
@@ -167,12 +166,12 @@ class TestSimplestRational:
 
 class TestWrTwist:
     def test_reference_cases(self):
-        v = wr_twist(validate_canonical(139, 9, 7, 1))
+        v = wr_twist(CanonicalIdeal(139, 9, 7, 1))
         assert v.wr_twistable and v.t_star == Fraction(1946, 107)
         assert v.gram.g11 == v.gram.g22 == Fraction(315252, 107)
         assert v.gram.g12 / v.gram.g11 == Fraction(-1, 14)
 
-        v = wr_twist(validate_canonical(141, 5, 4, 1))
+        v = wr_twist(CanonicalIdeal(141, 5, 4, 1))
         assert v.wr_twistable and v.t_star == Fraction(1269, 61)
         assert v.gram.g11 == v.gram.g22 == Fraction(63450, 61)
         assert v.gram.g12 / v.gram.g11 == Fraction(2, 9)
@@ -209,7 +208,7 @@ class TestWrTwist:
                 for t in candidates:
                     if t * t <= D:
                         continue
-                    G = gram_of_twist(I, QuadElem.of(D, t, 1))
+                    G = gram_of_twist(I, QuadElem(D, t, 1))
                     basis_wr = G.g11 == G.g22 and is_paper_reduced(G)
                     expected = v.wr_twistable and t == v.t_star
                     assert basis_wr == expected, (D, I, t)
@@ -217,9 +216,9 @@ class TestWrTwist:
 
 class TestStableTwist:
     def test_reference_cases(self):
-        fr = stable_twist(validate_canonical(1327, 39, 38, 1))
+        fr = stable_twist(CanonicalIdeal(1327, 39, 38, 1))
         assert fr.feasible_real and fr.contains_t(Fraction(63))
-        fr = stable_twist(validate_canonical(125173, 183, 182, 1))
+        fr = stable_twist(CanonicalIdeal(125173, 183, 182, 1))
         assert fr.feasible_real and fr.contains_t(Fraction(611))
 
     def test_single_point_feasibility(self):
@@ -256,13 +255,13 @@ class TestStableTwist:
             t = Fraction(rng.randint(1, 400), rng.randint(1, 8))
             if t * t <= D:
                 continue
-            G = gram_of_twist(I, QuadElem.of(D, t, 1))
+            G = gram_of_twist(I, QuadElem(D, t, 1))
             expected = is_paper_reduced(G) and is_stable(G)
             assert raw_stable_polynomials(I, t) == expected, (D, I, t)
             checked += 1
 
     def test_polynomials_reject_a_non_rational_t(self):
-        I = validate_canonical(1327, 39, 38, 1)
+        I = CanonicalIdeal(1327, 39, 38, 1)
         assert raw_stable_polynomials(I, 63)
         assert raw_stable_polynomials(I, Fraction(63))
         for bad in (63.0, "63", Decimal(63)):
@@ -271,7 +270,7 @@ class TestStableTwist:
 
     def test_interval_endpoints_ordered(self):
         for D, a, b, g in [(1327, 39, 38, 1), (139, 10, 3, 1)]:
-            fr = stable_twist(validate_canonical(D, a, b, g))
+            fr = stable_twist(CanonicalIdeal(D, a, b, g))
             for iv in fr.intervals:
                 if iv.hi is not None:
                     assert surd_compare(iv.lo, iv.hi) <= 0
@@ -558,7 +557,7 @@ def _ref_stable_twist(I):
         if not _is_point(iv):
             witness_t = _ref_simplest_rational_in(iv.lo, iv.hi)
             if witness_t is not None:
-                witness_alpha = QuadElem.of(I.D, witness_t, 1)
+                witness_alpha = QuadElem(I.D, witness_t, 1)
                 break
     return running, feas, witness_t, witness_alpha
 
@@ -746,23 +745,23 @@ class TestCertificates:
     def test_wr_twist_rechecks(self, monkeypatch):
         monkeypatch.setattr(twist, "is_wr", lambda G: False)
         with pytest.raises(CertificateError):
-            wr_twist(validate_canonical(139, 9, 7, 1))
+            wr_twist(CanonicalIdeal(139, 9, 7, 1))
 
     def test_stable_twist_rechecks(self, monkeypatch):
         monkeypatch.setattr(twist, "raw_stable_polynomials", lambda I, t: False)
         with pytest.raises(CertificateError):
-            stable_twist(validate_canonical(1327, 39, 38, 1))
+            stable_twist(CanonicalIdeal(1327, 39, 38, 1))
 
     def test_stable_twist_rechecks_under_optimize(self):
         script = textwrap.dedent("""
             import sys
             from quadtwist import twist
-            from quadtwist.ideals import validate_canonical
+            from quadtwist.ideals import CanonicalIdeal
             from quadtwist.quadfield import CertificateError
             assert False, "asserts are live"
             twist.is_stable = lambda G: False
             try:
-                twist.stable_twist(validate_canonical(1327, 39, 38, 1))
+                twist.stable_twist(CanonicalIdeal(1327, 39, 38, 1))
             except CertificateError:
                 sys.exit(0)
             sys.exit(1)
