@@ -17,7 +17,7 @@ from typing import Optional
 
 from .geodesic import _log_ratio, _t_at
 from .ideals import CanonicalIdeal
-from .lattice2 import _deep_hole, _reduce, _twist_ints, gram_of_twist, hermite_thickness_sq
+from .lattice2 import _deep_hole, _reduce, _twist_ints
 from .quadfield import (
     CertificateError,
     Form,
@@ -28,8 +28,8 @@ from .quadfield import (
     _quad,
     _rat,
     _rat_repr,
+    _repr,
     _rho_walk,
-    _t_plus_sqrt,
     discriminant,
     fundamental_unit,
 )
@@ -81,6 +81,12 @@ class NormSearchResult:
     witness: QuadElem
     coeffs: tuple[int, int]
     attains_ideal_norm: bool  # m == N(I)
+
+    def __repr__(self):
+        x, y = self.coeffs
+        return (f"NormSearchResult(m={_repr(self.m)}, witness={self.witness!r}, "
+                f"coeffs=({_repr(x)}, {_repr(y)}), "
+                f"attains_ideal_norm={self.attains_ideal_norm!r})")
 
 
 def _norm_form(I: CanonicalIdeal) -> Form:
@@ -165,12 +171,12 @@ class ThicknessSearchResult:
                 f"lower_bound={self.lower_bound!r})")
 
 
-def _thickness_at(I: CanonicalIdeal, num: int, den: int) -> float:
-    """float(hermite_thickness_sq) at t + sqrt(D) for t = num/den, bit for
-    bit: the ratio is scale invariant, so no gcd is taken, and int / int
-    rounds correctly."""
+def _thickness_at(I: CanonicalIdeal, num: int, den: int) -> tuple[int, int]:
+    """hermite_thickness_sq at t + sqrt(D) for t = num/den as the integer
+    pair (n^2, 16*det^3) of the reduced pencil twist: the ratio is scale
+    invariant, so no gcd is taken."""
     n, det = _deep_hole(*_reduce(*_twist_ints(I, num, den))[:3])
-    return n * n / (16 * det ** 3)
+    return n * n, 16 * det ** 3
 
 
 # tau_min_search's grid points per unit period and golden-section steps.
@@ -188,9 +194,10 @@ def tau_min_search(I: CanonicalIdeal) -> ThicknessSearchResult:
     interior point and score and probes one new point (two on the first),
     so a call makes 57 probes, 58 with t*.  The reported value is the exact
     thickness at the best rational sample, so the estimate is a certified
-    upper bound.  Probes are the ints (numerator, 2^k) of `_t_at`, scored on
-    the pencil integers (`_thickness_at`); only the returned t and its
-    thickness are built as Fractions.
+    upper bound.  Probes are the ints (numerator, 2^k) of `_t_at`, each
+    reduced once on the pencil integers (`_thickness_at`) and scored by one
+    correctly rounded int / int; the returned t and thickness are the
+    winning probe's, built as Fractions once.
     """
     D = I.D
     _, eps_plus = fundamental_unit(D)
@@ -201,18 +208,20 @@ def tau_min_search(I: CanonicalIdeal) -> ThicknessSearchResult:
         t_star = verdict.t_star
         candidates.append((t_star.numerator, t_star.denominator))
     # the least score, ties going to the least t
-    best_val, best_t = math.inf, None
+    best_val, best_t, best_tau_sq = math.inf, None, None
     for t in candidates:
-        f = _thickness_at(I, *t)
+        n, d = tau_sq = _thickness_at(I, *t)
+        f = n / d
         if f < best_val or f == best_val and t[0] * best_t[1] < best_t[0] * t[1]:
-            best_val, best_t = f, t
+            best_val, best_t, best_tau_sq = f, t, tau_sq
 
     def probe(L: float) -> float:
-        nonlocal best_val, best_t
+        nonlocal best_val, best_t, best_tau_sq
         t = _t_at(D, max(L, log_period * 1e-6))
-        f = _thickness_at(I, *t)
+        n, d = tau_sq = _thickness_at(I, *t)
+        f = n / d
         if f < best_val:
-            best_val, best_t = f, t
+            best_val, best_t, best_tau_sq = f, t, tau_sq
         return f
 
     # golden-section refinement in log-ratio space around the best sample
@@ -232,11 +241,10 @@ def tau_min_search(I: CanonicalIdeal) -> ThicknessSearchResult:
             a, c, fc = c, d, fd
             d = a + phi * (b - a)
             fd = probe(d)
-    argmin_t = Fraction(*best_t)
-    exact = hermite_thickness_sq(gram_of_twist(I, _t_plus_sqrt(D, argmin_t)))
+    exact = Fraction(*best_tau_sq)
     num, den = exact.numerator, exact.denominator
-    return ThicknessSearchResult(_float(0, 1, num * den, den), argmin_t, exact,
-                                 _float(0, 2, 3, 9))  # sqrt(4/27) = 2*sqrt(3)/9
+    return ThicknessSearchResult(_float(0, 1, num * den, den), Fraction(*best_t),
+                                 exact, _float(0, 2, 3, 9))  # sqrt(4/27) = 2*sqrt(3)/9
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ primitive pairs only and scales each by every g that keeps a <= max_a.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .quadfield import QuadElem, _int, _quad, _repr, check_field
 
@@ -34,23 +35,6 @@ def _z2(D: int, b: int, g: int) -> tuple[int, int, int, int]:
     N(b + g*delta) = (u^2 - D*v^2)/e^2."""
     u, v, e = (2 * b + g, -g, 2) if D % 4 == 1 else (b, -g, 1)
     return u, v, e, (u * u - D * v * v) // (e * e)
-
-
-def _state(D: int, a: int, b: int, g: int) -> tuple[int, dict]:
-    """N(b + g*delta), and the instance dict of CanonicalIdeal(D, a, b, g).
-
-    _uve and _pencil are not dataclass fields: ==, hash and repr see
-    (D, a, b, g) only.  _uve is z2 = (u + v*sqrt(D))/e, and _pencil is
-    (P11, P12, P22, Q11, Q12, Q22) of the integer pencil t*P + Q, e/2 times
-    the twisted Gram of (a, z2) along t + sqrt(D):
-    P = (e/2)*[trace(z_i*z_j)] = (a^2*e, a*u, (u^2 + D*v^2)/e),
-    Q = (e/2)*[trace(sqrt(D)*z_i*z_j)] = (0, a*D*v, 2*D*u*v/e), and
-    det(t*P + Q) = N(I)^2 * D * (t^2 - D).
-    """
-    u, v, e, n = _z2(D, b, g)
-    return n, {"D": D, "a": a, "b": b, "g": g, "_uve": (u, v, e), "_pencil": (
-        a * a * e, a * u, (u * u + D * v * v) // e,
-        0, a * D * v, 2 * D * u * v // e)}
 
 
 @dataclass(frozen=True)
@@ -84,16 +68,34 @@ class CanonicalIdeal:
         if b % g != 0:
             raise CanonicalBasisError(
                 "g|b", f"g = {_int(g)} does not divide b = {_int(b)}")
-        n, state = _state(self.D, a, b, g)
+        n = _z2(self.D, b, g)[3]
         if n % (a * g) != 0:
             raise CanonicalBasisError(
                 "divisibility",
                 f"a*g = {_int(a * g)} does not divide N(b+g*delta) = {_int(n)}")
-        self.__dict__.update(state)
+
+    # _uve and _pencil are not dataclass fields: ==, hash and repr see
+    # (D, a, b, g) only.  Each is derived on its first read and kept.
+
+    @cached_property
+    def _uve(self) -> tuple[int, int, int]:
+        """z2 = b + g*delta = (u + v*sqrt(D))/e as (u, v, e)."""
+        return _z2(self.D, self.b, self.g)[:3]
+
+    @cached_property
+    def _pencil(self) -> tuple[int, int, int, int, int, int]:
+        """(P11, P12, P22, Q11, Q12, Q22) of the integer pencil t*P + Q, e/2
+        times the twisted Gram of (a, z2) along t + sqrt(D):
+        P = (e/2)*[trace(z_i*z_j)] = (a^2*e, a*u, (u^2 + D*v^2)/e),
+        Q = (e/2)*[trace(sqrt(D)*z_i*z_j)] = (0, a*D*v, 2*D*u*v/e), and
+        det(t*P + Q) = N(I)^2 * D * (t^2 - D)."""
+        D, a = self.D, self.a
+        u, v, e = self._uve
+        return (a * a * e, a * u, (u * u + D * v * v) // e,
+                0, a * D * v, 2 * D * u * v // e)
 
     def __getstate__(self):
-        # The fields only, as a plain dataclass pickles; unpickling re-runs
-        # the checks and recomputes the stored integers.
+        # The fields only, as a plain dataclass pickles; unpickling re-checks.
         return {"D": self.D, "a": self.a, "b": self.b, "g": self.g}
 
     def __setstate__(self, state):
@@ -124,7 +126,7 @@ def _canonical(D: int, a: int, b: int, g: int) -> CanonicalIdeal:
     """CanonicalIdeal(D, a, b, g) without its checks, for a triple already
     proved canonical over a checked D."""
     I = object.__new__(CanonicalIdeal)
-    I.__dict__.update(_state(D, a, b, g)[1])
+    I.__dict__.update(D=D, a=a, b=b, g=g)
     return I
 
 

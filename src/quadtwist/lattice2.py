@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .quadfield import QuadElem, _int, _rat, _rat_repr, _totally_positive
+from .quadfield import QuadElem, _int, _rat, _rat_repr, _repr, _totally_positive
 
 if TYPE_CHECKING:
     from .ideals import CanonicalIdeal
@@ -92,6 +92,10 @@ class UnimodularMap:
         if abs(self.a * self.d - self.b * self.c) != 1:
             raise ValueError(f"determinant must be +-1: {self}")
 
+    def __repr__(self):
+        return (f"UnimodularMap(a={_repr(self.a)}, b={_repr(self.b)}, "
+                f"c={_repr(self.c)}, d={_repr(self.d)})")
+
 
 def _twist_ints(I: CanonicalIdeal, p: int, q: int) -> tuple[int, int, int]:
     """p*P + q*Q on the ideal's pencil: the twist by alpha = (p + q*sqrt(D))/d
@@ -113,7 +117,7 @@ def gram_of_twist(I: CanonicalIdeal, alpha: QuadElem) -> Gram2:
     G_ij = trace(alpha * z_i * z_j); det G = N(alpha) * N(I)^2 * Delta_K.
     G is linear in alpha: for alpha = (p + q*sqrt(D))/d it is
     2*(p*P + q*Q)/(d*e) with the integer pencil (P, Q) and the denominator e
-    of z2 that the ideal stores, whose det(t*P + Q) = N(I)^2 * D * (t^2 - D).
+    of z2 that the ideal derives, whose det(t*P + Q) = N(I)^2 * D * (t^2 - D).
     """
     if alpha.D != I.D:
         raise ValueError("alpha must live in the same field as I")

@@ -234,7 +234,7 @@ class QuadElem:
                 raise ValueError("mixed fields")
             return other
         if isinstance(other, (int, Fraction)):
-            return _elem(self._D, other.numerator, 0, other.denominator)
+            return _quad(self._D, other.numerator, 0, other.denominator)
         return NotImplemented
 
     # -- ring operations -------------------------------------------------
@@ -250,7 +250,7 @@ class QuadElem:
     __radd__ = __add__
 
     def __neg__(self):
-        return _elem(self._D, -self._p, -self._q, self._d)
+        return _quad(self._D, -self._p, -self._q, self._d)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -291,7 +291,7 @@ class QuadElem:
     def __pow__(self, k: int):
         if k < 0:
             return self.inverse() ** (-k)
-        r = _elem(self._D, 1, 0, 1)
+        r = _quad(self._D, 1, 0, 1)
         b = self
         while k:
             if k & 1:
@@ -303,7 +303,7 @@ class QuadElem:
     # -- field invariants -------------------------------------------------
 
     def conjugate(self) -> "QuadElem":
-        return _elem(self._D, self._p, -self._q, self._d)
+        return _quad(self._D, self._p, -self._q, self._d)
 
     def norm(self) -> Fraction:
         p, q, d = self._p, self._q, self._d
@@ -357,26 +357,15 @@ class QuadElem:
 QuadElem.of = QuadElem
 
 
-def _elem(D: int, p: int, q: int, d: int) -> QuadElem:
-    """QuadElem from a canonical (p, q, d) of a field whose D is checked."""
-    z = _new(QuadElem)
-    z._D, z._p, z._q, z._d = D, p, q, d
-    return z
-
-
 def _quad(D: int, p: int, q: int, d: int) -> QuadElem:
     """(p + q*sqrt(D))/d for d > 0 in a field whose D is checked: skips
     check_field and divides out gcd(p, q, d)."""
     g = math.gcd(p, q, d)
     if g != 1:
         p, q, d = p // g, q // g, d // g
-    return _elem(D, p, q, d)
-
-
-def _t_plus_sqrt(D: int, t: Rational) -> QuadElem:
-    """t + sqrt(D) = (n + d*sqrt(D))/d for t = n/d, in a field whose D is
-    checked."""
-    return _elem(D, t.numerator, t.denominator, t.denominator)
+    z = _new(QuadElem)
+    z._D, z._p, z._q, z._d = D, p, q, d
+    return z
 
 
 def _discriminant(D: int) -> int:
@@ -581,16 +570,12 @@ def surd_compare(s1, s2) -> int:
     """Exact three-way comparison of Surd/rational values: -1, 0 or +1.
 
     Raises TypeError for an operand that is not a Surd, int or Fraction."""
-    if isinstance(s1, Surd):
-        e1 = s1.p, s1.q, s1.n, s1.d
-    elif isinstance(s1, (int, Fraction)):
-        e1 = s1.numerator, 0, 0, s1.denominator
-    else:
-        raise TypeError(f"not a Surd or rational: {type(s1).__name__}")
-    if isinstance(s2, Surd):
-        e2 = s2.p, s2.q, s2.n, s2.d
-    elif isinstance(s2, (int, Fraction)):
-        e2 = s2.numerator, 0, 0, s2.denominator
-    else:
-        raise TypeError(f"not a Surd or rational: {type(s2).__name__}")
-    return _surd_sign(e1, e2)
+    ints = []
+    for s in (s1, s2):
+        if isinstance(s, Surd):
+            ints.append((s.p, s.q, s.n, s.d))
+        elif isinstance(s, (int, Fraction)):
+            ints.append((s.numerator, 0, 0, s.denominator))
+        else:
+            raise TypeError(f"not a Surd or rational: {type(s).__name__}")
+    return _surd_sign(*ints)

@@ -7,7 +7,7 @@ is t = p/q ranging over (sqrt(D), oo); the q < 0 branch is omitted because
 swapping the two embeddings is an isometry of the twisted lattice.
 
 Along alpha = t + sqrt(D) the twisted Gram matrix of the canonical basis is
-the integer pencil t*P + Q that `CanonicalIdeal` stores, and every formula
+the integer pencil t*P + Q that `CanonicalIdeal` derives, and every formula
 here is read off (P, Q).  WR twistability: the equal-norm equation
 g11(t) = g22(t) is linear and forces the ratio t*, and the reduction
 inequality at t* decides.  Stable twistability: reducedness and the
@@ -39,10 +39,10 @@ from .quadfield import (
     CertificateError,
     QuadElem,
     Surd,
+    _quad,
     _rat,
     _sign_x_plus_y_sqrt,
     _surd_sign,
-    _t_plus_sqrt,
     _totally_positive,
     surd_compare,
 )
@@ -300,7 +300,7 @@ def wr_twist(I: CanonicalIdeal) -> TwistVerdict:
     if not reduced_ok:
         return TwistVerdict(False, reason="reduction inequality fails",
                             t_star=t_star)
-    alpha = _t_plus_sqrt(I.D, t_star)
+    alpha = _quad(I.D, num, den, den)
     return TwistVerdict(True, t_star=t_star, alpha=alpha,
                         gram=_certify_wr(I, t_star, alpha))
 
@@ -373,15 +373,14 @@ def stable_twist(I: CanonicalIdeal) -> FeasibilityReport:
         if not feas:
             return FeasibilityReport(False, (), emptied_by=k)
     intervals = tuple(map(_interval, feas))
-    witness_t = None
-    witness_alpha = None
+    witness_t = witness_alpha = None
     for iv in intervals:
         witness_t = simplest_rational_in(iv.lo, iv.hi)
         if witness_t is not None:
+            n, d = witness_t.numerator, witness_t.denominator
+            witness_alpha = _quad(D, n, d, d)
+            _certify_stable(I, witness_t, witness_alpha)
             break
-    if witness_t is not None:
-        witness_alpha = _t_plus_sqrt(D, witness_t)
-        _certify_stable(I, witness_t, witness_alpha)
     return FeasibilityReport(True, intervals, witness_t, witness_alpha)
 
 

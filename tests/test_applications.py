@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from quadtwist import applications
+from quadtwist import applications, lattice2
 from quadtwist.applications import (
     HEXAGONAL_THICKNESS_SQ,
     ThicknessSearchResult,
@@ -114,6 +114,25 @@ class TestMinAbsNorm:
                 )
                 assert r.m == brute, I
 
+    def test_repr_of_small_values_is_the_dataclass_repr(self):
+        for I in (ring_of_integers(5), CanonicalIdeal(139, 9, 7, 1),
+                  CanonicalIdeal(10, 3, 1, 1)):
+            r = min_abs_norm(I)
+            assert repr(r) == (
+                f"NormSearchResult(m={r.m!r}, witness={r.witness!r}, "
+                f"coeffs={r.coeffs!r}, "
+                f"attains_ideal_norm={r.attains_ideal_norm!r})")
+
+    def test_repr_beyond_the_int_str_limit(self):
+        # str(int) refuses more than 4,300 digits: here m = 10**4400
+        g = 10**2200
+        r = min_abs_norm(CanonicalIdeal(2, g, 0, g))
+        assert r.m == g * g
+        x, y = r.coeffs
+        assert repr(r) == (
+            f"NormSearchResult(m=1{'0' * 4400}, witness={r.witness!r}, "
+            f"coeffs=({x}, {y}), attains_ideal_norm=True)")
+
 
 class TestDMin:
     def test_exact_value(self):
@@ -210,6 +229,24 @@ class TestThicknessSearch:
         monkeypatch.setattr(applications, "_thickness_at", counted)
         tau_min_search(I)
         assert len(calls) == (58 if wr_twist(I).wr_twistable else 57)
+
+    @pytest.mark.parametrize("seed", [-5, -139] + list(range(10)))
+    def test_one_reduction_per_probe(self, seed, monkeypatch):
+        # the result is read off the winning probe: no probe is reduced
+        # twice, and no Gram is built to rebuild the winner; lattice2
+        # reduces only wr_twist's certificate
+        I = _seeded_ideal(seed)
+        counts = {applications: 0, lattice2: 0}
+        for module in counts:
+            def counted(*args, module=module, true_reduce=module._reduce):
+                counts[module] += 1
+                return true_reduce(*args)
+            monkeypatch.setattr(module, "_reduce", counted)
+        twistable = wr_twist(I).wr_twistable
+        counts[lattice2] = 0
+        tau_min_search(I)
+        assert counts == {applications: 58 if twistable else 57,
+                          lattice2: 1 if twistable else 0}
 
     def test_probe_budget_sees_both_cases(self):
         verdicts = {wr_twist(_seeded_ideal(seed)).wr_twistable

@@ -31,7 +31,6 @@ from quadtwist.ideals import (
 from quadtwist.lattice2 import Gram2, gram_of_twist, is_stable, is_wr, similarity_point
 from quadtwist.quadfield import (
     QuadElem,
-    _t_plus_sqrt,
     discriminant,
     fundamental_unit,
     is_squarefree,
@@ -128,8 +127,8 @@ class TestSampleOrbit:
             D = rng.choice([D for D in range(2, 1001) if is_squarefree(D)])
             I, n = rng.choice(enumerate_canonical(D, 12)), rng.randint(1, 40)
         log_period = _log_ratio(fundamental_unit(I.D)[1])
-        expected = [_sample_at(I, _t_plus_sqrt(
-                        I.D, Fraction(*_t_at(I.D, log_period * (k + 0.5) / n))))
+        expected = [_sample_at(I, QuadElem(
+                        I.D, Fraction(*_t_at(I.D, log_period * (k + 0.5) / n)), 1))
                     for k in range(n)]
         samples = sample_orbit(I, n)
         assert samples == expected

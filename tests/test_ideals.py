@@ -197,8 +197,8 @@ class TestHelpers:
 
 
 class TestStoredIntegers:
-    """The pencil an ideal stores is not a dataclass field: equality, hash,
-    repr and pickling see (D, a, b, g) only."""
+    """The integers an ideal derives, _uve and _pencil, are not dataclass
+    fields: equality, hash, repr and pickling see (D, a, b, g) only."""
 
     # pickle.dumps(CanonicalIdeal(141, 5, 4, 1), protocol=4) of the plain
     # frozen dataclass, before the ideal stored any integers
@@ -214,6 +214,18 @@ class TestStoredIntegers:
         assert I != CanonicalIdeal(141, 1, 0, 1)
         assert hash(I) == hash((141, 5, 4, 1))
         assert repr(I) == "CanonicalIdeal(D=141, a=5, b=4, g=1)"
+
+    def test_derived_on_first_read(self):
+        for D in (5, 139, 141):
+            for I in enumerate_canonical(D, 12) + [CanonicalIdeal(D, 1, 0, 1)]:
+                assert set(vars(I)) == {"D", "a", "b", "g"}, I
+                J = CanonicalIdeal(D, I.a, I.b, I.g)
+                before = (I == J, hash(I), repr(I), pickle.dumps(I))
+                assert I._pencil == J._pencil
+                assert set(vars(I)) == {"D", "a", "b", "g", "_uve", "_pencil"}
+                assert (I == J, hash(I), repr(I), pickle.dumps(I)) == before
+                K = pickle.loads(before[3])
+                assert K == I and set(vars(K)) == {"D", "a", "b", "g"}, I
 
     def test_pencil_survives_pickle(self):
         for I in (CanonicalIdeal(141, 5, 4, 1), CanonicalIdeal(5, 2, 0, 2),

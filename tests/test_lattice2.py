@@ -30,7 +30,6 @@ from quadtwist.lattice2 import (
 )
 from quadtwist.quadfield import (
     QuadElem,
-    _t_plus_sqrt,
     discriminant,
     fundamental_unit,
     is_squarefree,
@@ -82,6 +81,17 @@ class TestGram2:
         for entries in ((1, 1, 0, 1), (0, -1, 1, 0), (1, 0, 0, -1)):
             u = UnimodularMap(*entries)
             assert (u.a, u.b, u.c, u.d) == entries
+
+    def test_unimodular_repr_is_the_dataclass_repr(self):
+        for a, b, c, d in ((1, 1, 0, 1), (0, -1, 1, 0), (1, 0, 0, -1),
+                           (True, 0, 0, 1)):
+            assert repr(UnimodularMap(a, b, c, d)) == \
+                f"UnimodularMap(a={a!r}, b={b!r}, c={c!r}, d={d!r})"
+
+    def test_unimodular_repr_beyond_the_int_str_limit(self):
+        # str(int) refuses more than 4,300 digits
+        _, U = lagrange_reduce(Gram2(1, 10**5000, 10**10000 + 1))
+        assert repr(U) == f"UnimodularMap(a=1, b=-1{'0' * 5000}, c=0, d=1)"
 
 
 class TestReduction:
@@ -498,7 +508,7 @@ class TestOrbitKernel:
     def test_probes_agree_with_the_gram_path(self, seed):
         I, ts = _seeded_probes(seed)
         for num, den in ts:
-            alpha = _t_plus_sqrt(I.D, Fraction(num, den))
+            alpha = QuadElem(I.D, Fraction(num, den), 1)
             G = gram_of_twist(I, alpha)
             s = _sample_at(I, alpha)
             assert s.tau == similarity_point(G)
@@ -507,8 +517,7 @@ class TestOrbitKernel:
             assert s.tau == SimilarityPoint(g12 / g11,
                                             (g11 * g22 - g12 * g12) / (g11 * g11))
             assert s.is_wr == (g11 == g22)
-            # exact float equality: both are one correctly rounded division
-            assert _thickness_at(I, num, den) == float(hermite_thickness_sq(G))
+            assert Fraction(*_thickness_at(I, num, den)) == hermite_thickness_sq(G)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_reduce_diagonal_is_the_minima(self, seed):
