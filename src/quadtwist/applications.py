@@ -11,9 +11,7 @@ that also yields the fundamental unit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .geodesic import _log_ratio, _t_at
 from .ideals import CanonicalIdeal
@@ -28,8 +26,10 @@ from .quadfield import (
     _quad,
     _rat,
     _rat_repr,
+    _Record,
     _repr,
     _rho_walk,
+    _setattr,
     discriminant,
     fundamental_unit,
 )
@@ -73,14 +73,17 @@ def form_minimum(f: Form) -> tuple[int, tuple[int, int]]:
     return best, best_vec
 
 
-@dataclass(frozen=True)
-class NormSearchResult:
+class NormSearchResult(_Record):
     """Minimum |N(z)| over nonzero z in I, with a witness element."""
 
-    m: int
-    witness: QuadElem
-    coeffs: tuple[int, int]
-    attains_ideal_norm: bool  # m == N(I)
+    _fields = ("m", "witness", "coeffs", "attains_ideal_norm")
+
+    def __init__(self, m: int, witness: QuadElem, coeffs: tuple[int, int],
+                 attains_ideal_norm: bool):
+        _setattr(self, "m", m)
+        _setattr(self, "witness", witness)
+        _setattr(self, "coeffs", coeffs)
+        _setattr(self, "attains_ideal_norm", attains_ideal_norm)  # m == N(I)
 
     def __repr__(self):
         x, y = self.coeffs
@@ -157,12 +160,18 @@ def d_min_sq_twist(I: CanonicalIdeal, alpha: QuadElem) -> Fraction:
 HEXAGONAL_THICKNESS_SQ = Fraction(4, 27)  # tau = 2/(3*sqrt(3)), global floor
 
 
-@dataclass(frozen=True)
-class ThicknessSearchResult:
-    tau_min_estimate: float  # sqrt of the exact thickness^2 at the best t
-    argmin_t: Fraction
-    exact_tau_sq_at_argmin: Fraction
-    lower_bound: float  # hexagonal thickness, global lower bound
+class ThicknessSearchResult(_Record):
+    _fields = ("tau_min_estimate", "argmin_t", "exact_tau_sq_at_argmin",
+               "lower_bound")
+
+    def __init__(self, tau_min_estimate: float, argmin_t: Fraction,
+                 exact_tau_sq_at_argmin: Fraction, lower_bound: float):
+        # the sqrt of the exact thickness^2 at the best t
+        _setattr(self, "tau_min_estimate", tau_min_estimate)
+        _setattr(self, "argmin_t", argmin_t)
+        _setattr(self, "exact_tau_sq_at_argmin", exact_tau_sq_at_argmin)
+        # the hexagonal thickness, a global lower bound
+        _setattr(self, "lower_bound", lower_bound)
 
     def __repr__(self):
         return (f"ThicknessSearchResult(tau_min_estimate={self.tau_min_estimate!r}, "
@@ -247,20 +256,25 @@ def tau_min_search(I: CanonicalIdeal) -> ThicknessSearchResult:
                                  exact, _float(0, 2, 3, 9))  # sqrt(4/27) = 2*sqrt(3)/9
 
 
-@dataclass(frozen=True)
-class EuclideanBoundReport:
-    D: int
-    disc: int
-    field_bound: float  # sqrt(disc)/4
-    euclidean_certified: bool  # exact: disc < 16
-    # float companion of the per-ideal bound, math.inf beyond float range;
-    # the exact "< 1" verdict is ideal_bound_lt_one
-    ideal_bound: Optional[float] = None
-    ideal_bound_lt_one: Optional[bool] = None
+class EuclideanBoundReport(_Record):
+    _fields = ("D", "disc", "field_bound", "euclidean_certified", "ideal_bound",
+               "ideal_bound_lt_one")
+
+    def __init__(self, D: int, disc: int, field_bound: float,
+                 euclidean_certified: bool, ideal_bound: float | None = None,
+                 ideal_bound_lt_one: bool | None = None):
+        _setattr(self, "D", D)
+        _setattr(self, "disc", disc)
+        _setattr(self, "field_bound", field_bound)  # sqrt(disc)/4
+        _setattr(self, "euclidean_certified", euclidean_certified)  # disc < 16
+        # float companion of the per-ideal bound, math.inf beyond float
+        # range; the exact "< 1" verdict is ideal_bound_lt_one
+        _setattr(self, "ideal_bound", ideal_bound)
+        _setattr(self, "ideal_bound_lt_one", ideal_bound_lt_one)
 
 
-def euclidean_bounds(D: int, I: Optional[CanonicalIdeal] = None,
-                     tau_min_sq: Optional[Fraction] = None) -> EuclideanBoundReport:
+def euclidean_bounds(D: int, I: CanonicalIdeal | None = None,
+                     tau_min_sq: Fraction | None = None) -> EuclideanBoundReport:
     """Euclidean-minimum bounds: M(K) <= sqrt(disc)/4 with the exact "< 1"
     verdict, and the per-ideal bound (tau_min/2) * sqrt(disc) * N(I) when a
     thickness certificate is supplied.  tau_min_sq must be an int or a

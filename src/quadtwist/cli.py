@@ -32,7 +32,6 @@ import sys
 import time
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _esc
-from typing import Optional
 
 from .geodesic import sample_orbit
 from .ideals import CanonicalBasisError, CanonicalIdeal, enumerate_canonical
@@ -108,7 +107,7 @@ def _twist_report(D: int, a: int, b: int, g: int, mode: str) -> dict:
     if not verdict.wr_twistable:
         report["wr_failure_reason"] = verdict.reason
 
-    alpha: Optional[QuadElem] = None
+    alpha: QuadElem | None = None
     if mode in ("wr", "all") and verdict.wr_twistable:
         # wr_twist already built and re-checked this Gram
         alpha, G = verdict.alpha, verdict.gram
@@ -392,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _match(argv: list) -> Optional[argparse.Namespace]:
+def _match(argv: list) -> argparse.Namespace | None:
     """argparse's namespace for `command ints... [option choice]` of
     `_CANONICAL`, with str entries and decimal-digit ints; else None."""
     if set(map(type, argv)) != {str} or argv[0] not in _CANONICAL:
@@ -424,7 +423,7 @@ def _parse(argv: list) -> argparse.Namespace:
     return build_parser().parse_args(argv)
 
 
-def _invalid_input(error: str, condition: Optional[str] = None) -> int:
+def _invalid_input(error: str, condition: str | None = None) -> int:
     print(json.dumps({"error": error, "condition": condition}), file=sys.stderr)
     return EXIT_INVALID
 

@@ -13,7 +13,6 @@ region flags are computed exactly from the rational Gram matrix at that t.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .ideals import CanonicalIdeal
@@ -30,6 +29,8 @@ from .quadfield import (
     _discriminant,
     _is_square,
     _quad,
+    _Record,
+    _setattr,
     check_field,
     fundamental_unit,
 )
@@ -38,8 +39,7 @@ _LN2 = math.log(2)
 _LOG_FLOAT_MAX = 709.78  # exp overflows a float beyond log(2^1024) = 709.78...
 
 
-@dataclass(frozen=True)
-class GeodesicSample:
+class GeodesicSample(_Record):
     """One exactly-evaluated point of the orbit curve.
 
     s = sigma_1(alpha)/sigma_2(alpha) is a float reporting companion; it is
@@ -47,11 +47,15 @@ class GeodesicSample:
     samples is carried by t = alpha.x, which falls as s grows.
     """
 
-    s: float
-    alpha: QuadElem
-    tau: SimilarityPoint
-    is_wr: bool
-    is_stable: bool
+    _fields = ("s", "alpha", "tau", "is_wr", "is_stable")
+
+    def __init__(self, s: float, alpha: QuadElem, tau: SimilarityPoint,
+                 is_wr: bool, is_stable: bool):
+        _setattr(self, "s", s)
+        _setattr(self, "alpha", alpha)
+        _setattr(self, "tau", tau)
+        _setattr(self, "is_wr", is_wr)
+        _setattr(self, "is_stable", is_stable)
 
 
 def _log_ratio(alpha: QuadElem) -> float:

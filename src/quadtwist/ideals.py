@@ -9,10 +9,9 @@ primitive pairs only and scales each by every g that keeps a <= max_a.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
-from .quadfield import QuadElem, _int, _quad, _repr, check_field
+from .quadfield import QuadElem, _int, _quad, _Record, _repr, _setattr, check_field
 
 
 class CanonicalBasisError(ValueError):
@@ -37,25 +36,23 @@ def _z2(D: int, b: int, g: int) -> tuple[int, int, int, int]:
     return u, v, e, (u * u - D * v * v) // (e * e)
 
 
-@dataclass(frozen=True)
-class CanonicalIdeal:
+class CanonicalIdeal(_Record):
     """Canonical basis triple (a, b, g) of an integral ideal over D; a, b and
     g must be of type int, so not bools (`CanonicalBasisError` condition
     "int")."""
 
-    D: int
-    a: int
-    b: int
-    g: int
+    _fields = ("D", "a", "b", "g")
 
-    def __post_init__(self):
+    def __init__(self, D: int, a: int, b: int, g: int):
+        _setattr(self, "D", D)
+        _setattr(self, "a", a)
+        _setattr(self, "b", b)
+        _setattr(self, "g", g)
         # `type`, not `isinstance`: a bool is an int subclass
-        if not (type(self.a) is int and type(self.b) is int
-                and type(self.g) is int):
+        if not (type(a) is int and type(b) is int and type(g) is int):
             raise CanonicalBasisError("int",
                                       f"need int a, b and g, got {self!r}")
-        check_field(self.D)
-        a, b, g = self.a, self.b, self.g
+        check_field(D)
         if a < 1 or g < 1 or b < 0:
             raise CanonicalBasisError(
                 "b<a", f"need a, g >= 1 and b >= 0, got {self}"
@@ -68,13 +65,13 @@ class CanonicalIdeal:
         if b % g != 0:
             raise CanonicalBasisError(
                 "g|b", f"g = {_int(g)} does not divide b = {_int(b)}")
-        n = _z2(self.D, b, g)[3]
+        n = _z2(D, b, g)[3]
         if n % (a * g) != 0:
             raise CanonicalBasisError(
                 "divisibility",
                 f"a*g = {_int(a * g)} does not divide N(b+g*delta) = {_int(n)}")
 
-    # _uve and _pencil are not dataclass fields: ==, hash and repr see
+    # _uve and _pencil are not among the fields: ==, hash and repr see
     # (D, a, b, g) only.  Each is derived on its first read and kept.
 
     @cached_property
@@ -95,7 +92,7 @@ class CanonicalIdeal:
                 0, a * D * v, 2 * D * u * v // e)
 
     def __getstate__(self):
-        # The fields only, as a plain dataclass pickles; unpickling re-checks.
+        # The fields only, as a plain record pickles; unpickling re-checks.
         return {"D": self.D, "a": self.a, "b": self.b, "g": self.g}
 
     def __setstate__(self, state):

@@ -15,14 +15,11 @@ no reduction and sizes its search from the Gram itself.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING
 
-from .quadfield import QuadElem, _int, _rat, _rat_repr, _repr, _totally_positive
-
-if TYPE_CHECKING:
-    from .ideals import CanonicalIdeal
+from .ideals import CanonicalIdeal
+from .quadfield import (
+    QuadElem, _int, _rat, _rat_repr, _Record, _repr, _setattr, _totally_positive)
 
 
 class Gram2:
@@ -79,17 +76,21 @@ class Gram2:
         return f"[[{_rat(self.g11)}, {g12}], [{g12}, {_rat(self.g22)}]]"
 
 
-@dataclass(frozen=True)
-class UnimodularMap:
-    """Integer 2x2 matrix [[a, b], [c, d]] with determinant +-1."""
+class UnimodularMap(_Record):
+    """Integer 2x2 matrix [[a, b], [c, d]] with determinant +-1; the entries
+    must be of type int, so not bools, else TypeError."""
 
-    a: int
-    b: int
-    c: int
-    d: int
+    _fields = ("a", "b", "c", "d")
 
-    def __post_init__(self):
-        if abs(self.a * self.d - self.b * self.c) != 1:
+    def __init__(self, a: int, b: int, c: int, d: int):
+        if not (type(a) is int and type(b) is int and type(c) is int
+                and type(d) is int):
+            raise TypeError("a, b, c and d must be ints")
+        _setattr(self, "a", a)
+        _setattr(self, "b", b)
+        _setattr(self, "c", c)
+        _setattr(self, "d", d)
+        if abs(a * d - b * c) != 1:
             raise ValueError(f"determinant must be +-1: {self}")
 
     def __repr__(self):
@@ -119,6 +120,8 @@ def gram_of_twist(I: CanonicalIdeal, alpha: QuadElem) -> Gram2:
     2*(p*P + q*Q)/(d*e) with the integer pencil (P, Q) and the denominator e
     of z2 that the ideal derives, whose det(t*P + Q) = N(I)^2 * D * (t^2 - D).
     """
+    if not isinstance(alpha, QuadElem):
+        raise TypeError("alpha must be a QuadElem")
     if alpha.D != I.D:
         raise ValueError("alpha must live in the same field as I")
     n11, n12, n22 = _twist_ints(I, alpha.p, alpha.q)
@@ -254,23 +257,22 @@ def hermite_thickness_sq(G: Gram2) -> Fraction:
     return Fraction(num * num, 16 * det * det * det)
 
 
-@dataclass(frozen=True)
-class SimilarityPoint:
+class SimilarityPoint(_Record):
     """Point tau = x + i*sqrt(y_sq) in the upper half-plane, kept exact; x
     and y_sq must be ints or Fractions, else TypeError."""
 
-    x: Fraction
-    y_sq: Fraction
+    _fields = ("x", "y_sq")
 
-    def __post_init__(self):
-        if type(self.x) is not Fraction or type(self.y_sq) is not Fraction:
-            if not (isinstance(self.x, (int, Fraction))
-                    and isinstance(self.y_sq, (int, Fraction))):
+    def __init__(self, x: Fraction, y_sq: Fraction):
+        if type(x) is not Fraction or type(y_sq) is not Fraction:
+            if not (isinstance(x, (int, Fraction))
+                    and isinstance(y_sq, (int, Fraction))):
                 raise TypeError("x and y_sq must be ints or Fractions")
-            object.__setattr__(self, "x", Fraction(self.x))
-            object.__setattr__(self, "y_sq", Fraction(self.y_sq))
-        if self.y_sq.numerator <= 0:  # a Fraction's denominator is > 0
+            x, y_sq = Fraction(x), Fraction(y_sq)
+        if y_sq.numerator <= 0:  # a Fraction's denominator is > 0
             raise ValueError("point must lie in the upper half-plane")
+        _setattr(self, "x", x)
+        _setattr(self, "y_sq", y_sq)
 
     def __repr__(self):
         return (f"SimilarityPoint(x={_rat_repr(self.x)}, "

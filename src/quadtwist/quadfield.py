@@ -14,15 +14,45 @@ from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Iterator
 from decimal import Decimal
 from fractions import Fraction
-from typing import Iterator, Union
 
-Rational = Union[int, Fraction]
+Rational = int | Fraction
 
 # Builders for the immutable value types, bypassing their public checks.
 _new = object.__new__
 _setattr = object.__setattr__
+
+
+class _Record:
+    """Base of the immutable result records.  `_fields` names a record's
+    fields in constructor order, and its __init__ sets each once through
+    `_setattr`; ==, hash and repr are those of a frozen dataclass on the same
+    fields.  Instances keep a __dict__, which pickle and copy write directly.
+    """
+
+    _fields = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({args})"
+
+    def __setattr__(self, name, *value):  # also __delattr__, without value
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
 
 
 def _int(n: int) -> str:

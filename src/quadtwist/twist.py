@@ -23,9 +23,7 @@ integers of the endpoints.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .ideals import CanonicalIdeal
 from .lattice2 import (
@@ -41,6 +39,8 @@ from .quadfield import (
     Surd,
     _quad,
     _rat,
+    _Record,
+    _setattr,
     _sign_x_plus_y_sqrt,
     _surd_sign,
     _totally_positive,
@@ -52,14 +52,20 @@ from .quadfield import (
 # Exact intervals with surd endpoints
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Interval:
-    """[lo, hi] with surd endpoints; hi = None means +oo; flags mark closure."""
+class Interval(_Record):
+    """[lo, hi] with surd endpoints; hi = None means +oo; flags mark closure.
+    lo must be a Surd and hi a Surd or None, else TypeError."""
 
-    lo: Surd
-    hi: Optional[Surd]
-    lo_closed: bool = True
-    hi_closed: bool = True
+    _fields = ("lo", "hi", "lo_closed", "hi_closed")
+
+    def __init__(self, lo: Surd, hi: Surd | None, lo_closed: bool = True,
+                 hi_closed: bool = True):
+        if not (isinstance(lo, Surd) and (hi is None or isinstance(hi, Surd))):
+            raise TypeError("lo must be a Surd and hi a Surd or None")
+        _setattr(self, "lo", lo)
+        _setattr(self, "hi", hi)
+        _setattr(self, "lo_closed", lo_closed)
+        _setattr(self, "hi_closed", hi_closed)
 
     def __str__(self):
         left = "[" if self.lo_closed else "("
@@ -89,7 +95,7 @@ def _empty(lo, hi, lo_closed: bool, hi_closed: bool) -> bool:
     return c > 0 or (c == 0 and not (lo_closed and hi_closed))
 
 
-def _above(iv: tuple, r: tuple, closed: bool) -> Optional[tuple]:
+def _above(iv: tuple, r: tuple, closed: bool) -> tuple | None:
     """The piece iv intersected with [r, oo) (closed) or (r, oo), or None
     when that is empty.  On a tie of iv's lower end with r the open end
     wins: an open lower end of iv is kept, otherwise r with its flag."""
@@ -101,7 +107,7 @@ def _above(iv: tuple, r: tuple, closed: bool) -> Optional[tuple]:
     return None if _empty(*out) else out
 
 
-def _below(iv: tuple, r: tuple, closed: bool) -> Optional[tuple]:
+def _below(iv: tuple, r: tuple, closed: bool) -> tuple | None:
     """The piece iv intersected with (-oo, r] (closed) or (-oo, r), or None
     when that is empty; a tie of iv's upper end with r follows the rule of
     `_above`."""
@@ -193,7 +199,7 @@ def _recip_minus(p: int, q: int, n: int, d: int, k: int):
     return p // g, q // g, n, den // g
 
 
-def simplest_rational_in(lo: Surd, hi: Optional[Surd]) -> Optional[Fraction]:
+def simplest_rational_in(lo: Surd, hi: Surd | None) -> Fraction | None:
     """The simplest rational strictly inside (lo, hi), hi = None for +oo:
     the smallest denominator, and the smallest numerator among those.  None
     when lo >= hi; the domain is lo >= 0, and lo < 0 raises ValueError.
@@ -228,28 +234,38 @@ def simplest_rational_in(lo: Surd, hi: Optional[Surd]) -> Optional[Fraction]:
 # Twist verdicts
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TwistVerdict:
+class TwistVerdict(_Record):
     """Outcome of the closed-form WR twist construction."""
 
-    wr_twistable: bool
-    reason: Optional[str] = None
-    t_star: Optional[Fraction] = None
-    alpha: Optional[QuadElem] = None
-    gram: Optional[Gram2] = None
+    _fields = ("wr_twistable", "reason", "t_star", "alpha", "gram")
+
+    def __init__(self, wr_twistable: bool, reason: str | None = None,
+                 t_star: Fraction | None = None, alpha: QuadElem | None = None,
+                 gram: Gram2 | None = None):
+        _setattr(self, "wr_twistable", wr_twistable)
+        _setattr(self, "reason", reason)
+        _setattr(self, "t_star", t_star)
+        _setattr(self, "alpha", alpha)
+        _setattr(self, "gram", gram)
 
 
-@dataclass(frozen=True)
-class FeasibilityReport:
+class FeasibilityReport(_Record):
     """Exact stable-twist feasibility set over t in (sqrt(D), oo)."""
 
-    feasible_real: bool
-    intervals: tuple[Interval, ...]
-    witness_t: Optional[Fraction] = None
-    witness_alpha: Optional[QuadElem] = None
-    # index into `_stable_constraints` (see STABLE_CONSTRAINT_NAMES) of the
-    # constraint that left the set empty; None when the set is nonempty
-    emptied_by: Optional[int] = None
+    _fields = ("feasible_real", "intervals", "witness_t", "witness_alpha",
+               "emptied_by")
+
+    def __init__(self, feasible_real: bool, intervals: tuple[Interval, ...],
+                 witness_t: Fraction | None = None,
+                 witness_alpha: QuadElem | None = None,
+                 emptied_by: int | None = None):
+        _setattr(self, "feasible_real", feasible_real)
+        _setattr(self, "intervals", intervals)
+        _setattr(self, "witness_t", witness_t)
+        _setattr(self, "witness_alpha", witness_alpha)
+        # index into `_stable_constraints` (see STABLE_CONSTRAINT_NAMES) of
+        # the constraint that left the set empty; None when it is nonempty
+        _setattr(self, "emptied_by", emptied_by)
 
     def contains_t(self, t) -> bool:
         return any(iv.contains(t) for iv in self.intervals)

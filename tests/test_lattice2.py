@@ -30,6 +30,7 @@ from quadtwist.lattice2 import (
 )
 from quadtwist.quadfield import (
     QuadElem,
+    Surd,
     discriminant,
     fundamental_unit,
     is_squarefree,
@@ -82,9 +83,16 @@ class TestGram2:
             u = UnimodularMap(*entries)
             assert (u.a, u.b, u.c, u.d) == entries
 
+    def test_unimodular_entries_are_ints(self):
+        # a bool is an int subclass; a float or Fraction entry is not exact
+        # integer data, even with determinant 1
+        for entries in ((0.5, 0, 0, 2), (True, 0, 0, True), (1, 0, 0, 1.0),
+                        (Fraction(1), 0, 0, 1), (1, False, 0, 1)):
+            with pytest.raises(TypeError):
+                UnimodularMap(*entries)
+
     def test_unimodular_repr_is_the_dataclass_repr(self):
-        for a, b, c, d in ((1, 1, 0, 1), (0, -1, 1, 0), (1, 0, 0, -1),
-                           (True, 0, 0, 1)):
+        for a, b, c, d in ((1, 1, 0, 1), (0, -1, 1, 0), (1, 0, 0, -1)):
             assert repr(UnimodularMap(a, b, c, d)) == \
                 f"UnimodularMap(a={a!r}, b={b!r}, c={c!r}, d={d!r})"
 
@@ -388,6 +396,12 @@ class TestGramOfTwist:
             gram_of_twist(I, QuadElem(2, 1, 1))
         with pytest.raises(ValueError):
             gram_of_twist(I, QuadElem(3, 2, 1))
+
+    def test_rejects_alpha_not_a_quad_elem(self):
+        I = ring_of_integers(3)
+        for alpha in (3.0, 3, Fraction(3), Surd(3)):
+            with pytest.raises(TypeError, match="QuadElem"):
+                gram_of_twist(I, alpha)
 
     def test_det_identity(self):
         # det G = N(alpha) * N(I)^2 * disc(K), exactly

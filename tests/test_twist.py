@@ -95,6 +95,13 @@ class TestIntervals:
         assert not iv.contains(1)
         assert not iv.contains(Surd(0, 1, 2))
 
+    def test_ends_must_be_surds(self):
+        for lo, hi in ((1.5, None), (1, Surd(2)), (Surd(1), 2.5),
+                       (Surd(1), Fraction(2)), (None, None)):
+            with pytest.raises(TypeError):
+                Interval(lo, hi, True, False)
+        assert Interval(Surd(1), None, True, False).hi is None
+
     def test_intersection(self):
         a = Interval(Surd(0), Surd(5))
         b = Interval(Surd(3), None)
