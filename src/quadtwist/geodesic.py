@@ -28,6 +28,7 @@ from .quadfield import (
     QuadElem,
     _discriminant,
     _is_square,
+    _ints,
     _quad,
     _Record,
     _setattr,
@@ -111,7 +112,7 @@ def sample_orbit(I: CanonicalIdeal, n: int) -> list[GeodesicSample]:
     and builds only the Fractions it returns (`_sample_at`).  n must be an
     int (not a bool), else TypeError.
     """
-    if type(n) is not int:
+    if not _ints(n):
         raise TypeError("n must be an int")
     if n < 1:
         raise ValueError("need n >= 1")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .quadfield import QuadElem, _int, _quad, _Record, _repr, _setattr, check_field
+from .quadfield import QuadElem, _int, _ints, _new, _quad, _Record, check_field
 
 
 class CanonicalBasisError(ValueError):
@@ -44,12 +44,8 @@ class CanonicalIdeal(_Record):
     _fields = ("D", "a", "b", "g")
 
     def __init__(self, D: int, a: int, b: int, g: int):
-        _setattr(self, "D", D)
-        _setattr(self, "a", a)
-        _setattr(self, "b", b)
-        _setattr(self, "g", g)
-        # `type`, not `isinstance`: a bool is an int subclass
-        if not (type(a) is int and type(b) is int and type(g) is int):
+        self.__dict__.update(D=D, a=a, b=b, g=g)
+        if not _ints(a, b, g):
             raise CanonicalBasisError("int",
                                       f"need int a, b and g, got {self!r}")
         check_field(D)
@@ -105,14 +101,10 @@ class CanonicalIdeal(_Record):
         # D was checked when the ideal was made.
         return _quad(self.D, self.a, 0, 1), _quad(self.D, *self._uve)
 
-    # str and repr print ints of any size: the error messages embed them.
+    # str prints ints of any size, as repr does: the error messages embed it.
     def __str__(self):
         return (f"({_int(self.a)}, {_int(self.b)} + {_int(self.g)}*delta) "
                 f"over D={self.D}")
-
-    def __repr__(self):
-        return (f"CanonicalIdeal(D={_repr(self.D)}, a={_repr(self.a)}, "
-                f"b={_repr(self.b)}, g={_repr(self.g)})")
 
 
 # perfbench/workloads.py and perfbench/baseline.py build ideals by this name.
@@ -122,7 +114,7 @@ validate_canonical = CanonicalIdeal
 def _canonical(D: int, a: int, b: int, g: int) -> CanonicalIdeal:
     """CanonicalIdeal(D, a, b, g) without its checks, for a triple already
     proved canonical over a checked D."""
-    I = object.__new__(CanonicalIdeal)
+    I = _new(CanonicalIdeal)
     I.__dict__.update(D=D, a=a, b=b, g=g)
     return I
 
@@ -136,8 +128,11 @@ def enumerate_canonical(D: int, max_a: int) -> list[CanonicalIdeal]:
     (g*a', g*b', g) for every g <= max_a // a'.  The norm N(b' + delta) is
     computed once per b', not once per pair, and D is checked once: the
     scan proves each triple canonical, so its ideal skips the checks.
+    max_a must be an int (not a bool), else TypeError.
     """
     check_field(D)
+    if not _ints(max_a):
+        raise TypeError("max_a must be an int")
     norms = [_z2(D, b, 1)[3] for b in range(max_a)]
     found = [(g * a, g * b, g)
              for a in range(1, max_a + 1)

@@ -19,24 +19,24 @@ from fractions import Fraction
 
 from .ideals import CanonicalIdeal
 from .quadfield import (
-    QuadElem, _int, _rat, _rat_repr, _Record, _repr, _setattr, _totally_positive)
+    QuadElem, _int, _ints, _new, _rat, _rationals, _Record, _repr, _setattr,
+    _totally_positive)
 
 
 class Gram2:
     """Positive definite symmetric 2x2 matrix [[n11, n12], [n12, n22]]/den
     with exact rational entries, built from ints n11, n12, n22 and den > 0.
 
-    Any other argument type raises TypeError.  Held in canonical form,
-    gcd(n11, n12, n22, den) = 1, so equal matrices have equal fields.  g11,
-    g12 and g22 are read-only Fraction views.  Every construction checks
-    positive definiteness, on the integers.
+    Any other argument type, a bool too, raises TypeError.  Held in
+    canonical form, gcd(n11, n12, n22, den) = 1, so equal matrices have equal
+    fields.  g11, g12 and g22 are read-only Fraction views.  Every
+    construction checks positive definiteness, on the integers.
     """
 
     __slots__ = ("_n11", "_n12", "_n22", "_den")
 
     def __init__(self, n11: int, n12: int, n22: int, den: int = 1):
-        if not (isinstance(n11, int) and isinstance(n12, int)
-                and isinstance(n22, int) and isinstance(den, int)):
+        if not _ints(n11, n12, n22, den):
             raise TypeError("n11, n12, n22 and den must be ints")
         if den <= 0:
             raise ValueError("need a denominator den > 0")
@@ -68,8 +68,7 @@ class Gram2:
         return hash((self._n11, self._n12, self._n22, self._den))
 
     def __repr__(self):
-        return (f"Gram2({_int(self._n11)}, {_int(self._n12)}, "
-                f"{_int(self._n22)}, {_int(self._den)})")
+        return f"Gram2{_repr((self._n11, self._n12, self._n22, self._den))}"
 
     def __str__(self):
         g12 = _rat(self.g12)
@@ -83,8 +82,7 @@ class UnimodularMap(_Record):
     _fields = ("a", "b", "c", "d")
 
     def __init__(self, a: int, b: int, c: int, d: int):
-        if not (type(a) is int and type(b) is int and type(c) is int
-                and type(d) is int):
+        if not _ints(a, b, c, d):
             raise TypeError("a, b, c and d must be ints")
         _setattr(self, "a", a)
         _setattr(self, "b", b)
@@ -92,10 +90,6 @@ class UnimodularMap(_Record):
         _setattr(self, "d", d)
         if abs(a * d - b * c) != 1:
             raise ValueError(f"determinant must be +-1: {self}")
-
-    def __repr__(self):
-        return (f"UnimodularMap(a={_repr(self.a)}, b={_repr(self.b)}, "
-                f"c={_repr(self.c)}, d={_repr(self.d)})")
 
 
 def _twist_ints(I: CanonicalIdeal, p: int, q: int) -> tuple[int, int, int]:
@@ -178,10 +172,12 @@ def _stable_reduced(n11: int, n12: int, n22: int) -> bool:
 
 
 def _similarity_reduced(n11: int, n12: int, n22: int) -> "SimilarityPoint":
-    # On the numerators of R: tau = (r12 + i*sqrt(det R))/r11 has 0 <= x <= 1/2
-    # and |tau|^2 = r22/r11 >= 1: it already lies in the half-domain.
-    return SimilarityPoint(Fraction(n12, n11),
-                           Fraction(n11 * n22 - n12 * n12, n11 * n11))
+    # On the numerators of R: tau = (r12 + i*sqrt(det R))/r11, det R > 0, has
+    # 0 <= x <= 1/2 and |tau|^2 = r22/r11 >= 1, so it skips the public checks.
+    tau = _new(SimilarityPoint)
+    _setattr(tau, "x", Fraction(n12, n11))
+    _setattr(tau, "y_sq", Fraction(n11 * n22 - n12 * n12, n11 * n11))
+    return tau
 
 
 def successive_minima(G: Gram2) -> tuple[Fraction, Fraction]:
@@ -259,24 +255,17 @@ def hermite_thickness_sq(G: Gram2) -> Fraction:
 
 class SimilarityPoint(_Record):
     """Point tau = x + i*sqrt(y_sq) in the upper half-plane, kept exact; x
-    and y_sq must be ints or Fractions, else TypeError."""
+    and y_sq must be ints or Fractions (not bools), else TypeError."""
 
     _fields = ("x", "y_sq")
 
     def __init__(self, x: Fraction, y_sq: Fraction):
-        if type(x) is not Fraction or type(y_sq) is not Fraction:
-            if not (isinstance(x, (int, Fraction))
-                    and isinstance(y_sq, (int, Fraction))):
-                raise TypeError("x and y_sq must be ints or Fractions")
-            x, y_sq = Fraction(x), Fraction(y_sq)
-        if y_sq.numerator <= 0:  # a Fraction's denominator is > 0
+        if not _rationals(x, y_sq):
+            raise TypeError("x and y_sq must be ints or Fractions")
+        if y_sq <= 0:
             raise ValueError("point must lie in the upper half-plane")
-        _setattr(self, "x", x)
-        _setattr(self, "y_sq", y_sq)
-
-    def __repr__(self):
-        return (f"SimilarityPoint(x={_rat_repr(self.x)}, "
-                f"y_sq={_rat_repr(self.y_sq)})")
+        _setattr(self, "x", Fraction(x))
+        _setattr(self, "y_sq", Fraction(y_sq))
 
 
 def similarity_point(G: Gram2) -> SimilarityPoint:

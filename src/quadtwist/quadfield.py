@@ -29,7 +29,8 @@ class _Record:
     """Base of the immutable result records.  `_fields` names a record's
     fields in constructor order, and its __init__ sets each once through
     `_setattr`; ==, hash and repr are those of a frozen dataclass on the same
-    fields.  Instances keep a __dict__, which pickle and copy write directly.
+    fields, repr printed by `_repr`.  Instances keep a __dict__, which pickle
+    and copy write directly.
     """
 
     _fields = ()
@@ -46,8 +47,8 @@ class _Record:
         return hash(self._values())
 
     def __repr__(self):
-        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
-        return f"{type(self).__qualname__}({args})"
+        args = (f"{f}={_repr(getattr(self, f))}" for f in self._fields)
+        return f"{type(self).__qualname__}({', '.join(args)})"
 
     def __setattr__(self, name, *value):  # also __delattr__, without value
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -65,8 +66,31 @@ def _int(n: int) -> str:
 
 
 def _repr(x) -> str:
-    """repr(x), printing an int of any size."""
-    return _int(x) if isinstance(x, int) else repr(x)
+    """repr(x), printing ints of any size, also in a Fraction or a tuple."""
+    if isinstance(x, int):
+        return _int(x)
+    if isinstance(x, Fraction):
+        return f"Fraction({_int(x.numerator)}, {_int(x.denominator)})"
+    if type(x) is tuple:
+        return f"({', '.join(map(_repr, x))}{',' if len(x) == 1 else ''})"
+    return repr(x)
+
+
+# The one type gate of exact inputs, by `type`, not `isinstance`, since a
+# bool is an int; a plain loop costs less than all() over a generator.
+
+def _ints(*xs) -> bool:
+    for x in xs:
+        if type(x) is not int:
+            return False
+    return True
+
+
+def _rationals(*xs) -> bool:
+    for x in xs:
+        if type(x) is not int and type(x) is not Fraction:
+            return False
+    return True
 
 
 def _rat(q: Rational) -> str:
@@ -89,11 +113,6 @@ def _surd_str(p: int, q: int, n: int, d: int) -> str:
     head = "" if p == 0 else f"{_ratio(p, d)} + "
     coef = "" if q == d else f"{_ratio(q, d)}*"
     return f"{head}{coef}sqrt({_int(n)})"
-
-
-def _rat_repr(q: Fraction) -> str:
-    """repr(q) of a Fraction, of any size."""
-    return f"Fraction({_int(q.numerator)}, {_int(q.denominator)})"
 
 
 def _order(op):
@@ -131,10 +150,12 @@ def is_squarefree(n: int) -> bool:
     Trial division strips each prime p with p^3 <= m, where m is what is left
     of n.  Every prime factor of the final m exceeds its cube root, so m has
     at most two prime factors, and m is squarefree iff m is 1 or not a
-    perfect square.  Exact for every n; no input is rejected.  The cost grows
-    as n^(1/3): at n = 10^18 the divisors run up to 10^6, about 5 * 10^5
-    divisions, and more above that.
+    perfect square.  Exact for every int n; any other type, a bool too,
+    raises TypeError.  The cost grows as n^(1/3): at n = 10^18 the divisors
+    run up to 10^6, about 5 * 10^5 divisions, and more above that.
     """
+    if not _ints(n):
+        raise TypeError("n must be an int")
     if n < 1:
         return False
     m = n
@@ -158,7 +179,7 @@ def check_field(D: int) -> int:
     """D itself, if it is a squarefree integer with 1 < D <= 10**18;
     otherwise InvalidFieldError.  The size bound is checked before any
     division, so a larger D is refused at once."""
-    if not isinstance(D, int) or D <= 1:
+    if not _ints(D) or D <= 1:
         raise InvalidFieldError(f"D must be an integer > 1, got {_repr(D)}")
     if D > _D_MAX:
         raise InvalidFieldError(
@@ -224,16 +245,16 @@ class QuadElem:
     x + y*sqrt(D) has x = p/d and y = q/d.  All fields are read-only.  Ring
     operations and order predicates work on the integers alone; only the
     public constructor validates D, and results of operations reuse the D of
-    their operands.  x and y must be ints or Fractions: any other type
-    raises TypeError, so no float or string reaches the exact fields.
+    their operands.  x and y must be ints or Fractions: any other type, a
+    bool too, raises TypeError, so no float or string reaches the exact
+    fields; operands of the ring operations pass the same gate.
     """
 
     __slots__ = ("_D", "_p", "_q", "_d")
 
     def __init__(self, D: int, x: Rational = 0, y: Rational = 0):
         check_field(D)
-        if not (isinstance(x, (int, Fraction))
-                and isinstance(y, (int, Fraction))):
+        if not _rationals(x, y):
             raise TypeError("x and y must be ints or Fractions")
         # x and y are in lowest terms, so this form is already canonical.
         d = math.lcm(x.denominator, y.denominator)
@@ -263,7 +284,7 @@ class QuadElem:
             if other._D != self._D:
                 raise ValueError("mixed fields")
             return other
-        if isinstance(other, (int, Fraction)):
+        if _rationals(other):
             return _quad(self._D, other.numerator, 0, other.denominator)
         return NotImplemented
 
@@ -376,8 +397,8 @@ class QuadElem:
         return self.embed(1)
 
     def __repr__(self):
-        return (f"QuadElem(D={self._D!r}, x={_rat_repr(self.x)}, "
-                f"y={_rat_repr(self.y)})")
+        return (f"QuadElem(D={_repr(self._D)}, x={_repr(self.x)}, "
+                f"y={_repr(self.y)})")
 
     def __str__(self):
         return _surd_str(self._p, self._q, self._D, self._d)
@@ -489,19 +510,19 @@ def fundamental_unit(D: int) -> tuple[QuadElem, QuadElem]:
 class Surd:
     """Exact real value (p + q*sqrt(n))/d on ints p, q, n and d, n >= 0, d > 0.
 
-    Any other argument type raises TypeError, so no float reaches the exact
-    sign tests.  Canonical form: when n is a perfect square the radical is
-    folded into p and q = n = 0.  The radicand is otherwise kept as given,
-    not reduced to its squarefree part.  Total order against rationals and
-    other Surds is decided by integer sign tests after cross-multiplying the
-    denominators, never by floating point.
+    Any other argument type, a bool too, raises TypeError, so no float
+    reaches the exact sign tests.  Canonical form: when n is a perfect square
+    the radical is folded into p and q = n = 0.  The radicand is otherwise
+    kept as given, not reduced to its squarefree part.  Total order against
+    rationals (ints and Fractions, not bools) and other Surds is decided by
+    integer sign tests after cross-multiplying the denominators, never by
+    floating point.
     """
 
     __slots__ = ("p", "q", "n", "d")
 
     def __init__(self, p: int, q: int = 0, n: int = 0, d: int = 1):
-        if not (isinstance(p, int) and isinstance(q, int)
-                and isinstance(n, int) and isinstance(d, int)):
+        if not _ints(p, q, n, d):
             raise TypeError("p, q, n and d must be ints")
         if n < 0 or d <= 0:
             raise ValueError("need a radicand n >= 0 and a denominator d > 0")
@@ -523,8 +544,7 @@ class Surd:
         return (Surd, (self.p, self.q, self.n, self.d))
 
     def __repr__(self):
-        return (f"Surd({_int(self.p)}, {_int(self.q)}, {_int(self.n)}, "
-                f"{_int(self.d)})")
+        return f"Surd{_repr((self.p, self.q, self.n, self.d))}"
 
     def __str__(self):
         return _surd_str(self.p, self.q, self.n, self.d)
@@ -533,7 +553,7 @@ class Surd:
         return _float(self.p, self.q, self.n, self.d)
 
     def _cmp(self, other):
-        if isinstance(other, (Surd, int, Fraction)):
+        if isinstance(other, Surd) or _rationals(other):
             return surd_compare(self, other)
         return NotImplemented
 
@@ -599,12 +619,13 @@ def _surd_sign(s1: tuple[int, int, int, int],
 def surd_compare(s1, s2) -> int:
     """Exact three-way comparison of Surd/rational values: -1, 0 or +1.
 
-    Raises TypeError for an operand that is not a Surd, int or Fraction."""
+    Raises TypeError for an operand that is not a Surd, int or Fraction,
+    so for a bool too."""
     ints = []
     for s in (s1, s2):
         if isinstance(s, Surd):
             ints.append((s.p, s.q, s.n, s.d))
-        elif isinstance(s, (int, Fraction)):
+        elif _rationals(s):
             ints.append((s.numerator, 0, 0, s.denominator))
         else:
             raise TypeError(f"not a Surd or rational: {type(s).__name__}")

@@ -26,19 +26,14 @@ import math
 from fractions import Fraction
 
 from .ideals import CanonicalIdeal
-from .lattice2 import (
-    Gram2,
-    gram_of_twist,
-    is_paper_reduced,
-    is_stable,
-    is_wr,
-)
+from .lattice2 import Gram2, gram_of_twist, is_paper_reduced, is_stable, is_wr
 from .quadfield import (
     CertificateError,
     QuadElem,
     Surd,
     _quad,
     _rat,
+    _rationals,
     _Record,
     _setattr,
     _sign_x_plus_y_sqrt,
@@ -54,14 +49,16 @@ from .quadfield import (
 
 class Interval(_Record):
     """[lo, hi] with surd endpoints; hi = None means +oo; flags mark closure.
-    lo must be a Surd and hi a Surd or None, else TypeError."""
+    lo must be a Surd, hi a Surd or None and both flags bools, else
+    TypeError."""
 
     _fields = ("lo", "hi", "lo_closed", "hi_closed")
 
     def __init__(self, lo: Surd, hi: Surd | None, lo_closed: bool = True,
                  hi_closed: bool = True):
-        if not (isinstance(lo, Surd) and (hi is None or isinstance(hi, Surd))):
-            raise TypeError("lo must be a Surd and hi a Surd or None")
+        if not (isinstance(lo, Surd) and (hi is None or isinstance(hi, Surd))
+                and type(lo_closed) is bool and type(hi_closed) is bool):
+            raise TypeError("need Surd ends (hi may be None) and bool flags")
         _setattr(self, "lo", lo)
         _setattr(self, "hi", hi)
         _setattr(self, "lo_closed", lo_closed)
@@ -365,8 +362,8 @@ STABLE_CONSTRAINT_NAMES = ("weak reducedness", "g11^2 >= det",
 def raw_stable_polynomials(I: CanonicalIdeal, t: Fraction) -> bool:
     """The stable-twistability criterion evaluated directly at (p, q) = (t, 1):
     t > sqrt(D) and every constraint of `_stable_constraints` holds at t.
-    t must be an int or a Fraction: any other type raises TypeError."""
-    if not isinstance(t, (int, Fraction)):
+    t must be an int or a Fraction (not a bool), else TypeError."""
+    if not _rationals(t):
         raise TypeError("t must be an int or a Fraction")
     n, d = t.numerator, t.denominator
     return _totally_positive(n, d, I.D) and all(

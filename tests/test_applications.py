@@ -355,7 +355,7 @@ class TestEuclideanBounds:
         assert euclidean_bounds(5, I, Fraction(4, 5) - Fraction(1, 10**30)) \
             .ideal_bound_lt_one is True
         assert euclidean_bounds(5, I, 0).ideal_bound_lt_one is True
-        for bad in (0.1, "1/10", Decimal("0.1"), 1.0):
+        for bad in (0.1, "1/10", Decimal("0.1"), 1.0, True):
             with pytest.raises(TypeError):
                 euclidean_bounds(5, I, bad)
             with pytest.raises(TypeError):

@@ -11,7 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadtwist.applications import min_abs_norm
+from quadtwist.applications import (
+    HEXAGONAL_THICKNESS_SQ,
+    min_abs_norm,
+    tau_min_search,
+)
 from quadtwist.geodesic import (
     F_invariant,
     _in_cone_ints,
@@ -526,6 +530,56 @@ class TestMissedCrossingClasses:
     def test_class_is_reported(self):
         _, values = wr_intersection_classes(ring_of_integers(151))
         assert Fraction(-48) in values
+
+
+@functools.lru_cache(maxsize=None)
+def _wr_twistable_canonical_bases():
+    """(I, WR verdict, F of the canonical basis) for every WR-twistable
+    primitive canonical ideal with squarefree D <= 1000 and a <= 40, and
+    the number of such ideals checked."""
+    ideals = [I for D in range(2, 1001) if is_squarefree(D)
+              for I in enumerate_canonical(D, 40) if I.g == 1]
+    verdicts = ((I, wr_twist(I)) for I in ideals)
+    return len(ideals), [(I, v, F_invariant(*I.basis_elements(), I))
+                         for I, v in verdicts if v.wr_twistable]
+
+
+def _is_hexagonal(G):
+    return 2 * abs(G.g12) == G.g11 == G.g22
+
+
+class TestCanonicalBasisRelations:
+    """ROADMAP item 24: the WR twist of a canonical basis (a, b + delta) and
+    the F invariant of that basis, exhaustively on the primitive canonical
+    ideals with squarefree D <= 1000 and a <= 40.  R1: WR-twistable implies
+    F <= 0.  R2: among those, F = 0 iff the WR Gram is hexagonal.  R3: on a
+    hexagonal one, tau_min_search returns t* and exactly the floor 4/27.
+    The proofs of R1 and R2 are open."""
+
+    def test_counts(self):
+        checked, twistable = _wr_twistable_canonical_bases()
+        assert (checked, len(twistable)) == (19154, 2529)
+        assert sum(_is_hexagonal(v.gram) for _, v, _ in twistable) == 170
+
+    def test_r1_wr_twistable_has_f_at_most_zero(self):
+        _, twistable = _wr_twistable_canonical_bases()
+        assert [I for I, _, F in twistable if F > 0] == []
+
+    def test_r2_f_zero_iff_hexagonal(self):
+        _, twistable = _wr_twistable_canonical_bases()
+        assert [I for I, v, F in twistable
+                if (F == 0) != _is_hexagonal(v.gram)] == []
+
+    def test_r3_hexagonal_orbits_reach_the_floor(self):
+        _, twistable = _wr_twistable_canonical_bases()
+        wrong = []
+        for I, v, _ in twistable:
+            if _is_hexagonal(v.gram):
+                r = tau_min_search(I)
+                if (r.argmin_t, r.exact_tau_sq_at_argmin) != \
+                        (v.t_star, HEXAGONAL_THICKNESS_SQ):
+                    wrong.append(I)
+        assert wrong == []
 
 
 class TestOrthogonalOnly:

@@ -457,7 +457,7 @@ class TestSimilarity:
         tau = similarity_point(HEXAGONAL)
         assert (tau.x, tau.y_sq) == (Fraction(1, 2), Fraction(3, 4))
 
-    @pytest.mark.parametrize("bad", [0.1, 1.0, "1/2", Decimal("0.5")])
+    @pytest.mark.parametrize("bad", [0.1, 1.0, "1/2", Decimal("0.5"), True])
     def test_point_takes_ints_and_fractions_only(self, bad):
         # a float or string coordinate would be held as its binary or parsed
         # value, not the exact one

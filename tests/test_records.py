@@ -191,6 +191,48 @@ def test_dataclass_pickle_still_loads(record):
     assert pickle.dumps(r, protocol=2) == old
 
 
+BIG = 10**5000 + 1  # beyond the 4,300 digits str(int) prints by default
+
+# one record of each class holding ints beyond that limit
+BIG_RECORDS = [
+    CanonicalIdeal(2, BIG, 0, BIG),
+    UnimodularMap(1, BIG, 0, 1),
+    SimilarityPoint(Fraction(BIG, 3), BIG),
+    Interval(Surd(BIG, 1, 2, 3), None, True, False),
+    TwistVerdict(True, None, Fraction(BIG, 7), QuadElem(2, BIG, 1)),
+    FeasibilityReport(True, (Interval(Surd(BIG), None, False, True),),
+                      Fraction(1, BIG), None, BIG),
+    GeodesicSample(1.0, QuadElem(2, BIG), SimilarityPoint(0, BIG), True,
+                   False),
+    NormSearchResult(BIG, QuadElem(2, BIG), (BIG, -BIG), False),
+    ThicknessSearchResult(0.5, Fraction(BIG, 2), Fraction(1, BIG), 0.25),
+    EuclideanBoundReport(BIG, 5, 0.5, True),
+]
+
+
+def _unlimited_repr(x):
+    """repr(x) with no limit on the digits of an int."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is None:  # a Python without the limit
+        return repr(x)
+    sys.set_int_max_str_digits(0)
+    try:
+        return repr(x)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_records_print_through_one_repr():
+    assert all("__repr__" not in vars(type(r)) for r, _, _ in RECORDS)
+
+
+@pytest.mark.parametrize("r", BIG_RECORDS, ids=lambda r: type(r).__name__)
+def test_repr_prints_ints_of_any_size(r):
+    fields = type(r)._fields
+    oracle = dataclasses.make_dataclass(type(r).__name__, fields, frozen=True)
+    assert repr(r) == _unlimited_repr(oracle(*(getattr(r, f) for f in fields)))
+
+
 def test_import_loads_no_dataclasses_inspect_or_typing():
     """Importing the package and its CLI, in an interpreter without `site`
     (which may import typing itself), loads none of these modules."""

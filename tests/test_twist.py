@@ -271,7 +271,7 @@ class TestStableTwist:
         I = CanonicalIdeal(1327, 39, 38, 1)
         assert raw_stable_polynomials(I, 63)
         assert raw_stable_polynomials(I, Fraction(63))
-        for bad in (63.0, "63", Decimal(63)):
+        for bad in (63.0, "63", Decimal(63), True):
             with pytest.raises(TypeError):
                 raw_stable_polynomials(I, bad)
 
