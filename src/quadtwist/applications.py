@@ -29,7 +29,6 @@ from .quadfield import (
     _rationals,
     _Record,
     _rho_walk,
-    _setattr,
     discriminant,
     fundamental_unit,
 )
@@ -82,10 +81,8 @@ class NormSearchResult(_Record):
 
     def __init__(self, m: int, witness: QuadElem, coeffs: tuple[int, int],
                  attains_ideal_norm: bool):
-        _setattr(self, "m", m)
-        _setattr(self, "witness", witness)
-        _setattr(self, "coeffs", coeffs)
-        _setattr(self, "attains_ideal_norm", attains_ideal_norm)  # m == N(I)
+        self.__dict__.update(m=m, witness=witness, coeffs=coeffs,
+                             attains_ideal_norm=attains_ideal_norm)  # m == N(I)
 
 
 def _norm_form(I: CanonicalIdeal) -> Form:
@@ -162,12 +159,12 @@ class ThicknessSearchResult(_Record):
 
     def __init__(self, tau_min_estimate: float, argmin_t: Fraction,
                  exact_tau_sq_at_argmin: Fraction, lower_bound: float):
-        # the sqrt of the exact thickness^2 at the best t
-        _setattr(self, "tau_min_estimate", tau_min_estimate)
-        _setattr(self, "argmin_t", argmin_t)
-        _setattr(self, "exact_tau_sq_at_argmin", exact_tau_sq_at_argmin)
-        # the hexagonal thickness, a global lower bound
-        _setattr(self, "lower_bound", lower_bound)
+        # tau_min_estimate is the sqrt of the exact thickness^2 at the best
+        # t; lower_bound is the hexagonal thickness, a global lower bound
+        self.__dict__.update(tau_min_estimate=tau_min_estimate,
+                             argmin_t=argmin_t,
+                             exact_tau_sq_at_argmin=exact_tau_sq_at_argmin,
+                             lower_bound=lower_bound)
 
 
 def _thickness_at(I: CanonicalIdeal, num: int, den: int) -> tuple[int, int]:
@@ -186,66 +183,64 @@ _REFINE = 24
 def tau_min_search(I: CanonicalIdeal) -> ThicknessSearchResult:
     """Upper bound on the minimal Hermite thickness along the twist orbit.
 
-    Thickness is evaluated exactly at the rational t = geodesic._t_at(D, L)
-    of a fixed uniform grid of 32 log ratios L inside one unit period, and
-    at the WR twist t* when there is one, then refined by 24 golden-section
-    steps in L around the best of them.  Each step keeps its surviving
-    interior point and score and probes one new point (two on the first),
-    so a call makes 57 probes, 58 with t*.  The reported value is the exact
-    thickness at the best rational sample, so the estimate is a certified
-    upper bound.  Probes are the ints (numerator, 2^k) of `_t_at`, each
-    reduced once on the pencil integers (`_thickness_at`) and scored by one
-    correctly rounded int / int; the returned t and thickness are the
-    winning probe's, built as Fractions once.
+    Thickness is evaluated exactly at the WR twist t* when there is one,
+    then at the rational t = geodesic._t_at(D, L) of a fixed uniform grid of
+    32 log ratios L inside one unit period, in increasing t, then refined by
+    24 golden-section steps in L around the best of them.  Each step keeps
+    its surviving interior point and score and probes one new point (two on
+    the first), so a call makes 57 probes, 58 with t*.  The reported value
+    is the exact thickness at the best rational sample, so the estimate is
+    a certified upper bound.  Probes are the ints (numerator, 2^k) of
+    `_t_at`, each reduced once on the pencil integers (`_thickness_at`) and
+    scored by one correctly rounded int / int; a probe replaces the best
+    only on a strictly smaller score, so t* wins a float tie and a grid tie
+    goes to the least t.  The returned t and thickness are the winning
+    probe's, built as Fractions once.
 
     When the WR twist is hexagonal (2|g12| = g11 = g22), t* scores the
-    global floor HEXAGONAL_THICKNESS_SQ and no probe scores less, so the
-    search returns argmin_t = t* and exactly that floor, the true minimum,
-    unless a grid point below t* ties it in float.  It does so on all 170
-    such twists of the primitive canonical ideals with D <= 1000, a <= 40.
+    global floor HEXAGONAL_THICKNESS_SQ.  Every probe's exact thickness is
+    at least that floor, and a correctly rounded score is monotone, so no
+    later probe scores strictly less: the search returns argmin_t = t* and
+    exactly that floor, the true minimum.
     """
     D = I.D
     _, eps_plus = fundamental_unit(D)
     log_period = _log_ratio(eps_plus)
-    candidates = [_t_at(D, log_period * k / (_GRID + 1)) for k in range(1, _GRID + 1)]
-    verdict = wr_twist(I)
-    if verdict.wr_twistable:
-        t_star = verdict.t_star
-        candidates.append((t_star.numerator, t_star.denominator))
-    # the least score, ties going to the least t
     best_val, best_t, best_tau_sq = math.inf, None, None
-    for t in candidates:
-        n, d = tau_sq = _thickness_at(I, *t)
-        f = n / d
-        if f < best_val or f == best_val and t[0] * best_t[1] < best_t[0] * t[1]:
-            best_val, best_t, best_tau_sq = f, t, tau_sq
 
-    def probe(L: float) -> float:
+    def probe(t: tuple[int, int]) -> float:
         nonlocal best_val, best_t, best_tau_sq
-        t = _t_at(D, max(L, log_period * 1e-6))
         n, d = tau_sq = _thickness_at(I, *t)
         f = n / d
         if f < best_val:
             best_val, best_t, best_tau_sq = f, t, tau_sq
         return f
 
+    verdict = wr_twist(I)
+    if verdict.wr_twistable:
+        probe((verdict.t_star.numerator, verdict.t_star.denominator))
+    # t falls as L grows, so this is the grid in increasing t
+    for k in range(_GRID, 0, -1):
+        probe(_t_at(D, log_period * k / (_GRID + 1)))
+
     # golden-section refinement in log-ratio space around the best sample
     num, den = best_t
     mid = _log_ratio(_quad(D, num, den, den))
     a, b = mid - log_period / (_GRID + 1), mid + log_period / (_GRID + 1)
+    L_min = log_period * 1e-6
     phi = (math.sqrt(5) - 1) / 2
     c, d = b - phi * (b - a), a + phi * (b - a)
-    fc, fd = probe(c), probe(d)
+    fc, fd = probe(_t_at(D, max(c, L_min))), probe(_t_at(D, max(d, L_min)))
     # each later step shrinks the bracket by phi and probes its new point
     for _ in range(_REFINE - 1):
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - phi * (b - a)
-            fc = probe(c)
+            fc = probe(_t_at(D, max(c, L_min)))
         else:
             a, c, fc = c, d, fd
             d = a + phi * (b - a)
-            fd = probe(d)
+            fd = probe(_t_at(D, max(d, L_min)))
     exact = Fraction(*best_tau_sq)
     num, den = exact.numerator, exact.denominator
     return ThicknessSearchResult(_float(0, 1, num * den, den), Fraction(*best_t),
@@ -259,14 +254,13 @@ class EuclideanBoundReport(_Record):
     def __init__(self, D: int, disc: int, field_bound: float,
                  euclidean_certified: bool, ideal_bound: float | None = None,
                  ideal_bound_lt_one: bool | None = None):
-        _setattr(self, "D", D)
-        _setattr(self, "disc", disc)
-        _setattr(self, "field_bound", field_bound)  # sqrt(disc)/4
-        _setattr(self, "euclidean_certified", euclidean_certified)  # disc < 16
-        # float companion of the per-ideal bound, math.inf beyond float
-        # range; the exact "< 1" verdict is ideal_bound_lt_one
-        _setattr(self, "ideal_bound", ideal_bound)
-        _setattr(self, "ideal_bound_lt_one", ideal_bound_lt_one)
+        # field_bound is sqrt(disc)/4, certified when disc < 16; ideal_bound
+        # is the float companion of the per-ideal bound, math.inf beyond
+        # float range, and the exact "< 1" verdict is ideal_bound_lt_one
+        self.__dict__.update(D=D, disc=disc, field_bound=field_bound,
+                             euclidean_certified=euclidean_certified,
+                             ideal_bound=ideal_bound,
+                             ideal_bound_lt_one=ideal_bound_lt_one)
 
 
 def euclidean_bounds(D: int, I: CanonicalIdeal | None = None,

@@ -31,7 +31,6 @@ from .quadfield import (
     _ints,
     _quad,
     _Record,
-    _setattr,
     check_field,
     fundamental_unit,
 )
@@ -52,11 +51,8 @@ class GeodesicSample(_Record):
 
     def __init__(self, s: float, alpha: QuadElem, tau: SimilarityPoint,
                  is_wr: bool, is_stable: bool):
-        _setattr(self, "s", s)
-        _setattr(self, "alpha", alpha)
-        _setattr(self, "tau", tau)
-        _setattr(self, "is_wr", is_wr)
-        _setattr(self, "is_stable", is_stable)
+        self.__dict__.update(s=s, alpha=alpha, tau=tau, is_wr=is_wr,
+                             is_stable=is_stable)
 
 
 def _log_ratio(alpha: QuadElem) -> float:

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .ideals import CanonicalIdeal
 from .quadfield import (
-    QuadElem, _int, _ints, _new, _rat, _rationals, _Record, _repr, _setattr,
+    QuadElem, _int, _ints, _new, _rat, _rationals, _Record, _repr,
     _totally_positive)
 
 
@@ -84,10 +84,7 @@ class UnimodularMap(_Record):
     def __init__(self, a: int, b: int, c: int, d: int):
         if not _ints(a, b, c, d):
             raise TypeError("a, b, c and d must be ints")
-        _setattr(self, "a", a)
-        _setattr(self, "b", b)
-        _setattr(self, "c", c)
-        _setattr(self, "d", d)
+        self.__dict__.update(a=a, b=b, c=c, d=d)
         if abs(a * d - b * c) != 1:
             raise ValueError(f"determinant must be +-1: {self}")
 
@@ -175,8 +172,8 @@ def _similarity_reduced(n11: int, n12: int, n22: int) -> "SimilarityPoint":
     # On the numerators of R: tau = (r12 + i*sqrt(det R))/r11, det R > 0, has
     # 0 <= x <= 1/2 and |tau|^2 = r22/r11 >= 1, so it skips the public checks.
     tau = _new(SimilarityPoint)
-    _setattr(tau, "x", Fraction(n12, n11))
-    _setattr(tau, "y_sq", Fraction(n11 * n22 - n12 * n12, n11 * n11))
+    tau.__dict__.update(x=Fraction(n12, n11),
+                        y_sq=Fraction(n11 * n22 - n12 * n12, n11 * n11))
     return tau
 
 
@@ -264,8 +261,7 @@ class SimilarityPoint(_Record):
             raise TypeError("x and y_sq must be ints or Fractions")
         if y_sq <= 0:
             raise ValueError("point must lie in the upper half-plane")
-        _setattr(self, "x", Fraction(x))
-        _setattr(self, "y_sq", Fraction(y_sq))
+        self.__dict__.update(x=Fraction(x), y_sq=Fraction(y_sq))
 
 
 def similarity_point(G: Gram2) -> SimilarityPoint:

@@ -20,17 +20,19 @@ from fractions import Fraction
 
 Rational = int | Fraction
 
-# Builders for the immutable value types, bypassing their public checks.
+# Builders for the immutable value types, bypassing their public checks;
+# `_setattr` is for `Surd`, whose slots leave no __dict__.
 _new = object.__new__
 _setattr = object.__setattr__
 
 
 class _Record:
     """Base of the immutable result records.  `_fields` names a record's
-    fields in constructor order, and its __init__ sets each once through
-    `_setattr`; ==, hash and repr are those of a frozen dataclass on the same
-    fields, repr printed by `_repr`.  Instances keep a __dict__, which pickle
-    and copy write directly.
+    fields in constructor order, and its __init__ writes them all with one
+    `self.__dict__.update(...)`, keywords in `_fields` order (pickle bytes
+    follow dict order); ==, hash and repr are those of a frozen dataclass on
+    the same fields, repr printed by `_repr`.  Pickle and copy also write the
+    __dict__ directly.
     """
 
     _fields = ()
@@ -340,6 +342,10 @@ class QuadElem:
         return self.inverse() * other
 
     def __pow__(self, k: int):
+        # raised, not NotImplemented, which would let Fraction.__rpow__
+        # answer ** Fraction(2) as ** 2
+        if not _ints(k):
+            raise TypeError("the exponent must be an int")
         if k < 0:
             return self.inverse() ** (-k)
         r = _quad(self._D, 1, 0, 1)
@@ -391,6 +397,11 @@ class QuadElem:
         return -self if self < 0 else self
 
     def embed(self, i: int) -> float:
+        """sigma_i(self) as a float, for the embedding i = 1 or 2."""
+        if not _ints(i):
+            raise TypeError("the embedding index must be an int")
+        if i != 1 and i != 2:
+            raise ValueError("the embedding index must be 1 or 2")
         return _float(self._p, self._q if i == 1 else -self._q, self._D, self._d)
 
     def __float__(self):

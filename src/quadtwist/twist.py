@@ -35,7 +35,6 @@ from .quadfield import (
     _rat,
     _rationals,
     _Record,
-    _setattr,
     _sign_x_plus_y_sqrt,
     _surd_sign,
     _totally_positive,
@@ -59,10 +58,8 @@ class Interval(_Record):
         if not (isinstance(lo, Surd) and (hi is None or isinstance(hi, Surd))
                 and type(lo_closed) is bool and type(hi_closed) is bool):
             raise TypeError("need Surd ends (hi may be None) and bool flags")
-        _setattr(self, "lo", lo)
-        _setattr(self, "hi", hi)
-        _setattr(self, "lo_closed", lo_closed)
-        _setattr(self, "hi_closed", hi_closed)
+        self.__dict__.update(lo=lo, hi=hi, lo_closed=lo_closed,
+                             hi_closed=hi_closed)
 
     def __str__(self):
         left = "[" if self.lo_closed else "("
@@ -239,11 +236,8 @@ class TwistVerdict(_Record):
     def __init__(self, wr_twistable: bool, reason: str | None = None,
                  t_star: Fraction | None = None, alpha: QuadElem | None = None,
                  gram: Gram2 | None = None):
-        _setattr(self, "wr_twistable", wr_twistable)
-        _setattr(self, "reason", reason)
-        _setattr(self, "t_star", t_star)
-        _setattr(self, "alpha", alpha)
-        _setattr(self, "gram", gram)
+        self.__dict__.update(wr_twistable=wr_twistable, reason=reason,
+                             t_star=t_star, alpha=alpha, gram=gram)
 
 
 class FeasibilityReport(_Record):
@@ -256,13 +250,12 @@ class FeasibilityReport(_Record):
                  witness_t: Fraction | None = None,
                  witness_alpha: QuadElem | None = None,
                  emptied_by: int | None = None):
-        _setattr(self, "feasible_real", feasible_real)
-        _setattr(self, "intervals", intervals)
-        _setattr(self, "witness_t", witness_t)
-        _setattr(self, "witness_alpha", witness_alpha)
-        # index into `_stable_constraints` (see STABLE_CONSTRAINT_NAMES) of
-        # the constraint that left the set empty; None when it is nonempty
-        _setattr(self, "emptied_by", emptied_by)
+        # emptied_by indexes `_stable_constraints` (see
+        # STABLE_CONSTRAINT_NAMES) at the constraint that left the set
+        # empty; None when it is nonempty
+        self.__dict__.update(feasible_real=feasible_real, intervals=intervals,
+                             witness_t=witness_t, witness_alpha=witness_alpha,
+                             emptied_by=emptied_by)
 
     def contains_t(self, t) -> bool:
         return any(iv.contains(t) for iv in self.intervals)

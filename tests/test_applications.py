@@ -248,6 +248,16 @@ class TestThicknessSearch:
         assert counts == {applications: 58 if twistable else 57,
                           lattice2: 1 if twistable else 0}
 
+    def test_t_star_wins_a_float_tie(self, monkeypatch):
+        # t* is probed first and only a strictly smaller score replaces the
+        # best, so R3 needs no tie rule: with every probe scoring the same,
+        # t* stands (a grid point, t ~ 11.79, took the tie before)
+        I = CanonicalIdeal(139, 9, 7, 1)
+        monkeypatch.setattr(applications, "_thickness_at",
+                            lambda I, num, den: (4, 27))
+        assert tau_min_search(I).argmin_t == wr_twist(I).t_star \
+            == Fraction(1946, 107)
+
     def test_probe_budget_sees_both_cases(self):
         verdicts = {wr_twist(_seeded_ideal(seed)).wr_twistable
                     for seed in [-5, -139] + list(range(10))}

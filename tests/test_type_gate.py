@@ -180,3 +180,28 @@ def test_interval_flags_must_be_bools(flag):
         with pytest.raises(TypeError):
             Interval(Surd(1), None, *flags)
     assert str(Interval(Surd(1), None, False, True)) == "(1, oo)"
+
+
+@pytest.mark.parametrize("k", [True, 2.0, -1.0, Fraction(2), "2"])
+def test_exponent_must_be_an_int(k):
+    # ** True was read as ** 1, and ** Fraction(2) must not reach
+    # Fraction.__rpow__
+    with pytest.raises(TypeError, match="exponent"):
+        QuadElem(5, 1, 1) ** k
+
+
+def test_int_exponents():
+    z = QuadElem(5, 1, 1)
+    assert z ** 0 == QuadElem(5, 1, 0)
+    assert z ** 3 == z * z * z
+    assert z ** -2 == (z * z).inverse()
+
+
+@pytest.mark.parametrize("i, error", [
+    (0, ValueError), (3, ValueError), (-1, ValueError),
+    (True, TypeError), (1.0, TypeError), ("1", TypeError),
+])
+def test_embedding_index_must_be_1_or_2(i, error):
+    # every i but 1 was read as sigma_2, and True as sigma_1
+    with pytest.raises(error, match="embedding index"):
+        QuadElem(5, 1, 1).embed(i)
