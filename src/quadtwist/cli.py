@@ -19,8 +19,9 @@ goes to stdout in one write.  The `twist` report reads its Grams' integers:
 one Lagrange reduction, one gcd per printed ratio.  `survey` decides each
 similarity class once: an ideal (a, b, g) takes the verdicts of its
 primitive part (a/g, b/g, 1), and every positive certificate is re-checked
-on the printed row's own ideal.  Its rows share one encoded tail per class
-and are written in one write, after the last row or at the first error.
+on the printed row's own ideal, the only ideal a multiple's row builds.
+Its rows share one encoded tail per class and are written in one write,
+after the last row or at the first error.
 """
 
 from __future__ import annotations
@@ -34,7 +35,12 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _esc
 
 from .geodesic import sample_orbit
-from .ideals import CanonicalBasisError, CanonicalIdeal, enumerate_canonical
+from .ideals import (
+    CanonicalBasisError,
+    CanonicalIdeal,
+    _canonical,
+    _canonical_triples,
+)
 from .lattice2 import (
     _reduce,
     _stable_reduced,
@@ -179,23 +185,27 @@ def cmd_survey(args) -> int:
     see the factor, so I has J's forced ratio t*, feasibility set and
     witness.  Each similarity class is therefore decided once, on J, for the
     duration of this call; J's stable verdict is computed only when a row of
-    its class is printed.  A multiple's positive verdicts are re-checked on
-    its own Gram, so every printed certificate is one of the row's ideal.
-    The fields after ideal_norm are the class's, so they are encoded once
-    per class; the rows are written in one write, at the end or at an error.
+    its class is printed.  The loop walks the canonical triples and builds
+    an ideal only for a class's J and for a printed multiple with a positive
+    verdict: that verdict is re-checked on the multiple's own Gram, so every
+    printed certificate is one of the row's ideal.  The fields after
+    ideal_norm are the class's, so they are encoded once per class; each
+    row is one f-string, and the rows are written in one write, at the end
+    or at an error.
     """
     if args.max_a < 1:
         return _invalid_input(f"need max_a >= 1, got {args.max_a}")
+    D = args.D
     # (a/g, b/g) -> [J, wr_twist(J), stable_twist(J) and the encoded row
-    # tail, both None until needed]; the ideals come sorted by (a, b, g), so
-    # J precedes its multiples
+    # tail, both None until needed]; the triples come sorted, so J precedes
+    # its multiples
     classes: dict = {}
     lines: list = []
     try:
-        for I in enumerate_canonical(args.D, args.max_a):
-            D, a, b, g = I.D, I.a, I.b, I.g
+        for a, b, g in _canonical_triples(D, args.max_a):
             if g == 1:
-                cls = classes[a, b] = [I, wr_twist(I), None, None]
+                J = _canonical(D, a, b, 1)
+                cls = classes[a, b] = [J, wr_twist(J), None, None]
             else:
                 cls = classes[a // g, b // g]
             J, verdict, fr, tail = cls
@@ -203,19 +213,27 @@ def cmd_survey(args) -> int:
                 continue
             if fr is None:
                 fr = stable_twist(J)
-                tail = json.dumps({
-                    "wr_bound_filter": wr_bound_filter(J),
-                    "stable_bound_filter": stable_bound_filter(J),
-                    "wr_twistable": verdict.wr_twistable,
-                    "alpha": None if verdict.alpha is None else str(verdict.alpha),
-                    "stable_feasible": fr.feasible_real,
-                    "stable_witness_t":
-                        None if fr.witness_t is None else _rat(fr.witness_t),
-                })[1:]
+                # json.dumps of the class's fields, written out: bools as
+                # true/false, None as null, strings through _esc
+                alpha, t = verdict.alpha, fr.witness_t
+                tail = (
+                    '"wr_bound_filter": '
+                    f'{"true" if wr_bound_filter(J) else "false"}, '
+                    '"stable_bound_filter": '
+                    f'{"true" if stable_bound_filter(J) else "false"}, '
+                    '"wr_twistable": '
+                    f'{"true" if verdict.wr_twistable else "false"}, '
+                    '"alpha": '
+                    f'{"null" if alpha is None else _esc(str(alpha))}, '
+                    '"stable_feasible": '
+                    f'{"true" if fr.feasible_real else "false"}, '
+                    '"stable_witness_t": '
+                    f'{"null" if t is None else _esc(_rat(t))}}}')
                 cls[2:] = fr, tail
             if args.filter == "stable" and not fr.feasible_real:
                 continue
-            if g > 1:
+            if g > 1 and (verdict.wr_twistable or fr.witness_t is not None):
+                I = _canonical(D, a, b, g)
                 if verdict.wr_twistable:
                     _certify_wr(I, verdict.t_star, verdict.alpha)
                 if fr.witness_t is not None:

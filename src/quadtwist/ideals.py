@@ -3,13 +3,11 @@
 An integral ideal of O_K, K = Q(sqrt(D)), is exactly a module
 {a*x + (b + g*delta)*y : x, y in Z} with b < a, g | a, g | b and
 a*g | N(b + g*delta); the triple (a, b, g) is unique per ideal.  It is
-g times the primitive ideal (a/g, b/g, 1), so `enumerate_canonical` scans
+g times the primitive ideal (a/g, b/g, 1), so `_canonical_triples` scans
 primitive pairs only and scales each by every g that keeps a <= max_a.
 """
 
 from __future__ import annotations
-
-from functools import cached_property
 
 from .quadfield import QuadElem, _int, _ints, _new, _quad, _Record, check_field
 
@@ -39,7 +37,12 @@ def _z2(D: int, b: int, g: int) -> tuple[int, int, int, int]:
 class CanonicalIdeal(_Record):
     """Canonical basis triple (a, b, g) of an integral ideal over D; a, b and
     g must be of type int, so not bools (`CanonicalBasisError` condition
-    "int")."""
+    "int").
+
+    Two integer tuples are written with the fields, by `_derive`: `_uve`,
+    z2 = b + g*delta = (u + v*sqrt(D))/e as (u, v, e), and `_pencil`.  They
+    are not among the fields: ==, hash and repr see (D, a, b, g) only.
+    """
 
     _fields = ("D", "a", "b", "g")
 
@@ -61,34 +64,18 @@ class CanonicalIdeal(_Record):
         if b % g != 0:
             raise CanonicalBasisError(
                 "g|b", f"g = {_int(g)} does not divide b = {_int(b)}")
-        n = _z2(D, b, g)[3]
+        z2 = _z2(D, b, g)
+        n = z2[3]
         if n % (a * g) != 0:
             raise CanonicalBasisError(
                 "divisibility",
                 f"a*g = {_int(a * g)} does not divide N(b+g*delta) = {_int(n)}")
-
-    # _uve and _pencil are not among the fields: ==, hash and repr see
-    # (D, a, b, g) only.  Each is derived on its first read and kept.
-
-    @cached_property
-    def _uve(self) -> tuple[int, int, int]:
-        """z2 = b + g*delta = (u + v*sqrt(D))/e as (u, v, e)."""
-        return _z2(self.D, self.b, self.g)[:3]
-
-    @cached_property
-    def _pencil(self) -> tuple[int, int, int, int, int, int]:
-        """(P11, P12, P22, Q11, Q12, Q22) of the integer pencil t*P + Q, e/2
-        times the twisted Gram of (a, z2) along t + sqrt(D):
-        P = (e/2)*[trace(z_i*z_j)] = (a^2*e, a*u, (u^2 + D*v^2)/e),
-        Q = (e/2)*[trace(sqrt(D)*z_i*z_j)] = (0, a*D*v, 2*D*u*v/e), and
-        det(t*P + Q) = N(I)^2 * D * (t^2 - D)."""
-        D, a = self.D, self.a
-        u, v, e = self._uve
-        return (a * a * e, a * u, (u * u + D * v * v) // e,
-                0, a * D * v, 2 * D * u * v // e)
+        _derive(self, z2)
 
     def __getstate__(self):
-        # The fields only, as a plain record pickles; unpickling re-checks.
+        # The fields only, as a plain record pickles: _uve and _pencil are
+        # not among them, and unpickling re-checks the fields and derives
+        # both again.
         return {"D": self.D, "a": self.a, "b": self.b, "g": self.g}
 
     def __setstate__(self, state):
@@ -111,23 +98,40 @@ class CanonicalIdeal(_Record):
 validate_canonical = CanonicalIdeal
 
 
+def _derive(I: CanonicalIdeal,
+            z2: tuple[int, int, int, int]) -> CanonicalIdeal:
+    """Write I's `_uve` and `_pencil` from z2 = _z2(I.D, I.b, I.g), and
+    return I.  `_pencil` is (P11, P12, P22, Q11, Q12, Q22) of the integer
+    pencil t*P + Q, e/2 times the twisted Gram of (a, z2) along t + sqrt(D):
+    P = (e/2)*[trace(z_i*z_j)] = (a^2*e, a*u, (u^2 + D*v^2)/e),
+    Q = (e/2)*[trace(sqrt(D)*z_i*z_j)] = (0, a*D*v, 2*D*u*v/e), and
+    det(t*P + Q) = N(I)^2 * D * (t^2 - D)."""
+    D, a = I.D, I.a
+    u, v, e, _ = z2
+    I.__dict__.update(_uve=(u, v, e),
+                      _pencil=(a * a * e, a * u, (u * u + D * v * v) // e,
+                               0, a * D * v, 2 * D * u * v // e))
+    return I
+
+
 def _canonical(D: int, a: int, b: int, g: int) -> CanonicalIdeal:
     """CanonicalIdeal(D, a, b, g) without its checks, for a triple already
     proved canonical over a checked D."""
     I = _new(CanonicalIdeal)
     I.__dict__.update(D=D, a=a, b=b, g=g)
-    return I
+    return _derive(I, _z2(D, b, g))
 
 
-def enumerate_canonical(D: int, max_a: int) -> list[CanonicalIdeal]:
-    """All canonical ideals over D with a <= max_a, sorted by (a, b, g).
+def _canonical_triples(D: int, max_a: int) -> list[tuple[int, int, int]]:
+    """The triples (a, b, g) of all canonical ideals over D with a <= max_a,
+    sorted.
 
     N(b + g*delta) = g^2 * N(b/g + delta), so (a, b, g) is canonical iff
     its primitive part (a/g, b/g, 1) is: the scan runs over the primitive
     pairs b' < a' <= max_a with a' | N(b' + delta) and emits
     (g*a', g*b', g) for every g <= max_a // a'.  The norm N(b' + delta) is
     computed once per b', not once per pair, and D is checked once: the
-    scan proves each triple canonical, so its ideal skips the checks.
+    scan proves each triple canonical, so `_canonical` may build its ideal.
     max_a must be an int (not a bool), else TypeError.
     """
     check_field(D)
@@ -139,7 +143,13 @@ def enumerate_canonical(D: int, max_a: int) -> list[CanonicalIdeal]:
              for b in range(a) if norms[b] % a == 0
              for g in range(1, max_a // a + 1)]
     found.sort()
-    return [_canonical(D, a, b, g) for a, b, g in found]
+    return found
+
+
+def enumerate_canonical(D: int, max_a: int) -> list[CanonicalIdeal]:
+    """All canonical ideals over D with a <= max_a, sorted by (a, b, g): the
+    ideals of `_canonical_triples(D, max_a)`, built without re-checks."""
+    return [_canonical(D, *t) for t in _canonical_triples(D, max_a)]
 
 
 def ring_of_integers(D: int) -> CanonicalIdeal:

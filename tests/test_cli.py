@@ -15,7 +15,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, strategies as st
 
-from quadtwist import cli
+from quadtwist import cli, ideals
 from quadtwist.cli import EXIT_INVALID, EXIT_OK, EXIT_VERIFY_FAILED, main
 from quadtwist import twist
 from quadtwist.ideals import CanonicalBasisError, CanonicalIdeal, enumerate_canonical
@@ -124,6 +124,35 @@ class TestSurveyCommand:
         assert set(calls) == primitive
         # the sample has multiples: fewer classes than rows
         assert 0 < len(primitive) < len(rows)
+
+    @pytest.mark.parametrize("flag", ["all", "wr", "stable"])
+    def test_builds_an_ideal_per_class_and_per_recheck(
+            self, capsys, monkeypatch, flag):
+        # the row loop's work budget: one ideal per similarity class (its
+        # primitive part, g == 1, printed or not) and one per printed
+        # multiple whose WR twist or stable witness is re-checked on its
+        # own Gram; every ideal is built through ideals._derive
+        _, full, _ = run_cli(capsys, "survey", "139", "30")
+        built = []
+        real = ideals._derive
+
+        def counted(I, z2):
+            built.append((I.a, I.b, I.g))
+            return real(I, z2)
+
+        monkeypatch.setattr(ideals, "_derive", counted)
+        _, out, _ = run_cli(capsys, "survey", "139", "30", "--filter", flag)
+        classes = {(r["a"], r["b"], 1) for r in map(json.loads,
+                                                    full.splitlines())
+                   if r["g"] == 1}
+        rechecked = {(r["a"], r["b"], r["g"])
+                     for r in map(json.loads, out.splitlines())
+                     if r["g"] > 1 and (r["wr_twistable"]
+                                        or r["stable_witness_t"] is not None)}
+        assert built == sorted(classes | rechecked)
+        if flag == "all":
+            assert (len(full.splitlines()), len(classes), len(built)) == (
+                129, 36, 45)
 
     @pytest.mark.parametrize("flag", ["all", "wr", "stable"])
     @pytest.mark.parametrize("D", [2, 5, 13, 21, 139, 141, 199])
@@ -368,7 +397,7 @@ def test_workflow_digests_are_the_pinned_ones():
     with open(WORKFLOW) as f:
         steps = re.findall(r'"\$\(quadtwist ([^|]*) \| sha256sum\)" = \\\s*'
                            r'"([0-9a-f]{64})  -"', f.read())
-    assert len(steps) == 7
+    assert len(steps) == 8
     for line, digest in steps:
         argv = []
         for word in line.split():

@@ -215,17 +215,18 @@ class TestStoredIntegers:
         assert hash(I) == hash((141, 5, 4, 1))
         assert repr(I) == "CanonicalIdeal(D=141, a=5, b=4, g=1)"
 
-    def test_derived_on_first_read(self):
+    def test_derived_with_the_fields(self):
+        stored = {"D", "a", "b", "g", "_uve", "_pencil"}
         for D in (5, 139, 141):
             for I in enumerate_canonical(D, 12) + [CanonicalIdeal(D, 1, 0, 1)]:
-                assert set(vars(I)) == {"D", "a", "b", "g"}, I
+                assert set(vars(I)) == stored, I
                 J = CanonicalIdeal(D, I.a, I.b, I.g)
+                assert set(vars(J)) == stored, J
                 before = (I == J, hash(I), repr(I), pickle.dumps(I))
-                assert I._pencil == J._pencil
-                assert set(vars(I)) == {"D", "a", "b", "g", "_uve", "_pencil"}
+                assert (I._uve, I._pencil) == (J._uve, J._pencil)
                 assert (I == J, hash(I), repr(I), pickle.dumps(I)) == before
                 K = pickle.loads(before[3])
-                assert K == I and set(vars(K)) == {"D", "a", "b", "g"}, I
+                assert K == I and set(vars(K)) == stored, I
 
     def test_pencil_survives_pickle(self):
         for I in (CanonicalIdeal(141, 5, 4, 1), CanonicalIdeal(5, 2, 0, 2),
