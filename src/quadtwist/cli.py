@@ -12,16 +12,17 @@ Each companion is computed from the integers it stands for
 
 `_parse` takes one of two paths: a strict match settles a canonical `twist`
 or `survey` argv, and argparse parses any other, so help and usage errors
-keep one source.  The indented JSON of `twist` and
-`geodesic --format json` has one emitter, `_json`, which writes what
-`json.dumps(obj, indent=2)` writes, ints of any size included; the report
-goes to stdout in one write.  The `twist` report reads its Grams' integers:
-one Lagrange reduction, one gcd per printed ratio.  `survey` decides each
-similarity class once: an ideal (a, b, g) takes the verdicts of its
-primitive part (a/g, b/g, 1), and every positive certificate is re-checked
-on the printed row's own ideal, the only ideal a multiple's row builds.
-Its rows share one encoded tail per class and are written in one write,
-after the last row or at the first error.
+keep one source.  `twist` and `geodesic --format json` write their reports
+straight to text, one f-string per block in a fixed key order: the bytes
+`json.dumps(report, indent=2)` would write, ints of any size included, with
+no report object in between.  Each report goes to stdout in one write.
+The `twist` report reads its Grams' integers: one Lagrange reduction, one
+gcd per printed ratio.  `survey` decides each similarity class once: an
+ideal (a, b, g) takes the verdicts of its primitive part (a/g, b/g, 1), and
+every positive certificate is re-checked on the printed row's own ideal,
+the only ideal a multiple's row builds.  Its rows share one encoded tail
+per class and are written in one write, after the last row or at the first
+error.
 """
 
 from __future__ import annotations
@@ -73,45 +74,40 @@ def _flt(x: float):
     return "inf" if x == math.inf else float(f"{x:.12g}")
 
 
-def _json(obj, pad: str = "\n") -> str:
-    """json.dumps(obj, indent=2, allow_nan=False) of dicts with str keys,
-    lists, str, int, float, bool and None, with ints of any size."""
-    if isinstance(obj, str):
-        return _esc(obj)
-    if obj is None or isinstance(obj, bool):
-        return "null" if obj is None else "true" if obj else "false"
-    if isinstance(obj, int):
-        return _int(obj)
-    if isinstance(obj, float):
-        if not math.isfinite(obj):
-            raise ValueError(f"float {obj!r} is not JSON compliant")
-        return float.__repr__(obj)
-    inner = pad + "  "
-    if isinstance(obj, dict):
-        ends = "{}"
-        items = [f"{_esc(k)}: {_json(v, inner)}" for k, v in obj.items()]
-    elif isinstance(obj, list):
-        ends, items = "[]", [_json(v, inner) for v in obj]
-    else:
-        raise TypeError(f"{type(obj).__name__} is not JSON serializable")
-    if not items:
-        return ends
-    return f"{ends[0]}{inner}{(',' + inner).join(items)}{pad}{ends[1]}"
+def _flt_json(x: float) -> str:
+    """The JSON of _flt(x): a number, or the string "inf"."""
+    return '"inf"' if x == math.inf else float.__repr__(float(f"{x:.12g}"))
 
 
-def _twist_report(D: int, a: int, b: int, g: int, mode: str) -> dict:
+def _gram_json(n11: int, n12: int, n22: int, den: int) -> str:
+    """The JSON object, at depth 1, of the Gram (n11, n12, n22) / den."""
+    det = n11 * n22 - n12 * n12
+    return (f'{{\n    "g11": "{_ratio(n11, den)}",'
+            f'\n    "g12": "{_ratio(n12, den)}",'
+            f'\n    "g22": "{_ratio(n22, den)}",'
+            f'\n    "det": "{_ratio(det, den * den)}",'
+            f'\n    "det_sqrt_float": {_flt_json(_float(0, 1, det, den))}'
+            '\n  }')
+
+
+def cmd_twist(args) -> int:
+    """The report of one ideal, written as json.dumps(report, indent=2)
+    writes it: one f-string per block, in the report's key order."""
+    D, a, b, g, mode = args.D, args.a, args.b, args.g, args.mode
     I = CanonicalIdeal(D, a, b, g)
-    report: dict = {
-        "command": "twist",
-        "inputs": {"D": D, "a": a, "b": b, "g": g, "mode": mode},
-        "ideal_norm": I.norm(),
-        "wr_bound_filter": wr_bound_filter(I),
-        "stable_bound_filter": stable_bound_filter(I),
-    }
+    wr_filter, stable_filter = wr_bound_filter(I), stable_bound_filter(I)
     verdict = wr_twist(I)
-    report["wr_twistable"] = verdict.wr_twistable
+    parts = [
+        f'{{\n  "command": "twist",'
+        f'\n  "inputs": {{\n    "D": {_int(D)},\n    "a": {_int(a)},'
+        f'\n    "b": {_int(b)},\n    "g": {_int(g)},'
+        f'\n    "mode": {_esc(mode)}\n  }},'
+        f'\n  "ideal_norm": {_int(I.norm())},'
+        f'\n  "wr_bound_filter": {"true" if wr_filter else "false"},'
+        f'\n  "stable_bound_filter": {"true" if stable_filter else "false"},'
+        f'\n  "wr_twistable": {"true" if verdict.wr_twistable else "false"}']
     if not verdict.wr_twistable:
-        report["wr_failure_reason"] = verdict.reason
+        parts.append(f',\n  "wr_failure_reason": {_esc(verdict.reason)}')
 
     alpha: QuadElem | None = None
     if mode in ("wr", "all") and verdict.wr_twistable:
@@ -119,19 +115,21 @@ def _twist_report(D: int, a: int, b: int, g: int, mode: str) -> dict:
         alpha, G = verdict.alpha, verdict.gram
     if mode in ("stable", "all"):
         fr = stable_twist(I)
-        report["stable_feasible"] = fr.feasible_real
-        report["stable_intervals"] = [
-            {
-                "lo": str(iv.lo),
-                "hi": "inf" if iv.hi is None else str(iv.hi),
-                "lo_float": _flt(float(iv.lo)),
-                "hi_float": None if iv.hi is None else _flt(float(iv.hi)),
-                "lo_closed": iv.lo_closed,
-                "hi_closed": iv.hi_closed,
-            }
-            for iv in fr.intervals
-        ]
-        report["witness_t"] = None if fr.witness_t is None else _rat(fr.witness_t)
+        intervals = ",\n    ".join(
+            f'{{\n      "lo": "{iv.lo}",'
+            f'\n      "hi": "{"inf" if iv.hi is None else iv.hi}",'
+            f'\n      "lo_float": {_flt_json(float(iv.lo))},'
+            '\n      "hi_float": '
+            f'{"null" if iv.hi is None else _flt_json(float(iv.hi))},'
+            f'\n      "lo_closed": {"true" if iv.lo_closed else "false"},'
+            f'\n      "hi_closed": {"true" if iv.hi_closed else "false"}'
+            '\n    }' for iv in fr.intervals)
+        intervals = f"[\n    {intervals}\n  ]" if intervals else "[]"
+        t = fr.witness_t
+        parts.append(
+            f',\n  "stable_feasible": {"true" if fr.feasible_real else "false"},'
+            f'\n  "stable_intervals": {intervals},'
+            f'\n  "witness_t": {"null" if t is None else _esc(_rat(t))}')
         if alpha is None and fr.witness_alpha is not None:
             alpha = fr.witness_alpha
             G = gram_of_twist(I, alpha)
@@ -141,38 +139,30 @@ def _twist_report(D: int, a: int, b: int, g: int, mode: str) -> dict:
         # unimodular map keeps gcd(n11, n12, n22), so R is held in lowest terms
         n11, n12, n22, den = G._n11, G._n12, G._n22, G._den
         r11, r12, r22 = _reduce(n11, n12, n22)[:3]
-
-        def entries(m11, m12, m22):
-            det = m11 * m22 - m12 * m12
-            return {"g11": _ratio(m11, den), "g12": _ratio(m12, den),
-                    "g22": _ratio(m22, den), "det": _ratio(det, den * den),
-                    "det_sqrt_float": _flt(_float(0, 1, det, den))}
-
-        gram, reduced = entries(n11, n12, n22), entries(r11, r12, r22)
-        report.update(
-            {
-                "alpha": str(alpha),
-                "gram": gram,
-                "reduced_gram": reduced,
-                "minima_sq": [reduced["g11"], reduced["g22"]],
-                "minima_float": [_flt(_float(0, 1, r11 * den, den)),
-                                 _flt(_float(0, 1, r22 * den, den))],
-                "basis_norms_sq": [gram["g11"], gram["g22"]],
-                "cosine_float": _flt(_float(0, n12, n11 * n22, n11 * n22)),
-                "is_wr": _wr_reduced(r11, r12, r22),
-                "is_stable": _stable_reduced(r11, r12, r22),
-                "is_paper_reduced": is_paper_reduced(G),
-                "is_lagrange_reduced": is_lagrange_reduced(G),
-            }
-        )
+        wr, stable = _wr_reduced(r11, r12, r22), _stable_reduced(r11, r12, r22)
+        cosine = _float(0, n12, n11 * n22, n11 * n22)
+        parts.append(
+            f',\n  "alpha": {_esc(str(alpha))},'
+            f'\n  "gram": {_gram_json(n11, n12, n22, den)},'
+            f'\n  "reduced_gram": {_gram_json(r11, r12, r22, den)},'
+            f'\n  "minima_sq": [\n    "{_ratio(r11, den)}",'
+            f'\n    "{_ratio(r22, den)}"\n  ],'
+            f'\n  "minima_float": ['
+            f'\n    {_flt_json(_float(0, 1, r11 * den, den))},'
+            f'\n    {_flt_json(_float(0, 1, r22 * den, den))}\n  ],'
+            f'\n  "basis_norms_sq": [\n    "{_ratio(n11, den)}",'
+            f'\n    "{_ratio(n22, den)}"\n  ],'
+            f'\n  "cosine_float": {_flt_json(cosine)},'
+            f'\n  "is_wr": {"true" if wr else "false"},'
+            f'\n  "is_stable": {"true" if stable else "false"},'
+            '\n  "is_paper_reduced": '
+            f'{"true" if is_paper_reduced(G) else "false"},'
+            '\n  "is_lagrange_reduced": '
+            f'{"true" if is_lagrange_reduced(G) else "false"}')
         if n11 == n22:
-            report["cosine"] = _ratio(n12, n11)
-    return report
-
-
-def cmd_twist(args) -> int:
-    report = _twist_report(args.D, args.a, args.b, args.g, args.mode)
-    sys.stdout.write(_json(report) + "\n")
+            parts.append(f',\n  "cosine": "{_ratio(n12, n11)}"')
+    parts.append("\n}\n")
+    sys.stdout.write("".join(parts))
     return EXIT_OK
 
 
@@ -259,26 +249,25 @@ def cmd_geodesic(args) -> int:
         sys.stdout.write("".join(",".join(map(str, row)) + "\n"
                                  for row in rows))
     else:
-        out = {
-            "command": "geodesic",
-            "inputs": {"D": args.D, "a": args.a, "b": args.b, "g": args.g,
-                       "samples": args.samples},
-            "rows": [
-                {
-                    "s": _flt(s.s),
-                    "t": _rat(s.alpha.x),
-                    "x": _rat(s.tau.x),
-                    "y_sq": _rat(s.tau.y_sq),
-                    "x_float": _flt(float(s.tau.x)),
-                    "y_sq_float": _flt(float(s.tau.y_sq)),
-                    "is_wr": s.is_wr,
-                    "is_stable": s.is_stable,
-                }
-                for s in samples
-            ],
-            "wr_crossings": sum(1 for s in samples if s.is_wr),
-        }
-        sys.stdout.write(_json(out) + "\n")
+        rows = ",\n    ".join(
+            f'{{\n      "s": {_flt_json(s.s)},'
+            f'\n      "t": "{_rat(s.alpha.x)}",'
+            f'\n      "x": "{_rat(s.tau.x)}",'
+            f'\n      "y_sq": "{_rat(s.tau.y_sq)}",'
+            f'\n      "x_float": {_flt_json(float(s.tau.x))},'
+            f'\n      "y_sq_float": {_flt_json(float(s.tau.y_sq))},'
+            f'\n      "is_wr": {"true" if s.is_wr else "false"},'
+            f'\n      "is_stable": {"true" if s.is_stable else "false"}'
+            '\n    }' for s in samples)
+        # sample_orbit returns args.samples >= 1 rows: the list is not empty
+        sys.stdout.write(
+            f'{{\n  "command": "geodesic",'
+            f'\n  "inputs": {{\n    "D": {_int(args.D)},'
+            f'\n    "a": {_int(args.a)},\n    "b": {_int(args.b)},'
+            f'\n    "g": {_int(args.g)},'
+            f'\n    "samples": {_int(args.samples)}\n  }},'
+            f'\n  "rows": [\n    {rows}\n  ],'
+            f'\n  "wr_crossings": {sum(1 for s in samples if s.is_wr)}\n}}\n')
     return EXIT_OK
 
 

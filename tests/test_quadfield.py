@@ -71,7 +71,9 @@ class TestSquarefree:
         assert not is_squarefree(-5)
 
     def test_against_sieve(self):
-        limit = 2000
+        # the limit's cube root is 36.8, so the wheel's divisors 6k +- 1
+        # from 5 to 35 are all tried
+        limit = 50_000
         sieve = [True] * (limit + 1)
         for p in range(2, int(limit**0.5) + 1):
             for k in range(p * p, limit + 1, p * p):
