@@ -48,10 +48,11 @@ def form_minimum(f: Form) -> tuple[int, tuple[int, int]]:
     `quadfield._rho_walk` runs into that cycle and round it, up to the first
     repeated form, keeping the least |leading coefficient| and its transform
     column.  That column, the witness, is re-checked once: |f| at it must be
-    the minimum.  The entries of f must be ints (not bools), else TypeError.
+    the minimum.  f must be a tuple of three ints (not bools), else
+    TypeError.
     """
-    if not _ints(*f):
-        raise TypeError("the form's entries must be ints")
+    if type(f) is not tuple or len(f) != 3 or not _ints(*f):
+        raise TypeError("the form must be a tuple of three ints")
     disc = f[1] * f[1] - 4 * f[0] * f[2]
     if disc <= 0 or _is_square(disc):
         raise ValueError("need an indefinite form of non-square discriminant")

@@ -36,7 +36,6 @@ from .quadfield import (
 )
 
 _LN2 = math.log(2)
-_LOG_FLOAT_MAX = 709.78  # exp overflows a float beyond log(2^1024) = 709.78...
 
 
 class GeodesicSample(_Record):
@@ -91,8 +90,10 @@ def _sample_at(I: CanonicalIdeal, alpha: QuadElem) -> GeodesicSample:
     """Exact orbit sample at a given totally positive alpha, from the reduced
     pencil integers of its twist: tau and both flags are ratios of them."""
     R = _reduce(*_twist_ints(I, alpha.p, alpha.q))[:3]
-    L = _log_ratio(alpha)
-    s = math.exp(L) if L < _LOG_FLOAT_MAX else math.inf
+    try:
+        s = math.exp(_log_ratio(alpha))
+    except OverflowError:
+        s = math.inf
     return GeodesicSample(s, alpha, _similarity_reduced(*R), _wr_reduced(*R),
                           _stable_reduced(*R))
 

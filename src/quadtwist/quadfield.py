@@ -556,8 +556,10 @@ class Surd:
         _setattr(self, "n", n)
         _setattr(self, "d", d)
 
-    def __setattr__(self, name, value):
+    def __setattr__(self, name, *value):  # also __delattr__, without value
         raise AttributeError("Surd is immutable")
+
+    __delattr__ = __setattr__
 
     def __reduce__(self):
         return (Surd, (self.p, self.q, self.n, self.d))

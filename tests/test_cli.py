@@ -4,7 +4,7 @@ import io
 import json
 import os
 import random
-import re
+import subprocess
 import sys
 import time
 from decimal import Decimal, localcontext
@@ -397,28 +397,70 @@ def test_stdout_byte_identical(capsys, argv):
     assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_SHA256[argv]
 
 
-WORKFLOW = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
-                        ".github", "workflows", "tests.yml")
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+
+# the body pip writes into the `quadtwist` console script
+CONSOLE_SCRIPT = "import sys; from quadtwist.cli import main; sys.exit(main())"
+
+# argv as a shell passes them, "--option=value" too
+CONSOLE_ARGV = [
+    "twist 1327 39 38 1 --mode all",
+    "twist 1327 39 38 1 --mode=all",
+    "twist 139 9 7 1 --mode wr",
+    "twist 5 11 3 1 --mode stable",
+    "survey 139 30",
+    "survey 139 30 --filter stable",
+    "survey 139 30 --filter=all",
+    "geodesic 5 1 0 1 --samples 4",
+    "geodesic 5 1 0 1 --samples=4",
+    "geodesic 5 1 0 1 --samples 4 --format json",
+]
 
 
-def test_workflow_digests_are_the_pinned_ones():
-    # The "CLI console script" step checks `quadtwist <argv> | sha256sum`
-    # against digests copied from STDOUT_SHA256; a copy that drifts from
-    # the pinned bytes would fail only in CI.
-    with open(WORKFLOW) as f:
-        steps = re.findall(r'"\$\(quadtwist ([^|]*) \| sha256sum\)" = \\\s*'
-                           r'"([0-9a-f]{64})  -"', f.read())
-    assert len(steps) == 10
-    for line, digest in steps:
-        argv = []
-        for word in line.split():
-            argv += word.split("=", 1) if word.startswith("--") else [word]
-        assert STDOUT_SHA256.get(tuple(argv)) == digest, line
+def console(flags, *argv):
+    """The console script in its own interpreter with `src` on the path,
+    stdout on a pipe."""
+    env = dict(os.environ)
+    src = os.path.join(ROOT, "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *flags, "-c", CONSOLE_SCRIPT,
+                           *argv], capture_output=True, env=env)
 
 
-SURVEY_REFERENCE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                                os.pardir, "perfbench", "reference",
-                                "survey.json")
+def test_the_console_script_runs_cli_main():
+    # read as text: Python 3.10 has no tomllib
+    with open(os.path.join(ROOT, "pyproject.toml")) as f:
+        assert '[project.scripts]\nquadtwist = "quadtwist.cli:main"\n' \
+            in f.read()
+
+
+@pytest.mark.parametrize("flags", [(), ("-O",)], ids=["plain", "O"])
+@pytest.mark.parametrize("line", CONSOLE_ARGV)
+def test_console_script_stdout_bytes(flags, line):
+    # stdout is the real text-mode stream, not capsys
+    pinned = []
+    for word in line.split():
+        pinned += word.split("=", 1) if word.startswith("--") else [word]
+    proc = console(flags, *line.split())
+    assert proc.returncode == EXIT_OK
+    assert hashlib.sha256(proc.stdout).hexdigest() == \
+        STDOUT_SHA256[tuple(pinned)]
+
+
+@pytest.mark.parametrize("flags", [(), ("-O",)], ids=["plain", "O"])
+def test_console_script_exit_codes(flags):
+    # a usage error: argparse exits 2
+    assert console(flags, "twist", "139", "9", "7", "1", "--mode",
+                   "bogus").returncode == 2
+    # the paper's worked examples: exit 0 and exactly five PASS lines
+    proc = console(flags, "verify-examples")
+    assert proc.returncode == EXIT_OK
+    assert sum(line.startswith(b"PASS")
+               for line in proc.stdout.splitlines()) == 5
+
+
+SURVEY_REFERENCE = os.path.join(ROOT, "perfbench", "reference", "survey.json")
 
 
 def test_survey_matches_the_benchmark_digests(capsys):

@@ -1,8 +1,9 @@
 """The demos print the same bytes as when these digests were recorded.
 
-Each demo runs in its own interpreter with `src` on the path; the sha256 of
-its stdout is compared with the digest recorded for it.  Demo 02 prints
-stable feasibility sets with their surd endpoints and witnesses.
+Each demo runs in its own interpreter with `src` on the path, plain and
+under `python -O`; the sha256 of its stdout is compared with the digest
+recorded for it.  Demo 02 prints stable feasibility sets with their surd
+endpoints and witnesses.
 """
 
 import hashlib
@@ -38,6 +39,9 @@ def test_demo_stdout_bytes(name):
     src = os.path.join(ROOT, "src")
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    out = subprocess.run([sys.executable, os.path.join(DEMOS, name)],
-                         capture_output=True, env=env, check=True).stdout
-    assert hashlib.sha256(out).hexdigest() == STDOUT_SHA256[name]
+    # with asserts stripped too: the library has none to strip
+    for flags in ((), ("-O",)):
+        out = subprocess.run(
+            [sys.executable, *flags, os.path.join(DEMOS, name)],
+            capture_output=True, env=env, check=True).stdout
+        assert hashlib.sha256(out).hexdigest() == STDOUT_SHA256[name], flags

@@ -179,6 +179,14 @@ class TestSampleOrbit:
         self._check_period(D, samples, 8)
         assert all(s.s == math.inf for s in samples)
 
+    def test_s_is_finite_up_to_the_float_maximum(self):
+        # sample 239 has L = 709.7818..., just below ln(max float) =
+        # 709.7827...: e^L = 1.796e308 is a float; from sample 240 on s is inf
+        samples = sample_orbit(ring_of_integers(10321), 245)
+        ss = [s.s for s in samples[238:241]]
+        assert 1.79e308 < ss[1] < 1.8e308
+        assert ss[0] < ss[1] < ss[2] == math.inf
+
 
 def _dec_log_ratio(alpha):
     """log(sigma_1/sigma_2) at 120 digits, as ln(1 + x) for

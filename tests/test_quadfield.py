@@ -366,6 +366,16 @@ class TestQuadElemAgainstPairs:
         for name in ("D", "x", "y", "p", "q", "d"):
             with pytest.raises(AttributeError):
                 setattr(z, name, 2)
+            with pytest.raises(AttributeError):
+                delattr(z, name)
+        s = Surd(1, 1, 2)
+        for name in ("p", "q", "n", "d", "unknown"):
+            with pytest.raises(AttributeError, match="Surd is immutable"):
+                setattr(s, name, 2)
+            # `del s.p` succeeded and left a Surd without p
+            with pytest.raises(AttributeError, match="Surd is immutable"):
+                delattr(s, name)
+        assert (s.p, s.q, s.n, s.d) == (1, 1, 2, 1)
 
     def test_equality_only_with_elements(self):
         assert QuadElem(5, 1, 0) != 1

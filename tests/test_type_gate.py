@@ -162,6 +162,15 @@ def test_a_bool_is_not_a_number(call):
         call()
 
 
+@pytest.mark.parametrize("f", [(1, 2), (1, 3, -1, 5), [1, 3, -1]],
+                         ids=["two entries", "four entries", "a list"])
+def test_a_form_is_a_tuple_of_three_ints(f):
+    # these raised IndexError, a ValueError from unpacking, and an
+    # "unhashable type" TypeError from inside the cycle walk
+    with pytest.raises(TypeError, match="tuple of three ints"):
+        form_minimum(f)
+
+
 def test_rational_operands_of_elements_and_surds():
     z, s = QuadElem(5, 1, 1), Surd(1)
     assert z + 1 == z + Fraction(1) == QuadElem(5, 2, 1)
