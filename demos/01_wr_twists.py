@@ -9,11 +9,9 @@ arithmetic — the floats are only for display.
 """
 
 import math
-from fractions import Fraction
 
 from quadtwist import (
     CanonicalIdeal,
-    gram_of_twist,
     is_wr,
     ring_of_integers,
     successive_minima,

@@ -7,8 +7,6 @@ quadratic-surd endpoints; the feasibility set is computed exactly and a
 simplest rational witness is extracted by continued fractions.
 """
 
-from fractions import Fraction
-
 from quadtwist import (
     CanonicalIdeal,
     gram_of_twist,

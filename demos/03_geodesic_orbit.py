@@ -8,8 +8,6 @@ x^2 + y^2 = 1 finitely many times; each crossing is certified by a basis with
 negative F-invariant.
 """
 
-from fractions import Fraction
-
 from quadtwist import (
     CanonicalIdeal,
     orthogonal_only,

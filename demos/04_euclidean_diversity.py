@@ -9,7 +9,6 @@ M(K) <= tau_min^2 * Delta_K / 4 per ideal.
 """
 
 import math
-from fractions import Fraction
 
 from quadtwist import (
     CanonicalIdeal,

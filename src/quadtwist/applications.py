@@ -143,6 +143,8 @@ def min_abs_norm(I: CanonicalIdeal) -> NormSearchResult:
 
 def d_min_sq_twist(I: CanonicalIdeal, alpha: QuadElem) -> Fraction:
     """Exact squared minimum product distance of A(alpha) * L_K(I)."""
+    if not isinstance(alpha, QuadElem):
+        raise TypeError("alpha must be a QuadElem")
     if alpha.D != I.D:
         raise ValueError("mixed fields")
     if not alpha.is_totally_positive():

@@ -275,13 +275,20 @@ def _first_basis(xs, ys, D: int, target: int):
 
 
 def wr_intersection_classes(I: CanonicalIdeal) -> tuple[int, set[Fraction]]:
-    """Count and F-values of the basis classes with F(B) < 0.
+    """Count and F-values of the basis classes with F(B) < 0 that a float
+    band search finds.
 
-    These classes are in bijection with the crossings of the orbit curve and
-    the WR locus.  F < 0 forces |N| of both basis members below
-    N(I)*sqrt(Delta_K/3), so the enumeration is finite.  It runs in float
-    boxes, and raises ValueError where a bound leaves float range; the
-    elements it keeps are checked on integers.
+    Every value reported is certified: `F_invariant` re-checks a basis of I
+    that has it.  The set can miss classes (ROADMAP item 4).  On O_K(151)
+    it is {-72, -88, -108, -120}, yet `F_invariant` certifies -48 on the
+    basis (-41571 + 3383*sqrt(151), -525628 + 42775*sqrt(151)); the strict
+    xfail `TestMissedCrossingClasses` in tests/test_geodesic.py holds that
+    case.
+
+    F < 0 forces |N| of both basis members below N(I)*sqrt(Delta_K/3), so
+    the enumeration is finite.  It runs in float boxes, and raises
+    ValueError where a bound leaves float range; the elements it keeps are
+    checked on integers.
 
     F of a basis (x, y) depends on (N(x), N(y)) alone, so the elements are
     grouped by norm and a pair of groups is searched for a basis only where

@@ -3,8 +3,12 @@
 A twist by a totally positive alpha = p + q*sqrt(D) is normalized to q = 1
 (the criteria are homogeneous of degree 2 in (p, q), and scaling alpha by a
 positive rational produces a similar lattice).  The single remaining variable
-is t = p/q ranging over (sqrt(D), oo); the q < 0 branch is omitted because
-swapping the two embeddings is an isometry of the twisted lattice.
+is t = p/q ranging over (sqrt(D), oo): the module decides only
+alpha = t + sqrt(D) with t > sqrt(D), half of the diagonal twists (ROADMAP
+item 26).  The other half can answer differently: alpha = 14 - sqrt(7)
+twists the canonical basis of (7; 3, 1, 1) to the Gram [[252, 126],
+[126, 252]], which is WR and reduced, yet `wr_twist` of that ideal reports
+"forced ratio not positive".
 
 Along alpha = t + sqrt(D) the twisted Gram matrix of the canonical basis is
 the integer pencil t*P + Q that `CanonicalIdeal` derives, and every formula

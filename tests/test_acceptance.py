@@ -12,8 +12,6 @@ from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations
 
-import pytest
-
 from quadtwist.applications import (
     HEXAGONAL_THICKNESS_SQ,
     d_min_sq_twist,

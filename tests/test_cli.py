@@ -2,9 +2,7 @@ import csv
 import hashlib
 import io
 import json
-import os
 import random
-import subprocess
 import sys
 import time
 from decimal import Decimal, localcontext
@@ -25,6 +23,7 @@ from quadtwist.twist import (
     wr_bound_filter,
     wr_twist,
 )
+from support import PERFBENCH, ROOT, run_python
 
 
 def run_cli(capsys, *argv):
@@ -397,8 +396,6 @@ def test_stdout_byte_identical(capsys, argv):
     assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_SHA256[argv]
 
 
-ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
-
 # the body pip writes into the `quadtwist` console script
 CONSOLE_SCRIPT = "import sys; from quadtwist.cli import main; sys.exit(main())"
 
@@ -420,17 +417,13 @@ CONSOLE_ARGV = [
 def console(flags, *argv):
     """The console script in its own interpreter with `src` on the path,
     stdout on a pipe."""
-    env = dict(os.environ)
-    src = os.path.join(ROOT, "src")
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, *flags, "-c", CONSOLE_SCRIPT,
-                           *argv], capture_output=True, env=env)
+    return run_python("-c", CONSOLE_SCRIPT, *argv, flags=flags,
+                      capture_output=True)
 
 
 def test_the_console_script_runs_cli_main():
     # read as text: Python 3.10 has no tomllib
-    with open(os.path.join(ROOT, "pyproject.toml")) as f:
+    with open(ROOT / "pyproject.toml") as f:
         assert '[project.scripts]\nquadtwist = "quadtwist.cli:main"\n' \
             in f.read()
 
@@ -460,7 +453,7 @@ def test_console_script_exit_codes(flags):
                for line in proc.stdout.splitlines()) == 5
 
 
-SURVEY_REFERENCE = os.path.join(ROOT, "perfbench", "reference", "survey.json")
+SURVEY_REFERENCE = PERFBENCH / "reference" / "survey.json"
 
 
 def test_survey_matches_the_benchmark_digests(capsys):
@@ -478,7 +471,7 @@ def test_survey_matches_the_benchmark_digests(capsys):
     assert wrong == []
 
 
-QUERY_REFERENCE = os.path.join(os.path.dirname(SURVEY_REFERENCE), "query.json")
+QUERY_REFERENCE = PERFBENCH / "reference" / "query.json"
 
 
 def test_query_matches_the_benchmark_digests(capsys):

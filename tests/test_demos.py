@@ -7,14 +7,10 @@ endpoints and witnesses.
 """
 
 import hashlib
-import os
-import subprocess
-import sys
 
 import pytest
 
-ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
-DEMOS = os.path.join(ROOT, "demos")
+from support import DEMOS, run_python
 
 STDOUT_SHA256 = {
     "01_wr_twists.py":
@@ -29,19 +25,13 @@ STDOUT_SHA256 = {
 
 
 def test_every_demo_has_a_digest():
-    assert sorted(f for f in os.listdir(DEMOS) if f.endswith(".py")) == \
-        sorted(STDOUT_SHA256)
+    assert sorted(p.name for p in DEMOS.glob("*.py")) == sorted(STDOUT_SHA256)
 
 
 @pytest.mark.parametrize("name", sorted(STDOUT_SHA256))
 def test_demo_stdout_bytes(name):
-    env = dict(os.environ)
-    src = os.path.join(ROOT, "src")
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
     # with asserts stripped too: the library has none to strip
     for flags in ((), ("-O",)):
-        out = subprocess.run(
-            [sys.executable, *flags, os.path.join(DEMOS, name)],
-            capture_output=True, env=env, check=True).stdout
+        out = run_python(DEMOS / name, flags=flags, capture_output=True,
+                         check=True).stdout
         assert hashlib.sha256(out).hexdigest() == STDOUT_SHA256[name], flags

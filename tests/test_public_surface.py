@@ -9,39 +9,20 @@ its tracer runs from its source text, with no bytecode cache written there.
 """
 
 import ast
-import pathlib
 from types import ModuleType
 
 import pytest
 
 import quadtwist
 import quadtwist.cli  # noqa: F401  binds every submodule, as the harness's import does
+from support import DEMOS, PERFBENCH, SRC, reads_outside_own_def, syntax_tree
 
-ROOT = pathlib.Path(__file__).resolve().parent.parent
-SRC = ROOT / "src" / "quadtwist"
-PERFBENCH = ROOT / "perfbench"
 USERS = ([p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
-         + sorted((ROOT / "demos").glob("*.py")) + sorted(PERFBENCH.glob("*.py")))
+         + sorted(DEMOS.glob("*.py")) + sorted(PERFBENCH.glob("*.py")))
 
 tracer = ModuleType("tracer")
 exec(compile((PERFBENCH / "tracer.py").read_text(), str(PERFBENCH / "tracer.py"),
              "exec"), vars(tracer))
-
-
-def _loaded_names(tree):
-    """The names read in tree, as an ast.Name or the attribute of an
-    ast.Attribute, except where a top-level def or class reads its own name."""
-    names = set()
-    for top in tree.body:
-        read = set()
-        for node in ast.walk(top):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                read.add(node.attr)
-        read.discard(getattr(top, "name", None))
-        names |= read
-    return names
 
 
 def test_users_found():
@@ -49,14 +30,14 @@ def test_users_found():
 
 
 def test_every_export_is_used():
-    used = set().union(*(_loaded_names(ast.parse(p.read_text())) for p in USERS))
+    used = set().union(*(reads_outside_own_def(syntax_tree(p)) for p in USERS))
     for target in tracer.TARGETS:
         used.update(target.split(".")[1:])
     assert [name for name in quadtwist.__all__ if name not in used] == []
 
 
 def test_all_is_the_public_names_init_binds():
-    tree = ast.parse((SRC / "__init__.py").read_text())
+    tree = syntax_tree(SRC / "__init__.py")
     bound = []
     for node in tree.body:
         if isinstance(node, (ast.Import, ast.ImportFrom)):
@@ -74,7 +55,7 @@ def test_checker_sees_reads_only():
                      "def f(x):\n    return f(x) + g.h(math.pi)\n"
                      "class C:\n    k = C\n    def m(self):\n        self.w = 1\n"
                      "y = C\n")
-    assert _loaded_names(tree) == {"x", "g", "h", "math", "pi", "self", "C"}
+    assert reads_outside_own_def(tree) == {"x", "g", "h", "math", "pi", "self", "C"}
 
 
 @pytest.mark.parametrize("target", tracer.TARGETS)
@@ -87,7 +68,7 @@ def _harness_reads():
     import of quadtwist binds, and each attribute chain on such a name."""
     reads = set()
     for path in sorted(PERFBENCH.glob("*.py")):
-        tree = ast.parse(path.read_text())
+        tree = syntax_tree(path)
         roots = {}
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):

@@ -1,8 +1,6 @@
 import math
-import os
 import pickle
 import random
-import subprocess
 import sys
 import textwrap
 import time
@@ -27,6 +25,7 @@ from quadtwist.quadfield import (
     is_squarefree,
     surd_compare,
 )
+from support import run_python
 
 rationals = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=20
@@ -775,12 +774,8 @@ def test_runs_without_sympy_mpmath_and_numpy():
         tau_min_search(ring_of_integers(5))
         assert main(["survey", "13", "10"]) == 0
     """)
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (os.path.abspath(src), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = run_python("-c", script, capture_output=True, text=True,
+                      timeout=120)
     assert proc.returncode == 0, proc.stderr
 
 

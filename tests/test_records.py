@@ -10,9 +10,7 @@ load, and the records still write the same bytes.
 
 import copy
 import dataclasses
-import os
 import pickle
-import subprocess
 import sys
 from fractions import Fraction
 
@@ -28,6 +26,7 @@ from quadtwist.ideals import CanonicalIdeal
 from quadtwist.lattice2 import SimilarityPoint, UnimodularMap
 from quadtwist.quadfield import QuadElem, Surd
 from quadtwist.twist import FeasibilityReport, Interval, TwistVerdict
+from support import run_python
 
 # (record, another record of its class, its field names in constructor order)
 RECORDS = [
@@ -236,10 +235,8 @@ def test_repr_prints_ints_of_any_size(r):
 def test_import_loads_no_dataclasses_inspect_or_typing():
     """Importing the package and its CLI, in an interpreter without `site`
     (which may import typing itself), loads none of these modules."""
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     script = ("import sys, quadtwist, quadtwist.cli; print(sorted("
               "{'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    proc = subprocess.run([sys.executable, "-S", "-c", script], env=env,
-                          capture_output=True, text=True, check=True)
+    proc = run_python("-c", script, flags=("-S",), capture_output=True,
+                      text=True, check=True)
     assert proc.stdout == "[]\n"

@@ -1,8 +1,5 @@
 import math
-import os
 import random
-import subprocess
-import sys
 import textwrap
 from decimal import Decimal
 from fractions import Fraction
@@ -41,6 +38,7 @@ from quadtwist.twist import (
     wr_bound_filter,
     wr_twist,
 )
+from support import run_python
 
 rat = st.fractions(min_value=Fraction(-20), max_value=Fraction(20),
                    max_denominator=10)
@@ -773,12 +771,8 @@ class TestCertificates:
                 sys.exit(0)
             sys.exit(1)
         """)
-        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (os.path.abspath(src), env.get("PYTHONPATH")) if p)
-        proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                              capture_output=True, text=True, timeout=120)
+        proc = run_python("-c", script, flags=("-O",), capture_output=True,
+                          text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
 
 

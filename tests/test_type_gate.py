@@ -8,9 +8,6 @@ of another type; `__all__` is covered name by name, so a new public name
 cannot skip it.
 """
 
-import os
-import subprocess
-import sys
 from decimal import Decimal
 from fractions import Fraction
 
@@ -26,14 +23,17 @@ from quadtwist import (
     QuadElem,
     SimilarityPoint,
     Surd,
+    d_min_sq_twist,
     enumerate_canonical,
     euclidean_bounds,
     form_minimum,
+    gram_of_twist,
     is_squarefree,
     raw_stable_polynomials,
     ring_of_integers,
     sample_orbit,
 )
+from support import TESTS, run_python
 
 I141 = CanonicalIdeal(141, 5, 4, 1)
 
@@ -140,13 +140,10 @@ def test_sweep_refuses_every_other_type():
 def test_sweep_under_python_O():
     # the gate is no assert: it holds with asserts stripped, on the same
     # package as here
-    here = os.path.dirname(os.path.abspath(__file__))
-    src = os.path.dirname(os.path.dirname(os.path.abspath(quadtwist.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, here]))
     script = ("import test_type_gate as t; "
               "print(__debug__, t.sweep_failures())")
-    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                          capture_output=True, text=True, check=True)
+    proc = run_python("-c", script, flags=("-O",), path=(TESTS,),
+                      capture_output=True, text=True, check=True)
     assert proc.stdout == "False []\n"
 
 
@@ -160,6 +157,15 @@ def test_sweep_under_python_O():
 def test_a_bool_is_not_a_number(call):
     with pytest.raises(TypeError):
         call()
+
+
+@pytest.mark.parametrize("f", [gram_of_twist, d_min_sq_twist],
+                         ids=lambda f: f.__name__)
+@pytest.mark.parametrize("alpha", [Fraction(1), 1, 1.0, "x"])
+def test_alpha_is_a_quad_elem(f, alpha):
+    # d_min_sq_twist(I, Fraction(1)) raised AttributeError on alpha.D
+    with pytest.raises(TypeError, match="alpha must be a QuadElem"):
+        f(I141, alpha)
 
 
 @pytest.mark.parametrize("f", [(1, 2), (1, 3, -1, 5), [1, 3, -1]],
