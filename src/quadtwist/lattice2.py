@@ -6,7 +6,8 @@ a rational number.  All predicates below therefore operate on exact rational
 Gram matrices, never on the irrational embedded basis vectors.  A Gram matrix
 is held as three integers over one common denominator, and the predicates
 compute on those integers.  `_reduce` is the one exact Lagrange loop, on a
-numerator triple; the orbit probes run it on `_twist_ints` with no Gram2.
+numerator triple; the orbit probes run it on `_twist_ints` with no Gram2,
+each from the previous probe's reduced basis (`_in_basis`).
 The WR and stability flags of a reduced triple have one home each,
 `_wr_reduced` and `_stable_reduced`.  The oracle `minima_brute_force` uses
 no reduction and sizes its search from the Gram itself.
@@ -19,7 +20,7 @@ from fractions import Fraction
 
 from .ideals import CanonicalIdeal
 from .quadfield import (
-    QuadElem, _int, _ints, _new, _rat, _rationals, _Record, _repr,
+    QuadElem, _frac, _int, _ints, _new, _rat, _rationals, _Record, _repr,
     _totally_positive)
 
 
@@ -111,6 +112,8 @@ def gram_of_twist(I: CanonicalIdeal, alpha: QuadElem) -> Gram2:
     2*(p*P + q*Q)/(d*e) with the integer pencil (P, Q) and the denominator e
     of z2 that the ideal derives, whose det(t*P + Q) = N(I)^2 * D * (t^2 - D).
     """
+    if not isinstance(I, CanonicalIdeal):
+        raise TypeError("I must be a CanonicalIdeal")
     if not isinstance(alpha, QuadElem):
         raise TypeError("alpha must be a QuadElem")
     if alpha.D != I.D:
@@ -119,15 +122,23 @@ def gram_of_twist(I: CanonicalIdeal, alpha: QuadElem) -> Gram2:
     return Gram2(2 * n11, 2 * n12, 2 * n22, alpha.d * I._uve[2])
 
 
-def _reduce(n11: int, n12: int, n22: int) -> tuple[int, int, int, int, int, int, int]:
+def _reduce(n11: int, n12: int, n22: int, a: int = 1, b: int = 0,
+            c: int = 0, d: int = 1) -> tuple[int, int, int, int, int, int, int]:
     """Lagrange-Gauss reduction of the positive definite [[n11, n12], [n12, n22]].
 
     Returns (r11, r12, r22) with r11 <= r22 and 0 <= 2*r12 <= r11 (the second
     vector negated when needed; ties are left as reduced) and the transform
     [[a, b], [c, d]] to the reduced basis.  Each step depends only on ratios,
     so a positive multiple of a Gram reduces to the same multiple.
+
+    A warm start passes the Gram in a basis U, `_in_basis(N, U)`, and U as
+    (a, b, c, d): the steps then compose onto U, and the transform returned
+    maps the basis of N to the reduced one.  The triple does not depend on
+    the start: in a reduced basis r11 and r22 are the successive minima of
+    the lattice, and r12 >= 0 is fixed by r12^2 = r11*r22 - det, so each
+    GL_2(Z) class holds one triple with 0 <= 2*r12 <= r11 <= r22.  Only the
+    number of steps and the transform differ.
     """
-    a, b, c, d = 1, 0, 0, 1
     while True:
         if n11 > n22:
             n11, n22 = n22, n11
@@ -148,10 +159,24 @@ def _reduce(n11: int, n12: int, n22: int) -> tuple[int, int, int, int, int, int,
     return n11, n12, n22, a, b, c, d
 
 
+def _in_basis(N: tuple[int, int, int],
+              U: tuple[int, int, int, int]) -> tuple[int, int, int]:
+    """U^t N U: the numerators N = (n11, n12, n22) of [[n11, n12], [n12, n22]]
+    in the basis U = (a, b, c, d) = [[a, b], [c, d]], whose columns are the
+    new basis vectors."""
+    n11, n12, n22 = N
+    a, b, c, d = U
+    x, y = a * n11 + c * n12, a * n12 + c * n22  # N times the first column
+    z, w = b * n11 + d * n12, b * n12 + d * n22  # N times the second column
+    return a * x + c * y, b * x + d * y, b * z + d * w
+
+
 def lagrange_reduce(G: Gram2) -> tuple[Gram2, UnimodularMap]:
     """Classical Lagrange-Gauss reduction of a planar Gram matrix: `_reduce`
     on the numerators of G, giving R = U^t G U with 0 <= 2*r12 <= r11 <= r22.
     """
+    if not isinstance(G, Gram2):
+        raise TypeError("G must be a Gram2")
     n11, n12, n22, a, b, c, d = _reduce(G._n11, G._n12, G._n22)
     return Gram2(n11, n12, n22, G._den), UnimodularMap(a, b, c, d)
 
@@ -172,13 +197,15 @@ def _similarity_reduced(n11: int, n12: int, n22: int) -> "SimilarityPoint":
     # On the numerators of R: tau = (r12 + i*sqrt(det R))/r11, det R > 0, has
     # 0 <= x <= 1/2 and |tau|^2 = r22/r11 >= 1, so it skips the public checks.
     tau = _new(SimilarityPoint)
-    tau.__dict__.update(x=Fraction(n12, n11),
-                        y_sq=Fraction(n11 * n22 - n12 * n12, n11 * n11))
+    tau.__dict__.update(x=_frac(n12, n11),
+                        y_sq=_frac(n11 * n22 - n12 * n12, n11 * n11))
     return tau
 
 
 def successive_minima(G: Gram2) -> tuple[Fraction, Fraction]:
     """Exact squared successive minima (the diagonal after reduction)."""
+    if not isinstance(G, Gram2):
+        raise TypeError("G must be a Gram2")
     r11, _, r22, *_ = _reduce(G._n11, G._n12, G._n22)
     return Fraction(r11, G._den), Fraction(r22, G._den)
 
@@ -195,6 +222,8 @@ def minima_brute_force(G: Gram2) -> tuple[Fraction, Fraction]:
     interval of m with |n11*m + n12*n| <= isqrt(B*n11 - det*n^2).  The
     second minimum is the least norm independent of a vector of the first.
     """
+    if not isinstance(G, Gram2):
+        raise TypeError("G must be a Gram2")
     n11, n12, n22 = G._n11, G._n12, G._n22
     det = n11 * n22 - n12 * n12
     bound = min(max(n11, n22), 4 * det // 3)
@@ -216,21 +245,29 @@ def is_paper_reduced(G: Gram2) -> bool:
     Equivalent to 4*g12^2 <= g11*g22; the diagonal ordering is ignored since
     swapping the basis vectors is unimodular.
     """
+    if not isinstance(G, Gram2):
+        raise TypeError("G must be a Gram2")
     return 4 * G._n12 * G._n12 <= G._n11 * G._n22
 
 
 def is_lagrange_reduced(G: Gram2) -> bool:
     """Classical reduction up to a swap: 2|g12| <= min(g11, g22)."""
+    if not isinstance(G, Gram2):
+        raise TypeError("G must be a Gram2")
     return 2 * abs(G._n12) <= min(G._n11, G._n22)
 
 
 def is_wr(G: Gram2) -> bool:
     """Well-rounded: both successive minima coincide."""
+    if not isinstance(G, Gram2):
+        raise TypeError("G must be a Gram2")
     return _wr_reduced(*_reduce(G._n11, G._n12, G._n22)[:3])
 
 
 def is_stable(G: Gram2) -> bool:
     """Stable in the plane: volume <= lambda_1^2, i.e. det G <= lambda_1^4."""
+    if not isinstance(G, Gram2):
+        raise TypeError("G must be a Gram2")
     return _stable_reduced(*_reduce(G._n11, G._n12, G._n22)[:3])
 
 
@@ -246,6 +283,8 @@ def _deep_hole(n11: int, n12: int, n22: int) -> tuple[int, int]:
 
 def hermite_thickness_sq(G: Gram2) -> Fraction:
     """tau^2 = mu^4 / det G (scale invariant; n = 2)."""
+    if not isinstance(G, Gram2):
+        raise TypeError("G must be a Gram2")
     num, det = _deep_hole(*_reduce(G._n11, G._n12, G._n22)[:3])
     return Fraction(num * num, 16 * det * det * det)
 
@@ -269,4 +308,6 @@ def similarity_point(G: Gram2) -> SimilarityPoint:
 
     Kept as a public name because the benchmark harness in perfbench/ traces
     it."""
+    if not isinstance(G, Gram2):
+        raise TypeError("G must be a Gram2")
     return _similarity_reduced(*_reduce(G._n11, G._n12, G._n22)[:3])

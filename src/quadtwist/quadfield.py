@@ -438,6 +438,17 @@ def _quad(D: int, p: int, q: int, d: int) -> QuadElem:
     return z
 
 
+def _frac(n: int, d: int) -> Fraction:
+    """Fraction(n, d) for ints n and d > 0: one gcd, then the two slots that
+    Fraction.__new__ writes, without its type dispatch."""
+    g = math.gcd(n, d)
+    if g != 1:
+        n, d = n // g, d // g
+    f = _new(Fraction)
+    f._numerator, f._denominator = n, d
+    return f
+
+
 def _discriminant(D: int) -> int:
     """discriminant(D) for a D that is already checked."""
     return D if D % 4 == 1 else 4 * D

@@ -268,6 +268,8 @@ class FeasibilityReport(_Record):
 def wr_bound_filter(I: CanonicalIdeal) -> bool:
     """Necessary condition for WR twistability: u^2 < D*v^2 for
     z2 = (u + v*sqrt(D))/e."""
+    if not isinstance(I, CanonicalIdeal):
+        raise TypeError("I must be a CanonicalIdeal")
     u, v, _ = I._uve
     return u * u < I.D * v * v
 
@@ -275,6 +277,8 @@ def wr_bound_filter(I: CanonicalIdeal) -> bool:
 def stable_bound_filter(I: CanonicalIdeal) -> bool:
     """Necessary condition for stable twistability: 3*u^2 < 4*D*v^2 for
     z2 = (u + v*sqrt(D))/e."""
+    if not isinstance(I, CanonicalIdeal):
+        raise TypeError("I must be a CanonicalIdeal")
     u, v, _ = I._uve
     return 3 * u * u < 4 * I.D * v * v
 
@@ -300,6 +304,8 @@ def wr_twist(I: CanonicalIdeal) -> TwistVerdict:
     ratio is positive, alpha = t* + sqrt(D) is totally positive, and the
     reduction inequality holds.
     """
+    if not isinstance(I, CanonicalIdeal):
+        raise TypeError("I must be a CanonicalIdeal")
     num, den, reduced_ok = _wr_ratio(I)
     if den <= 0 or num <= 0:
         return TwistVerdict(False, reason="forced ratio not positive")
@@ -360,6 +366,8 @@ def raw_stable_polynomials(I: CanonicalIdeal, t: Fraction) -> bool:
     """The stable-twistability criterion evaluated directly at (p, q) = (t, 1):
     t > sqrt(D) and every constraint of `_stable_constraints` holds at t.
     t must be an int or a Fraction (not a bool), else TypeError."""
+    if not isinstance(I, CanonicalIdeal):
+        raise TypeError("I must be a CanonicalIdeal")
     if not _rationals(t):
         raise TypeError("t must be an int or a Fraction")
     n, d = t.numerator, t.denominator
@@ -376,6 +384,8 @@ def stable_twist(I: CanonicalIdeal) -> FeasibilityReport:
     picks the smallest-denominator rational witness in the interior of the
     leftmost nondegenerate interval (absent when the set has empty interior).
     """
+    if not isinstance(I, CanonicalIdeal):
+        raise TypeError("I must be a CanonicalIdeal")
     D = I.D
     feas = [((0, 1, D, 1), None, False, True)]
     for k, (A, B, C) in enumerate(_stable_constraints(I)):

@@ -254,7 +254,7 @@ class TestThicknessSearch:
         # t* stands (a grid point, t ~ 11.79, took the tie before)
         I = CanonicalIdeal(139, 9, 7, 1)
         monkeypatch.setattr(applications, "_thickness_at",
-                            lambda I, num, den: (4, 27))
+                            lambda I, num, den, U: ((4, 27), U))
         assert tau_min_search(I).argmin_t == wr_twist(I).t_star \
             == Fraction(1946, 107)
 

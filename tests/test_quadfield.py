@@ -785,3 +785,28 @@ class TestHypothesisProfile:
         # inherits it from the default
         assert settings.default.derandomize
         assert settings(max_examples=300).derandomize
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_frac_is_the_constructor_fraction(seed):
+    # _frac writes the two slots of Fraction itself; in type, value, repr,
+    # hash and pickle it must be Fraction(n, d)
+    rng = random.Random(seed)
+    cases = [(0, 1), (-7, 1), (7, 1), (-6, 4), (10 ** 3999, 10 ** 3998)]
+    for digits in (1, 20, 4000):
+        for _ in range(10):
+            # a common factor; repr and pickle print the ints, so every
+            # value stays below the 4,300 digits str(int) prints
+            g = rng.randint(1, 10 ** rng.randint(1, min(digits, 200)))
+            n = rng.randint(-10 ** digits, 10 ** digits) * rng.choice([1, g])
+            d = rng.choice([1, rng.randint(1, 10 ** digits) * g])
+            cases.append((n, d))
+    for n, d in cases:
+        f, ref = quadfield._frac(n, d), Fraction(n, d)
+        assert type(f) is Fraction and f == ref
+        assert (f.numerator, f.denominator) == (ref.numerator, ref.denominator)
+        assert repr(f) == repr(ref) and hash(f) == hash(ref)
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            data = pickle.dumps(f, protocol=protocol)
+            assert data == pickle.dumps(ref, protocol=protocol)
+            assert pickle.loads(data) == ref

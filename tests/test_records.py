@@ -21,7 +21,7 @@ from quadtwist.applications import (
     NormSearchResult,
     ThicknessSearchResult,
 )
-from quadtwist.geodesic import GeodesicSample
+from quadtwist.geodesic import GeodesicSample, sample_orbit
 from quadtwist.ideals import CanonicalIdeal
 from quadtwist.lattice2 import SimilarityPoint, UnimodularMap
 from quadtwist.quadfield import QuadElem, Surd
@@ -188,6 +188,24 @@ def test_dataclass_pickle_still_loads(record):
     old = DATACLASS_PICKLES[type(r).__name__]
     assert pickle.loads(old) == r
     assert pickle.dumps(r, protocol=2) == old
+
+
+@pytest.mark.parametrize("D, a, b, g", [
+    (5, 1, 0, 1), (139, 9, 7, 1), (141, 5, 4, 1), (1327, 39, 38, 1)])
+def test_samples_are_built_as_the_constructors_build_them(D, a, b, g):
+    # sample_orbit writes each sample's and tau's fields directly; the
+    # records must compare, hash, print and pickle as constructor-built ones
+    for s in sample_orbit(CanonicalIdeal(D, a, b, g), 12):
+        built = GeodesicSample(s.s, s.alpha,
+                               SimilarityPoint(s.tau.x, s.tau.y_sq),
+                               s.is_wr, s.is_stable)
+        assert s == built and hash(s) == hash(built)
+        assert repr(s) == repr(built)
+        assert s.tau == built.tau and hash(s.tau) == hash(built.tau)
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            data = pickle.dumps(s, protocol=protocol)
+            assert data == pickle.dumps(built, protocol=protocol)
+            assert pickle.loads(data) == built
 
 
 BIG = 10**5000 + 1  # beyond the 4,300 digits str(int) prints by default

@@ -2,8 +2,11 @@
 
 Every exact number the library accepts is of type int, or of type int or
 Fraction: a bool, float, str or Decimal is refused with a typed error, never
-taken for a number.  The sweep below calls every public callable that takes
-exact numbers once validly, then with each of its numbers replaced by a value
+taken for a number.  Every library object a callable takes (an ideal, a
+Gram, an element, a Surd) is checked by type as well, so a number, a string,
+None or an object of another kind raises TypeError, not an AttributeError
+from inside.  The sweep below calls every public callable that takes exact
+numbers or objects once validly, then with each argument replaced by a value
 of another type; `__all__` is covered name by name, so a new public name
 cannot skip it.
 """
@@ -36,11 +39,13 @@ from quadtwist import (
 from support import TESTS, run_python
 
 I141 = CanonicalIdeal(141, 5, 4, 1)
+G141 = Gram2(2, 1, 2)
+Z141 = QuadElem(141, 12, 1)  # 12 > sqrt(141): totally positive
 
-# name -> (valid numbers, their kinds, a call on them).  Kinds: "D" a field
+# name -> (valid arguments, their kinds, a call on them).  Kinds: "D" a field
 # discriminant (InvalidFieldError), "I" an int (TypeError), "R" an int or
 # Fraction (TypeError), "C" an entry a, b or g of a canonical triple
-# (CanonicalBasisError "int").
+# (CanonicalBasisError "int"), and the object kinds of OBJECTS (TypeError).
 SWEEP = {
     "check_field": ((141,), "D", quadtwist.check_field),
     "discriminant": ((141,), "D", quadtwist.discriminant),
@@ -58,27 +63,42 @@ SWEEP = {
     "validate_canonical": ((141, 5, 4, 1), "DCCC",
                            quadtwist.validate_canonical),
     "enumerate_canonical": ((141, 6), "DI", enumerate_canonical),
-    "raw_stable_polynomials": ((Fraction(25, 2),), "R",
-                               lambda t: raw_stable_polynomials(I141, t)),
-    "sample_orbit": ((2,), "I", lambda n: sample_orbit(I141, n)),
-    "euclidean_bounds": ((141, Fraction(4, 27)), "DR",
-                         lambda D, tau: euclidean_bounds(D, I141, tau)),
+    "raw_stable_polynomials": ((I141, Fraction(25, 2)), "KR",
+                               raw_stable_polynomials),
+    "sample_orbit": ((I141, 2), "KI", sample_orbit),
+    "euclidean_bounds": ((141, I141, Fraction(4, 27)), "DkR",
+                         euclidean_bounds),
     "form_minimum": ((1, 3, -1), "III",
                      lambda A, B, C: form_minimum((A, B, C))),
 }
 
-# Public callables whose arguments are library objects only (ideals, Grams,
-# elements, Surds); `Interval` also takes its two bool flags, which
+# Public callables whose arguments are library objects only, in the format
+# of SWEEP; `Interval` also takes its two bool flags, which
 # test_interval_flags_must_be_bools checks.
 TAKES_OBJECTS = {
-    "gram_of_twist", "hermite_thickness_sq", "is_lagrange_reduced",
-    "is_paper_reduced", "is_stable", "is_wr", "lagrange_reduce",
-    "minima_brute_force", "similarity_point", "successive_minima",
-    "Interval", "simplest_rational_in", "stable_bound_filter",
-    "stable_twist", "wr_bound_filter", "wr_twist", "F_invariant",
-    "wr_intersection_classes", "d_min_sq_twist", "min_abs_norm",
-    "tau_min_search",
+    name: ((G141,), "G", getattr(quadtwist, name))
+    for name in ("hermite_thickness_sq", "is_lagrange_reduced",
+                 "is_paper_reduced", "is_stable", "is_wr", "lagrange_reduce",
+                 "minima_brute_force", "similarity_point", "successive_minima")
+} | {
+    name: ((I141,), "K", getattr(quadtwist, name))
+    for name in ("stable_bound_filter", "stable_twist", "wr_bound_filter",
+                 "wr_twist", "wr_intersection_classes", "min_abs_norm",
+                 "tau_min_search")
+} | {
+    "gram_of_twist": ((I141, Z141), "KZ", gram_of_twist),
+    "d_min_sq_twist": ((I141, Z141), "KZ", d_min_sq_twist),
+    "F_invariant": ((*I141.basis_elements(), I141), "ZZK",
+                    quadtwist.F_invariant),
+    "Interval": ((Surd(1), Surd(2)), "Ss",
+                 lambda lo, hi: Interval(lo, hi, False, True)),
+    "simplest_rational_in": ((Surd(1), Surd(2)), "Ss",
+                             quadtwist.simplest_rational_in),
 }
+
+# Object kinds: "K" an ideal, "G" a Gram, "Z" an element, "S" a Surd, each
+# with a valid instance; a lower-case kind also takes None.
+OBJECTS = {"K": I141, "G": G141, "Z": Z141, "S": Surd(1)}
 
 # Result records hold what the library computed and check nothing;
 # exceptions take a message.
@@ -90,8 +110,14 @@ RESULTS_AND_ERRORS = {
 
 
 def _substitutes(v, kind):
-    """Values of other types for the valid number v: always a bool, floats,
-    strings and Decimals, and for int-only kinds Fractions too."""
+    """Values of other types for the valid argument v: for a number always a
+    bool, floats, strings and Decimals, and for int-only kinds Fractions
+    too; for an object numbers, a string, the objects of the other kinds and
+    None where None is not valid."""
+    if kind.upper() in OBJECTS:
+        out = [True, 5, 1.0, "x", Fraction(1), Decimal(1)]
+        out += [o for k, o in OBJECTS.items() if k != kind.upper()]
+        return out + [None] * kind.isupper()
     out = [True, 1.0, "1", Decimal(1), float(v), str(v), Decimal(float(v))]
     if kind != "R":
         out += [Fraction(1), Fraction(v)]
@@ -110,7 +136,7 @@ def sweep_failures() -> list:
     """(name, position, substitute, outcome) of every substitution that was
     not refused with its kind's error; empty when the gate holds."""
     failures = []
-    for name, (valid, kinds, call) in SWEEP.items():
+    for name, (valid, kinds, call) in (SWEEP | TAKES_OBJECTS).items():
         call(*valid)
         for i, kind in enumerate(kinds):
             for bad in _substitutes(valid[i], kind):
@@ -161,7 +187,7 @@ def test_a_bool_is_not_a_number(call):
 
 @pytest.mark.parametrize("f", [gram_of_twist, d_min_sq_twist],
                          ids=lambda f: f.__name__)
-@pytest.mark.parametrize("alpha", [Fraction(1), 1, 1.0, "x"])
+@pytest.mark.parametrize("alpha", [Fraction(1), 1, 1.0, "x", Surd(3)])
 def test_alpha_is_a_quad_elem(f, alpha):
     # d_min_sq_twist(I, Fraction(1)) raised AttributeError on alpha.D
     with pytest.raises(TypeError, match="alpha must be a QuadElem"):
