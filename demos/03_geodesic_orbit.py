@@ -39,7 +39,7 @@ show_orbit(ring_of_integers(2))
 show_orbit(CanonicalIdeal(139, 9, 7, 1), n=16)
 
 # Which rings meet the WR locus only at the square similarity class?
-# Exactly those with D - 1 or D - 4 a perfect square.
+# Exactly those with Delta_K - 4 a perfect square (checked for D < 1000).
 from quadtwist import is_squarefree
 
 sq_only = [D for D in range(2, 150) if is_squarefree(D) and orthogonal_only(D)]

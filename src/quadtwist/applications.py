@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .geodesic import _log_ratio, _t_at
 from .ideals import CanonicalIdeal, _z2
-from .lattice2 import _deep_hole, _in_basis, _reduce, _twist_ints
+from .lattice2 import _IDENTITY, _deep_hole, _reduce, _twist_ints
 from .quadfield import (
     CertificateError,
     Form,
@@ -175,16 +175,13 @@ class ThicknessSearchResult(_Record):
 
 
 def _thickness_at(I: CanonicalIdeal, num: int, den: int,
-                  U: tuple[int, int, int, int] = (1, 0, 0, 1)
+                  U: tuple[int, int, int, int] = _IDENTITY
                   ) -> tuple[tuple[int, int], tuple[int, int, int, int]]:
     """hermite_thickness_sq at t + sqrt(D) for t = num/den as the integer
-    pair (n^2, 16*det^3) of the reduced pencil twist, and the reduced basis.
-
-    The reduction starts from the basis U: the previous probe's reduced
-    basis, a warm start, or by default the identity, a cold one.  The
-    reduced triple is the same from any start (`lattice2._reduce`).  The
-    ratio is scale invariant, so no gcd is taken."""
-    R = _reduce(*_in_basis(_twist_ints(I, num, den), U), *U)
+    pair (n^2, 16*det^3) of the pencil twist reduced from the basis U
+    (`lattice2._reduce`), and the reduced basis.  The ratio is scale
+    invariant, so no gcd is taken."""
+    R = _reduce(*_twist_ints(I, num, den), U)
     n, det = _deep_hole(*R[:3])
     return (n * n, 16 * det ** 3), R[3:]
 
@@ -211,12 +208,12 @@ def tau_min_search(I: CanonicalIdeal) -> ThicknessSearchResult:
     goes to the least t.  The returned t and thickness are the winning
     probe's, built as Fractions once.
 
-    Each probe's reduction starts from the previous probe's reduced basis:
-    on O_K(9999991) the search takes 5,784 Lagrange steps, against 54,822
-    from the identity basis.  The thickness is that of a cold
-    reduction: a GL_2(Z) class holds one reduced triple
-    0 <= 2*r12 <= r11 <= r22, and the thickness is read off it.  I must be
-    a CanonicalIdeal, else TypeError.
+    Each probe's reduction starts from a nearby probe's reduced basis, which
+    gives a cold reduction's thickness (`lattice2._reduce`): a grid probe
+    from the previous probe's, the first refinement probe from the best
+    probe's.  On O_K(9999991) the search takes 5,562 Lagrange steps,
+    against 54,822 from the identity basis.  I must be a CanonicalIdeal,
+    else TypeError.
 
     When the WR twist is hexagonal (2|g12| = g11 = g22), t* scores the
     global floor HEXAGONAL_THICKNESS_SQ.  Every probe's exact thickness is
@@ -229,16 +226,16 @@ def tau_min_search(I: CanonicalIdeal) -> ThicknessSearchResult:
     D = I.D
     _, eps_plus = fundamental_unit(D)
     log_period = _log_ratio(eps_plus)
-    best_val, best_t, best_tau_sq = math.inf, None, None
-    U = (1, 0, 0, 1)
+    best_val, best_t, best_tau_sq, best_U = math.inf, None, None, None
+    U = _IDENTITY
 
     def probe(t: tuple[int, int]) -> float:
-        nonlocal best_val, best_t, best_tau_sq, U
+        nonlocal best_val, best_t, best_tau_sq, best_U, U
         tau_sq, U = _thickness_at(I, *t, U)
         n, d = tau_sq
         f = n / d
         if f < best_val:
-            best_val, best_t, best_tau_sq = f, t, tau_sq
+            best_val, best_t, best_tau_sq, best_U = f, t, tau_sq, U
         return f
 
     verdict = wr_twist(I)
@@ -248,8 +245,8 @@ def tau_min_search(I: CanonicalIdeal) -> ThicknessSearchResult:
     for k in range(_GRID, 0, -1):
         probe(_t_at(D, log_period * k / (_GRID + 1)))
 
-    # golden-section refinement in log-ratio space around the best sample
-    num, den = best_t
+    # golden-section refinement around the best sample, from its basis
+    (num, den), U = best_t, best_U
     mid = _log_ratio(_quad(D, num, den, den))
     a, b = mid - log_period / (_GRID + 1), mid + log_period / (_GRID + 1)
     L_min = log_period * 1e-6

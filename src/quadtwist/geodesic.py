@@ -18,7 +18,7 @@ from fractions import Fraction
 from .ideals import CanonicalIdeal
 from .lattice2 import (
     SimilarityPoint,
-    _in_basis,
+    _IDENTITY,
     _reduce,
     _similarity_reduced,
     _stable_reduced,
@@ -89,18 +89,15 @@ def _t_at(D: int, L: float) -> tuple[int, int]:
 
 
 def _sample_at(I: CanonicalIdeal, alpha: QuadElem,
-               U: tuple[int, int, int, int] = (1, 0, 0, 1)
+               U: tuple[int, int, int, int] = _IDENTITY
                ) -> tuple[GeodesicSample, tuple[int, int, int, int]]:
     """Exact orbit sample at a given totally positive alpha, and the reduced
-    basis of its twist.
-
-    The pencil integers of the twist are reduced from the basis U: the
-    previous sample's reduced basis, a warm start, or by default the
-    identity, a cold one.  tau and both flags are ratios of the reduced
-    triple, which is the same from any start (`lattice2._reduce`).  The
-    sample is built directly, as its constructor would build it.
+    basis of its twist: the twist's pencil integers are reduced from the
+    basis U (`lattice2._reduce`), and tau and both flags are ratios of the
+    reduced triple.  The sample is built directly, as its constructor would
+    build it.
     """
-    R = _reduce(*_in_basis(_twist_ints(I, alpha._p, alpha._q), U), *U)
+    R = _reduce(*_twist_ints(I, alpha._p, alpha._q), U)
     r = R[:3]
     try:
         s = math.exp(_log_ratio(alpha))
@@ -123,12 +120,10 @@ def sample_orbit(I: CanonicalIdeal, n: int) -> list[GeodesicSample]:
     and builds only the Fractions it returns (`_sample_at`).
 
     Neighbouring samples have nearly the same reduced basis, so each
-    reduction starts from the previous sample's: the 64 samples of
-    O_K(9999991) take 2,835 Lagrange steps, against 90,419 from the
-    identity basis.  The samples are those of cold reductions: a GL_2(Z) class
-    holds one reduced triple 0 <= 2*r12 <= r11 <= r22, and tau and both
-    flags are read off it.  I must be a CanonicalIdeal and n an int (not a
-    bool), else TypeError.
+    reduction starts from the previous sample's, which gives the samples of
+    cold reductions (`lattice2._reduce`): the 64 samples of O_K(9999991)
+    take 2,835 Lagrange steps, against 90,419 from the identity basis.
+    I must be a CanonicalIdeal and n an int (not a bool), else TypeError.
     """
     if not isinstance(I, CanonicalIdeal):
         raise TypeError("I must be a CanonicalIdeal")
@@ -140,7 +135,7 @@ def sample_orbit(I: CanonicalIdeal, n: int) -> list[GeodesicSample]:
     _, eps_plus = fundamental_unit(D)
     log_period = _log_ratio(eps_plus)
     samples = []
-    U = (1, 0, 0, 1)
+    U = _IDENTITY
     for k in range(n):
         num, den = _t_at(D, log_period * (k + 0.5) / n)
         sample, U = _sample_at(I, _quad(D, num, den, den), U)
@@ -377,7 +372,14 @@ def wr_intersection_classes(I: CanonicalIdeal) -> tuple[int, set[Fraction]]:
 def orthogonal_only(D: int) -> bool:
     """Whether the orbit of O_K meets the WR locus only at the square class.
 
-    Exact integer test: D - 1 or D - 4 is a perfect square.
+    Exact integer test: Delta_K - 4 is a perfect square.  A crossing class
+    is a principal form (A, B, C) = (N(x), B, N(y)) of discriminant Delta_K
+    with F = A^2 + A*C + C^2 - Delta_K/4 <= 0; the square class has A = -C.
+    Proven: if Delta_K - 4 = b^2, (1, b, -1) meets the square class, and
+    for D = m^2 + 1 with even m >= 4, (-m/2, m - 1, 1) (F = 3/4 - m/2)
+    meets another.  Checked by exact enumeration, for every squarefree
+    D < 1000 (tests/test_geodesic.py), not proven: no other class is met
+    exactly when Delta_K - 4 is a square.
     """
     check_field(D)
-    return _is_square(D - 1) or _is_square(D - 4)
+    return _is_square(_discriminant(D) - 4)

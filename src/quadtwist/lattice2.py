@@ -6,8 +6,8 @@ a rational number.  All predicates below therefore operate on exact rational
 Gram matrices, never on the irrational embedded basis vectors.  A Gram matrix
 is held as three integers over one common denominator, and the predicates
 compute on those integers.  `_reduce` is the one exact Lagrange loop, on a
-numerator triple; the orbit probes run it on `_twist_ints` with no Gram2,
-each from the previous probe's reduced basis (`_in_basis`).
+numerator triple and from a start basis; the orbit probes run it on
+`_twist_ints` with no Gram2, each from the previous probe's reduced basis.
 The WR and stability flags of a reduced triple have one home each,
 `_wr_reduced` and `_stable_reduced`.  The oracle `minima_brute_force` uses
 no reduction and sizes its search from the Gram itself.
@@ -122,8 +122,11 @@ def gram_of_twist(I: CanonicalIdeal, alpha: QuadElem) -> Gram2:
     return Gram2(2 * n11, 2 * n12, 2 * n22, alpha.d * I._uve[2])
 
 
-def _reduce(n11: int, n12: int, n22: int, a: int = 1, b: int = 0,
-            c: int = 0, d: int = 1) -> tuple[int, int, int, int, int, int, int]:
+_IDENTITY = (1, 0, 0, 1)  # the start basis of a cold reduction
+
+
+def _reduce(n11: int, n12: int, n22: int, U: tuple[int, ...] = _IDENTITY
+            ) -> tuple[int, int, int, int, int, int, int]:
     """Lagrange-Gauss reduction of the positive definite [[n11, n12], [n12, n22]].
 
     Returns (r11, r12, r22) with r11 <= r22 and 0 <= 2*r12 <= r11 (the second
@@ -131,14 +134,19 @@ def _reduce(n11: int, n12: int, n22: int, a: int = 1, b: int = 0,
     [[a, b], [c, d]] to the reduced basis.  Each step depends only on ratios,
     so a positive multiple of a Gram reduces to the same multiple.
 
-    A warm start passes the Gram in a basis U, `_in_basis(N, U)`, and U as
-    (a, b, c, d): the steps then compose onto U, and the transform returned
-    maps the basis of N to the reduced one.  The triple does not depend on
-    the start: in a reduced basis r11 and r22 are the successive minima of
-    the lattice, and r12 >= 0 is fixed by r12^2 = r11*r22 - det, so each
-    GL_2(Z) class holds one triple with 0 <= 2*r12 <= r11 <= r22.  Only the
-    number of steps and the transform differ.
+    It starts from the basis U = [[a, b], [c, d]] of column vectors: N is
+    written in U, U^t N U, and the steps compose onto U, so the transform
+    returned maps the basis of N to the reduced one.  A warm start, from a
+    nearby basis, gives a cold one's triple in fewer steps: in a reduced
+    basis r11 and r22 are the successive minima of the lattice, and
+    r12 >= 0 is fixed by r12^2 = r11*r22 - det, so each GL_2(Z) class
+    holds one triple with 0 <= 2*r12 <= r11 <= r22.
     """
+    a, b, c, d = U
+    if U is not _IDENTITY:
+        x, y = a * n11 + c * n12, a * n12 + c * n22  # N times U's columns
+        z, w = b * n11 + d * n12, b * n12 + d * n22
+        n11, n12, n22 = a * x + c * y, b * x + d * y, b * z + d * w
     while True:
         if n11 > n22:
             n11, n22 = n22, n11
@@ -157,18 +165,6 @@ def _reduce(n11: int, n12: int, n22: int, a: int = 1, b: int = 0,
         n12 = -n12
         b, d = -b, -d
     return n11, n12, n22, a, b, c, d
-
-
-def _in_basis(N: tuple[int, int, int],
-              U: tuple[int, int, int, int]) -> tuple[int, int, int]:
-    """U^t N U: the numerators N = (n11, n12, n22) of [[n11, n12], [n12, n22]]
-    in the basis U = (a, b, c, d) = [[a, b], [c, d]], whose columns are the
-    new basis vectors."""
-    n11, n12, n22 = N
-    a, b, c, d = U
-    x, y = a * n11 + c * n12, a * n12 + c * n22  # N times the first column
-    z, w = b * n11 + d * n12, b * n12 + d * n22  # N times the second column
-    return a * x + c * y, b * x + d * y, b * z + d * w
 
 
 def lagrange_reduce(G: Gram2) -> tuple[Gram2, UnimodularMap]:

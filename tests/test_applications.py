@@ -1,6 +1,5 @@
 import math
 import random
-import re
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -9,7 +8,6 @@ import pytest
 from quadtwist import applications, lattice2
 from quadtwist.applications import (
     HEXAGONAL_THICKNESS_SQ,
-    ThicknessSearchResult,
     d_min_sq_twist,
     euclidean_bounds,
     form_minimum,
@@ -113,15 +111,6 @@ class TestMinAbsNorm:
                     if (m, n) != (0, 0)
                 )
                 assert r.m == brute, I
-
-    def test_repr_of_small_values_is_the_dataclass_repr(self):
-        for I in (ring_of_integers(5), CanonicalIdeal(139, 9, 7, 1),
-                  CanonicalIdeal(10, 3, 1, 1)):
-            r = min_abs_norm(I)
-            assert repr(r) == (
-                f"NormSearchResult(m={r.m!r}, witness={r.witness!r}, "
-                f"coeffs={r.coeffs!r}, "
-                f"attains_ideal_norm={r.attains_ideal_norm!r})")
 
     def test_repr_beyond_the_int_str_limit(self):
         # str(int) refuses more than 4,300 digits: here m = 10**4400
@@ -292,30 +281,6 @@ class TestThicknessSearch:
         assert hermite_thickness_sq(gram_of_twist(I, alpha)) == \
             r.exact_tau_sq_at_argmin
         assert r.exact_tau_sq_at_argmin >= HEXAGONAL_THICKNESS_SQ
-
-    def test_repr_of_small_values_is_the_dataclass_repr(self):
-        r = tau_min_search(ring_of_integers(5))
-        assert repr(r) == (
-            f"ThicknessSearchResult(tau_min_estimate={r.tau_min_estimate!r}, "
-            f"argmin_t={r.argmin_t!r}, "
-            f"exact_tau_sq_at_argmin={r.exact_tau_sq_at_argmin!r}, "
-            f"lower_bound={r.lower_bound!r})")
-
-    def test_repr_beyond_the_int_str_limit(self):
-        # The argmin_t of O_K(388545018) has a 14,412-bit denominator;
-        # str(int) refuses more than 4,300 digits (sys.get_int_max_str_digits).
-        t = Fraction(3 ** 9001 + 1, 1 << 14411)
-        r = ThicknessSearchResult(0.5, t, t * t, 0.25)
-        text = repr(r)
-        found = re.findall(r"Fraction\((\d+), (\d+)\)", text)
-        assert [Fraction(int(Decimal(n)), int(Decimal(d))) for n, d in found] \
-            == [t, t * t]
-        (n1, d1), (n2, d2) = found
-        assert text == (
-            f"ThicknessSearchResult(tau_min_estimate=0.5, "
-            f"argmin_t=Fraction({n1}, {d1}), "
-            f"exact_tau_sq_at_argmin=Fraction({n2}, {d2}), lower_bound=0.25)")
-
 
 class TestEuclideanBounds:
     def test_field_verdicts(self):

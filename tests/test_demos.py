@@ -18,7 +18,7 @@ STDOUT_SHA256 = {
     "02_stable_twists.py":
         "37aad6a77f24e6deb9118fce34569468f9efdff674b0aa7158483ab2ad0b216d",
     "03_geodesic_orbit.py":
-        "f5b1f2ce0c2e7d44f5dfdbce80cfbbc07a3edb8d11606b22f13afbc3121191ad",
+        "9f7a75a514ea6e0fc6ff5c4accf7fb4b5f0d248559f886a634700714e9448e48",
     "04_euclidean_diversity.py":
         "1e71cc9d4c98cb3fa712f2ff64049b0df703ae651867eef7728883f939e3051a",
 }

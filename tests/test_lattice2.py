@@ -16,7 +16,6 @@ from quadtwist.lattice2 import (
     Gram2,
     SimilarityPoint,
     UnimodularMap,
-    _in_basis,
     _reduce,
     _twist_ints,
     gram_of_twist,
@@ -91,11 +90,6 @@ class TestGram2:
                         (Fraction(1), 0, 0, 1), (1, False, 0, 1)):
             with pytest.raises(TypeError):
                 UnimodularMap(*entries)
-
-    def test_unimodular_repr_is_the_dataclass_repr(self):
-        for a, b, c, d in ((1, 1, 0, 1), (0, -1, 1, 0), (1, 0, 0, -1)):
-            assert repr(UnimodularMap(a, b, c, d)) == \
-                f"UnimodularMap(a={a!r}, b={b!r}, c={c!r}, d={d!r})"
 
     def test_unimodular_repr_beyond_the_int_str_limit(self):
         # str(int) refuses more than 4,300 digits
@@ -191,7 +185,7 @@ wide_grams = random_grams(
 
 class TestReductionAgainstFractionLoop:
     @given(G=st.one_of(grams, wide_grams))
-    @settings(max_examples=300, derandomize=True)
+    @settings(max_examples=300)
     def test_same_result_and_transform(self, G):
         assert lagrange_reduce(G) == _reference_lagrange(G)
 
@@ -302,7 +296,7 @@ unimodular = st.builds(
 
 class TestGram2AgainstFractionOracle:
     @given(t=triples, u=unimodular)
-    @settings(max_examples=300, derandomize=True)
+    @settings(max_examples=300)
     def test_predicates_and_invariants(self, t, u):
         G = _rational_gram(*t)
         assert (G.g11, G.g12, G.g22) == t
@@ -321,7 +315,7 @@ class TestGram2AgainstFractionOracle:
             _ref_minima_brute_force((R.g11, R.g12, R.g22), 4)
 
     @given(t=triples, u=unimodular, k=st.integers(2, 50))
-    @settings(max_examples=200, derandomize=True)
+    @settings(max_examples=200)
     def test_equality_hash_pickle_repr(self, t, u, k):
         den = math.lcm(*(x.denominator for x in t))
         n11, n12, n22 = (int(x * den) for x in t)
@@ -343,7 +337,7 @@ class TestGram2AgainstFractionOracle:
     @given(g11=entry, g12=entry, det=st.fractions(min_value=Fraction(-30),
                                                   max_value=Fraction(0),
                                                   max_denominator=12))
-    @settings(max_examples=200, derandomize=True)
+    @settings(max_examples=200)
     def test_rejects_not_positive_definite(self, g11, g12, det):
         # g11 <= 0, or g11 > 0 with det <= 0
         if g11 > 0:
@@ -589,28 +583,32 @@ class TestWarmStart:
                 a, b, c, d = U
                 k = rng.randint(-9, 9)
                 U = rng.choice([(b, a, d, c), (a, b + k * a, c, d + k * c)])
-            *R, p, q, r, s = _reduce(*_in_basis((n11, n12, n22), U), *U)
+            *R, p, q, r, s = _reduce(n11, n12, n22, U)
             assert R == list(_reduce(n11, n12, n22)[:3])
             # the transform is from the basis of N: R = W^t N W
             assert _transform(Gram2(n11, n12, n22),
                               UnimodularMap(p, q, r, s)) == Gram2(*R)
 
     def test_work_budget(self, monkeypatch):
-        # Lagrange steps of the numerators the probes pass to _reduce on
-        # O_K(9999991): 90,419 and 54,822 when each probe starts from the
-        # identity basis, 2,835 and 5,784 from the previous probe's basis
+        # Lagrange steps of the numerators N the probes pass to _reduce on
+        # O_K(9999991), written in the start basis U: 90,419 and 54,822 when
+        # each probe starts from the identity basis, 2,835 from the previous
+        # sample's basis, and 5,562 from the previous probe's basis with the
+        # refinement started from the best probe's (5,784 from the last
+        # grid probe's)
         steps = []
         for module in (geodesic, applications):
-            def counted(*args, true_reduce=module._reduce):
-                steps.append(_lagrange_steps(*args[:3]))
-                return true_reduce(*args)
+            def counted(n11, n12, n22, U, true_reduce=module._reduce):
+                N_in_U = _ref_transform((n11, n12, n22), UnimodularMap(*U))
+                steps.append(_lagrange_steps(*N_in_U))
+                return true_reduce(n11, n12, n22, U)
             monkeypatch.setattr(module, "_reduce", counted)
         I = ring_of_integers(9999991)
         sample_orbit(I, 64)
         assert len(steps) == 64 and sum(steps) <= 2900
         steps.clear()
         tau_min_search(I)
-        assert len(steps) == 57 and sum(steps) <= 5900
+        assert len(steps) == 57 and sum(steps) <= 5650
 
     @pytest.mark.parametrize("seed", range(12))
     def test_warm_probes_score_as_cold_ones(self, seed, monkeypatch):

@@ -679,7 +679,7 @@ def solver_cases(draw):
 
 class TestSolverAgainstReference:
     @given(case=solver_cases())
-    @settings(max_examples=400, derandomize=True, deadline=None)
+    @settings(max_examples=400, deadline=None)
     def test_equal_to_reference(self, case):
         A, B, C, domain = case
         got = _clip_intervals([domain], A, B, C)
