@@ -16,12 +16,14 @@ here is read off (P, Q).  WR twistability: the equal-norm equation
 g11(t) = g22(t) is linear and forces the ratio t*, and the reduction
 inequality at t* decides.  Stable twistability: reducedness and the
 stability conditions are quadratic in t, and the domain is clipped by each
-one in turn at its finite roots.  The clipping keeps every end as the
-integers (p, q, n, d) of (p + q*sqrt(n))/d and compares ends by one exact
-sign test, `quadfield._surd_sign`; only a nonempty feasibility set is built,
-once, as a sorted tuple of `Interval`s with `Surd` endpoints.  The witness
-is the simplest rational inside, found by continued fractions on the
-integers of the endpoints.
+one in turn at its finite roots.  Two integer tests answer "empty" first:
+the cone test `stable_bound_filter`, true exactly when weak reducedness
+leaves something, and a height test on a/g.  The clipping keeps every end
+as the integers (p, q, n, d) of (p + q*sqrt(n))/d and compares ends by one
+exact sign test, `quadfield._surd_sign`; only a nonempty feasibility set is
+built, once, as a sorted tuple of `Interval`s with `Surd` endpoints.  The
+witness is the simplest rational inside, found by continued fractions on
+the integers of the endpoints.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from .quadfield import (
     CertificateError,
     QuadElem,
     Surd,
+    _discriminant,
     _quad,
     _rat,
     _rationals,
@@ -276,7 +279,8 @@ def wr_bound_filter(I: CanonicalIdeal) -> bool:
 
 def stable_bound_filter(I: CanonicalIdeal) -> bool:
     """Necessary condition for stable twistability: 3*u^2 < 4*D*v^2 for
-    z2 = (u + v*sqrt(D))/e."""
+    z2 = (u + v*sqrt(D))/e, which holds exactly when weak reducedness
+    leaves some t > sqrt(D) (proof in `stable_twist`)."""
     if not isinstance(I, CanonicalIdeal):
         raise TypeError("I must be a CanonicalIdeal")
     u, v, _ = I._uve
@@ -383,10 +387,29 @@ def stable_twist(I: CanonicalIdeal) -> FeasibilityReport:
     in the order of `_stable_constraints` (the pieces stay sorted), and
     picks the smallest-denominator rational witness in the interior of the
     leftmost nondegenerate interval (absent when the set has empty interior).
+
+    Two integer tests return the clipping's empty report before it.  With
+    z2 = (u + v*sqrt(D))/e (v = -g) and s = sqrt(D)/t in (0, 1),
+    tau = (g12 + i*sqrt(det))/g11 = (c - R*s) + i*R*sqrt(1 - s^2) runs over
+    the left quarter of the circle with centre c = u/(a*e) >= 0 and radius
+    R = sqrt(Delta)/(2a/g), below height R; the constraints read
+    y^2 >= 3x^2, y <= 1 and |tau|^2 >= y.
+    - Cone, index 0: y^2 - 3x^2 = R^2 - 3c^2 + 6cRs - 4R^2*s^2 peaks at
+      s = 3c/(4R), below 1 when the peak R^2 - 3c^2/4 is positive, so the
+      arc meets the cone iff 3u^2 < 4Dv^2 (`stable_bound_filter`) or, at a
+      tangent point, 3u^2 = 4Dv^2; that makes 3D a square, so D = 3 and
+      b = 2g, and a*g | N(z2) = g^2 contradicts b < a.
+    - Height, index 2: constraints 0 and 2 give y <= |tau|^2 <= 4y^2/3, so
+      y >= 3/4 needs R > 3/4: 9(a/g)^2 < 4*Delta.  If R <= 3/4 and the cone
+      test passes, y < 1 everywhere: index 1 cuts nothing, index 2 empties.
     """
     if not isinstance(I, CanonicalIdeal):
         raise TypeError("I must be a CanonicalIdeal")
     D = I.D
+    if not stable_bound_filter(I):
+        return FeasibilityReport(False, (), emptied_by=0)
+    if 9 * I.a * I.a >= 4 * _discriminant(D) * I.g * I.g:
+        return FeasibilityReport(False, (), emptied_by=2)
     feas = [((0, 1, D, 1), None, False, True)]
     for k, (A, B, C) in enumerate(_stable_constraints(I)):
         feas = _clip(feas, A, B, C)

@@ -101,24 +101,6 @@ def test_gram2_holds_what_the_earlier_constructor_held(seed):
     assert built > 250
 
 
-@pytest.mark.parametrize("bad", [0.1, 1.0, Fraction(1, 10), Fraction(2), "1",
-                                 True])
-def test_non_int_arguments_raise_type_error(bad):
-    # A float such as 0.1 would be held as 3602879701896397/2^55, not 1/10,
-    # and Surd(True) would print as Surd(True, 0, 0, 1).
-    with pytest.raises(TypeError):
-        Surd(bad)
-    for position in range(4):
-        surd_args = [1, 1, 2, 1]
-        surd_args[position] = bad
-        with pytest.raises(TypeError):
-            Surd(*surd_args)
-        gram_args = [2, 1, 2, 1]
-        gram_args[position] = bad
-        with pytest.raises(TypeError):
-            Gram2(*gram_args)
-
-
 @pytest.mark.parametrize("bad", [0.1, 1.0, "1", Decimal("0.5"), True])
 def test_quad_elem_coordinates_must_be_rational(bad):
     # QuadElem(5, 0.1) held 3602879701896397/2^55, and QuadElem(5, "1/2")

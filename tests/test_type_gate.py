@@ -173,8 +173,9 @@ def test_sweep_under_python_O():
     assert proc.stdout == "False []\n"
 
 
-# Surd, Gram2, QuadElem, SimilarityPoint, raw_stable_polynomials and
-# euclidean_bounds take True among the bad values of their own type tests.
+# QuadElem, raw_stable_polynomials and euclidean_bounds take True among the
+# bad values of their own type tests, and the sweep substitutes it for every
+# number argument.
 @pytest.mark.parametrize("call", [
     lambda: is_squarefree(True),
     lambda: enumerate_canonical(5, True),
