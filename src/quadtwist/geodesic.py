@@ -309,6 +309,10 @@ def wr_intersection_classes(I: CanonicalIdeal) -> tuple[int, set[Fraction]]:
     xfail `TestMissedCrossingClasses` in tests/test_geodesic.py holds that
     case.
 
+    F <= 0 is where a basis class meets the WR locus: the geodesic of the
+    basis's twists crosses |tau| = 1 at |Re tau| <= 1/2, by the rule that
+    `twist.wr_twist` states.  This search reports the F < 0 values it finds.
+
     F < 0 forces |N| of both basis members below N(I)*sqrt(Delta_K/3), so
     the enumeration is finite.  It runs in float boxes, and raises
     ValueError where a bound leaves float range; the elements it keeps are

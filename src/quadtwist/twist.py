@@ -307,6 +307,18 @@ def wr_twist(I: CanonicalIdeal) -> TwistVerdict:
     The equal-norm equation forces t* = p/q; the twist exists iff the forced
     ratio is positive, alpha = t* + sqrt(D) is totally positive, and the
     reduction inequality holds.
+
+    Where that happens: let (A, B, C) = (N(z1), tr(z1*conj(z2)), N(z2))/N(I)
+    be the norm form of the basis (z1, z2) = (a, b + g*delta).  Twisted by
+    any totally positive alpha, the basis has its similarity point tau on
+    the geodesic A|tau|^2 - B*Re(tau) + C = 0, whose ends are
+    u1 = sigma_1(z2/z1) and u2 = sigma_2(z2/z1).  It meets |tau| = 1 at
+    x* = (A + C)/B, where |x*| <= 1/2 iff 4(A + C)^2 <= B^2 = Delta + 4AC,
+    i.e. iff F = N(I)^2 * (A^2 + AC + C^2 - Delta/4) <= 0 (`F_invariant`);
+    equality is the hexagonal point.  Along t > sqrt(D), alpha = t + sqrt(D)
+    moves tau from u1 (t -> sqrt(D)) to the apex B/(2A) (t -> oo), so the
+    verdict is true exactly when F <= 0 and, in addition, x* lies strictly
+    between u1 and B/(2A).
     """
     if not isinstance(I, CanonicalIdeal):
         raise TypeError("I must be a CanonicalIdeal")

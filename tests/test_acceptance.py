@@ -40,6 +40,7 @@ from quadtwist.twist import (
     wr_bound_filter,
     wr_twist,
 )
+import oracles
 
 
 def criterion(n, label):
@@ -161,18 +162,6 @@ def test_criterion_6():
                 assert stable_bound_filter(I), I
 
 
-def _gauss_reduce(a, b, c):
-    """Reduced (a, b, c) of the positive definite a*x^2 + 2*b*x*y + c*y^2:
-    repeatedly shorten the second vector by the nearest multiple of the
-    first, and swap while the second is the shorter."""
-    while True:
-        r = (2 * b + a) // (2 * a)  # nearest integer to b/a
-        b, c = b - r * a, c - 2 * r * b + r * r * a
-        if a <= c:
-            return a, b, c
-        a, c = c, a
-
-
 _NEAR = [(i, j) for i in range(-2, 3) for j in range(-2, 3) if (i, j) != (0, 0)]
 _AROUND = [(i, j) for i in range(-3, 4) for j in range(-3, 4)]
 
@@ -180,8 +169,8 @@ _AROUND = [(i, j) for i in range(-3, 4) for j in range(-3, 4)]
 def _deep_hole_oracle(G):
     """Independent covering-radius oracle, exact on integers.
 
-    The entries of G go over one denominator and the test's own Gauss loop
-    reduces them.  A Voronoi vertex is the circumcentre of a lattice triangle
+    The entries of G go over one denominator and `oracles.lagrange` reduces
+    them.  A Voronoi vertex is the circumcentre of a lattice triangle
     whose circumcircle has no lattice point inside, and the squared covering
     radius is the largest such circumradius^2.  By translation the triangle
     is (0, p, q); for the reduced basis the search takes every p, q in the
@@ -190,7 +179,8 @@ def _deep_hole_oracle(G):
     """
     g11, g12, g22 = G.g11, G.g12, G.g22
     den = math.lcm(g11.denominator, g12.denominator, g22.denominator)
-    a, b, c = _gauss_reduce(*(int(x * den) for x in (g11, g12, g22)))
+    (a, b, c), _, _ = oracles.lagrange(*(int(x * den)
+                                         for x in (g11, g12, g22)))
 
     def dot(u, v):
         return a * u[0] * v[0] + b * (u[0] * v[1] + u[1] * v[0]) + c * u[1] * v[1]
@@ -215,17 +205,6 @@ def _deep_hole_oracle(G):
     return best
 
 
-def _congruence(G, U):
-    """U^t G U: the Gram of the same lattice in the basis (b1, b2) * U, on
-    the integers of G over the common denominator of its entries."""
-    a, b, c, d = U.a, U.b, U.c, U.d
-    den = math.lcm(G.g11.denominator, G.g12.denominator, G.g22.denominator)
-    g11, g12, g22 = (int(g * den) for g in (G.g11, G.g12, G.g22))
-    return Gram2(g11 * a * a + 2 * g12 * a * c + g22 * c * c,
-                 g11 * a * b + g12 * (a * d + b * c) + g22 * c * d,
-                 g11 * b * b + 2 * g12 * b * d + g22 * d * d, den)
-
-
 def _random_gram(rng):
     """A positive definite Gram with entries n/d, 1 <= d <= 100, over the
     product of the three denominators."""
@@ -245,7 +224,8 @@ def test_criterion_7():
     for _ in range(1000):
         G = _random_gram(rng)
         R, U = lagrange_reduce(G)
-        assert _congruence(G, U) == R
+        assert oracles.congruence((G.g11, G.g12, G.g22), (U.a, U.b, U.c, U.d)) \
+            == (R.g11, R.g12, R.g22)
         l1, l2 = successive_minima(G)
         assert (l1, l2) == minima_brute_force(R)
         oracle = _deep_hole_oracle(G)

@@ -28,6 +28,7 @@ from quadtwist.quadfield import (
     is_squarefree,
 )
 from quadtwist.twist import wr_twist
+import oracles
 
 
 class TestFormMinimum:
@@ -344,22 +345,7 @@ class TestEuclideanBounds:
 
 
 # form_minimum before it walked quadfield._rho_walk, kept as the reference:
-# its own reduction step, and a walk capped at max_steps.
-
-def _ref_rho_step(f):
-    A, B, C = f
-    disc = B * B - 4 * A * C
-    sq = math.isqrt(disc)
-    ac = abs(C)
-    r = (-B) % (2 * ac)
-    if ac > sq:
-        if r > ac:
-            r -= 2 * ac
-    else:
-        r += ((sq - r) // (2 * ac)) * (2 * ac)
-    s = (B + r) // (2 * C)
-    return (C, r, (r * r - disc) // (4 * C)), s
-
+# a walk of `oracles.rho` steps, capped at max_steps.
 
 def _ref_form_minimum(f, max_steps=10000):
     cur = f
@@ -371,7 +357,7 @@ def _ref_form_minimum(f, max_steps=10000):
         if cur in seen:
             break
         seen[cur] = step
-        cur, s = _ref_rho_step(cur)
+        cur, s = oracles.rho(cur)
         u11, u12 = u12, -u11 + s * u12
         u21, u22 = u22, -u21 + s * u22
         if abs(cur[0]) < best:

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import random
+from collections import Counter
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -48,6 +49,7 @@ from quadtwist.quadfield import (
     is_squarefree,
 )
 from quadtwist.twist import wr_twist
+import oracles
 
 
 class TestSampleAt:
@@ -251,16 +253,6 @@ class TestLogRatio:
         assert abs(_log_ratio(QuadElem(D, Fraction(num, den), 1)) - L) <= 1e-12 * L
 
 
-def _reference_gram(I, alpha):
-    """gram_of_twist before it moved to the pencil: the traces of
-    alpha*z_i*z_j, over their common denominator."""
-    z1, z2 = I.basis_elements()
-    products = (alpha * z1 * z1, alpha * z1 * z2, alpha * z2 * z2)
-    den = math.lcm(*(e.d for e in products))
-    # the trace of (p + q*sqrt(D))/d is 2p/d
-    return Gram2(*(2 * e.p * (den // e.d) for e in products), den)
-
-
 TWIST_FIELDS = [2, 3, 5, 13, 21, 59, 139, 141, 1327]
 
 
@@ -275,17 +267,9 @@ class TestGramOfTwistAgainstTraces:
         # p > |q| sqrt(D) makes alpha = (p + q sqrt(D))/d totally positive
         p = math.isqrt(D * q * q) + 1 + extra
         alpha = QuadElem(D, Fraction(p, d), Fraction(q, d))
-        assert gram_of_twist(I, alpha) == _reference_gram(I, alpha)
-
-
-def _reference_F(x, y, I):
-    """F_invariant before it moved to integers."""
-    w = x * y.conjugate() - x.conjugate() * y
-    dk = discriminant(I.D)
-    if (w * w).x != Fraction(I.norm() ** 2 * dk):
-        raise ValueError("pair is not a basis of the ideal")
-    nx, ny = x.norm(), y.norm()
-    return nx * nx + ny * ny + nx * ny - Fraction(I.norm() ** 2 * dk, 4)
+        G = gram_of_twist(I, alpha)
+        assert (G.g11, G.g12, G.g22) == oracles.twist_gram(
+            D, oracles.basis(D, I.a, I.b, I.g), (alpha.x, alpha.y))
 
 
 def _reference_elements_in_cone(I, norm_bound_sq):
@@ -335,7 +319,7 @@ def _reference_classes(I):
             w = x * yc - xc * y
             if w * w != target:
                 continue
-            f = _reference_F(x, y, I)
+            f = oracles.F((x.x, x.y), (y.x, y.y), I.D, I.a * I.g)
             if f < 0:
                 values.add(f)
     return len(values), values
@@ -443,7 +427,7 @@ class TestFInvariant:
         I = ring_of_integers(D)
         x, y = QuadElem(D, *x), QuadElem(D, *y)
         try:
-            expected = _reference_F(x, y, I)
+            expected = oracles.F((x.x, x.y), (y.x, y.y), D, 1)
         except ValueError:
             with pytest.raises(ValueError):
                 F_invariant(x, y, I)
@@ -549,22 +533,18 @@ class TestMissedCrossingClasses:
         assert Fraction(-48) in values
 
 
-@functools.lru_cache(maxsize=None)
-def _canonical_bases():
-    """(I, F of the canonical basis) for every primitive canonical ideal
-    with squarefree D <= 1000 and a <= 40."""
-    return [(I, F_invariant(*I.basis_elements(), I))
-            for D in range(2, 1001) if is_squarefree(D)
-            for I in enumerate_canonical(D, 40) if I.g == 1]
+@pytest.fixture(scope="module")
+def canonical_bases(primitive_ideals):
+    """(I, F of the canonical basis) for each primitive ideal of the shared
+    sweep."""
+    return [(I, F_invariant(*I.basis_elements(), I)) for I in primitive_ideals]
 
 
-@functools.lru_cache(maxsize=None)
-def _wr_twistable_canonical_bases():
-    """(I, WR verdict, F of the canonical basis) for every WR-twistable
-    one of `_canonical_bases`, and the number of ideals checked."""
-    bases = _canonical_bases()
-    verdicts = ((I, wr_twist(I), F) for I, F in bases)
-    return len(bases), [(I, v, F) for I, v, F in verdicts if v.wr_twistable]
+@pytest.fixture(scope="module")
+def twistable(canonical_bases):
+    """(I, WR verdict, F) for each WR-twistable one of `canonical_bases`."""
+    verdicts = ((I, wr_twist(I), F) for I, F in canonical_bases)
+    return [(I, v, F) for I, v, F in verdicts if v.wr_twistable]
 
 
 def _is_hexagonal(G):
@@ -577,26 +557,25 @@ class TestCanonicalBasisRelations:
     ideals with squarefree D <= 1000 and a <= 40.  R1: WR-twistable implies
     F <= 0.  R2: among those, F = 0 iff the WR Gram is hexagonal.  R3: on a
     hexagonal one, tau_min_search returns t* and exactly the floor 4/27.
-    C: a negative F of the canonical basis is one of the crossing values of
-    wr_intersection_classes.  The proofs of R1 and R2 are open."""
+    The converse: WR-twistable iff F <= 0 and the crossing x* lies strictly
+    between u1 and the apex.  C: a negative F of the canonical basis is one
+    of the crossing values of wr_intersection_classes.  R1, R2 and the
+    converse are proved in `twist.wr_twist`'s docstring; C fails while the
+    band search misses classes (ROADMAP item 4)."""
 
-    def test_counts(self):
-        checked, twistable = _wr_twistable_canonical_bases()
-        assert (checked, len(twistable)) == (19154, 2529)
+    def test_counts(self, canonical_bases, twistable):
+        assert (len(canonical_bases), len(twistable)) == (19154, 2529)
         assert sum(_is_hexagonal(v.gram) for _, v, _ in twistable) == 170
-        assert sum(F < 0 for _, F in _canonical_bases()) == 2531
+        assert sum(F < 0 for _, F in canonical_bases) == 2531
 
-    def test_r1_wr_twistable_has_f_at_most_zero(self):
-        _, twistable = _wr_twistable_canonical_bases()
+    def test_r1_wr_twistable_has_f_at_most_zero(self, twistable):
         assert [I for I, _, F in twistable if F > 0] == []
 
-    def test_r2_f_zero_iff_hexagonal(self):
-        _, twistable = _wr_twistable_canonical_bases()
+    def test_r2_f_zero_iff_hexagonal(self, twistable):
         assert [I for I, v, F in twistable
                 if (F == 0) != _is_hexagonal(v.gram)] == []
 
-    def test_r3_hexagonal_orbits_reach_the_floor(self):
-        _, twistable = _wr_twistable_canonical_bases()
+    def test_r3_hexagonal_orbits_reach_the_floor(self, twistable):
         wrong = []
         for I, v, _ in twistable:
             if _is_hexagonal(v.gram):
@@ -606,34 +585,39 @@ class TestCanonicalBasisRelations:
                     wrong.append(I)
         assert wrong == []
 
+    def test_converse_wr_twistable_iff_the_crossing_is_on_the_branch(
+            self, canonical_bases, twistable):
+        # where F <= 0, (x* = (A + C)/B past u1 = sigma_1(z2)/a, the side
+        # of the apex B/(2A) x* is on)
+        seen, at_apex = Counter(), []
+        wr_ideals = {I for I, _, _ in twistable}
+        for I, _ in canonical_bases:
+            z1, z2 = oracles.basis(I.D, I.a, I.b, I.g)
+            where = None
+            if oracles.F(z1, z2, I.D, I.a) <= 0:
+                A, B, C = oracles.norm_form(z1, z2, I.D)
+                x, apex = Fraction(A + C, B), Fraction(B, 2 * A)
+                u1_sign = oracles.surd_sign(Fraction(z2[0], I.a) - x,
+                                            Fraction(z2[1], I.a), I.D)
+                where = (u1_sign < 0, (x > apex) - (x < apex))
+                at_apex += [I] * (x == apex)
+            assert (I in wr_ideals) == (where == (True, -1)), I
+            seen[where] += 1
+        assert seen == {None: 16367, (True, -1): 2529, (True, 1): 257,
+                        (True, 0): 1}
+        assert at_apex == [CanonicalIdeal(3, 2, 1, 1)]
+
     @pytest.mark.xfail(strict=True, reason="the band search misses crossing "
                        "values, 738 of these 2,531; see ROADMAP item 4")
-    def test_c_negative_f_is_a_crossing_value(self):
+    def test_c_negative_f_is_a_crossing_value(self, canonical_bases):
         # a seeded 300 of the 2,531, and (166; 9, 7, 1): F = -2673, but
         # only -8505, -6075 and -5103 are reported
-        negative = [(I, F) for I, F in _canonical_bases() if F < 0]
+        negative = [(I, F) for I, F in canonical_bases if F < 0]
         sample = random.Random(24).sample(negative, 300)
         I = CanonicalIdeal(166, 9, 7, 1)
         sample.append((I, F_invariant(*I.basis_elements(), I)))
         assert [I for I, F in sample
                 if F not in wr_intersection_classes(I)[1]] == []
-
-
-def _rho(f, dk, s):
-    """One rho step (A, B, C) -> (C, r, (r^2 - dk)/(4C)) on a form of the
-    non-square discriminant dk > 0, s = isqrt(dk): r = -B (mod 2|C|), taken
-    in (s - 2|C|, s] when C^2 < dk and in (-|C|, |C|] otherwise.  It is a
-    proper equivalence, and it permutes the reduced forms of a class in one
-    cycle, which every walk of the class enters."""
-    A, B, C = f
-    c2 = 2 * abs(C)
-    if C * C < dk:
-        r = s - (s + B) % c2
-    else:
-        r = -B % c2
-        if r > abs(C):
-            r -= c2
-    return C, r, (r * r - dk) // (4 * C)
 
 
 def _principal_crossings(dk):
@@ -643,17 +627,13 @@ def _principal_crossings(dk):
     of O_K whose class meets the WR locus, by exact enumeration."""
     s = math.isqrt(dk)
     b0 = s - (s - dk) % 2
-    f = (1, b0, (b0 * b0 - dk) // 4)  # reduced
-    cycle = set()
-    while f not in cycle:
-        cycle.add(f)
-        f = _rho(f, dk, s)
+    cycle = oracles.rho_cycle((1, b0, (b0 * b0 - dk) // 4))
 
     def principal(f):
         seen = set()
         while f not in seen and f not in cycle:
             seen.add(f)
-            f = _rho(f, dk, s)
+            f = oracles.rho(f)[0]
         return f in cycle
 
     # A^2 + A*C + C^2 >= 3*max(|A|, |C|)^2/4 bounds both

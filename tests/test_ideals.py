@@ -10,14 +10,13 @@ from quadtwist.ideals import (
     ring_of_integers,
 )
 from quadtwist.quadfield import InvalidFieldError, QuadElem, is_squarefree
+import oracles
 
 
 def delta(D):
-    """The generator of O_K over Z: -sqrt(D), or (1 - sqrt(D))/2 when
-    D = 1 (mod 4)."""
-    if D % 4 == 1:
-        return QuadElem(D, Fraction(1, 2), Fraction(-1, 2))
-    return QuadElem(D, 0, -1)
+    """The generator of O_K over Z: the b + g*delta of `oracles.basis` at
+    b = 0, g = 1."""
+    return QuadElem(D, *oracles.basis(D, 0, 0, 1)[1])
 
 
 class TestValidation:

@@ -1,6 +1,5 @@
 """The constructor contract of `Surd(p, q, n, d)` and
 `Gram2(n11, n12, n22, den)`: each is built from the integers it holds.
-`QuadElem(D, x, y)` takes its coordinates as ints or Fractions only.
 
 The references below are test-local copies of the earlier constructors:
 the integer `Surd.of_ints` with its square folding, and the rational
@@ -11,13 +10,12 @@ the integer `Surd.of_ints` with its square folding, and the rational
 import math
 import pickle
 import random
-from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
 from quadtwist.lattice2 import Gram2
-from quadtwist.quadfield import QuadElem, Surd, surd_compare
+from quadtwist.quadfield import Surd, surd_compare
 
 
 def _ref_surd_ints(p, q, n, d):
@@ -99,18 +97,6 @@ def test_gram2_holds_what_the_earlier_constructor_held(seed):
         assert Gram2(n11, n12, n22) == Gram2(n11, n12, n22, 1)
         built += 1
     assert built > 250
-
-
-@pytest.mark.parametrize("bad", [0.1, 1.0, "1", Decimal("0.5"), True])
-def test_quad_elem_coordinates_must_be_rational(bad):
-    # QuadElem(5, 0.1) held 3602879701896397/2^55, and QuadElem(5, "1/2")
-    # parsed the string
-    for args in ((bad,), (bad, 1), (1, bad), (Fraction(1, 2), bad)):
-        with pytest.raises(TypeError):
-            QuadElem(5, *args)
-    z = QuadElem(5, Fraction(1, 2), 3)
-    assert (z.p, z.q, z.d) == (1, 6, 2)
-    assert QuadElem(5, 1, Fraction(4, 2)) == QuadElem(5, Fraction(1), 2)
 
 
 def test_out_of_range_integers_raise_value_error():

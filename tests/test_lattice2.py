@@ -35,6 +35,7 @@ from quadtwist.quadfield import (
     is_squarefree,
 )
 from quadtwist.twist import stable_twist, wr_twist
+import oracles
 
 UNIT_SQUARE = Gram2(1, 0, 1)
 HEXAGONAL = Gram2(2, 1, 2)
@@ -47,21 +48,28 @@ def _rational_gram(g11, g12, g22):
     return Gram2(*(int(g * den) for g in (g11, g12, g22)), den)
 
 
-def random_grams(entry, positive):
-    """Strategy for positive definite rational Grams, positive definite by
+def pd_triples(entry, positive, build=tuple):
+    """Strategy for positive definite (g11, g12, g22) Fraction triples, by
     construction: draw g11 > 0, g12 and det > 0, then g22 = (g12^2 + det)/g11.
-    Nothing is filtered, so Hypothesis never rejects a draw."""
+    Nothing is filtered, so Hypothesis never rejects a draw.  build makes
+    the drawn value of the triple."""
     return st.builds(
-        lambda g11, g12, det: _rational_gram(g11, g12, (g12 * g12 + det) / g11),
-        positive, entry, positive,
-    )
+        lambda g11, g12, det: build((g11, g12, (g12 * g12 + det) / g11)),
+        positive, entry, positive)
 
 
 entry = st.fractions(min_value=Fraction(-30), max_value=Fraction(30),
                      max_denominator=12)
 positive = st.fractions(min_value=Fraction(1, 12), max_value=Fraction(30),
                         max_denominator=12)
-grams = random_grams(entry, positive)
+wide_entry = st.fractions(min_value=Fraction(-10**6), max_value=Fraction(10**6),
+                          max_denominator=10**4)
+wide_positive = st.fractions(min_value=Fraction(1, 10**4),
+                             max_value=Fraction(10**6), max_denominator=10**4)
+triples = st.one_of(pd_triples(entry, positive),
+                    pd_triples(wide_entry, wide_positive))
+grams = pd_triples(entry, positive, lambda t: _rational_gram(*t))
+wide_grams = pd_triples(wide_entry, wide_positive, lambda t: _rational_gram(*t))
 
 
 class TestGram2:
@@ -137,41 +145,9 @@ class TestReduction:
         assert R.g12 == 1
 
 
-def _ref_reduce(g):
-    """The Fraction loop lagrange_reduce ran before it moved to integers, on
-    a (g11, g12, g22) triple: the reduced triple and the transform, whose
-    columns follow the basis vectors."""
-    g11, g12, g22 = g
-    u = UnimodularMap(1, 0, 0, 1)
-    while True:
-        if g11 > g22:
-            g11, g22 = g22, g11
-            u = UnimodularMap(u.b, u.a, u.d, u.c)
-        if 2 * abs(g12) <= g11:
-            break
-        r = round(g12 / g11)
-        g22 = g22 - 2 * r * g12 + r * r * g11
-        g12 = g12 - r * g11
-        u = UnimodularMap(u.a, u.b - r * u.a, u.c, u.d - r * u.c)
-    if g11 > g22:
-        g11, g22 = g22, g11
-        u = UnimodularMap(u.b, u.a, u.d, u.c)
-    if g12 < 0:
-        g12 = -g12
-        u = UnimodularMap(u.a, -u.b, u.c, -u.d)
-    return (g11, g12, g22), u
-
-
 def _reference_lagrange(G):
-    r, u = _ref_reduce((G.g11, G.g12, G.g22))
-    return _rational_gram(*r), u
-
-
-wide_grams = random_grams(
-    st.fractions(min_value=Fraction(-10**6), max_value=Fraction(10**6),
-                 max_denominator=10**4),
-    st.fractions(min_value=Fraction(1, 10**4), max_value=Fraction(10**6),
-                 max_denominator=10**4))
+    r, u, _ = oracles.lagrange(G.g11, G.g12, G.g22)
+    return _rational_gram(*r), UnimodularMap(*u)
 
 
 class TestReductionAgainstFractionLoop:
@@ -199,67 +175,33 @@ class TestReductionAgainstFractionLoop:
         assert (U.a, U.b, U.c, U.d) == (1, -2, 0, 1)
 
 
-# The Fraction implementation of the Gram predicates before Gram2 moved to
-# integers, kept as an oracle on plain (g11, g12, g22) Fraction triples.
-
-def _ref_det(g):
-    g11, g12, g22 = g
-    return g11 * g22 - g12 * g12
-
-
-def _ref_value(g, v):
-    g11, g12, g22 = g
-    m, n = v
-    return g11 * m * m + 2 * g12 * m * n + g22 * n * n
-
-
-def _ref_transform(g, u):
-    a, b, c, d = u.a, u.b, u.c, u.d
-    g11, g12, g22 = g
-    return (_ref_value(g, (a, c)),
-            g11 * a * b + g12 * (a * d + b * c) + g22 * c * d,
-            _ref_value(g, (b, d)))
-
+# References on plain (g11, g12, g22) Fraction triples, built on `oracles`.
 
 def _transform(G, u):
     """The Gram of the same lattice in the basis (b1, b2) * U."""
-    return _rational_gram(*_ref_transform((G.g11, G.g12, G.g22), u))
+    return _rational_gram(*oracles.congruence((G.g11, G.g12, G.g22),
+                                              (u.a, u.b, u.c, u.d)))
 
 
-def _ref_is_wr(g):
-    r, _ = _ref_reduce(g)
-    return r[0] == r[2]
-
-
-def _ref_is_stable(g):
-    r, _ = _ref_reduce(g)
-    return _ref_det(r) <= r[0] * r[0]
-
-
-def _ref_covering_radius_sq(g):
-    (g11, g12, g22), _ = _ref_reduce(g)
-    return g11 * g22 * (g11 + g22 - 2 * g12) / (4 * _ref_det((g11, g12, g22)))
-
-
-def _ref_similarity(g):
-    r, _ = _ref_reduce(g)
-    x, y2 = r[1] / r[0], _ref_det(r) / (r[0] * r[0])
-    while True:
-        x = x - round(x)
-        n = x * x + y2
-        if n >= 1:
-            break
-        x, y2 = -x / n, y2 / (n * n)
-    return abs(x), y2
+def _ref_predicates(g):
+    """(is WR, is stable, tau^2, (x, y^2) of the similarity point) of the
+    Gram triple g, from its reduced triple."""
+    g11, g12, g22 = oracles.lagrange(*g)[0]
+    det = g11 * g22 - g12 * g12
+    mu_sq = g11 * g22 * (g11 + g22 - 2 * g12) / (4 * det)
+    return (g11 == g22, det <= g11 * g11, mu_sq * mu_sq / det,
+            (g12 / g11, det / (g11 * g11)))
 
 
 def _ref_minima_brute_force(g, box):
+    g11, g12, g22 = g
     best = []
     for m in range(-box, box + 1):
         for n in range(0, box + 1):
             if n == 0 and m <= 0:
                 continue
-            best.append((_ref_value(g, (m, n)), (m, n)))
+            best.append((g11 * m * m + 2 * g12 * m * n + g22 * n * n,
+                         (m, n)))
     best.sort(key=lambda t: t[0])
     q1, v1 = best[0]
     for q2, v2 in best[1:]:
@@ -267,18 +209,6 @@ def _ref_minima_brute_force(g, box):
             return q1, q2
 
 
-def pd_triples(entry, positive):
-    """Positive definite (g11, g12, g22) Fraction triples, by construction."""
-    return st.builds(lambda g11, g12, det: (g11, g12, (g12 * g12 + det) / g11),
-                     positive, entry, positive)
-
-
-triples = st.one_of(
-    pd_triples(entry, positive),
-    pd_triples(st.fractions(min_value=Fraction(-10**6), max_value=Fraction(10**6),
-                            max_denominator=10**4),
-               st.fractions(min_value=Fraction(1, 10**4),
-                            max_value=Fraction(10**6), max_denominator=10**4)))
 # [[1, m], [0, 1]] [[0, -1], [1, 0]] [[1, k], [0, s]]
 unimodular = st.builds(
     lambda m, k, s: UnimodularMap(m, m * k - s, 1, k),
@@ -292,15 +222,12 @@ class TestGram2AgainstFractionOracle:
         G = _rational_gram(*t)
         assert (G.g11, G.g12, G.g22) == t
         assert all(type(x) is Fraction for x in (G.g11, G.g12, G.g22))
-        assert G.det() == _ref_det(t)
+        assert G.det() == t[0] * t[2] - t[1] * t[1]
         assert is_paper_reduced(G) == (4 * t[1] * t[1] <= t[0] * t[2])
         assert is_lagrange_reduced(G) == (2 * abs(t[1]) <= min(t[0], t[2]))
-        assert is_wr(G) == _ref_is_wr(t)
-        assert is_stable(G) == _ref_is_stable(t)
-        assert hermite_thickness_sq(G) == \
-            _ref_covering_radius_sq(t) ** 2 / _ref_det(t)
         tau = similarity_point(G)
-        assert (tau.x, tau.y_sq) == _ref_similarity(t)
+        assert (is_wr(G), is_stable(G), hermite_thickness_sq(G),
+                (tau.x, tau.y_sq)) == _ref_predicates(t)
         R, _ = lagrange_reduce(G)
         assert minima_brute_force(R) == \
             _ref_minima_brute_force((R.g11, R.g12, R.g22), 4)
@@ -496,7 +423,7 @@ class TestOrbitKernel:
             s, _ = _sample_at(I, alpha)
             assert s.tau == similarity_point(G)
             assert (s.is_wr, s.is_stable) == (is_wr(G), is_stable(G))
-            (g11, g12, g22), _ = _ref_reduce((G.g11, G.g12, G.g22))
+            (g11, g12, g22), _, _ = oracles.lagrange(G.g11, G.g12, G.g22)
             assert s.tau == SimilarityPoint(g12 / g11,
                                             (g11 * g22 - g12 * g12) / (g11 * g11))
             assert s.is_wr == (g11 == g22)
@@ -529,21 +456,6 @@ class TestOrbitKernel:
                 _twist_ints(I, p, q)
         with pytest.raises(ValueError, match="not totally positive"):
             _twist_ints(I, math.isqrt(I.D), 1)
-
-
-def _lagrange_steps(n11, n12, n22):
-    """Size-reduction steps of the Lagrange loop on [[n11, n12], [n12, n22]],
-    counted by the test's own copy of the loop of `_reduce`."""
-    steps = 0
-    while True:
-        if n11 > n22:
-            n11, n22 = n22, n11
-        if 2 * abs(n12) <= n11:
-            return steps
-        r, rem = divmod(n12, n11)
-        r += 2 * rem > n11 or (2 * rem == n11 and r & 1)
-        n22, n12 = n22 - 2 * r * n12 + r * r * n11, n12 - r * n11
-        steps += 1
 
 
 class TestWarmStart:
@@ -579,8 +491,8 @@ class TestWarmStart:
         steps = []
         for module in (geodesic, applications):
             def counted(n11, n12, n22, U, true_reduce=module._reduce):
-                N_in_U = _ref_transform((n11, n12, n22), UnimodularMap(*U))
-                steps.append(_lagrange_steps(*N_in_U))
+                N_in_U = oracles.congruence((n11, n12, n22), U)
+                steps.append(oracles.lagrange(*N_in_U)[2])
                 return true_reduce(n11, n12, n22, U)
             monkeypatch.setattr(module, "_reduce", counted)
         I = ring_of_integers(9999991)

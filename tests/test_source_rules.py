@@ -16,6 +16,11 @@ trees of the stdlib `ast`, each file parsed once (`support.syntax_tree`):
   stripped.  Two tests run the library under `-O` end to end as well:
   `test_twist.py::test_stable_twist_rechecks_under_optimize` and
   `test_type_gate.py::test_sweep_under_python_O`.
+- tests/oracles.py imports nothing from quadtwist and nothing from
+  `support`, which imports quadtwist: an oracle must not run on the code
+  it checks.
+- Every public def of tests/oracles.py is read by some test module, so no
+  dead oracle stays.
 
 Each rule is a function of syntax trees, with a test that it finds what it
 looks for.
@@ -35,6 +40,7 @@ from support import (
     syntax_tree,
 )
 
+ORACLES = TESTS / "oracles.py"
 # module name -> syntax tree, for every module of src/quadtwist
 PACKAGE = {p.stem: syntax_tree(p) for p in sorted(SRC.glob("*.py"))}
 IMPORTERS = ([p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
@@ -87,6 +93,26 @@ def debug_only_code(trees):
                 continue
             found.append(f"{module}:{node.lineno}: {what}")
     return sorted(found)
+
+
+def forbidden_imports(tree, forbidden=("quadtwist", "support")):
+    """The modules tree imports that are, or lie in, one named in
+    forbidden, sorted."""
+    found = {getattr(node, "module", None) or a.name
+             for node in ast.walk(tree)
+             if isinstance(node, (ast.Import, ast.ImportFrom))
+             for a in node.names}
+    return sorted(m for m in found if m.split(".")[0] in forbidden)
+
+
+def unread_public_defs(tree, readers):
+    """The public top-level defs and classes of tree that no tree of
+    readers reads, as a plain name or as an attribute, sorted."""
+    read = set().union(*(set().union(*read_names(r)) for r in readers))
+    return sorted(node.name for node in tree.body
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                       ast.ClassDef))
+                  and not node.name.startswith("_") and node.name not in read)
 
 
 def test_sources_found():
@@ -155,3 +181,29 @@ def test_checker_finds_debug_only_code():
     trees = {module: ast.parse(text) for module, text in sources.items()}
     assert debug_only_code(trees) == [
         "a:4: assert", "a:5: __debug__", "a:6: sys.flags", "b:1: sys.flags"]
+
+
+def test_oracles_import_no_code_they_check():
+    assert forbidden_imports(syntax_tree(ORACLES)) == []
+
+
+def test_every_oracle_is_read_by_a_test_module():
+    readers = [syntax_tree(p) for p in sorted(TESTS.glob("test_*.py"))]
+    assert unread_public_defs(syntax_tree(ORACLES), readers) == []
+
+
+def test_checker_finds_forbidden_imports():
+    source = ("import math, support as s\nimport quadtwist.lattice2\n"
+              "from quadtwist import twist\nfrom supporting import x\n")
+    assert forbidden_imports(ast.parse(source)) == [
+        "quadtwist", "quadtwist.lattice2", "support"]
+
+
+def test_checker_finds_unread_oracles():
+    tree = ast.parse("def read():\n    pass\n"
+                     "def read_at_home():\n    pass\n"
+                     "def _private():\n    pass\n"
+                     "class Unread:\n    pass\n"
+                     "x = read_at_home()\n")
+    readers = [ast.parse("import oracles\noracles.read()\n")]
+    assert unread_public_defs(tree, readers) == ["Unread", "read_at_home"]

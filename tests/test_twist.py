@@ -27,7 +27,6 @@ from quadtwist.quadfield import (
     QuadElem,
     Surd,
     is_squarefree,
-    surd_compare,
 )
 from quadtwist.twist import (
     Interval,
@@ -40,6 +39,7 @@ from quadtwist.twist import (
     wr_twist,
 )
 from support import run_python
+import oracles
 
 rat = st.fractions(min_value=Fraction(-20), max_value=Fraction(20),
                    max_denominator=10)
@@ -52,27 +52,36 @@ def _integer_triple(A, B, C):
     return tuple(c.numerator * (scale // c.denominator) for c in (A, B, C))
 
 
+def _ends(s):
+    """A Surd or a rational as the integers (p, q, n, d) of (p + q*sqrt(n))/d."""
+    if isinstance(s, Surd):
+        return s.p, s.q, s.n, s.d
+    return s.numerator, 0, 0, s.denominator
+
+
+def _cmp(a, b):
+    """The sign of a - b for Surds and rationals, by `oracles.surd_cmp`."""
+    return oracles.surd_cmp(_ends(a), _ends(b))
+
+
 def _clip_intervals(feas, A, B, C):
     """`twist._clip` on a list of Intervals: their ends go in as the integers
     of each Surd, and the pieces that come out go back to Intervals."""
-    def ends(s):
-        return None if s is None else (s.p, s.q, s.n, s.d)
-
-    pieces = [(ends(iv.lo), ends(iv.hi), iv.lo_closed, iv.hi_closed)
-              for iv in feas]
+    pieces = [(_ends(iv.lo), None if iv.hi is None else _ends(iv.hi),
+               iv.lo_closed, iv.hi_closed) for iv in feas]
     return [Interval(Surd(*lo),
                      None if hi is None else Surd(*hi), lc, hc)
             for lo, hi, lc, hc in twist._clip(pieces, A, B, C)]
 
 
 def _is_point(iv):
-    return iv.hi is not None and surd_compare(iv.lo, iv.hi) == 0
+    return iv.hi is not None and _cmp(iv.lo, iv.hi) == 0
 
 
 def _is_empty(iv):
     if iv.hi is None:
         return False
-    c = surd_compare(iv.lo, iv.hi)
+    c = _cmp(iv.lo, iv.hi)
     return c > 0 or (c == 0 and not (iv.lo_closed and iv.hi_closed))
 
 
@@ -106,8 +115,8 @@ class TestIntervals:
         b = Interval(Surd(3), None)
         out = intersect_interval_lists([a], [b])
         assert len(out) == 1
-        assert surd_compare(out[0].lo, 3) == 0
-        assert surd_compare(out[0].hi, 5) == 0
+        assert _cmp(out[0].lo, 3) == 0
+        assert _cmp(out[0].hi, 5) == 0
 
 
 class TestQuadraticSolver:
@@ -273,7 +282,7 @@ class TestStableTwist:
             fr = stable_twist(CanonicalIdeal(D, a, b, g))
             for iv in fr.intervals:
                 if iv.hi is not None:
-                    assert surd_compare(iv.lo, iv.hi) <= 0
+                    assert _cmp(iv.lo, iv.hi) <= 0
 
 
 class TestBoundFilters:
@@ -443,7 +452,7 @@ class TestPencilAgainstClosedForms:
 def _ref_intersect_pair(a, b):
     """a & b with its own tie rules, or None when empty: the pairwise
     intersection that `intersect_interval_lists` was built on."""
-    cl = surd_compare(a.lo, b.lo)
+    cl = _cmp(a.lo, b.lo)
     if cl > 0 or (cl == 0 and not a.lo_closed):
         lo, lo_closed = a.lo, a.lo_closed
     else:
@@ -453,7 +462,7 @@ def _ref_intersect_pair(a, b):
     elif b.hi is None:
         hi, hi_closed = a.hi, a.hi_closed
     else:
-        ch = surd_compare(a.hi, b.hi)
+        ch = _cmp(a.hi, b.hi)
         if ch < 0 or (ch == 0 and not a.hi_closed):
             hi, hi_closed = a.hi, a.hi_closed
         else:
@@ -487,27 +496,30 @@ def _ref_simplest_rational_in(lo, hi):
     """Smallest-denominator rational strictly inside (lo, hi), lo >= 0, by
     the Stern-Brocot walk with exponential stride acceleration: the witness
     search that the continued-fraction walk replaced."""
-    if hi is not None and surd_compare(lo, hi) >= 0:
+    if hi is not None and _cmp(lo, hi) >= 0:
         return None
+    lo, hi = _ends(lo), None if hi is None else _ends(hi)
+
+    def cmp(n, d, end):  # the sign of n/d - end
+        return oracles.surd_cmp((n, 0, 0, d), end)
+
     ln, ld = 0, 1  # left endpoint of the walk
     rn, rd = 1, 0  # right endpoint, starts at +oo
     while True:
         mn, md = ln + rn, ld + rd
-        if surd_compare(Surd(mn, 0, 0, md), lo) <= 0:
-            k = _ref_max_stride(lambda k: surd_compare(
-                Surd(ln + k * rn, 0, 0, ld + k * rd), lo) <= 0)
+        if cmp(mn, md, lo) <= 0:
+            k = _ref_max_stride(
+                lambda k: cmp(ln + k * rn, ld + k * rd, lo) <= 0)
             ln, ld = ln + k * rn, ld + k * rd
-        elif hi is not None and surd_compare(Surd(mn, 0, 0, md), hi) >= 0:
-            k = _ref_max_stride(lambda k: surd_compare(
-                Surd(k * ln + rn, 0, 0, k * ld + rd), hi) >= 0)
+        elif hi is not None and cmp(mn, md, hi) >= 0:
+            k = _ref_max_stride(
+                lambda k: cmp(k * ln + rn, k * ld + rd, hi) >= 0)
             rn, rd = k * ln + rn, k * ld + rd
         else:
             return Fraction(mn, md)
 
 
 def _ref_solve_quadratic_ge0(A, B, C, domain):
-    scale = math.lcm(A.denominator, B.denominator, C.denominator)
-    A, B, C = (c.numerator * (scale // c.denominator) for c in (A, B, C))
     if A == 0:
         if B == 0:
             return [domain] if C >= 0 else []
@@ -536,7 +548,7 @@ def _ref_solve_quadratic_ge0(A, B, C, domain):
     return _ref_intersect_interval_lists([domain], sols)
 
 
-_REF_BY_LO = cmp_to_key(lambda x, y: surd_compare(x.lo, y.lo))
+_REF_BY_LO = cmp_to_key(lambda x, y: _cmp(x.lo, y.lo))
 
 
 def _ref_stable_twist(I):
@@ -645,15 +657,6 @@ def _clipped(I):
     return True, None
 
 
-@pytest.fixture(scope="module")
-def primitive_ideals():
-    """Every primitive canonical ideal with squarefree D <= 1000, a <= 40."""
-    ideals = [I for D in range(2, 1001) if is_squarefree(D)
-              for I in enumerate_canonical(D, 40) if I.g == 1]
-    assert len(ideals) == 19154
-    return ideals
-
-
 class TestPrefilters:
     """The cone test (`stable_bound_filter`) and the height test that
     `stable_twist` runs before any clipping."""
@@ -704,8 +707,7 @@ def _scaled_roots(A, B, C, k):
     """The real roots of k*(A, B, C) scaled to integers, as integer surds:
     equal in value to the solver's roots, and for k > 1 written with other
     integers (a radicand k^2 times larger), so ties keep a visible choice."""
-    scale = k * math.lcm(A.denominator, B.denominator, C.denominator)
-    A, B, C = (c.numerator * (scale // c.denominator) for c in (A, B, C))
+    A, B, C = (k * c for c in _integer_triple(A, B, C))
     if A == 0:
         return [] if B == 0 else [Surd(-C if B > 0 else C, d=abs(B))]
     disc = B * B - 4 * A * C
@@ -731,7 +733,7 @@ def solver_cases(draw):
     lo, hi = draw(end), draw(st.one_of(st.none(), end))
     lo_closed, hi_closed = draw(st.booleans()), hi is None or draw(st.booleans())
     if hi is not None:
-        c = surd_compare(lo, hi)
+        c = _cmp(lo, hi)
         if c > 0:
             lo, hi = hi, lo
         elif c == 0:
@@ -755,7 +757,7 @@ def _rewritten(s, j):
     return Surd(s.p * j, s.q, s.n * j * j, s.d * j)
 
 
-nonneg_point = surd_point.filter(lambda s: surd_compare(s, 0) >= 0)
+nonneg_point = surd_point.filter(lambda s: _cmp(s, 0) >= 0)
 
 
 @st.composite
