@@ -16,8 +16,9 @@ keep one source.  `twist` and `geodesic --format json` write their reports
 straight to text, one f-string per block in a fixed key order: the bytes
 `json.dumps(report, indent=2)` would write, ints of any size included, with
 no report object in between.  Each report goes to stdout in one write.
-The `twist` report reads its Grams' integers: one Lagrange reduction, one
-gcd per printed ratio.  `survey` decides each similarity class once: an
+The `twist` report reads its Grams' integers: one Lagrange reduction, and
+each printed ratio and float companion computed once.  R = U^t G U shares
+G's det and denominator, and a WR report has one minimum.  `survey` decides each similarity class once: an
 ideal (a, b, g) takes the verdicts of its primitive part (a/g, b/g, 1), and
 every positive certificate is re-checked on the printed row's own ideal,
 the only ideal a multiple's row builds.  Its rows share one encoded tail
@@ -79,15 +80,12 @@ def _flt_json(x: float) -> str:
     return '"inf"' if x == math.inf else float.__repr__(float(f"{x:.12g}"))
 
 
-def _gram_json(n11: int, n12: int, n22: int, den: int) -> str:
-    """The JSON object, at depth 1, of the Gram (n11, n12, n22) / den."""
-    det = n11 * n22 - n12 * n12
-    return (f'{{\n    "g11": "{_ratio(n11, den)}",'
-            f'\n    "g12": "{_ratio(n12, den)}",'
-            f'\n    "g22": "{_ratio(n22, den)}",'
-            f'\n    "det": "{_ratio(det, den * den)}",'
-            f'\n    "det_sqrt_float": {_flt_json(_float(0, 1, det, den))}'
-            '\n  }')
+def _gram_json(g11: str, g12: str, g22: str, det: str) -> str:
+    """The JSON object, at depth 1, of a Gram whose entries print as the
+    ratios g11, g12 and g22, closed by det, its encoded "det" and
+    "det_sqrt_float" members."""
+    return (f'{{\n    "g11": "{g11}",\n    "g12": "{g12}",'
+            f'\n    "g22": "{g22}",{det}\n  }}')
 
 
 def cmd_twist(args) -> int:
@@ -135,23 +133,32 @@ def cmd_twist(args) -> int:
             G = gram_of_twist(I, alpha)
 
     if alpha is not None:
-        # one Lagrange reduction, of G's integers over G's denominator: a
-        # unimodular map keeps gcd(n11, n12, n22), so R is held in lowest terms
+        # one Lagrange reduction, of G's integers over G's denominator; R =
+        # U^t G U with det U = +-1 shares G's det and denominator, so each
+        # printed ratio and float companion is computed once
         n11, n12, n22, den = G._n11, G._n12, G._n22, G._den
         r11, r12, r22 = _reduce(n11, n12, n22)[:3]
         wr, stable = _wr_reduced(r11, r12, r22), _stable_reduced(r11, r12, r22)
+        det = n11 * n22 - n12 * n12
+        det_json = (
+            f'\n    "det": "{_ratio(det, den * den)}",'
+            f'\n    "det_sqrt_float": {_flt_json(_float(0, 1, det, den))}')
+        g11, g22 = _ratio(n11, den), _ratio(n22, den)
+        m1 = _ratio(r11, den)
+        f1 = _flt_json(_float(0, 1, r11 * den, den))
+        if wr:
+            m2, f2 = m1, f1
+        else:
+            m2, f2 = _ratio(r22, den), _flt_json(_float(0, 1, r22 * den, den))
         cosine = _float(0, n12, n11 * n22, n11 * n22)
         parts.append(
             f',\n  "alpha": {_esc(str(alpha))},'
-            f'\n  "gram": {_gram_json(n11, n12, n22, den)},'
-            f'\n  "reduced_gram": {_gram_json(r11, r12, r22, den)},'
-            f'\n  "minima_sq": [\n    "{_ratio(r11, den)}",'
-            f'\n    "{_ratio(r22, den)}"\n  ],'
-            f'\n  "minima_float": ['
-            f'\n    {_flt_json(_float(0, 1, r11 * den, den))},'
-            f'\n    {_flt_json(_float(0, 1, r22 * den, den))}\n  ],'
-            f'\n  "basis_norms_sq": [\n    "{_ratio(n11, den)}",'
-            f'\n    "{_ratio(n22, den)}"\n  ],'
+            f'\n  "gram": {_gram_json(g11, _ratio(n12, den), g22, det_json)},'
+            '\n  "reduced_gram": '
+            f'{_gram_json(m1, _ratio(r12, den), m2, det_json)},'
+            f'\n  "minima_sq": [\n    "{m1}",\n    "{m2}"\n  ],'
+            f'\n  "minima_float": [\n    {f1},\n    {f2}\n  ],'
+            f'\n  "basis_norms_sq": [\n    "{g11}",\n    "{g22}"\n  ],'
             f'\n  "cosine_float": {_flt_json(cosine)},'
             f'\n  "is_wr": {"true" if wr else "false"},'
             f'\n  "is_stable": {"true" if stable else "false"},'
@@ -414,10 +421,12 @@ def _match(argv: list) -> argparse.Namespace | None:
     # empty int, a digit that is not decimal ("\u00b2") or one past the
     # int-to-str digit limit raises
     try:
-        return argparse.Namespace(command=argv[0], func=func, **{
-            opt[2:]: value, **dict(zip(names, map(int, argv[1:])))})
+        ints = dict(zip(names, map(int, argv[1:])))
     except ValueError:
         return None
+    args = argparse.Namespace()
+    args.__dict__.update(ints, command=argv[0], func=func, **{opt[2:]: value})
+    return args
 
 
 def _parse(argv: list) -> argparse.Namespace:

@@ -7,10 +7,13 @@ Gram matrices, never on the irrational embedded basis vectors.  A Gram matrix
 is held as three integers over one common denominator, and the predicates
 compute on those integers.  `_reduce` is the one exact Lagrange loop, on a
 numerator triple and from a start basis; the orbit probes run it on
-`_twist_ints` with no Gram2, each from the previous probe's reduced basis.
-The WR and stability flags of a reduced triple have one home each,
-`_wr_reduced` and `_stable_reduced`.  The oracle `minima_brute_force` uses
-no reduction and sizes its search from the Gram itself.
+`_twist_ints` with no Gram2, each from the previous probe's reduced basis,
+and the twist certificates on the same integers.  The WR and stability
+flags of a reduced triple have one home each, `_wr_reduced` and
+`_stable_reduced`, weak reducedness of any triple has `_paper_reduced`,
+and the scaling 2/(d*e) from the pencil integers to a Gram has
+`_twist_gram`.  The oracle `minima_brute_force` uses no reduction and
+sizes its search from the Gram itself.
 """
 
 from __future__ import annotations
@@ -92,16 +95,22 @@ class UnimodularMap(_Record):
 
 def _twist_ints(I: CanonicalIdeal, p: int, q: int) -> tuple[int, int, int]:
     """p*P + q*Q on the ideal's pencil: the twist by alpha = (p + q*sqrt(D))/d
-    has Gram 2*(p*P + q*Q)/(d*e).  Total positivity and positive
-    definiteness are checked on the integers."""
+    has Gram 2*(p*P + q*Q)/(d*e) (`_twist_gram`).  Total positivity is
+    checked on the integers, and it implies positive definiteness:
+    n11 = p*P11 = p*a^2*e > 0 (Q11 = 0), and
+    det(p*P + q*Q) = N(I)^2 * D * (p^2 - D*q^2) > 0."""
     if not _totally_positive(p, q, I.D):
         raise ValueError(f"{_int(p)} + {_int(q)}*sqrt({I.D}) is not "
                          "totally positive")
     P11, P12, P22, Q11, Q12, Q22 = I._pencil
-    n11, n12, n22 = p * P11 + q * Q11, p * P12 + q * Q12, p * P22 + q * Q22
-    if n11 <= 0 or n11 * n22 - n12 * n12 <= 0:
-        raise ValueError(f"twist of {I} is not positive definite")
-    return n11, n12, n22
+    return p * P11 + q * Q11, p * P12 + q * Q12, p * P22 + q * Q22
+
+
+def _twist_gram(I: CanonicalIdeal, n11: int, n12: int, n22: int,
+                d: int) -> Gram2:
+    """The Gram 2*(n11, n12, n22)/(d*e) of the twist by (p + q*sqrt(D))/d,
+    from `_twist_ints(I, p, q)`."""
+    return Gram2(2 * n11, 2 * n12, 2 * n22, d * I._uve[2])
 
 
 def gram_of_twist(I: CanonicalIdeal, alpha: QuadElem) -> Gram2:
@@ -118,8 +127,7 @@ def gram_of_twist(I: CanonicalIdeal, alpha: QuadElem) -> Gram2:
         raise TypeError("alpha must be a QuadElem")
     if alpha.D != I.D:
         raise ValueError("alpha must live in the same field as I")
-    n11, n12, n22 = _twist_ints(I, alpha.p, alpha.q)
-    return Gram2(2 * n11, 2 * n12, 2 * n22, alpha.d * I._uve[2])
+    return _twist_gram(I, *_twist_ints(I, alpha.p, alpha.q), alpha.d)
 
 
 _IDENTITY = (1, 0, 0, 1)  # the start basis of a cold reduction
@@ -175,6 +183,11 @@ def lagrange_reduce(G: Gram2) -> tuple[Gram2, UnimodularMap]:
         raise TypeError("G must be a Gram2")
     n11, n12, n22, a, b, c, d = _reduce(G._n11, G._n12, G._n22)
     return Gram2(n11, n12, n22, G._den), UnimodularMap(a, b, c, d)
+
+
+def _paper_reduced(n11: int, n12: int, n22: int) -> bool:
+    # weak reducedness, 4*g12^2 <= g11*g22, on the numerators of any Gram
+    return 4 * n12 * n12 <= n11 * n22
 
 
 # Predicates on the numerators (n11, n12, n22) of an already Lagrange-reduced
@@ -243,7 +256,7 @@ def is_paper_reduced(G: Gram2) -> bool:
     """
     if not isinstance(G, Gram2):
         raise TypeError("G must be a Gram2")
-    return 4 * G._n12 * G._n12 <= G._n11 * G._n22
+    return _paper_reduced(G._n11, G._n12, G._n22)
 
 
 def is_lagrange_reduced(G: Gram2) -> bool:

@@ -146,29 +146,42 @@ def _is_square(n: int) -> bool:
     return r * r == n
 
 
-def is_squarefree(n: int) -> bool:
-    """Exact squarefree test by trial division up to the cube root.
+# The product of the 172 primes below 1024, from a sieve of Eratosthenes:
+# `is_squarefree` strips all of them with one gcd.
+_sieve = bytearray([1]) * 1024
+_sieve[:2] = b"\0\0"
+for _p in range(2, 32):
+    if _sieve[_p]:
+        _sieve[_p * _p::_p] = bytes(len(range(_p * _p, 1024, _p)))
+_SMALL_PRIMES = math.prod(_p for _p in range(1024) if _sieve[_p])
+del _sieve, _p
 
-    Trial division strips 2, 3 and each later prime p with p^3 <= m, where m
-    is what is left of n; after 2 and 3 it tries only 5, 7, 11, 13, ..., the
-    numbers 6k +- 1.  Every prime factor of the final m exceeds its cube
-    root, so m has at most two prime factors, and m is squarefree iff m is 1
-    or not a perfect square.  Exact for every int n; any other type, a bool
-    too, raises TypeError.  The cost grows as n^(1/3): at n = 10^18 the
-    divisors run up to 10^6, about 3.3 * 10^5 divisions, and more above
+
+def is_squarefree(n: int) -> bool:
+    """Exact squarefree test by one gcd, then trial division up to the cube
+    root.
+
+    g = gcd(n, P), P the product of the primes below 1024, is the product of
+    the small primes that divide n, so p^2 divides n for such a p exactly
+    when gcd(g, n/g) > 1, and m = n/g has no prime factor below 1024.  Trial
+    division then strips each p = 1031, 1033, 1037, ..., the numbers 6k +- 1,
+    while p^3 <= m, where m is what is left; below 1031^3 ~ 1.1 * 10^9 it
+    tries none.  Every prime factor of the final m exceeds its cube root, so
+    m has at most two prime factors, and m is squarefree iff m is 1 or not a
+    perfect square.  Exact for every int n; any other type, a bool too,
+    raises TypeError.  The cost above 1031^3 grows as n^(1/3): at n = 10^18
+    the divisors run up to 10^6, about 3.3 * 10^5 divisions, and more above
     that.
     """
     if not _ints(n):
         raise TypeError("n must be an int")
     if n < 1:
         return False
-    m = n
-    for p in (2, 3):
-        if m % p == 0:
-            m //= p
-            if m % p == 0:
-                return False
-    p, step = 5, 2
+    g = math.gcd(n, _SMALL_PRIMES)
+    m = n // g
+    if math.gcd(g, m) != 1:
+        return False
+    p, step = 1031, 2  # the first 6k +- 1 above 1024, 6*172 - 1
     while p * p * p <= m:
         if m % p == 0:
             m //= p
@@ -235,9 +248,8 @@ def _sign_two_radicals(a: int, b: int, m1: int, c: int, m2: int) -> int:
         st = _sign(b)
     else:
         # Mixed signs: T = b*sqrt(m1) + c*sqrt(m2); sign(T) from squares.
+        # st = 0 (T = 0) needs no branch: below, a^2 - T^2 = a^2 gives sign(a)
         st = _sign(b) * _sign(b * b * m1 - c * c * m2)
-        if st == 0:
-            return _sign(a)
     if a == 0 or _sign(a) == st:
         return st
     # sign(a + T) with sign(T) = -sign(a): compare a^2 with T^2, where

@@ -23,7 +23,9 @@ as the integers (p, q, n, d) of (p + q*sqrt(n))/d and compares ends by one
 exact sign test, `quadfield._surd_sign`; only a nonempty feasibility set is
 built, once, as a sorted tuple of `Interval`s with `Surd` endpoints.  The
 witness is the simplest rational inside, found by continued fractions on
-the integers of the endpoints.
+the clipped pieces' integer ends (`_simplest_between`, the core of
+`simplest_rational_in`).  Both certificates re-check the twist on the
+pencil integers `lattice2._twist_ints` gives, with one `_reduce`.
 """
 
 from __future__ import annotations
@@ -32,12 +34,21 @@ import math
 from fractions import Fraction
 
 from .ideals import CanonicalIdeal
-from .lattice2 import Gram2, gram_of_twist, is_paper_reduced, is_stable, is_wr
+from .lattice2 import (
+    Gram2,
+    _paper_reduced,
+    _reduce,
+    _stable_reduced,
+    _twist_gram,
+    _twist_ints,
+    _wr_reduced,
+)
 from .quadfield import (
     CertificateError,
     QuadElem,
     Surd,
     _discriminant,
+    _frac,
     _quad,
     _rat,
     _rationals,
@@ -216,17 +227,23 @@ def simplest_rational_in(lo: Surd, hi: Surd | None) -> Fraction | None:
         raise TypeError("lo and hi must be Surds")
     if _sign_x_plus_y_sqrt(lo.p, lo.q, lo.n) < 0:
         raise ValueError(f"need lo >= 0, got {lo}")
-    if hi is not None and surd_compare(lo, hi) >= 0:
+    return _simplest_between((lo.p, lo.q, lo.n, lo.d),
+                             None if hi is None else (hi.p, hi.q, hi.n, hi.d))
+
+
+def _simplest_between(x: tuple, y: tuple | None) -> Fraction | None:
+    """`simplest_rational_in` on the integers (p, q, n, d) of its ends,
+    y = None for +oo, with x >= 0 unchecked."""
+    if y is not None and _surd_sign(x, y) >= 0:
         return None
-    x = (lo.p, lo.q, lo.n, lo.d)
-    y = None if hi is None else (hi.p, hi.q, hi.n, hi.d)
     a, b, c, e = 1, 0, 0, 1
     while True:
         p, q, n, d = x
         s = math.isqrt(q * q * n)
         k = (p + (s if q >= 0 else -s - 1)) // d
         if y is None or _sign_x_plus_y_sqrt(y[0] - (k + 1) * y[3], y[1], y[2]) > 0:
-            return Fraction(a * (k + 1) + b, c * (k + 1) + e)
+            # c*(k + 1) + e > 0: [[a, b], [c, e]] has entries >= 0, det +-1
+            return _frac(a * (k + 1) + b, c * (k + 1) + e)
         x, y = _recip_minus(*y, k), _recip_minus(*x, k)
         a, b, c, e = a * k + b, a, c * k + e, c
 
@@ -325,7 +342,7 @@ def wr_twist(I: CanonicalIdeal) -> TwistVerdict:
     num, den, reduced_ok = _wr_ratio(I)
     if den <= 0 or num <= 0:
         return TwistVerdict(False, reason="forced ratio not positive")
-    t_star = Fraction(num, den)
+    t_star = _frac(num, den)
     if not _totally_positive(num, den, I.D):
         return TwistVerdict(False, reason="alpha not totally positive",
                             t_star=t_star)
@@ -339,13 +356,13 @@ def wr_twist(I: CanonicalIdeal) -> TwistVerdict:
 
 def _certify_wr(I: CanonicalIdeal, t_star: Fraction, alpha: QuadElem) -> Gram2:
     """The Gram of I twisted by alpha = t* + sqrt(D), once it is re-checked
-    WR and reduced; CertificateError otherwise."""
-    gram = gram_of_twist(I, alpha)
-    if not (is_wr(gram) and is_paper_reduced(gram)):
+    WR and reduced on its pencil integers; CertificateError otherwise."""
+    n = _twist_ints(I, alpha._p, alpha._q)
+    if not (_wr_reduced(*_reduce(*n)[:3]) and _paper_reduced(*n)):
         raise CertificateError(
             f"WR twist t* = {_rat(t_star)} of {I} fails the exact WR/reduced "
             f"re-check")
-    return gram
+    return _twist_gram(I, *n, alpha._d)
 
 
 def _stable_constraints(I: CanonicalIdeal) -> list[tuple[int, int, int]]:
@@ -427,23 +444,25 @@ def stable_twist(I: CanonicalIdeal) -> FeasibilityReport:
         feas = _clip(feas, A, B, C)
         if not feas:
             return FeasibilityReport(False, (), emptied_by=k)
-    intervals = tuple(map(_interval, feas))
     witness_t = witness_alpha = None
-    for iv in intervals:
-        witness_t = simplest_rational_in(iv.lo, iv.hi)
+    for lo, hi, _, _ in feas:
+        # every piece lies in (sqrt(D), oo), so lo > 0
+        witness_t = _simplest_between(lo, hi)
         if witness_t is not None:
             n, d = witness_t.numerator, witness_t.denominator
             witness_alpha = _quad(D, n, d, d)
             _certify_stable(I, witness_t, witness_alpha)
             break
-    return FeasibilityReport(True, intervals, witness_t, witness_alpha)
+    return FeasibilityReport(True, tuple(map(_interval, feas)), witness_t,
+                             witness_alpha)
 
 
 def _certify_stable(I: CanonicalIdeal, t: Fraction, alpha: QuadElem) -> None:
     """CertificateError unless the twist of I by alpha = t + sqrt(D) is
-    reduced and stable and every stable constraint holds at t."""
-    gram = gram_of_twist(I, alpha)
-    if not (is_paper_reduced(gram) and is_stable(gram)
+    reduced and stable, on its pencil integers, and every stable constraint
+    holds at t."""
+    n = _twist_ints(I, alpha._p, alpha._q)
+    if not (_paper_reduced(*n) and _stable_reduced(*_reduce(*n)[:3])
             and raw_stable_polynomials(I, t)):
         raise CertificateError(
             f"stable witness t = {_rat(t)} of {I} fails the exact "

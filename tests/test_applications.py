@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from quadtwist import applications, lattice2
+from quadtwist import applications, lattice2, twist
 from quadtwist.applications import (
     HEXAGONAL_THICKNESS_SQ,
     d_min_sq_twist,
@@ -223,20 +223,20 @@ class TestThicknessSearch:
     @pytest.mark.parametrize("seed", [-5, -139] + list(range(10)))
     def test_one_reduction_per_probe(self, seed, monkeypatch):
         # the result is read off the winning probe: no probe is reduced
-        # twice, and no Gram is built to rebuild the winner; lattice2
-        # reduces only wr_twist's certificate
+        # twice, and no Gram is built to rebuild the winner; twist reduces
+        # only wr_twist's certificate, and lattice2 nothing
         I = _seeded_ideal(seed)
-        counts = {applications: 0, lattice2: 0}
+        counts = {applications: 0, lattice2: 0, twist: 0}
         for module in counts:
             def counted(*args, module=module, true_reduce=module._reduce):
                 counts[module] += 1
                 return true_reduce(*args)
             monkeypatch.setattr(module, "_reduce", counted)
         twistable = wr_twist(I).wr_twistable
-        counts[lattice2] = 0
+        counts[twist] = 0
         tau_min_search(I)
         assert counts == {applications: 58 if twistable else 57,
-                          lattice2: 1 if twistable else 0}
+                          lattice2: 0, twist: 1 if twistable else 0}
 
     def test_t_star_wins_a_float_tie(self, monkeypatch):
         # t* is probed first and only a strictly smaller score replaces the

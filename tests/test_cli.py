@@ -15,7 +15,7 @@ from quadtwist import cli, ideals
 from quadtwist.cli import EXIT_INVALID, EXIT_OK, EXIT_VERIFY_FAILED, main
 from quadtwist import twist
 from quadtwist.ideals import CanonicalBasisError, CanonicalIdeal, enumerate_canonical
-from quadtwist.lattice2 import gram_of_twist
+from quadtwist.lattice2 import _twist_ints
 from quadtwist.quadfield import CertificateError, _rat
 from quadtwist.twist import (
     stable_bound_filter,
@@ -162,11 +162,12 @@ class TestSurveyCommand:
             self, capsys, monkeypatch):
         twisted = set()
 
-        def recorded(I, alpha):
-            twisted.add((I.a, I.b, I.g, alpha.x))
-            return gram_of_twist(I, alpha)
+        # both certificates twist I by p/q + sqrt(D) on its pencil integers
+        def recorded(I, p, q):
+            twisted.add((I.a, I.b, I.g, Fraction(p, q)))
+            return _twist_ints(I, p, q)
 
-        monkeypatch.setattr(twist, "gram_of_twist", recorded)
+        monkeypatch.setattr(twist, "_twist_ints", recorded)
         _, out, _ = run_cli(capsys, "survey", "139", "30")
         rows = [json.loads(line) for line in out.splitlines()]
         positive = [r for r in rows if r["stable_witness_t"] is not None]

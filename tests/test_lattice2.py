@@ -457,6 +457,19 @@ class TestOrbitKernel:
         with pytest.raises(ValueError, match="not totally positive"):
             _twist_ints(I, math.isqrt(I.D), 1)
 
+    def test_totally_positive_twists_are_positive_definite(
+            self, primitive_ideals):
+        # the two identities that let _twist_ints skip a definiteness test:
+        # n11 = p*a^2*e and det = N(I)^2 * D * (p^2 - D*q^2), both > 0
+        rng = random.Random(0)
+        for I in primitive_ideals:
+            q = rng.randint(-10 ** 6, 10 ** 6)
+            p = math.isqrt(I.D * q * q) + rng.randint(1, 10 ** 6)
+            n11, n12, n22 = _twist_ints(I, p, q)
+            det = I.norm() ** 2 * I.D * (p * p - I.D * q * q)
+            assert n11 == p * I.a * I.a * I._uve[2] > 0, I
+            assert n11 * n22 - n12 * n12 == det > 0, I
+
 
 class TestWarmStart:
     """Each orbit probe reduces from the previous probe's reduced basis.  The

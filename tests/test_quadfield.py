@@ -59,6 +59,22 @@ def _decimal_float(p, q, n, d):
         return float((Decimal(p) + Decimal(q) * Decimal(n).sqrt()) / d)
 
 
+def _seeded_primes(seed, k):
+    """k distinct primes in (1024, 10^6) drawn from a seeded generator,
+    each confirmed by trial division."""
+    rng = random.Random(seed)
+    primes = set()
+    while len(primes) < k:
+        n = rng.randrange(1025, 10 ** 6)
+        if all(n % d for d in range(2, math.isqrt(n) + 1)):
+            primes.add(n)
+    return sorted(primes)
+
+
+# pairs of primes above the 1024 that is_squarefree's gcd covers
+_SEEDED_PRIME_PAIRS = list(zip(*[iter(_seeded_primes(0, 6))] * 2))
+
+
 class TestSquarefree:
     def test_small_values(self):
         assert is_squarefree(1)
@@ -86,12 +102,21 @@ class TestSquarefree:
         assert is_squarefree(p)
         assert not is_squarefree(p * p)
         assert is_squarefree(p * 1000033)
+        # either side of 1024, where the gcd hands over to trial division
+        for p in (1019, 1021, 1031, 1033):
+            assert is_squarefree(p)
+            assert not is_squarefree(p * p)
+        assert is_squarefree(1021 * 1031)
+        assert not is_squarefree(2 * 3 * 1021 * 1021)
+        # past 1031^3, so the trial division runs
+        assert not is_squarefree(1031 * 1031 * 1033 * 1039)
 
     @pytest.mark.parametrize("p, q", [(1000003, 1000033), (999983, 1000003),
-                                      (1000033, 999983)])
+                                      (1000033, 999983)] + _SEEDED_PRIME_PAIRS)
     @pytest.mark.parametrize("r", [1, 2, 3, 30, 997, 2 * 3 * 5 * 7 * 11 * 13])
     def test_products_of_large_primes(self, p, q, r):
-        # primes above 10^6, so the answer is known from the factors
+        # distinct primes above 1024, the seeded ones below 10^6, and r
+        # squarefree below them, so the answer is known from the factors
         assert not is_squarefree(r * p * p)
         assert is_squarefree(r * p * q)
 

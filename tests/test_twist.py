@@ -812,7 +812,8 @@ class TestCertificates:
         assert not issubclass(CertificateError, ValueError)
 
     def test_wr_twist_rechecks(self, monkeypatch):
-        monkeypatch.setattr(twist, "is_wr", lambda G: False)
+        # the certificate reads the WR flag of its reduced pencil integers
+        monkeypatch.setattr(twist, "_wr_reduced", lambda *r: False)
         with pytest.raises(CertificateError):
             wr_twist(CanonicalIdeal(139, 9, 7, 1))
 
@@ -828,7 +829,7 @@ class TestCertificates:
             from quadtwist.ideals import CanonicalIdeal
             from quadtwist.quadfield import CertificateError
             assert False, "asserts are live"
-            twist.is_stable = lambda G: False
+            twist._stable_reduced = lambda *r: False
             try:
                 twist.stable_twist(CanonicalIdeal(1327, 39, 38, 1))
             except CertificateError:
