@@ -18,12 +18,12 @@ straight to text, one f-string per block in a fixed key order: the bytes
 no report object in between.  Each report goes to stdout in one write.
 The `twist` report reads its Grams' integers: one Lagrange reduction, and
 each printed ratio and float companion computed once.  R = U^t G U shares
-G's det and denominator, and a WR report has one minimum.  `survey` decides each similarity class once: an
-ideal (a, b, g) takes the verdicts of its primitive part (a/g, b/g, 1), and
-every positive certificate is re-checked on the printed row's own ideal,
-the only ideal a multiple's row builds.  Its rows share one encoded tail
-per class and are written in one write, after the last row or at the first
-error.
+G's det and denominator, and a WR report has one minimum.  `survey`
+decides each similarity class once: an ideal (a, b, g) takes the verdicts
+of its primitive part (a/g, b/g, 1), and every positive certificate is
+re-checked on the printed row's own ideal, the only ideal a multiple's row
+builds.  Its rows share one encoded tail per class and are written in one
+write, after the last row or at the first error.
 """
 
 from __future__ import annotations
@@ -134,8 +134,7 @@ def cmd_twist(args) -> int:
 
     if alpha is not None:
         # one Lagrange reduction, of G's integers over G's denominator; R =
-        # U^t G U with det U = +-1 shares G's det and denominator, so each
-        # printed ratio and float companion is computed once
+        # U^t G U with det U = +-1 shares G's det and denominator
         n11, n12, n22, den = G._n11, G._n12, G._n22, G._den
         r11, r12, r22 = _reduce(n11, n12, n22)[:3]
         wr, stable = _wr_reduced(r11, r12, r22), _stable_reduced(r11, r12, r22)

@@ -108,6 +108,8 @@ class TestSquarefree:
             assert not is_squarefree(p * p)
         assert is_squarefree(1021 * 1031)
         assert not is_squarefree(2 * 3 * 1021 * 1021)
+        # 1021 is left to the gcd alone: no trial division below 1031^3
+        assert not is_squarefree(1021 * 1021 * 1033)
         # past 1031^3, so the trial division runs
         assert not is_squarefree(1031 * 1031 * 1033 * 1039)
 
