@@ -18,12 +18,15 @@ straight to text, one f-string per block in a fixed key order: the bytes
 no report object in between.  Each report goes to stdout in one write.
 The `twist` report reads its Grams' integers: one Lagrange reduction, and
 each printed ratio and float companion computed once.  R = U^t G U shares
-G's det and denominator, and a WR report has one minimum.  `survey`
+G's det and denominator, and a WR report has one minimum; its stable bound
+filter is read off `stable_twist`'s report when that runs.  `survey`
 decides each similarity class once: an ideal (a, b, g) takes the verdicts
 of its primitive part (a/g, b/g, 1), and every positive certificate is
 re-checked on the printed row's own ideal, the only ideal a multiple's row
-builds.  Its rows share one encoded tail per class and are written in one
-write, after the last row or at the first error.
+builds.  A class past the paper's finiteness bound 9(a/g)^2 >= 4*Delta
+has neither twist and builds no ideal.  Its rows share one encoded tail per
+class and are written in one write, after the last row or at the first
+error.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ from .ideals import (
     CanonicalIdeal,
     _canonical,
     _canonical_triples,
+    _z2,
 )
 from .lattice2 import (
     _reduce,
@@ -55,10 +59,22 @@ from .lattice2 import (
     minima_brute_force,
     successive_minima,
 )
-from .quadfield import CertificateError, InvalidFieldError, QuadElem, _float, _int, _rat, _ratio
+from .quadfield import (
+    CertificateError,
+    InvalidFieldError,
+    QuadElem,
+    _discriminant,
+    _float,
+    _int,
+    _rat,
+    _ratio,
+)
 from .twist import (
     _certify_stable,
     _certify_wr,
+    _past_height,
+    _stable_cone,
+    _wr_cone,
     stable_bound_filter,
     stable_twist,
     wr_bound_filter,
@@ -93,15 +109,18 @@ def cmd_twist(args) -> int:
     writes it: one f-string per block, in the report's key order."""
     D, a, b, g, mode = args.D, args.a, args.b, args.g, args.mode
     I = CanonicalIdeal(D, a, b, g)
-    wr_filter, stable_filter = wr_bound_filter(I), stable_bound_filter(I)
     verdict = wr_twist(I)
+    fr = None if mode == "wr" else stable_twist(I)
+    # stable_twist runs the cone test first and empties at index 0 exactly
+    # when it fails, so its report carries the printed filter
+    stable_filter = stable_bound_filter(I) if fr is None else fr.emptied_by != 0
     parts = [
         f'{{\n  "command": "twist",'
         f'\n  "inputs": {{\n    "D": {_int(D)},\n    "a": {_int(a)},'
         f'\n    "b": {_int(b)},\n    "g": {_int(g)},'
         f'\n    "mode": {_esc(mode)}\n  }},'
         f'\n  "ideal_norm": {_int(I.norm())},'
-        f'\n  "wr_bound_filter": {"true" if wr_filter else "false"},'
+        f'\n  "wr_bound_filter": {"true" if wr_bound_filter(I) else "false"},'
         f'\n  "stable_bound_filter": {"true" if stable_filter else "false"},'
         f'\n  "wr_twistable": {"true" if verdict.wr_twistable else "false"}']
     if not verdict.wr_twistable:
@@ -111,8 +130,7 @@ def cmd_twist(args) -> int:
     if mode in ("wr", "all") and verdict.wr_twistable:
         # wr_twist already built and re-checked this Gram
         alpha, G = verdict.alpha, verdict.gram
-    if mode in ("stable", "all"):
-        fr = stable_twist(I)
+    if fr is not None:
         intervals = ",\n    ".join(
             f'{{\n      "lo": "{iv.lo}",'
             f'\n      "hi": "{"inf" if iv.hi is None else iv.hi}",'
@@ -172,6 +190,51 @@ def cmd_twist(args) -> int:
     return EXIT_OK
 
 
+def _survey_class(D: int, a: int, b: int, disc: int, flt: str):
+    """How the rows of the class of the primitive ideal (a, b, 1) over D,
+    of discriminant disc, print under the filter flt: None when they do
+    not, else (the row tail after ideal_norm, the (t*, alpha) a multiple's
+    row re-checks by `_certify_wr` or None, the (t, alpha) it re-checks by
+    `_certify_stable` or None).
+
+    Past the height bound (`_past_height`) neither twist exists, so the
+    class is decided by its two cone tests and builds no ideal."""
+    wr = stable = None
+    if _past_height(a, 1, disc):
+        if flt != "all":
+            return None
+        verdicts = ('"wr_twistable": false, "alpha": null, '
+                    '"stable_feasible": false, "stable_witness_t": null}')
+    else:
+        J = _canonical(D, a, b, 1)
+        verdict = wr_twist(J)
+        if flt == "wr" and not verdict.wr_twistable:
+            return None
+        fr = stable_twist(J)
+        if flt == "stable" and not fr.feasible_real:
+            return None
+        alpha, t = verdict.alpha, fr.witness_t
+        if alpha is not None:
+            wr = verdict.t_star, alpha
+        if t is not None:
+            stable = t, fr.witness_alpha
+        # json.dumps of the class's fields, written out: bools as
+        # true/false, None as null, strings through _esc
+        verdicts = (
+            '"wr_twistable": '
+            f'{"true" if verdict.wr_twistable else "false"}, '
+            f'"alpha": {"null" if alpha is None else _esc(str(alpha))}, '
+            '"stable_feasible": '
+            f'{"true" if fr.feasible_real else "false"}, '
+            f'"stable_witness_t": {"null" if t is None else _esc(_rat(t))}}}')
+    u, v, _, _ = _z2(D, b, 1)
+    return ('"wr_bound_filter": '
+            f'{"true" if _wr_cone(u, v, D) else "false"}, '
+            '"stable_bound_filter": '
+            f'{"true" if _stable_cone(u, v, D) else "false"}, {verdicts}',
+            wr, stable)
+
+
 def cmd_survey(args) -> int:
     """One JSON line per canonical ideal over D with a <= max_a, in (a, b, g)
     order.
@@ -179,61 +242,41 @@ def cmd_survey(args) -> int:
     I = (a, b, g) is g times its primitive part J = (a/g, b/g, 1): the pencil
     of I is g^2 times that of J, and WR, reducedness and stability do not
     see the factor, so I has J's forced ratio t*, feasibility set and
-    witness.  Each similarity class is therefore decided once, on J, for the
-    duration of this call; J's stable verdict is computed only when a row of
-    its class is printed.  The loop walks the canonical triples and builds
-    an ideal only for a class's J and for a printed multiple with a positive
-    verdict: that verdict is re-checked on the multiple's own Gram, so every
-    printed certificate is one of the row's ideal.  The fields after
-    ideal_norm are the class's, so they are encoded once per class; each
-    row is one f-string, and the rows are written in one write, at the end
-    or at an error.
+    witness.  The filter sees only these verdicts, so each similarity class
+    is decided once, on J, at its first row (J precedes its multiples):
+    whether its rows print, their encoded tail, and which certificates they
+    re-check (`_survey_class`).  A class past the paper's finiteness bound,
+    9(a/g)^2 >= 4*Delta, has neither twist and is settled by two integer
+    comparisons and its two cone tests; any other class builds J and runs
+    `wr_twist`, and `stable_twist` only when its rows can print.  A multiple
+    of a class that does not print costs one dict lookup.  A printed
+    multiple with a positive verdict builds its own ideal, and the verdict
+    is re-checked on that ideal's Gram, so every printed certificate is one
+    of the row's ideal.  Each row is one f-string, and the rows are written
+    in one write, at the end or at an error.
     """
     if args.max_a < 1:
         return _invalid_input(f"need max_a >= 1, got {args.max_a}")
-    D = args.D
-    # (a/g, b/g) -> [J, wr_twist(J), stable_twist(J) and the encoded row
-    # tail, both None until needed]; the triples come sorted, so J precedes
-    # its multiples
+    D, flt = args.D, args.filter
+    disc = _discriminant(D)
+    # (a/g, b/g) -> _survey_class of the primitive part
     classes: dict = {}
     lines: list = []
     try:
         for a, b, g in _canonical_triples(D, args.max_a):
             if g == 1:
-                J = _canonical(D, a, b, 1)
-                cls = classes[a, b] = [J, wr_twist(J), None, None]
+                cls = classes[a, b] = _survey_class(D, a, b, disc, flt)
             else:
                 cls = classes[a // g, b // g]
-            J, verdict, fr, tail = cls
-            if args.filter == "wr" and not verdict.wr_twistable:
+            if cls is None:
                 continue
-            if fr is None:
-                fr = stable_twist(J)
-                # json.dumps of the class's fields, written out: bools as
-                # true/false, None as null, strings through _esc
-                alpha, t = verdict.alpha, fr.witness_t
-                tail = (
-                    '"wr_bound_filter": '
-                    f'{"true" if wr_bound_filter(J) else "false"}, '
-                    '"stable_bound_filter": '
-                    f'{"true" if stable_bound_filter(J) else "false"}, '
-                    '"wr_twistable": '
-                    f'{"true" if verdict.wr_twistable else "false"}, '
-                    '"alpha": '
-                    f'{"null" if alpha is None else _esc(str(alpha))}, '
-                    '"stable_feasible": '
-                    f'{"true" if fr.feasible_real else "false"}, '
-                    '"stable_witness_t": '
-                    f'{"null" if t is None else _esc(_rat(t))}}}')
-                cls[2:] = fr, tail
-            if args.filter == "stable" and not fr.feasible_real:
-                continue
-            if g > 1 and (verdict.wr_twistable or fr.witness_t is not None):
+            tail, wr, stable = cls
+            if g > 1 and (wr or stable):
                 I = _canonical(D, a, b, g)
-                if verdict.wr_twistable:
-                    _certify_wr(I, verdict.t_star, verdict.alpha)
-                if fr.witness_t is not None:
-                    _certify_stable(I, fr.witness_t, fr.witness_alpha)
+                if wr:
+                    _certify_wr(I, *wr)
+                if stable:
+                    _certify_stable(I, *stable)
             # ints print as their JSON; the tail holds the rest of the object
             lines.append(f'{{"D": {D}, "a": {a}, "b": {b}, "g": {g}, '
                          f'"ideal_norm": {a * g}, {tail}\n')

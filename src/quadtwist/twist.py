@@ -285,13 +285,24 @@ class FeasibilityReport(_Record):
         return any(iv.contains(t) for iv in self.intervals)
 
 
+def _wr_cone(u: int, v: int, D: int) -> bool:
+    """u^2 < D*v^2, the test of `wr_bound_filter` on z2 = (u + v*sqrt(D))/e."""
+    return u * u < D * v * v
+
+
+def _stable_cone(u: int, v: int, D: int) -> bool:
+    """3*u^2 < 4*D*v^2, the test of `stable_bound_filter` on
+    z2 = (u + v*sqrt(D))/e."""
+    return 3 * u * u < 4 * D * v * v
+
+
 def wr_bound_filter(I: CanonicalIdeal) -> bool:
     """Necessary condition for WR twistability: u^2 < D*v^2 for
     z2 = (u + v*sqrt(D))/e."""
     if not isinstance(I, CanonicalIdeal):
         raise TypeError("I must be a CanonicalIdeal")
     u, v, _ = I._uve
-    return u * u < I.D * v * v
+    return _wr_cone(u, v, I.D)
 
 
 def stable_bound_filter(I: CanonicalIdeal) -> bool:
@@ -301,7 +312,25 @@ def stable_bound_filter(I: CanonicalIdeal) -> bool:
     if not isinstance(I, CanonicalIdeal):
         raise TypeError("I must be a CanonicalIdeal")
     u, v, _ = I._uve
-    return 3 * u * u < 4 * I.D * v * v
+    return _stable_cone(u, v, I.D)
+
+
+def _past_height(a: int, g: int, disc: int) -> bool:
+    """9a^2 >= 4*disc*g^2: the canonical basis of an ideal (a, b, g) over a
+    field of discriminant disc twists into no stable and no WR lattice.
+
+    With A = a/g, the first coefficient of the basis's norm form
+    (A, B, C) = (N(a), tr(a*conj(z2)), N(z2))/N(I), N(I) = a*g:
+    - Stable: the arc that tau runs on has height sqrt(disc)/(2A), and a
+      stable twist needs it above 3/4, so 9A^2 < 4*disc (proof in
+      `stable_twist`, its height test).
+    - WR: a WR twist needs F = N(I)^2 * (A^2 + AC + C^2 - disc/4) <= 0
+      (`wr_twist`), and A^2 + AC + C^2 = (C + A/2)^2 + 3A^2/4 >= 3A^2/4,
+      so it needs 3A^2 <= disc.  Past this bound 3A^2 >= 4*disc/3 > disc.
+    So the paper's finiteness is explicit: over a fixed field every
+    twistable canonical basis has a/g < (2/3)*sqrt(disc).
+    """
+    return 9 * a * a >= 4 * disc * g * g
 
 
 def _wr_ratio(I: CanonicalIdeal) -> tuple[int, int, bool]:
@@ -429,15 +458,17 @@ def stable_twist(I: CanonicalIdeal) -> FeasibilityReport:
       tangent point, 3u^2 = 4Dv^2; that makes 3D a square, so D = 3 and
       b = 2g, and a*g | N(z2) = g^2 contradicts b < a.
     - Height, index 2: constraints 0 and 2 give y <= |tau|^2 <= 4y^2/3, so
-      y >= 3/4 needs R > 3/4: 9(a/g)^2 < 4*Delta.  If R <= 3/4 and the cone
-      test passes, y < 1 everywhere: index 1 cuts nothing, index 2 empties.
+      y >= 3/4 needs R > 3/4: 9(a/g)^2 < 4*Delta (`_past_height` is its
+      failure).  If R <= 3/4 and the cone test passes, y < 1 everywhere:
+      index 1 cuts nothing, index 2 empties.
     """
     if not isinstance(I, CanonicalIdeal):
         raise TypeError("I must be a CanonicalIdeal")
     D = I.D
-    if not stable_bound_filter(I):
+    u, v, _ = I._uve
+    if not _stable_cone(u, v, D):
         return FeasibilityReport(False, (), emptied_by=0)
-    if 9 * I.a * I.a >= 4 * _discriminant(D) * I.g * I.g:
+    if _past_height(I.a, I.g, _discriminant(D)):
         return FeasibilityReport(False, (), emptied_by=2)
     feas = [((0, 1, D, 1), None, False, True)]
     for k, (A, B, C) in enumerate(_stable_constraints(I)):

@@ -61,6 +61,28 @@ class TestTwistCommand:
         # 12 significant digits
         assert rep["minima_float"][0] == float("54.279649721")
 
+    @pytest.mark.parametrize("mode", ["wr", "stable", "all"])
+    def test_one_cone_test_per_query(self, capsys, monkeypatch, mode):
+        # under --mode stable and all the printed stable_bound_filter is
+        # read off stable_twist's report, whose first step is the cone test
+        ideals = enumerate_canonical(139, 30)
+        want = [stable_bound_filter(I) for I in ideals]
+        assert set(want) == {True, False}
+        calls = []
+        real = twist._stable_cone
+
+        def counted(u, v, D):
+            calls.append((u, v, D))
+            return real(u, v, D)
+
+        monkeypatch.setattr(twist, "_stable_cone", counted)
+        for I, cone in zip(ideals, want):
+            calls.clear()
+            _, out, _ = run_cli(capsys, "twist", *map(str, (I.D, I.a, I.b, I.g)),
+                                "--mode", mode)
+            assert len(calls) == 1, I
+            assert json.loads(out)["stable_bound_filter"] is cone, I
+
     def test_invalid_triple(self, capsys):
         code, out, err = run_cli(capsys, "twist", "139", "9", "3", "1")
         assert code == EXIT_INVALID
@@ -125,10 +147,12 @@ class TestSurveyCommand:
     @pytest.mark.parametrize("flag", ["all", "wr", "stable"])
     def test_builds_an_ideal_per_class_and_per_recheck(
             self, capsys, monkeypatch, flag):
-        # the row loop's work budget: one ideal per similarity class (its
-        # primitive part, g == 1, printed or not) and one per printed
-        # multiple whose WR twist or stable witness is re-checked on its
-        # own Gram; every ideal is built through ideals._derive
+        # the row loop's work budget: one ideal per similarity class inside
+        # the height bound 9a^2 < 4*Delta (its primitive part, g == 1,
+        # printed or not) and one per printed multiple whose WR twist or
+        # stable witness is re-checked on its own Gram; every ideal is
+        # built through ideals._derive, and a class past the bound builds
+        # none
         _, full, _ = run_cli(capsys, "survey", "139", "30")
         built = []
         real = ideals._derive
@@ -142,19 +166,22 @@ class TestSurveyCommand:
         classes = {(r["a"], r["b"], 1) for r in map(json.loads,
                                                     full.splitlines())
                    if r["g"] == 1}
+        inside = {c for c in classes if 9 * c[0] ** 2 < 4 * 4 * 139}
         rechecked = {(r["a"], r["b"], r["g"])
                      for r in map(json.loads, out.splitlines())
                      if r["g"] > 1 and (r["wr_twistable"]
                                         or r["stable_witness_t"] is not None)}
-        assert built == sorted(classes | rechecked)
+        assert built == sorted(inside | rechecked)
         if flag == "all":
-            assert (len(full.splitlines()), len(classes), len(built)) == (
-                129, 36, 45)
+            assert (len(full.splitlines()), len(classes), len(inside),
+                    len(built)) == (129, 36, 18, 27)
 
     @pytest.mark.parametrize("flag", ["all", "wr", "stable"])
-    @pytest.mark.parametrize("D", [2, 5, 13, 21, 139, 141, 199])
+    @pytest.mark.parametrize("D", [2, 5, 13, 21, 139, 141, 199, 997, 998])
     def test_same_bytes_as_deciding_every_row(self, capsys, D, flag):
-        # D = 5, 13, 21, 141 are 1 mod 4, where even g meets e = 2
+        # D = 5, 13, 21, 141, 997 are 1 mod 4, where even g meets e = 2;
+        # over D = 997 (Delta = 997) and D = 998 (Delta = 3992) the height
+        # bound 9a^2 < 4*Delta ends inside a <= 50, after a = 21 and a = 42
         _, out, _ = run_cli(capsys, "survey", str(D), "50", "--filter", flag)
         assert out == _ref_survey(D, 50, flag)
 

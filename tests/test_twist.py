@@ -677,6 +677,32 @@ class TestPrefilters:
                         (False, True, 2): 4196, (False, False, 1): 5710,
                         (False, False, 2): 1139, (False, False, None): 3984}
 
+    def test_past_the_height_bound_neither_twist_exists(
+            self, primitive_ideals):
+        # 9(a/g)^2 >= 4*Delta leaves no WR and no stable twist, and every
+        # WR twist has 3(a/g)^2 <= Delta, which the oracle's F <= 0 forces
+        seen = Counter()
+        for I in primitive_ideals:
+            disc = I.D if I.D % 4 == 1 else 4 * I.D
+            past = _height_fails(I)
+            assert twist._past_height(I.a, I.g, disc) is past, I
+            wr = wr_twist(I).wr_twistable
+            f_le_0 = oracles.F(*oracles.basis(I.D, I.a, I.b, I.g), I.D,
+                               I.norm()) <= 0
+            low = 3 * I.a * I.a <= disc * I.g * I.g
+            if past:
+                assert not (wr or stable_twist(I).feasible_real), I
+            assert (not wr or f_le_0) and (not f_le_0 or low), I
+            seen[past, low, f_le_0, wr] += 1
+        # (past the bound, 3(a/g)^2 <= Delta, F <= 0, wr_twistable): 8,238
+        # ideals lie past the bound, 2,787 have F <= 0 (the diagonal
+        # group's WR ideals) and 2,529 of those twist along t > sqrt(D)
+        assert seen == {(True, False, False, False): 8238,
+                        (False, False, False, False): 1444,
+                        (False, True, False, False): 6685,
+                        (False, True, True, False): 258,
+                        (False, True, True, True): 2529}
+
     def test_no_clipping_when_a_prefilter_fails(self, sweep, monkeypatch):
         calls = []
         clip = twist._clip
