@@ -166,7 +166,7 @@ class TestSurveyCommand:
         classes = {(r["a"], r["b"], 1) for r in map(json.loads,
                                                     full.splitlines())
                    if r["g"] == 1}
-        inside = {c for c in classes if 9 * c[0] ** 2 < 4 * 4 * 139}
+        inside = {c for c in classes if 9 * c[0] ** 2 < 4 * (4 * 139)}
         rechecked = {(r["a"], r["b"], r["g"])
                      for r in map(json.loads, out.splitlines())
                      if r["g"] > 1 and (r["wr_twistable"]
