@@ -27,7 +27,9 @@ def show(I):
     for iv in fr.intervals:
         print(f"  stable t-interval: {iv}")
     if fr.witness_t is None:
-        print("  (a single boundary point; no rational witness)\n")
+        print(f"  (the single point t = {fr.intervals[0].lo} is stable, but "
+              "stable_twist searches only the interior of the set for a "
+              "witness)\n")
         return
     print(f"  simplest rational witness: t = {fr.witness_t}")
     G = gram_of_twist(I, QuadElem(I.D, fr.witness_t, 1))
@@ -43,7 +45,8 @@ show(CanonicalIdeal(1327, 39, 38, 1))
 show(CanonicalIdeal(125173, 183, 182, 1))
 
 # For the ring of integers of Q(sqrt(5)) the stable set degenerates to a
-# single point t = 5 — exactly the orthogonal twist.
+# single point t = 5 — exactly the orthogonal twist alpha = 5 + sqrt(5),
+# which is WR and so stable, though stable_twist reports no witness there.
 show(ring_of_integers(5))
 
 # And for most rings of integers the stable set is empty.

@@ -264,12 +264,17 @@ class QuadElem:
 
     Held as the integers (D, p, q, d) in canonical form, d > 0 and
     gcd(p, q, d) = 1, so equal elements have equal fields.  The rational view
-    x + y*sqrt(D) has x = p/d and y = q/d.  All fields are read-only.  Ring
-    operations and order predicates work on the integers alone; only the
-    public constructor validates D, and results of operations reuse the D of
-    their operands.  x and y must be ints or Fractions: any other type, a
-    bool too, raises TypeError, so no float or string reaches the exact
-    fields; operands of the ring operations pass the same gate.
+    x + y*sqrt(D) has x = p/d and y = q/d.  All fields are read-only.  The
+    operations are +, * and the order (<, <=, >, >=), each with an element
+    of the same field or an int or Fraction on either side, unary -,
+    inverse, conjugate, norm and is_totally_positive; each works on the
+    integers alone.  There is no -, /, ** or float: z + -w, z * w.inverse(),
+    repeated *, and float(Surd(z.p, z.q, z.D, z.d)) (with -z.q for the
+    second embedding) spell them.  Only the public constructor validates D,
+    and results of operations reuse the D of their operands.  x and y must
+    be ints or Fractions: any other type, a bool too, raises TypeError, so
+    no float or string reaches the exact fields; operands of the ring
+    operations pass the same gate.
     """
 
     __slots__ = ("_D", "_p", "_q", "_d")
@@ -325,13 +330,6 @@ class QuadElem:
     def __neg__(self):
         return _quad(self._D, -self._p, -self._q, self._d)
 
-    def __sub__(self, other):
-        o = self._coerce(other)
-        return o if o is NotImplemented else self + -o
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
@@ -352,31 +350,6 @@ class QuadElem:
             d, n = -d, -n
         return _quad(self._D, d * p, -d * q, n)
 
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        return self.inverse() * other
-
-    def __pow__(self, k: int):
-        # raised, not NotImplemented, which would let Fraction.__rpow__
-        # answer ** Fraction(2) as ** 2
-        if not _ints(k):
-            raise TypeError("the exponent must be an int")
-        if k < 0:
-            return self.inverse() ** (-k)
-        r = _quad(self._D, 1, 0, 1)
-        b = self
-        while k:
-            if k & 1:
-                r = r * b
-            b = b * b
-            k >>= 1
-        return r
-
     # -- field invariants -------------------------------------------------
 
     def conjugate(self) -> "QuadElem":
@@ -389,7 +362,7 @@ class QuadElem:
     def is_totally_positive(self) -> bool:
         return _totally_positive(self._p, self._q, self._D)
 
-    # -- order and conversion ----------------------------------------------
+    # -- order -------------------------------------------------------------
 
     def _cmp(self, other):
         o = self._coerce(other)
@@ -412,20 +385,6 @@ class QuadElem:
 
     def __hash__(self):
         return hash((self._D, self._p, self._q, self._d))
-
-    def __abs__(self):
-        return -self if self < 0 else self
-
-    def embed(self, i: int) -> float:
-        """sigma_i(self) as a float, for the embedding i = 1 or 2."""
-        if not _ints(i):
-            raise TypeError("the embedding index must be an int")
-        if i != 1 and i != 2:
-            raise ValueError("the embedding index must be 1 or 2")
-        return _float(self._p, self._q if i == 1 else -self._q, self._D, self._d)
-
-    def __float__(self):
-        return self.embed(1)
 
     def __repr__(self):
         return (f"QuadElem(D={_repr(self._D)}, x={_repr(self.x)}, "
@@ -555,10 +514,11 @@ class Surd:
     Any other argument type, a bool too, raises TypeError, so no float
     reaches the exact sign tests.  Canonical form: when n is a perfect square
     the radical is folded into p and q = n = 0.  The radicand is otherwise
-    kept as given, not reduced to its squarefree part.  Total order against
-    rationals (ints and Fractions, not bools) and other Surds is decided by
-    integer sign tests after cross-multiplying the denominators, never by
-    floating point.
+    kept as given, not reduced to its squarefree part.  `surd_compare`
+    orders Surds and rationals (ints and Fractions, not bools), and == is
+    its zero; both decide by integer sign tests after cross-multiplying the
+    denominators, never by floating point.  A Surd has no <, <=, > or >=:
+    `surd_compare(a, b) < 0` spells a < b.  float(s) is correctly rounded.
     """
 
     __slots__ = ("p", "q", "n", "d")
@@ -596,16 +556,10 @@ class Surd:
     def __float__(self):
         return _float(self.p, self.q, self.n, self.d)
 
-    def _cmp(self, other):
+    def __eq__(self, other):
         if isinstance(other, Surd) or _rationals(other):
-            return surd_compare(self, other)
+            return surd_compare(self, other) == 0
         return NotImplemented
-
-    __lt__ = _order(operator.lt)
-    __le__ = _order(operator.le)
-    __gt__ = _order(operator.gt)
-    __ge__ = _order(operator.ge)
-    __eq__ = _order(operator.eq)
 
     def __hash__(self):
         # Consistent with __eq__ without factoring the radicand: square roots
@@ -648,8 +602,8 @@ def _surd_sign(s1: tuple[int, int, int, int],
     (p + q*sqrt(n))/d on integers with n >= 0 and d > 0; n need not be
     squarefree, and a perfect square n need not be folded into p.
 
-    The one cross-multiplied comparison: `QuadElem` and `Surd` order and
-    the ends of the stable clipping in `twist` all go through it."""
+    The one cross-multiplied comparison: `QuadElem` order, `surd_compare`
+    and the ends of the stable clipping in `twist` all go through it."""
     p1, q1, n1, d1 = s1
     p2, q2, n2, d2 = s2
     # Both denominators are positive: compare (p1 + q1 sqrt(n1)) d2 with

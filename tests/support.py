@@ -1,6 +1,7 @@
 """What the tier-1 modules share: the repo's paths, one parse of each source
-file, one rule for the names a syntax tree reads, and one way to run code
-in a child interpreter.
+file, one rule for the names a syntax tree reads, one way to run code in a
+child interpreter, and the power and the float embeddings of a field
+element.
 
 pytest collects only `test_*.py`, so this module holds no tests.
 """
@@ -72,3 +73,19 @@ def run_python(*args, flags=(), path=(), **run_kwargs):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(map(str, entries)))
     return subprocess.run([sys.executable, *flags, *args], env=env,
                           **run_kwargs)
+
+
+def power(z, k):
+    """z^k for a QuadElem z and an int k, spelled as README's "Removed
+    names" row for `z ** k`: repeated *, on z.inverse() when k < 0."""
+    base = z.inverse() if k < 0 else z
+    out = quadtwist.QuadElem(z.D, 1)
+    for _ in range(abs(k)):
+        out = out * base
+    return out
+
+
+def embedding(z, i):
+    """sigma_i(z) as a float for a QuadElem z and i = 1 or 2, spelled as
+    README's "Removed names" row for `z.embed(i)`."""
+    return float(quadtwist.Surd(z.p, z.q if i == 1 else -z.q, z.D, z.d))

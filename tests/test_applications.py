@@ -28,6 +28,7 @@ from quadtwist.quadfield import (
     is_squarefree,
 )
 from quadtwist.twist import wr_twist
+from support import embedding
 import oracles
 
 
@@ -153,14 +154,16 @@ class TestDMin:
         alpha = QuadElem(10, 7, 1)
         exact = float(d_min_sq_twist(I, alpha))
         z1, z2 = I.basis_elements()
-        a1, a2 = alpha.embed(1), alpha.embed(2)
+        a1, a2 = embedding(alpha, 1), embedding(alpha, 2)
         best = None
         for m in range(-20, 21):
             for n in range(-20, 21):
                 if (m, n) == (0, 0):
                     continue
-                c1 = (m * z1.embed(1) + n * z2.embed(1)) * math.sqrt(a1)
-                c2 = (m * z1.embed(2) + n * z2.embed(2)) * math.sqrt(a2)
+                c1 = (m * embedding(z1, 1) + n * embedding(z2, 1)) \
+                    * math.sqrt(a1)
+                c2 = (m * embedding(z1, 2) + n * embedding(z2, 2)) \
+                    * math.sqrt(a2)
                 p = (c1 * c2) ** 2
                 best = p if best is None else min(best, p)
         assert abs(best - exact) <= 1e-6 * exact

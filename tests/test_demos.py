@@ -16,7 +16,7 @@ STDOUT_SHA256 = {
     "01_wr_twists.py":
         "c3ea1d7dfa770b0175a159898b4d859cd32b3e260a74f8293b7b7abc1b927410",
     "02_stable_twists.py":
-        "37aad6a77f24e6deb9118fce34569468f9efdff674b0aa7158483ab2ad0b216d",
+        "afdce12da6ba961e3730ada57b48800dd007f9d66e5923bed062661b1d67ef26",
     "03_geodesic_orbit.py":
         "9f7a75a514ea6e0fc6ff5c4accf7fb4b5f0d248559f886a634700714e9448e48",
     "04_euclidean_diversity.py":

@@ -25,7 +25,7 @@ from quadtwist.quadfield import (
     is_squarefree,
     surd_compare,
 )
-from support import run_python
+from support import embedding, power, run_python
 import oracles
 
 rationals = st.fractions(
@@ -186,7 +186,7 @@ class TestQuadElem:
         w = QuadElem(2, 1, -1)
         assert (z * w).x == -1 and (z * w).y == 0
         assert (z + w) == QuadElem(2, 2, 0)
-        assert z - w == QuadElem(2, 0, 2)
+        assert z + -w == QuadElem(2, 0, 2)
         assert z.norm() == -1
         assert z.conjugate() == w
         # rational coordinates go over one denominator
@@ -197,15 +197,8 @@ class TestQuadElem:
     def test_inverse_and_division(self):
         z = QuadElem(7, 3, 1)
         assert z * z.inverse() == QuadElem(7, 1, 0)
-        assert (z / z) == QuadElem(7, 1, 0)
         with pytest.raises(ZeroDivisionError):
             QuadElem(7, 0, 0).inverse()
-
-    def test_pow(self):
-        z = QuadElem(2, 1, 1)
-        assert z**0 == QuadElem(2, 1, 0)
-        assert z**3 == z * z * z
-        assert z**-2 == (z * z).inverse()
 
     def test_mixed_fields_rejected(self):
         with pytest.raises(ValueError):
@@ -247,8 +240,9 @@ class TestQuadElem:
         # (q/d)*sqrt(D) cancel to their last digits: in floats, 1.49e-8, 0.0
         # and 0.0
         eps, _ = fundamental_unit(D)
-        assert eps.embed(2) == small == _decimal_float(eps.p, -eps.q, D, eps.d)
-        assert eps.embed(1) == float(eps) == _decimal_float(eps.p, eps.q, D, eps.d)
+        assert embedding(eps, 2) == small \
+            == _decimal_float(eps.p, -eps.q, D, eps.d)
+        assert embedding(eps, 1) == _decimal_float(eps.p, eps.q, D, eps.d)
 
     def test_embed_under_heavy_cancellation(self):
         # p is within 2 of |q|*sqrt(D), so one embedding keeps only the
@@ -260,22 +254,22 @@ class TestQuadElem:
             p = math.isqrt(D * q * q) + rng.randrange(-2, 3)
             d = rng.randrange(1, 10**6)
             z = QuadElem(D, Fraction(p, d), Fraction(q, d))
-            assert float(z) == z.embed(1) == _decimal_float(p, q, D, d), z
-            assert z.embed(2) == _decimal_float(p, -q, D, d), z
+            assert embedding(z, 1) == _decimal_float(p, q, D, d), z
+            assert embedding(z, 2) == _decimal_float(p, -q, D, d), z
 
     def test_embed_beyond_float_range(self):
         # the integers give +-inf, or the finite value when the two terms
         # cancel
-        assert float(QuadElem(2, 10**400)) == math.inf
-        assert QuadElem(2, 0, 10**400).embed(2) == -math.inf
-        assert QuadElem(2, 10**308, 10**308).embed(1) == math.inf
+        assert embedding(QuadElem(2, 10**400), 1) == math.inf
+        assert embedding(QuadElem(2, 0, 10**400), 2) == -math.inf
+        assert embedding(QuadElem(2, 10**308, 10**308), 1) == math.inf
         p = math.isqrt(2 * 10**800)
         z = QuadElem(2, p, -(10**400))
-        assert z.embed(2) == math.inf
+        assert embedding(z, 2) == math.inf
         with localcontext() as ctx:
             ctx.prec = 1000
             ref = Decimal(p) - Decimal(10**400) * Decimal(2).sqrt()
-        assert abs(Decimal(z.embed(1)) - ref) <= Decimal(1e-15) * abs(ref)
+        assert abs(Decimal(embedding(z, 1)) - ref) <= Decimal(1e-15) * abs(ref)
 
     @given(x=rationals, y=rationals, D=small_D)
     def test_trace_and_norm_via_conjugate(self, x, y, D):
@@ -302,10 +296,10 @@ class TestQuadElemAgainstPairs:
 
         assert pair(z) == a
         assert pair(z + w) == (x1 + x2, y1 + y2)
-        assert pair(z - w) == (x1 - x2, y1 - y2)
+        assert pair(z + -w) == (x1 - x2, y1 - y2)
         assert pair(z * w) == oracles.mul(a, b, D)
         assert pair(z * c) == pair(c * z) == (x1 * c, y1 * c)
-        assert pair(c - z) == (c - x1, -y1)
+        assert pair(c + -z) == (c - x1, -y1)
         assert pair(z.conjugate()) == (x1, -y1)
         assert pair(-z) == (-x1, -y1)
         assert z.norm() == x1 * x1 - D * y1 * y1
@@ -314,23 +308,26 @@ class TestQuadElemAgainstPairs:
         m = QuadElem(D, *neg)
         assert m.norm() < 0
         assert pair(m.inverse()) == oracles.inverse(neg, D)
-        assert pair(z / m) == oracles.mul(a, oracles.inverse(neg, D), D)
+        assert pair(z * m.inverse()) == \
+            oracles.mul(a, oracles.inverse(neg, D), D)
         if b == (0, 0):
             with pytest.raises(ZeroDivisionError):
                 w.inverse()
         else:
             assert pair(w.inverse()) == oracles.inverse(b, D)
-            assert pair(z / w) == oracles.mul(a, oracles.inverse(b, D), D)
-            assert pair(c / w) == oracles.mul((c, 0), oracles.inverse(b, D), D)
-        power = (Fraction(1), Fraction(0))
+            assert pair(z * w.inverse()) == \
+                oracles.mul(a, oracles.inverse(b, D), D)
+            assert pair(c * w.inverse()) == \
+                oracles.mul((c, 0), oracles.inverse(b, D), D)
+        w_k = (Fraction(1), Fraction(0))
         for _ in range(abs(k)):
-            power = oracles.mul(power, b, D)
+            w_k = oracles.mul(w_k, b, D)
         if k < 0 and b == (0, 0):
             with pytest.raises(ZeroDivisionError):
-                w ** k
+                power(w, k)
         else:
-            assert pair(w ** k) == \
-                (power if k >= 0 else oracles.inverse(power, D))
+            assert pair(power(w, k)) == \
+                (w_k if k >= 0 else oracles.inverse(w_k, D))
         sign = oracles.surd_sign(x1 - x2, y1 - y2, D)
         assert ((z < w), (z <= w), (z > w), (z >= w)) == \
             (sign < 0, sign <= 0, sign > 0, sign >= 0)
@@ -338,13 +335,13 @@ class TestQuadElemAgainstPairs:
         assert (z == w) == (a == b)
         # equal values built different ways are equal and hash alike
         if b != (0, 0):
-            back = (z * w) / w
+            back = (z * w) * w.inverse()
             assert back == z and hash(back) == hash(z)
         assert pickle.loads(pickle.dumps(z)) == z
         d = math.lcm(x1.denominator, y1.denominator)
         p, q = int(x1 * d), int(y1 * d)
-        assert float(z) == z.embed(1) == _decimal_float(p, q, D, d)
-        assert z.embed(2) == _decimal_float(p, -q, D, d)
+        assert embedding(z, 1) == _decimal_float(p, q, D, d)
+        assert embedding(z, 2) == _decimal_float(p, -q, D, d)
         assert repr(z) == f"QuadElem(D={D!r}, x={x1!r}, y={y1!r})"
 
     def test_str(self):
@@ -394,12 +391,110 @@ class TestQuadElemAgainstPairs:
 
 @pytest.mark.parametrize("compare", [
     lambda: QuadElem(5, 1, 1) < 1.5,
-    lambda: Surd(0, 1, 2) < 1.5,
+    lambda: surd_compare(Surd(0, 1, 2), 1.5),
     lambda: Interval(Surd(0, 1, 2), None).contains(1.5),
 ], ids=["QuadElem", "Surd", "Interval.contains"])
 def test_ordering_against_a_float_is_a_type_error(compare):
     with pytest.raises(TypeError):
         compare()
+
+
+def _pair(e):
+    return (e.x, e.y)
+
+
+def _pqnd(e):
+    """The integers (p, q, n, d) of an element as a Surd."""
+    return (e.p, e.q, e.D, e.d)
+
+
+def _check_sub(z, w):
+    assert _pair(z + -w) == (z.x - w.x, z.y - w.y)
+    assert _pair(3 + -z) == (3 - z.x, -z.y)
+
+
+def _check_truediv(z, w):
+    assert _pair(z * w.inverse()) == \
+        oracles.mul(_pair(z), oracles.inverse(_pair(w), z.D), z.D)
+    assert _pair(3 * w.inverse()) == \
+        oracles.mul((3, 0), oracles.inverse(_pair(w), z.D), z.D)
+
+
+def _check_pow(z, w):
+    w_k = (Fraction(1), Fraction(0))
+    for k in range(4):
+        assert _pair(power(w, k)) == w_k
+        assert _pair(power(w, -k)) == oracles.inverse(w_k, z.D)
+        w_k = oracles.mul(w_k, _pair(w), z.D)
+
+
+def _check_abs(z, w):
+    sign = oracles.surd_cmp(_pqnd(z), (0, 0, 0, 1))
+    assert _pair(-z if z < 0 else z) == \
+        (_pair(z) if sign >= 0 else (-z.x, -z.y))
+
+
+def _check_float_embed(z, w):
+    assert float(Surd(z.p, z.q, z.D, z.d)) == _decimal_float(*_pqnd(z))
+    assert float(Surd(z.p, -z.q, z.D, z.d)) == \
+        _decimal_float(z.p, -z.q, z.D, z.d)
+
+
+def _check_surd_order(z, w):
+    s, t = Surd(*_pqnd(z)), Surd(*_pqnd(w))
+    sign = oracles.surd_cmp(_pqnd(z), _pqnd(w))
+    assert (surd_compare(s, t) < 0, surd_compare(s, t) <= 0,
+            surd_compare(s, t) > 0, surd_compare(s, t) >= 0) == \
+        (sign < 0, sign <= 0, sign > 0, sign >= 0)
+    assert (surd_compare(s, 3) < 0) == \
+        (oracles.surd_cmp(_pqnd(z), (3, 0, 0, 1)) < 0)
+
+
+_EXPONENTS = [2, 0, -2, True, 2.0, -1.0, Fraction(2), "2"]
+_EMBEDDING_INDICES = [1, 2, 0, 3, -1, True, 1.0, "1"]
+
+# README's "Removed names" rows for the two exact value types: the spellings
+# that are gone, each with the error it raises now, and the check of the
+# row's replacement on seeded elements (z, w) of Q(sqrt(D)).
+REMOVED_SPELLINGS = {
+    "sub": ([(lambda z, w: z - w, TypeError),
+             (lambda z, w: z - 1, TypeError),
+             (lambda z, w: 1 - z, TypeError),
+             (lambda z, w: Fraction(1, 2) - z, TypeError)], _check_sub),
+    "truediv": ([(lambda z, w: z / w, TypeError),
+                 (lambda z, w: z / 2, TypeError),
+                 (lambda z, w: 1 / z, TypeError),
+                 (lambda z, w: Fraction(1, 2) / z, TypeError)], _check_truediv),
+    "pow": ([(lambda z, w, k=k: z ** k, TypeError) for k in _EXPONENTS]
+            + [(lambda z, w: pow(z, 2), TypeError)], _check_pow),
+    "abs": ([(lambda z, w: abs(z), TypeError)], _check_abs),
+    "float_embed": ([(lambda z, w: float(z), TypeError)]
+                    + [(lambda z, w, i=i: z.embed(i), AttributeError)
+                       for i in _EMBEDDING_INDICES], _check_float_embed),
+    "surd_order": ([(lambda z, w: Surd(1) < Surd(2), TypeError),
+                    (lambda z, w: Surd(1) <= Surd(2), TypeError),
+                    (lambda z, w: Surd(1) > Surd(2), TypeError),
+                    (lambda z, w: Surd(1) >= Surd(2), TypeError),
+                    (lambda z, w: Surd(0, 1, 2) < 2, TypeError),
+                    (lambda z, w: Fraction(1, 2) >= Surd(0, 1, 2), TypeError)],
+                   _check_surd_order),
+}
+
+
+@pytest.mark.parametrize("row", sorted(REMOVED_SPELLINGS))
+def test_removed_spelling_and_its_replacement(row):
+    removed, check = REMOVED_SPELLINGS[row]
+    rng = random.Random(row)
+    for _ in range(40):
+        D = rng.choice([2, 3, 5, 7, 13, 139, 141, 9999991])
+        # nonzero y: w is no zero of the field, so w.inverse() exists
+        x1, y1, x2, y2 = (Fraction(rng.randint(-10**9, 10**9) or 1,
+                                   rng.randint(1, 10**4)) for _ in range(4))
+        z, w = QuadElem(D, x1, y1), QuadElem(D, x2, y2)
+        for call, error in removed:
+            with pytest.raises(error):
+                call(z, w)
+        check(z, w)
 
 
 class TestFieldConstants:
@@ -453,20 +548,20 @@ class TestSurd:
         # A float would make the exact sign tests run on float arithmetic;
         # the constructor's refusals are checked in tests/test_type_gate.py.
         with pytest.raises(TypeError):
-            Surd(0, 1, 2) < 1.5
+            surd_compare(Surd(0, 1, 2), 1.5)
 
     def test_compare_same_radicand(self):
-        assert Surd(0, 1, 2) < Surd(0, 2, 2)
-        assert Surd(1, 1, 2) > Surd(2)
+        assert surd_compare(Surd(0, 1, 2), Surd(0, 2, 2)) < 0
+        assert surd_compare(Surd(1, 1, 2), Surd(2)) > 0
         assert surd_compare(Surd(0, 1, 2), Fraction(3, 2)) < 0
 
     def test_compare_two_radicands(self):
         # sqrt(2) + 1 vs sqrt(6): 2.4142 < 2.4495
-        assert Surd(1, 1, 2) < Surd(0, 1, 6)
+        assert surd_compare(Surd(1, 1, 2), Surd(0, 1, 6)) < 0
         # sqrt(3) vs sqrt(2): mixed radicands
-        assert Surd(0, 1, 3) > Surd(0, 1, 2)
+        assert surd_compare(Surd(0, 1, 3), Surd(0, 1, 2)) > 0
         # 2*sqrt(3) vs 1 + sqrt(5): 3.4641 > 3.2361
-        assert Surd(0, 2, 3) > Surd(1, 1, 5)
+        assert surd_compare(Surd(0, 2, 3), Surd(1, 1, 5)) > 0
         # equality across radicands: 2*sqrt(2) = sqrt(8)
         assert Surd(0, 2, 2) == Surd(0, 1, 8)
 

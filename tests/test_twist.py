@@ -27,6 +27,7 @@ from quadtwist.quadfield import (
     QuadElem,
     Surd,
     is_squarefree,
+    surd_compare,
 )
 from quadtwist.twist import (
     Interval,
@@ -147,14 +148,16 @@ class TestSimplestRational:
         lo = Surd(355, 0, 0, 113)  # 355/113 and 355/113 + 1/10^6
         hi = Surd(355 * 10**6 + 113, 0, 0, 113 * 10**6)
         m = simplest_rational_in(lo, hi)
-        assert lo < m < hi
+
+        def inside(x):
+            return surd_compare(lo, x) < 0 < surd_compare(hi, x)
+
+        assert inside(m)
         # exhaustive check that no smaller denominator fits
         for den in range(1, m.denominator):
             n0 = int(float(lo) * den)
-            assert not any(
-                lo < Fraction(n, den) < hi
-                for n in range(n0 - 1, n0 + 3)
-            )
+            assert not any(inside(Fraction(n, den))
+                           for n in range(n0 - 1, n0 + 3))
 
     def test_endpoints_are_excluded(self):
         m = simplest_rational_in(Surd(1), Surd(2))
