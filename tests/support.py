@@ -77,7 +77,10 @@ def run_python(*args, flags=(), path=(), **run_kwargs):
 
 def power(z, k):
     """z^k for a QuadElem z and an int k, spelled as README's "Removed
-    names" row for `z ** k`: repeated *, on z.inverse() when k < 0."""
+    names" row for `z ** k`: repeated *, on z.inverse() when k < 0.  A
+    bool or any other non-int k is a TypeError, so True is not read as 1."""
+    if type(k) is not int:
+        raise TypeError(f"exponent must be an int, not {type(k).__name__}")
     base = z.inverse() if k < 0 else z
     out = quadtwist.QuadElem(z.D, 1)
     for _ in range(abs(k)):
@@ -87,5 +90,11 @@ def power(z, k):
 
 def embedding(z, i):
     """sigma_i(z) as a float for a QuadElem z and i = 1 or 2, spelled as
-    README's "Removed names" row for `z.embed(i)`."""
+    README's "Removed names" row for `z.embed(i)`.  Any other i is refused,
+    so 0 or -1 is not read as sigma_2, nor True as sigma_1."""
+    if type(i) is not int:
+        raise TypeError(
+            f"embedding index must be an int, not {type(i).__name__}")
+    if i not in (1, 2):
+        raise ValueError(f"embedding index must be 1 or 2, not {i}")
     return float(quadtwist.Surd(z.p, z.q if i == 1 else -z.q, z.D, z.d))

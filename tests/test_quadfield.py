@@ -200,6 +200,18 @@ class TestQuadElem:
         with pytest.raises(ZeroDivisionError):
             QuadElem(7, 0, 0).inverse()
 
+    def test_pow(self):
+        # powers of 1 + sqrt(2) spelled as repeated *, on the inverse for
+        # k < 0: (1 + sqrt(2))^3 = 7 + 5 sqrt(2), (1 + sqrt(2))^-2 =
+        # 3 - 2 sqrt(2) as N(1 + sqrt(2)) = -1; z ** k is gone
+        z = QuadElem(2, 1, 1)
+        assert power(z, 0) == QuadElem(2, 1, 0)
+        assert power(z, 3) == z * z * z == QuadElem(2, 7, 5)
+        assert power(z, -2) == (z * z).inverse() == QuadElem(2, 3, -2)
+        for k in (0, 3, -2):
+            with pytest.raises(TypeError):
+                z ** k
+
     def test_mixed_fields_rejected(self):
         with pytest.raises(ValueError):
             QuadElem(2, 1, 1) * QuadElem(3, 1, 1)

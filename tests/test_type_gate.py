@@ -37,7 +37,7 @@ from quadtwist import (
     sample_orbit,
     surd_compare,
 )
-from support import TESTS, run_python
+from support import TESTS, embedding, power, run_python
 
 I141 = CanonicalIdeal(141, 5, 4, 1)
 G141 = Gram2(2, 1, 2)
@@ -224,3 +224,39 @@ def test_interval_flags_must_be_bools(flag):
             Interval(Surd(1), None, *flags)
     assert str(Interval(Surd(1), None, False, True)) == "(1, oo)"
 
+
+@pytest.mark.parametrize("k", [True, 2.0, -1.0, Fraction(2), "2"])
+def test_exponent_must_be_an_int(k):
+    # QuadElem has no **, so no exponent reaches Fraction.__rpow__ or is
+    # read as another; the repeated-* spelling refuses a non-int k, True too
+    z = QuadElem(5, 1, 1)
+    with pytest.raises(TypeError, match=r"\*\* or pow\(\)"):
+        z ** k
+    with pytest.raises(TypeError, match="exponent"):
+        power(z, k)
+
+
+def test_int_exponents():
+    # an int exponent is refused by ** as well; repeated * takes it
+    z = QuadElem(5, 1, 1)
+    for k in (0, 3, -2):
+        with pytest.raises(TypeError, match=r"\*\* or pow\(\)"):
+            z ** k
+    assert power(z, 0) == QuadElem(5, 1, 0)
+    assert power(z, 3) == z * z * z == QuadElem(5, 16, 8)
+    assert power(z, -2) == (z * z).inverse() \
+        == QuadElem(5, Fraction(3, 8), Fraction(-1, 8))
+
+
+@pytest.mark.parametrize("i, error", [
+    (0, ValueError), (3, ValueError), (-1, ValueError),
+    (True, TypeError), (1.0, TypeError), ("1", TypeError),
+])
+def test_embedding_index_must_be_1_or_2(i, error):
+    # QuadElem.embed is gone; its float spelling takes i = 1 or 2 only, so
+    # no other i is read as sigma_2, nor True as sigma_1
+    z = QuadElem(5, 1, 1)
+    with pytest.raises(AttributeError):
+        z.embed(i)
+    with pytest.raises(error, match="embedding index"):
+        embedding(z, i)
