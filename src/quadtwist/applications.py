@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .geodesic import _log_ratio, _t_at
 from .ideals import CanonicalIdeal, _z2
-from .lattice2 import _IDENTITY, _deep_hole, _reduce, _twist_ints
+from .lattice2 import _IDENTITY, _reduce, _thickness, _twist_ints
 from .quadfield import (
     CertificateError,
     Form,
@@ -178,12 +178,10 @@ def _thickness_at(I: CanonicalIdeal, num: int, den: int,
                   U: tuple[int, int, int, int] = _IDENTITY
                   ) -> tuple[tuple[int, int], tuple[int, int, int, int]]:
     """hermite_thickness_sq at t + sqrt(D) for t = num/den as the integer
-    pair (n^2, 16*det^3) of the pencil twist reduced from the basis U
-    (`lattice2._reduce`), and the reduced basis.  The ratio is scale
-    invariant, so no gcd is taken."""
+    pair `lattice2._thickness` gives on the pencil twist reduced from the
+    basis U (`lattice2._reduce`), and the reduced basis."""
     R = _reduce(*_twist_ints(I, num, den), U)
-    n, det = _deep_hole(*R[:3])
-    return (n * n, 16 * det ** 3), R[3:]
+    return _thickness(*R[:3]), R[3:]
 
 
 # tau_min_search's grid points per unit period and golden-section steps.

@@ -6,14 +6,14 @@ a rational number.  All predicates below therefore operate on exact rational
 Gram matrices, never on the irrational embedded basis vectors.  A Gram matrix
 is held as three integers over one common denominator, and the predicates
 compute on those integers.  `_reduce` is the one exact Lagrange loop, on a
-numerator triple and from a start basis; the orbit probes run it on
-`_twist_ints` with no Gram2, each from the previous probe's reduced basis,
-and the twist certificates on the same integers.  The WR and stability
-flags of a reduced triple have one home each, `_wr_reduced` and
-`_stable_reduced`, weak reducedness of any triple has `_paper_reduced`,
-and the scaling 2/(d*e) from the pencil integers to a Gram has
-`_twist_gram`.  The oracle `minima_brute_force` uses no reduction and
-sizes its search from the Gram itself.
+numerator triple and from a start basis: the orbit probes run it on
+`_twist_ints`, each from the previous probe's reduced basis, and
+`lagrange_reduce` on a Gram2, for each predicate on the minima.  A reduced
+triple's WR and stability flags and thickness have one home each
+(`_wr_reduced`, `_stable_reduced`, `_thickness`), weak reducedness has
+`_paper_reduced`, and the scaling 2/(d*e) from pencil integers to a Gram
+has `gram_of_twist`.  The oracle `minima_brute_force` uses no reduction
+and sizes its search from the Gram itself.
 """
 
 from __future__ import annotations
@@ -95,7 +95,7 @@ class UnimodularMap(_Record):
 
 def _twist_ints(I: CanonicalIdeal, p: int, q: int) -> tuple[int, int, int]:
     """p*P + q*Q on the ideal's pencil: the twist by alpha = (p + q*sqrt(D))/d
-    has Gram 2*(p*P + q*Q)/(d*e) (`_twist_gram`).  Total positivity is
+    has Gram 2*(p*P + q*Q)/(d*e) (`gram_of_twist`).  Total positivity is
     checked on the integers, and it implies positive definiteness:
     n11 = p*P11 = p*a^2*e > 0 (Q11 = 0), and
     det(p*P + q*Q) = N(I)^2 * D * (p^2 - D*q^2) > 0."""
@@ -104,13 +104,6 @@ def _twist_ints(I: CanonicalIdeal, p: int, q: int) -> tuple[int, int, int]:
                          "totally positive")
     P11, P12, P22, Q11, Q12, Q22 = I._pencil
     return p * P11 + q * Q11, p * P12 + q * Q12, p * P22 + q * Q22
-
-
-def _twist_gram(I: CanonicalIdeal, n11: int, n12: int, n22: int,
-                d: int) -> Gram2:
-    """The Gram 2*(n11, n12, n22)/(d*e) of the twist by (p + q*sqrt(D))/d,
-    from `_twist_ints(I, p, q)`."""
-    return Gram2(2 * n11, 2 * n12, 2 * n22, d * I._uve[2])
 
 
 def gram_of_twist(I: CanonicalIdeal, alpha: QuadElem) -> Gram2:
@@ -127,7 +120,8 @@ def gram_of_twist(I: CanonicalIdeal, alpha: QuadElem) -> Gram2:
         raise TypeError("alpha must be a QuadElem")
     if alpha.D != I.D:
         raise ValueError("alpha must live in the same field as I")
-    return _twist_gram(I, *_twist_ints(I, alpha.p, alpha.q), alpha.d)
+    n11, n12, n22 = _twist_ints(I, alpha.p, alpha.q)
+    return Gram2(2 * n11, 2 * n12, 2 * n22, alpha.d * I._uve[2])
 
 
 _IDENTITY = (1, 0, 0, 1)  # the start basis of a cold reduction
@@ -192,7 +186,7 @@ def _paper_reduced(n11: int, n12: int, n22: int) -> bool:
 
 # Predicates on the numerators (n11, n12, n22) of an already Lagrange-reduced
 # R (0 <= 2*r12 <= r11 <= r22), whose diagonal holds the successive minima.
-# The public predicates run `_reduce` once and call these.
+# The public predicates call these, scale invariant, on `lagrange_reduce`'s R.
 
 def _wr_reduced(n11: int, n12: int, n22: int) -> bool:
     return n11 == n22
@@ -213,10 +207,8 @@ def _similarity_reduced(n11: int, n12: int, n22: int) -> "SimilarityPoint":
 
 def successive_minima(G: Gram2) -> tuple[Fraction, Fraction]:
     """Exact squared successive minima (the diagonal after reduction)."""
-    if not isinstance(G, Gram2):
-        raise TypeError("G must be a Gram2")
-    r11, _, r22, *_ = _reduce(G._n11, G._n12, G._n22)
-    return Fraction(r11, G._den), Fraction(r22, G._den)
+    R = lagrange_reduce(G)[0]
+    return R.g11, R.g22
 
 
 def minima_brute_force(G: Gram2) -> tuple[Fraction, Fraction]:
@@ -268,34 +260,37 @@ def is_lagrange_reduced(G: Gram2) -> bool:
 
 def is_wr(G: Gram2) -> bool:
     """Well-rounded: both successive minima coincide."""
-    if not isinstance(G, Gram2):
-        raise TypeError("G must be a Gram2")
-    return _wr_reduced(*_reduce(G._n11, G._n12, G._n22)[:3])
+    R = lagrange_reduce(G)[0]
+    return _wr_reduced(R._n11, R._n12, R._n22)
 
 
 def is_stable(G: Gram2) -> bool:
     """Stable in the plane: volume <= lambda_1^2, i.e. det G <= lambda_1^4."""
-    if not isinstance(G, Gram2):
-        raise TypeError("G must be a Gram2")
-    return _stable_reduced(*_reduce(G._n11, G._n12, G._n22)[:3])
+    R = lagrange_reduce(G)[0]
+    return _stable_reduced(R._n11, R._n12, R._n22)
 
 
-def _deep_hole(n11: int, n12: int, n22: int) -> tuple[int, int]:
-    """(r11*r22*(r11 + r22 - 2*r12), det) on the numerators of a reduced R.
+def _thickness(n11: int, n12: int, n22: int) -> tuple[int, int]:
+    """tau^2 = mu^4 / det as the integer pair (m^2, 16*det^3) on the
+    numerators of a reduced R, m = r11*r22*(r11 + r22 - 2*r12).
 
     With 0 <= 2*r12 <= r11 <= r22 the fundamental triangle (0, v1, v1 - v2)
     is non-obtuse and the deep hole is its circumcenter, so the squared
-    covering radius is mu^2 = r11*r22*(r11 + r22 - 2*r12) / (4*det).
+    covering radius is mu^2 = m / (4*det).  The ratio is scale invariant,
+    so no gcd is taken.
     """
-    return n11 * n22 * (n11 + n22 - 2 * n12), n11 * n22 - n12 * n12
+    det = n11 * n22 - n12 * n12
+    m = n11 * n22 * (n11 + n22 - 2 * n12)
+    return m * m, 16 * det ** 3
 
 
 def hermite_thickness_sq(G: Gram2) -> Fraction:
-    """tau^2 = mu^4 / det G (scale invariant; n = 2)."""
-    if not isinstance(G, Gram2):
-        raise TypeError("G must be a Gram2")
-    num, det = _deep_hole(*_reduce(G._n11, G._n12, G._n22)[:3])
-    return Fraction(num * num, 16 * det * det * det)
+    """tau^2 = mu^4 / det G (scale invariant; n = 2).
+
+    Kept as a public name because the benchmark harness in perfbench/ reads
+    it, in its orbit check."""
+    R = lagrange_reduce(G)[0]
+    return Fraction(*_thickness(R._n11, R._n12, R._n22))
 
 
 class SimilarityPoint(_Record):
@@ -317,6 +312,5 @@ def similarity_point(G: Gram2) -> SimilarityPoint:
 
     Kept as a public name because the benchmark harness in perfbench/ traces
     it."""
-    if not isinstance(G, Gram2):
-        raise TypeError("G must be a Gram2")
-    return _similarity_reduced(*_reduce(G._n11, G._n12, G._n22)[:3])
+    R = lagrange_reduce(G)[0]
+    return _similarity_reduced(R._n11, R._n12, R._n22)

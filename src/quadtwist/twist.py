@@ -22,10 +22,11 @@ leaves something, and a height test on a/g.  The clipping keeps every end
 as the integers (p, q, n, d) of (p + q*sqrt(n))/d and compares ends by one
 exact sign test, `quadfield._surd_sign`; only a nonempty feasibility set is
 built, once, as a sorted tuple of `Interval`s with `Surd` endpoints.  The
-witness is the simplest rational inside, found by continued fractions on
-the clipped pieces' integer ends (`_simplest_between`, the core of
-`simplest_rational_in`).  Both certificates re-check the twist on the
-pencil integers `lattice2._twist_ints` gives, with one `_reduce`.
+witness is the simplest rational inside, found by `simplest_rational_in` on
+those intervals' canonical ends, in order.  Each certificate re-checks its
+twist with one `_reduce`: the WR one on the integers of the Gram it returns,
+`lattice2.gram_of_twist`, the stable one on the pencil integers
+`lattice2._twist_ints` gives.
 """
 
 from __future__ import annotations
@@ -39,9 +40,9 @@ from .lattice2 import (
     _paper_reduced,
     _reduce,
     _stable_reduced,
-    _twist_gram,
     _twist_ints,
     _wr_reduced,
+    gram_of_twist,
 )
 from .quadfield import (
     CertificateError,
@@ -222,18 +223,16 @@ def simplest_rational_in(lo: Surd, hi: Surd | None) -> Fraction | None:
     Each end stays (p + q*sqrt(n))/d on integers over its own radicand n,
     floored as (p + floor(q*sqrt(n)))//d, and the Moebius map
     x -> (a*x + b)/(c*x + e) carries x back; only the witness is built as a
-    Fraction."""
+    Fraction.  The floor step is exact because a canonical Surd has
+    q = n = 0 or an n that is not a square, which `_recip_minus` keeps: so
+    floor(q*sqrt(n)) is isqrt(q^2*n) for q >= 0, -isqrt(q^2*n) - 1 for q < 0.
+    """
     if not (isinstance(lo, Surd) and (hi is None or isinstance(hi, Surd))):
         raise TypeError("lo and hi must be Surds")
     if _sign_x_plus_y_sqrt(lo.p, lo.q, lo.n) < 0:
         raise ValueError(f"need lo >= 0, got {lo}")
-    return _simplest_between((lo.p, lo.q, lo.n, lo.d),
-                             None if hi is None else (hi.p, hi.q, hi.n, hi.d))
-
-
-def _simplest_between(x: tuple, y: tuple | None) -> Fraction | None:
-    """`simplest_rational_in` on the integers (p, q, n, d) of its ends,
-    y = None for +oo, with x >= 0 unchecked."""
+    x = (lo.p, lo.q, lo.n, lo.d)
+    y = None if hi is None else (hi.p, hi.q, hi.n, hi.d)
     if y is not None and _surd_sign(x, y) >= 0:
         return None
     a, b, c, e = 1, 0, 0, 1
@@ -385,13 +384,15 @@ def wr_twist(I: CanonicalIdeal) -> TwistVerdict:
 
 def _certify_wr(I: CanonicalIdeal, t_star: Fraction, alpha: QuadElem) -> Gram2:
     """The Gram of I twisted by alpha = t* + sqrt(D), once it is re-checked
-    WR and reduced on its pencil integers; CertificateError otherwise."""
-    n = _twist_ints(I, alpha._p, alpha._q)
+    WR and reduced on its (scale invariant) integers; CertificateError
+    otherwise."""
+    G = gram_of_twist(I, alpha)
+    n = G._n11, G._n12, G._n22
     if not (_wr_reduced(*_reduce(*n)[:3]) and _paper_reduced(*n)):
         raise CertificateError(
             f"WR twist t* = {_rat(t_star)} of {I} fails the exact WR/reduced "
             f"re-check")
-    return _twist_gram(I, *n, alpha._d)
+    return G
 
 
 def _stable_constraints(I: CanonicalIdeal) -> list[tuple[int, int, int]]:
@@ -475,17 +476,17 @@ def stable_twist(I: CanonicalIdeal) -> FeasibilityReport:
         feas = _clip(feas, A, B, C)
         if not feas:
             return FeasibilityReport(False, (), emptied_by=k)
+    intervals = tuple(map(_interval, feas))
     witness_t = witness_alpha = None
-    for lo, hi, _, _ in feas:
-        # every piece lies in (sqrt(D), oo), so lo > 0
-        witness_t = _simplest_between(lo, hi)
+    for iv in intervals:
+        # every interval lies in (sqrt(D), oo), so lo > 0
+        witness_t = simplest_rational_in(iv.lo, iv.hi)
         if witness_t is not None:
             n, d = witness_t.numerator, witness_t.denominator
             witness_alpha = _quad(D, n, d, d)
             _certify_stable(I, witness_t, witness_alpha)
             break
-    return FeasibilityReport(True, tuple(map(_interval, feas)), witness_t,
-                             witness_alpha)
+    return FeasibilityReport(True, intervals, witness_t, witness_alpha)
 
 
 def _certify_stable(I: CanonicalIdeal, t: Fraction, alpha: QuadElem) -> None:

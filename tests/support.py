@@ -1,12 +1,13 @@
 """What the tier-1 modules share: the repo's paths, one parse of each source
 file, one rule for the names a syntax tree reads, one way to run code in a
-child interpreter, and the power and the float embeddings of a field
-element.
+child interpreter, one way to count a module's calls, and the power and
+the float embeddings of a field element.
 
 pytest collects only `test_*.py`, so this module holds no tests.
 """
 
 import ast
+import collections
 import functools
 import os
 import pathlib
@@ -73,6 +74,22 @@ def run_python(*args, flags=(), path=(), **run_kwargs):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(map(str, entries)))
     return subprocess.run([sys.executable, *flags, *args], env=env,
                           **run_kwargs)
+
+
+def count_calls(monkeypatch, module, *names):
+    """A Counter of the calls, from now on, of each function names binds
+    in module, each rebound by monkeypatch to a counting wrapper."""
+    calls = collections.Counter()
+
+    def counting(name, real):
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    return calls
 
 
 def power(z, k):

@@ -15,7 +15,7 @@ from quadtwist import cli, ideals
 from quadtwist.cli import EXIT_INVALID, EXIT_OK, EXIT_VERIFY_FAILED, main
 from quadtwist import twist
 from quadtwist.ideals import CanonicalBasisError, CanonicalIdeal, enumerate_canonical
-from quadtwist.lattice2 import _twist_ints
+from quadtwist.lattice2 import _twist_ints, gram_of_twist
 from quadtwist.quadfield import CertificateError, _rat
 from quadtwist.twist import (
     stable_bound_filter,
@@ -23,7 +23,7 @@ from quadtwist.twist import (
     wr_bound_filter,
     wr_twist,
 )
-from support import PERFBENCH, ROOT, run_python
+from support import PERFBENCH, ROOT, count_calls, run_python
 
 
 def run_cli(capsys, *argv):
@@ -187,14 +187,20 @@ class TestSurveyCommand:
 
     def test_positive_rows_are_rechecked_on_their_own_ideal(
             self, capsys, monkeypatch):
-        twisted = set()
+        wr_twisted, stable_twisted = set(), set()
 
-        # both certificates twist I by p/q + sqrt(D) on its pencil integers
-        def recorded(I, p, q):
-            twisted.add((I.a, I.b, I.g, Fraction(p, q)))
+        # the WR certificate twists I by t* + sqrt(D) through gram_of_twist,
+        # the stable one by t + sqrt(D) on its pencil integers
+        def recorded_gram(I, alpha):
+            wr_twisted.add((I.a, I.b, I.g, Fraction(alpha.p, alpha.q)))
+            return gram_of_twist(I, alpha)
+
+        def recorded_ints(I, p, q):
+            stable_twisted.add((I.a, I.b, I.g, Fraction(p, q)))
             return _twist_ints(I, p, q)
 
-        monkeypatch.setattr(twist, "_twist_ints", recorded)
+        monkeypatch.setattr(twist, "gram_of_twist", recorded_gram)
+        monkeypatch.setattr(twist, "_twist_ints", recorded_ints)
         _, out, _ = run_cli(capsys, "survey", "139", "30")
         rows = [json.loads(line) for line in out.splitlines()]
         positive = [r for r in rows if r["stable_witness_t"] is not None]
@@ -203,9 +209,27 @@ class TestSurveyCommand:
             key = (r["a"], r["b"], r["g"])
             if r["wr_twistable"]:
                 t_star = Fraction(r["alpha"].partition(" + sqrt")[0])
-                assert key + (t_star,) in twisted, r
+                assert key + (t_star,) in wr_twisted, r
             if r["stable_witness_t"] is not None:
-                assert key + (Fraction(r["stable_witness_t"]),) in twisted, r
+                t = Fraction(r["stable_witness_t"])
+                assert key + (t,) in stable_twisted, r
+
+    def test_witnesses_and_wr_certificates_go_through_the_traced_names(
+            self, capsys, monkeypatch):
+        # the benchmark tracer counts twist.simplest_rational_in and
+        # lattice2.gram_of_twist; the survey's work must reach both
+        calls = count_calls(monkeypatch, twist, "simplest_rational_in",
+                            "gram_of_twist")
+        _, out, _ = run_cli(capsys, "survey", "139", "30")
+        rows = [json.loads(line) for line in out.splitlines()]
+        # a class's witness is found once, on its primitive row; every WR
+        # row, a multiple too, builds its certificate's Gram
+        witnesses = sum(1 for r in rows
+                        if r["g"] == 1 and r["stable_witness_t"] is not None)
+        wr_rows = sum(1 for r in rows if r["wr_twistable"])
+        assert witnesses > 0 and wr_rows > 0
+        assert calls["simplest_rational_in"] >= witnesses
+        assert calls["gram_of_twist"] >= wr_rows
 
     def test_a_failing_recheck_on_a_multiple_exits_3(self, capsys, monkeypatch):
         real = twist.raw_stable_polynomials

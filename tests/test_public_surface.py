@@ -3,9 +3,10 @@
 Every name `quadtwist.__all__` exports is read somewhere other than its own
 definition: in a module of the package other than `__init__`, in a demo or
 in the benchmark harness under perfbench/, where a `tracer.TARGETS` entry
-counts as a read.  And every name the harness reaches resolves, so that a
-deletion in src/ cannot break the harness unseen.  perfbench/ is only read:
-its tracer runs from its source text, with no bytecode cache written there.
+counts as a read; the exports that only the harness reads are pinned.  And
+every name the harness reaches resolves, so that a deletion in src/ cannot
+break the harness unseen.  perfbench/ is only read: its tracer runs from
+its source text, with no bytecode cache written there.
 """
 
 import ast
@@ -17,8 +18,9 @@ import quadtwist
 import quadtwist.cli  # noqa: F401  binds every submodule, as the harness's import does
 from support import DEMOS, PERFBENCH, SRC, reads_outside_own_def, syntax_tree
 
-USERS = ([p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
-         + sorted(DEMOS.glob("*.py")) + sorted(PERFBENCH.glob("*.py")))
+PACKAGE_USERS = ([p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
+                 + sorted(DEMOS.glob("*.py")))
+USERS = PACKAGE_USERS + sorted(PERFBENCH.glob("*.py"))
 
 tracer = ModuleType("tracer")
 exec(compile((PERFBENCH / "tracer.py").read_text(), str(PERFBENCH / "tracer.py"),
@@ -34,6 +36,18 @@ def test_every_export_is_used():
     for target in tracer.TARGETS:
         used.update(target.split(".")[1:])
     assert [name for name in quadtwist.__all__ if name not in used] == []
+
+
+def test_harness_only_names():
+    # the public names that no module of the package and no demo reads,
+    # kept for perfbench/ alone; module-level twist.intersect_interval_lists
+    # is one too, a tracer target outside __all__
+    used = set().union(*(reads_outside_own_def(syntax_tree(p))
+                         for p in PACKAGE_USERS))
+    assert {name for name in quadtwist.__all__ if name not in used} == {
+        "hermite_thickness_sq", "similarity_point", "validate_canonical"}
+    assert "intersect_interval_lists" not in used
+    assert "twist.intersect_interval_lists" in tracer.TARGETS
 
 
 def test_all_is_the_public_names_init_binds():

@@ -39,7 +39,7 @@ from quadtwist.twist import (
     wr_bound_filter,
     wr_twist,
 )
-from support import run_python
+from support import count_calls, run_python
 import oracles
 
 rat = st.fractions(min_value=Fraction(-20), max_value=Fraction(20),
@@ -143,6 +143,8 @@ class TestSimplestRational:
         assert simplest_rational_in(Surd(0), Surd(1)) == Fraction(1, 2)
         assert simplest_rational_in(Surd(3), None) == 4
         assert simplest_rational_in(Surd(2), Surd(2)) is None
+        # Surd folds 7 - sqrt(4) to 5, so the floor step sees q = 0
+        assert simplest_rational_in(Surd(7, -1, 4, 1), None) == 6
 
     def test_narrow_interval_minimality(self):
         lo = Surd(355, 0, 0, 113)  # 355/113 and 355/113 + 1/10^6
@@ -236,9 +238,18 @@ class TestStableTwist:
     def test_single_point_feasibility(self):
         fr = stable_twist(ring_of_integers(5))
         assert fr.feasible_real
-        assert fr.witness_t is None  # empty interior
         assert len(fr.intervals) == 1 and _is_point(fr.intervals[0])
         assert fr.contains_t(Fraction(5))
+
+    @pytest.mark.xfail(strict=True, reason="the witness is sought only in "
+                       "an interval's interior, so the one-point set [5, 5] "
+                       "gets none; the survey references pin that null, see "
+                       "CHANGES.md")
+    def test_single_point_feasibility_has_its_witness(self):
+        # t = 5 is rational and passes the stable re-check
+        I = ring_of_integers(5)
+        twist._certify_stable(I, Fraction(5), QuadElem(5, 5, 1))
+        assert stable_twist(I).witness_t == 5
 
     def test_infeasible(self):
         fr = stable_twist(ring_of_integers(7))
@@ -850,6 +861,21 @@ class TestCertificates:
         monkeypatch.setattr(twist, "raw_stable_polynomials", lambda I, t: False)
         with pytest.raises(CertificateError):
             stable_twist(CanonicalIdeal(1327, 39, 38, 1))
+
+    def test_witnesses_and_wr_certificates_go_through_the_traced_names(
+            self, primitive_ideals, monkeypatch):
+        # the benchmark tracer counts twist.simplest_rational_in and
+        # lattice2.gram_of_twist: each witness is sought through the one,
+        # each WR certificate's Gram built by the other
+        calls = count_calls(monkeypatch, twist, "simplest_rational_in",
+                            "gram_of_twist")
+        witnesses = wr = 0
+        for I in primitive_ideals:
+            wr += wr_twist(I).wr_twistable
+            witnesses += stable_twist(I).witness_t is not None
+        assert (witnesses, wr) == (3896, 2529)
+        assert calls["simplest_rational_in"] >= witnesses
+        assert calls["gram_of_twist"] >= wr
 
     def test_stable_twist_rechecks_under_optimize(self):
         script = textwrap.dedent("""
